@@ -191,9 +191,10 @@ let maintain_entry ?local ~(compensate : bool) ~(vm_mode : vm_mode)
                 stats.Stats.bytes_saved <-
                   stats.Stats.bytes_saved + s.Dyno_vm.Sweep.bytes_saved;
                 stats.Stats.view_commits <- stats.Stats.view_commits + 1;
-                finish Dyno_obs.Lineage.Applied
-                  (Fmt.str "view refreshed (%d probe(s), %d compensation(s))"
-                     s.Dyno_vm.Sweep.probes s.Dyno_vm.Sweep.compensations);
+                if Dyno_obs.Lineage.enabled lin then
+                  finish Dyno_obs.Lineage.Applied
+                    (Fmt.str "view refreshed (%d probe(s), %d compensation(s))"
+                       s.Dyno_vm.Sweep.probes s.Dyno_vm.Sweep.compensations);
                 Done
             | Dyno_vm.Vm.Irrelevant ->
                 stats.Stats.irrelevant <- stats.Stats.irrelevant + 1;
@@ -935,7 +936,8 @@ let run ?(config = default_config) (w : Query_engine.t) (mv : Mat_view.t)
           match Umq.head umq with
           | None -> ()
           | Some entry -> (
-        Dyno_obs.Span.set_name sp mid (Fmt.str "%a" Umq.pp_entry entry);
+        if Dyno_obs.Span.enabled sp then
+          Dyno_obs.Span.set_name sp mid (Fmt.str "%a" Umq.pp_entry entry);
         Umq.clear_broken_query_flag umq;
         let t0 = Query_engine.now w in
         Dyno_obs.Lineage.dispatch lin ~ids:(Umq.entry_ids entry) ~time:t0
@@ -1022,7 +1024,7 @@ let run ?(config = default_config) (w : Query_engine.t) (mv : Mat_view.t)
     end
     else begin
       Dyno_obs.Span.with_span sp ~now Dyno_obs.Span.Maintain
-        (Fmt.str "step %d" !steps)
+        (if Dyno_obs.Span.enabled sp then Fmt.str "step %d" !steps else "")
         iteration;
       loop ()
     end

@@ -146,6 +146,9 @@ let no_mark = M_off
 
 let opened r = if r.r_on then stamp r (now ())
 
+(* [Gc.quick_stat]'s [minor_words] only advances at a minor collection
+   on OCaml 5, so a task that allocates less than the minor heap would
+   read as 0; [Gc.minor_words ()] counts the current minor heap exactly. *)
 let task_begin r =
   if not r.r_on then M_off
   else begin
@@ -153,7 +156,7 @@ let task_begin r =
     M_task
       {
         at = now ();
-        minor_words = q.Gc.minor_words;
+        minor_words = Gc.minor_words ();
         major_words = q.Gc.major_words;
         minor_collections = q.Gc.minor_collections;
         major_collections = q.Gc.major_collections;
@@ -167,7 +170,7 @@ let task_end r ~tag m =
       let q = Gc.quick_stat () in
       let gc =
         {
-          minor_words = q.Gc.minor_words -. b.minor_words;
+          minor_words = Gc.minor_words () -. b.minor_words;
           major_words = q.Gc.major_words -. b.major_words;
           minor_collections = q.Gc.minor_collections - b.minor_collections;
           major_collections = q.Gc.major_collections - b.major_collections;

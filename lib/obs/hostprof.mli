@@ -4,7 +4,7 @@
     on the {e simulated} clock; this module watches the {e host} clock.
     Each participant of a {!Dyno_sim.Domain_pool} — the spawned worker
     domains and the coordinator — owns a private ring of host-clock
-    events (task begin/end with per-task [Gc.quick_stat] deltas,
+    events (task begin/end with per-task GC deltas,
     chunk grabs, idle waits, the worker's exit) plus eviction-proof
     aggregate counters.  Rings are single-writer (the owning domain) and
     are read by the coordinator only after the pool has quiesced (the
@@ -29,7 +29,8 @@ type t
 type ring
 (** One participant's event ring.  Safe to hand to exactly one domain. *)
 
-(** Per-task GC pressure: [Gc.quick_stat] deltas across the task. *)
+(** Per-task GC pressure across the task: exact minor words
+    ([Gc.minor_words]), and [Gc.quick_stat] deltas for the rest. *)
 type gc_delta = {
   minor_words : float;
   major_words : float;

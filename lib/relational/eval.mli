@@ -1,8 +1,10 @@
 (** SPJ query evaluation over signed-multiset relations: a left-deep join
     pipeline with selection push-down, residual predicates and final
-    projection.  {!run} is the single entry point; the [?planner] argument
-    picks the physical plan.  Also what each simulated source server runs
-    locally to answer maintenance queries. *)
+    projection.  Evaluation is split in two: {!prepare} plans a query
+    against the schemas of its inputs, once; {!execute} runs the plan over
+    data, as often as needed, with the [?planner] argument picking the
+    physical plan.  {!run} is the two back to back.  Also what each
+    simulated source server runs locally to answer maintenance queries. *)
 
 exception Error of string
 
@@ -45,7 +47,7 @@ val nested_loop_join :
 (** O(n·m) compare-everything join — the reference plan.  Only matches are
     materialized, never the full product. *)
 
-(** {1 The query entry point} *)
+(** {1 Prepared queries} *)
 
 type plan = [ `Indexed | `Nested_loop ]
 (** Physical plan choice.  [`Indexed]: equality-conjunct analysis routes
@@ -56,6 +58,33 @@ type plan = [ `Indexed | `Nested_loop ]
     intermediates.  [`Nested_loop]: the quadratic reference plan the
     property tests hold the indexed plans to. *)
 
+type prepared
+(** A query planned against one schema per FROM entry: bindings, the
+    predicate partition, every attribute position, compiled local and
+    residual predicates, constant-equality index keys, per-step join keys
+    and the output projection.  Immutable, so it may be shared across
+    executions and domains. *)
+
+val prepare : Query.t -> (string * Schema.t) list -> prepared
+(** [prepare q schemas] plans [q] with [schemas] bound to its aliases.
+    @raise Error on binding or resolution failure — the relational-level
+    face of a broken query. *)
+
+val execute : ?planner:plan -> prepared -> Relation.t list -> Relation.t
+(** [execute p inputs] evaluates [p] over one relation per FROM entry, in
+    FROM order.  [planner] defaults to [`Indexed]; it decides only the
+    data-dependent choices (which join side to hash, whether an index
+    wins).  When an input's schema differs from the one [p] was prepared
+    for, the query is re-prepared against the actual schemas first, so
+    the result always equals {!run} over the same inputs.
+    @raise Error when re-preparing fails — a broken query.
+    @raise Invalid_argument when [inputs] has the wrong length. *)
+
+val output_schema : prepared -> Schema.t
+(** The schema {!execute} returns when the input schemas match. *)
+
+(** {1 One-shot evaluation} *)
+
 type catalog = Query.table_ref -> Relation.t
 (** Resolves each FROM entry to its extent. *)
 
@@ -64,6 +93,8 @@ val catalog : (string * Relation.t) list -> catalog
     @raise Error (at application time) for an unbound alias. *)
 
 val run : ?planner:plan -> catalog:catalog -> Query.t -> Relation.t
-(** Evaluate a query.  [planner] defaults to [`Indexed].
+(** [run ~catalog q] is {!execute} of {!prepare}[ q] over the relations
+    [catalog] binds, asked once per FROM entry.  [planner] defaults to
+    [`Indexed].
     @raise Error on binding or resolution failure — the relational-level
     face of a broken query. *)

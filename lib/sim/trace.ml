@@ -148,8 +148,11 @@ let record t ~time kind detail =
         end)
   end
 
+(* A disabled trace consumes the arguments without formatting them: no
+   string is built and no [%a] printer runs. *)
 let recordf t ~time kind fmt =
-  Fmt.kstr (fun s -> record t ~time kind s) fmt
+  if t.enabled then Fmt.kstr (fun s -> record t ~time kind s) fmt
+  else Format.ikfprintf ignore Format.str_formatter fmt
 
 (** Retained entries in chronological order. *)
 let entries t =

@@ -50,6 +50,8 @@ val record : t -> time:float -> kind -> string -> unit
 
 val recordf :
   t -> time:float -> kind -> ('a, Format.formatter, unit, unit) format4 -> 'a
+(** [record] with a formatted detail.  On a disabled trace nothing is
+    formatted: the arguments are consumed and no [%a] printer runs. *)
 
 val entries : t -> entry list
 (** Retained entries, chronological order. *)

@@ -180,10 +180,14 @@ let commit s ~time (ev : Dyno_sim.Timeline.event) =
 (** [answer s q ~bound] evaluates [q] against the source's {e current}
     state.  Table refs whose [source] field names this source are resolved
     in the local catalog; other aliases must be provided in [bound]
-    (partial results shipped with the query, as SWEEP does).  Any schema
-    discrepancy — missing relation, missing attribute — yields [Error]
-    rather than an exception: that is the in-exec broken-query signal. *)
-let answer ?(planner : Eval.plan = `Indexed) s (q : Query.t)
+    (partial results shipped with the query, as SWEEP does).  [plan] is
+    [q] as the view manager prepared it against the schemas it believes;
+    it runs only if the bound relations' current schemas equal the
+    prepared ones ({!Eval.execute} checks), and [q] is re-prepared here
+    otherwise.  Any schema discrepancy — missing relation, missing
+    attribute — yields [Error] rather than an exception: that is the
+    in-exec broken-query signal. *)
+let answer ?(planner : Eval.plan = `Indexed) ?plan s (q : Query.t)
     ~(bound : (string * Relation.t) list) : (answer, broken) result =
   let broken reason = Error { source = s.id; query_name = Query.name q; reason } in
   let missing =
@@ -209,7 +213,12 @@ let answer ?(planner : Eval.plan = `Indexed) s (q : Query.t)
             scanned := !scanned + Relation.support r;
             r
       in
-      match Eval.run ~planner ~catalog:env q with
+      let evaluate () =
+        match plan with
+        | None -> Eval.run ~planner ~catalog:env q
+        | Some p -> Eval.execute ~planner p (List.map env (Query.from q))
+      in
+      match evaluate () with
       | rows -> Ok { rows; scanned = !scanned }
       | exception Eval.Error reason -> broken reason
       | exception Catalog.No_such_relation r ->

@@ -63,6 +63,7 @@ val commit : t -> time:float -> Dyno_sim.Timeline.event -> int
 
 val answer :
   ?planner:Eval.plan ->
+  ?plan:Eval.prepared ->
   t -> Query.t -> bound:(string * Relation.t) list ->
   (answer, broken) result
 (** Evaluate against the current state.  Aliases in [bound] resolve to the
@@ -71,7 +72,11 @@ val answer :
     discrepancy yields [Error] — the in-exec broken-query signal.
     [planner] (default [`Indexed]) picks the physical plan; under
     [`Indexed] repeated probes reuse persistent indexes on the source's
-    extents, which commits keep maintained incrementally. *)
+    extents, which commits keep maintained incrementally.  [plan] is the
+    query as the view manager prepared it ({!Eval.prepare}); it runs only
+    when the bound relations' current schemas equal the prepared ones,
+    and the query is re-prepared against the current schemas otherwise,
+    so a conflict yields the same [Error] as without a plan. *)
 
 val validate : t -> Query.t -> (unit, broken) result
 (** Metadata-only dry run: do the referenced local relations and

@@ -104,32 +104,20 @@ let fetch_compensated ?(extra_cost = 0.0) (w : Query_engine.t)
          *. Dyno_sim.Cost_model.rows (Query_engine.cost w)
               ans.Dyno_source.Data_source.scanned)
         +. extra_cost);
-      (* Group by schema and compensate each group in one evaluation
-         (SPJ linearity over signed multisets). *)
-      let groups =
-        List.fold_left
-          (fun acc (_, u) ->
-            let s = Update.schema u in
-            let rec insert = function
-              | [] -> [ (s, Relation.copy (Update.delta u)) ]
-              | (s', d) :: rest when Schema.equal s s' ->
-                  (s', Relation.sum d (Update.delta u)) :: rest
-              | g :: rest -> g :: insert rest
-            in
-            insert acc)
-          [] pending
-      in
+      (* Compensate each schema group in one evaluation (SPJ linearity
+         over signed multisets). *)
       try
         Ok
           (List.fold_left
-             (fun acc (_, combined) ->
+             (fun acc (_, combined, _) ->
                let contribution =
                  Eval.run
                    ~planner:(Query_engine.planner w)
                    ~catalog:(Eval.catalog [ (tr.Query.alias, combined) ]) fq
                in
                Relation.diff acc contribution)
-             ans.Dyno_source.Data_source.rows groups)
+             ans.Dyno_source.Data_source.rows
+             (Dyno_vm.Sweep.group_by_schema pending))
       with Eval.Error reason ->
         Error
           (Query_engine.Broken

@@ -55,11 +55,13 @@ let record_commit v ~at ~maintained =
     :: v.commits
 
 (** [refresh v ~at ~maintained delta] applies a signed delta to the extent
-    and commits — the w(MV) c(MV) of a VM process.
+    in place — O(|delta|) — and commits: the w(MV) c(MV) of a VM process.
     @raise Invalid_argument if the delta drives a multiplicity negative
-    (a maintenance bug; tests rely on this tripwire). *)
+    (a maintenance bug; tests rely on this tripwire).  The delta is
+    checked before anything is applied, so a rejected refresh leaves the
+    extent and the commit log untouched. *)
 let refresh v ~at ~maintained delta =
-  v.extent <- Relation.apply_delta v.extent delta;
+  Relation.apply_delta_in_place v.extent delta;
   record_commit v ~at ~maintained
 
 (** [replace v ~at ~maintained extent] installs a whole new extent — used

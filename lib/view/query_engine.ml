@@ -276,9 +276,13 @@ let deliver_due w =
         | Timeline.Sc sc -> Update_msg.Sc sc
       in
       let lin = Dyno_obs.Obs.lineage w.obs in
-      Dyno_obs.Lineage.commit lin ~source ~seq:version ~time:e.time
-        ~sc:(match payload with Update_msg.Sc _ -> true | Update_msg.Du _ -> false)
-        ~detail:(Fmt.str "%a" Timeline.pp_event e.event);
+      if Dyno_obs.Lineage.enabled lin then
+        Dyno_obs.Lineage.commit lin ~source ~seq:version ~time:e.time
+          ~sc:
+            (match payload with
+            | Update_msg.Sc _ -> true
+            | Update_msg.Du _ -> false)
+          ~detail:(Fmt.str "%a" Timeline.pp_event e.event);
       let report =
         Channel.send r.r_channel ~now:e.time ~source ~seq:version payload
       in
@@ -414,10 +418,16 @@ let with_rpc w ~target ~what (attempt_ok : unit -> ('a, failure) result) :
     result-transfer cost elapses after evaluation. *)
 (* Wrap one probe (or validate) round trip in a [Probe] span, tagging its
    outcome and feeding the [probe.rtt_s] histogram. *)
-let probe_span w ~target ~name (body : unit -> ('a, failure) result) :
+let probe_span w ~target ~what (body : unit -> ('a, failure) result) :
     ('a, failure) result =
   let sp = Dyno_obs.Obs.spans w.obs in
   let lin = Dyno_obs.Obs.lineage w.obs in
+  (* Names and details are formatted only for a recorder that keeps them. *)
+  let name =
+    if Dyno_obs.Span.enabled sp || Dyno_obs.Lineage.enabled lin then
+      what ^ " " ^ target
+    else ""
+  in
   Dyno_obs.Span.with_span sp
     ~now:(fun () -> now w)
     Dyno_obs.Span.Probe name
@@ -433,8 +443,10 @@ let probe_span w ~target ~name (body : unit -> ('a, failure) result) :
       in
       Dyno_obs.Span.set_attr sp span_id "target" target;
       Dyno_obs.Span.set_attr sp span_id "outcome" outcome;
-      Dyno_obs.Lineage.probe_end lin ~time:(now w)
-        ~detail:(Fmt.str "%s %s: %s, rtt %.3fs" name target outcome (now w -. t0));
+      if Dyno_obs.Lineage.enabled lin then
+        Dyno_obs.Lineage.probe_end lin ~time:(now w)
+          ~detail:
+            (Fmt.str "%s %s: %s, rtt %.3fs" name target outcome (now w -. t0));
       Dyno_obs.Metrics.observe
         (Dyno_obs.Obs.metrics w.obs)
         "probe.rtt_s" (now w -. t0);
@@ -446,9 +458,9 @@ let probe_span w ~target ~name (body : unit -> ('a, failure) result) :
     tasks may deliver commits while this task parks on the result
     transfer; the caller's compensation frontier must only include
     pending updates committed at or before that instant. *)
-let execute_timed w (q : Query.t) ~bound ~target :
+let execute_timed ?plan w (q : Query.t) ~bound ~target :
     (Dyno_source.Data_source.answer * float, failure) result =
-  probe_span w ~target ~name:(Fmt.str "probe %s" target) @@ fun () ->
+  probe_span w ~target ~what:"probe" @@ fun () ->
   Trace.recordf w.trace ~time:(now w) Trace.Query_sent "%s <- %s" target
     (Query.name q);
   let src = Dyno_source.Registry.find w.registry target in
@@ -480,7 +492,7 @@ let execute_timed w (q : Query.t) ~bound ~target :
       flush_in_flight w ~source:target;
       let answered_at = now w in
       match
-        Dyno_source.Data_source.answer ~planner:w.planner src q ~bound
+        Dyno_source.Data_source.answer ~planner:w.planner ?plan src q ~bound
       with
       | Ok ans ->
           (* Result transfer: time passes but commits landing in this
@@ -514,7 +526,7 @@ let execute w (q : Query.t) ~bound ~target :
     change committed at any point of the maintenance window is detected
     (in-exec) before the view commits. *)
 let validate w (q : Query.t) ~target : (unit, failure) result =
-  probe_span w ~target ~name:(Fmt.str "validate %s" target) @@ fun () ->
+  probe_span w ~target ~what:"validate" @@ fun () ->
   let src = Dyno_source.Registry.find w.registry target in
   with_rpc w ~target ~what:"validate" (fun () ->
       advance w w.cost.Cost_model.query_latency;

@@ -165,6 +165,7 @@ val execute :
     budget is exhausted. *)
 
 val execute_timed :
+  ?plan:Eval.prepared ->
   t ->
   Query.t ->
   bound:(string * Relation.t) list ->
@@ -175,7 +176,8 @@ val execute_timed :
     concurrent maintenance, other tasks may deliver further commits
     while this task parks on the result transfer; a compensation
     frontier must only include pending updates committed at or before
-    the returned instant. *)
+    the returned instant.  [plan] ships the query already prepared
+    ({!Dyno_source.Data_source.answer}). *)
 
 val validate : t -> Query.t -> target:string -> (unit, failure) result
 (** Lightweight metadata check against a source's current catalog: one

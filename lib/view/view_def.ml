@@ -8,6 +8,12 @@
 
 open Dyno_relational
 
+(** Values a higher layer derives from one version of the definition —
+    the VM's compiled sweeps extend this type.  They are dropped whenever
+    the version moves, so a derived value never outlives the definition
+    it was derived from. *)
+type derived = ..
+
 type t = {
   mutable query : Query.t;
   mutable schemas : (string * Schema.t) list;
@@ -21,10 +27,19 @@ type t = {
           is undefined until a later change or operator intervention *)
   mutable reads : int;  (** r(VD) counter (introspection/tests) *)
   mutable writes : int;  (** w(VD) counter *)
+  mutable derived : derived list;  (** derived from the current version *)
 }
 
 let create ~schemas query =
-  { query; schemas; version = 0; valid = true; reads = 0; writes = 0 }
+  {
+    query;
+    schemas;
+    version = 0;
+    valid = true;
+    reads = 0;
+    writes = 0;
+    derived = [];
+  }
 
 let schemas vd = vd.schemas
 
@@ -43,6 +58,14 @@ let version vd = vd.version
 let is_valid vd = vd.valid
 let reads vd = vd.reads
 let writes vd = vd.writes
+let derived vd = vd.derived
+let remember vd d = vd.derived <- d :: vd.derived
+
+(* Every change of definition, schemas or validity moves the version and
+   forgets what was derived from the old one. *)
+let bump vd =
+  vd.version <- vd.version + 1;
+  vd.derived <- []
 
 (** [write vd ~schemas q] — the w(VD) step: installs a rewritten definition
     and the alias schemas it was derived for.  This is the in-memory
@@ -51,7 +74,7 @@ let writes vd = vd.writes
 let write vd ~schemas q =
   vd.query <- q;
   vd.schemas <- schemas;
-  vd.version <- vd.version + 1;
+  bump vd;
   vd.valid <- true;
   vd.writes <- vd.writes + 1
 
@@ -68,11 +91,11 @@ let restore vd (query, schemas, valid) =
   vd.query <- query;
   vd.schemas <- schemas;
   vd.valid <- valid;
-  vd.version <- vd.version + 1
+  bump vd
 
 (** [invalidate vd] marks the view undefined (no rewriting exists). *)
 let invalidate vd =
-  vd.version <- vd.version + 1;
+  bump vd;
   vd.valid <- false;
   vd.writes <- vd.writes + 1
 

@@ -42,5 +42,19 @@ val restore : t -> saved -> unit
 val invalidate : t -> unit
 (** Mark the view undefined (no rewriting exists). *)
 
+(** {1 Derived plans} *)
+
+type derived = ..
+(** Values a higher layer derives from one version of the definition —
+    the VM's compiled sweeps ({!Dyno_vm.Maint_query.sweep_for}) extend
+    this type. *)
+
+val derived : t -> derived list
+(** What has been derived from the current version.  Every {!write},
+    {!restore} and {!invalidate} moves the version and empties it. *)
+
+val remember : t -> derived -> unit
+(** Keep a value derived from the current version. *)
+
 val name : t -> string
 val pp : Format.formatter -> t -> unit

@@ -11,6 +11,7 @@
     clashes. *)
 
 open Dyno_relational
+open Dyno_view
 
 exception Unsupported of string
 
@@ -152,52 +153,6 @@ let probe_query (q : Query.t) owner (tr : Query.table_ref)
       ]
     ~where:(local_atoms q owner tr.alias @ joins)
 
-(** [initial_partial q owner tr delta] turns the delta of the maintained
-    update into the first partial result: local filters applied, needed
-    attributes projected, names prefixed. *)
-let initial_partial (q : Query.t) owner (tr : Query.table_ref)
-    (delta : Relation.t) : Relation.t =
-  let schema = Relation.schema delta in
-  let locals = local_atoms q owner tr.alias in
-  let filtered =
-    if locals = [] then delta
-    else
-      let resolve (r : Attr.Qualified.t) =
-        Schema.index_of schema (Attr.Qualified.attr r)
-      in
-      Relation.select (fun t -> Predicate.eval resolve locals t) delta
-  in
-  let needed = needed_attrs q owner tr.alias in
-  let projected = Relation.project filtered needed in
-  List.fold_left
-    (fun r a ->
-      Relation.rename_attr r ~old_name:a ~new_name:(pname tr.alias a))
-    projected needed
-
-(** [final_projection q owner partial] projects the completed partial
-    result onto the view's select list, restoring output names/types. *)
-let final_projection (q : Query.t) owner (partial : Relation.t) : Relation.t =
-  let pschema = Relation.schema partial in
-  let residual = residual_atoms q owner in
-  let resolve (r : Attr.Qualified.t) =
-    Schema.index_of pschema
-      (pname (alias_of_ref owner r) (Attr.Qualified.attr r))
-  in
-  let filtered =
-    if residual = [] then partial
-    else Relation.select (fun t -> Predicate.eval resolve residual t) partial
-  in
-  let items =
-    List.map
-      (fun (it : Query.select_item) ->
-        let pos = resolve it.expr in
-        (pos, Attr.make it.as_name (Attr.ty (Schema.attr_at pschema pos))))
-      (Query.select q)
-  in
-  let out_schema = Schema.of_list (List.map snd items) in
-  let idxs = Array.of_list (List.map fst items) in
-  Relation.map_tuples out_schema (fun t -> Tuple.project_idx t idxs) filtered
-
 (** [fetch_query q owner tr] builds the adaptation probe for table [tr]:
     the relation's needed attributes under their own names, restricted by
     the view's local filters on [tr].  Unlike {!probe_query} no partial
@@ -253,3 +208,141 @@ let sweep_order (q : Query.t) pivot_alias =
     List.init (Array.length arr - idx - 1) (fun k -> arr.(idx + 1 + k))
   in
   left @ right
+
+(** {1 Compiled sweeps}
+
+    Everything a sweep needs besides data depends only on the view
+    definition and the pivot alias, so it is compiled once per
+    (view-definition version, pivot) and reused for every update the
+    sweep maintains.  Each step is an {!Eval.prepared} plan; executing a
+    plan re-checks the schemas it was prepared for, so a schema change
+    at a source still surfaces as the same {!Eval.Error}. *)
+
+type probe = {
+  table : Query.table_ref;  (** the probed FROM entry *)
+  needed : string list;  (** the table's attributes the view uses *)
+  query : Query.t;  (** the maintenance query shipped to its source *)
+  plan : Eval.prepared;
+      (** [query] prepared against the table's believed schema and the
+          partial result's schema at this point of the sweep *)
+  local_plan : Eval.prepared;
+      (** the same query prepared against the projection of the table on
+          its needed attributes — what a self-maintenance auxiliary view
+          holds *)
+}
+
+type sweep = {
+  version : int;  (** view-definition version compiled from *)
+  view : string;  (** the view's name *)
+  pivot : Query.table_ref;
+  start : Eval.prepared;
+      (** delta → first partial result: the pivot's local filters, its
+          needed attributes, prefixed names *)
+  probes : probe list;  (** in sweep order *)
+  finish : Eval.prepared;
+      (** completed partial → view delta: residual atoms, then the
+          view's select list under its output names *)
+}
+
+(** [compile ~version q schemas pivot] plans the sweep of an update to
+    [pivot] through view [q], given the believed alias [schemas].
+    @raise Eval.Error when the view does not resolve against [schemas].
+    @raise Unsupported for an alias that contributes no attribute. *)
+let compile ~version (q : Query.t) (schemas : (string * Schema.t) list)
+    (pivot : Query.table_ref) : sweep =
+  let owner = owner_of_schemas schemas in
+  let believed (tr : Query.table_ref) =
+    match List.assoc_opt tr.alias schemas with
+    | Some s -> s
+    | None ->
+        raise (Eval.Error (Fmt.str "no believed schema for alias %s" tr.alias))
+  in
+  let start =
+    Eval.prepare
+      (Query.make ~name:(Query.name q)
+         ~select:
+           (List.map
+              (fun a ->
+                {
+                  Query.expr = Attr.Qualified.make ~rel:pivot.alias a;
+                  as_name = pname pivot.alias a;
+                })
+              (needed_attrs q owner pivot.alias))
+         ~from:[ pivot ]
+         ~where:(local_atoms q owner pivot.alias))
+      [ (pivot.alias, believed pivot) ]
+  in
+  let partial = ref (Eval.output_schema start) in
+  let bound = ref [ pivot.alias ] in
+  let probes =
+    List.map
+      (fun (tr : Query.table_ref) ->
+        let needed = needed_attrs q owner tr.alias in
+        let query =
+          probe_query q owner tr ~partial_schema:!partial ~bound:!bound
+        in
+        let prepare s =
+          Eval.prepare query [ (tr.alias, s); (partial_alias, !partial) ]
+        in
+        let plan = prepare (believed tr) in
+        let local_plan = prepare (Schema.project (believed tr) needed) in
+        partial := Eval.output_schema plan;
+        bound := tr.alias :: !bound;
+        { table = tr; needed; query; plan; local_plan })
+      (sweep_order q pivot.alias)
+  in
+  let in_partial r =
+    Attr.Qualified.make ~rel:partial_alias
+      (pname (alias_of_ref owner r) (Attr.Qualified.attr r))
+  in
+  let finish =
+    Eval.prepare
+      (Query.make ~name:(Query.name q)
+         ~select:
+           (List.map
+              (fun (it : Query.select_item) -> { it with expr = in_partial it.expr })
+              (Query.select q))
+         ~from:[ { pivot with rel = partial_alias; alias = partial_alias } ]
+         ~where:(Predicate.map_refs in_partial (residual_atoms q owner)))
+      [ (partial_alias, !partial) ]
+  in
+  { version; view = Query.name q; pivot; start; probes; finish }
+
+(* The single-table plans run under the reference planner: it scans, and
+   never registers an index on the delta or on a partial result. *)
+
+(** [start sw delta] turns the delta of the maintained update into the
+    first partial result. *)
+let start sw delta = Eval.execute ~planner:`Nested_loop sw.start [ delta ]
+
+(** [finish sw partial] projects the completed partial result onto the
+    view's select list. *)
+let finish sw partial = Eval.execute ~planner:`Nested_loop sw.finish [ partial ]
+
+(** The schema of the view delta a sweep produces. *)
+let output_schema sw = Eval.output_schema sw.finish
+
+type View_def.derived += Compiled of sweep
+
+(** [sweep_for vd pivot] — the compiled sweep of the current version of
+    [vd] for [pivot], compiled on first use and kept with the definition
+    until its version moves. *)
+let sweep_for vd (pivot : Query.table_ref) =
+  let version = View_def.version vd in
+  match
+    List.find_map
+      (function
+        | Compiled sw
+          when sw.version = version
+               && String.equal sw.pivot.alias pivot.alias ->
+            Some sw
+        | _ -> None)
+      (View_def.derived vd)
+  with
+  | Some sw -> sw
+  | None ->
+      let sw =
+        compile ~version (View_def.peek vd) (View_def.schemas vd) pivot
+      in
+      View_def.remember vd (Compiled sw);
+      sw

@@ -3,6 +3,7 @@
     plumbing, sweep ordering and output projection. *)
 
 open Dyno_relational
+open Dyno_view
 
 exception Unsupported of string
 
@@ -57,20 +58,6 @@ val fetch_query :
 (** The adaptation probe: needed attributes under their own names,
     restricted by the view's local filters (no partial shipped). *)
 
-val initial_partial :
-  Query.t ->
-  (Attr.Qualified.t -> string) ->
-  Query.table_ref ->
-  Relation.t ->
-  Relation.t
-(** Turn the maintained update's delta into the first partial result:
-    local filters applied, needed attributes projected, names prefixed. *)
-
-val final_projection :
-  Query.t -> (Attr.Qualified.t -> string) -> Relation.t -> Relation.t
-(** Project the completed partial result onto the view's select list
-    (applying residual atoms), restoring output names and types. *)
-
 val view_output_schema : Query.t -> (string * Schema.t) list -> Schema.t
 (** The schema of the view's extent implied by the select list and the
     believed alias schemas. *)
@@ -79,3 +66,60 @@ val sweep_order : Query.t -> string -> Query.table_ref list
 (** Aliases other than the pivot, pivot-adjacent first (walk left to the
     start of the FROM list, then right) — the SWEEP processing order that
     keeps chain joins connected. *)
+
+(** {1 Compiled sweeps}
+
+    Everything a sweep needs besides data is compiled once per
+    (view-definition version, pivot alias).  Each step is an
+    {!Eval.prepared} plan; executing it re-checks the schemas it was
+    prepared for and re-prepares otherwise, so a schema change at a
+    source still surfaces as the same {!Eval.Error}. *)
+
+type probe = {
+  table : Query.table_ref;  (** the probed FROM entry *)
+  needed : string list;  (** the table's attributes the view uses *)
+  query : Query.t;  (** the maintenance query shipped to its source *)
+  plan : Eval.prepared;
+      (** [query] prepared against the table's believed schema and the
+          partial result's schema at this point of the sweep *)
+  local_plan : Eval.prepared;
+      (** the same query prepared against the projection of the table on
+          its needed attributes, as a self-maintenance auxiliary view
+          holds it *)
+}
+
+type sweep = private {
+  version : int;  (** view-definition version compiled from *)
+  view : string;  (** the view's name *)
+  pivot : Query.table_ref;
+  start : Eval.prepared;
+      (** delta → first partial result: the pivot's local filters, its
+          needed attributes, prefixed names *)
+  probes : probe list;  (** in sweep order *)
+  finish : Eval.prepared;
+      (** completed partial → view delta: residual atoms, then the
+          view's select list under its output names *)
+}
+
+val compile :
+  version:int -> Query.t -> (string * Schema.t) list -> Query.table_ref -> sweep
+(** [compile ~version q schemas pivot] plans the sweep of an update to
+    [pivot] through view [q] under the believed alias [schemas].
+    @raise Eval.Error when the view does not resolve against [schemas].
+    @raise Unsupported for an alias that contributes no attribute. *)
+
+val start : sweep -> Relation.t -> Relation.t
+(** Turn the maintained update's delta into the first partial result:
+    local filters applied, needed attributes projected, names prefixed. *)
+
+val finish : sweep -> Relation.t -> Relation.t
+(** Project the completed partial result onto the view's select list
+    (applying residual atoms), restoring output names and types. *)
+
+val output_schema : sweep -> Schema.t
+(** The schema of the view delta the sweep produces. *)
+
+val sweep_for : View_def.t -> Query.table_ref -> sweep
+(** The compiled sweep of [pivot] under the current version of the
+    definition: compiled on first use, then kept with the definition
+    ({!View_def.remember}) until its version moves. *)

@@ -53,42 +53,44 @@ type local = {
       (** accounting callback, called once per successful local sweep *)
 }
 
-(** [delta_view w ~view_query ~schemas ~pivot ~delta ~exclude] computes the
-    view delta for update [delta] against relation alias [pivot].
+let group_by_schema pending =
+  List.fold_left
+    (fun acc (tag, u) ->
+      let s = Update.schema u in
+      let rec insert = function
+        | [] -> [ (s, Relation.copy (Update.delta u), [ tag ]) ]
+        | (s', d, tags) :: rest when Schema.equal s s' ->
+            (s', Relation.sum d (Update.delta u), tag :: tags) :: rest
+        | g :: rest -> g :: insert rest
+      in
+      insert acc)
+    [] pending
 
-    [schemas] are the alias schemas the view manager believes (last
-    synchronization); [exclude] is the id of the update message being
+(** [delta_view w sw ~delta ~exclude] computes the view delta for update
+    [delta] through the compiled sweep [sw] (its pivot, probe plans and
+    projections).  [exclude] is the id of the update message being
     maintained (it must not compensate against itself).
 
     Returns [Ok (delta_view, stats)], or [Error _] when any probe hits a
     schema conflict or exhausts its transport retry budget. *)
 let delta_view ?(compensate = true) (w : Query_engine.t)
-    ~(view_query : Query.t) ~(schemas : (string * Schema.t) list)
-    ~(pivot : Query.table_ref) ~(delta : Relation.t) ~(exclude : int list) :
+    (sw : Maint_query.sweep) ~(delta : Relation.t) ~(exclude : int list) :
     (Relation.t * stats, Query_engine.failure) result =
-  let owner = Maint_query.owner_of_schemas schemas in
-  let partial = ref (Maint_query.initial_partial view_query owner pivot delta) in
-  let bound = ref [ pivot.Query.alias ] in
+  let partial = ref (Maint_query.start sw delta) in
   let stats = ref no_stats in
   let trace = Query_engine.trace w in
   let exception Failed of Query_engine.failure in
   try
     if Relation.is_empty !partial then
       (* The delta is filtered out locally; nothing joins, no probes needed. *)
-      Ok
-        ( Relation.create (Maint_query.view_output_schema view_query schemas),
-          !stats )
+      Ok (Relation.create (Maint_query.output_schema sw), !stats)
     else begin
       List.iter
-        (fun (tr : Query.table_ref) ->
-          let probe =
-            Maint_query.probe_query view_query owner tr
-              ~partial_schema:(Relation.schema !partial)
-              ~bound:!bound
-          in
+        (fun ({ Maint_query.table = tr; query = probe; plan; _ } :
+               Maint_query.probe) ->
           let answer, answered_at =
             match
-              Query_engine.execute_timed w probe
+              Query_engine.execute_timed w ~plan probe
                 ~bound:[ (Maint_query.partial_alias, !partial) ]
                 ~target:tr.Query.source
             with
@@ -97,16 +99,15 @@ let delta_view ?(compensate = true) (w : Query_engine.t)
           in
           stats := { !stats with probes = !stats.probes + 1 };
           (* Compensation: remove the contribution of every pending,
-             unmaintained DU on the probed relation.  SPJ queries are
-             linear in each input over signed multisets, so all pending
-             deltas with a common schema are summed and compensated in one
-             evaluation.  The frontier is the instant the source computed
-             the answer: under concurrent maintenance other tasks may have
-             delivered commits while this task parked on the result
-             transfer, and those later updates are not in the answer, so
-             they must not be compensated away.  (Serially the filter is
-             a no-op: every pending update arrived — hence committed —
-             before the answer.) *)
+             unmaintained DU on the probed relation, summed per delta
+             schema and evaluated with the probe's own plan.  The
+             frontier is the instant the source computed the answer:
+             under concurrent maintenance other tasks may have delivered
+             commits while this task parked on the result transfer, and
+             those later updates are not in the answer, so they must not
+             be compensated away.  (Serially the filter is a no-op: every
+             pending update arrived — hence committed — before the
+             answer.) *)
           let pending =
             if not compensate then []
             else
@@ -117,32 +118,12 @@ let delta_view ?(compensate = true) (w : Query_engine.t)
                 (Query_engine.pending_dus w ~source:tr.Query.source
                    ~rel:tr.Query.rel)
           in
-          let groups =
-            (* Partition by delta schema (pending updates straddling an
-               unmaintained schema change carry different schemas). *)
-            List.fold_left
-              (fun acc (m, u) ->
-                let s = Update.schema u in
-                let rec insert = function
-                  | [] -> [ (s, Relation.copy (Update.delta u), [ m ]) ]
-                  | (s', d, ms) :: rest when Schema.equal s s' ->
-                      (s', Relation.sum d (Update.delta u), m :: ms) :: rest
-                  | g :: rest -> g :: insert rest
-                in
-                insert acc)
-              [] pending
-          in
           let compensated =
             List.fold_left
               (fun acc (_, combined, ms) ->
                 match
-                  Eval.run
-                    ~planner:(Query_engine.planner w)
-                    ~catalog:(Eval.catalog [
-                      (tr.Query.alias, combined);
-                      (Maint_query.partial_alias, !partial);
-                    ])
-                    probe
+                  Eval.execute ~planner:(Query_engine.planner w) plan
+                    [ combined; !partial ]
                 with
                 | contribution ->
                     if Relation.is_empty contribution then acc
@@ -194,23 +175,22 @@ let delta_view ?(compensate = true) (w : Query_engine.t)
                               reason =
                                 Fmt.str "compensation impossible: %s" reason;
                             })))
-              answer groups
+              answer (group_by_schema pending)
           in
-          partial := compensated;
-          bound := tr.Query.alias :: !bound)
-        (Maint_query.sweep_order view_query pivot.Query.alias);
-      Ok (Maint_query.final_projection view_query owner !partial, !stats)
+          partial := compensated)
+        sw.Maint_query.probes;
+      Ok (Maint_query.finish sw !partial, !stats)
     end
   with Failed f -> Error f
 
-(* [delta_view_local w ~view_query ~schemas ~pivot ~delta ~exclude
-    ~local] — the self-maintenance path: the same sweep as {!delta_view},
-    but every probe is answered by [Eval.run] over the auxiliary
-    projection of the probed alias instead of a round trip through
-    {!Query_engine.execute_timed}.  Returns [None] whenever any swept
-    alias lacks current auxiliary data covering its needed attributes, or
-    any local evaluation fails (e.g. pending deltas straddling a schema
-    drift) — the caller then falls back to the probed path unchanged.
+(* [delta_view_local w sw ~delta ~exclude ~local] — the self-maintenance
+    path: the same sweep as {!delta_view}, but every probe is answered by
+    its local plan over the auxiliary projection of the probed alias
+    instead of a round trip through {!Query_engine.execute_timed}.
+    Returns [None] whenever any swept alias lacks current auxiliary data
+    covering its needed attributes, or any local evaluation fails (e.g.
+    pending deltas straddling a schema drift) — the caller then falls
+    back to the probed path unchanged.
 
     Correctness: a valid projection holds the relation at the source's
     delivered frontier (initial state + every delivered DU), which is
@@ -233,108 +213,69 @@ let delta_view ?(compensate = true) (w : Query_engine.t)
     parks: between prepare and compute no delivery, commit or clock
     movement can change what the sweep would read. *)
 type local_input = {
-  in_query : Query.t;
-  in_schemas : (string * Schema.t) list;
-  in_pivot : Query.table_ref;
+  in_sweep : Maint_query.sweep;
   in_planner : Eval.plan;
   in_partial0 : Relation.t;  (** initial partial (pivot ⋈ delta, filtered) *)
-  in_auxes : (Query.table_ref * Relation.t * Relation.t list) list;
-      (** per swept alias: (table ref, auxiliary data, pending-DU deltas
+  in_auxes : (Maint_query.probe * Relation.t * Relation.t list) list;
+      (** per swept alias: (probe, auxiliary data, pending-DU deltas
           pre-grouped by schema and summed — already filtered by the
           exclusion set) *)
 }
 
-let prepare_local (w : Query_engine.t) ~(view_query : Query.t)
-    ~(schemas : (string * Schema.t) list) ~(pivot : Query.table_ref)
+let prepare_local (w : Query_engine.t) (sw : Maint_query.sweep)
     ~(delta : Relation.t) ~(exclude : int list) ~(local : local) :
     local_input option =
   try
-    let owner = Maint_query.owner_of_schemas schemas in
-    let order = Maint_query.sweep_order view_query pivot.Query.alias in
     (* Coverage check up front: every non-pivot alias must have current
        auxiliary data carrying all the attributes its probe needs (the
        projection may legitimately carry more — counts sum out). *)
     let auxes =
       List.map
-        (fun (tr : Query.table_ref) ->
+        (fun (p : Maint_query.probe) ->
+          let tr = p.Maint_query.table in
           match local.aux tr.Query.alias with
           | None -> raise Exit
           | Some r ->
               let s = Relation.schema r in
-              let needed =
-                Maint_query.needed_attrs view_query owner tr.Query.alias
-              in
-              if needed = [] || not (List.for_all (Schema.mem s) needed)
+              if
+                not (List.for_all (Schema.mem s) p.Maint_query.needed)
               then raise Exit;
               (* Pending unmaintained DUs on the probed relation — all of
                  them, no answer-time cutoff: the auxiliary data already
-                 reflects every delivered commit.  Partitioned by delta
-                 schema (updates straddling an unmaintained schema change
-                 carry different schemas) and summed per group — SPJ
-                 queries are linear in each input over signed multisets. *)
+                 reflects every delivered commit. *)
               let pending =
                 List.filter
                   (fun (m, _) -> not (List.mem (Update_msg.id m) exclude))
                   (Query_engine.pending_dus w ~source:tr.Query.source
                      ~rel:tr.Query.rel)
               in
-              let groups =
-                List.fold_left
-                  (fun acc (_, u) ->
-                    let s = Update.schema u in
-                    let rec insert = function
-                      | [] -> [ (s, Relation.copy (Update.delta u)) ]
-                      | (s', d) :: rest when Schema.equal s s' ->
-                          (s', Relation.sum d (Update.delta u)) :: rest
-                      | g :: rest -> g :: insert rest
-                    in
-                    insert acc)
-                  [] pending
-              in
-              (tr, r, List.map snd groups))
-        order
+              ( p,
+                r,
+                List.map (fun (_, d, _) -> d) (group_by_schema pending) ))
+        sw.Maint_query.probes
     in
     Some
       {
-        in_query = view_query;
-        in_schemas = schemas;
-        in_pivot = pivot;
+        in_sweep = sw;
         in_planner = Query_engine.planner w;
-        in_partial0 =
-          Maint_query.initial_partial view_query owner pivot delta;
+        in_partial0 = Maint_query.start sw delta;
         in_auxes = auxes;
       }
-  with Exit | Maint_query.Unsupported _ -> None
+  with Exit -> None
 
 let compute_local (i : local_input) : (Relation.t * stats) option =
   try
-    let owner = Maint_query.owner_of_schemas i.in_schemas in
     let partial = ref i.in_partial0 in
     if Relation.is_empty !partial then
       (* Filtered out locally — the probed path sends no probes either. *)
-      Some
-        ( Relation.create
-            (Maint_query.view_output_schema i.in_query i.in_schemas),
-          no_stats )
+      Some (Relation.create (Maint_query.output_schema i.in_sweep), no_stats)
     else begin
-      let bound = ref [ i.in_pivot.Query.alias ] in
       let stats = ref no_stats in
       List.iter
-        (fun ((tr : Query.table_ref), aux_data, combineds) ->
-          let probe =
-            Maint_query.probe_query i.in_query owner tr
-              ~partial_schema:(Relation.schema !partial)
-              ~bound:!bound
-          in
+        (fun ((p : Maint_query.probe), aux_data, combineds) ->
           let answer =
-            Eval.run ~planner:i.in_planner
-              ~catalog:
-                (Eval.catalog
-                   [
-                     (tr.Query.alias, aux_data);
-                     (Maint_query.partial_alias, !partial);
-                   ])
-              probe
+            Eval.execute ~planner:i.in_planner p.Maint_query.local_plan
+              [ aux_data; !partial ]
           in
           (* Wire-cost estimate for the round trip this replaced: the
              partial shipped out plus the answer shipped back, 8 bytes a
@@ -353,14 +294,8 @@ let compute_local (i : local_input) : (Relation.t * stats) option =
             List.fold_left
               (fun acc combined ->
                 let contribution =
-                  Eval.run ~planner:i.in_planner
-                    ~catalog:
-                      (Eval.catalog
-                         [
-                           (tr.Query.alias, combined);
-                           (Maint_query.partial_alias, !partial);
-                         ])
-                    probe
+                  Eval.execute ~planner:i.in_planner p.Maint_query.plan
+                    [ combined; !partial ]
                 in
                 if Relation.is_empty contribution then acc
                 else begin
@@ -375,15 +310,20 @@ let compute_local (i : local_input) : (Relation.t * stats) option =
                 end)
               answer combineds
           in
-          partial := compensated;
-          bound := tr.Query.alias :: !bound)
+          partial := compensated)
         i.in_auxes;
-      Some (Maint_query.final_projection i.in_query owner !partial, !stats)
+      Some (Maint_query.finish i.in_sweep !partial, !stats)
     end
-  with Eval.Error _ | Maint_query.Unsupported _ ->
+  with Eval.Error _ ->
     (* A local evaluation the probed path might survive (or surface as
        Broken, triggering correction) — fall back rather than guess. *)
     None
+
+(* The span name of a local sweep; formatted only when spans record. *)
+let local_span_name sp (sw : Maint_query.sweep) =
+  if Dyno_obs.Span.enabled sp then
+    Fmt.str "local:%s:%s" sw.Maint_query.view sw.Maint_query.pivot.Query.alias
+  else ""
 
 let record_local (w : Query_engine.t) ~(local : local) (i : local_input)
     ((_, st) : Relation.t * stats) : unit =
@@ -391,61 +331,43 @@ let record_local (w : Query_engine.t) ~(local : local) (i : local_input)
   let id =
     Dyno_obs.Span.begin_span sp ~time:(Query_engine.now w)
       Dyno_obs.Span.Local
-      (Fmt.str "local:%s:%s" (Query.name i.in_query) i.in_pivot.Query.alias)
+      (local_span_name sp i.in_sweep)
   in
   Dyno_obs.Span.set_attr sp id "probes_avoided"
     (string_of_int st.probes_avoided);
   Dyno_obs.Span.end_span sp ~time:(Query_engine.now w) id;
   local.note_avoided ~probes:st.probes_avoided ~bytes:st.bytes_saved;
-  Dyno_obs.Lineage.note_scope
-    (Dyno_obs.Obs.lineage (Query_engine.obs w))
-    ~time:(Query_engine.now w) ~kind:"local-answer"
-    ~detail:
-      (Fmt.str
-         "self-maintenance tier answered locally: %d probe(s) avoided, \
-          %d byte(s) saved"
-         st.probes_avoided st.bytes_saved)
+  let lin = Dyno_obs.Obs.lineage (Query_engine.obs w) in
+  if Dyno_obs.Lineage.enabled lin then
+    Dyno_obs.Lineage.note_scope lin ~time:(Query_engine.now w)
+      ~kind:"local-answer"
+      ~detail:
+        (Fmt.str
+           "self-maintenance tier answered locally: %d probe(s) avoided, \
+            %d byte(s) saved"
+           st.probes_avoided st.bytes_saved)
 
-let delta_view_local (w : Query_engine.t) ~(view_query : Query.t)
-    ~(schemas : (string * Schema.t) list) ~(pivot : Query.table_ref)
+let delta_view_local (w : Query_engine.t) (sw : Maint_query.sweep)
     ~(delta : Relation.t) ~(exclude : int list) ~(local : local) :
     (Relation.t * stats) option =
-  match
-    prepare_local w ~view_query ~schemas ~pivot ~delta ~exclude ~local
-  with
+  match prepare_local w sw ~delta ~exclude ~local with
   | None -> None
   | Some input ->
       if Relation.is_empty input.in_partial0 then
         (* Filtered out locally — no span, matching the probed path which
            sends no probes either. *)
-        match Maint_query.view_output_schema view_query schemas with
-        | s -> Some (Relation.create s, no_stats)
-        | exception Maint_query.Unsupported _ -> None
+        Some (Relation.create (Maint_query.output_schema sw), no_stats)
       else begin
-        let sp = Dyno_obs.Obs.spans (Query_engine.obs w) in
-        let sid =
-          Dyno_obs.Span.begin_span sp ~time:(Query_engine.now w)
-            Dyno_obs.Span.Local
-            (Fmt.str "local:%s:%s" (Query.name view_query)
-               pivot.Query.alias)
-        in
         match compute_local input with
-        | Some (result, st) ->
-            Dyno_obs.Span.set_attr sp sid "probes_avoided"
-              (string_of_int st.probes_avoided);
-            Dyno_obs.Span.end_span sp ~time:(Query_engine.now w) sid;
-            local.note_avoided ~probes:st.probes_avoided
-              ~bytes:st.bytes_saved;
-            Dyno_obs.Lineage.note_scope
-              (Dyno_obs.Obs.lineage (Query_engine.obs w))
-              ~time:(Query_engine.now w) ~kind:"local-answer"
-              ~detail:
-                (Fmt.str
-                   "self-maintenance tier answered locally: %d probe(s) \
-                    avoided, %d byte(s) saved"
-                   st.probes_avoided st.bytes_saved);
-            Some (result, st)
+        | Some ok ->
+            record_local w ~local input ok;
+            Some ok
         | None ->
+            let sp = Dyno_obs.Obs.spans (Query_engine.obs w) in
+            let sid =
+              Dyno_obs.Span.begin_span sp ~time:(Query_engine.now w)
+                Dyno_obs.Span.Local (local_span_name sp sw)
+            in
             Dyno_obs.Span.set_attr sp sid "fallback" "true";
             Dyno_obs.Span.end_span sp ~time:(Query_engine.now w) sid;
             None

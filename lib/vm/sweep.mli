@@ -34,34 +34,41 @@ type local = {
       (** accounting callback, called once per successful local sweep *)
 }
 
+val group_by_schema :
+  ('a * Update.t) list -> (Schema.t * Relation.t * 'a list) list
+(** Pending updates partitioned by delta schema (updates straddling an
+    unmaintained schema change carry different schemas), each group's
+    deltas summed into a fresh relation: SPJ queries are linear in each
+    input over signed multisets, so one evaluation per group compensates
+    them all.  Groups keep first-seen order; each carries its updates'
+    tags, newest first. *)
+
 val delta_view :
   ?compensate:bool ->
   Query_engine.t ->
-  view_query:Query.t ->
-  schemas:(string * Schema.t) list ->
-  pivot:Query.table_ref ->
+  Maint_query.sweep ->
   delta:Relation.t ->
   exclude:int list ->
   (Relation.t * stats, Query_engine.failure) result
-(** [delta_view w ~view_query ~schemas ~pivot ~delta ~exclude] computes
-    the view delta for [delta] against alias [pivot].  [schemas] are the
-    view manager's believed alias schemas; [exclude] lists message ids
-    whose effects must stay in the probe answers: the message being
+(** [delta_view w sw ~delta ~exclude] computes the view delta for
+    [delta] through the compiled sweep [sw] ({!Maint_query.sweep_for}):
+    each probe ships its prepared plan, and compensation evaluates the
+    same plan over the summed pending deltas.  [exclude] lists message
+    ids whose effects must stay in the probe answers: the message being
     maintained (never compensated against itself) plus, in multi-view
     mode, every queued update this view has already applied. *)
 
 type local_input
-(** A local sweep captured at dispatch: the view query, pivot delta,
+(** A local sweep captured at dispatch: the compiled sweep, pivot delta,
     auxiliary snapshots and pre-grouped pending compensation deltas —
     everything {!compute_local} needs, with no reference back to the
-    engine.  Relations inside are never mutated after capture, so the
-    value may be shipped to a worker domain. *)
+    engine.  Relations inside are never mutated after capture, and the
+    compiled sweep is immutable, so the value may be shipped to a worker
+    domain. *)
 
 val prepare_local :
   Query_engine.t ->
-  view_query:Query.t ->
-  schemas:(string * Schema.t) list ->
-  pivot:Query.table_ref ->
+  Maint_query.sweep ->
   delta:Relation.t ->
   exclude:int list ->
   local:local ->
@@ -73,10 +80,12 @@ val prepare_local :
 
 val compute_local : local_input -> (Relation.t * stats) option
 (** Pure compute phase: the sweep itself — per-alias local probe answers
-    and compensation by [Eval.run] over the captured snapshot.  Touches
-    no engine, observability or simulated-clock state, so it is safe to
-    evaluate on a worker domain ({!Dyno_sim.Domain_pool}).  [None] means
-    a local evaluation failed and the probed path must decide. *)
+    (each probe's local plan over the auxiliary data) and compensation
+    (its probe plan over the pending deltas) on the captured snapshot.
+    Touches no engine, observability or simulated-clock state, so it is
+    safe to evaluate on a worker domain ({!Dyno_sim.Domain_pool}).
+    [None] means a local evaluation failed and the probed path must
+    decide. *)
 
 val record_local :
   Query_engine.t -> local:local -> local_input -> Relation.t * stats -> unit
@@ -88,9 +97,7 @@ val record_local :
 
 val delta_view_local :
   Query_engine.t ->
-  view_query:Query.t ->
-  schemas:(string * Schema.t) list ->
-  pivot:Query.table_ref ->
+  Maint_query.sweep ->
   delta:Relation.t ->
   exclude:int list ->
   local:local ->
@@ -105,4 +112,4 @@ val delta_view_local :
     computed view delta is identical).  Returns [None] — caller falls
     back to the probed path — when any swept alias lacks current covering
     auxiliary data or a local evaluation fails.  Equivalent to
-    {!prepare_local} + {!compute_local} + the inline bookkeeping. *)
+    {!prepare_local} + {!compute_local} + {!record_local}. *)

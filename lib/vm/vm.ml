@@ -29,111 +29,13 @@ exception Invalid_view of string
    commit, and the local path removes pending unmaintained updates by
    construction — with compensation off the baseline deliberately keeps
    them in, so it must keep probing. *)
-let sweep_delta ?local ~compensate w ~view_query ~schemas ~pivot ~delta
-    ~exclude =
+let sweep_delta ?local ~compensate w sw ~delta ~exclude =
   match local with
   | Some l when compensate -> (
-      match
-        Sweep.delta_view_local w ~view_query ~schemas ~pivot ~delta ~exclude
-          ~local:l
-      with
+      match Sweep.delta_view_local w sw ~delta ~exclude ~local:l with
       | Some ok -> Ok ok
-      | None ->
-          Sweep.delta_view ~compensate w ~view_query ~schemas ~pivot ~delta
-            ~exclude)
-  | _ ->
-      Sweep.delta_view ~compensate w ~view_query ~schemas ~pivot ~delta
-        ~exclude
-
-(** [maintain w mv msg du] runs one full VM process for data update [du]
-    carried by message [msg].  [local] (from the self-maintenance tier)
-    lets covered sweeps be answered without probing. *)
-let maintain ?(compensate = true) ?(applied = []) ?local
-    (w : Query_engine.t) (mv : Mat_view.t) (msg : Update_msg.t)
-    (du : Update.t) : outcome =
-  let vd = Mat_view.def mv in
-  if not (View_def.is_valid vd) then
-    raise (Invalid_view (View_def.name vd));
-  let q, _version = View_def.read vd in
-  let schemas = View_def.schemas vd in
-  let pivots =
-    List.filter
-      (fun (tr : Query.table_ref) ->
-        String.equal tr.source (Update.source du)
-        && String.equal tr.rel (Update.rel du))
-      (Query.from q)
-  in
-  match pivots with
-  | [] ->
-      (* The update's relation is not in the view (e.g. it was replaced by
-         synchronization); the view trivially reflects it. *)
-      Mat_view.record_commit mv ~at:(Query_engine.now w)
-        ~maintained:[ Update_msg.id msg ];
-      Irrelevant
-  | _ :: _ :: _ ->
-      raise
-        (Maint_query.Unsupported
-           (Fmt.str "relation %s@%s occurs more than once in view %s"
-              (Update.rel du) (Update.source du) (Query.name q)))
-  | [ pivot ] -> (
-      (* The delta must be expressed against the schema the view believes;
-         a mismatch means a schema change at that source overtook the view
-         definition — a conflict VM cannot handle (Dyno will reorder). *)
-      let believed = List.assoc_opt pivot.Query.alias schemas in
-      let actual = Relation.schema (Update.delta du) in
-      match believed with
-      | Some s when not (Schema.equal s actual) ->
-          Aborted
-            {
-              Dyno_source.Data_source.source = Update.source du;
-              query_name = Query.name q;
-              reason =
-                Fmt.str
-                  "delta schema %a of %s diverges from believed schema %a"
-                  Schema.pp actual (Update.rel du) Schema.pp s;
-            }
-      | None ->
-          Aborted
-            {
-              Dyno_source.Data_source.source = Update.source du;
-              query_name = Query.name q;
-              reason = Fmt.str "no believed schema for alias %s" pivot.Query.alias;
-            }
-      | Some _ -> (
-          match
-            sweep_delta ?local ~compensate w ~view_query:q ~schemas ~pivot
-              ~delta:(Update.delta du)
-              ~exclude:(Update_msg.id msg :: applied)
-          with
-          | Error (Query_engine.Broken b) -> Aborted b
-          | Error (Query_engine.Unreachable u) -> Unreachable u
-          | Ok (dv, stats) ->
-              let delta_tuples = Relation.mass dv in
-              Dyno_obs.Span.with_span
-                (Dyno_obs.Obs.spans (Query_engine.obs w))
-                ~now:(fun () -> Query_engine.now w)
-                Dyno_obs.Span.Refresh (Query.name q)
-                (fun _ ->
-                  Query_engine.advance w
-                    (Dyno_sim.Cost_model.refresh (Query_engine.cost w)
-                       ~delta_tuples);
-                  Mat_view.refresh mv ~at:(Query_engine.now w)
-                    ~maintained:[ Update_msg.id msg ] dv);
-              Dyno_obs.Metrics.incr
-                (Dyno_obs.Obs.metrics (Query_engine.obs w))
-                "vm.refreshes";
-              Dyno_sim.Trace.recordf (Query_engine.trace w)
-                ~time:(Query_engine.now w) Dyno_sim.Trace.Refresh
-                "view %s += %d tuple(s) for #%d" (Query.name q) delta_tuples
-                (Update_msg.id msg);
-              Dyno_obs.Lineage.note
-                (Dyno_obs.Obs.lineage (Query_engine.obs w))
-                ~ids:[ Update_msg.id msg ]
-                ~time:(Query_engine.now w) ~kind:"refresh"
-                ~detail:
-                  (Fmt.str "view %s += %d tuple(s)" (Query.name q)
-                     delta_tuples);
-              Refreshed { delta_tuples; stats }))
+      | None -> Sweep.delta_view ~compensate w sw ~delta ~exclude)
+  | _ -> Sweep.delta_view ~compensate w sw ~delta ~exclude
 
 (** The sweep half of {!maintain}, without the refresh/commit: what a
     concurrent maintenance task runs.  The refresh must mutate the view
@@ -146,18 +48,18 @@ type swept =
   | Swept_aborted of Dyno_source.Data_source.broken
   | Swept_unreachable of Dyno_net.Retry.unreachable
 
-(** [maintain_sweep w mv msg du ~exclude_extra] — probe + compensate for
-    [du] without touching the view.  [exclude_extra] carries the message
-    ids of antichain members dispatched earlier in the same round: their
-    deltas are being maintained concurrently, so compensation must not
-    subtract them (their exclusion set is fixed at dispatch). *)
-let maintain_sweep ?(compensate = true) ?(applied = []) ?(exclude_extra = [])
-    ?local (w : Query_engine.t) (mv : Mat_view.t) (msg : Update_msg.t)
-    (du : Update.t) : swept =
+(* The r(VD) prelude every entry point shares: the view must be defined,
+   and the update's relation must occur in it exactly once, as the pivot.
+   The delta must be expressed against the schema the view believes; a
+   mismatch means a schema change at that source overtook the view
+   definition — a conflict VM cannot handle (Dyno will reorder).  [Ok]
+   carries the pivot's compiled sweep; [Error] an outcome decided
+   without one. *)
+let prelude (mv : Mat_view.t) (du : Update.t) :
+    (Maint_query.sweep, swept) result =
   let vd = Mat_view.def mv in
   if not (View_def.is_valid vd) then raise (Invalid_view (View_def.name vd));
   let q, _version = View_def.read vd in
-  let schemas = View_def.schemas vd in
   let pivots =
     List.filter
       (fun (tr : Query.table_ref) ->
@@ -166,43 +68,53 @@ let maintain_sweep ?(compensate = true) ?(applied = []) ?(exclude_extra = [])
       (Query.from q)
   in
   match pivots with
-  | [] -> Swept_irrelevant
+  | [] ->
+      (* The update's relation is not in the view (e.g. it was replaced by
+         synchronization); the view trivially reflects it. *)
+      Error Swept_irrelevant
   | _ :: _ :: _ ->
       raise
         (Maint_query.Unsupported
            (Fmt.str "relation %s@%s occurs more than once in view %s"
               (Update.rel du) (Update.source du) (Query.name q)))
   | [ pivot ] -> (
-      let believed = List.assoc_opt pivot.Query.alias schemas in
+      let abort reason =
+        Error
+          (Swept_aborted
+             {
+               Dyno_source.Data_source.source = Update.source du;
+               query_name = Query.name q;
+               reason;
+             })
+      in
       let actual = Relation.schema (Update.delta du) in
-      match believed with
+      match View_def.schema_of_alias vd pivot.Query.alias with
       | Some s when not (Schema.equal s actual) ->
-          Swept_aborted
-            {
-              Dyno_source.Data_source.source = Update.source du;
-              query_name = Query.name q;
-              reason =
-                Fmt.str
-                  "delta schema %a of %s diverges from believed schema %a"
-                  Schema.pp actual (Update.rel du) Schema.pp s;
-            }
+          abort
+            (Fmt.str "delta schema %a of %s diverges from believed schema %a"
+               Schema.pp actual (Update.rel du) Schema.pp s)
       | None ->
-          Swept_aborted
-            {
-              Dyno_source.Data_source.source = Update.source du;
-              query_name = Query.name q;
-              reason =
-                Fmt.str "no believed schema for alias %s" pivot.Query.alias;
-            }
-      | Some _ -> (
-          match
-            sweep_delta ?local ~compensate w ~view_query:q ~schemas ~pivot
-              ~delta:(Update.delta du)
-              ~exclude:((Update_msg.id msg :: applied) @ exclude_extra)
-          with
-          | Error (Query_engine.Broken b) -> Swept_aborted b
-          | Error (Query_engine.Unreachable u) -> Swept_unreachable u
-          | Ok (dv, stats) -> Swept (dv, stats)))
+          abort (Fmt.str "no believed schema for alias %s" pivot.Query.alias)
+      | Some _ -> Ok (Maint_query.sweep_for vd pivot))
+
+(** [maintain_sweep w mv msg du ~exclude_extra] — probe + compensate for
+    [du] without touching the view.  [exclude_extra] carries the message
+    ids of antichain members dispatched earlier in the same round: their
+    deltas are being maintained concurrently, so compensation must not
+    subtract them (their exclusion set is fixed at dispatch). *)
+let maintain_sweep ?(compensate = true) ?(applied = []) ?(exclude_extra = [])
+    ?local (w : Query_engine.t) (mv : Mat_view.t) (msg : Update_msg.t)
+    (du : Update.t) : swept =
+  match prelude mv du with
+  | Error settled -> settled
+  | Ok sw -> (
+      match
+        sweep_delta ?local ~compensate w sw ~delta:(Update.delta du)
+          ~exclude:((Update_msg.id msg :: applied) @ exclude_extra)
+      with
+      | Error (Query_engine.Broken b) -> Swept_aborted b
+      | Error (Query_engine.Unreachable u) -> Swept_unreachable u
+      | Ok (dv, stats) -> Swept (dv, stats))
 
 (** The dispatch-time split of {!maintain_sweep} the multicore runtime
     uses: the prelude (view validity, pivot lookup, believed-schema
@@ -222,61 +134,51 @@ type prepared =
 let prepare_sweep ?(compensate = true) ?(applied = []) ?(exclude_extra = [])
     ?local (w : Query_engine.t) (mv : Mat_view.t) (msg : Update_msg.t)
     (du : Update.t) : prepared =
-  let vd = Mat_view.def mv in
-  if not (View_def.is_valid vd) then raise (Invalid_view (View_def.name vd));
-  let q, _version = View_def.read vd in
-  let schemas = View_def.schemas vd in
-  let pivots =
-    List.filter
-      (fun (tr : Query.table_ref) ->
-        String.equal tr.source (Update.source du)
-        && String.equal tr.rel (Update.rel du))
-      (Query.from q)
-  in
-  match pivots with
-  | [] -> Settled Swept_irrelevant
-  | _ :: _ :: _ ->
-      raise
-        (Maint_query.Unsupported
-           (Fmt.str "relation %s@%s occurs more than once in view %s"
-              (Update.rel du) (Update.source du) (Query.name q)))
-  | [ pivot ] -> (
-      let believed = List.assoc_opt pivot.Query.alias schemas in
-      let actual = Relation.schema (Update.delta du) in
-      match believed with
-      | Some s when not (Schema.equal s actual) ->
-          Settled
-            (Swept_aborted
-               {
-                 Dyno_source.Data_source.source = Update.source du;
-                 query_name = Query.name q;
-                 reason =
-                   Fmt.str
-                     "delta schema %a of %s diverges from believed schema %a"
-                     Schema.pp actual (Update.rel du) Schema.pp s;
-               })
-      | None ->
-          Settled
-            (Swept_aborted
-               {
-                 Dyno_source.Data_source.source = Update.source du;
-                 query_name = Query.name q;
-                 reason =
-                   Fmt.str "no believed schema for alias %s"
-                     pivot.Query.alias;
-               })
-      | Some _ -> (
-          match local with
-          | Some l when compensate -> (
-              match
-                Sweep.prepare_local w ~view_query:q ~schemas ~pivot
-                  ~delta:(Update.delta du)
-                  ~exclude:((Update_msg.id msg :: applied) @ exclude_extra)
-                  ~local:l
-              with
-              | Some input -> Offloadable input
-              | None -> Needs_probes)
-          | _ -> Needs_probes))
+  match prelude mv du with
+  | Error settled -> Settled settled
+  | Ok sw -> (
+      match local with
+      | Some l when compensate -> (
+          match
+            Sweep.prepare_local w sw ~delta:(Update.delta du)
+              ~exclude:((Update_msg.id msg :: applied) @ exclude_extra)
+              ~local:l
+          with
+          | Some input -> Offloadable input
+          | None -> Needs_probes)
+      | _ -> Needs_probes)
+
+(* The w(MV) c(MV) of a maintenance process: charge the refresh, refresh
+   and commit the view, and record it — for one update, or for a group of
+   [ids] maintained together ([grouped]). *)
+let refresh_view (w : Query_engine.t) (mv : Mat_view.t) ~(ids : int list)
+    ~(grouped : bool) (dv : Relation.t) =
+  let q = View_def.peek (Mat_view.def mv) in
+  let delta_tuples = Relation.mass dv in
+  let obs = Query_engine.obs w in
+  Dyno_obs.Span.with_span (Dyno_obs.Obs.spans obs)
+    ~now:(fun () -> Query_engine.now w)
+    Dyno_obs.Span.Refresh (Query.name q)
+    (fun _ ->
+      Query_engine.advance w
+        (Dyno_sim.Cost_model.refresh (Query_engine.cost w) ~delta_tuples);
+      Mat_view.refresh mv ~at:(Query_engine.now w) ~maintained:ids dv);
+  Dyno_obs.Metrics.incr (Dyno_obs.Obs.metrics obs) "vm.refreshes";
+  let trace = Query_engine.trace w and now = Query_engine.now w in
+  if grouped then
+    Dyno_sim.Trace.recordf trace ~time:now Dyno_sim.Trace.Refresh
+      "view %s += %d tuple(s) for group of %d" (Query.name q) delta_tuples
+      (List.length ids)
+  else
+    Dyno_sim.Trace.recordf trace ~time:now Dyno_sim.Trace.Refresh
+      "view %s += %d tuple(s) for #%d" (Query.name q) delta_tuples
+      (List.hd ids);
+  let lin = Dyno_obs.Obs.lineage obs in
+  if Dyno_obs.Lineage.enabled lin then
+    Dyno_obs.Lineage.note lin ~ids ~time:now ~kind:"refresh"
+      ~detail:
+        (Fmt.str "view %s += %d tuple(s)%s" (Query.name q) delta_tuples
+           (if grouped then " (grouped)" else ""))
 
 (** [commit_swept w mv msg dv stats] — the refresh half of {!maintain}
     for a delta computed by {!maintain_sweep}: charge the refresh cost,
@@ -284,29 +186,24 @@ let prepare_sweep ?(compensate = true) ?(applied = []) ?(exclude_extra = [])
     barrier, never inside a task. *)
 let commit_swept (w : Query_engine.t) (mv : Mat_view.t)
     (msg : Update_msg.t) (dv : Relation.t) (stats : Sweep.stats) : outcome =
-  let q = View_def.peek (Mat_view.def mv) in
-  let delta_tuples = Relation.mass dv in
-  Dyno_obs.Span.with_span
-    (Dyno_obs.Obs.spans (Query_engine.obs w))
-    ~now:(fun () -> Query_engine.now w)
-    Dyno_obs.Span.Refresh (Query.name q)
-    (fun _ ->
-      Query_engine.advance w
-        (Dyno_sim.Cost_model.refresh (Query_engine.cost w) ~delta_tuples);
-      Mat_view.refresh mv ~at:(Query_engine.now w)
-        ~maintained:[ Update_msg.id msg ] dv);
-  Dyno_obs.Metrics.incr
-    (Dyno_obs.Obs.metrics (Query_engine.obs w))
-    "vm.refreshes";
-  Dyno_sim.Trace.recordf (Query_engine.trace w) ~time:(Query_engine.now w)
-    Dyno_sim.Trace.Refresh "view %s += %d tuple(s) for #%d" (Query.name q)
-    delta_tuples (Update_msg.id msg);
-  Dyno_obs.Lineage.note
-    (Dyno_obs.Obs.lineage (Query_engine.obs w))
-    ~ids:[ Update_msg.id msg ]
-    ~time:(Query_engine.now w) ~kind:"refresh"
-    ~detail:(Fmt.str "view %s += %d tuple(s)" (Query.name q) delta_tuples);
-  Refreshed { delta_tuples; stats }
+  refresh_view w mv ~ids:[ Update_msg.id msg ] ~grouped:false dv;
+  Refreshed { delta_tuples = Relation.mass dv; stats }
+
+(** [maintain w mv msg du] runs one full VM process for data update [du]
+    carried by message [msg]: {!maintain_sweep}, then {!commit_swept} (or
+    a bare commit record when the update is irrelevant to the view).
+    [local] (from the self-maintenance tier) lets covered sweeps be
+    answered without probing. *)
+let maintain ?compensate ?applied ?local (w : Query_engine.t)
+    (mv : Mat_view.t) (msg : Update_msg.t) (du : Update.t) : outcome =
+  match maintain_sweep ?compensate ?applied ?local w mv msg du with
+  | Swept (dv, stats) -> commit_swept w mv msg dv stats
+  | Swept_irrelevant ->
+      Mat_view.record_commit mv ~at:(Query_engine.now w)
+        ~maintained:[ Update_msg.id msg ];
+      Irrelevant
+  | Swept_aborted b -> Aborted b
+  | Swept_unreachable u -> Unreachable u
 
 (** [maintain_group w mv msgs] — deferred/grouped maintenance of a queue
     prefix of data updates (no schema changes): updates are merged into
@@ -415,11 +312,10 @@ let maintain_group ?(compensate = true) ?(overlap = false) ?local
           (fun i (_, pivot, delta, ids) ->
             let exclude = ids @ !before in
             before := ids @ !before;
+            let sw = Maint_query.sweep_for vd pivot in
             fun () ->
               results.(i) <-
-                Some
-                  (sweep_delta ?local ~compensate w ~view_query:q ~schemas
-                     ~pivot ~delta ~exclude))
+                Some (sweep_delta ?local ~compensate w sw ~delta ~exclude))
           relevant
       in
       Dyno_sim.Executor.run_all exec thunks;
@@ -444,9 +340,9 @@ let maintain_group ?(compensate = true) ?(overlap = false) ?local
           | Some pivot -> (
               check_schema pivot delta rel;
               match
-                sweep_delta ?local ~compensate w ~view_query:q ~schemas
-                  ~pivot ~delta
-                  ~exclude:(ids @ !processed)
+                sweep_delta ?local ~compensate w
+                  (Maint_query.sweep_for vd pivot)
+                  ~delta ~exclude:(ids @ !processed)
               with
               | Error (Query_engine.Broken b) -> raise (Abort b)
               | Error (Query_engine.Unreachable u) -> raise (Stall u)
@@ -457,31 +353,7 @@ let maintain_group ?(compensate = true) ?(overlap = false) ?local
     (match !total with
     | None ->
         Mat_view.record_commit mv ~at:(Query_engine.now w) ~maintained:all_ids
-    | Some dv ->
-        Dyno_obs.Span.with_span
-          (Dyno_obs.Obs.spans (Query_engine.obs w))
-          ~now:(fun () -> Query_engine.now w)
-          Dyno_obs.Span.Refresh (Query.name q)
-          (fun _ ->
-            Query_engine.advance w
-              (Dyno_sim.Cost_model.refresh (Query_engine.cost w)
-                 ~delta_tuples:(Relation.mass dv));
-            Mat_view.refresh mv ~at:(Query_engine.now w) ~maintained:all_ids
-              dv);
-        Dyno_obs.Metrics.incr
-          (Dyno_obs.Obs.metrics (Query_engine.obs w))
-          "vm.refreshes";
-        Dyno_sim.Trace.recordf (Query_engine.trace w)
-          ~time:(Query_engine.now w) Dyno_sim.Trace.Refresh
-          "view %s += %d tuple(s) for group of %d" (Query.name q)
-          (Relation.mass dv) (List.length msgs);
-        Dyno_obs.Lineage.note
-          (Dyno_obs.Obs.lineage (Query_engine.obs w))
-          ~ids:(List.map Update_msg.id msgs)
-          ~time:(Query_engine.now w) ~kind:"refresh"
-          ~detail:
-            (Fmt.str "view %s += %d tuple(s) (grouped)" (Query.name q)
-               (Relation.mass dv)));
+    | Some dv -> refresh_view w mv ~ids:all_ids ~grouped:true dv);
     Refreshed { delta_tuples = 0; stats = Sweep.no_stats }
   with
   | Abort b -> Aborted b

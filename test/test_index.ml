@@ -82,6 +82,65 @@ let prop_select =
     ~count:500 (arb_rel schema_a)
     (fun a -> both_plans select_q [ ("A", a) ])
 
+(* -- prepared plans ---------------------------------------------------- *)
+
+(* A residual cross-alias atom and a constant equality on a joined
+   table, on top of the three-way join *)
+let join3r =
+  Query.make ~name:"J3R"
+    ~select:[ Query.item "A.k"; Query.item "B.w"; Query.item "C.u" ]
+    ~from:
+      [
+        Query.table ~alias:"A" "x" "A";
+        Query.table ~alias:"B" "x" "B";
+        Query.table ~alias:"C" "x" "C";
+      ]
+    ~where:
+      [
+        Predicate.eq_attr "A.k" "B.k2";
+        Predicate.eq_attr "B.w" "C.k3";
+        Predicate.atom
+          (Predicate.Ref (Attr.Qualified.of_string "A.v"))
+          Predicate.Ne
+          (Predicate.Ref (Attr.Qualified.of_string "C.u"));
+        Predicate.eq_const "C.u" (Value.int 2);
+      ]
+
+let schemas_abc = [ ("A", schema_a); ("B", schema_b); ("C", schema_c) ]
+
+(* Each query is prepared exactly once, here, and reused for every
+   instance the property draws. *)
+let prepared =
+  List.map
+    (fun q -> (q, Eval.prepare q schemas_abc))
+    [ join2; join3; join3r; select_q ]
+
+let inputs_of q env =
+  List.map (fun (tr : Query.table_ref) -> List.assoc tr.alias env) (Query.from q)
+
+let prop_prepared =
+  QCheck.Test.make
+    ~name:"prepared once, executed per instance = run (both planners)"
+    ~count:200
+    (QCheck.list_of_size
+       (QCheck.Gen.int_range 1 4)
+       (QCheck.triple (arb_rel schema_a) (arb_rel schema_b) (arb_rel schema_c)))
+    (fun instances ->
+      List.for_all
+        (fun (a, b, c) ->
+          let env = [ ("A", a); ("B", b); ("C", c) ] in
+          List.for_all
+            (fun (q, p) ->
+              let exec planner = Eval.execute ~planner p (inputs_of q env) in
+              List.for_all
+                (fun planner ->
+                  Relation.equal (exec planner)
+                    (Eval.run ~planner ~catalog:(Eval.catalog env) q))
+                [ `Indexed; `Nested_loop ]
+              && Relation.equal (exec `Indexed) (exec `Nested_loop))
+            prepared)
+        instances)
+
 (* -- index maintenance ------------------------------------------------ *)
 
 (* Random add/delete stream applied to an indexed relation: every bucket
@@ -176,6 +235,29 @@ let test_mismatched_schema () =
             join2))
     [ `Indexed; `Nested_loop ]
 
+let test_stale_plan_reprepares () =
+  (* a plan prepared for B(k2, w) executed over B(w, k2): the positions it
+     resolved are stale, so it must re-prepare and agree with [run] *)
+  let p = Eval.prepare join2 [ ("A", schema_a); ("B", schema_b) ] in
+  let a = Relation.of_list schema_a [ [ Value.int 1; Value.int 7 ] ] in
+  let swapped = Schema.of_list [ Attr.int "w"; Attr.int "k2" ] in
+  let b = Relation.of_list swapped [ [ Value.int 9; Value.int 1 ] ] in
+  let env = [ ("A", a); ("B", b) ] in
+  List.iter
+    (fun planner ->
+      Alcotest.(check bool) "stale plan = run" true
+        (Relation.equal
+           (Eval.execute ~planner p [ a; b ])
+           (Eval.run ~planner ~catalog:(Eval.catalog env) join2)))
+    [ `Indexed; `Nested_loop ];
+  (* ...and a conflict raises the same error [run] raises *)
+  let c = Relation.create schema_c in
+  let reason f = match f () with _ -> "none" | exception Eval.Error r -> r in
+  Alcotest.(check string) "same broken reason"
+    (reason (fun () ->
+         Eval.run ~catalog:(Eval.catalog [ ("A", a); ("B", c) ]) join2))
+    (reason (fun () -> Eval.execute p [ a; c ]))
+
 let test_index_registry () =
   let r = Relation.of_list schema_a [ [ Value.int 1; Value.int 2 ] ] in
   let ix = Relation.ensure_index r [ "k" ] in
@@ -190,13 +272,16 @@ let () =
   Alcotest.run "index"
     [
       ( "plan equivalence",
-        List.map to_alcotest [ prop_join2; prop_join3; prop_select ] );
+        List.map to_alcotest
+          [ prop_join2; prop_join3; prop_select; prop_prepared ] );
       ("index maintenance", List.map to_alcotest [ prop_index_maintenance ]);
       ( "edge cases",
         [
           Alcotest.test_case "empty inputs" `Quick test_empty_inputs;
           Alcotest.test_case "unbound alias" `Quick test_unbound_alias;
           Alcotest.test_case "mismatched schema" `Quick test_mismatched_schema;
+          Alcotest.test_case "stale plan re-prepares" `Quick
+            test_stale_plan_reprepares;
           Alcotest.test_case "index registry" `Quick test_index_registry;
         ] );
     ]

@@ -849,6 +849,30 @@ let test_hostprof_records_and_drains () =
   let s2 = Hostprof.drain hp in
   Alcotest.(check int) "re-drain stable" 2 (List.length s2.Hostprof.domains)
 
+(* A task's minor words are exact even when no minor collection falls
+   inside it: a list allocated right after [Gc.minor ()] stays in the
+   minor heap, and the task must still report at least its size. *)
+let test_hostprof_minor_words () =
+  let hp = Hostprof.create () in
+  let coord = Hostprof.coordinator_ring hp in
+  let b = Hostprof.batch_begin coord in
+  let n = 1000 in
+  Gc.minor ();
+  let m = Hostprof.task_begin coord in
+  let l = Sys.opaque_identity (List.init n Fun.id) in
+  Hostprof.task_end coord ~tag:1 m;
+  Hostprof.batch_end coord b;
+  (* each cons cell is a header plus two fields *)
+  let expected = float_of_int (3 * List.length l) in
+  let s = Hostprof.drain hp in
+  match s.Hostprof.domains with
+  | [ d ] ->
+      let words = d.Hostprof.gc.Hostprof.minor_words in
+      if words < expected then
+        Alcotest.failf "task reported %.0f minor words, allocated >= %.0f"
+          words expected
+  | _ -> Alcotest.fail "one participant expected"
+
 let test_hostprof_disabled_noop () =
   let hp = Hostprof.disabled in
   Alcotest.(check bool) "disabled" false (Hostprof.enabled hp);
@@ -990,6 +1014,8 @@ let () =
             test_hostprof_records_and_drains;
           Alcotest.test_case "disabled is a no-op" `Quick
             test_hostprof_disabled_noop;
+          Alcotest.test_case "task minor words are exact" `Quick
+            test_hostprof_minor_words;
           Alcotest.test_case "eviction keeps aggregates, json parses" `Quick
             test_hostprof_eviction_and_json;
         ] );

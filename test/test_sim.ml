@@ -95,6 +95,24 @@ let test_trace () =
   Trace.record off ~time:0.0 Trace.Commit "x";
   Alcotest.(check int) "disabled records nothing" 0 (List.length (Trace.entries off))
 
+(* A disabled trace must not pay for formatting: its [%a] printers never
+   run.  An enabled one still formats every argument. *)
+let test_trace_off_formats_nothing () =
+  let calls = ref 0 in
+  let pp ppf s =
+    incr calls;
+    Fmt.string ppf s
+  in
+  let off = Trace.create ~enabled:false () in
+  Trace.recordf off ~time:0.0 Trace.Commit "%s v%d: %a" "DS1" 3 pp "delta";
+  Alcotest.(check int) "printer not called when disabled" 0 !calls;
+  let on = Trace.create () in
+  Trace.recordf on ~time:0.0 Trace.Commit "%s v%d: %a" "DS1" 3 pp "delta";
+  Alcotest.(check int) "printer called when enabled" 1 !calls;
+  match Trace.entries on with
+  | [ e ] -> Alcotest.(check string) "detail" "DS1 v3: delta" e.Trace.detail
+  | _ -> Alcotest.fail "one entry expected"
+
 let () =
   Alcotest.run "sim"
     [
@@ -105,5 +123,7 @@ let () =
           Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
           Alcotest.test_case "cost model" `Quick test_cost_model;
           Alcotest.test_case "trace" `Quick test_trace;
+          Alcotest.test_case "disabled trace formats nothing" `Quick
+            test_trace_off_formats_nothing;
         ] );
     ]

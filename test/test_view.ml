@@ -118,11 +118,19 @@ let test_mat_view () =
       Alcotest.(check (list int)) "maintained ids" [ 0 ] c.Mat_view.maintained
   | _ -> Alcotest.fail "one commit expected");
   (* deleting a non-existent tuple trips the guard *)
-  let bad = Relation.of_counted schema [ ([ Value.int 99 ], -1) ] in
+  let bad =
+    Relation.of_counted schema [ ([ Value.int 1 ], -1); ([ Value.int 99 ], -1) ]
+  in
+  let before = Relation.copy (Mat_view.extent mv) in
   Alcotest.(check bool) "negative refresh trapped" true
     (match Mat_view.refresh mv ~at:2.0 ~maintained:[ 1 ] bad with
     | () -> false
-    | exception Invalid_argument _ -> true)
+    | exception Invalid_argument _ -> true);
+  (* ...before any of it is applied: the valid deletion of 1 is not *)
+  Alcotest.(check bool) "extent unchanged after rejected refresh" true
+    (Relation.equal before (Mat_view.extent mv));
+  Alcotest.(check int) "no commit for the rejected refresh" 1
+    (Mat_view.commit_count mv)
 
 (* -- Query_engine: delivery semantics ------------------------------- *)
 

@@ -280,13 +280,70 @@ let test_group_rejects_sc () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* -- prepared probe plans across a schema change --------------------- *)
+
+let outcome_to_string = function
+  | Dyno_vm.Vm.Refreshed { delta_tuples; stats } ->
+      Fmt.str "refreshed %d tuple(s), %d probe(s), %d compensation(s)"
+        delta_tuples stats.Dyno_vm.Sweep.probes
+        stats.Dyno_vm.Sweep.compensations
+  | Dyno_vm.Vm.Irrelevant -> "irrelevant"
+  | Dyno_vm.Vm.Aborted b -> Fmt.str "%a" Dyno_source.Data_source.pp_broken b
+  | Dyno_vm.Vm.Unreachable _ -> "unreachable"
+
+(* Maintain a DU on A — which compiles A's sweep, probe plans included —
+   then commit [sc] at ds2 (C's source) without maintaining it, leave
+   [pending] DUs on C queued, and maintain a second DU on A whose sweep
+   probes C with the plan prepared before the change. *)
+let maintain_across_sc sc ~pending =
+  let wd = make_world () in
+  ignore
+    (commit_and_maintain wd ~source:"ds1" ~rel:"A"
+       (Relation.of_list a_schema [ [ Value.int 3; Value.string "a3" ] ]));
+  let vd = Mat_view.def wd.mv in
+  let a_ref = List.hd (Query.from (View_def.peek vd)) in
+  let before = Dyno_vm.Maint_query.sweep_for vd a_ref in
+  let ds2 = Dyno_source.Registry.find wd.registry "ds2" in
+  ignore
+    (Dyno_source.Data_source.commit_sc ds2 ~time:(Query_engine.now wd.w) sc);
+  List.iter (fun d -> ignore (enqueue_du wd ~source:"ds2" ~rel:"C" d)) pending;
+  let m =
+    enqueue_du wd ~source:"ds1" ~rel:"A"
+      (Relation.of_list a_schema [ [ Value.int 1; Value.string "a1bis" ] ])
+  in
+  let out = Dyno_vm.Vm.maintain wd.w wd.mv m (Option.get (Update_msg.as_du m)) in
+  Alcotest.(check bool) "the sweep compiled before the change was used" true
+    (Dyno_vm.Maint_query.sweep_for vd a_ref == before);
+  outcome_to_string out
+
+let test_plan_across_sc () =
+  (* the source re-prepares against its renamed schema: same broken
+     reason as an unprepared probe *)
+  Alcotest.(check string) "rename breaks the probe alike"
+    "broken query maint:V:C at ds2: relation C has no attribute z"
+    (maintain_across_sc ~pending:[]
+       (Schema_change.Rename_attribute
+          { source = "ds2"; rel = "C"; old_name = "z"; new_name = "zz" }));
+  (* an added attribute breaks nothing: the probe and the compensation
+     over a pending DU in the new schema both re-prepare and succeed *)
+  let c3 = Schema.of_list [ Attr.int "k3"; Attr.int "z"; Attr.int "w" ] in
+  Alcotest.(check string) "add keeps the probe working"
+    "refreshed 1 tuple(s), 2 probe(s), 1 compensation(s)"
+    (maintain_across_sc
+       ~pending:
+         [ Relation.of_list c3 [ [ Value.int 1; Value.int 11; Value.int 0 ] ] ]
+       (Schema_change.Add_attribute
+          { source = "ds2"; rel = "C"; attr = Attr.int "w"; default = Value.int 0 }))
+
+
 let test_maint_query_shapes () =
   (* probe_query structure: selects needed attrs (prefixed) + partial
      columns, joins against the shipped partial *)
   let owner = Dyno_vm.Maint_query.owner_of_schemas (schemas ()) in
   let q = view_q () in
   let pivot = List.hd (Query.from q) in
-  let partial = Dyno_vm.Maint_query.initial_partial q owner pivot
+  let sw = Dyno_vm.Maint_query.compile ~version:0 q (schemas ()) pivot in
+  let partial = Dyno_vm.Maint_query.start sw
       (Relation.of_list a_schema [ [ Value.int 1; Value.string "v" ] ])
   in
   Alcotest.(check (list string)) "prefixed partial columns" [ "A__k"; "A__x" ]
@@ -338,5 +395,7 @@ let () =
         [
           Alcotest.test_case "probe/partial shapes" `Quick test_maint_query_shapes;
           Alcotest.test_case "sweep order" `Quick test_sweep_order;
+          Alcotest.test_case "prepared plan across a schema change" `Quick
+            test_plan_across_sc;
         ] );
     ]
