@@ -42,33 +42,41 @@ let apply (umq : Umq.t) (g : Dep_graph.t) : report =
     edges = List.length (Dep_graph.edges g);
   }
 
-(** [merge_all umq] — the strawman correction: collapse the whole queue
-    into a single batch (messages in commit order).  Loses intermediate MV
-    states and produces one long, abort-prone maintenance process; kept as
-    an experimental baseline (ablation). *)
-let merge_all (umq : Umq.t) : report =
+(** [collapse entries] — the strawman correction over an entry list:
+    every message, in commit order, as a single batch.  Loses
+    intermediate MV states and produces one long, abort-prone maintenance
+    process; kept as an experimental baseline (ablation).  Fewer than two
+    messages stay as they are. *)
+let collapse (entries : Umq.entry list) : Umq.entry list * report =
   let msgs =
     List.sort
       (fun a b -> Int.compare (Update_msg.id a) (Update_msg.id b))
-      (Umq.messages umq)
+      (List.concat_map Umq.entry_messages entries)
   in
   match msgs with
   | [] | [ _ ] ->
-      {
-        reordered = false;
-        merged_cycles = 0;
-        merged_updates = 0;
-        merged_members = [];
-        nodes = List.length msgs;
-        edges = 0;
-      }
+      ( entries,
+        {
+          reordered = false;
+          merged_cycles = 0;
+          merged_updates = 0;
+          merged_members = [];
+          nodes = List.length msgs;
+          edges = 0;
+        } )
   | _ ->
-      Umq.replace umq [ Umq.Batch msgs ];
-      {
-        reordered = true;
-        merged_cycles = 1;
-        merged_updates = List.length msgs;
-        merged_members = [ List.map Update_msg.id msgs ];
-        nodes = List.length msgs;
-        edges = 0;
-      }
+      ( [ Umq.Batch msgs ],
+        {
+          reordered = true;
+          merged_cycles = 1;
+          merged_updates = List.length msgs;
+          merged_members = [ List.map Update_msg.id msgs ];
+          nodes = List.length msgs;
+          edges = 0;
+        } )
+
+(** [merge_all umq] — {!collapse} the whole queue in place. *)
+let merge_all (umq : Umq.t) : report =
+  let order, r = collapse (Umq.entries umq) in
+  if r.reordered then Umq.replace umq order;
+  r

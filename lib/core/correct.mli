@@ -19,7 +19,11 @@ val apply : Umq.t -> Dep_graph.t -> report
     the legal order.  The set of queued updates is preserved exactly
     ({!Umq.replace} enforces it). *)
 
+val collapse : Umq.entry list -> Umq.entry list * report
+(** The strawman correction the paper argues against, over an entry
+    list: every message as a single batch (members in commit order).
+    Kept as an experimental baseline; a cross-shard barrier collapses its
+    snapshot with it. *)
+
 val merge_all : Umq.t -> report
-(** The strawman correction the paper argues against: collapse the whole
-    queue into a single batch (members in commit order).  Kept as an
-    experimental baseline. *)
+(** {!collapse} the whole queue and install the result. *)

@@ -1,10 +1,11 @@
-(** Dyno: the dynamic reordering scheduler (Figure 6).
+(** Dyno: the dynamic reordering scheduler (Figure 6) — one dispatch core
+    behind the serial, multi-view and sharded entry points.
 
-    The main loop processes the UMQ head forever:
+    The main loop processes the queue heads forever:
 
-    + (pessimistic only) if the schema-change flag is set, run pre-exec
-      detection — build the dependency graph — and correct the queue into
-      a legal order (merging cycles);
+    + pre-exec detection: (pessimistic only) if the schema-change flag is
+      set, build the dependency graph and correct the queue into a legal
+      order (merging cycles);
     + maintain the head entry: VM for a data update, VS+VA for a schema
       change, batch adaptation for a merged node;
     + if the maintenance aborted on a broken query (in-exec detection),
@@ -14,9 +15,16 @@
       merge-all strawman collapses the whole queue;
     + otherwise remove the head and continue.
 
-    The loop runs until both the UMQ and the timeline of future source
+    The loop runs until both the queues and the timeline of future source
     commits are drained (a real deployment runs forever; experiments have
-    finite workloads). *)
+    finite workloads).
+
+    The core runs over three inputs: the queues (one route, or one per
+    shard of a {!Shard.t} plan), the views (one, or several for
+    multi-view), and the round width [config.parallel].  Several shard
+    queues cannot be rewritten by a correction, so they detect and correct
+    at a cross-shard barrier instead — for every strategy, since a
+    schema change's dependencies may reach other shards' queues. *)
 
 open Dyno_view
 open Dyno_sim
@@ -31,8 +39,8 @@ type vm_mode = Run_config.vm_mode =
           classic strawman incremental maintenance is measured against *)
 
 (** The scheduler consumes the shared {!Run_config.t} record — the same
-    record drives the multi-view and sharded schedulers, so CLI plumbing
-    is written once. *)
+    record drives the multi-view and sharded entry points, so CLI
+    plumbing is written once. *)
 type config = Run_config.t = {
   strategy : Strategy.t;
   max_steps : int;
@@ -55,87 +63,52 @@ type step_outcome =
       (** a maintenance query exhausted its transport retry budget; the
           entry stays at the queue head and is retried after recovery *)
 
-(* Charge a detection pass + correction on the simulated clock and update
-   stats; returns true when the queue was actually reordered. *)
-let detect_and_correct ~(force : bool) (w : Query_engine.t) (mv : Mat_view.t)
-    (stats : Stats.t) : unit =
-  let umq = Query_engine.umq w in
-  let cost = Query_engine.cost w in
-  let vd = Mat_view.def mv in
-  let t0 = Query_engine.now w in
-  let outcome =
-    if force then Detect.force vd umq else Detect.pre_exec vd umq
-  in
-  let obs = Query_engine.obs w in
-  let sp = Dyno_obs.Obs.spans obs
-  and mx = Dyno_obs.Obs.metrics obs in
-  let now () = Query_engine.now w in
-  (match outcome.Detect.graph with
-  | None ->
-      (* Flag fast path: O(1); no span — it would swamp the trace with one
-         flag check per iteration. *)
-      Query_engine.advance w cost.Cost_model.detect_flag
-  | Some g ->
-      stats.Stats.detections <- stats.Stats.detections + 1;
-      let n = Dep_graph.size g in
-      let m =
-        List.length
-          (List.filter Update_msg.is_sc (Umq.messages umq))
-      in
-      Dyno_obs.Span.with_span sp ~now Dyno_obs.Span.Detect
-        (Fmt.str "detect %d node(s)" n)
-        (fun _ ->
-          let td = now () in
-          Query_engine.advance w (Cost_model.detect cost ~n ~m);
-          Dyno_obs.Metrics.observe mx "detect.pass_s" (now () -. td));
-      Trace.recordf (Query_engine.trace w) ~time:(Query_engine.now w)
-        Trace.Detect "graph: %d node(s), %d edge(s), %d unsafe" n
-        (List.length (Dep_graph.edges g))
-        outcome.Detect.unsafe;
-      Dyno_obs.Span.with_span sp ~now Dyno_obs.Span.Correct "correct"
-        (fun cid ->
-          let tc = now () in
-          let lin = Dyno_obs.Obs.lineage obs in
-          (* Forensic provenance: every unsafe edge (the ones forcing the
-             reorder) lands on the dependent updates' lineage records
-             before the correction rewrites the queue. *)
-          List.iter
-            (fun e ->
-              Dyno_obs.Lineage.edge lin
-                ~dep_ids:(Dep_graph.edge_dependent_ids g e)
-                ~time:tc ~detail:(Dep_graph.describe_edge g e))
-            (Dep_graph.unsafe g);
-          let r = Correct.apply umq g in
-          List.iter
-            (fun ids ->
-              Dyno_obs.Lineage.merged lin ~ids ~time:tc
-                ~detail:
-                  (Fmt.str
-                     "dependency cycle merged: %d update(s) now one batch"
-                     (List.length ids)))
-            r.Correct.merged_members;
-          Query_engine.advance w
-            (Cost_model.correct cost ~nodes:r.Correct.nodes
-               ~edges:r.Correct.edges);
-          Dyno_obs.Metrics.observe mx "correct.pass_s" (now () -. tc);
-          Dyno_obs.Span.set_attr sp cid "reordered"
-            (string_of_bool r.Correct.reordered);
-          if r.Correct.reordered then begin
-            stats.Stats.corrections <- stats.Stats.corrections + 1;
-            Trace.recordf (Query_engine.trace w) ~time:(Query_engine.now w)
-              Trace.Correct "queue reordered into a legal order"
-          end;
-          if r.Correct.merged_cycles > 0 then begin
-            stats.Stats.merges <- stats.Stats.merges + r.Correct.merged_cycles;
-            Trace.recordf (Query_engine.trace w) ~time:(Query_engine.now w)
-              Trace.Merge "%d cycle(s) merged (%d update(s))"
-              r.Correct.merged_cycles r.Correct.merged_updates
-          end));
-  stats.Stats.busy <- stats.Stats.busy +. (Query_engine.now w -. t0)
+(* A refreshed data update's SWEEP work, added to the run's counters — the
+   one place sweep statistics reach [Stats]. *)
+let count_refresh (stats : Stats.t) (s : Dyno_vm.Sweep.stats) : unit =
+  stats.Stats.du_maintained <- stats.Stats.du_maintained + 1;
+  stats.Stats.probes <- stats.Stats.probes + s.Dyno_vm.Sweep.probes;
+  stats.Stats.compensations <-
+    stats.Stats.compensations + s.Dyno_vm.Sweep.compensations;
+  stats.Stats.probes_avoided <-
+    stats.Stats.probes_avoided + s.Dyno_vm.Sweep.probes_avoided;
+  stats.Stats.bytes_saved <- stats.Stats.bytes_saved + s.Dyno_vm.Sweep.bytes_saved;
+  stats.Stats.view_commits <- stats.Stats.view_commits + 1
 
-(* Maintain one queue entry.  Updates counters on success.  [local] is
-   the self-maintenance hook pair (None unless [config.self_maint]). *)
-let maintain_entry ?local ~(compensate : bool) ~(vm_mode : vm_mode)
+(* VS + VA for a schema change, or batch adaptation for a merged node;
+   [finish] records the lineage terminal. *)
+let adapt ?applied ~finish (w : Query_engine.t) (mv : Mat_view.t)
+    (mk : Dyno_source.Meta_knowledge.t) (stats : Stats.t)
+    (msgs : Update_msg.t list) : step_outcome =
+  match Dyno_va.Batch.maintain ?applied w mv mk msgs with
+  | Dyno_va.Batch.Adapted ->
+      (match msgs with
+      | [ _ ] ->
+          stats.Stats.sc_maintained <- stats.Stats.sc_maintained + 1;
+          finish Dyno_obs.Lineage.Applied "view adapted (VS + VA)"
+      | _ ->
+          stats.Stats.batches <- stats.Stats.batches + 1;
+          stats.Stats.batch_updates <-
+            stats.Stats.batch_updates + List.length msgs;
+          finish Dyno_obs.Lineage.Applied
+            (Fmt.str "batch of %d adapted atomically" (List.length msgs)));
+      stats.Stats.view_commits <- stats.Stats.view_commits + 1;
+      Done
+  | Dyno_va.Batch.Aborted b -> AbortedStep b
+  | Dyno_va.Batch.Unreachable u -> UnreachableStep u
+  | Dyno_va.Batch.View_undefined _ ->
+      stats.Stats.view_undefined <- true;
+      finish Dyno_obs.Lineage.Applied "schema change left the view undefined";
+      Done
+
+(* Maintain one queue entry against one view.  Updates counters on
+   success.  [local] is the self-maintenance hook (None unless
+   [config.self_maint]).  With [applied] the view is one member of a view
+   set: messages it already integrated are skipped (and kept in by
+   compensation), an undefined view has nothing to do, and the entry's
+   trace start and lineage terminal are left to the dispatcher, which
+   records them once for every view. *)
+let maintain_entry ?applied ?local ~(compensate : bool) ~(vm_mode : vm_mode)
     (w : Query_engine.t) (mv : Mat_view.t)
     (mk : Dyno_source.Meta_knowledge.t) (stats : Stats.t)
     (entry : Umq.entry) : step_outcome =
@@ -143,30 +116,43 @@ let maintain_entry ?local ~(compensate : bool) ~(vm_mode : vm_mode)
   let vd = Mat_view.def mv in
   let lin = Dyno_obs.Obs.lineage (Query_engine.obs w) in
   let ids = Umq.entry_ids entry in
+  let lone = Option.is_none applied in
   let finish state detail =
-    Dyno_obs.Lineage.finish lin ~ids ~time:(Query_engine.now w) ~state ~detail
+    if lone then
+      Dyno_obs.Lineage.finish lin ~ids ~time:(Query_engine.now w) ~state
+        ~detail
   in
   (* Probe round-trips issued by this maintenance step are charged to
      this entry's updates via the ambient scope. *)
   Dyno_obs.Lineage.set_scope lin ids;
-  Trace.recordf trace ~time:(Query_engine.now w) Trace.Maint_start "%a"
-    Umq.pp_entry entry;
-  if not (View_def.is_valid vd) then begin
+  if lone then
+    Trace.recordf trace ~time:(Query_engine.now w) Trace.Maint_start "%a"
+      Umq.pp_entry entry;
+  let msgs =
+    match applied with
+    | None -> Umq.entry_messages entry
+    | Some a ->
+        List.filter
+          (fun m -> not (List.mem (Update_msg.id m) a))
+          (Umq.entry_messages entry)
+  in
+  if msgs = [] then Done
+  else if not (View_def.is_valid vd) then begin
     (* The view is undefined; updates are acknowledged and dropped. *)
-    Trace.recordf trace ~time:(Query_engine.now w) Trace.Info
-      "view undefined; dropping %a" Umq.pp_entry entry;
-    stats.Stats.irrelevant <-
-      stats.Stats.irrelevant + List.length (Umq.entry_messages entry);
-    finish Dyno_obs.Lineage.Dropped_undefined
-      "view undefined; update acknowledged and dropped";
+    if lone then begin
+      Trace.recordf trace ~time:(Query_engine.now w) Trace.Info
+        "view undefined; dropping %a" Umq.pp_entry entry;
+      stats.Stats.irrelevant <- stats.Stats.irrelevant + List.length msgs;
+      finish Dyno_obs.Lineage.Dropped_undefined
+        "view undefined; update acknowledged and dropped"
+    end;
     Done
   end
   else
-    match entry with
-    | Umq.Single m -> (
+    match msgs with
+    | [ m ] -> (
         match Update_msg.payload m with
-        | Update_msg.Du u when vm_mode = Recompute -> (
-            ignore u;
+        | Update_msg.Du _ when vm_mode = Recompute -> (
             match
               Dyno_va.Adapt.replace_extent w mv
                 ~maintained:[ Update_msg.id m ]
@@ -180,18 +166,10 @@ let maintain_entry ?local ~(compensate : bool) ~(vm_mode : vm_mode)
             | Error (Query_engine.Broken b) -> AbortedStep b
             | Error (Query_engine.Unreachable u) -> UnreachableStep u)
         | Update_msg.Du u -> (
-            match Dyno_vm.Vm.maintain ~compensate ?local w mv m u with
+            match Dyno_vm.Vm.maintain ~compensate ?applied ?local w mv m u with
             | Dyno_vm.Vm.Refreshed { stats = s; _ } ->
-                stats.Stats.du_maintained <- stats.Stats.du_maintained + 1;
-                stats.Stats.probes <- stats.Stats.probes + s.Dyno_vm.Sweep.probes;
-                stats.Stats.compensations <-
-                  stats.Stats.compensations + s.Dyno_vm.Sweep.compensations;
-                stats.Stats.probes_avoided <-
-                  stats.Stats.probes_avoided + s.Dyno_vm.Sweep.probes_avoided;
-                stats.Stats.bytes_saved <-
-                  stats.Stats.bytes_saved + s.Dyno_vm.Sweep.bytes_saved;
-                stats.Stats.view_commits <- stats.Stats.view_commits + 1;
-                if Dyno_obs.Lineage.enabled lin then
+                count_refresh stats s;
+                if lone && Dyno_obs.Lineage.enabled lin then
                   finish Dyno_obs.Lineage.Applied
                     (Fmt.str "view refreshed (%d probe(s), %d compensation(s))"
                        s.Dyno_vm.Sweep.probes s.Dyno_vm.Sweep.compensations);
@@ -202,37 +180,8 @@ let maintain_entry ?local ~(compensate : bool) ~(vm_mode : vm_mode)
                 Done
             | Dyno_vm.Vm.Aborted b -> AbortedStep b
             | Dyno_vm.Vm.Unreachable u -> UnreachableStep u)
-        | Update_msg.Sc _ -> (
-            match Dyno_va.Batch.maintain w mv mk [ m ] with
-            | Dyno_va.Batch.Adapted ->
-                stats.Stats.sc_maintained <- stats.Stats.sc_maintained + 1;
-                stats.Stats.view_commits <- stats.Stats.view_commits + 1;
-                finish Dyno_obs.Lineage.Applied "view adapted (VS + VA)";
-                Done
-            | Dyno_va.Batch.Aborted b -> AbortedStep b
-            | Dyno_va.Batch.Unreachable u -> UnreachableStep u
-            | Dyno_va.Batch.View_undefined _ ->
-                stats.Stats.view_undefined <- true;
-                finish Dyno_obs.Lineage.Applied
-                  "schema change left the view undefined";
-                Done))
-    | Umq.Batch msgs -> (
-        match Dyno_va.Batch.maintain w mv mk msgs with
-        | Dyno_va.Batch.Adapted ->
-            stats.Stats.batches <- stats.Stats.batches + 1;
-            stats.Stats.batch_updates <-
-              stats.Stats.batch_updates + List.length msgs;
-            stats.Stats.view_commits <- stats.Stats.view_commits + 1;
-            finish Dyno_obs.Lineage.Applied
-              (Fmt.str "batch of %d adapted atomically" (List.length msgs));
-            Done
-        | Dyno_va.Batch.Aborted b -> AbortedStep b
-        | Dyno_va.Batch.Unreachable u -> UnreachableStep u
-        | Dyno_va.Batch.View_undefined _ ->
-            stats.Stats.view_undefined <- true;
-            finish Dyno_obs.Lineage.Applied
-              "schema change left the view undefined";
-            Done)
+        | Update_msg.Sc _ -> adapt ?applied ~finish w mv mk stats msgs)
+    | _ -> adapt ?applied ~finish w mv mk stats msgs
 
 (* A maintenance step stalled on an unreachable source: charge the sunk
    work as busy (it is NOT thrown away — the entry stays queued and is
@@ -282,333 +231,7 @@ let abort_provenance (umq : Umq.t) (b : Dyno_source.Data_source.broken) :
         b.Dyno_source.Data_source.query_name b.Dyno_source.Data_source.source
         b.Dyno_source.Data_source.reason
 
-(* Merge-all provenance: the strawman collapse is a causal rebirth too —
-   members gain a parent link to the batch's oldest update. *)
-let note_merge_all (lin : Dyno_obs.Lineage.t) ~(time : float)
-    (r : Correct.report) : unit =
-  List.iter
-    (fun ids ->
-      Dyno_obs.Lineage.merged lin ~ids ~time
-        ~detail:
-          (Fmt.str "merge-all: %d update(s) collapsed into one batch"
-             (List.length ids)))
-    r.Correct.merged_members
-
-(* --- Multicore runtime ([`Domains _]) ------------------------------- *)
-
-(* One round member as the worker-domain pool sees it.  [pj_mv] and
-   [pj_local] vary per member only in the multi-view scheduler; the
-   serial and sharded schedulers pass one view and the member's owning
-   shard's store. *)
-type pool_job = {
-  pj_mv : Mat_view.t;
-  pj_msg : Update_msg.t;
-  pj_du : Dyno_relational.Update.t;
-  pj_applied : int list;
-  pj_exclude_extra : int list;
-  pj_local : Dyno_vm.Sweep.local option;
-}
-
-(* Evaluate a dispatched round's fully-covered local sweeps on the
-   worker-domain pool.  Phase A (coordinator): run each member's
-   {!Dyno_vm.Vm.prepare_sweep} prelude in round order, capturing pure
-   compute inputs with exclusion sets already frozen.  Phase B: one pool
-   batch over {!Dyno_vm.Sweep.compute_local} — pure CPU, no engine,
-   clock or observability access on the workers.  Phase C (coordinator):
-   replay the local-answer bookkeeping for each harvested result.  The
-   returned array holds [Some swept] for members decided here; [None]
-   members still need the cooperative probed path on the executor.
-   Admission, commits and the simulated clock never leave the
-   coordinator, so Theorems 1–2 are untouched: this only relocates
-   compute the cooperative path would have run inline at dispatch
-   time. *)
-let pool_sweeps ~(pool : Dyno_sim.Domain_pool.t) ~(compensate : bool)
-    (w : Query_engine.t) (stats : Stats.t) (jobs : pool_job array) :
-    Dyno_vm.Vm.swept option array =
-  let prepared =
-    Array.map
-      (fun j ->
-        Dyno_vm.Vm.prepare_sweep ~compensate ~applied:j.pj_applied
-          ~exclude_extra:j.pj_exclude_extra ?local:j.pj_local w j.pj_mv
-          j.pj_msg j.pj_du)
-      jobs
-  in
-  let offload = ref [] in
-  Array.iteri
-    (fun i p ->
-      match p with
-      | Dyno_vm.Vm.Offloadable input -> offload := (i, input) :: !offload
-      | Dyno_vm.Vm.Settled _ | Dyno_vm.Vm.Needs_probes -> ())
-    prepared;
-  let offload = Array.of_list (List.rev !offload) in
-  let outs =
-    (* Tag each pool task with its member's message id so the host
-       profiler can attribute compute seconds back onto the lineage
-       record (a no-op when the profiler is off). *)
-    Dyno_sim.Domain_pool.run_all
-      ~tags:(Array.map (fun (i, _) -> Update_msg.id jobs.(i).pj_msg) offload)
-      pool
-      (Array.map
-         (fun (_, input) () -> Dyno_vm.Sweep.compute_local input)
-         offload)
-  in
-  stats.Stats.mcore_tasks <- stats.Stats.mcore_tasks + Array.length offload;
-  let results =
-    Array.map
-      (function Dyno_vm.Vm.Settled s -> Some s | _ -> None)
-      prepared
-  in
-  let lin = Dyno_obs.Obs.lineage (Query_engine.obs w) in
-  Array.iteri
-    (fun k (i, input) ->
-      match outs.(k) with
-      | Some ((dv, st) as ok) ->
-          let j = jobs.(i) in
-          Dyno_obs.Lineage.set_scope lin [ Update_msg.id j.pj_msg ];
-          (match j.pj_local with
-          | Some l -> Dyno_vm.Sweep.record_local w ~local:l input ok
-          | None -> ());
-          results.(i) <- Some (Dyno_vm.Vm.Swept (dv, st))
-      | None ->
-          (* The pure compute fell back (a local evaluation failed); let
-             the probed path decide, exactly as the inline path would. *)
-          ())
-    offload;
-  results
-
-(* One concurrent maintenance round over an antichain of single data
-   updates from distinct sources (no queued schema change ahead of them).
-   The sweeps — probe round trips included — run as cooperative executor
-   tasks and overlap on the wire; refreshes and dequeues then commit
-   serially at the barrier, in queue order, stopping at the first failed
-   member.  Later members' results are discarded: their entries stay
-   queued (exclusion sets were fixed at dispatch, so a re-sweep on the
-   next round compensates correctly).  With [pool] (the [`Domains _]
-   runtime) fully-covered local sweeps are evaluated on worker domains
-   first; only the remainder takes the executor. *)
-let parallel_round ?local ?pool ~(config : config) ~(fresh : Freshness.t)
-    (w : Query_engine.t) (mv : Mat_view.t) (stats : Stats.t) (mid : int)
-    (members : (Update_msg.t * Dyno_relational.Update.t) list) : unit =
-  let trace = Query_engine.trace w in
-  let obs = Query_engine.obs w in
-  let sp = Dyno_obs.Obs.spans obs
-  and mx = Dyno_obs.Obs.metrics obs in
-  let lin = Dyno_obs.Obs.lineage obs in
-  let umq = Query_engine.umq w in
-  let exec = Query_engine.executor w in
-  let k = List.length members in
-  Dyno_obs.Span.set_name sp mid (Fmt.str "round of %d" k);
-  Dyno_obs.Metrics.set_gauge mx "sched.inflight" (float_of_int k);
-  Dyno_obs.Metrics.observe mx "sched.antichain_size" (float_of_int k);
-  Umq.clear_broken_query_flag umq;
-  let t0 = Query_engine.now w in
-  List.iter
-    (fun (m, _) ->
-      Trace.recordf trace ~time:t0 Trace.Maint_start "%a" Umq.pp_entry
-        (Umq.Single m))
-    members;
-  List.iteri
-    (fun i (m, _) ->
-      Dyno_obs.Lineage.dispatch lin
-        ~ids:[ Update_msg.id m ]
-        ~time:t0
-        ~detail:(Fmt.str "dispatched into parallel round of %d (slot %d)" k i)
-        ())
-    members;
-  let results = Array.make k None in
-  let spent = Array.make k 0.0 in
-  (* Exclusion sets are fixed at dispatch: member [i] must not
-     compensate against members earlier in queue order — they are being
-     maintained concurrently, exactly as if the serial pass had already
-     processed them. *)
-  let excludes =
-    let earlier = ref [] in
-    Array.of_list
-      (List.map
-         (fun (m, _) ->
-           let e = !earlier in
-           earlier := Update_msg.id m :: !earlier;
-           e)
-         members)
-  in
-  (* Multicore runtime: fully-covered local sweeps evaluate on the
-     worker-domain pool before the executor round; members decided there
-     skip their cooperative task entirely. *)
-  (match pool with
-  | None -> ()
-  | Some pool ->
-      let precomputed =
-        pool_sweeps ~pool ~compensate:config.compensate w stats
-          (Array.of_list
-             (List.mapi
-                (fun i (m, u) ->
-                  {
-                    pj_mv = mv;
-                    pj_msg = m;
-                    pj_du = u;
-                    pj_applied = [];
-                    pj_exclude_extra = excludes.(i);
-                    pj_local = local;
-                  })
-                members))
-      in
-      Array.iteri
-        (fun i r ->
-          match r with Some s -> results.(i) <- Some s | None -> ())
-        precomputed);
-  let thunks =
-    List.concat
-      (List.mapi
-         (fun i (m, u) ->
-           if results.(i) <> None then []
-           else
-             [
-               (fun () ->
-                 Dyno_obs.Span.with_span sp
-                   ~now:(fun () -> Query_engine.now w)
-                   ~thread:(Update_msg.source m) Dyno_obs.Span.Task
-                   (Fmt.str "maintain #%d" (Update_msg.id m))
-                   (fun _ ->
-                     (* Scope this task's context to its update so probe
-                        round-trips land on the right lineage record. *)
-                     Dyno_obs.Lineage.set_scope lin [ Update_msg.id m ];
-                     let ts = Query_engine.now w in
-                     results.(i) <-
-                       Some
-                         (Dyno_vm.Vm.maintain_sweep
-                            ~compensate:config.compensate
-                            ~exclude_extra:excludes.(i) ?local w mv m u);
-                     spent.(i) <- Query_engine.now w -. ts));
-             ])
-         members)
-  in
-  Executor.run_all exec thunks;
-  let failure = ref None in
-  List.iteri
-    (fun i (m, _) ->
-      if !failure <> None then
-        (* Later members' sweeps are discarded: the wasted work shows up
-           as [Queue] time on re-dispatch, keeping segment sums exact. *)
-        Dyno_obs.Lineage.note lin
-          ~ids:[ Update_msg.id m ]
-          ~time:(Query_engine.now w) ~kind:"requeued"
-          ~detail:"earlier round member failed; sweep discarded, requeued"
-      else
-        match results.(i) with
-        | Some (Dyno_vm.Vm.Swept (dv, s)) -> (
-            match Dyno_vm.Vm.commit_swept w mv m dv s with
-            | Dyno_vm.Vm.Refreshed { stats = s; _ } ->
-                stats.Stats.du_maintained <- stats.Stats.du_maintained + 1;
-                stats.Stats.probes <-
-                  stats.Stats.probes + s.Dyno_vm.Sweep.probes;
-                stats.Stats.compensations <-
-                  stats.Stats.compensations + s.Dyno_vm.Sweep.compensations;
-                stats.Stats.probes_avoided <-
-                  stats.Stats.probes_avoided + s.Dyno_vm.Sweep.probes_avoided;
-                stats.Stats.bytes_saved <-
-                  stats.Stats.bytes_saved + s.Dyno_vm.Sweep.bytes_saved;
-                stats.Stats.view_commits <- stats.Stats.view_commits + 1;
-                Freshness.note_entry fresh ~now:(Query_engine.now w) [ m ];
-                Dyno_obs.Lineage.finish lin
-                  ~ids:[ Update_msg.id m ]
-                  ~time:(Query_engine.now w) ~state:Dyno_obs.Lineage.Applied
-                  ~detail:
-                    (Fmt.str
-                       "view refreshed in parallel round (%d probe(s), %d \
-                        compensation(s))"
-                       s.Dyno_vm.Sweep.probes s.Dyno_vm.Sweep.compensations);
-                Umq.remove_entry umq (Umq.Single m)
-            | _ -> assert false)
-        | Some Dyno_vm.Vm.Swept_irrelevant ->
-            Mat_view.record_commit mv ~at:(Query_engine.now w)
-              ~maintained:[ Update_msg.id m ];
-            stats.Stats.irrelevant <- stats.Stats.irrelevant + 1;
-            Freshness.note_entry fresh ~now:(Query_engine.now w) [ m ];
-            Dyno_obs.Lineage.finish lin
-              ~ids:[ Update_msg.id m ]
-              ~time:(Query_engine.now w) ~state:Dyno_obs.Lineage.Irrelevant
-              ~detail:"no pivot row in the view";
-            Umq.remove_entry umq (Umq.Single m)
-        | Some (Dyno_vm.Vm.Swept_aborted b) -> failure := Some (`Aborted (b, m))
-        | Some (Dyno_vm.Vm.Swept_unreachable u) ->
-            failure := Some (`Unreachable (u, m))
-        | None -> assert false)
-    members;
-  let elapsed = Query_engine.now w -. t0 in
-  (* Overlap saved: the spread between the members' summed task lifetimes
-     and the round's wall time — what back-to-back execution of the same
-     intervals would have cost extra. *)
-  Dyno_obs.Metrics.add_gauge mx "net.overlap_saved_s"
-    (Float.max 0.0 (Array.fold_left ( +. ) 0.0 spent -. elapsed));
-  Dyno_obs.Metrics.set_gauge mx "sched.inflight" 0.0;
-  match !failure with
-  | None ->
-      Dyno_obs.Span.set_attr sp mid "outcome" "done";
-      stats.Stats.busy <- stats.Stats.busy +. elapsed
-  | Some (`Unreachable (u, m)) ->
-      Dyno_obs.Span.set_attr sp mid "outcome" "stalled";
-      stall_and_wait w stats ~t0 u;
-      Dyno_obs.Lineage.stall lin
-        ~ids:[ Update_msg.id m ]
-        ~time:(Query_engine.now w)
-        ~detail:(Fmt.str "%a" Dyno_net.Retry.pp_unreachable u)
-  | Some (`Aborted (b, m)) ->
-      let dt = Query_engine.now w -. t0 in
-      stats.Stats.busy <- stats.Stats.busy +. dt;
-      stats.Stats.abort_cost <- stats.Stats.abort_cost +. dt;
-      stats.Stats.aborts <- stats.Stats.aborts + 1;
-      stats.Stats.broken_queries <- stats.Stats.broken_queries + 1;
-      Dyno_obs.Span.set_attr sp mid "outcome" "aborted";
-      Dyno_obs.Span.set_attr sp mid "abort_s" (Fmt.str "%.17g" dt);
-      Trace.recordf trace ~time:(Query_engine.now w) Trace.Abort
-        "parallel round aborted after %.3f s: %a" dt
-        Dyno_source.Data_source.pp_broken b;
-      Dyno_obs.Lineage.abort lin
-        ~ids:[ Update_msg.id m ]
-        ~time:(Query_engine.now w)
-        ~detail:(abort_provenance umq b);
-      (match config.strategy with
-      | Strategy.Pessimistic ->
-          if not (Umq.peek_schema_change_flag umq) then
-            detect_and_correct ~force:true w mv stats
-      | Strategy.Optimistic -> detect_and_correct ~force:true w mv stats
-      | Strategy.Merge_all ->
-          let r = Correct.merge_all umq in
-          if r.Correct.reordered then begin
-            stats.Stats.corrections <- stats.Stats.corrections + 1;
-            stats.Stats.merges <- stats.Stats.merges + 1;
-            note_merge_all lin ~time:(Query_engine.now w) r
-          end)
-
-(* The frontier of concurrently-maintainable entries: single data updates
-   from distinct sources, scanned from the queue head, stopping at the
-   first schema change or merged batch (those carry Concurrent edges to
-   every other entry) and serializing same-source chains (Semantic edges
-   keep per-source commit order) by deferring their later links to a
-   later round. *)
-let antichain ~(config : config) (umq : Umq.t) (mv : Mat_view.t) :
-    (Update_msg.t * Dyno_relational.Update.t) list =
-  if
-    config.parallel <= 1
-    || config.vm_mode <> Incremental
-    || not (View_def.is_valid (Mat_view.def mv))
-  then []
-  else
-    let rec scan acc seen = function
-      | Umq.Single m :: rest when Update_msg.is_du m ->
-          if List.length acc >= config.parallel then List.rev acc
-          else
-            let src = Update_msg.source m in
-            if List.exists (String.equal src) seen then scan acc seen rest
-            else (
-              match Update_msg.as_du m with
-              | Some u -> scan ((m, u) :: acc) (src :: seen) rest
-              | None -> List.rev acc)
-      | _ -> List.rev acc
-    in
-    scan [] [] (Umq.entries umq)
-
-(* ---- Self-maintenance tier wiring (shared by all schedulers) ---- *)
+(* ---- Self-maintenance tier wiring ---- *)
 
 (* Build a view's auxiliary store against this engine: projections are
    seeded (and re-seeded after schema-change invalidation) from the
@@ -641,19 +264,7 @@ let aux_store (w : Query_engine.t) (mv : Mat_view.t) :
     ~obs:(Query_engine.obs w)
     ~lookup ~frontier ~refresh_cost mv
 
-(* A source's projections may only revalidate once no schema change of
-   that source remains queued anywhere (the cross-shard barrier handles
-   queued SCs globally, so the scan covers every route's queue). *)
-let sync_aux (w : Query_engine.t) (store : Dyno_selfmaint.Aux_store.t)
-    (mv : Mat_view.t) : unit =
-  Dyno_selfmaint.Aux_store.sync store mv ~sc_queued:(fun src ->
-      List.exists
-        (fun u ->
-          List.exists
-            (fun m ->
-              Update_msg.is_sc m && String.equal (Update_msg.source m) src)
-            (Umq.messages u))
-        (Query_engine.umqs w))
+(* ---- End-of-run bookkeeping ---- *)
 
 (* Copy the engine- and queue-level transport counters into the run's
    statistics (absolute values: one engine drives one run). *)
@@ -749,8 +360,8 @@ let drain_hostprof (w : Query_engine.t) : unit =
           d.Hostprof.events_dropped)
       s.Hostprof.domains;
     (* host_compute_s attribution: keyed by the dispatched member id the
-       schedulers tag pool tasks with; [Lineage.note] is non-charging,
-       so the simulated cost model is untouched. *)
+       round executor tags pool tasks with; [Lineage.note] is
+       non-charging, so the simulated cost model is untouched. *)
     let lin = Obs.lineage obs in
     List.iter
       (fun (tag, secs) ->
@@ -760,27 +371,926 @@ let drain_hostprof (w : Query_engine.t) : unit =
       s.Hostprof.attributions
   end
 
-(** [run ?config w mv mk] drives the Dyno loop until the UMQ and the
-    timeline are both drained; returns the collected statistics. *)
-let run ?(config = default_config) (w : Query_engine.t) (mv : Mat_view.t)
-    (mk : Dyno_source.Meta_knowledge.t) : Stats.t =
-  let stats = Stats.create () in
-  let umq = Query_engine.umq w in
-  let steps = ref 0 in
-  let trace = Query_engine.trace w in
-  let obs = Query_engine.obs w in
-  let sp = Dyno_obs.Obs.spans obs in
-  let lin = Dyno_obs.Obs.lineage obs in
-  let now () = Query_engine.now w in
-  let store =
-    if config.self_maint then begin
-      let s = aux_store w mv in
-      Query_engine.add_admit_hook w (Dyno_selfmaint.Aux_store.on_message s);
-      Some s
-    end
-    else None
+(* ---- The dispatch core ---- *)
+
+(* One view of the run.  [applied] is used by view sets only: the queued
+   message ids this view already integrated while a later view broke, so
+   a retry (possibly inside a larger merged batch) redoes only what is
+   missing. *)
+type view = {
+  mv : Mat_view.t;
+  mutable applied : int list;
+  store : Dyno_selfmaint.Aux_store.t option;
+  local : Dyno_vm.Sweep.local option;
+  fresh : Freshness.t;
+}
+
+type core = {
+  config : config;
+  w : Query_engine.t;
+  mk : Dyno_source.Meta_knowledge.t;
+  stats : Stats.t;
+  umqs : Umq.t array;  (** one queue, or one per shard *)
+  owner : string -> int;  (** index of the queue a source's updates ride *)
+  views : view list;
+  pool : Domain_pool.t option;
+  sp : Dyno_obs.Span.recorder;
+  mx : Dyno_obs.Metrics.t;
+  lin : Dyno_obs.Lineage.t;
+  mutable steps : int;
+  mutable aborted : float;
+      (** abort time charged in the current iteration (a barrier may
+          settle several aborted steps under one Maintain span) *)
+  mutable force_barrier : bool;
+      (** several queues: an abort waits for the next cross-shard barrier *)
+}
+
+let now c = Query_engine.now c.w
+let sharded c = Array.length c.umqs > 1
+let queue_of c src = c.umqs.(c.owner src)
+let clear_broken c = Array.iter Umq.clear_broken_query_flag c.umqs
+
+let tick c =
+  c.steps <- c.steps + 1;
+  if c.steps > c.config.max_steps then raise (Step_limit_exceeded c.steps)
+
+(* Global arrival order: message ids are drawn from one shared counter
+   across every shard's queue (Umq.create ~ids), so the minimum id of an
+   entry totally orders the union of the queues; the source name breaks
+   ties defensively for worlds built without a shared counter. *)
+let entry_min_id e =
+  match Umq.entry_ids e with
+  | [] -> max_int
+  | ids -> List.fold_left min max_int ids
+
+let entry_source e =
+  match Umq.entry_messages e with [] -> "" | m :: _ -> Update_msg.source m
+
+let compare_arrival a b =
+  match compare (entry_min_id a) (entry_min_id b) with
+  | 0 -> String.compare (entry_source a) (entry_source b)
+  | c -> c
+
+(* The union of per-queue lists in global arrival order.  Shard queues
+   are never rewritten, so each is already in arrival order and a merge
+   orders the union; one queue keeps its own (corrected) order. *)
+let merge_queues c cmp f =
+  Array.fold_left (fun acc q -> List.merge cmp acc (f q)) [] c.umqs
+
+(* Every view integrated these messages: advance the freshness
+   frontiers. *)
+let note_fresh c msgs =
+  let now = now c in
+  List.iter (fun v -> Freshness.note_entry v.fresh ~now msgs) c.views
+
+(* -- detection and correction -- *)
+
+(* Build the dependency graph over [entries] against every valid view — a
+   schema change induces concurrent dependencies as soon as it conflicts
+   with any of them, so the corrected order is legal for all — and charge
+   the pass. *)
+let detect c (entries : Umq.entry list) : Dep_graph.t =
+  let specs =
+    List.filter_map
+      (fun v ->
+        let vd = Mat_view.def v.mv in
+        if View_def.is_valid vd then Some (View_def.peek vd, View_def.schemas vd)
+        else None)
+      c.views
   in
-  let local = Option.map Dyno_selfmaint.Aux_store.local store in
+  let g =
+    Dyno_obs.Span.with_span c.sp
+      ~now:(fun () -> now c)
+      Dyno_obs.Span.Detect
+      (if Dyno_obs.Span.enabled c.sp then
+         Fmt.str "detect %d node(s)" (List.length entries)
+       else "")
+      (fun _ ->
+        let td = now c in
+        let g = Dep_graph.build_many specs entries in
+        let m =
+          List.length
+            (List.filter Update_msg.is_sc
+               (List.concat_map Umq.entry_messages entries))
+        in
+        Query_engine.advance c.w
+          (Cost_model.detect (Query_engine.cost c.w)
+             ~n:(Dep_graph.size g * max 1 (List.length specs))
+             ~m);
+        Dyno_obs.Metrics.observe c.mx "detect.pass_s" (now c -. td);
+        g)
+  in
+  c.stats.Stats.detections <- c.stats.Stats.detections + 1;
+  Trace.recordf (Query_engine.trace c.w) ~time:(now c) Trace.Detect
+    "graph: %d node(s), %d edge(s), %d unsafe" (Dep_graph.size g)
+    (List.length (Dep_graph.edges g))
+    (Dep_graph.unsafe_count g);
+  g
+
+(* Correct [g]: [install] puts the legal order in place and reports what
+   changed; [note] is the Correct trace entry for a changed order.  Every
+   unsafe edge (the ones forcing the reorder) lands on the dependent
+   updates' lineage records before the order changes. *)
+let correct c ~(install : Dep_graph.t -> Correct.report) ~(note : string)
+    (g : Dep_graph.t) : unit =
+  let trace = Query_engine.trace c.w in
+  Dyno_obs.Span.with_span c.sp
+    ~now:(fun () -> now c)
+    Dyno_obs.Span.Correct "correct"
+    (fun cid ->
+      let tc = now c in
+      List.iter
+        (fun e ->
+          Dyno_obs.Lineage.edge c.lin
+            ~dep_ids:(Dep_graph.edge_dependent_ids g e)
+            ~time:tc ~detail:(Dep_graph.describe_edge g e))
+        (Dep_graph.unsafe g);
+      let r = install g in
+      List.iter
+        (fun ids ->
+          Dyno_obs.Lineage.merged c.lin ~ids ~time:tc
+            ~detail:
+              (Fmt.str "dependency cycle merged: %d update(s) now one batch"
+                 (List.length ids)))
+        r.Correct.merged_members;
+      Query_engine.advance c.w
+        (Cost_model.correct (Query_engine.cost c.w) ~nodes:r.Correct.nodes
+           ~edges:r.Correct.edges);
+      Dyno_obs.Metrics.observe c.mx "correct.pass_s" (now c -. tc);
+      Dyno_obs.Span.set_attr c.sp cid "reordered"
+        (string_of_bool r.Correct.reordered);
+      if r.Correct.reordered then begin
+        c.stats.Stats.corrections <- c.stats.Stats.corrections + 1;
+        Trace.record trace ~time:(now c) Trace.Correct note
+      end;
+      if r.Correct.merged_cycles > 0 then begin
+        c.stats.Stats.merges <- c.stats.Stats.merges + r.Correct.merged_cycles;
+        Trace.recordf trace ~time:(now c) Trace.Merge
+          "%d cycle(s) merged (%d update(s))" r.Correct.merged_cycles
+          r.Correct.merged_updates
+      end)
+
+(* Merge-all provenance: one Merge entry per collapse, and the members
+   gain a parent link to the batch's oldest update (a causal rebirth). *)
+let note_merge_all c (r : Correct.report) : unit =
+  if r.Correct.reordered then begin
+    c.stats.Stats.corrections <- c.stats.Stats.corrections + 1;
+    c.stats.Stats.merges <- c.stats.Stats.merges + 1;
+    Trace.recordf (Query_engine.trace c.w) ~time:(now c) Trace.Merge
+      "merge-all: %d update(s) collapsed" r.Correct.merged_updates;
+    List.iter
+      (fun ids ->
+        Dyno_obs.Lineage.merged c.lin ~ids ~time:(now c)
+          ~detail:
+            (Fmt.str "merge-all: %d update(s) collapsed into one batch"
+               (List.length ids)))
+      r.Correct.merged_members
+  end
+
+(* One queue's detection + correction, rewriting the queue in place: the
+   pessimistic pre-exec pass (Test_If_True_Set_False of Figure 6, line 1 —
+   O(1) while the schema-change flag is clear) or, with [force], the
+   in-exec correction after a broken query, which consumes the flag too. *)
+let detect_and_correct c ~(force : bool) : unit =
+  let umq = c.umqs.(0) in
+  let t0 = now c in
+  if Umq.test_and_clear_schema_change_flag umq || force then
+    correct c ~install:(Correct.apply umq)
+      ~note:"queue reordered into a legal order"
+      (detect c (Umq.entries umq))
+  else
+    (* Flag fast path: no span — it would swamp the trace with one flag
+       check per iteration. *)
+    Query_engine.advance c.w (Query_engine.cost c.w).Cost_model.detect_flag;
+  c.stats.Stats.busy <- c.stats.Stats.busy +. (now c -. t0)
+
+(* -- outcomes -- *)
+
+(* Charge one dispatched step's outcome — the one place Done, stalled and
+   aborted steps are accounted.  Done adds the step to busy time and runs
+   [on_done] (freshness, lineage, dequeue).  A stall charges the sunk work
+   and waits out the outage; the entry stays queued.  An abort charges the
+   wasted work as abort cost, names the conflicting schema change, and
+   runs the strategy's correction: with one queue it rewrites the queue,
+   with several the next iteration is a cross-shard barrier.  [mid] is
+   the iteration's Maintain span: it carries the last step's outcome and
+   the iteration's total abort time. *)
+let settle c ~mid ~(t0 : float) ~(what : string) ~(ids : int list)
+    ~(on_done : unit -> unit) (outcome : step_outcome) : unit =
+  let stats = c.stats in
+  match outcome with
+  | Done ->
+      Dyno_obs.Span.set_attr c.sp mid "outcome" "done";
+      stats.Stats.busy <- stats.Stats.busy +. (now c -. t0);
+      on_done ()
+  | UnreachableStep u ->
+      Dyno_obs.Span.set_attr c.sp mid "outcome" "stalled";
+      stall_and_wait c.w stats ~t0 u;
+      Dyno_obs.Lineage.stall c.lin ~ids ~time:(now c)
+        ~detail:(Fmt.str "%a" Dyno_net.Retry.pp_unreachable u)
+  | AbortedStep b -> (
+      let dt = now c -. t0 in
+      stats.Stats.busy <- stats.Stats.busy +. dt;
+      stats.Stats.abort_cost <- stats.Stats.abort_cost +. dt;
+      stats.Stats.aborts <- stats.Stats.aborts + 1;
+      stats.Stats.broken_queries <- stats.Stats.broken_queries + 1;
+      c.aborted <- c.aborted +. dt;
+      Dyno_obs.Span.set_attr c.sp mid "outcome" "aborted";
+      Dyno_obs.Span.set_attr c.sp mid "abort_s" (Fmt.str "%.17g" c.aborted);
+      Trace.recordf (Query_engine.trace c.w) ~time:(now c) Trace.Abort
+        "%s aborted after %.3f s: %a" what dt
+        Dyno_source.Data_source.pp_broken b;
+      Dyno_obs.Lineage.abort c.lin ~ids ~time:(now c)
+        ~detail:
+          (abort_provenance (queue_of c b.Dyno_source.Data_source.source) b);
+      if sharded c then c.force_barrier <- true
+      else
+        match c.config.strategy with
+        | Strategy.Pessimistic ->
+            (* The SC that broke us set the schema-change flag when it was
+               enqueued; the next iteration's pre-exec pass will correct
+               the queue (Figure 6: "corrected in the next loop").
+               Defensive: if the flag is somehow already consumed, force a
+               correction now rather than retry the same doomed head
+               forever. *)
+            if not (Umq.peek_schema_change_flag c.umqs.(0)) then
+              detect_and_correct c ~force:true
+        | Strategy.Optimistic ->
+            (* In-exec detection is the only mechanism: correct now. *)
+            detect_and_correct c ~force:true
+        | Strategy.Merge_all -> note_merge_all c (Correct.merge_all c.umqs.(0)))
+
+(* -- rounds -- *)
+
+(* One round member: a data update swept against one view. *)
+type member = {
+  view : view;
+  msg : Update_msg.t;
+  du : Dyno_relational.Update.t;
+  exclude : int list;  (** exclusion set frozen at dispatch *)
+  thread : string;  (** span thread of the member's sweep task *)
+}
+
+(* Evaluate a dispatched round's fully-covered local sweeps on the
+   worker-domain pool.  Phase A (coordinator): run each member's
+   {!Dyno_vm.Vm.prepare_sweep} prelude in round order, capturing pure
+   compute inputs with exclusion sets already frozen.  Phase B: one pool
+   batch over {!Dyno_vm.Sweep.compute_local} — pure CPU, no engine,
+   clock or observability access on the workers.  Phase C (coordinator):
+   replay the local-answer bookkeeping for each harvested result.  The
+   returned array holds [Some swept] for members decided here; [None]
+   members still need the cooperative probed path on the executor.
+   Admission, commits and the simulated clock never leave the
+   coordinator, so Theorems 1–2 are untouched: this only relocates
+   compute the cooperative path would have run inline at dispatch
+   time. *)
+let pool_sweeps c (pool : Domain_pool.t) (members : member array) :
+    Dyno_vm.Vm.swept option array =
+  let prepared =
+    Array.map
+      (fun mb ->
+        Dyno_vm.Vm.prepare_sweep ~compensate:c.config.compensate
+          ~applied:mb.view.applied ~exclude_extra:mb.exclude
+          ?local:mb.view.local c.w mb.view.mv mb.msg mb.du)
+      members
+  in
+  let offload = ref [] in
+  Array.iteri
+    (fun i p ->
+      match p with
+      | Dyno_vm.Vm.Offloadable input -> offload := (i, input) :: !offload
+      | Dyno_vm.Vm.Settled _ | Dyno_vm.Vm.Needs_probes -> ())
+    prepared;
+  let offload = Array.of_list (List.rev !offload) in
+  let outs =
+    (* Tag each pool task with its member's message id so the host
+       profiler can attribute compute seconds back onto the lineage
+       record (a no-op when the profiler is off). *)
+    Domain_pool.run_all
+      ~tags:(Array.map (fun (i, _) -> Update_msg.id members.(i).msg) offload)
+      pool
+      (Array.map
+         (fun (_, input) () -> Dyno_vm.Sweep.compute_local input)
+         offload)
+  in
+  c.stats.Stats.mcore_tasks <- c.stats.Stats.mcore_tasks + Array.length offload;
+  let results =
+    Array.map
+      (function Dyno_vm.Vm.Settled s -> Some s | _ -> None)
+      prepared
+  in
+  Array.iteri
+    (fun k (i, input) ->
+      match outs.(k) with
+      | Some ((dv, st) as ok) ->
+          let mb = members.(i) in
+          Dyno_obs.Lineage.set_scope c.lin [ Update_msg.id mb.msg ];
+          (match mb.view.local with
+          | Some l -> Dyno_vm.Sweep.record_local c.w ~local:l input ok
+          | None -> ());
+          results.(i) <- Some (Dyno_vm.Vm.Swept (dv, st))
+      | None ->
+          (* The pure compute fell back (a local evaluation failed); let
+             the probed path decide, exactly as the inline path would. *)
+          ())
+    offload;
+  results
+
+(* One concurrent round — an antichain of one view's data updates, one
+   data update across the views of a set, or every shard's prefix.  The
+   sweeps, probe round trips included, run as cooperative executor tasks
+   and overlap on the wire (with [pool], the [`Domains _] runtime,
+   fully-covered local sweeps are evaluated on worker domains first;
+   only the remainder takes the executor).  Refreshes then commit
+   serially at the barrier, in member order, stopping at the first failed
+   member; [commit] runs after each successful commit.  Later members'
+   results are discarded: exclusion sets were fixed at dispatch, so a
+   re-sweep compensates correctly.  Returns how many members committed
+   and the first failure ([Done] when every member committed). *)
+let round c ~(commit : member -> Dyno_vm.Vm.outcome -> unit)
+    (members : member list) : int * step_outcome =
+  let members = Array.of_list members in
+  let k = Array.length members in
+  Dyno_obs.Metrics.set_gauge c.mx "sched.inflight" (float_of_int k);
+  Dyno_obs.Metrics.observe c.mx "sched.antichain_size" (float_of_int k);
+  let t0 = now c in
+  let results =
+    match c.pool with
+    | None -> Array.make k None
+    | Some pool -> pool_sweeps c pool members
+  in
+  let spent = Array.make k 0.0 in
+  let thunks =
+    List.concat
+      (List.mapi
+         (fun i mb ->
+           if results.(i) <> None then []
+           else
+             [
+               (fun () ->
+                 Dyno_obs.Span.with_span c.sp
+                   ~now:(fun () -> now c)
+                   ~thread:mb.thread Dyno_obs.Span.Task
+                   (Fmt.str "maintain #%d" (Update_msg.id mb.msg))
+                   (fun _ ->
+                     (* Scope this task's context to its update so probe
+                        round-trips land on the right lineage record. *)
+                     Dyno_obs.Lineage.set_scope c.lin [ Update_msg.id mb.msg ];
+                     let ts = now c in
+                     results.(i) <-
+                       Some
+                         (Dyno_vm.Vm.maintain_sweep
+                            ~compensate:c.config.compensate
+                            ~applied:mb.view.applied ~exclude_extra:mb.exclude
+                            ?local:mb.view.local c.w mb.view.mv mb.msg mb.du);
+                     spent.(i) <- now c -. ts));
+             ])
+         (Array.to_list members))
+  in
+  Executor.run_all (Query_engine.executor c.w) thunks;
+  if sharded c then
+    Array.iteri
+      (fun i mb ->
+        Dyno_obs.Metrics.add_gauge c.mx
+          (Fmt.str "shard.%d.busy_s" (c.owner (Update_msg.source mb.msg)))
+          spent.(i))
+      members;
+  let rec commit_from i =
+    if i = k then (k, Done)
+    else
+      let mb = members.(i) in
+      match results.(i) with
+      | Some (Dyno_vm.Vm.Swept (dv, s)) -> (
+          match Dyno_vm.Vm.commit_swept c.w mb.view.mv mb.msg dv s with
+          | Dyno_vm.Vm.Refreshed { stats = s; _ } as res ->
+              count_refresh c.stats s;
+              commit mb res;
+              commit_from (i + 1)
+          | _ -> assert false)
+      | Some Dyno_vm.Vm.Swept_irrelevant ->
+          Mat_view.record_commit mb.view.mv ~at:(now c)
+            ~maintained:[ Update_msg.id mb.msg ];
+          c.stats.Stats.irrelevant <- c.stats.Stats.irrelevant + 1;
+          commit mb Dyno_vm.Vm.Irrelevant;
+          commit_from (i + 1)
+      | Some (Dyno_vm.Vm.Swept_aborted b) -> (i, AbortedStep b)
+      | Some (Dyno_vm.Vm.Swept_unreachable u) -> (i, UnreachableStep u)
+      | None -> assert false
+  in
+  let committed = commit_from 0 in
+  (* Overlap saved: the spread between the members' summed task lifetimes
+     and the round's wall time — what back-to-back execution of the same
+     intervals would have cost extra. *)
+  Dyno_obs.Metrics.add_gauge c.mx "net.overlap_saved_s"
+    (Float.max 0.0 (Array.fold_left ( +. ) 0.0 spent -. (now c -. t0)));
+  Dyno_obs.Metrics.set_gauge c.mx "sched.inflight" 0.0;
+  committed
+
+(* Up to [width] single data updates from distinct sources off a queue's
+   prefix, stopping at the first schema change or merged batch (those
+   carry Concurrent edges to every other entry) and serializing
+   same-source chains (Semantic edges keep per-source commit order) by
+   deferring their later links to a later round. *)
+let scan_prefix width q =
+  let rec scan acc k seen = function
+    | Umq.Single m :: rest when Update_msg.is_du m ->
+        if k >= width then List.rev acc
+        else
+          let src = Update_msg.source m in
+          if List.exists (String.equal src) seen then scan acc k seen rest
+          else (
+            match Update_msg.as_du m with
+            | Some u -> scan ((m, u) :: acc) (k + 1) (src :: seen) rest
+            | None -> List.rev acc)
+    | _ -> List.rev acc
+  in
+  scan [] 0 [] (Umq.entries q)
+
+(* Members of a round over one view's data updates: up to
+   [config.parallel] per queue, in global arrival order across shards.
+   One queue's head path already maintains a lone member, so a one-queue
+   round needs two (width 1 never scans); a sharded round takes whatever
+   the shards offer.  Recompute mode and an undefined view maintain
+   serially. *)
+let round_members c : member list =
+  let width = max 1 c.config.parallel in
+  let queues = Array.length c.umqs in
+  let min_members = if queues > 1 then 1 else 2 in
+  match c.views with
+  | [ v ]
+    when width * queues >= min_members
+         && c.config.vm_mode = Incremental
+         && View_def.is_valid (Mat_view.def v.mv) ->
+      let found =
+        merge_queues c
+          (fun (a, _) (b, _) -> compare_arrival (Umq.Single a) (Umq.Single b))
+          (scan_prefix width)
+      in
+      if List.length found < min_members then []
+      else
+        (* Exclusion sets are fixed at dispatch: member [i] must not
+           compensate against members earlier in the round — they are
+           being maintained concurrently, exactly as if the serial pass
+           had already processed them. *)
+        let earlier = ref [] in
+        List.map
+          (fun (m, u) ->
+            let exclude = !earlier in
+            earlier := Update_msg.id m :: exclude;
+            { view = v; msg = m; du = u; exclude; thread = Update_msg.source m })
+          found
+  | _ -> []
+
+(* Dependency-parallel dispatch over one view: each member is its own
+   entry, so it finishes and leaves its queue as it commits. *)
+let view_round c mid (members : member list) : unit =
+  let k = List.length members in
+  let sharded = sharded c in
+  let trace = Query_engine.trace c.w in
+  if Dyno_obs.Span.enabled c.sp then
+    Dyno_obs.Span.set_name c.sp mid
+      (Fmt.str (if sharded then "shard round of %d" else "round of %d") k);
+  clear_broken c;
+  let t0 = now c in
+  List.iter
+    (fun mb ->
+      Trace.recordf trace ~time:t0 Trace.Maint_start "%a" Umq.pp_entry
+        (Umq.Single mb.msg))
+    members;
+  List.iteri
+    (fun i mb ->
+      Dyno_obs.Lineage.dispatch c.lin
+        ~ids:[ Update_msg.id mb.msg ]
+        ~time:t0
+        ~detail:
+          (if sharded then
+             Fmt.str "dispatched into shard round of %d (shard %d)" k
+               (c.owner (Update_msg.source mb.msg))
+           else Fmt.str "dispatched into parallel round of %d (slot %d)" k i)
+        ())
+    members;
+  let committed, outcome =
+    round c members ~commit:(fun mb res ->
+        let m = mb.msg in
+        note_fresh c [ m ];
+        (if Dyno_obs.Lineage.enabled c.lin then
+           let state, detail =
+             match res with
+             | Dyno_vm.Vm.Refreshed { stats = s; _ } ->
+                 ( Dyno_obs.Lineage.Applied,
+                   Fmt.str
+                     "view refreshed in %s round (%d probe(s), %d \
+                      compensation(s))"
+                     (if sharded then "shard" else "parallel")
+                     s.Dyno_vm.Sweep.probes s.Dyno_vm.Sweep.compensations )
+             | _ -> (Dyno_obs.Lineage.Irrelevant, "no pivot row in the view")
+           in
+           Dyno_obs.Lineage.finish c.lin
+             ~ids:[ Update_msg.id m ]
+             ~time:(now c) ~state ~detail);
+        Umq.remove_entry (queue_of c (Update_msg.source m)) (Umq.Single m))
+  in
+  (* Later members' sweeps are discarded: the wasted work shows up as
+     [Queue] time on re-dispatch, keeping segment sums exact. *)
+  List.iteri
+    (fun i mb ->
+      if i > committed then
+        Dyno_obs.Lineage.note c.lin
+          ~ids:[ Update_msg.id mb.msg ]
+          ~time:(now c) ~kind:"requeued"
+          ~detail:"earlier round member failed; sweep discarded, requeued")
+    members;
+  let ids =
+    match List.nth_opt members committed with
+    | Some mb -> [ Update_msg.id mb.msg ]
+    | None -> []
+  in
+  settle c ~mid ~t0
+    ~what:(if sharded then "sharded round" else "parallel round")
+    ~ids ~on_done:ignore outcome
+
+(* -- per-entry paths -- *)
+
+(* The head entry against every view of a view set.  With [parallel > 1]
+   a single data update's sweeps run for up to [parallel] views at once
+   — the views are independent (each has its own extent and commit log),
+   so no exclusion set is needed — committing in view order; every
+   remaining view, and every other entry shape, is maintained view by
+   view.  Views that already integrated the entry (their applied sets)
+   skip it, so a retry after a later view broke redoes only what is
+   missing. *)
+let maintain_views c (entry : Umq.entry) : step_outcome =
+  let ids = Umq.entry_ids entry in
+  (* Serial view-by-view probes charge the head entry's updates. *)
+  Dyno_obs.Lineage.set_scope c.lin ids;
+  let per_view_round =
+    match entry with
+    | Umq.Single m when c.config.parallel > 1 -> (
+        match Update_msg.as_du m with
+        | Some u ->
+            let eligible =
+              List.filter
+                (fun v ->
+                  View_def.is_valid (Mat_view.def v.mv)
+                  && not (List.mem (Update_msg.id m) v.applied))
+                c.views
+            in
+            if List.length eligible < 2 then Done
+            else
+              snd
+                (round c
+                   (List.filteri (fun i _ -> i < c.config.parallel) eligible
+                   |> List.mapi (fun i v ->
+                          {
+                            view = v;
+                            msg = m;
+                            du = u;
+                            exclude = [];
+                            thread = Fmt.str "view-%d" i;
+                          }))
+                   ~commit:(fun mb _ ->
+                     mb.view.applied <- Update_msg.id m :: mb.view.applied))
+        | None -> Done)
+    | _ -> Done
+  in
+  let rec each = function
+    | [] -> Done
+    | v :: rest -> (
+        let todo = List.filter (fun id -> not (List.mem id v.applied)) ids in
+        match
+          maintain_entry ~applied:v.applied ?local:v.local
+            ~compensate:c.config.compensate ~vm_mode:Incremental c.w v.mv c.mk
+            c.stats entry
+        with
+        | Done ->
+            v.applied <- todo @ v.applied;
+            each rest
+        | failed -> failed)
+  in
+  match per_view_round with
+  | Done -> (
+      match each c.views with
+      | Done ->
+          Dyno_obs.Lineage.finish c.lin ~ids ~time:(now c)
+            ~state:Dyno_obs.Lineage.Applied
+            ~detail:
+              (Fmt.str "integrated by all %d view(s)" (List.length c.views));
+          (* Integrated everywhere: its ids can never reappear. *)
+          List.iter
+            (fun v ->
+              v.applied <- List.filter (fun id -> not (List.mem id ids)) v.applied)
+            c.views;
+          Done
+      | failed -> failed)
+  | failed -> failed
+
+let maintain_head c (entry : Umq.entry) : step_outcome =
+  match c.views with
+  | [ v ] ->
+      maintain_entry ?local:v.local ~compensate:c.config.compensate
+        ~vm_mode:c.config.vm_mode c.w v.mv c.mk c.stats entry
+  | _ -> maintain_views c entry
+
+(* Maintain the globally-oldest queue head (the head, with one queue). *)
+let head c mid : unit =
+  let qi = ref (-1) and oldest = ref None in
+  for i = 0 to Array.length c.umqs - 1 do
+    match (Umq.head c.umqs.(i), !oldest) with
+    | None, _ -> ()
+    | Some e, Some b when compare_arrival b e <= 0 -> ()
+    | h, _ ->
+        qi := i;
+        oldest := h
+  done;
+  let qi = !qi in
+  match !oldest with
+  | None -> ()
+  | Some entry ->
+      if Dyno_obs.Span.enabled c.sp then
+        Dyno_obs.Span.set_name c.sp mid (Fmt.str "%a" Umq.pp_entry entry);
+      clear_broken c;
+      let t0 = now c in
+      let ids = Umq.entry_ids entry in
+      Dyno_obs.Lineage.dispatch c.lin ~ids ~time:t0
+        ~detail:
+          (if sharded c then Fmt.str "dispatched at shard %d queue head" qi
+           else "dispatched at queue head")
+        ();
+      settle c ~mid ~t0 ~what:"maintenance" ~ids (maintain_head c entry)
+        ~on_done:(fun () ->
+          note_fresh c (Umq.entry_messages entry);
+          Umq.remove_head c.umqs.(qi))
+
+(* Deferred/grouped maintenance: a prefix of up to [config.du_group]
+   single data updates of the one queue, maintained against the one view
+   as one transient batch.  Taking a queue prefix preserves the legal
+   order. *)
+let group c : (view * int) option =
+  match c.views with
+  | [ v ]
+    when c.config.du_group > 1
+         && (not (sharded c))
+         && View_def.is_valid (Mat_view.def v.mv) ->
+      let rec count n = function
+        | Umq.Single m :: rest
+          when Update_msg.is_du m && n < c.config.du_group ->
+            count (n + 1) rest
+        | _ -> n
+      in
+      let n = count 0 (Umq.entries c.umqs.(0)) in
+      if n > 1 then Some (v, n) else None
+  | _ -> None
+
+let grouped c mid (v : view) (n : int) : unit =
+  let umq = c.umqs.(0) in
+  if Dyno_obs.Span.enabled c.sp then
+    Dyno_obs.Span.set_name c.sp mid (Fmt.str "group of %d" n);
+  let msgs =
+    List.filteri (fun i _ -> i < n) (Umq.entries umq)
+    |> List.concat_map Umq.entry_messages
+  in
+  clear_broken c;
+  let t0 = now c in
+  let gids = List.map Update_msg.id msgs in
+  Dyno_obs.Lineage.dispatch c.lin ~ids:gids ~time:t0
+    ~detail:(Fmt.str "dispatched in a grouped sweep of %d" n)
+    ();
+  Dyno_obs.Lineage.set_scope c.lin gids;
+  let res =
+    Dyno_vm.Vm.maintain_group ~compensate:c.config.compensate ?local:v.local
+      c.w v.mv msgs
+  in
+  let outcome =
+    match res with
+    | Dyno_vm.Vm.Refreshed _ | Dyno_vm.Vm.Irrelevant -> Done
+    | Dyno_vm.Vm.Aborted b -> AbortedStep b
+    | Dyno_vm.Vm.Unreachable u -> UnreachableStep u
+  in
+  settle c ~mid ~t0 ~what:"grouped maintenance" ~ids:gids outcome
+    ~on_done:(fun () ->
+      let stats = c.stats in
+      stats.Stats.batches <- stats.Stats.batches + 1;
+      stats.Stats.batch_updates <- stats.Stats.batch_updates + List.length msgs;
+      stats.Stats.view_commits <- stats.Stats.view_commits + 1;
+      note_fresh c msgs;
+      let state, detail =
+        match res with
+        | Dyno_vm.Vm.Irrelevant ->
+            ( Dyno_obs.Lineage.Irrelevant,
+              "grouped sweep: no pivot rows in the view" )
+        | _ ->
+            ( Dyno_obs.Lineage.Applied,
+              Fmt.str "grouped sweep of %d applied atomically" n )
+      in
+      Dyno_obs.Lineage.finish c.lin ~ids:gids ~time:(now c) ~state ~detail;
+      for _ = 1 to n do
+        Umq.remove_head umq
+      done)
+
+(* Cross-shard barrier: every shard pauses; the union of the queues in
+   global arrival order runs through detection + correction, and the
+   corrected legal order is maintained serially up to and including its
+   last schema change.  The corrected order is ephemeral — shard queues
+   are never rewritten; the pure-DU suffix resumes parallel draining.  An
+   in-exec abort restarts the pass on a fresh snapshot (the newly-detected
+   conflict is part of the next graph). *)
+let barrier c mid : unit =
+  Dyno_obs.Span.set_name c.sp mid "cross-shard barrier";
+  c.stats.Stats.cross_shard_barriers <- c.stats.Stats.cross_shard_barriers + 1;
+  Dyno_obs.Metrics.incr c.mx "sched.cross_shard_barriers";
+  let rec pass () =
+    c.force_barrier <- false;
+    Array.iter
+      (fun q -> ignore (Umq.test_and_clear_schema_change_flag q : bool))
+      c.umqs;
+    let snapshot = merge_queues c compare_arrival Umq.entries in
+    if List.exists Umq.entry_has_sc snapshot then begin
+      let t0 = now c in
+      let g = detect c snapshot in
+      let order =
+        match c.config.strategy with
+        | Strategy.Merge_all ->
+            (* The strawman collapses everything it can see — here, the
+               whole cross-shard snapshot — into one batch. *)
+            let order, r = Correct.collapse snapshot in
+            note_merge_all c r;
+            order
+        | Strategy.Pessimistic | Strategy.Optimistic ->
+            let order = ref snapshot in
+            let n = List.length snapshot in
+            correct c g
+              ~note:
+                (Fmt.str "cross-shard barrier: legal order over %d entr%s" n
+                   (if n = 1 then "y" else "ies"))
+              ~install:(fun g ->
+                let co = Dep_graph.correct g in
+                order := co.Dep_graph.order;
+                {
+                  Correct.reordered =
+                    List.concat_map Umq.entry_ids co.Dep_graph.order
+                    <> List.concat_map Umq.entry_ids snapshot;
+                  merged_cycles = co.Dep_graph.merged_cycles;
+                  merged_updates = co.Dep_graph.merged_updates;
+                  merged_members = co.Dep_graph.merged_members;
+                  nodes = Dep_graph.size g;
+                  edges = List.length (Dep_graph.edges g);
+                });
+            !order
+      in
+      c.stats.Stats.busy <- c.stats.Stats.busy +. (now c -. t0);
+      let last_sc =
+        List.fold_left
+          (fun (i, last) e -> (i + 1, if Umq.entry_has_sc e then i else last))
+          (0, -1) order
+        |> snd
+      in
+      drain (List.filteri (fun i _ -> i <= last_sc) order)
+    end
+  and drain = function
+    | [] -> ()
+    | entry :: rest -> (
+        tick c;
+        clear_broken c;
+        let t0 = now c in
+        let ids = Umq.entry_ids entry in
+        Dyno_obs.Lineage.dispatch c.lin ~ids ~time:t0
+          ~seg:Dyno_obs.Lineage.Barrier
+          ~detail:"dispatched from cross-shard barrier drain" ();
+        let outcome = maintain_head c entry in
+        settle c ~mid ~t0 ~what:"barrier maintenance" ~ids outcome
+          ~on_done:(fun () ->
+            let msgs = Umq.entry_messages entry in
+            note_fresh c msgs;
+            (* A corrected entry may merge messages owned by several
+               shards; each still sits as its own [Single] in its owning
+               queue. *)
+            List.iter
+              (fun m ->
+                Umq.remove_entry (queue_of c (Update_msg.source m)) (Umq.Single m))
+              msgs);
+        match outcome with
+        | Done -> drain rest
+        | UnreachableStep _ -> drain (entry :: rest)
+        | AbortedStep _ -> pass ())
+  in
+  pass ()
+
+(* Pre-exec detection; returns true when it took the whole iteration.
+   One queue: the pessimistic strategy's flag-guarded pass (optimistic
+   and merge-all leave the flag set and ignored).  Several queues: a
+   raised flag, or an abort since the last barrier, makes this iteration
+   a cross-shard barrier whatever the strategy. *)
+let pre_exec c mid : bool =
+  if sharded c then begin
+    let due =
+      c.force_barrier || Array.exists Umq.peek_schema_change_flag c.umqs
+    in
+    if due then barrier c mid;
+    due
+  end
+  else begin
+    (match c.config.strategy with
+    | Strategy.Pessimistic -> detect_and_correct c ~force:false
+    | Strategy.Optimistic | Strategy.Merge_all -> ());
+    false
+  end
+
+(* One iteration over non-empty queues, run inside a [Maintain] span.
+   Every clock advance below is charged to [Stats.busy] (detection,
+   maintenance, post-abort correction, stall recovery), so the span's
+   duration equals exactly the busy time this iteration contributes —
+   the invariant Σ maintain-span durations = Stats.busy rests on it. *)
+let iteration c mid : unit =
+  if not (pre_exec c mid) then
+    match group c with
+    | Some (v, n) -> grouped c mid v n
+    | None -> (
+        match round_members c with
+        | [] -> head c mid
+        | members -> view_round c mid members)
+
+(* -- setup and the run loop -- *)
+
+(* A source's projections may only revalidate once no schema change of
+   that source remains queued anywhere (the cross-shard barrier handles
+   queued SCs globally, so the scan covers every route's queue). *)
+let sync_aux c (v : view) : unit =
+  match v.store with
+  | None -> ()
+  | Some store ->
+      Dyno_selfmaint.Aux_store.sync store v.mv ~sc_queued:(fun src ->
+          List.exists
+            (fun u ->
+              List.exists
+                (fun m ->
+                  Update_msg.is_sc m && String.equal (Update_msg.source m) src)
+                (Umq.messages u))
+            (Query_engine.umqs c.w))
+
+let register_series c (series : Dyno_obs.Timeseries.t) : unit =
+  let stats = c.stats in
+  let probe = Dyno_obs.Timeseries.probe series in
+  probe "umq.depth" (fun _ ->
+      float_of_int (Array.fold_left (fun n q -> n + Umq.length q) 0 c.umqs));
+  probe "sched.inflight" (fun _ ->
+      Dyno_obs.Metrics.gauge_value c.mx "sched.inflight");
+  probe ~kind:`Counter "sched.view_commits" (fun _ ->
+      float_of_int stats.Stats.view_commits);
+  probe ~kind:`Counter "sched.probes" (fun _ -> float_of_int stats.Stats.probes);
+  probe ~kind:`Counter "sched.aborts" (fun _ -> float_of_int stats.Stats.aborts);
+  probe ~kind:`Counter "net.retries" (fun _ ->
+      float_of_int (Query_engine.net_retries c.w));
+  probe "sched.busy_ratio" (fun now ->
+      if now > 0.0 then stats.Stats.busy /. now else 0.0);
+  probe "sched.abort_ratio" (fun _ ->
+      if stats.Stats.busy > 0.0 then stats.Stats.abort_cost /. stats.Stats.busy
+      else 0.0);
+  (* Aggregate over a view set = the worst (most stale) view. *)
+  probe "staleness_s" (fun now ->
+      List.fold_left
+        (fun acc v -> Float.max acc (Freshness.staleness_seconds v.fresh ~now))
+        neg_infinity c.views);
+  probe "staleness_versions" (fun _ ->
+      float_of_int
+        (List.fold_left
+           (fun acc v -> max acc (Freshness.lag_versions v.fresh))
+           0 c.views));
+  List.iter (fun v -> Freshness.register_probes v.fresh series) c.views
+
+let dispatch ?(config = default_config) ?plan (w : Query_engine.t)
+    (mvs : Mat_view.t list) (mk : Dyno_source.Meta_knowledge.t) : Stats.t =
+  if mvs = [] then invalid_arg "Scheduler.dispatch: no view";
+  let obs = Query_engine.obs w in
+  let umqs, owner =
+    match plan with
+    | Some p when Shard.count p > 1 ->
+        (Array.init (Shard.count p) (Query_engine.route_umq w), Shard.owner p)
+    | _ -> ([| Query_engine.umq w |], fun _ -> 0)
+  in
+  let view mv =
+    let store =
+      if config.self_maint then begin
+        let s = aux_store w mv in
+        Query_engine.add_admit_hook w (Dyno_selfmaint.Aux_store.on_message s);
+        Some s
+      end
+      else None
+    in
+    {
+      mv;
+      applied = [];
+      store;
+      local = Option.map Dyno_selfmaint.Aux_store.local store;
+      fresh =
+        Freshness.create
+          ~metrics:(Dyno_obs.Obs.metrics obs)
+          ~mv
+          ~registry:(Query_engine.registry w)
+          ~queued:(List.concat_map Umq.messages (Array.to_list umqs))
+          ();
+    }
+  in
+  let views = List.map view mvs in
   (* Multicore runtime: a fixed worker-domain pool for the lifetime of
      the run.  [`Domains 1] still routes through the prepare/compute
      split (serially, on the coordinator) — the honest baseline for
@@ -790,256 +1300,90 @@ let run ?(config = default_config) (w : Query_engine.t) (mv : Mat_view.t)
     | `Simulated -> None
     | `Domains n ->
         Some
-          (Dyno_sim.Domain_pool.create
+          (Domain_pool.create
              ~profiler:(Dyno_obs.Obs.hostprof obs)
              ~domains:n ())
   in
-  let fresh =
-    Freshness.create
-      ~metrics:(Dyno_obs.Obs.metrics obs)
-      ~mv
-      ~registry:(Query_engine.registry w)
-      ~queued:(Umq.messages umq) ()
+  let c =
+    {
+      config;
+      w;
+      mk;
+      stats = Stats.create ();
+      umqs;
+      owner;
+      views;
+      pool;
+      sp = Dyno_obs.Obs.spans obs;
+      mx = Dyno_obs.Obs.metrics obs;
+      lin = Dyno_obs.Obs.lineage obs;
+      steps = 0;
+      aborted = 0.0;
+      force_barrier = false;
+    }
   in
+  let stats = c.stats in
   let series = Dyno_obs.Obs.series obs in
-  if Dyno_obs.Timeseries.enabled series then begin
-    let mx = Dyno_obs.Obs.metrics obs in
-    Dyno_obs.Timeseries.probe series "umq.depth" (fun _ ->
-        float_of_int (List.length (Umq.entries umq)));
-    Dyno_obs.Timeseries.probe series "sched.inflight" (fun _ ->
-        Dyno_obs.Metrics.gauge_value mx "sched.inflight");
-    Dyno_obs.Timeseries.probe series ~kind:`Counter "sched.view_commits"
-      (fun _ -> float_of_int stats.Stats.view_commits);
-    Dyno_obs.Timeseries.probe series ~kind:`Counter "sched.probes" (fun _ ->
-        float_of_int stats.Stats.probes);
-    Dyno_obs.Timeseries.probe series ~kind:`Counter "sched.aborts" (fun _ ->
-        float_of_int stats.Stats.aborts);
-    Dyno_obs.Timeseries.probe series ~kind:`Counter "net.retries" (fun _ ->
-        float_of_int (Query_engine.net_retries w));
-    Dyno_obs.Timeseries.probe series "sched.busy_ratio" (fun now ->
-        if now > 0.0 then stats.Stats.busy /. now else 0.0);
-    Dyno_obs.Timeseries.probe series "sched.abort_ratio" (fun _ ->
-        if stats.Stats.busy > 0.0 then stats.Stats.abort_cost /. stats.Stats.busy
-        else 0.0);
-    Dyno_obs.Timeseries.probe series "staleness_s" (fun now ->
-        Freshness.staleness_seconds fresh ~now);
-    Dyno_obs.Timeseries.probe series "staleness_versions" (fun _ ->
-        float_of_int (Freshness.lag_versions fresh));
-    Freshness.register_probes fresh series
-  end;
-  (* One iteration over a non-empty queue, run inside a [Maintain] span.
-     Every clock advance below is charged to [Stats.busy] (detection,
-     maintenance, post-abort correction, stall recovery), so the span's
-     duration equals exactly the busy time this iteration contributes —
-     the invariant Σ maintain-span durations = Stats.busy rests on it. *)
-  let iteration mid =
-    (match config.strategy with
-    | Strategy.Pessimistic -> detect_and_correct ~force:false w mv stats
-    | Strategy.Optimistic | Strategy.Merge_all ->
-        (* No pre-exec pass; the flag is left set and ignored. *)
-        ());
-    (* Deferred/grouped maintenance: collapse a prefix of single DUs
-       into one transient batch entry.  Taking a queue prefix preserves
-       the legal order. *)
-    let group_size =
-      if config.du_group <= 1 || not (View_def.is_valid (Mat_view.def mv))
-      then 0
-      else begin
-        let rec count n = function
-          | Umq.Single m :: rest
-            when Update_msg.is_du m && n < config.du_group ->
-              count (n + 1) rest
-          | _ -> n
-        in
-        count 0 (Umq.entries umq)
-      end
-    in
-    if group_size > 1 then begin
-      Dyno_obs.Span.set_name sp mid (Fmt.str "group of %d" group_size);
-      let msgs =
-        List.filteri (fun i _ -> i < group_size) (Umq.entries umq)
-        |> List.concat_map Umq.entry_messages
-      in
-      Umq.clear_broken_query_flag umq;
-      let t0 = Query_engine.now w in
-      let gids = List.map Update_msg.id msgs in
-      Dyno_obs.Lineage.dispatch lin ~ids:gids ~time:t0
-        ~detail:(Fmt.str "dispatched in a grouped sweep of %d" group_size)
-        ();
-      Dyno_obs.Lineage.set_scope lin gids;
-      match
-        Dyno_vm.Vm.maintain_group ~compensate:config.compensate ?local w mv
-          msgs
-      with
-      | Dyno_vm.Vm.Unreachable u ->
-          Dyno_obs.Span.set_attr sp mid "outcome" "stalled";
-          stall_and_wait w stats ~t0 u;
-          Dyno_obs.Lineage.stall lin ~ids:gids ~time:(Query_engine.now w)
-            ~detail:(Fmt.str "%a" Dyno_net.Retry.pp_unreachable u)
-      | (Dyno_vm.Vm.Refreshed _ | Dyno_vm.Vm.Irrelevant) as res ->
-          Dyno_obs.Span.set_attr sp mid "outcome" "done";
-          stats.Stats.busy <- stats.Stats.busy +. (Query_engine.now w -. t0);
-          stats.Stats.batches <- stats.Stats.batches + 1;
-          stats.Stats.batch_updates <-
-            stats.Stats.batch_updates + List.length msgs;
-          stats.Stats.view_commits <- stats.Stats.view_commits + 1;
-          Freshness.note_entry fresh ~now:(Query_engine.now w) msgs;
-          (let state, detail =
-             match res with
-             | Dyno_vm.Vm.Irrelevant ->
-                 ( Dyno_obs.Lineage.Irrelevant,
-                   "grouped sweep: no pivot rows in the view" )
-             | _ ->
-                 ( Dyno_obs.Lineage.Applied,
-                   Fmt.str "grouped sweep of %d applied atomically" group_size
-                 )
-           in
-           Dyno_obs.Lineage.finish lin ~ids:gids ~time:(Query_engine.now w)
-             ~state ~detail);
-          for _ = 1 to group_size do
-            Umq.remove_head umq
-          done
-      | Dyno_vm.Vm.Aborted b ->
-          let dt = Query_engine.now w -. t0 in
-          stats.Stats.busy <- stats.Stats.busy +. dt;
-          stats.Stats.abort_cost <- stats.Stats.abort_cost +. dt;
-          stats.Stats.aborts <- stats.Stats.aborts + 1;
-          stats.Stats.broken_queries <- stats.Stats.broken_queries + 1;
-          Dyno_obs.Span.set_attr sp mid "outcome" "aborted";
-          Dyno_obs.Span.set_attr sp mid "abort_s" (Fmt.str "%.17g" dt);
-          Trace.recordf trace ~time:(Query_engine.now w) Trace.Abort
-            "grouped maintenance aborted after %.3f s: %a" dt
-            Dyno_source.Data_source.pp_broken b;
-          Dyno_obs.Lineage.abort lin ~ids:gids ~time:(Query_engine.now w)
-            ~detail:(abort_provenance umq b);
-          (match config.strategy with
-          | Strategy.Pessimistic ->
-              if not (Umq.peek_schema_change_flag umq) then
-                detect_and_correct ~force:true w mv stats
-          | Strategy.Optimistic -> detect_and_correct ~force:true w mv stats
-          | Strategy.Merge_all ->
-              let r = Correct.merge_all umq in
-              if r.Correct.reordered then begin
-                stats.Stats.corrections <- stats.Stats.corrections + 1;
-                stats.Stats.merges <- stats.Stats.merges + 1
-              end)
-    end
-    else
-      (* Dependency-parallel dispatch: maintain a whole antichain of the
-         corrected topological order concurrently.  Falls through to the
-         historical serial path when fewer than two entries qualify, so
-         [parallel = 1] is bit-identical to the serial scheduler. *)
-      match antichain ~config umq mv with
-      | _ :: _ :: _ as members ->
-          parallel_round ?local ?pool ~config ~fresh w mv stats mid members
-      | _ -> (
-          match Umq.head umq with
-          | None -> ()
-          | Some entry -> (
-        if Dyno_obs.Span.enabled sp then
-          Dyno_obs.Span.set_name sp mid (Fmt.str "%a" Umq.pp_entry entry);
-        Umq.clear_broken_query_flag umq;
-        let t0 = Query_engine.now w in
-        Dyno_obs.Lineage.dispatch lin ~ids:(Umq.entry_ids entry) ~time:t0
-          ~detail:"dispatched at queue head" ();
-        match
-          maintain_entry ?local ~compensate:config.compensate
-            ~vm_mode:config.vm_mode w mv mk stats entry
-        with
-        | Done ->
-            Dyno_obs.Span.set_attr sp mid "outcome" "done";
-            stats.Stats.busy <- stats.Stats.busy +. (Query_engine.now w -. t0);
-            Freshness.note_entry fresh ~now:(Query_engine.now w)
-              (Umq.entry_messages entry);
-            Umq.remove_head umq
-        | UnreachableStep u ->
-            Dyno_obs.Span.set_attr sp mid "outcome" "stalled";
-            stall_and_wait w stats ~t0 u;
-            Dyno_obs.Lineage.stall lin ~ids:(Umq.entry_ids entry)
-              ~time:(Query_engine.now w)
-              ~detail:(Fmt.str "%a" Dyno_net.Retry.pp_unreachable u)
-        | AbortedStep b ->
-            let dt = Query_engine.now w -. t0 in
-            stats.Stats.busy <- stats.Stats.busy +. dt;
-            stats.Stats.abort_cost <- stats.Stats.abort_cost +. dt;
-            stats.Stats.aborts <- stats.Stats.aborts + 1;
-            stats.Stats.broken_queries <- stats.Stats.broken_queries + 1;
-            Dyno_obs.Span.set_attr sp mid "outcome" "aborted";
-            Dyno_obs.Span.set_attr sp mid "abort_s" (Fmt.str "%.17g" dt);
-            Trace.recordf trace ~time:(Query_engine.now w) Trace.Abort
-              "maintenance aborted after %.3f s: %a" dt
-              Dyno_source.Data_source.pp_broken b;
-            Dyno_obs.Lineage.abort lin ~ids:(Umq.entry_ids entry)
-              ~time:(Query_engine.now w) ~detail:(abort_provenance umq b);
-            (match config.strategy with
-            | Strategy.Pessimistic ->
-                (* The SC that broke us set the schema-change flag when it
-                   was enqueued; the next iteration's pre-exec pass will
-                   correct the queue (Figure 6: "corrected in the next
-                   loop").  Defensive: if the flag is somehow already
-                   consumed, force a correction now rather than retry the
-                   same doomed head forever. *)
-                if not (Umq.peek_schema_change_flag umq) then
-                  detect_and_correct ~force:true w mv stats
-            | Strategy.Optimistic ->
-                (* In-exec detection is the only mechanism: correct now. *)
-                detect_and_correct ~force:true w mv stats
-            | Strategy.Merge_all ->
-                let t1 = Query_engine.now w in
-                let r = Correct.merge_all umq in
-                if r.Correct.reordered then begin
-                  stats.Stats.corrections <- stats.Stats.corrections + 1;
-                  stats.Stats.merges <- stats.Stats.merges + 1;
-                  Trace.recordf trace ~time:(Query_engine.now w) Trace.Merge
-                    "merge-all: %d update(s) collapsed" r.Correct.merged_updates;
-                  note_merge_all lin ~time:(Query_engine.now w) r
-                end;
-                stats.Stats.busy <-
-                  stats.Stats.busy +. (Query_engine.now w -. t1))))
+  if Dyno_obs.Timeseries.enabled series then register_series c series;
+  let clock () = now c
+  and sync = sync_aux c
+  and step mid =
+    c.aborted <- 0.0;
+    iteration c mid
   in
   let rec loop () =
-    incr steps;
-    if !steps > config.max_steps then raise (Step_limit_exceeded !steps);
+    tick c;
     Query_engine.deliver_due w;
     (* Revalidate auxiliary projections whose invalidating schema changes
        have all been maintained (no-op unless something is invalid). *)
-    (match store with Some s -> sync_aux w s mv | None -> ());
+    List.iter sync views;
     (* Sampling at scheduler wakeups: every state change in the simulation
        happens at a wakeup, so sampling here (rate-limited to the series
        interval) captures every change-point without touching the clock. *)
-    ignore
-      (Dyno_obs.Timeseries.maybe_sample series ~now:(Query_engine.now w)
-        : bool);
-    if Umq.is_empty umq then begin
+    ignore (Dyno_obs.Timeseries.maybe_sample series ~now:(now c) : bool);
+    if Array.for_all Umq.is_empty umqs then begin
       (* Wake for the next scheduled commit OR the next in-flight message
          arrival — with transport delay the timeline can be drained while
          messages are still on the wire. *)
       match Query_engine.next_wakeup w with
       | None -> () (* drained: done *)
       | Some t ->
-          let dt = t -. Query_engine.now w in
+          let dt = t -. now c in
           if dt > 0.0 then stats.Stats.idle <- stats.Stats.idle +. dt;
           Query_engine.idle_until w t;
           loop ()
     end
     else begin
-      Dyno_obs.Span.with_span sp ~now Dyno_obs.Span.Maintain
-        (if Dyno_obs.Span.enabled sp then Fmt.str "step %d" !steps else "")
-        iteration;
+      Dyno_obs.Span.with_span c.sp ~now:clock Dyno_obs.Span.Maintain
+        (if Dyno_obs.Span.enabled c.sp then Fmt.str "step %d" c.steps else "")
+        step;
       loop ()
     end
   in
   Fun.protect
     ~finally:(fun () ->
-      Option.iter Dyno_sim.Domain_pool.shutdown pool;
+      Option.iter Domain_pool.shutdown pool;
       (* Rings are safe to read once the workers joined. *)
       drain_hostprof w)
     loop;
   (* Force a final sample at quiescence so the series always ends with the
      caught-up state (staleness exactly 0). *)
-  Dyno_obs.Timeseries.sample series ~now:(Query_engine.now w);
-  stats.Stats.end_time <- Query_engine.now w;
+  Dyno_obs.Timeseries.sample series ~now:(now c);
+  stats.Stats.end_time <- now c;
   record_net_stats w stats;
   mirror_stats obs stats;
   mirror_trace_dropped w;
+  if sharded c && Dyno_obs.Metrics.enabled c.mx then begin
+    Dyno_obs.Metrics.set_gauge c.mx "sched.shards"
+      (float_of_int (Array.length umqs));
+    Dyno_obs.Metrics.set_counter c.mx "sched.cross_shard_barriers"
+      stats.Stats.cross_shard_barriers
+  end;
   stats
+
+(** [run ?config w mv mk] drives the Dyno loop over one view and one queue
+    until the UMQ and the timeline are both drained; returns the
+    collected statistics. *)
+let run ?config (w : Query_engine.t) (mv : Mat_view.t)
+    (mk : Dyno_source.Meta_knowledge.t) : Stats.t =
+  dispatch ?config w [ mv ] mk

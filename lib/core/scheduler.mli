@@ -1,11 +1,16 @@
-(** Dyno: the dynamic reordering scheduler — the main loop of Figure 6.
+(** Dyno: the dynamic reordering scheduler — the main loop of Figure 6,
+    as one dispatch core behind the serial ({!run}), multi-view
+    ({!Multi_scheduler}) and sharded ({!Shard_scheduler}) entry points.
 
-    Drives the UMQ to empty: (pessimistic) pre-exec detection + correction
-    guarded by the schema-change flag, maintenance of the head entry (VM
-    for data updates, VS+VA for schema changes, batch adaptation for
-    merged nodes), and in-exec recovery when a maintenance query breaks:
-    the process aborts, the queue is corrected, and maintenance resumes
-    under the new legal order. *)
+    Drives the queues to empty: (pessimistic) pre-exec detection +
+    correction guarded by the schema-change flag, maintenance of the head
+    entry (VM for data updates, VS+VA for schema changes, batch
+    adaptation for merged nodes), and in-exec recovery when a maintenance
+    query breaks: the process aborts, the queue is corrected, and
+    maintenance resumes under the new legal order.  Every path — head
+    entry, grouped sweep, dependency-parallel round, cross-shard barrier
+    — charges its outcome through one settle step, so statistics, spans,
+    the trace and the lineage agree across modes. *)
 
 open Dyno_view
 
@@ -17,7 +22,7 @@ type vm_mode = Run_config.vm_mode =
           classic strawman incremental maintenance is measured against *)
 
 (** The scheduler consumes the shared {!Run_config.t} record (one record
-    drives the serial, multi-view and sharded schedulers).  [parallel]
+    drives the serial, multi-view and sharded entry points).  [parallel]
     dispatches antichains of single data updates from distinct sources
     with SWEEP exclusion sets fixed at dispatch; same-source commit order
     and every CD/SD edge still serialize (Theorems 1–2), and [1] is
@@ -41,9 +46,7 @@ val default_config : config
 
 exception Step_limit_exceeded of int
 
-(** Outcome of maintaining one queue entry (shared with the sharded
-    scheduler, which drives the same per-entry machinery across many
-    queues). *)
+(** Outcome of maintaining one queue entry. *)
 type step_outcome =
   | Done
   | AbortedStep of Dyno_source.Data_source.broken
@@ -52,6 +55,7 @@ type step_outcome =
           entry stays at the queue head and is retried after recovery *)
 
 val maintain_entry :
+  ?applied:int list ->
   ?local:Dyno_vm.Sweep.local ->
   compensate:bool ->
   vm_mode:vm_mode ->
@@ -65,34 +69,12 @@ val maintain_entry :
     change, batch adaptation for a merged node), updating counters on
     success.  Does {e not} dequeue — the caller owns the queue.  [local]
     (self-maintenance tier) lets fully-covered sweeps skip their probe
-    round trips — see {!Dyno_vm.Vm.maintain}. *)
-
-(** One parallel-round member as the multicore runtime's worker-domain
-    pool sees it (shared with the multi-view and sharded schedulers —
-    [pj_mv] and [pj_local] vary per member only there). *)
-type pool_job = {
-  pj_mv : Mat_view.t;
-  pj_msg : Update_msg.t;
-  pj_du : Dyno_relational.Update.t;
-  pj_applied : int list;  (** multi-view: queued ids already integrated *)
-  pj_exclude_extra : int list;  (** exclusion set frozen at dispatch *)
-  pj_local : Dyno_vm.Sweep.local option;
-}
-
-val pool_sweeps :
-  pool:Dyno_sim.Domain_pool.t ->
-  compensate:bool ->
-  Query_engine.t ->
-  Stats.t ->
-  pool_job array ->
-  Dyno_vm.Vm.swept option array
-(** Evaluate a dispatched round's fully-covered local sweeps on the
-    worker-domain pool: coordinator-side {!Dyno_vm.Vm.prepare_sweep} per
-    member, one {!Dyno_sim.Domain_pool.run_all} batch of pure
-    {!Dyno_vm.Sweep.compute_local} thunks, then coordinator-side
-    bookkeeping.  [Some swept] members are decided; [None] members still
-    need the cooperative probed path.  Increments [Stats.mcore_tasks] by
-    the number of offloaded computations. *)
+    round trips — see {!Dyno_vm.Vm.maintain}.  [applied] makes the view
+    one member of a view set: the entry's messages in [applied] (already
+    integrated by this view) are skipped and kept in by compensation, an
+    undefined view has nothing to do, and the trace start and lineage
+    terminal are left to the caller, which records them once for every
+    view. *)
 
 val aux_store : Query_engine.t -> Mat_view.t -> Dyno_selfmaint.Aux_store.t
 (** Build the view's auxiliary-projection store: derive the plan from the
@@ -101,22 +83,7 @@ val aux_store : Query_engine.t -> Mat_view.t -> Dyno_selfmaint.Aux_store.t
     admission history, so in-flight commits are excluded), and wire the
     refresh cost to the engine's cost model.  The caller installs
     {!Dyno_selfmaint.Aux_store.on_message} as an admit hook to keep it
-    fed.  Shared with the multi-view and sharded schedulers. *)
-
-val sync_aux : Query_engine.t -> Dyno_selfmaint.Aux_store.t -> Mat_view.t -> unit
-(** Revalidate invalidated projections once no schema change of their
-    source remains queued on any route (cheap no-op unless something is
-    invalid).  Call once per scheduler iteration, after delivery. *)
-
-val abort_provenance : Umq.t -> Dyno_source.Data_source.broken -> string
-(** Lineage narrative for an abort: the broken-query diagnosis plus the
-    queued schema change from the broken source (the conflicting SC the
-    correction will resolve), when one is still queued. *)
-
-val note_merge_all :
-  Dyno_obs.Lineage.t -> time:float -> Correct.report -> unit
-(** Record merge-all collapse provenance (parent links to the batch's
-    oldest member) on the lineage ring. *)
+    fed; the dispatch core builds one store per view. *)
 
 val stall_and_wait :
   Query_engine.t -> Stats.t -> t0:float -> Dyno_net.Retry.unreachable -> unit
@@ -129,21 +96,23 @@ val record_net_stats : Query_engine.t -> Stats.t -> unit
     timeouts, lost/duplicated messages, dedup/reorder healing, net wait)
     into the run's statistics. *)
 
-val mirror_stats : Dyno_obs.Obs.t -> Stats.t -> unit
-(** Mirror the run's final statistics into the metrics registry under
-    [sched.*] names (no-op on a disabled registry). *)
-
-val mirror_trace_dropped : Query_engine.t -> unit
-(** Set the [obs.trace_dropped] counter to the simulated trace's ring
-    evictions, so silently truncated traces are visible (no-op on a
-    disabled registry). *)
-
-val drain_hostprof : Query_engine.t -> unit
-(** Fold the host profiler's per-domain rings into [host.*] metrics and
-    note each attributed member's host compute seconds
-    ([host_compute_s]) onto its lineage record.  Call only after the
-    worker-domain pool quiesced ([Domain_pool.shutdown]); a disabled
-    profiler makes this a no-op. *)
+val dispatch :
+  ?config:config ->
+  ?plan:Shard.t ->
+  Query_engine.t ->
+  Mat_view.t list ->
+  Dyno_source.Meta_knowledge.t ->
+  Stats.t
+(** The dispatch core behind {!run}, {!Multi_scheduler.run} and
+    {!Shard_scheduler.run}: one loop over the queues (the engine's first
+    route, or one route per shard of [plan] when it has more than one
+    shard), the views (one, or several maintained as a view set) and the
+    round width [config.parallel].  Grouping ([du_group]) needs one queue
+    and one view; a view set maintains incrementally, one entry at a
+    time.  Several queues detect and correct at a cross-shard barrier.
+    The caller validates [plan] against the engine's routes.
+    @raise Invalid_argument on an empty view list.
+    @raise Step_limit_exceeded if the loop exceeds [config.max_steps]. *)
 
 val run :
   ?config:config ->

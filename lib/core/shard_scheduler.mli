@@ -1,4 +1,6 @@
-(** Sharded Dyno: scale-out of the dynamic reordering scheduler.
+(** Sharded Dyno: scale-out of the dynamic reordering scheduler.  A thin
+    entry point: the several-queue case of the one dispatch core,
+    {!Scheduler.dispatch}.
 
     Sources are partitioned across shards by a {!Shard.t} plan; each
     shard owns its own UMQ, transport channel and exactly-once sequencer
@@ -21,12 +23,14 @@
     commit order is always a corrected topological order, shard
     boundaries notwithstanding.  The corrected order is ephemeral: shard
     queues are never rewritten, the pure-DU suffix simply resumes
-    independent parallel draining.  An in-exec abort during the barrier
-    restarts it on a fresh snapshot (the newly-detected conflict is part
-    of the next graph).
+    independent parallel draining.  An in-exec abort — in a round, at a
+    queue head or during the barrier — is corrected at a barrier (during
+    the barrier, on a fresh snapshot: the newly-detected conflict is part
+    of the next graph).  Self-maintenance keeps one auxiliary store per
+    view, read by every shard.
 
-    With a 1-shard plan this delegates to {!Scheduler.run} — bit-for-bit
-    the historical behaviour. *)
+    A 1-shard plan is the one-queue case of the same core — bit-for-bit
+    the serial scheduler. *)
 
 open Dyno_view
 
@@ -40,7 +44,7 @@ val run :
 (** Drain every shard's UMQ and the timeline.  [config.parallel] is the
     {e per-shard} antichain width (total in-flight sweeps per round is at
     most [parallel × shards]); [config.vm_mode = Recompute] forces the
-    serial path.  The engine must have exactly one route per shard of
+    serial path, and [du_group] is ignored with more than one shard.  The engine must have exactly one route per shard of
     [plan] (raises [Invalid_argument] otherwise; a 1-shard plan accepts
     the default single route).
     @raise Scheduler.Step_limit_exceeded beyond [config.max_steps]. *)

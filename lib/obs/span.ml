@@ -184,7 +184,7 @@ let set_attr r id key value =
   if r.on && id > 0 then
     match Hashtbl.find_opt r.by_id id with
     | None -> ()
-    | Some sp -> sp.attrs <- (key, value) :: sp.attrs
+    | Some sp -> sp.attrs <- (key, value) :: List.remove_assoc key sp.attrs
 
 let set_name r id name =
   if r.on && id > 0 then

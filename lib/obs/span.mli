@@ -78,6 +78,9 @@ val end_span : recorder -> time:float -> int -> unit
     (defensive; disciplined callers end in LIFO order). *)
 
 val set_attr : recorder -> int -> string -> string -> unit
+(** [set_attr r id key value] sets an attribute of an open or closed span;
+    setting a key again keeps only its latest value. *)
+
 val set_name : recorder -> int -> string -> unit
 
 val with_span :

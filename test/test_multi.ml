@@ -145,6 +145,36 @@ let test_views_see_different_relevance () =
         < Schema.arity (Relation.schema (Mat_view.extent mv1)))
   | _ -> Alcotest.fail "two views expected"
 
+let test_compensations_counted () =
+  (* Compensation is counted for every view of the set, as for a single
+     view: on timelines where the wide view alone compensates, the
+     two-view run must report compensation work too. *)
+  let cost = { Dyno_sim.Cost_model.default with row_scale = 1.0 } in
+  List.iter
+    (fun seed ->
+      let timeline () =
+        Generator.mixed ~rows:10 ~seed ~n_dus:12 ~du_interval:0.2 ~sc_start:0.1
+          ~sc_interval:1.5
+          ~sc_kinds:(Generator.drop_then_renames 2)
+          ()
+      in
+      let solo = make_world ~rows:10 ~cost ~timeline:(timeline ()) () in
+      let alone =
+        Scheduler.run solo.engine
+          (List.hd (Multi_scheduler.views solo.multi))
+          solo.mk
+      in
+      if alone.Stats.compensations = 0 then
+        Alcotest.failf "seed %d: the single view should compensate" seed;
+      let _, stats =
+        run_and_check ~rows:10 ~cost ~timeline:(timeline ())
+          ~strategy:Strategy.Pessimistic ()
+      in
+      if stats.Stats.compensations = 0 then
+        Alcotest.failf "seed %d: view set counted no compensation (single view: %d)"
+          seed alone.Stats.compensations)
+    [ 11; 12; 13 ]
+
 let () =
   Alcotest.run "multi-view"
     [
@@ -162,5 +192,7 @@ let () =
               test_partial_application;
             Alcotest.test_case "different relevance per view" `Quick
               test_views_see_different_relevance;
+            Alcotest.test_case "compensations counted for every view" `Quick
+              test_compensations_counted;
           ] );
     ]

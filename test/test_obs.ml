@@ -35,13 +35,62 @@ let scenario ?(obs = Obs.disabled) ?(loss = 0.0) ?(shards = 1) ~seed ~n_dus
       |> with_net_seed 99 |> with_obs obs |> with_shards shards)
     ~timeline
 
-let run_observed ?loss ?(strategy = Dyno_core.Strategy.Pessimistic) () =
-  let obs = Obs.create () in
-  let t = scenario ~obs ?loss ~seed:11 ~n_dus:12 ~n_scs:2 () in
-  let stats =
-    Dyno_workload.Scenario.run t
-      ~config:(Dyno_core.Run_config.of_strategy strategy)
+(* A second, narrower view over R1, R2 (the CLI's --multi view), so the
+   same world can run as a two-view set. *)
+let second_view (t : Dyno_workload.Scenario.t) =
+  let open Dyno_relational in
+  let open Dyno_view in
+  let q =
+    Query.make ~name:"V2"
+      ~select:[ Query.item "R1.K1"; Query.item "R1.B1"; Query.item "R2.B2" ]
+      ~from:[ Query.table "DS1" "R1"; Query.table "DS1" "R2" ]
+      ~where:[ Predicate.eq_attr "R1.K1" "R2.K2" ]
   in
+  let vd =
+    View_def.create
+      ~schemas:
+        [
+          ("R1", Dyno_workload.Paper_schema.schema_of_rel 1);
+          ("R2", Dyno_workload.Paper_schema.schema_of_rel 2);
+        ]
+      q
+  in
+  let mv = Mat_view.create ~track_snapshots:true vd (Relation.create Schema.empty) in
+  let env (tr : Query.table_ref) =
+    Dyno_source.Data_source.relation
+      (Dyno_source.Registry.find t.Dyno_workload.Scenario.registry tr.source)
+      tr.rel
+  in
+  Mat_view.replace mv ~at:0.0 ~maintained:[] (Eval.run ~catalog:env q);
+  mv
+
+(* The three dispatch shapes the shared accounting must hold for: one
+   queue and one view at width 1, two shards at width 2, and a two-view
+   set. *)
+type mode = Serial | Sharded | Multi
+
+let modes = [ ("serial", Serial); ("2 shards x 2", Sharded); ("two views", Multi) ]
+
+let run_mode ?(strategy = Dyno_core.Strategy.Pessimistic) mode
+    (t : Dyno_workload.Scenario.t) =
+  let config = Dyno_core.Run_config.of_strategy strategy in
+  match mode with
+  | Serial -> Dyno_workload.Scenario.run t ~config
+  | Sharded ->
+      Dyno_workload.Scenario.run t
+        ~config:(Dyno_core.Run_config.with_parallel 2 config)
+  | Multi ->
+      Dyno_core.Multi_scheduler.run ~config t.Dyno_workload.Scenario.engine
+        (Dyno_core.Multi_scheduler.create
+           [ t.Dyno_workload.Scenario.mv; second_view t ])
+        t.Dyno_workload.Scenario.mk
+
+let run_observed ?loss ?(strategy = Dyno_core.Strategy.Pessimistic)
+    ?(mode = Serial) ?(seed = 11) () =
+  let obs = Obs.create () in
+  let shards = if mode = Sharded then 2 else 1 in
+  let t = scenario ~obs ?loss ~shards ~seed ~n_dus:12 ~n_scs:2 () in
+  let stats = run_mode ~strategy mode t in
   (obs, t, stats)
 
 (* -- span recorder ------------------------------------------------------ *)
@@ -205,23 +254,97 @@ let test_span_nesting_in_run () =
 let sum_kind r k = Span.total_duration r k
 
 let test_maintain_sum_equals_busy () =
-  let obs, _, stats = run_observed ~loss:0.3 () in
-  let r = Obs.spans obs in
-  Alcotest.(check (float 1e-6))
-    "Σ maintain = Stats.busy" stats.Dyno_core.Stats.busy
-    (sum_kind r Span.Maintain)
+  List.iter
+    (fun (name, mode) ->
+      let obs, _, stats = run_observed ~loss:0.3 ~mode () in
+      let r = Obs.spans obs in
+      Alcotest.(check (float 1e-6))
+        (name ^ ": Σ maintain = Stats.busy")
+        stats.Dyno_core.Stats.busy (sum_kind r Span.Maintain))
+    modes
 
 let test_breakdown_matches_stats () =
-  let obs, _, stats = run_observed ~loss:0.3 () in
-  let b = Export.breakdown (Obs.spans obs) in
-  let open Dyno_core in
-  Alcotest.(check (float 1e-6)) "busy" stats.Stats.busy b.Export.busy;
-  Alcotest.(check (float 1e-6))
-    "abort cost" stats.Stats.abort_cost b.Export.abort_cost;
-  Alcotest.(check (float 1e-6))
-    "net wait" stats.Stats.net_wait b.Export.net_wait;
-  Alcotest.(check (float 1e-6))
-    "idle = horizon - busy" (b.Export.horizon -. b.Export.busy) b.Export.idle
+  List.iter
+    (fun (name, mode) ->
+      let obs, _, stats = run_observed ~loss:0.3 ~mode () in
+      let b = Export.breakdown (Obs.spans obs) in
+      let open Dyno_core in
+      Alcotest.(check (float 1e-6)) (name ^ ": busy") stats.Stats.busy
+        b.Export.busy;
+      Alcotest.(check (float 1e-6))
+        (name ^ ": abort cost") stats.Stats.abort_cost b.Export.abort_cost;
+      Alcotest.(check (float 1e-6))
+        (name ^ ": net wait") stats.Stats.net_wait b.Export.net_wait;
+      Alcotest.(check (float 1e-6))
+        (name ^ ": idle = horizon - busy")
+        (b.Export.horizon -. b.Export.busy)
+        b.Export.idle)
+    modes
+
+(* Every detection pass leaves one Detect entry, whatever the dispatch
+   shape (the sharded barrier and the view-set pass included). *)
+let test_detect_entry_per_pass () =
+  List.iter
+    (fun (name, mode) ->
+      List.iter
+        (fun seed ->
+          let _, t, stats = run_observed ~mode ~seed () in
+          let detections = stats.Dyno_core.Stats.detections in
+          if detections = 0 then
+            Alcotest.failf "%s seed %d: no detection pass to check" name seed;
+          Alcotest.(check int)
+            (Fmt.str "%s seed %d: Detect entries = detections" name seed)
+            detections
+            (Dyno_sim.Trace.count t.Dyno_workload.Scenario.trace
+               Dyno_sim.Trace.Detect))
+        [ 11; 12; 13 ])
+    modes
+
+(* Merge-all collapses keep their provenance on every dispatch path: one
+   Merge trace entry and one lineage merge (parent links to the batch's
+   oldest update) per collapse, from grouped sweeps and parallel rounds as
+   from the queue head. *)
+let test_merge_all_provenance () =
+  let timeline () =
+    Dyno_workload.Generator.mixed ~rows:10 ~seed:1 ~n_dus:16 ~du_interval:0.05
+      ~sc_start:0.3 ~sc_interval:1.0
+      ~sc_kinds:(Dyno_workload.Generator.drop_then_renames 2)
+      ()
+  in
+  List.iter
+    (fun (name, config) ->
+      let obs = Obs.create () in
+      let t =
+        Dyno_workload.Scenario.make
+          Dyno_workload.Scenario.Config.(
+            default |> with_rows 10
+            |> with_cost { Dyno_sim.Cost_model.default with row_scale = 1.0 }
+            |> with_trace true |> with_obs obs)
+          ~timeline:(timeline ())
+      in
+      let stats = Dyno_workload.Scenario.run t ~config in
+      let merges = stats.Dyno_core.Stats.merges in
+      if merges < 2 then Alcotest.failf "%s: expected repeated collapses" name;
+      Alcotest.(check int) (name ^ ": one Merge entry per collapse") merges
+        (Dyno_sim.Trace.count t.Dyno_workload.Scenario.trace
+           Dyno_sim.Trace.Merge);
+      Alcotest.(check int)
+        (name ^ ": one lineage merge per collapse")
+        merges
+        (Metrics.counter_value (Obs.metrics obs) "lineage.merges");
+      (* every collapsed member other than the oldest links to a parent *)
+      let linked =
+        List.length
+          (List.filter
+             (fun (r : Lineage.record) -> r.Lineage.parent >= 0)
+             (Lineage.records (Obs.lineage obs)))
+      in
+      if linked = 0 then Alcotest.failf "%s: no merge-all parent links" name)
+    Dyno_core.Run_config.
+      [
+        ("grouped sweeps", of_strategy Dyno_core.Strategy.Merge_all |> with_du_group 4);
+        ("parallel rounds", of_strategy Dyno_core.Strategy.Merge_all |> with_parallel 3);
+      ]
 
 let test_metrics_mirror_stats () =
   let obs, _, stats = run_observed ~loss:0.3 () in
@@ -403,16 +526,26 @@ let prop_lineage =
     ~count:200
     QCheck.(
       quad (int_range 0 9999) (int_range 3 10) (int_range 0 25)
-        (int_range 0 2))
-    (fun (seed, n_dus, loss_pct, shard_ix) ->
+        (int_range 0 4))
+    (fun (seed, n_dus, loss_pct, shape) ->
       let loss = float_of_int loss_pct /. 100.0 in
-      let shards = [| 1; 2; 4 |].(shard_ix) in
+      (* shards × width, or the two-view set over one queue *)
+      let shards, parallel, multi =
+        [| (1, 1, false); (2, 1, false); (4, 1, false); (2, 2, false); (1, 1, true) |].(shape)
+      in
       let obs = Obs.create () in
       let t = scenario ~obs ~loss ~shards ~seed ~n_dus ~n_scs:1 () in
+      let config =
+        Dyno_core.Run_config.(
+          of_strategy Dyno_core.Strategy.Pessimistic |> with_parallel parallel)
+      in
       let _stats =
-        Dyno_workload.Scenario.run t
-          ~config:
-            (Dyno_core.Run_config.of_strategy Dyno_core.Strategy.Pessimistic)
+        if multi then
+          Dyno_core.Multi_scheduler.run ~config t.Dyno_workload.Scenario.engine
+            (Dyno_core.Multi_scheduler.create
+               [ t.Dyno_workload.Scenario.mv; second_view t ])
+            t.Dyno_workload.Scenario.mk
+        else Dyno_workload.Scenario.run t ~config
       in
       let records = Lineage.records (Obs.lineage obs) in
       if records = [] then QCheck.Test.fail_report "no lineage records";
@@ -998,6 +1131,10 @@ let () =
             test_maintain_sum_equals_busy;
           Alcotest.test_case "breakdown matches Stats" `Quick
             test_breakdown_matches_stats;
+          Alcotest.test_case "Detect entry per detection pass" `Quick
+            test_detect_entry_per_pass;
+          Alcotest.test_case "merge-all provenance on every path" `Quick
+            test_merge_all_provenance;
           Alcotest.test_case "metrics mirror Stats" `Quick
             test_metrics_mirror_stats;
           Alcotest.test_case "obs off changes nothing" `Quick
