@@ -200,14 +200,20 @@ let rename_attr r ~old_name ~new_name =
   let schema' = Schema.rename r.schema ~old_name ~new_name in
   { r with schema = schema' }
 
-(** [sum a b] multiset union with signed multiplicities (a ⊎ b). *)
-let sum a b =
-  if not (Schema.equal a.schema b.schema) then
+(** [sum_in_place ?scale acc d] turns [acc] into [acc ⊎ scale·d] in place:
+    O(|d|), and indexes registered on [acc] are maintained incrementally.
+    Counts may go negative — [acc] is a signed accumulator. *)
+let sum_in_place ?(scale = 1) acc d =
+  if not (Schema.equal acc.schema d.schema) then
     raise
       (Schema_mismatch
-         (Fmt.str "sum: %a vs %a" Schema.pp a.schema Schema.pp b.schema));
+         (Fmt.str "sum: %a vs %a" Schema.pp acc.schema Schema.pp d.schema));
+  iter (fun t c -> add_unchecked acc t (scale * c)) d
+
+(** [sum a b] multiset union with signed multiplicities (a ⊎ b). *)
+let sum a b =
   let out = copy a in
-  iter (fun t c -> add_unchecked out t c) b;
+  sum_in_place out b;
   out
 
 (** [negate r] flips every multiplicity (turns insertions into deletions). *)

@@ -110,6 +110,15 @@ val sum : t -> t -> t
 (** Multiset union with signed multiplicities.
     @raise Schema_mismatch on schema disagreement. *)
 
+val sum_in_place : ?scale:int -> t -> t -> unit
+(** [sum_in_place acc d] makes [acc] equal to [sum acc d] by mutating it:
+    O(|d|), registered indexes maintained incrementally.  [scale]
+    (default 1) multiplies [d]'s counts first, so [~scale:(-1)]
+    subtracts.  Unlike {!apply_delta_in_place} counts may go negative:
+    this is the accumulator of owned folds (batch merges, Equation 6
+    terms, the UMQ's pending-delta sums).  [d] must not be [acc].
+    @raise Schema_mismatch on schema disagreement ([acc] unchanged). *)
+
 val negate : t -> t
 val diff : t -> t -> t
 

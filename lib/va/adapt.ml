@@ -21,57 +21,68 @@
 open Dyno_relational
 open Dyno_view
 
-(** [equation6 ~old_env ~new_env query] computes
+(** [equation6 ?deltas ~old_env ~new_env query] computes
     [eval query new_env − eval query old_env] incrementally, term by term.
-    [old_env]/[new_env] bind every alias of [query] to its old/new state;
-    the delta of each alias is derived as [new − old].  Aliases whose delta
-    is empty contribute no term (their join work is skipped), which is what
-    makes the batch maintenance of a few changed relations cheap. *)
-let equation6 ?(planner : Eval.plan = `Indexed)
+    [old_env]/[new_env] bind every alias of [query] to its old/new state.
+    Each alias's delta is taken from [deltas] when given (aliases it does
+    not list are unchanged), else derived as [new − old].  Aliases whose
+    delta is empty contribute no term (their join work is skipped), which
+    is what makes the batch maintenance of a few changed relations cheap.
+    Each term joins its delta first and the other aliases in SWEEP order,
+    so the indexed left-deep plan starts from the (small) delta and
+    probes the states instead of hashing every relation in FROM order. *)
+let equation6 ?(planner : Eval.plan = `Indexed) ?deltas
     ~(old_env : (string * Relation.t) list)
     ~(new_env : (string * Relation.t) list) (query : Query.t) : Relation.t =
-  let aliases = Query.aliases query in
   let get env alias =
     match List.assoc_opt alias env with
     | Some r -> r
     | None -> raise (Eval.Error (Fmt.str "equation6: alias %s unbound" alias))
   in
-  let deltas =
-    List.map
-      (fun a -> (a, Relation.diff (get new_env a) (get old_env a)))
-      aliases
+  let delta_of alias =
+    match deltas with
+    | Some ds -> List.assoc_opt alias ds
+    | None -> Some (Relation.diff (get new_env alias) (get old_env alias))
   in
-  let terms =
-    List.mapi
-      (fun i (alias_i, delta_i) ->
-        if Relation.is_empty delta_i then None
-        else
-          Some
-            (List.mapi
-               (fun j alias_j ->
-                 if j < i then (alias_j, get new_env alias_j)
-                 else if j = i then (alias_i, delta_i)
-                 else (alias_j, get old_env alias_j))
-               aliases))
-      deltas
+  (* Term i binds aliases before i to their new state, alias i to its
+     delta and aliases after i to their old state. *)
+  let term i (tr : Query.table_ref) delta =
+    let env =
+      List.mapi
+        (fun j (tr' : Query.table_ref) ->
+          let a = tr'.alias in
+          ( a,
+            if j < i then get new_env a
+            else if j = i then delta
+            else get old_env a ))
+        (Query.from query)
+    in
+    let delta_first =
+      { query with Query.from = tr :: Dyno_vm.Maint_query.sweep_order query tr.alias }
+    in
+    Eval.run ~planner ~catalog:(Eval.catalog env) delta_first
   in
-  List.fold_left
-    (fun acc term ->
-      match term with
-      | None -> acc
-      | Some env -> (
-          let dv = Eval.run ~planner ~catalog:(Eval.catalog env) query in
-          match acc with
-          | None -> Some dv
-          | Some a -> Some (Relation.sum a dv)))
-    None terms
-  |> function
+  let acc = ref None in
+  List.iteri
+    (fun i (tr : Query.table_ref) ->
+      match delta_of tr.alias with
+      | Some d when not (Relation.is_empty d) -> (
+          let dv = term i tr d in
+          match !acc with
+          | None -> acc := Some dv
+          | Some a -> Relation.sum_in_place a dv)
+      | _ -> ())
+    (Query.from query);
+  match !acc with
   | Some dv -> dv
   | None ->
       (* No alias changed: the delta is empty with the view's schema. *)
       Eval.run ~planner
-        ~catalog:(Eval.catalog (List.map (fun a -> (a, Relation.create (Relation.schema (get new_env a))))
-           aliases))
+        ~catalog:
+          (Eval.catalog
+             (List.map
+                (fun a -> (a, Relation.create (Relation.schema (get new_env a))))
+                (Query.aliases query)))
         query
 
 (** [fetch_compensated w ~query ~schemas tr ~exclude] reads table [tr]'s
@@ -87,14 +98,33 @@ let fetch_compensated ?(extra_cost = 0.0) (w : Query_engine.t)
   let fq = Dyno_vm.Maint_query.fetch_query query owner tr in
   match Query_engine.execute w fq ~bound:[] ~target:tr.Query.source with
   | Error b -> Error b
-  | Ok ans -> (
-      (* Read the pending set at the same commit frontier the answer was
-         computed at — BEFORE charging further work, which would deliver
-         newer commits that the answer cannot contain. *)
-      let pending =
-        List.filter
-          (fun (m, _) -> not (List.mem (Update_msg.id m) exclude))
-          (Query_engine.pending_dus w ~source:tr.Query.source ~rel:tr.Query.rel)
+  | Ok ans ->
+      (* Compensate at the commit frontier the answer was computed at —
+         BEFORE charging further work, which would deliver newer commits
+         into the queue's live sums that the answer cannot contain.  Each
+         schema group costs one evaluation (SPJ linearity over signed
+         multisets). *)
+      let compensated =
+        try
+          Ok
+            (List.fold_left
+               (fun acc (g : Umq.pending_sum) ->
+                 Relation.diff acc
+                   (Eval.run
+                      ~planner:(Query_engine.planner w)
+                      ~catalog:(Eval.catalog [ (tr.Query.alias, g.sum) ])
+                      fq))
+               ans.Dyno_source.Data_source.rows
+               (Query_engine.pending_sums w ~source:tr.Query.source
+                  ~rel:tr.Query.rel ~exclude))
+        with Eval.Error reason ->
+          Error
+            (Query_engine.Broken
+               {
+                 Dyno_source.Data_source.source = tr.Query.source;
+                 query_name = Query.name fq;
+                 reason = Fmt.str "adaptation compensation failed: %s" reason;
+               })
       in
       (* Adaptation joins each fetched relation in as it arrives; charge
          that incremental work now so that an abort mid-adaptation carries
@@ -104,28 +134,7 @@ let fetch_compensated ?(extra_cost = 0.0) (w : Query_engine.t)
          *. Dyno_sim.Cost_model.rows (Query_engine.cost w)
               ans.Dyno_source.Data_source.scanned)
         +. extra_cost);
-      (* Compensate each schema group in one evaluation (SPJ linearity
-         over signed multisets). *)
-      try
-        Ok
-          (List.fold_left
-             (fun acc (_, combined, _) ->
-               let contribution =
-                 Eval.run
-                   ~planner:(Query_engine.planner w)
-                   ~catalog:(Eval.catalog [ (tr.Query.alias, combined) ]) fq
-               in
-               Relation.diff acc contribution)
-             ans.Dyno_source.Data_source.rows
-             (Dyno_vm.Sweep.group_by_schema pending))
-      with Eval.Error reason ->
-        Error
-          (Query_engine.Broken
-             {
-               Dyno_source.Data_source.source = tr.Query.source;
-               query_name = Query.name fq;
-               reason = Fmt.str "adaptation compensation failed: %s" reason;
-             }))
+      compensated
 
 (** [fetch_all w ~query ~schemas ~exclude] fetches every view relation,
     compensated; stops at the first broken probe. *)
@@ -214,9 +223,9 @@ let replace_extent (w : Query_engine.t) (mv : Mat_view.t)
     adapts incrementally: fetches compensated new states, reconstructs the
     old states by subtracting the batch's own accumulated deltas
     ([batch_deltas] : alias → ΔRᵢ, already projected to the current
-    schema), runs {!equation6} and refreshes the extent in place.  Only
-    valid when the rewriting preserved the view's output schema (renames
-    and pure data batches). *)
+    schema), runs {!equation6} over those deltas and refreshes the extent
+    in place.  Only valid when the rewriting preserved the view's output
+    schema (renames and pure data batches). *)
 let refresh_with_equation6 (w : Query_engine.t) (mv : Mat_view.t)
     ~(maintained : int list) ~(batch_deltas : (string * Relation.t) list)
     ~(exclude : int list) : (unit, Query_engine.failure) result =
@@ -227,30 +236,33 @@ let refresh_with_equation6 (w : Query_engine.t) (mv : Mat_view.t)
   | Error b -> Error b
   | Ok new_env ->
       let owner = Dyno_vm.Maint_query.owner_of_schemas schemas in
+      (* The fetched states are filtered/projected; express each batch
+         delta the same way: ΔRᵢ of Equation 6. *)
+      let deltas =
+        List.filter_map
+          (fun (tr : Query.table_ref) ->
+            match List.assoc_opt tr.alias batch_deltas with
+            | None -> None
+            | Some d ->
+                let fq = Dyno_vm.Maint_query.fetch_query query owner tr in
+                Some
+                  ( tr.alias,
+                    Eval.run
+                      ~planner:(Query_engine.planner w)
+                      ~catalog:(Eval.catalog [ (tr.alias, d) ]) fq ))
+          (Query.from query)
+      in
       let old_env =
         List.map
           (fun (alias, new_r) ->
-            match List.assoc_opt alias batch_deltas with
+            match List.assoc_opt alias deltas with
             | None -> (alias, new_r)
-            | Some d ->
-                (* The fetched state is filtered/projected; express the
-                   delta the same way before subtracting. *)
-                let tr =
-                  List.find
-                    (fun (t : Query.table_ref) -> String.equal t.alias alias)
-                    (Query.from query)
-                in
-                let fq = Dyno_vm.Maint_query.fetch_query query owner tr in
-                let d' =
-                  Eval.run
-                    ~planner:(Query_engine.planner w)
-                    ~catalog:(Eval.catalog [ (alias, d) ]) fq
-                in
-                (alias, Relation.diff new_r d'))
+            | Some d' -> (alias, Relation.diff new_r d'))
           new_env
       in
       let dv =
-        equation6 ~planner:(Query_engine.planner w) ~old_env ~new_env query
+        equation6 ~planner:(Query_engine.planner w) ~deltas ~old_env ~new_env
+          query
       in
       (* Per-fetch join work already charged in [fetch_compensated]. *)
       let tail_cost =

@@ -10,15 +10,20 @@ open Dyno_view
 
 val equation6 :
   ?planner:Eval.plan ->
+  ?deltas:(string * Relation.t) list ->
   old_env:(string * Relation.t) list ->
   new_env:(string * Relation.t) list ->
   Query.t ->
   Relation.t
 (** [ΔV = ΔR₁ ⋈ R₂ ⋈ … ⋈ Rₙ + R₁ⁿᵉʷ ⋈ ΔR₂ ⋈ … + … +
     R₁ⁿᵉʷ ⋈ … ⋈ ΔRₙ] over signed multisets; equals
-    [eval query new_env − eval query old_env].  Aliases whose delta is
-    empty contribute no term.  [planner] (default [`Indexed]) picks the
-    physical plan each term is evaluated with. *)
+    [eval query new_env − eval query old_env].  [deltas] supplies each
+    changed alias's [ΔRᵢ = new − old] when the caller already holds it
+    (unlisted aliases are unchanged); without it the deltas are derived
+    from the two environments.  Aliases whose delta is empty contribute
+    no term; each term is evaluated delta first, the other aliases in
+    SWEEP order ({!Dyno_vm.Maint_query.sweep_order}).  [planner] (default
+    [`Indexed]) picks the physical plan each term is evaluated with. *)
 
 val fetch_compensated :
   ?extra_cost:float ->
@@ -31,8 +36,10 @@ val fetch_compensated :
 (** Read one table's current (filtered, projected) extent through a
     maintenance query, compensating away every pending unmaintained DU on
     it except the ids in [exclude] (being maintained right now, whose
-    effects must stay in).  [extra_cost] simulated seconds are charged
-    after the probe (pipelined adaptation work). *)
+    effects must stay in).  Compensation reads the queue's pending sums at
+    the answer's commit frontier, before the per-tuple adaptation charge
+    and [extra_cost] simulated seconds (pipelined adaptation work) move
+    the clock; a compensation failure is returned after the charge. *)
 
 val fetch_all :
   ?extra_per_fetch:float ->

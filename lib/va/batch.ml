@@ -63,19 +63,18 @@ let preprocess (msgs : Update_msg.t list) : prep =
       | Update_msg.Du u ->
           let key = (Update.source u, Update.rel u) in
           let schema = Update.schema u in
-          let cur =
-            match Hashtbl.find_opt accum key with
-            | Some (s, acc) ->
-                if not (Schema.equal s schema) then
-                  (* Should not happen: an intervening SC re-keys the
-                     entry and re-projects; a mismatch means the source
-                     emitted an inconsistent delta. *)
-                  invalid_arg
-                    (Fmt.str "batch: delta schema mismatch on %s" (snd key))
-                else Relation.sum acc (Update.delta u)
-            | None -> Relation.copy (Update.delta u)
-          in
-          Hashtbl.replace accum key (schema, cur)
+          (* Accumulators are private copies: later deltas add in place. *)
+          (match Hashtbl.find_opt accum key with
+          | Some (s, acc) ->
+              if not (Schema.equal s schema) then
+                (* Should not happen: an intervening SC re-keys the
+                   entry and re-projects; a mismatch means the source
+                   emitted an inconsistent delta. *)
+                invalid_arg
+                  (Fmt.str "batch: delta schema mismatch on %s" (snd key))
+              else Relation.sum_in_place acc (Update.delta u)
+          | None ->
+              Hashtbl.replace accum key (schema, Relation.copy (Update.delta u)))
       | Update_msg.Sc sc -> (
           scs := sc :: !scs;
           let source = Schema_change.source sc in
@@ -104,8 +103,7 @@ let preprocess (msgs : Update_msg.t list) : prep =
                     (* A rename landed on a name that already accumulates
                        deltas (rename swap games); merge if compatible. *)
                     if Schema.equal s2 schema' then
-                      Hashtbl.replace accum (source, new_name)
-                        (s2, Relation.sum acc2 acc')
+                      Relation.sum_in_place acc2 acc'
                     else
                       invalid_arg
                         (Fmt.str "batch: rename collision on %s" new_name))))

@@ -561,7 +561,8 @@ let source_relation w ~source ~rel =
   let src = Dyno_source.Registry.find w.registry source in
   Dyno_source.Data_source.relation_opt src rel
 
-(** Concurrent data updates currently pending in the UMQ against relation
-    [rel] at [source] — the information compensation needs. *)
-let pending_dus w ~source ~rel =
-  Umq.pending_dus (route w source).r_umq ~source ~rel
+(** The concurrent data updates pending against relation [rel] at
+    [source], summed per delta schema by the source's queue — the
+    information compensation needs. *)
+let pending_sums ?after w ~source ~rel ~exclude =
+  Umq.pending_sums ?after (route w source).r_umq ~source ~rel ~exclude

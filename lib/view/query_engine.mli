@@ -194,8 +194,14 @@ val source_relation : t -> source:string -> rel:string -> Relation.t option
 (** Direct read of a source's current relation (oracles, initialization —
     not charged). *)
 
-val pending_dus :
-  t -> source:string -> rel:string -> (Update_msg.t * Update.t) list
-(** Concurrent data updates currently pending in the UMQ against a
-    relation — the information compensation needs (delegates to
-    {!Umq.pending_dus}). *)
+val pending_sums :
+  ?after:float ->
+  t ->
+  source:string ->
+  rel:string ->
+  exclude:int list ->
+  Umq.pending_sum list
+(** The concurrent data updates pending against a relation in its
+    source's queue, summed per delta schema — what compensation
+    subtracts ({!Umq.pending_sums}: live sums, read before the clock
+    moves). *)

@@ -10,6 +10,8 @@
     test-and-set by the Dyno loop) and [broken_query] (set by the query
     engine's in-exec detection). *)
 
+open Dyno_relational
+
 type entry =
   | Single of Update_msg.t
   | Batch of Update_msg.t list
@@ -25,6 +27,31 @@ let pp_entry ppf = function
   | Single m -> Update_msg.pp ppf m
   | Batch ms ->
       Fmt.pf ppf "BATCH{%a}" Fmt.(list ~sep:(any "; ") Update_msg.pp) ms
+
+module Ids = Map.Make (Int)
+
+(* The queued DUs of one (source, rel) that share a delta schema, with
+   the signed sum of their deltas.  Ids grow with admission, and one
+   source's messages are admitted in commit order, so ascending ids are
+   also ascending commit times. *)
+type group = {
+  g_schema : Schema.t;
+  g_sum : Relation.t;
+  mutable g_dus : (Update_msg.t * Update.t) Ids.t;
+  mutable g_count : int;
+}
+
+(* The DU index entry of one (source, rel).  Until compensation first
+   reads the relation its DUs are a plain newest-first list: a shallow
+   queue would otherwise pay a fresh sum per DU.  The read moves them
+   into groups, one per delta schema in creation order, whose sums
+   every admission and removal then keeps current.  At most one of the
+   two is non-empty; the groups (sums included) go away with the
+   relation's last pending DU.  Entries stay: one per relation seen. *)
+type pending = {
+  mutable listed : Update_msg.t list;
+  mutable groups : group list;
+}
 
 type t = {
   mutable front : entry list;  (** head first *)
@@ -44,10 +71,10 @@ type t = {
   mutable total_enqueued : int;
   mutable history : Update_msg.t list;
       (** every message ever enqueued, newest first (audit/consistency) *)
-  du_index : (string * string, Update_msg.t list) Hashtbl.t;
-      (** (source, rel) → queued DU messages, newest first — the hot
-          lookup of SWEEP compensation, kept incremental so probing does
-          not scan the whole queue *)
+  du_index : (string * string, pending) Hashtbl.t;
+      (** (source, rel) → queued DUs — the hot lookup of SWEEP
+          compensation, kept incremental so probing does not scan the
+          whole queue *)
   expected : (string, int) Hashtbl.t;
       (** per-source sequencer: next sequence number to admit *)
   held : (string, (int * (float * int * Update_msg.payload)) list) Hashtbl.t;
@@ -87,25 +114,66 @@ let force_all q =
 let index_key m =
   (Update_msg.source m, Update_msg.rel m)
 
+let rec find_group schema = function
+  | [] -> None
+  | g :: rest ->
+      if Schema.equal g.g_schema schema then Some g else find_group schema rest
+
+let new_group m u =
+  {
+    g_schema = Update.schema u;
+    g_sum = Relation.copy (Update.delta u);
+    g_dus = Ids.singleton (Update_msg.id m) (m, u);
+    g_count = 1;
+  }
+
+(* Add [m] to the groups [gs], in place when its schema has a group;
+   returns the groups. *)
+let group_add gs m u =
+  match find_group (Update.schema u) gs with
+  | Some g ->
+      g.g_dus <- Ids.add (Update_msg.id m) (m, u) g.g_dus;
+      g.g_count <- g.g_count + 1;
+      Relation.sum_in_place g.g_sum (Update.delta u);
+      gs
+  | None -> gs @ [ new_group m u ]
+
+(* Group DUs (oldest first) by delta schema, in first-seen order. *)
+let groups_of dus = List.fold_left (fun gs (m, u) -> group_add gs m u) [] dus
+
+(* The index is probed on every admission, removal and compensation
+   read; [Hashtbl.find] allocates nothing on these paths. *)
 let index_add q m =
-  if Update_msg.is_du m then begin
-    let k = index_key m in
-    let prev = Option.value ~default:[] (Hashtbl.find_opt q.du_index k) in
-    Hashtbl.replace q.du_index k (m :: prev)
-  end
+  match Update_msg.payload m with
+  | Update_msg.Sc _ -> ()
+  | Update_msg.Du u -> (
+      let k = index_key m in
+      match Hashtbl.find q.du_index k with
+      | exception Not_found ->
+          Hashtbl.replace q.du_index k { listed = [ m ]; groups = [] }
+      | p ->
+          if p.groups = [] then p.listed <- m :: p.listed
+          else p.groups <- group_add p.groups m u)
 
 let index_remove q m =
-  if Update_msg.is_du m then begin
-    let k = index_key m in
-    match Hashtbl.find_opt q.du_index k with
-    | None -> ()
-    | Some l ->
-        let l' =
-          List.filter (fun x -> Update_msg.id x <> Update_msg.id m) l
-        in
-        if l' = [] then Hashtbl.remove q.du_index k
-        else Hashtbl.replace q.du_index k l'
-  end
+  match Update_msg.payload m with
+  | Update_msg.Sc _ -> ()
+  | Update_msg.Du u -> (
+      let id = Update_msg.id m in
+      match Hashtbl.find q.du_index (index_key m) with
+      | exception Not_found -> ()
+      | p -> (
+          if p.groups = [] then
+            p.listed <- List.filter (fun x -> Update_msg.id x <> id) p.listed
+          else
+            match find_group (Update.schema u) p.groups with
+            | Some g when Ids.mem id g.g_dus ->
+                g.g_dus <- Ids.remove id g.g_dus;
+                g.g_count <- g.g_count - 1;
+                if g.g_count > 0 then
+                  Relation.sum_in_place ~scale:(-1) g.g_sum (Update.delta u)
+                else p.groups <- List.filter (fun g' -> g' != g) p.groups
+            | _ -> ()))
 
 let is_empty q = q.front = [] && q.back = []
 let length q = q.n_entries
@@ -206,18 +274,104 @@ let deliver q ~source ~seq ~commit_time ~source_version payload =
     Admitted (first :: drain [])
   end
 
+let du_of m =
+  match Update_msg.payload m with
+  | Update_msg.Du u -> (m, u)
+  | Update_msg.Sc _ -> assert false
+
 (** [pending_dus q ~source ~rel] — queued, unmaintained data updates on
     [rel@source], in commit order. *)
 let pending_dus q ~source ~rel =
   match Hashtbl.find_opt q.du_index (source, rel) with
   | None -> []
-  | Some l ->
-      List.rev_map
-        (fun m ->
-          match Update_msg.as_du m with
-          | Some u -> (m, u)
-          | None -> assert false)
-        l
+  | Some { listed; groups = [] } -> List.rev_map du_of listed
+  | Some { groups; _ } ->
+      List.fold_left
+        (fun acc g -> Ids.union (fun _ a _ -> Some a) acc g.g_dus)
+        Ids.empty groups
+      |> Ids.bindings |> List.map snd
+
+type pending_sum = { schema : Schema.t; sum : Relation.t; count : int }
+
+(* The DUs of [g] compensation must leave out: every one committed after
+   [after] (commit times ascend with ids, so these are the newest), and
+   those named in [exclude]. *)
+let left_out ?after g ~exclude =
+  let later =
+    match after with
+    | None -> Ids.empty
+    | Some t ->
+        Ids.add_seq
+          (Seq.take_while
+             (fun (_, (m, _)) -> Update_msg.commit_time m > t)
+             (Ids.to_rev_seq g.g_dus))
+          Ids.empty
+  in
+  List.fold_left
+    (fun acc id ->
+      match Ids.find_opt id g.g_dus with
+      | Some du -> Ids.add id du acc
+      | None -> acc)
+    later exclude
+
+(* The relation's groups, built from its DU list on the first read. *)
+let summed_groups q ~source ~rel =
+  match Hashtbl.find q.du_index (source, rel) with
+  | exception Not_found -> []
+  | p ->
+      if p.listed <> [] then begin
+        p.groups <- groups_of (List.rev_map du_of p.listed);
+        p.listed <- []
+      end;
+      p.groups
+
+(* Group [g] as one compensation read sees it, with the DUs it leaves
+   out; [None] when it leaves out every DU. *)
+let read_group ?after ~exclude g =
+  let out = left_out ?after g ~exclude in
+  let count = g.g_count - Ids.cardinal out in
+  if count = 0 then None
+  else
+    let sum =
+      if Ids.is_empty out then g.g_sum
+      else begin
+        let s = Relation.copy g.g_sum in
+        Ids.iter
+          (fun _ (_, u) -> Relation.sum_in_place ~scale:(-1) s (Update.delta u))
+          out;
+        s
+      end
+    in
+    Some (g, out, { schema = g.g_schema; sum; count })
+
+(** [pending_sums ?after q ~source ~rel ~exclude] — the queued DUs on
+    [rel@source] that compensation subtracts, summed per delta schema.
+    Left out (their effects stay in the answer): the ids in [exclude],
+    and with [after] every DU committed after that instant.  The first
+    call groups the relation's DUs and sums them; later admissions and
+    removals keep the sums current, so a read costs O(left-out DUs), not
+    O(queue depth).  A group with nothing left out returns the queue's
+    live sum (read it before the clock can move, never mutate it);
+    otherwise a private copy minus what is left out.  Groups with no DU
+    left are skipped; the rest come in the order of their oldest
+    remaining DU. *)
+let pending_sums ?after q ~source ~rel ~exclude =
+  match summed_groups q ~source ~rel with
+  | [] -> []
+  | [ g ] -> (
+      match read_group ?after ~exclude g with
+      | None -> []
+      | Some (_, _, ps) -> [ ps ])
+  | gs ->
+      let oldest (g, out, _) =
+        Seq.find_map
+          (fun (id, _) -> if Ids.mem id out then None else Some id)
+          (Ids.to_seq g.g_dus)
+      in
+      List.filter_map (read_group ?after ~exclude) gs
+      |> List.map (fun k -> (oldest k, k))
+      |> List.sort (fun (a, _) (b, _) -> Option.compare Int.compare a b)
+      |> List.map (fun (_, (_, _, ps)) -> ps)
 
 (** Every message ever enqueued, in arrival order. *)
 let history q = List.rev q.history

@@ -81,8 +81,39 @@ val held_count : t -> int
 
 val pending_dus :
   t -> source:string -> rel:string -> (Update_msg.t * Dyno_relational.Update.t) list
-(** Queued, unmaintained data updates on [rel@source] in commit order —
-    the indexed hot lookup of SWEEP compensation. *)
+(** Queued, unmaintained data updates on [rel@source] in commit order. *)
+
+(** The pending DUs of one delta schema on a relation, summed: SPJ
+    queries are linear over signed multisets, so one evaluation of a
+    probe over [sum] compensates all [count] of them.  (DUs straddling an
+    unmaintained schema change carry different schemas.) *)
+type pending_sum = {
+  schema : Dyno_relational.Schema.t;
+  sum : Dyno_relational.Relation.t;
+  count : int;  (** DUs summed, never 0 *)
+}
+
+val pending_sums :
+  ?after:float ->
+  t ->
+  source:string ->
+  rel:string ->
+  exclude:int list ->
+  pending_sum list
+(** [pending_sums q ~source ~rel ~exclude] — what SWEEP compensation
+    subtracts from an answer read from [rel@source]: its queued,
+    unmaintained DUs summed per delta schema, leaving out the ids in
+    [exclude] and, with [after], every DU committed after that instant
+    (their effects stay in the answer).  Groups with nothing left are
+    skipped; the rest come in the order of their oldest remaining DU.
+
+    The queue keeps the sums: the first read of a relation builds them,
+    then admissions and removals update them in place until the
+    relation has no pending DU.  A read costs O(left-out DUs), not
+    O(queue depth).  A group with nothing left out returns the {e live}
+    sum — never mutate it, and finish with it before the simulated
+    clock can move (a delivery would change it).  A group with
+    something left out returns a private copy. *)
 
 val head : t -> entry option
 val remove_head : t -> unit

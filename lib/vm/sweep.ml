@@ -53,19 +53,6 @@ type local = {
       (** accounting callback, called once per successful local sweep *)
 }
 
-let group_by_schema pending =
-  List.fold_left
-    (fun acc (tag, u) ->
-      let s = Update.schema u in
-      let rec insert = function
-        | [] -> [ (s, Relation.copy (Update.delta u), [ tag ]) ]
-        | (s', d, tags) :: rest when Schema.equal s s' ->
-            (s', Relation.sum d (Update.delta u), tag :: tags) :: rest
-        | g :: rest -> g :: insert rest
-      in
-      insert acc)
-    [] pending
-
 (** [delta_view w sw ~delta ~exclude] computes the view delta for update
     [delta] through the compiled sweep [sw] (its pivot, probe plans and
     projections).  [exclude] is the id of the update message being
@@ -100,30 +87,26 @@ let delta_view ?(compensate = true) (w : Query_engine.t)
           stats := { !stats with probes = !stats.probes + 1 };
           (* Compensation: remove the contribution of every pending,
              unmaintained DU on the probed relation, summed per delta
-             schema and evaluated with the probe's own plan.  The
-             frontier is the instant the source computed the answer:
+             schema by the UMQ and evaluated with the probe's own plan.
+             The frontier is the instant the source computed the answer:
              under concurrent maintenance other tasks may have delivered
              commits while this task parked on the result transfer, and
              those later updates are not in the answer, so they must not
-             be compensated away.  (Serially the filter is a no-op: every
-             pending update arrived — hence committed — before the
-             answer.) *)
+             be compensated away.  (Serially the frontier leaves nothing
+             out: every pending update arrived — hence committed — before
+             the answer.)  The sums are live; nothing below parks. *)
           let pending =
             if not compensate then []
             else
-              List.filter
-                (fun (m, _) ->
-                  (not (List.mem (Update_msg.id m) exclude))
-                  && Update_msg.commit_time m <= answered_at +. 1e-12)
-                (Query_engine.pending_dus w ~source:tr.Query.source
-                   ~rel:tr.Query.rel)
+              Query_engine.pending_sums w ~after:(answered_at +. 1e-12)
+                ~source:tr.Query.source ~rel:tr.Query.rel ~exclude
           in
           let compensated =
             List.fold_left
-              (fun acc (_, combined, ms) ->
+              (fun acc { Umq.sum; count; _ } ->
                 match
                   Eval.execute ~planner:(Query_engine.planner w) plan
-                    [ combined; !partial ]
+                    [ sum; !partial ]
                 with
                 | contribution ->
                     if Relation.is_empty contribution then acc
@@ -140,7 +123,7 @@ let delta_view ?(compensate = true) (w : Query_engine.t)
                         "removed %d tuple(s) of %d pending update(s) from \
                          probe %s"
                         (Relation.mass contribution)
-                        (List.length ms) (Query.name probe);
+                        count (Query.name probe);
                       (* Compensation is local view-manager work, not
                          charged on the clock: a zero-duration span marks
                          where it happened inside the enclosing probe. *)
@@ -175,7 +158,7 @@ let delta_view ?(compensate = true) (w : Query_engine.t)
                               reason =
                                 Fmt.str "compensation impossible: %s" reason;
                             })))
-              answer (group_by_schema pending)
+              answer pending
           in
           partial := compensated)
         sw.Maint_query.probes;
@@ -217,9 +200,11 @@ type local_input = {
   in_planner : Eval.plan;
   in_partial0 : Relation.t;  (** initial partial (pivot ⋈ delta, filtered) *)
   in_auxes : (Maint_query.probe * Relation.t * Relation.t list) list;
-      (** per swept alias: (probe, auxiliary data, pending-DU deltas
-          pre-grouped by schema and summed — already filtered by the
-          exclusion set) *)
+      (** per swept alias: (probe, auxiliary data, the UMQ's pending-DU
+          sums per delta schema, exclusion set already left out).  Sums
+          with nothing left out are the queue's live ones: safe to ship,
+          because nothing is delivered or dequeued while a pool batch
+          computes. *)
 }
 
 let prepare_local (w : Query_engine.t) (sw : Maint_query.sweep)
@@ -243,15 +228,12 @@ let prepare_local (w : Query_engine.t) (sw : Maint_query.sweep)
               (* Pending unmaintained DUs on the probed relation — all of
                  them, no answer-time cutoff: the auxiliary data already
                  reflects every delivered commit. *)
-              let pending =
-                List.filter
-                  (fun (m, _) -> not (List.mem (Update_msg.id m) exclude))
-                  (Query_engine.pending_dus w ~source:tr.Query.source
-                     ~rel:tr.Query.rel)
-              in
               ( p,
                 r,
-                List.map (fun (_, d, _) -> d) (group_by_schema pending) ))
+                List.map
+                  (fun (g : Umq.pending_sum) -> g.sum)
+                  (Query_engine.pending_sums w ~source:tr.Query.source
+                     ~rel:tr.Query.rel ~exclude) ))
         sw.Maint_query.probes
     in
     Some

@@ -34,15 +34,6 @@ type local = {
       (** accounting callback, called once per successful local sweep *)
 }
 
-val group_by_schema :
-  ('a * Update.t) list -> (Schema.t * Relation.t * 'a list) list
-(** Pending updates partitioned by delta schema (updates straddling an
-    unmaintained schema change carry different schemas), each group's
-    deltas summed into a fresh relation: SPJ queries are linear in each
-    input over signed multisets, so one evaluation per group compensates
-    them all.  Groups keep first-seen order; each carries its updates'
-    tags, newest first. *)
-
 val delta_view :
   ?compensate:bool ->
   Query_engine.t ->
@@ -53,18 +44,19 @@ val delta_view :
 (** [delta_view w sw ~delta ~exclude] computes the view delta for
     [delta] through the compiled sweep [sw] ({!Maint_query.sweep_for}):
     each probe ships its prepared plan, and compensation evaluates the
-    same plan over the summed pending deltas.  [exclude] lists message
+    same plan over the pending deltas the UMQ sums per delta schema
+    ({!Query_engine.pending_sums}).  [exclude] lists message
     ids whose effects must stay in the probe answers: the message being
     maintained (never compensated against itself) plus, in multi-view
     mode, every queued update this view has already applied. *)
 
 type local_input
 (** A local sweep captured at dispatch: the compiled sweep, pivot delta,
-    auxiliary snapshots and pre-grouped pending compensation deltas —
-    everything {!compute_local} needs, with no reference back to the
-    engine.  Relations inside are never mutated after capture, and the
-    compiled sweep is immutable, so the value may be shipped to a worker
-    domain. *)
+    auxiliary snapshots and the UMQ's pending-delta sums — everything
+    {!compute_local} needs, with no reference back to the engine.  The
+    compiled sweep is immutable and no relation inside changes while a
+    pool batch computes (nothing is delivered or dequeued), so the value
+    may be shipped to a worker domain. *)
 
 val prepare_local :
   Query_engine.t ->

@@ -240,8 +240,9 @@ let maintain_group ?(compensate = true) ?(overlap = false) ?local
           let key = (Update.source u, Update.rel u) in
           (match Hashtbl.find_opt groups key with
           | Some (d, ids) ->
-              Hashtbl.replace groups key
-                (Relation.sum d (Update.delta u), Update_msg.id m :: ids)
+              (* [d] is the group's private copy: add in place. *)
+              Relation.sum_in_place d (Update.delta u);
+              Hashtbl.replace groups key (d, Update_msg.id m :: ids)
           | None ->
               order := key :: !order;
               Hashtbl.replace groups key
@@ -254,8 +255,9 @@ let maintain_group ?(compensate = true) ?(overlap = false) ?local
     let total = ref None in
     let processed = ref [] in
     let add_delta dv =
-      total :=
-        Some (match !total with None -> dv | Some acc -> Relation.sum acc dv)
+      match !total with
+      | None -> total := Some dv
+      | Some acc -> Relation.sum_in_place acc dv
     in
     let pivot_of (source, rel) =
       List.find_opt

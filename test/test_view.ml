@@ -79,6 +79,192 @@ let test_umq_pending_index () =
   Alcotest.(check int) "other rel empty" 0
     (List.length (Umq.pending_dus q ~source:"ds" ~rel:"Other"))
 
+(* -- UMQ pending-delta sums ------------------------------------------
+
+   Random operation sequences over two identical queues: [eager] is read
+   after every step, so its sums always exist and are maintained by
+   every admission and removal; [lazy_] is read only at the sequence's
+   compensation reads, so its sums are built at random depths.  Two
+   delta schemas share relation R, deltas carry both signs; R@ds is fed
+   by [enqueue], R@dsd through the sequencer. *)
+
+let schema_b = Schema.of_list [ Attr.int "k"; Attr.int "v" ]
+
+let du_delta ~wide entries =
+  if wide then
+    Relation.of_counted schema_b
+      (List.map (fun (k, c) -> ([ Value.int k; Value.int (k mod 2) ], c)) entries)
+  else Relation.of_counted schema (List.map (fun (k, c) -> ([ Value.int k ], c)) entries)
+
+(* What the sequencer source sends as sequence number [s]. *)
+let seq_payload s =
+  Update_msg.Du
+    (Update.make ~source:"dsd" ~rel:"R"
+       (du_delta ~wide:(s mod 2 = 1) [ (s mod 4, if s mod 3 = 0 then -1 else 1) ]))
+
+type umq_op =
+  | Enq of bool * (int * int) list  (** DU on R@ds: wide schema?, (k, count) *)
+  | Enq_sc
+  | Deliver of int  (** sequence number; duplicates and gaps included *)
+  | Remove_head
+  | Remove_entry of int
+  | Replace of int * int * int  (** shuffle seed, merge start, merge length *)
+  | Read of int list * int option  (** exclusion ids, commit-time frontier *)
+
+let pp_umq_op ppf = function
+  | Enq (w, es) ->
+      Fmt.pf ppf "Enq(%b,%a)" w Fmt.(Dump.list (Dump.pair int int)) es
+  | Enq_sc -> Fmt.string ppf "Enq_sc"
+  | Deliver s -> Fmt.pf ppf "Deliver %d" s
+  | Remove_head -> Fmt.string ppf "Remove_head"
+  | Remove_entry i -> Fmt.pf ppf "Remove_entry %d" i
+  | Replace (a, b, c) -> Fmt.pf ppf "Replace(%d,%d,%d)" a b c
+  | Read (ex, after) ->
+      Fmt.pf ppf "Read(%a,%a)" Fmt.(Dump.list int) ex Fmt.(Dump.option int) after
+
+let gen_umq_op =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 5,
+          map2
+            (fun w es -> Enq (w, es))
+            bool
+            (list_size (int_range 0 3) (pair (int_range 0 3) (int_range (-2) 2))) );
+        (1, return Enq_sc);
+        (4, map (fun s -> Deliver s) (int_range 0 30));
+        (3, return Remove_head);
+        (2, map (fun i -> Remove_entry i) nat);
+        (2, map3 (fun a b c -> Replace (a, b, c)) nat nat (int_range 1 4));
+        ( 3,
+          map2
+            (fun ex after -> Read (ex, after))
+            (list_size (int_range 0 4) (int_range 0 40))
+            (opt (int_range 0 30)) );
+      ])
+
+(* The grouping SWEEP used before the queue kept sums: filter the pending
+   DUs, then sum per delta schema in first-seen order. *)
+let reference_sums q ~source ~rel ~exclude ~after =
+  List.fold_left
+    (fun groups (m, u) ->
+      if
+        List.mem (Update_msg.id m) exclude
+        || match after with Some t -> Update_msg.commit_time m > t | None -> false
+      then groups
+      else
+        let rec add = function
+          | [] -> [ (Update.schema u, Relation.copy (Update.delta u), 1) ]
+          | (s, d, n) :: rest when Schema.equal s (Update.schema u) ->
+              (s, Relation.sum d (Update.delta u), n + 1) :: rest
+          | g :: rest -> g :: add rest
+        in
+        add groups)
+    [] (Umq.pending_dus q ~source ~rel)
+
+let sums_agree q ~source ~rel ~exclude ~after =
+  let got = Umq.pending_sums ?after q ~source ~rel ~exclude in
+  let want = reference_sums q ~source ~rel ~exclude ~after in
+  List.length got = List.length want
+  && List.for_all2
+       (fun (g : Umq.pending_sum) (s, d, n) ->
+         g.count > 0 && g.count = n && Schema.equal g.schema s
+         && Relation.equal g.sum d)
+       got want
+
+(* The index agrees with the queue itself: R's DUs, in commit order. *)
+let index_agrees q ~source ~rel =
+  let queued =
+    List.filter
+      (fun m ->
+        Update_msg.is_du m
+        && String.equal (Update_msg.source m) source
+        && String.equal (Update_msg.rel m) rel)
+      (Umq.messages q)
+    |> List.sort (fun a b -> compare (Update_msg.id a) (Update_msg.id b))
+  in
+  List.map Update_msg.id queued
+  = List.map (fun (m, _) -> Update_msg.id m) (Umq.pending_dus q ~source ~rel)
+
+let keys = [ ("ds", "R"); ("dsd", "R") ]
+
+let step q ~clock op =
+  match op with
+  | Enq (wide, es) ->
+      ignore
+        (Umq.enqueue q ~commit_time:(float_of_int clock) ~source_version:clock
+           (Update_msg.Du (Update.make ~source:"ds" ~rel:"R" (du_delta ~wide es))))
+  | Enq_sc ->
+      ignore
+        (Umq.enqueue q ~commit_time:(float_of_int clock) ~source_version:clock
+           (sc_payload ()))
+  | Deliver s ->
+      ignore
+        (Umq.deliver q ~source:"dsd" ~seq:s ~commit_time:(float_of_int s)
+           ~source_version:s (seq_payload s))
+  | Remove_head -> Umq.remove_head q
+  | Remove_entry i -> (
+      match Umq.entries q with
+      | [] -> ()
+      | es -> Umq.remove_entry q (List.nth es (i mod List.length es)))
+  | Replace (seed, start, len) ->
+      let rng = Random.State.make [| seed |] in
+      let shuffled =
+        List.map (fun e -> (Random.State.bits rng, e)) (Umq.entries q)
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+        |> List.map snd
+      in
+      let n = List.length shuffled in
+      let start = if n = 0 then 0 else start mod n in
+      let inside i = i >= start && i < start + len in
+      let merged =
+        List.filteri (fun i _ -> inside i) shuffled
+        |> List.concat_map Umq.entry_messages
+      in
+      Umq.replace q
+        (List.concat
+           (List.mapi
+              (fun i e ->
+                if not (inside i) then [ e ]
+                else if i = start then [ Umq.Batch merged ]
+                else [])
+              shuffled))
+  | Read _ -> ()
+
+let prop_umq_sums =
+  QCheck.Test.make ~name:"UMQ sums = per-schema sums of pending DUs" ~count:300
+    (QCheck.make
+       ~print:Fmt.(str "%a" (Dump.list pp_umq_op))
+       QCheck.Gen.(list_size (int_range 0 40) gen_umq_op))
+    (fun ops ->
+      let eager = Umq.create () and lazy_ = Umq.create () in
+      List.iter (fun q -> Umq.ensure_source q ~source:"dsd" ~first_seq:0) [ eager; lazy_ ];
+      let ok = ref true in
+      let check q ~exclude ~after =
+        List.iter
+          (fun (source, rel) ->
+            if
+              not
+                (index_agrees q ~source ~rel
+                && sums_agree q ~source ~rel ~exclude ~after)
+            then ok := false)
+          keys
+      in
+      List.iteri
+        (fun clock op ->
+          step eager ~clock op;
+          step lazy_ ~clock op;
+          check eager ~exclude:[] ~after:None;
+          match op with
+          | Read (exclude, after) ->
+              let after = Option.map float_of_int after in
+              check eager ~exclude ~after;
+              check lazy_ ~exclude ~after
+          | _ -> ())
+        ops;
+      check lazy_ ~exclude:[] ~after:None;
+      !ok)
+
 let view_q () =
   Query.make ~name:"V"
     ~select:[ Query.item "R.k" ]
@@ -197,6 +383,7 @@ let () =
           Alcotest.test_case "remove head" `Quick test_umq_remove_head;
           Alcotest.test_case "replace preserves updates" `Quick test_umq_replace_invariant;
           Alcotest.test_case "pending-DU index" `Quick test_umq_pending_index;
+          QCheck_alcotest.to_alcotest prop_umq_sums;
         ] );
       ( "view definition & extent",
         [
