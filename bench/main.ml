@@ -436,7 +436,7 @@ let json_entries : (string * int * float) list ref = ref []
 let record_json ~op ~n ns = json_entries := (op, n, ns) :: !json_entries
 
 (* Shared JSON emission for the result-writing experiments (join, net,
-   overlap, selfmaint, scale, mcore): every document is kept in memory
+   overlap, selfmaint, scale): every document is kept in memory
    for [--check] and written to [--json] through one code path. *)
 let bench_docs : (string, Dyno_jsonv.Jsonv.t) Hashtbl.t = Hashtbl.create 4
 
@@ -777,7 +777,6 @@ let overlap_bench () =
             du_group = 1;
             parallel;
             self_maint = false;
-            runtime = `Simulated;
           }
         engine mv mk
     in
@@ -1079,7 +1078,6 @@ let scale_bench () =
         metrics = Dyno_obs.Metrics.create ~enabled:true ();
         series = Dyno_obs.Timeseries.disabled;
         lineage = Dyno_obs.Lineage.disabled;
-        hostprof = Dyno_obs.Hostprof.disabled;
       }
     in
     let trace = Dyno_sim.Trace.create ~enabled:false () in
@@ -1201,314 +1199,6 @@ let scale_bench () =
   emit_json ~experiment:"scale" (Dyno_jsonv.Jsonv.Arr entries)
 
 (* ------------------------------------------------------------------ *)
-(* Multicore: local-sweep compute on worker domains (REAL wall-clock)   *)
-(* ------------------------------------------------------------------ *)
-
-(* Six single-relation sources, chain-join view over a multiplicity
-   cluster: every join key appears [mult] times in every relation, so a
-   one-tuple delta fans out to ~mult^(n-1) joined rows and each local
-   sweep is genuinely CPU-heavy.  With self-maintenance on, every sweep
-   is fully covered and runs as pure compute over immutable snapshots —
-   exactly the unit [--runtime domains:N] relocates to worker domains,
-   while admission, the UMQ sequencer and commits stay serial on the
-   coordinator and are identical across legs.
-
-   Unlike every other figure, the times here are HOST wall-clock
-   seconds (monotonic gettimeofday): the simulated clock is asserted
-   byte-identical across legs, the question is how fast the host turns
-   the crank.  [domains:1] runs the same pool code path with zero
-   spawned workers, so speedup_vs_1 isolates actual parallelism from
-   pool bookkeeping. *)
-let mcore_bench () =
-  header
-    "Multicore - local sweeps on worker domains (REAL wall-clock seconds)";
-  Fmt.pr
-    "6 single-relation sources, chain-join view, every key x%d per \
-     relation: each DU's@.covered sweep joins ~mult^5 rows of pure \
-     compute.  Legs rerun the identical@.workload under --runtime \
-     domains:1/2/4; extents and simulated cost are asserted@.identical, \
-     wall-clock is the measurement.@.@."
-    (if !fast then 4 else 6);
-  let cores = Domain.recommended_domain_count () in
-  Fmt.pr "host cores: %d%s@.@." cores
-    (if cores < 4 then
-       "  (speedup is bounded by the host; the 2.5x target applies at >= 4 \
-        cores)"
-     else "");
-  let n_sources = 6 in
-  let n_keys = 8 in
-  let mult = if !fast then 4 else 6 in
-  let base_rows = n_keys * mult in
-  let src i = Fmt.str "S%d" i in
-  let rel i = Fmt.str "T%d" i in
-  let key i = Fmt.str "K%d" i in
-  let schema i =
-    Schema.of_list [ Attr.int (key i); Attr.int (Fmt.str "A%d" i) ]
-  in
-  let query =
-    Query.make ~name:"MC"
-      ~select:
-        (List.concat_map
-           (fun i ->
-             [
-               Query.item (Fmt.str "%s.%s" (rel i) (key i));
-               Query.item (Fmt.str "%s.A%d" (rel i) i);
-             ])
-           (List.init n_sources (fun i -> i + 1)))
-      ~from:
-        (List.init n_sources (fun i ->
-             let i = i + 1 in
-             Query.table (src i) (rel i)))
-      ~where:
-        (List.init (n_sources - 1) (fun i ->
-             let i = i + 1 in
-             Predicate.eq_attr
-               (Fmt.str "%s.%s" (rel i) (key i))
-               (Fmt.str "%s.%s" (rel (i + 1)) (key (i + 1)))))
-  in
-  let build_registry () =
-    let reg = Dyno_source.Registry.create () in
-    for i = 1 to n_sources do
-      Dyno_source.Registry.register reg
-        (Dyno_source.Data_source.create (src i));
-      let s = Dyno_source.Registry.find reg (src i) in
-      Dyno_source.Data_source.add_relation s (rel i) (schema i);
-      Dyno_source.Data_source.load s (rel i)
-        (List.init base_rows (fun k ->
-             [ Value.int (k mod n_keys); Value.int ((k * 3) + i) ]))
-    done;
-    reg
-  in
-  (* Insert/delete wave pairs: wave 2t inserts one row on the key
-     cluster at every source, wave 2t+1 deletes it again, so the extent
-     stays bounded while every single delta pays the full fan-out.  All
-     commits land within the first second, so the UMQ always holds
-     full-width antichains for [--parallel]. *)
-  let n_waves = if !fast then 10 else 40 in
-  let build_timeline () =
-    let tl = Dyno_sim.Timeline.create () in
-    for j = 0 to n_waves - 1 do
-      for i = 1 to n_sources do
-        let t = j / 2 in
-        let row =
-          [ Value.int (t mod n_keys); Value.int (100_000 + (t * 10) + i) ]
-        in
-        let mku = if j mod 2 = 0 then Update.insert else Update.delete in
-        Dyno_sim.Timeline.schedule tl
-          ~time:(0.001 *. float_of_int ((j * n_sources) + i))
-          (Dyno_sim.Timeline.Du
-             (mku ~source:(src i) ~rel:(rel i) (schema i) row))
-      done
-    done;
-    tl
-  in
-  let cost =
-    {
-      Dyno_sim.Cost_model.default with
-      query_latency = 1.0;
-      row_scale = 1.0;
-    }
-  in
-  let run ?(obs = Dyno_obs.Obs.disabled) ~runtime () =
-    let reg = build_registry () in
-    let umq = Dyno_view.Umq.create () in
-    let trace = Dyno_sim.Trace.create ~enabled:false () in
-    let engine =
-      Dyno_view.Query_engine.create ~trace ~obs ~cost ~registry:reg
-        ~timeline:(build_timeline ()) ~umq ()
-    in
-    let vd =
-      Dyno_view.View_def.create
-        ~schemas:
-          (List.init n_sources (fun i ->
-               let i = i + 1 in
-               (rel i, schema i)))
-        query
-    in
-    let mv = Dyno_view.Mat_view.create vd (Relation.create Schema.empty) in
-    let env (tr : Query.table_ref) =
-      Dyno_source.Data_source.relation
-        (Dyno_source.Registry.find reg tr.source)
-        tr.rel
-    in
-    Dyno_view.Mat_view.replace mv ~at:0.0 ~maintained:[]
-      (Eval.run
-         ~planner:(Dyno_view.Query_engine.planner engine)
-         ~catalog:env query);
-    let mk = Dyno_source.Meta_knowledge.create () in
-    let t0 = Unix.gettimeofday () in
-    let stats =
-      Scheduler.run
-        ~config:
-          Run_config.(
-            of_strategy Strategy.Pessimistic
-            |> with_parallel n_sources |> with_self_maint true
-            |> with_runtime runtime)
-        engine mv mk
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    (stats, wall, Dyno_view.Mat_view.extent mv)
-  in
-  (* Reference leg (the default backend) pins semantics and warms the
-     allocator; each domains leg then reports its best of [reps] runs
-     (min is the standard wall-clock noise filter). *)
-  let stats_ref, _, extent_ref = run ~runtime:`Simulated () in
-  let reps = if !fast then 2 else 3 in
-  let measure d =
-    let best = ref infinity and stats = ref stats_ref in
-    let extent = ref extent_ref in
-    for _ = 1 to reps do
-      let s, w, e = run ~runtime:(`Domains d) () in
-      if w < !best then best := w;
-      stats := s;
-      extent := e
-    done;
-    (!stats, !best, !extent)
-  in
-  let legs = [ 1; 2; 4 ] in
-  let results =
-    List.map
-      (fun d ->
-        let stats, wall, extent = measure d in
-        if not (Relation.equal extent extent_ref) then begin
-          Fmt.epr "mcore bench: extent diverged at domains:%d@." d;
-          exit 1
-        end;
-        if Float.abs (stats.Stats.busy -. stats_ref.Stats.busy) > 1e-9 then begin
-          Fmt.epr
-            "mcore bench: simulated cost diverged at domains:%d (%g vs %g)@."
-            d stats.Stats.busy stats_ref.Stats.busy;
-          exit 1
-        end;
-        if stats.Stats.mcore_tasks = 0 then begin
-          Fmt.epr "mcore bench: no sweep ran on the pool at domains:%d@." d;
-          exit 1
-        end;
-        (d, stats, wall))
-      legs
-  in
-  let wall1 =
-    match results with (1, _, w) :: _ -> w | _ -> assert false
-  in
-  (* Overhead probe + per-domain utilization: rerun each leg with ONLY
-     the host profiler enabled (spans/metrics/lineage stay disabled), so
-     the wall-clock delta against the unprofiled leg isolates the
-     profiler itself. *)
-  let module Hp = Dyno_obs.Hostprof in
-  let measure_profiled d =
-    let best = ref infinity in
-    let summary = ref None in
-    for _ = 1 to reps do
-      let obs =
-        {
-          Dyno_obs.Obs.spans = Dyno_obs.Span.disabled;
-          metrics = Dyno_obs.Metrics.disabled;
-          series = Dyno_obs.Timeseries.disabled;
-          lineage = Dyno_obs.Lineage.disabled;
-          hostprof = Hp.create ();
-        }
-      in
-      let stats, w, extent = run ~obs ~runtime:(`Domains d) () in
-      if
-        (not (Relation.equal extent extent_ref))
-        || Float.abs (stats.Stats.busy -. stats_ref.Stats.busy) > 1e-9
-      then begin
-        Fmt.epr "mcore bench: profiled run diverged at domains:%d@." d;
-        exit 1
-      end;
-      if w < !best then begin
-        best := w;
-        summary := Some (Hp.drain (Dyno_obs.Obs.hostprof obs))
-      end
-    done;
-    (!best, Option.get !summary)
-  in
-  let profiled = List.map (fun d -> (d, measure_profiled d)) legs in
-  Fmt.pr "%9s  %12s  %12s  %11s  %8s  %9s  %8s@." "domains" "wall (s)"
-    "busy (sim)" "pool tasks" "speedup" "imbalance" "overhead";
-  let entries =
-    List.map
-      (fun (d, (stats : Stats.t), wall) ->
-        let speedup = wall1 /. wall in
-        let pwall, psum = List.assoc d profiled in
-        let overhead_pct =
-          if wall > 0.0 then (pwall -. wall) /. wall *. 100.0 else 0.0
-        in
-        Fmt.pr "%9d  %12.3f  %12.1f  %11d  %7.2fx  %9.2f  %+6.1f%%@." d wall
-          stats.Stats.busy stats.Stats.mcore_tasks speedup
-          psum.Hp.imbalance overhead_pct;
-        Fmt.pr "%9s  per-domain utilization: %s@." ""
-          (String.concat "  "
-             (List.map
-                (fun (ds : Hp.domain_summary) ->
-                  Fmt.str "%d:%.0f%%" ds.Hp.domain
-                    (100.0 *. ds.Hp.utilization))
-                psum.Hp.domains));
-        let open Dyno_jsonv.Jsonv in
-        Obj
-          [
-            ("domains", Num (float_of_int d));
-            ("host_cores", Num (float_of_int cores));
-            ("wall_s", Num wall);
-            ("busy_s", Num stats.Stats.busy);
-            ("mcore_tasks", Num (float_of_int stats.Stats.mcore_tasks));
-            ("speedup_vs_1", Num speedup);
-            ("imbalance", Num psum.Hp.imbalance);
-            ( "util",
-              Arr
-                (List.map
-                   (fun (ds : Hp.domain_summary) -> Num ds.Hp.utilization)
-                   psum.Hp.domains) );
-            ("profiled_wall_s", Num pwall);
-            ("profiler_overhead_pct", Num overhead_pct);
-          ])
-      results
-  in
-  Fmt.pr
-    "@.(extents and simulated busy identical across legs; domains:1 is \
-     the same pool code@.path with no workers, so speedup isolates \
-     parallelism from pool overhead;@.imbalance/utilization/overhead \
-     come from a profiler-on rerun of each leg)@.";
-  (* Profiler overhead budget: <= 2% host wall-clock at domains:4.
-     Like the speedup target, only enforced where the measurement is
-     stable (full-size run on a wide-enough host); elsewhere it is
-     reported above but not gated. *)
-  (if cores >= 4 && not !fast then
-     let wall4 =
-       List.fold_left
-         (fun acc (d, _, w) -> if d = 4 then w else acc)
-         0.0 results
-     in
-     let pwall4 = fst (List.assoc 4 profiled) in
-     let overhead4 =
-       if wall4 > 0.0 then (pwall4 -. wall4) /. wall4 *. 100.0 else 0.0
-     in
-     if overhead4 > 2.0 then begin
-       Fmt.epr
-         "mcore bench: profiler overhead %.1f%% at domains:4 exceeds the \
-          2%% budget@."
-         overhead4;
-       exit 1
-     end);
-  (* The acceptance target is a property of parallel hardware: enforce
-     it only where the host can physically express it, and only on the
-     full-size run ([--fast] legs are too short for stable ratios). *)
-  (if cores >= 4 && not !fast then
-     let speedup4 =
-       List.fold_left
-         (fun acc (d, _, wall) -> if d = 4 then wall1 /. wall else acc)
-         0.0 results
-     in
-     if speedup4 < 2.5 then begin
-       Fmt.epr
-         "mcore bench: speedup %.2fx at domains:4 below the 2.5x target \
-          (%d-core host)@."
-         speedup4 cores;
-       exit 1
-     end);
-  emit_json ~experiment:"mcore" (Dyno_jsonv.Jsonv.Arr entries)
-
-(* ------------------------------------------------------------------ *)
 (* Regression gate: compare this run's results against a baseline file  *)
 (* ------------------------------------------------------------------ *)
 
@@ -1536,8 +1226,6 @@ let check_regressions () =
         then Some "overlap"
         else if List.exists (fun o -> get_num "du_per_s" o <> None) base_entries
         then Some "scale"
-        else if List.exists (fun o -> get_num "domains" o <> None) base_entries
-        then Some "mcore"
         (* selfmaint entries also carry a [loss] field — test before net *)
         else if
           List.exists (fun o -> get_num "pct_avoided" o <> None) base_entries
@@ -1685,44 +1373,6 @@ let check_regressions () =
                               Fmt.pr "  %-36s (not in this run; skipped)@."
                                 (Fmt.str "%.0f shards" sh))
                       | None -> ())
-                  | "mcore" -> (
-                      (* wall-clock ratios (not absolute times): the
-                         speedup at each domain count is portable across
-                         hosts, raw wall_s is not compared *)
-                      match get_num "domains" b with
-                      | Some d -> (
-                          let same c = get_num "domains" c = Some d in
-                          match find (fun _ -> same) b with
-                          | Some c -> (
-                              match
-                                ( get_num "speedup_vs_1" b,
-                                  get_num "speedup_vs_1" c )
-                              with
-                              | Some bv, Some cv -> (
-                                  (* a host with fewer cores than the leg's
-                                     domain count cannot express the
-                                     baseline's parallelism — not a
-                                     regression *)
-                                  match get_num "host_cores" c with
-                                  | Some hc when hc < d ->
-                                      Fmt.pr
-                                        "  %-36s (host has %.0f cores; \
-                                         skipped)@."
-                                        (Fmt.str "speedup_vs_1 (domains:%.0f)"
-                                           d)
-                                        hc
-                                  | _ ->
-                                      cmp
-                                        ~label:
-                                          (Fmt.str "speedup_vs_1 \
-                                                    (domains:%.0f)" d)
-                                        ~base_v:bv ~cur_v:cv
-                                        ~higher_better:true)
-                              | _ -> ())
-                          | None ->
-                              Fmt.pr "  %-36s (not in this run; skipped)@."
-                                (Fmt.str "domains:%.0f" d))
-                      | None -> ())
                   | "selfmaint" -> (
                       (* probes avoided per loss point (higher is better)
                          plus the self-maintaining run's busy time; a
@@ -1824,7 +1474,6 @@ let experiments =
     ("overlap", overlap_bench);
     ("selfmaint", selfmaint_bench);
     ("scale", scale_bench);
-    ("mcore", mcore_bench);
   ]
 
 (* The one source of truth for what exists: both [--list] and the
@@ -1840,8 +1489,8 @@ let () =
       ("--rows", Arg.Set_int rows, "physical rows per relation (default 500; logical is always 100k via cost scaling)");
       ("--fast", Arg.Set fast, "fewer sweep points / smaller join sizes");
       ("--quota", Arg.Set_float quota, "bechamel quota per micro-bench, seconds (default 0.5)");
-      ("--json", Arg.Set_string json_path, "write the join/net/overlap/selfmaint/scale/mcore results to this JSON file");
-      ("--check", Arg.Set_string check_path, "compare this run's join/net/overlap/selfmaint/scale/mcore results against a baseline JSON file; exit 1 on regression");
+      ("--json", Arg.Set_string json_path, "write the join/net/overlap/selfmaint/scale results to this JSON file");
+      ("--check", Arg.Set_string check_path, "compare this run's join/net/overlap/selfmaint/scale results against a baseline JSON file; exit 1 on regression");
       ("--tolerance", Arg.Set_float tolerance, "allowed regression for --check, percent (default 25)");
     ]
   in

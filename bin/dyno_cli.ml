@@ -19,9 +19,26 @@ open Dyno_core
 
 (* ---- shared options ------------------------------------------------ *)
 
+(* [conv] restricted to the values [ok] accepts: anything else is a usage
+   error (exit 124) whose message names the flag and [expect]. *)
+let bounded conv ~expect ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Fmt.str "%s is not %s" s expect))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:(Arg.conv_docv conv) (parse, Arg.conv_printer conv)
+
+let at_least_one = bounded Arg.int ~expect:"at least 1" (fun n -> n >= 1)
+let positive = bounded Arg.float ~expect:"positive" (fun x -> x > 0.0)
+
+let probability =
+  bounded Arg.float ~expect:"in [0, 1]" (fun p -> p >= 0.0 && p <= 1.0)
+
 let rows =
   let doc = "Physical tuples per relation (cost model scales to 100k)." in
-  Arg.(value & opt int 200 & info [ "rows" ] ~docv:"N" ~doc)
+  Arg.(value & opt at_least_one 200 & info [ "rows" ] ~docv:"N" ~doc)
 
 let dus =
   let doc = "Number of data updates." in
@@ -69,16 +86,22 @@ let report_flag =
 (* ---- transport-fault options --------------------------------------- *)
 
 let loss =
-  let doc = "P[one update-message transmission is lost] (retransmitted)." in
-  Arg.(value & opt float 0.0 & info [ "loss" ] ~docv:"P" ~doc)
+  let doc =
+    "P[one update-message transmission is lost] (retransmitted); below 1, \
+     or no message would ever arrive."
+  in
+  let loss_probability =
+    bounded Arg.float ~expect:"in [0, 1)" (fun p -> p >= 0.0 && p < 1.0)
+  in
+  Arg.(value & opt loss_probability 0.0 & info [ "loss" ] ~docv:"P" ~doc)
 
 let dup =
   let doc = "P[an update message is delivered twice]." in
-  Arg.(value & opt float 0.0 & info [ "dup" ] ~docv:"P" ~doc)
+  Arg.(value & opt probability 0.0 & info [ "dup" ] ~docv:"P" ~doc)
 
 let reorder =
   let doc = "P[an update message is held back past its successors]." in
-  Arg.(value & opt float 0.0 & info [ "reorder" ] ~docv:"P" ~doc)
+  Arg.(value & opt probability 0.0 & info [ "reorder" ] ~docv:"P" ~doc)
 
 let jitter =
   let doc = "Max extra uniform delivery delay per message, seconds." in
@@ -166,61 +189,6 @@ let critical_path_flag =
   in
   Arg.(value & flag & info [ "critical-path" ] ~doc)
 
-let profile_out =
-  let doc =
-    "Profile the worker-domain pool on the host clock and write the \
-     per-domain timelines (busy/idle/GC split, utilization, chunk and \
-     task events, GC deltas) as JSON to $(docv).  Only the 'domains:N' \
-     runtime has a pool to profile; combine with --trace-out for a \
-     merged dual-clock Perfetto trace."
-  in
-  Arg.(
-    value & opt (some string) None & info [ "profile-out" ] ~docv:"FILE" ~doc)
-
-let host_flag =
-  let doc =
-    "Print the host-runtime profile: a per-domain utilization table \
-     (busy/idle/GC split) plus the slowest offloaded sweeps by host \
-     compute time.  Requires --runtime domains:N."
-  in
-  Arg.(value & flag & info [ "host" ] ~doc)
-
-(* The per-domain host table `dyno report --host` prints (and `run
-   --profile-out` summarizes): one row per pool participant, from the
-   drained profiler. *)
-let host_section (obs : Dyno_obs.Obs.t) =
-  let open Dyno_obs in
-  let hp = Obs.hostprof obs in
-  if Hostprof.enabled hp then begin
-    let s = Hostprof.drain hp in
-    if s.Hostprof.domains = [] then
-      Fmt.pr
-        "@.host profile: no worker-domain pool ran (use --runtime \
-         domains:N)@."
-    else begin
-      Fmt.pr "@.host profile (wall %.3fs, imbalance %.2f):@."
-        s.Hostprof.wall_s s.Hostprof.imbalance;
-      Fmt.pr "  %-6s %-12s %6s %9s %9s %9s %7s %7s %9s@." "domain" "role"
-        "util" "busy(s)" "idle(s)" "gc(s)" "tasks" "chunks" "minor-gcs";
-      List.iter
-        (fun (d : Hostprof.domain_summary) ->
-          Fmt.pr "  %-6d %-12s %5.1f%% %9.4f %9.4f %9.4f %7d %7d %9d@."
-            d.Hostprof.domain d.Hostprof.role
-            (100.0 *. d.Hostprof.utilization)
-            d.Hostprof.busy_s d.Hostprof.idle_s d.Hostprof.gc_s
-            d.Hostprof.tasks d.Hostprof.chunks
-            d.Hostprof.gc.Hostprof.minor_collections)
-        s.Hostprof.domains;
-      match s.Hostprof.slowest with
-      | [] -> ()
-      | slowest ->
-          Fmt.pr "  slowest offloaded sweeps (host compute):@.";
-          List.iter
-            (fun (tag, secs) -> Fmt.pr "    msg %-5d %.6fs@." tag secs)
-            slowest
-    end
-  end
-
 let write_file path contents =
   let oc = open_out path in
   output_string oc contents;
@@ -237,7 +205,7 @@ let sample_interval =
   in
   Arg.(
     value
-    & opt (some float) None
+    & opt (some positive) None
     & info [ "sample-interval" ] ~docv:"S" ~doc)
 
 let series_out =
@@ -492,56 +460,15 @@ let shards_arg =
   let doc =
     "Shard the view manager across $(docv) partitions of the sources,      each shard owning its own update queue, transport channel and      exactly-once sequencer.  Shard-local data updates drain      independently; schema changes serialize at a cross-shard barrier.       1 is the classic single view manager."
   in
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
-
-let runtime_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "simulated" -> Ok `Simulated
-    | s -> (
-        match String.index_opt s ':' with
-        | Some i when String.sub s 0 i = "domains" -> (
-            let n = String.sub s (i + 1) (String.length s - i - 1) in
-            match int_of_string_opt n with
-            | Some d when d >= 1 -> Ok (`Domains d)
-            | _ -> Error (`Msg (Fmt.str "invalid domain count %S" n)))
-        | _ ->
-            Error
-              (`Msg
-                 (Fmt.str
-                    "unknown runtime %S (expected 'simulated' or 'domains:N')"
-                    s)))
-  in
-  let print ppf = function
-    | `Simulated -> Fmt.string ppf "simulated"
-    | `Domains d -> Fmt.pf ppf "domains:%d" d
-  in
-  Arg.conv (parse, print)
-
-let runtime_arg =
-  let doc =
-    "Execution backend: 'simulated' (default; the single-threaded \
-     cooperative executor, byte-identical to historical runs) or \
-     'domains:N' (evaluate fully-covered local maintenance sweeps on N \
-     OCaml 5 worker domains; admission, sequencing, commits and the \
-     simulated clock stay on the coordinator, so the final extent and \
-     consistency verdicts are unchanged).  Only compute the \
-     self-maintenance tier answers locally parallelizes — combine with \
-     --self-maint and --parallel."
-  in
-  Arg.(
-    value
-    & opt runtime_conv `Simulated
-    & info [ "runtime" ] ~docv:"RUNTIME" ~doc)
+  Arg.(value & opt at_least_one 1 & info [ "shards" ] ~docv:"N" ~doc)
 
 (* The one place CLI flags turn into the shared scheduler run record. *)
-let run_config_of ~strategy ~no_compensation ~parallel ~self_maint ~runtime =
+let run_config_of ~strategy ~no_compensation ~parallel ~self_maint =
   Run_config.(
     of_strategy strategy
     |> with_compensate (not no_compensation)
     |> with_parallel parallel
-    |> with_self_maint self_maint
-    |> with_runtime runtime)
+    |> with_self_maint self_maint)
 
 (* ...and the one place they turn into the world-construction record. *)
 let scenario_config_of ~rows ~cost ~trace ~faults ~net_seed ~obs ~shards =
@@ -559,10 +486,10 @@ let timeline_of ~rows ~seed ~dus ~du_interval ~scs ~sc_interval =
 
 let run_cmd =
   let action rows dus scs du_interval sc_interval seed strategy trace
-      no_compensation report multi parallel self_maint runtime shards loss dup
-      reorder jitter reorder_delay outages net_seed json_file trace_out
-      metrics_out lineage_out no_lineage sample_interval series_out
-      openmetrics_out profile_out slos slo_exit watch =
+      no_compensation report multi parallel self_maint shards loss dup reorder
+      jitter reorder_delay outages net_seed json_file trace_out metrics_out
+      lineage_out no_lineage sample_interval series_out openmetrics_out slos
+      slo_exit watch =
     let timeline =
       timeline_of ~rows ~seed ~dus ~du_interval ~scs ~sc_interval
     in
@@ -575,12 +502,9 @@ let run_cmd =
     let obs =
       if
         trace_out <> None || metrics_out <> None || openmetrics_out <> None
-        || lineage_out <> None || profile_out <> None || slos <> []
-        || interval <> None
+        || lineage_out <> None || slos <> [] || interval <> None
       then
-        Dyno_obs.Obs.create ?sample_interval:interval
-          ~lineage:(not no_lineage)
-          ~hostprof:(profile_out <> None)
+        Dyno_obs.Obs.create ?sample_interval:interval ~lineage:(not no_lineage)
           ()
       else Dyno_obs.Obs.disabled
     in
@@ -623,9 +547,8 @@ let run_cmd =
         let stats =
           Multi_scheduler.run
             ~config:
-              (run_config_of ~strategy ~no_compensation ~parallel ~self_maint
-               ~runtime)
-            t.Scenario.engine m t.Scenario.mk
+              (run_config_of ~strategy ~no_compensation ~parallel ~self_maint)
+            ~plan:t.Scenario.plan t.Scenario.engine m t.Scenario.mk
         in
         List.iteri
           (fun i mv ->
@@ -638,8 +561,7 @@ let run_cmd =
       else
         Scenario.run t
           ~config:
-            (run_config_of ~strategy ~no_compensation ~parallel ~self_maint
-               ~runtime)
+            (run_config_of ~strategy ~no_compensation ~parallel ~self_maint)
     in
     if trace then Fmt.pr "%a@.@." Dyno_sim.Trace.pp t.Scenario.trace;
     if report then Fmt.pr "%a@.@." Report.pp (Report.of_trace t.Scenario.trace);
@@ -662,20 +584,8 @@ let run_cmd =
         write_file f
           (Dyno_obs.Export.chrome_trace
              ~lineage:(Dyno_obs.Obs.lineage obs)
-             ~hostprof:(Dyno_obs.Obs.hostprof obs)
              (Dyno_obs.Obs.spans obs));
         Fmt.pr "chrome trace written to %s (open in ui.perfetto.dev)@." f);
-    (match profile_out with
-    | None -> ()
-    | Some f ->
-        write_file f (Dyno_obs.Hostprof.to_json (Dyno_obs.Obs.hostprof obs));
-        (if runtime = `Simulated then
-           Fmt.pr
-             "host profile written to %s (empty: the simulated runtime has \
-              no worker-domain pool — use --runtime domains:N)@."
-             f
-         else Fmt.pr "host profile written to %s@." f);
-        host_section obs);
     (match metrics_out with
     | None -> ()
     | Some f ->
@@ -700,11 +610,10 @@ let run_cmd =
     Term.(
       const action $ rows $ dus $ scs $ du_interval $ sc_interval $ seed
       $ strategy $ trace_flag $ no_compensation $ report_flag $ multi_flag
-      $ parallel_arg $ self_maint_flag $ runtime_arg $ shards_arg $ loss $ dup $ reorder
+      $ parallel_arg $ self_maint_flag $ shards_arg $ loss $ dup $ reorder
       $ jitter $ reorder_delay $ outages $ net_seed $ json_file $ trace_out
       $ metrics_out $ lineage_out $ no_lineage $ sample_interval
-      $ series_out $ openmetrics_out $ profile_out $ slo_specs $ slo_exit
-      $ watch_flag)
+      $ series_out $ openmetrics_out $ slo_specs $ slo_exit $ watch_flag)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Simulate a mixed workload under a strategy")
@@ -714,10 +623,9 @@ let run_cmd =
 
 let report_cmd =
   let action rows dus scs du_interval sc_interval seed strategy
-      no_compensation parallel self_maint runtime shards loss dup reorder
-      jitter reorder_delay outages net_seed trace_out metrics_out lineage_out
-      critical_path host sample_interval series_out openmetrics_out slos
-      slo_exit =
+      no_compensation parallel self_maint shards loss dup reorder jitter
+      reorder_delay outages net_seed trace_out metrics_out lineage_out
+      critical_path sample_interval series_out openmetrics_out slos slo_exit =
     let timeline =
       timeline_of ~rows ~seed ~dus ~du_interval ~scs ~sc_interval
     in
@@ -728,7 +636,7 @@ let report_cmd =
     let net_seed = Option.value net_seed ~default:seed in
     (* [report] always samples: the timeline section needs a series. *)
     let interval = Option.value sample_interval ~default:1.0 in
-    let obs = Dyno_obs.Obs.create ~sample_interval:interval ~hostprof:host () in
+    let obs = Dyno_obs.Obs.create ~sample_interval:interval () in
     let t =
       Scenario.make
         (scenario_config_of ~rows ~cost ~trace:false ~faults ~net_seed ~obs
@@ -738,8 +646,7 @@ let report_cmd =
     let stats =
       Scenario.run t
         ~config:
-          (run_config_of ~strategy ~no_compensation ~parallel ~self_maint
-               ~runtime)
+          (run_config_of ~strategy ~no_compensation ~parallel ~self_maint)
     in
     let spans = Dyno_obs.Obs.spans obs in
     Fmt.pr "strategy: %a@.@." Strategy.pp strategy;
@@ -750,9 +657,7 @@ let report_cmd =
     | None -> ()
     | Some f ->
         write_file f
-          (Dyno_obs.Export.chrome_trace
-             ~lineage:(Dyno_obs.Obs.lineage obs)
-             ~hostprof:(Dyno_obs.Obs.hostprof obs)
+          (Dyno_obs.Export.chrome_trace ~lineage:(Dyno_obs.Obs.lineage obs)
              spans);
         Fmt.pr "@.chrome trace written to %s (open in ui.perfetto.dev)@." f);
     (match metrics_out with
@@ -772,7 +677,6 @@ let report_cmd =
     write_openmetrics (Dyno_obs.Obs.metrics obs) openmetrics_out;
     staleness_section (Dyno_obs.Obs.metrics obs);
     shard_section (Dyno_obs.Obs.metrics obs);
-    if host then host_section obs;
     if critical_path then critical_path_section (Dyno_obs.Obs.metrics obs);
     timeline_section (Dyno_obs.Obs.series obs);
     let slo_ok = slo_section (Dyno_obs.Obs.metrics obs) slos in
@@ -783,10 +687,9 @@ let report_cmd =
     Term.(
       const action $ rows $ dus $ scs $ du_interval $ sc_interval $ seed
       $ strategy $ no_compensation $ parallel_arg $ self_maint_flag
-      $ runtime_arg $ shards_arg $ loss $ dup $ reorder $ jitter $ reorder_delay
-      $ outages $ net_seed $ trace_out $ metrics_out $ lineage_out
-      $ critical_path_flag $ host_flag $ sample_interval $ series_out
-      $ openmetrics_out $ slo_specs $ slo_exit)
+      $ shards_arg $ loss $ dup $ reorder $ jitter $ reorder_delay $ outages
+      $ net_seed $ trace_out $ metrics_out $ lineage_out $ critical_path_flag
+      $ sample_interval $ series_out $ openmetrics_out $ slo_specs $ slo_exit)
   in
   Cmd.v
     (Cmd.info "report"
@@ -853,8 +756,8 @@ let lineage_summary_table records =
 
 let explain_cmd =
   let action rows dus scs du_interval sc_interval seed strategy
-      no_compensation parallel self_maint runtime shards loss dup reorder
-      jitter reorder_delay outages net_seed msg abort_n view =
+      no_compensation parallel self_maint shards loss dup reorder jitter
+      reorder_delay outages net_seed msg abort_n view =
     let timeline =
       timeline_of ~rows ~seed ~dus ~du_interval ~scs ~sc_interval
     in
@@ -873,8 +776,7 @@ let explain_cmd =
     let (_ : Stats.t) =
       Scenario.run t
         ~config:
-          (run_config_of ~strategy ~no_compensation ~parallel ~self_maint
-               ~runtime)
+          (run_config_of ~strategy ~no_compensation ~parallel ~self_maint)
     in
     let lin = Dyno_obs.Obs.lineage obs in
     let records = Dyno_obs.Lineage.records lin in
@@ -941,8 +843,8 @@ let explain_cmd =
     Term.(
       const action $ rows $ dus $ scs $ du_interval $ sc_interval $ seed
       $ strategy $ no_compensation $ parallel_arg $ self_maint_flag
-      $ runtime_arg $ shards_arg $ loss $ dup $ reorder $ jitter $ reorder_delay
-      $ outages $ net_seed $ explain_msg $ explain_abort $ explain_view)
+      $ shards_arg $ loss $ dup $ reorder $ jitter $ reorder_delay $ outages
+      $ net_seed $ explain_msg $ explain_abort $ explain_view)
   in
   Cmd.v
     (Cmd.info "explain"

@@ -223,7 +223,6 @@ let run ?(strategy = Dyno_core.Strategy.Pessimistic) ?(compensate = true) w =
         du_group = 1;
         parallel = 1;
         self_maint = false;
-        runtime = `Simulated;
       }
     w.engine w.mv w.mk
 

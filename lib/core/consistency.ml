@@ -26,12 +26,19 @@ type mismatch = {
 
 type report = { checked : int; skipped : int; mismatches : mismatch list }
 
-let ok r = r.mismatches = []
+(* A commit without a snapshot was never checked, so it cannot count as
+   consistent. *)
+let ok r = r.mismatches = [] && r.skipped = 0
 
 let pp_report ppf r =
   if ok r then
     Fmt.pf ppf "consistent (%d commit(s) checked, %d skipped)" r.checked
       r.skipped
+  else if r.mismatches = [] then
+    Fmt.pf ppf
+      "not checked: %d of %d commit(s) have no snapshot (snapshot tracking \
+       off); %d checked"
+      r.skipped (r.checked + r.skipped) r.checked
   else
     Fmt.pf ppf "@[<v>%d INCONSISTENT commit(s) of %d:@,%a@]"
       (List.length r.mismatches)

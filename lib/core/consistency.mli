@@ -16,8 +16,12 @@ type mismatch = { commit_index : int; at : float; reason : string }
 type report = { checked : int; skipped : int; mismatches : mismatch list }
 
 val ok : report -> bool
+(** No mismatch and no skipped commit: a commit without a snapshot was
+    never checked, so a run without snapshot tracking is never [ok]. *)
 
 val pp_report : Format.formatter -> report -> unit
+(** "consistent" only when {!ok}; skipped commits are reported as not
+    checked. *)
 
 val convergent : Query_engine.t -> Mat_view.t -> (bool, string) result
 (** [Ok true] when the extent matches a recompute; [Error] when the view

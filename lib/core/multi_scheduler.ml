@@ -28,11 +28,10 @@ type config = Run_config.t = {
   du_group : int;
   parallel : int;
   self_maint : bool;
-  runtime : [ `Simulated | `Domains of int ];
 }
 
 let default_config = Run_config.default
 
-let run ?config (w : Query_engine.t) (t : t)
+let run ?config ?plan (w : Query_engine.t) (t : t)
     (mk : Dyno_source.Meta_knowledge.t) : Stats.t =
-  Scheduler.dispatch ?config w t mk
+  Scheduler.dispatch ?config ?plan w t mk

@@ -42,9 +42,6 @@ type config = Run_config.t = {
   du_group : int;
   parallel : int;
   self_maint : bool;
-  runtime : [ `Simulated | `Domains of int ];
-      (** execution backend for per-view sweep compute — see
-          {!Run_config.t} *)
 }
 
 val default_config : config
@@ -52,11 +49,15 @@ val default_config : config
 
 val run :
   ?config:config ->
+  ?plan:Shard.t ->
   Query_engine.t ->
   t ->
   Dyno_source.Meta_knowledge.t ->
   Stats.t
-(** Drain the UMQ and the timeline, maintaining every entry against every
-    view; statistics are aggregated across views.
-    @raise Invalid_argument on an empty view set.
+(** Drain the queues and the timeline, maintaining every entry against
+    every view; statistics are aggregated across views.  [plan] shards
+    the queues as in {!Shard_scheduler.run}; without it the engine must
+    have a single route.
+    @raise Invalid_argument on an empty view set, or when the engine's
+    route count differs from [plan]'s shard count (1 without a plan).
     @raise Scheduler.Step_limit_exceeded beyond [config.max_steps]. *)

@@ -40,16 +40,6 @@ type t = {
           SWEEP probes on any coverage miss or schema-change
           invalidation.  [false] (the default) is byte-identical to a
           build without the tier. *)
-  runtime : [ `Simulated | `Domains of int ];
-      (** execution backend for the CPU-heavy sweep compute.
-          [`Simulated] (the default) runs everything on the cooperative
-          effect-handler executor — single host core, deterministic,
-          byte-identical to every prior release.  [`Domains n] evaluates
-          the pure local-sweep compute of a dispatched round on a pool
-          of [n] real OCaml 5 domains ({!Dyno_sim.Domain_pool}) while
-          admission, the UMQ sequencer, probe scheduling, commits and
-          the cross-shard barrier stay serial on the coordinator domain
-          — same extents, same verdicts, real wall-clock speedup. *)
 }
 
 let default =
@@ -61,7 +51,6 @@ let default =
     du_group = 1;
     parallel = 1;
     self_maint = false;
-    runtime = `Simulated;
   }
 
 let of_strategy strategy = { default with strategy }
@@ -73,4 +62,3 @@ let with_vm_mode vm_mode t = { t with vm_mode }
 let with_du_group du_group t = { t with du_group }
 let with_parallel parallel t = { t with parallel }
 let with_self_maint self_maint t = { t with self_maint }
-let with_runtime runtime t = { t with runtime }

@@ -41,17 +41,6 @@ type t = {
           SWEEP probes on any coverage miss or schema-change
           invalidation.  [false] (the default) is byte-identical to a
           build without the tier. *)
-  runtime : [ `Simulated | `Domains of int ];
-      (** execution backend for the CPU-heavy sweep compute.
-          [`Simulated] (the default) runs everything on the cooperative
-          effect-handler executor — single host core, deterministic,
-          byte-identical to every prior release.  [`Domains n] evaluates
-          the pure local-sweep compute of a dispatched round on a pool
-          of [n] real OCaml 5 domains ({!Dyno_sim.Domain_pool}) while
-          admission, the UMQ sequencer, probe scheduling, commits and
-          the cross-shard barrier stay serial on the coordinator domain
-          — same extents, same verdicts, real wall-clock speedup (see
-          DESIGN.md §17). *)
 }
 
 val default : t
@@ -68,4 +57,3 @@ val with_vm_mode : vm_mode -> t -> t
 val with_du_group : int -> t -> t
 val with_parallel : int -> t -> t
 val with_self_maint : bool -> t -> t
-val with_runtime : [ `Simulated | `Domains of int ] -> t -> t

@@ -49,7 +49,6 @@ type config = Run_config.t = {
   du_group : int;
   parallel : int;
   self_maint : bool;
-  runtime : [ `Simulated | `Domains of int ];
 }
 
 let default_config = Run_config.default
@@ -330,47 +329,6 @@ let mirror_trace_dropped (w : Query_engine.t) : unit =
     Dyno_obs.Metrics.set_counter mx "obs.trace_dropped"
       (Dyno_sim.Trace.dropped (Query_engine.trace w))
 
-(* Fold the host profiler's rings into the metrics registry and join the
-   per-member host compute seconds back onto their lineage records.
-   Must run after the pool quiesced (post-[Domain_pool.shutdown]): the
-   worker rings are only safely readable once their domains joined.  A
-   disabled profiler makes this a no-op. *)
-let drain_hostprof (w : Query_engine.t) : unit =
-  let open Dyno_obs in
-  let obs = Query_engine.obs w in
-  let hp = Obs.hostprof obs in
-  if Hostprof.enabled hp then begin
-    let s = Hostprof.drain hp in
-    let mx = Obs.metrics obs in
-    Metrics.set_gauge mx "host.wall_s" s.Hostprof.wall_s;
-    Metrics.set_gauge mx "host.imbalance" s.Hostprof.imbalance;
-    List.iter
-      (fun d ->
-        let pre = Printf.sprintf "host.domain.%d" d.Hostprof.domain in
-        Metrics.set_gauge mx (pre ^ ".busy_s") d.Hostprof.busy_s;
-        Metrics.set_gauge mx (pre ^ ".idle_s") d.Hostprof.idle_s;
-        Metrics.set_gauge mx (pre ^ ".gc_s") d.Hostprof.gc_s;
-        Metrics.set_gauge mx (pre ^ ".utilization") d.Hostprof.utilization;
-        Metrics.set_counter mx (pre ^ ".tasks") d.Hostprof.tasks;
-        Metrics.set_counter mx (pre ^ ".minor_collections")
-          d.Hostprof.gc.Hostprof.minor_collections;
-        Metrics.set_counter mx (pre ^ ".major_collections")
-          d.Hostprof.gc.Hostprof.major_collections;
-        Metrics.set_counter mx (pre ^ ".events_dropped")
-          d.Hostprof.events_dropped)
-      s.Hostprof.domains;
-    (* host_compute_s attribution: keyed by the dispatched member id the
-       round executor tags pool tasks with; [Lineage.note] is
-       non-charging, so the simulated cost model is untouched. *)
-    let lin = Obs.lineage obs in
-    List.iter
-      (fun (tag, secs) ->
-        Lineage.note lin ~ids:[ tag ] ~time:(Query_engine.now w)
-          ~kind:"host_compute_s"
-          ~detail:(Printf.sprintf "%.6fs on worker-domain pool" secs))
-      s.Hostprof.attributions
-  end
-
 (* ---- The dispatch core ---- *)
 
 (* One view of the run.  [applied] is used by view sets only: the queued
@@ -393,7 +351,6 @@ type core = {
   umqs : Umq.t array;  (** one queue, or one per shard *)
   owner : string -> int;  (** index of the queue a source's updates ride *)
   views : view list;
-  pool : Domain_pool.t option;
   sp : Dyno_obs.Span.recorder;
   mx : Dyno_obs.Metrics.t;
   lin : Dyno_obs.Lineage.t;
@@ -631,82 +588,15 @@ type member = {
   thread : string;  (** span thread of the member's sweep task *)
 }
 
-(* Evaluate a dispatched round's fully-covered local sweeps on the
-   worker-domain pool.  Phase A (coordinator): run each member's
-   {!Dyno_vm.Vm.prepare_sweep} prelude in round order, capturing pure
-   compute inputs with exclusion sets already frozen.  Phase B: one pool
-   batch over {!Dyno_vm.Sweep.compute_local} — pure CPU, no engine,
-   clock or observability access on the workers.  Phase C (coordinator):
-   replay the local-answer bookkeeping for each harvested result.  The
-   returned array holds [Some swept] for members decided here; [None]
-   members still need the cooperative probed path on the executor.
-   Admission, commits and the simulated clock never leave the
-   coordinator, so Theorems 1–2 are untouched: this only relocates
-   compute the cooperative path would have run inline at dispatch
-   time. *)
-let pool_sweeps c (pool : Domain_pool.t) (members : member array) :
-    Dyno_vm.Vm.swept option array =
-  let prepared =
-    Array.map
-      (fun mb ->
-        Dyno_vm.Vm.prepare_sweep ~compensate:c.config.compensate
-          ~applied:mb.view.applied ~exclude_extra:mb.exclude
-          ?local:mb.view.local c.w mb.view.mv mb.msg mb.du)
-      members
-  in
-  let offload = ref [] in
-  Array.iteri
-    (fun i p ->
-      match p with
-      | Dyno_vm.Vm.Offloadable input -> offload := (i, input) :: !offload
-      | Dyno_vm.Vm.Settled _ | Dyno_vm.Vm.Needs_probes -> ())
-    prepared;
-  let offload = Array.of_list (List.rev !offload) in
-  let outs =
-    (* Tag each pool task with its member's message id so the host
-       profiler can attribute compute seconds back onto the lineage
-       record (a no-op when the profiler is off). *)
-    Domain_pool.run_all
-      ~tags:(Array.map (fun (i, _) -> Update_msg.id members.(i).msg) offload)
-      pool
-      (Array.map
-         (fun (_, input) () -> Dyno_vm.Sweep.compute_local input)
-         offload)
-  in
-  c.stats.Stats.mcore_tasks <- c.stats.Stats.mcore_tasks + Array.length offload;
-  let results =
-    Array.map
-      (function Dyno_vm.Vm.Settled s -> Some s | _ -> None)
-      prepared
-  in
-  Array.iteri
-    (fun k (i, input) ->
-      match outs.(k) with
-      | Some ((dv, st) as ok) ->
-          let mb = members.(i) in
-          Dyno_obs.Lineage.set_scope c.lin [ Update_msg.id mb.msg ];
-          (match mb.view.local with
-          | Some l -> Dyno_vm.Sweep.record_local c.w ~local:l input ok
-          | None -> ());
-          results.(i) <- Some (Dyno_vm.Vm.Swept (dv, st))
-      | None ->
-          (* The pure compute fell back (a local evaluation failed); let
-             the probed path decide, exactly as the inline path would. *)
-          ())
-    offload;
-  results
-
 (* One concurrent round — an antichain of one view's data updates, one
    data update across the views of a set, or every shard's prefix.  The
    sweeps, probe round trips included, run as cooperative executor tasks
-   and overlap on the wire (with [pool], the [`Domains _] runtime,
-   fully-covered local sweeps are evaluated on worker domains first;
-   only the remainder takes the executor).  Refreshes then commit
-   serially at the barrier, in member order, stopping at the first failed
-   member; [commit] runs after each successful commit.  Later members'
-   results are discarded: exclusion sets were fixed at dispatch, so a
-   re-sweep compensates correctly.  Returns how many members committed
-   and the first failure ([Done] when every member committed). *)
+   and overlap on the wire.  Refreshes then commit serially at the
+   barrier, in member order, stopping at the first failed member;
+   [commit] runs after each successful commit.  Later members' results
+   are discarded: exclusion sets were fixed at dispatch, so a re-sweep
+   compensates correctly.  Returns how many members committed and the
+   first failure ([Done] when every member committed). *)
 let round c ~(commit : member -> Dyno_vm.Vm.outcome -> unit)
     (members : member list) : int * step_outcome =
   let members = Array.of_list members in
@@ -714,38 +604,27 @@ let round c ~(commit : member -> Dyno_vm.Vm.outcome -> unit)
   Dyno_obs.Metrics.set_gauge c.mx "sched.inflight" (float_of_int k);
   Dyno_obs.Metrics.observe c.mx "sched.antichain_size" (float_of_int k);
   let t0 = now c in
-  let results =
-    match c.pool with
-    | None -> Array.make k None
-    | Some pool -> pool_sweeps c pool members
-  in
+  let results = Array.make k None in
   let spent = Array.make k 0.0 in
   let thunks =
-    List.concat
-      (List.mapi
-         (fun i mb ->
-           if results.(i) <> None then []
-           else
-             [
-               (fun () ->
-                 Dyno_obs.Span.with_span c.sp
-                   ~now:(fun () -> now c)
-                   ~thread:mb.thread Dyno_obs.Span.Task
-                   (Fmt.str "maintain #%d" (Update_msg.id mb.msg))
-                   (fun _ ->
-                     (* Scope this task's context to its update so probe
-                        round-trips land on the right lineage record. *)
-                     Dyno_obs.Lineage.set_scope c.lin [ Update_msg.id mb.msg ];
-                     let ts = now c in
-                     results.(i) <-
-                       Some
-                         (Dyno_vm.Vm.maintain_sweep
-                            ~compensate:c.config.compensate
-                            ~applied:mb.view.applied ~exclude_extra:mb.exclude
-                            ?local:mb.view.local c.w mb.view.mv mb.msg mb.du);
-                     spent.(i) <- now c -. ts));
-             ])
-         (Array.to_list members))
+    List.mapi
+      (fun i mb () ->
+        Dyno_obs.Span.with_span c.sp
+          ~now:(fun () -> now c)
+          ~thread:mb.thread Dyno_obs.Span.Task
+          (Fmt.str "maintain #%d" (Update_msg.id mb.msg))
+          (fun _ ->
+            (* Scope this task's context to its update so probe
+               round-trips land on the right lineage record. *)
+            Dyno_obs.Lineage.set_scope c.lin [ Update_msg.id mb.msg ];
+            let ts = now c in
+            results.(i) <-
+              Some
+                (Dyno_vm.Vm.maintain_sweep ~compensate:c.config.compensate
+                   ~applied:mb.view.applied ~exclude_extra:mb.exclude
+                   ?local:mb.view.local c.w mb.view.mv mb.msg mb.du);
+            spent.(i) <- now c -. ts))
+      (Array.to_list members)
   in
   Executor.run_all (Query_engine.executor c.w) thunks;
   if sharded c then
@@ -1260,11 +1139,18 @@ let register_series c (series : Dyno_obs.Timeseries.t) : unit =
 let dispatch ?(config = default_config) ?plan (w : Query_engine.t)
     (mvs : Mat_view.t list) (mk : Dyno_source.Meta_knowledge.t) : Stats.t =
   if mvs = [] then invalid_arg "Scheduler.dispatch: no view";
+  (* One queue per route: draining fewer queues than the engine delivers
+     to would wait forever on the rest. *)
+  let shards = match plan with Some p -> Shard.count p | None -> 1 in
+  if Query_engine.route_count w <> shards then
+    invalid_arg
+      (Fmt.str "Scheduler.dispatch: %d shard(s) but %d engine route(s)" shards
+         (Query_engine.route_count w));
   let obs = Query_engine.obs w in
   let umqs, owner =
     match plan with
-    | Some p when Shard.count p > 1 ->
-        (Array.init (Shard.count p) (Query_engine.route_umq w), Shard.owner p)
+    | Some p when shards > 1 ->
+        (Array.init shards (Query_engine.route_umq w), Shard.owner p)
     | _ -> ([| Query_engine.umq w |], fun _ -> 0)
   in
   let view mv =
@@ -1291,19 +1177,6 @@ let dispatch ?(config = default_config) ?plan (w : Query_engine.t)
     }
   in
   let views = List.map view mvs in
-  (* Multicore runtime: a fixed worker-domain pool for the lifetime of
-     the run.  [`Domains 1] still routes through the prepare/compute
-     split (serially, on the coordinator) — the honest baseline for
-     speedup measurements. *)
-  let pool =
-    match config.runtime with
-    | `Simulated -> None
-    | `Domains n ->
-        Some
-          (Domain_pool.create
-             ~profiler:(Dyno_obs.Obs.hostprof obs)
-             ~domains:n ())
-  in
   let c =
     {
       config;
@@ -1313,7 +1186,6 @@ let dispatch ?(config = default_config) ?plan (w : Query_engine.t)
       umqs;
       owner;
       views;
-      pool;
       sp = Dyno_obs.Obs.spans obs;
       mx = Dyno_obs.Obs.metrics obs;
       lin = Dyno_obs.Obs.lineage obs;
@@ -1360,12 +1232,7 @@ let dispatch ?(config = default_config) ?plan (w : Query_engine.t)
       loop ()
     end
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Option.iter Domain_pool.shutdown pool;
-      (* Rings are safe to read once the workers joined. *)
-      drain_hostprof w)
-    loop;
+  loop ();
   (* Force a final sample at quiescence so the series always ends with the
      caught-up state (staleness exactly 0). *)
   Dyno_obs.Timeseries.sample series ~now:(now c);

@@ -35,9 +35,6 @@ type config = Run_config.t = {
   du_group : int;
   parallel : int;
   self_maint : bool;
-  runtime : [ `Simulated | `Domains of int ];
-      (** execution backend for antichain sweep compute — see
-          {!Run_config.t} *)
 }
 
 val default_config : config
@@ -110,8 +107,8 @@ val dispatch :
     round width [config.parallel].  Grouping ([du_group]) needs one queue
     and one view; a view set maintains incrementally, one entry at a
     time.  Several queues detect and correct at a cross-shard barrier.
-    The caller validates [plan] against the engine's routes.
-    @raise Invalid_argument on an empty view list.
+    @raise Invalid_argument on an empty view list, or when the engine's
+    route count differs from [plan]'s shard count (1 without a plan).
     @raise Step_limit_exceeded if the loop exceeds [config.max_steps]. *)
 
 val run :
@@ -122,4 +119,5 @@ val run :
   Stats.t
 (** [run w mv mk] loops until both the UMQ and the timeline of future
     source commits are drained, and returns the collected statistics.
+    @raise Invalid_argument when the engine has more than one route.
     @raise Step_limit_exceeded if the loop exceeds [config.max_steps]. *)

@@ -2,7 +2,7 @@
 
     Scale-out slices the view manager by {e source}: every update stream
     is owned by exactly one shard, which runs its own UMQ, transport
-    channel, exactly-once sequencer and worker pool.  Per-source FIFO
+    channel and exactly-once sequencer.  Per-source FIFO
     order (the sequencer's invariant) is therefore preserved trivially —
     a source's messages never cross a shard boundary — while shards
     drain their queues independently until a schema change forces a

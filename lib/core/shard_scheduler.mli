@@ -44,7 +44,7 @@ val run :
 (** Drain every shard's UMQ and the timeline.  [config.parallel] is the
     {e per-shard} antichain width (total in-flight sweeps per round is at
     most [parallel × shards]); [config.vm_mode = Recompute] forces the
-    serial path, and [du_group] is ignored with more than one shard.  The engine must have exactly one route per shard of
-    [plan] (raises [Invalid_argument] otherwise; a 1-shard plan accepts
-    the default single route).
+    serial path, and [du_group] is ignored with more than one shard.
+    @raise Invalid_argument unless the engine has exactly one route per
+    shard of [plan] (a 1-shard plan takes the default single route).
     @raise Scheduler.Step_limit_exceeded beyond [config.max_steps]. *)

@@ -47,9 +47,6 @@ type t = {
       (** self-maintenance: estimated wire bytes the avoided probes would
           have shipped *)
   mutable net_wait : float;  (** time lost to timeouts/backoff/recovery, s *)
-  mutable mcore_tasks : int;
-      (** multicore backend: sweep computations evaluated on worker
-          domains (zero on the default simulated runtime) *)
 }
 
 let create () =
@@ -83,7 +80,6 @@ let create () =
     probes_avoided = 0;
     bytes_saved = 0;
     net_wait = 0.0;
-    mcore_tasks = 0;
   }
 
 let has_transport_activity s =
@@ -123,11 +119,7 @@ let pp ppf s =
   (* Likewise: only self-maintaining runs ever print it. *)
   if s.probes_avoided > 0 then
     Fmt.pf ppf "@,self-maintenance: %d probe(s) avoided, ~%d B saved"
-      s.probes_avoided s.bytes_saved;
-  (* Likewise: only [--runtime domains:N] runs ever print it. *)
-  if s.mcore_tasks > 0 then
-    Fmt.pf ppf "@,multicore: %d sweep task(s) on worker domains"
-      s.mcore_tasks
+      s.probes_avoided s.bytes_saved
 
 (** Machine-readable JSON rendering (mirrors the bench's [--json]
     output style; no external JSON dependency). *)
@@ -169,8 +161,5 @@ let to_json_string s =
   add "\"probes_avoided\": %d" s.probes_avoided;
   add "\"bytes_saved\": %d" s.bytes_saved;
   add "\"net_wait\": %.6f" s.net_wait;
-  (* Conditional for the same reason as the [pp] sections: the default
-     simulated runtime's JSON stays byte-identical across releases. *)
-  if s.mcore_tasks > 0 then add "\"mcore_tasks\": %d" s.mcore_tasks;
   Buffer.add_string b "\n}";
   Buffer.contents b

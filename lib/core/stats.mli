@@ -42,9 +42,6 @@ type t = {
       (** self-maintenance: estimated wire bytes the avoided probes would
           have shipped *)
   mutable net_wait : float;  (** time lost to timeouts/backoff/recovery, s *)
-  mutable mcore_tasks : int;
-      (** multicore backend: sweep computations evaluated on worker
-          domains (zero on the default simulated runtime) *)
 }
 
 val create : unit -> t
@@ -58,6 +55,4 @@ val pp : Format.formatter -> t -> unit
     output. *)
 
 val to_json_string : t -> string
-(** Machine-readable JSON rendering of every field.  [mcore_tasks] is
-    emitted only when nonzero, so the default simulated runtime's JSON
-    stays byte-identical across releases. *)
+(** Machine-readable JSON rendering of every field. *)

@@ -29,18 +29,12 @@ let attrs_json attrs =
              attrs)
       ^ "}"
 
-(** [chrome_trace ?lineage ?hostprof r] — the complete trace as one JSON
-    document.  With [lineage], each admitted update additionally
-    contributes a Perfetto {e flow} — a start ("s") at commit, a step
-    ("t") per dispatch and a finish ("f") at its terminal event —
-    rendered as a clickable arrow chain following the update across
-    threads.  With [hostprof], the trace is {e dual-clock}: pid 2 adds
-    one host-clock track per pool domain (sweep tasks with GC-delta
-    args, idle parks, chunk grabs, worker joins) alongside the pid 1
-    simulated-clock tracks.  Host timestamps are µs since the
-    profiler's origin — the two clocks share a file, not an epoch. *)
-let chrome_trace ?(lineage = Lineage.disabled) ?(hostprof = Hostprof.disabled)
-    (r : Span.recorder) : string =
+(** [chrome_trace ?lineage r] — the complete trace as one JSON document.
+    With [lineage], each admitted update additionally contributes a
+    Perfetto {e flow} — a start ("s") at commit, a step ("t") per
+    dispatch and a finish ("f") at its terminal event — rendered as a
+    clickable arrow chain following the update across threads. *)
+let chrome_trace ?(lineage = Lineage.disabled) (r : Span.recorder) : string =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
   let sep = ref "" in
@@ -106,71 +100,6 @@ let chrome_trace ?(lineage = Lineage.disabled) ?(hostprof = Hostprof.disabled)
           flow "f" ~bp:", \"bp\": \"e\"" finish_at
         end)
       (Lineage.records lineage);
-  if Hostprof.enabled hostprof then begin
-    let tl = Hostprof.timelines hostprof in
-    if tl <> [] then begin
-      let origin = (Hostprof.drain hostprof).Hostprof.origin in
-      add
-        "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 2, \"tid\": 0, \
-         \"args\": {\"name\": \"host runtime\"}}";
-      List.iter
-        (fun ((d : Hostprof.domain_summary), events) ->
-          add
-            (Fmt.str
-               "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 2, \
-                \"tid\": %d, \"args\": {\"name\": %s}}"
-               d.Hostprof.domain
-               (Json.quote
-                  (Fmt.str "domain %d (%s)" d.Hostprof.domain d.Hostprof.role)));
-          let tid = d.Hostprof.domain in
-          List.iter
-            (fun (ev : Hostprof.event) ->
-              match ev with
-              | Hostprof.Task { tag; t0; t1; gc } ->
-                  add
-                    (Fmt.str
-                       "{\"name\": %s, \"cat\": \"host\", \"ph\": \"X\", \
-                        \"ts\": %.3f, \"dur\": %.3f, \"pid\": 2, \"tid\": %d, \
-                        \"args\": {\"minor_words\": %.1f, \"major_words\": \
-                        %.1f, \"minor_collections\": %d, \
-                        \"major_collections\": %d}}"
-                       (Json.quote
-                          (if tag >= 0 then Fmt.str "sweep msg %d" tag
-                           else "task"))
-                       (us (t0 -. origin))
-                       (us (t1 -. t0))
-                       tid gc.Hostprof.minor_words gc.Hostprof.major_words
-                       gc.Hostprof.minor_collections
-                       gc.Hostprof.major_collections)
-              | Hostprof.Idle { t0; t1 } ->
-                  add
-                    (Fmt.str
-                       "{\"name\": \"idle\", \"cat\": \"host\", \"ph\": \
-                        \"X\", \"ts\": %.3f, \"dur\": %.3f, \"pid\": 2, \
-                        \"tid\": %d, \"args\": {}}"
-                       (us (t0 -. origin))
-                       (us (t1 -. t0))
-                       tid)
-              | Hostprof.Chunk { at; first; len } ->
-                  add
-                    (Fmt.str
-                       "{\"name\": \"chunk\", \"cat\": \"host\", \"ph\": \
-                        \"i\", \"ts\": %.3f, \"pid\": 2, \"tid\": %d, \"s\": \
-                        \"t\", \"args\": {\"first\": %d, \"len\": %d}}"
-                       (us (at -. origin))
-                       tid first len)
-              | Hostprof.Join { at } ->
-                  add
-                    (Fmt.str
-                       "{\"name\": \"join\", \"cat\": \"host\", \"ph\": \
-                        \"i\", \"ts\": %.3f, \"pid\": 2, \"tid\": %d, \"s\": \
-                        \"t\", \"args\": {}}"
-                       (us (at -. origin))
-                       tid))
-            events)
-        tl
-    end
-  end;
   Buffer.add_string b "\n]}";
   Buffer.contents b
 

@@ -2,18 +2,14 @@
     JSONL span/event dump, and a busy/abort/idle/net-wait cost breakdown
     computed from spans alone. *)
 
-val chrome_trace :
-  ?lineage:Lineage.t -> ?hostprof:Hostprof.t -> Span.recorder -> string
+val chrome_trace : ?lineage:Lineage.t -> Span.recorder -> string
 (** A complete Chrome trace-event JSON document:
     [{"displayTimeUnit": ..., "traceEvents": [...]}] with [ph]/[ts]/[dur]/
     [pid]/[tid] objects — timestamps in µs of simulated time, pid 1, tid 0
     the scheduler and one tid per source (named via [thread_name]
     metadata).  With [lineage], each admitted update adds a Perfetto flow
     ("s"/"t"/"f" events sharing the message id) tracing its journey from
-    commit through every dispatch to its terminal state.  With an enabled
-    [hostprof], the file is {e dual-clock}: pid 2 adds one host-clock
-    track per worker-pool domain (offloaded sweeps with GC-delta args,
-    idle parks, chunk grabs, joins), µs since the profiler's origin. *)
+    commit through every dispatch to its terminal state. *)
 
 val spans_jsonl : Span.recorder -> string
 (** One JSON object per line per span/event. *)

@@ -14,19 +14,14 @@ type t = {
   metrics : Metrics.t;
   series : Timeseries.t;
   lineage : Lineage.t;
-  hostprof : Hostprof.t;
 }
 
-(** [create ?enabled ?sample_interval ?lineage ?hostprof ()] —
-    [sample_interval] (simulated seconds) turns on the time-series
-    sampler; without it the sampler is the no-op {!Timeseries.disabled}
-    (spans and metrics still record).  [lineage] (default true) turns on
-    per-update causal lineage; pass [~lineage:false] for an
-    obs-on/lineage-off run.  [hostprof] (default false) turns on the
-    host-clock domain-pool profiler — off by default because it reads
-    the host clock on every pool event. *)
-let create ?(enabled = true) ?sample_interval ?(lineage = true)
-    ?(hostprof = false) () =
+(** [create ?enabled ?sample_interval ?lineage ()] — [sample_interval]
+    (simulated seconds) turns on the time-series sampler; without it the
+    sampler is the no-op {!Timeseries.disabled} (spans and metrics still
+    record).  [lineage] (default true) turns on per-update causal
+    lineage; pass [~lineage:false] for an obs-on/lineage-off run. *)
+let create ?(enabled = true) ?sample_interval ?(lineage = true) () =
   let metrics = Metrics.create ~enabled () in
   {
     spans = Span.create ~enabled ();
@@ -38,23 +33,18 @@ let create ?(enabled = true) ?sample_interval ?(lineage = true)
     lineage =
       (if enabled && lineage then Lineage.create ~metrics ()
        else Lineage.disabled);
-    hostprof =
-      (if enabled && hostprof then Hostprof.create ()
-       else Hostprof.disabled);
   }
 
 (** The shared no-op handle (the engine's default). *)
 let disabled =
   { spans = Span.disabled; metrics = Metrics.disabled;
-    series = Timeseries.disabled; lineage = Lineage.disabled;
-    hostprof = Hostprof.disabled }
+    series = Timeseries.disabled; lineage = Lineage.disabled }
 
 let enabled t = Span.enabled t.spans
 let spans t = t.spans
 let metrics t = t.metrics
 let series t = t.series
 let lineage t = t.lineage
-let hostprof t = t.hostprof
 
 let clear t =
   Span.clear t.spans;

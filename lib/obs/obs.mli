@@ -8,21 +8,14 @@ type t = {
   metrics : Metrics.t;
   series : Timeseries.t;
   lineage : Lineage.t;
-  hostprof : Hostprof.t;
 }
 
 val create :
-  ?enabled:bool ->
-  ?sample_interval:float ->
-  ?lineage:bool ->
-  ?hostprof:bool ->
-  unit ->
-  t
+  ?enabled:bool -> ?sample_interval:float -> ?lineage:bool -> unit -> t
 (** [sample_interval] (simulated seconds) turns on the time-series
     sampler; without it the sampler is {!Timeseries.disabled} while spans
     and metrics still record.  [lineage] (default true) turns on
-    per-update causal lineage recording.  [hostprof] (default false)
-    turns on the host-clock domain-pool profiler. *)
+    per-update causal lineage recording. *)
 
 val disabled : t
 (** The shared no-op handle (the engine's default). *)
@@ -32,5 +25,4 @@ val spans : t -> Span.recorder
 val metrics : t -> Metrics.t
 val series : t -> Timeseries.t
 val lineage : t -> Lineage.t
-val hostprof : t -> Hostprof.t
 val clear : t -> unit

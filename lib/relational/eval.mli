@@ -63,7 +63,7 @@ type prepared
     predicate partition, every attribute position, compiled local and
     residual predicates, constant-equality index keys, per-step join keys
     and the output projection.  Immutable, so it may be shared across
-    executions and domains. *)
+    executions. *)
 
 val prepare : Query.t -> (string * Schema.t) list -> prepared
 (** [prepare q schemas] plans [q] with [schemas] bound to its aliases.

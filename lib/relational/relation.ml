@@ -101,33 +101,17 @@ let copy r =
 (* Secondary indexes                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The find-or-build of [ensure_index_pos] is the one relational code
-   path that MUTATES shared state from reader positions: the multicore
-   backend evaluates sweeps over shared immutable snapshots on worker
-   domains, and two workers probing the same base relation may race to
-   build the same lazy index.  One global lock serializes registration
-   (builds are rare — once per (relation, key) — so contention is nil);
-   an index is registered only after its build scan completes, so a
-   probe through a found index never observes a half-built table.
-   Tuple data itself is never mutated during a parallel batch: commits
-   are coordinator-only and strictly serial (DESIGN.md §17). *)
-let index_registry_lock = Mutex.create ()
-
 (** [ensure_index_pos r positions] returns the registered index keyed on
     exactly [positions], building (one O(n) scan) and registering it first
-    if absent.  Once registered it is maintained incrementally by {!add}.
-    Thread-safe: find-or-build is serialized across domains. *)
+    if absent.  Once registered it is maintained incrementally by {!add}. *)
 let ensure_index_pos r (positions : int array) =
-  Mutex.protect index_registry_lock (fun () ->
-      match
-        List.find_opt (fun ix -> Index.same_key ix positions) !(r.indexes)
-      with
-      | Some ix -> ix
-      | None ->
-          let ix = Index.create positions in
-          iter (fun t c -> Index.update ix t c) r;
-          r.indexes := ix :: !(r.indexes);
-          ix)
+  match List.find_opt (fun ix -> Index.same_key ix positions) !(r.indexes) with
+  | Some ix -> ix
+  | None ->
+      let ix = Index.create positions in
+      iter (fun t c -> Index.update ix t c) r;
+      r.indexes := ix :: !(r.indexes);
+      ix
 
 (** [find_index_pos r positions] — the registered index keyed on exactly
     [positions], if one has already been built: {!ensure_index_pos}

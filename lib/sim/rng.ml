@@ -14,19 +14,6 @@ let split t =
   let s = Random.State.int t 0x3FFFFFFF in
   make s
 
-(** [branches t n] derives [n] independent child generators from ONE
-    parent draw: each child is seeded by [base + i], never by sharing
-    the parent's mutable state.  This is the only sanctioned way to
-    hand randomness to worker domains — a child stream can cross a
-    domain boundary because it is a fresh [Random.State], while [t]
-    itself (like every [Rng.t]) is single-domain mutable state and
-    stays with its creator.  Consuming exactly one parent draw keeps
-    the parent's stream position independent of [n]. *)
-let branches t n =
-  if n < 0 then invalid_arg "Rng.branches: negative count";
-  let base = Random.State.int t 0x3FFFFFFF in
-  Array.init n (fun i -> make (base + i))
-
 let int t bound = Random.State.int t bound
 
 (** [int_in t lo hi] uniform in the inclusive range [lo..hi]. *)

@@ -1,13 +1,5 @@
 (** Deterministic random number generation for workloads: explicit
-    seeding and splitting so experiments are exactly reproducible.
-
-    DOMAIN SAFETY: an [Rng.t] is single-domain mutable state — it is
-    coordinator-only, like every stateful module in this simulator
-    ([Executor], [Timeline], [Trace], [Clock], the UMQ and the
-    schedulers).  Nothing in the worker-domain compute path
-    ([Domain_pool] tasks) may draw from a shared [Rng.t]; when a
-    parallel stage needs randomness, derive per-task child streams
-    up front with [branches] and move each child, not the parent. *)
+    seeding and splitting so experiments are exactly reproducible. *)
 
 type t
 
@@ -15,13 +7,6 @@ val make : int -> t
 
 val split : t -> t
 (** Derive an independent generator; the parent advances. *)
-
-val branches : t -> int -> t array
-(** [branches t n] derives [n] independent child generators from a
-    single parent draw.  Children are seeded by value (seed derivation,
-    never a shared [Random.State] ref), so each may safely move to a
-    worker domain.  The parent advances by exactly one draw regardless
-    of [n]. *)
 
 val int : t -> int -> int
 val int_in : t -> int -> int -> int

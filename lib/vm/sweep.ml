@@ -166,7 +166,7 @@ let delta_view ?(compensate = true) (w : Query_engine.t)
     end
   with Failed f -> Error f
 
-(* [delta_view_local w sw ~delta ~exclude ~local] — the self-maintenance
+(** [delta_view_local w sw ~delta ~exclude ~local] — the self-maintenance
     path: the same sweep as {!delta_view}, but every probe is answered by
     its local plan over the auxiliary projection of the probed alias
     instead of a round trip through {!Query_engine.execute_timed}.
@@ -181,176 +181,116 @@ let delta_view ?(compensate = true) (w : Query_engine.t)
     compensation here subtracts {e all} pending unmaintained updates on
     the probed relation — no answer-time cutoff: the local join happens
     "now", after every delivered commit.  The local path never parks, so
-    no delivery can interleave mid-sweep even under parallel rounds.
+    no delivery can interleave mid-sweep even under parallel rounds, and
+    the UMQ's live sums stay valid for the whole sweep.
 
     The work is local view-manager computation and is not charged on the
     simulated clock (same bargain as compensation); a {!Dyno_obs.Span.Local}
     span marks it so reports can split local vs probed cost. *)
-(** The local sweep is split into a {e prepare} phase (coordinator-only:
-    reads the engine's auxiliary data and pending queues) and a pure
-    {e compute} phase over the captured snapshot.  The inline simulated
-    path composes them back to back; the multicore runtime prepares every
-    round member on the coordinator, ships the captured inputs to worker
-    domains, and replays the bookkeeping ({!record_local}) when the
-    results come home.  The split is sound because the local path never
-    parks: between prepare and compute no delivery, commit or clock
-    movement can change what the sweep would read. *)
-type local_input = {
-  in_sweep : Maint_query.sweep;
-  in_planner : Eval.plan;
-  in_partial0 : Relation.t;  (** initial partial (pivot ⋈ delta, filtered) *)
-  in_auxes : (Maint_query.probe * Relation.t * Relation.t list) list;
-      (** per swept alias: (probe, auxiliary data, the UMQ's pending-DU
-          sums per delta schema, exclusion set already left out).  Sums
-          with nothing left out are the queue's live ones: safe to ship,
-          because nothing is delivered or dequeued while a pool batch
-          computes. *)
-}
-
-let prepare_local (w : Query_engine.t) (sw : Maint_query.sweep)
-    ~(delta : Relation.t) ~(exclude : int list) ~(local : local) :
-    local_input option =
-  try
-    (* Coverage check up front: every non-pivot alias must have current
-       auxiliary data carrying all the attributes its probe needs (the
-       projection may legitimately carry more — counts sum out). *)
-    let auxes =
-      List.map
-        (fun (p : Maint_query.probe) ->
-          let tr = p.Maint_query.table in
-          match local.aux tr.Query.alias with
-          | None -> raise Exit
-          | Some r ->
-              let s = Relation.schema r in
-              if
-                not (List.for_all (Schema.mem s) p.Maint_query.needed)
-              then raise Exit;
-              (* Pending unmaintained DUs on the probed relation — all of
-                 them, no answer-time cutoff: the auxiliary data already
-                 reflects every delivered commit. *)
-              ( p,
-                r,
-                List.map
-                  (fun (g : Umq.pending_sum) -> g.sum)
-                  (Query_engine.pending_sums w ~source:tr.Query.source
-                     ~rel:tr.Query.rel ~exclude) ))
-        sw.Maint_query.probes
-    in
-    Some
-      {
-        in_sweep = sw;
-        in_planner = Query_engine.planner w;
-        in_partial0 = Maint_query.start sw delta;
-        in_auxes = auxes;
-      }
-  with Exit -> None
-
-let compute_local (i : local_input) : (Relation.t * stats) option =
-  try
-    let partial = ref i.in_partial0 in
-    if Relation.is_empty !partial then
-      (* Filtered out locally — the probed path sends no probes either. *)
-      Some (Relation.create (Maint_query.output_schema i.in_sweep), no_stats)
-    else begin
-      let stats = ref no_stats in
-      List.iter
-        (fun ((p : Maint_query.probe), aux_data, combineds) ->
-          let answer =
-            Eval.execute ~planner:i.in_planner p.Maint_query.local_plan
-              [ aux_data; !partial ]
-          in
-          (* Wire-cost estimate for the round trip this replaced: the
-             partial shipped out plus the answer shipped back, 8 bytes a
-             field. *)
-          let est r =
-            8 * Relation.support r
-            * List.length (Schema.attrs (Relation.schema r))
-          in
-          stats :=
-            {
-              !stats with
-              probes_avoided = !stats.probes_avoided + 1;
-              bytes_saved = !stats.bytes_saved + est !partial + est answer;
-            };
-          let compensated =
-            List.fold_left
-              (fun acc combined ->
-                let contribution =
-                  Eval.execute ~planner:i.in_planner p.Maint_query.plan
-                    [ combined; !partial ]
-                in
-                if Relation.is_empty contribution then acc
-                else begin
-                  stats :=
-                    {
-                      !stats with
-                      compensations = !stats.compensations + 1;
-                      comp_tuples =
-                        !stats.comp_tuples + Relation.mass contribution;
-                    };
-                  Relation.diff acc contribution
-                end)
-              answer combineds
-          in
-          partial := compensated)
-        i.in_auxes;
-      Some (Maint_query.finish i.in_sweep !partial, !stats)
-    end
-  with Eval.Error _ ->
-    (* A local evaluation the probed path might survive (or surface as
-       Broken, triggering correction) — fall back rather than guess. *)
-    None
-
-(* The span name of a local sweep; formatted only when spans record. *)
-let local_span_name sp (sw : Maint_query.sweep) =
-  if Dyno_obs.Span.enabled sp then
-    Fmt.str "local:%s:%s" sw.Maint_query.view sw.Maint_query.pivot.Query.alias
-  else ""
-
-let record_local (w : Query_engine.t) ~(local : local) (i : local_input)
-    ((_, st) : Relation.t * stats) : unit =
-  let sp = Dyno_obs.Obs.spans (Query_engine.obs w) in
-  let id =
-    Dyno_obs.Span.begin_span sp ~time:(Query_engine.now w)
-      Dyno_obs.Span.Local
-      (local_span_name sp i.in_sweep)
-  in
-  Dyno_obs.Span.set_attr sp id "probes_avoided"
-    (string_of_int st.probes_avoided);
-  Dyno_obs.Span.end_span sp ~time:(Query_engine.now w) id;
-  local.note_avoided ~probes:st.probes_avoided ~bytes:st.bytes_saved;
-  let lin = Dyno_obs.Obs.lineage (Query_engine.obs w) in
-  if Dyno_obs.Lineage.enabled lin then
-    Dyno_obs.Lineage.note_scope lin ~time:(Query_engine.now w)
-      ~kind:"local-answer"
-      ~detail:
-        (Fmt.str
-           "self-maintenance tier answered locally: %d probe(s) avoided, \
-            %d byte(s) saved"
-           st.probes_avoided st.bytes_saved)
-
 let delta_view_local (w : Query_engine.t) (sw : Maint_query.sweep)
     ~(delta : Relation.t) ~(exclude : int list) ~(local : local) :
     (Relation.t * stats) option =
-  match prepare_local w sw ~delta ~exclude ~local with
+  (* Coverage check up front: every non-pivot alias must have current
+     auxiliary data carrying all the attributes its probe needs (the
+     projection may legitimately carry more — counts sum out).  Each
+     covered alias comes with the pending unmaintained DUs on the probed
+     relation — all of them, no answer-time cutoff: the auxiliary data
+     already reflects every delivered commit. *)
+  let rec cover acc = function
+    | [] -> Some (List.rev acc)
+    | (p : Maint_query.probe) :: rest -> (
+        let tr = p.Maint_query.table in
+        match local.aux tr.Query.alias with
+        | Some r
+          when List.for_all (Schema.mem (Relation.schema r)) p.Maint_query.needed
+          ->
+            let pending =
+              Query_engine.pending_sums w ~source:tr.Query.source
+                ~rel:tr.Query.rel ~exclude
+            in
+            cover ((p, r, pending) :: acc) rest
+        | _ -> None)
+  in
+  match cover [] sw.Maint_query.probes with
   | None -> None
-  | Some input ->
-      if Relation.is_empty input.in_partial0 then
+  | Some auxes ->
+      let partial0 = Maint_query.start sw delta in
+      if Relation.is_empty partial0 then
         (* Filtered out locally — no span, matching the probed path which
            sends no probes either. *)
         Some (Relation.create (Maint_query.output_schema sw), no_stats)
       else begin
-        match compute_local input with
-        | Some ok ->
-            record_local w ~local input ok;
+        let planner = Query_engine.planner w in
+        (* Wire-cost estimate for a round trip replaced: the partial
+           shipped out plus the answer shipped back, 8 bytes a field. *)
+        let est r =
+          8 * Relation.support r * List.length (Schema.attrs (Relation.schema r))
+        in
+        let sweep () =
+          let partial, st =
+            List.fold_left
+              (fun (partial, st) ((p : Maint_query.probe), aux_data, pending) ->
+                let answer =
+                  Eval.execute ~planner p.Maint_query.local_plan
+                    [ aux_data; partial ]
+                in
+                let st =
+                  {
+                    st with
+                    probes_avoided = st.probes_avoided + 1;
+                    bytes_saved = st.bytes_saved + est partial + est answer;
+                  }
+                in
+                List.fold_left
+                  (fun (acc, st) { Umq.sum; _ } ->
+                    let contribution =
+                      Eval.execute ~planner p.Maint_query.plan [ sum; partial ]
+                    in
+                    if Relation.is_empty contribution then (acc, st)
+                    else
+                      ( Relation.diff acc contribution,
+                        {
+                          st with
+                          compensations = st.compensations + 1;
+                          comp_tuples =
+                            st.comp_tuples + Relation.mass contribution;
+                        } ))
+                  (answer, st) pending)
+              (partial0, no_stats) auxes
+          in
+          (Maint_query.finish sw partial, st)
+        in
+        let sp = Dyno_obs.Obs.spans (Query_engine.obs w) in
+        let mark key value =
+          let id =
+            Dyno_obs.Span.begin_span sp ~time:(Query_engine.now w)
+              Dyno_obs.Span.Local
+              (if Dyno_obs.Span.enabled sp then
+                 Fmt.str "local:%s:%s" sw.Maint_query.view
+                   sw.Maint_query.pivot.Query.alias
+               else "")
+          in
+          Dyno_obs.Span.set_attr sp id key value;
+          Dyno_obs.Span.end_span sp ~time:(Query_engine.now w) id
+        in
+        match sweep () with
+        | (_, st) as ok ->
+            mark "probes_avoided" (string_of_int st.probes_avoided);
+            local.note_avoided ~probes:st.probes_avoided ~bytes:st.bytes_saved;
+            let lin = Dyno_obs.Obs.lineage (Query_engine.obs w) in
+            if Dyno_obs.Lineage.enabled lin then
+              Dyno_obs.Lineage.note_scope lin ~time:(Query_engine.now w)
+                ~kind:"local-answer"
+                ~detail:
+                  (Fmt.str
+                     "self-maintenance tier answered locally: %d probe(s) \
+                      avoided, %d byte(s) saved"
+                     st.probes_avoided st.bytes_saved);
             Some ok
-        | None ->
-            let sp = Dyno_obs.Obs.spans (Query_engine.obs w) in
-            let sid =
-              Dyno_obs.Span.begin_span sp ~time:(Query_engine.now w)
-                Dyno_obs.Span.Local (local_span_name sp sw)
-            in
-            Dyno_obs.Span.set_attr sp sid "fallback" "true";
-            Dyno_obs.Span.end_span sp ~time:(Query_engine.now w) sid;
+        | exception Eval.Error _ ->
+            (* A local evaluation the probed path might survive (or
+               surface as Broken, triggering correction) — fall back
+               rather than guess. *)
+            mark "fallback" "true";
             None
       end

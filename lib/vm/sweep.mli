@@ -50,43 +50,6 @@ val delta_view :
     maintained (never compensated against itself) plus, in multi-view
     mode, every queued update this view has already applied. *)
 
-type local_input
-(** A local sweep captured at dispatch: the compiled sweep, pivot delta,
-    auxiliary snapshots and the UMQ's pending-delta sums — everything
-    {!compute_local} needs, with no reference back to the engine.  The
-    compiled sweep is immutable and no relation inside changes while a
-    pool batch computes (nothing is delivered or dequeued), so the value
-    may be shipped to a worker domain. *)
-
-val prepare_local :
-  Query_engine.t ->
-  Maint_query.sweep ->
-  delta:Relation.t ->
-  exclude:int list ->
-  local:local ->
-  local_input option
-(** Coordinator-only phase of the local sweep: checks that every swept
-    alias has current auxiliary data covering its needed attributes and
-    captures the inputs.  [None] means the coverage check failed — the
-    caller falls back to the probed path. *)
-
-val compute_local : local_input -> (Relation.t * stats) option
-(** Pure compute phase: the sweep itself — per-alias local probe answers
-    (each probe's local plan over the auxiliary data) and compensation
-    (its probe plan over the pending deltas) on the captured snapshot.
-    Touches no engine, observability or simulated-clock state, so it is
-    safe to evaluate on a worker domain ({!Dyno_sim.Domain_pool}).
-    [None] means a local evaluation failed and the probed path must
-    decide. *)
-
-val record_local :
-  Query_engine.t -> local:local -> local_input -> Relation.t * stats -> unit
-(** Coordinator-side bookkeeping for a successful {!compute_local}
-    result: the {!Dyno_obs.Span.Local} span, avoided-probe accounting
-    callback and lineage note the inline path emits.  The multicore
-    scheduler calls this while harvesting worker results; the ambient
-    lineage scope must already name the maintained update. *)
-
 val delta_view_local :
   Query_engine.t ->
   Maint_query.sweep ->
@@ -103,5 +66,4 @@ val delta_view_local :
     commit, which is exactly a probe answer after compensation, so the
     computed view delta is identical).  Returns [None] — caller falls
     back to the probed path — when any swept alias lacks current covering
-    auxiliary data or a local evaluation fails.  Equivalent to
-    {!prepare_local} + {!compute_local} + {!record_local}. *)
+    auxiliary data or a local evaluation fails. *)

@@ -116,38 +116,6 @@ let maintain_sweep ?(compensate = true) ?(applied = []) ?(exclude_extra = [])
       | Error (Query_engine.Unreachable u) -> Swept_unreachable u
       | Ok (dv, stats) -> Swept (dv, stats))
 
-(** The dispatch-time split of {!maintain_sweep} the multicore runtime
-    uses: the prelude (view validity, pivot lookup, believed-schema
-    checks) and the local-sweep capture run on the coordinator; members
-    that come back [Offloadable] carry a pure {!Sweep.compute_local}
-    input a worker domain can evaluate with no engine access. *)
-type prepared =
-  | Settled of swept
-      (** decided without any sweep (irrelevant pivot or schema abort) *)
-  | Offloadable of Sweep.local_input
-      (** fully covered local sweep: compute on a worker domain, then
-          {!Sweep.record_local} + {!commit_swept} on the coordinator *)
-  | Needs_probes
-      (** not locally answerable — run the ordinary cooperative
-          {!maintain_sweep} on the executor *)
-
-let prepare_sweep ?(compensate = true) ?(applied = []) ?(exclude_extra = [])
-    ?local (w : Query_engine.t) (mv : Mat_view.t) (msg : Update_msg.t)
-    (du : Update.t) : prepared =
-  match prelude mv du with
-  | Error settled -> Settled settled
-  | Ok sw -> (
-      match local with
-      | Some l when compensate -> (
-          match
-            Sweep.prepare_local w sw ~delta:(Update.delta du)
-              ~exclude:((Update_msg.id msg :: applied) @ exclude_extra)
-              ~local:l
-          with
-          | Some input -> Offloadable input
-          | None -> Needs_probes)
-      | _ -> Needs_probes)
-
 (* The w(MV) c(MV) of a maintenance process: charge the refresh, refresh
    and commit the view, and record it — for one update, or for a group of
    [ids] maintained together ([grouped]). *)

@@ -68,36 +68,6 @@ val maintain_sweep :
     @raise Invalid_view when the view is undefined.
     @raise Maint_query.Unsupported on a self-join of the target relation. *)
 
-(** The dispatch-time split of {!maintain_sweep} used by the multicore
-    runtime ([`Domains _] in {!Run_config}): the prelude and the
-    local-sweep capture run on the coordinator, so what remains for an
-    [Offloadable] member is pure compute a worker domain can evaluate
-    with no engine access. *)
-type prepared =
-  | Settled of swept
-      (** decided without any sweep (irrelevant pivot or schema abort) *)
-  | Offloadable of Sweep.local_input
-      (** fully covered local sweep: run {!Sweep.compute_local} on a
-          worker domain, then {!Sweep.record_local} + {!commit_swept} on
-          the coordinator *)
-  | Needs_probes
-      (** not locally answerable — run the ordinary cooperative
-          {!maintain_sweep} on the executor *)
-
-val prepare_sweep :
-  ?compensate:bool ->
-  ?applied:int list ->
-  ?exclude_extra:int list ->
-  ?local:Sweep.local ->
-  Query_engine.t ->
-  Mat_view.t ->
-  Update_msg.t ->
-  Update.t ->
-  prepared
-(** Same prelude and arguments as {!maintain_sweep}; coordinator-only.
-    @raise Invalid_view when the view is undefined.
-    @raise Maint_query.Unsupported on a self-join of the target relation. *)
-
 val commit_swept :
   Query_engine.t ->
   Mat_view.t ->

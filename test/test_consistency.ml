@@ -8,7 +8,7 @@ open Dyno_view
 open Dyno_workload
 open Dyno_core
 
-let run_small () =
+let run_small ?(snapshots = true) () =
   let timeline =
     Generator.mixed ~rows:12 ~seed:99 ~n_dus:10 ~du_interval:0.0
       ~sc_interval:0.0 ~sc_kinds:[] ()
@@ -17,7 +17,7 @@ let run_small () =
     Scenario.make
       Scenario.Config.(
         default |> with_rows 12 |> with_cost Dyno_sim.Cost_model.free
-        |> with_snapshots true)
+        |> with_snapshots snapshots)
       ~timeline
   in
   ignore
@@ -83,6 +83,20 @@ let test_catches_corrupted_snapshot () =
   Alcotest.(check bool) "mismatch detected" false (Consistency.ok r);
   Alcotest.(check int) "exactly one bad commit" 1 (List.length r.Consistency.mismatches)
 
+(* Without snapshot tracking no commit can be checked: the report must
+   say so, never "consistent". *)
+let test_untracked_not_ok () =
+  let t = run_small ~snapshots:false () in
+  let r = Scenario.check_strong t in
+  Alcotest.(check int) "nothing checked" 0 r.Consistency.checked;
+  Alcotest.(check bool) "every commit skipped" true (r.Consistency.skipped > 0);
+  Alcotest.(check bool) "not ok" false (Consistency.ok r);
+  let text = Fmt.str "%a" Consistency.pp_report r in
+  Alcotest.(check bool)
+    (Fmt.str "report says not checked: %S" text)
+    true
+    (String.starts_with ~prefix:"not checked" text)
+
 let test_convergent_on_undefined_view () =
   let t = run_small () in
   View_def.invalidate (Mat_view.def t.Scenario.mv);
@@ -98,6 +112,8 @@ let () =
           Alcotest.test_case "accepts a correct run" `Quick test_accepts_correct_run;
           Alcotest.test_case "catches corrupted extent" `Quick test_catches_corrupted_extent;
           Alcotest.test_case "catches corrupted snapshot" `Quick test_catches_corrupted_snapshot;
+          Alcotest.test_case "untracked run is not ok" `Quick
+            test_untracked_not_ok;
           Alcotest.test_case "undefined view not checkable" `Quick
             test_convergent_on_undefined_view;
         ] );

@@ -175,6 +175,69 @@ let test_compensations_counted () =
           seed alone.Stats.compensations)
     [ 11; 12; 13 ]
 
+(* A two-view set over a sharded world: the paper's view plus [V2], on a
+   2-shard [Scenario] (one queue and route per shard). *)
+let sharded_views ~seed =
+  let timeline =
+    Generator.mixed ~rows:40 ~seed ~n_dus:30 ~du_interval:1.0 ~sc_interval:10.0
+      ~sc_kinds:(Generator.drop_then_renames 3)
+      ()
+  in
+  let t =
+    Scenario.make
+      Scenario.Config.(
+        default |> with_rows 40 |> with_snapshots true |> with_shards 2)
+      ~timeline
+  in
+  let vd = View_def.create ~schemas:(view2_schemas ()) (view2_query ()) in
+  let mv2 =
+    Mat_view.create ~track_snapshots:true vd (Relation.create Schema.empty)
+  in
+  let env (tr : Query.table_ref) =
+    Dyno_source.Data_source.relation
+      (Dyno_source.Registry.find t.Scenario.registry tr.source)
+      tr.rel
+  in
+  Mat_view.replace mv2 ~at:0.0 ~maintained:[] (Eval.run ~catalog:env (view2_query ()));
+  (t, Multi_scheduler.create [ t.Scenario.mv; mv2 ])
+
+(* The view set drains every shard's queue when given the plan: both
+   views converge and every commit of both logs is strongly consistent. *)
+let test_sharded_view_set () =
+  List.iter
+    (fun seed ->
+      let t, m = sharded_views ~seed in
+      ignore
+        (Multi_scheduler.run ~plan:t.Scenario.plan t.Scenario.engine m
+           t.Scenario.mk
+          : Stats.t);
+      List.iteri
+        (fun i mv ->
+          let label = Fmt.str "seed %d, view %d" seed i in
+          (match Consistency.convergent t.Scenario.engine mv with
+          | Ok true -> ()
+          | Ok false -> Alcotest.failf "%s did not converge" label
+          | Error e -> Alcotest.failf "%s not checkable: %s" label e);
+          let r =
+            Consistency.check_strong t.Scenario.engine mv
+              ~msg_index:(Scenario.msg_index t)
+          in
+          if not (Consistency.ok r) then
+            Alcotest.failf "%s strong consistency: %a" label
+              Consistency.pp_report r)
+        (Multi_scheduler.views m))
+    [ 11; 12; 13 ]
+
+(* Without the plan the view set would drain route 0 alone and wait
+   forever on the other shard's queue: the entry point refuses to start. *)
+let test_sharded_view_set_needs_plan () =
+  let t, m = sharded_views ~seed:11 in
+  Alcotest.(check bool)
+    "2-route engine without a plan rejected" true
+    (match Multi_scheduler.run t.Scenario.engine m t.Scenario.mk with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let () =
   Alcotest.run "multi-view"
     [
@@ -195,4 +258,11 @@ let () =
             Alcotest.test_case "compensations counted for every view" `Quick
               test_compensations_counted;
           ] );
+      ( "sharded",
+        [
+          Alcotest.test_case "view set over 2 shards converges" `Quick
+            test_sharded_view_set;
+          Alcotest.test_case "2 routes without a plan raise" `Quick
+            test_sharded_view_set_needs_plan;
+        ] );
     ]

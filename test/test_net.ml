@@ -188,7 +188,7 @@ let scenario ?(trace_enabled = false) ?faults ?net_seed ?obs ~seed ~n_dus
   Dyno_workload.Scenario.make c ~timeline
 
 let test_zero_fault_identity () =
-  let run ?faults ?net_seed ?parallel ?self_maint ?runtime ?obs () =
+  let run ?faults ?net_seed ?parallel ?self_maint ?obs () =
     let t =
       scenario ~trace_enabled:true ?faults ?net_seed ?obs ~seed:11 ~n_dus:12
         ~n_scs:2 ()
@@ -199,8 +199,7 @@ let test_zero_fault_identity () =
           Dyno_core.Run_config.(
             of_strategy Dyno_core.Strategy.Pessimistic
             |> with_parallel (Option.value parallel ~default:1)
-            |> with_self_maint (Option.value self_maint ~default:false)
-            |> with_runtime (Option.value runtime ~default:`Simulated))
+            |> with_self_maint (Option.value self_maint ~default:false))
     in
     ( Fmt.str "%a" Dyno_core.Stats.pp stats,
       Dyno_view.Mat_view.extent t.mv,
@@ -250,20 +249,7 @@ let test_zero_fault_identity () =
   Alcotest.(check bool) "lineage did actually record" true
     (Dyno_obs.Lineage.records (Dyno_obs.Obs.lineage lineage_on) <> []);
   check_identical "obs on, lineage off" base
-    (run ~obs:(Dyno_obs.Obs.create ~lineage:false ()) ());
-  (* the host profiler is pure observation too: with no pool it records
-     nothing, and on the domains runtime a profiled run is byte-identical
-     to the unprofiled one — host-clock reads never leak into the
-     simulated world *)
-  check_identical "obs on, hostprof on (no pool)" base
-    (run ~obs:(Dyno_obs.Obs.create ~hostprof:true ()) ());
-  let mcore_base = run ~parallel:4 ~self_maint:true ~runtime:(`Domains 2) () in
-  let profiled = Dyno_obs.Obs.create ~hostprof:true () in
-  check_identical "domains:2, hostprof on" mcore_base
-    (run ~parallel:4 ~self_maint:true ~runtime:(`Domains 2) ~obs:profiled ());
-  let hp_summary = Dyno_obs.Hostprof.drain (Dyno_obs.Obs.hostprof profiled) in
-  Alcotest.(check int) "the profiler did actually watch the pool" 2
-    (List.length hp_summary.Dyno_obs.Hostprof.domains)
+    (run ~obs:(Dyno_obs.Obs.create ~lineage:false ()) ())
 
 (* -- the golden property ----------------------------------------------- *)
 

@@ -930,134 +930,6 @@ let prop_staleness =
           (stale last) last.Timeseries.at;
       true)
 
-(* -- host profiler ------------------------------------------------------ *)
-
-module Hostprof = Dyno_obs.Hostprof
-
-(* Standalone ring exercise on one thread (single-writer is per-ring, so
-   driving the coordinator and a worker ring from the test is fine). *)
-let test_hostprof_records_and_drains () =
-  let hp = Hostprof.create () in
-  let coord = Hostprof.coordinator_ring hp in
-  let worker = Hostprof.worker_ring hp in
-  Hostprof.opened worker;
-  let b = Hostprof.batch_begin coord in
-  let m = Hostprof.task_begin coord in
-  ignore (Sys.opaque_identity (Array.init 1000 (fun i -> i * i)));
-  Hostprof.task_end coord ~tag:7 m;
-  Hostprof.chunk worker ~first:0 ~len:2;
-  let m = Hostprof.task_begin worker in
-  Hostprof.task_end worker ~tag:7 m;
-  let m = Hostprof.task_begin worker in
-  Hostprof.task_end worker ~tag:9 m;
-  let i = Hostprof.idle_begin worker in
-  Hostprof.idle_end worker i;
-  Hostprof.batch_end coord b;
-  Hostprof.joined worker;
-  let s = Hostprof.drain hp in
-  Alcotest.(check int) "two participants" 2 (List.length s.Hostprof.domains);
-  let d0, d1 =
-    match s.Hostprof.domains with [ a; b ] -> (a, b) | _ -> assert false
-  in
-  Alcotest.(check string) "participant 0 is the coordinator" "coordinator"
-    d0.Hostprof.role;
-  Alcotest.(check int) "coordinator ran one task" 1 d0.Hostprof.tasks;
-  Alcotest.(check int) "worker ran two tasks" 2 d1.Hostprof.tasks;
-  Alcotest.(check int) "worker grabbed one chunk" 1 d1.Hostprof.chunks;
-  List.iter
-    (fun (d : Hostprof.domain_summary) ->
-      Alcotest.(check bool)
-        (Fmt.str "domain %d tiles" d.Hostprof.domain)
-        true
-        (Float.abs
-           (d.Hostprof.busy_s +. d.Hostprof.idle_s +. d.Hostprof.gc_s
-          -. d.Hostprof.lifetime_s)
-        <= 1e-9))
-    s.Hostprof.domains;
-  (* tag 7 ran on both rings: its attribution is merged across domains *)
-  Alcotest.(check (list int)) "attribution tags, ascending" [ 7; 9 ]
-    (List.map fst s.Hostprof.attributions);
-  Alcotest.(check int) "slowest listed" 2 (List.length s.Hostprof.slowest);
-  (* draining is re-runnable: a second drain sees the same rings *)
-  let s2 = Hostprof.drain hp in
-  Alcotest.(check int) "re-drain stable" 2 (List.length s2.Hostprof.domains)
-
-(* A task's minor words are exact even when no minor collection falls
-   inside it: a list allocated right after [Gc.minor ()] stays in the
-   minor heap, and the task must still report at least its size. *)
-let test_hostprof_minor_words () =
-  let hp = Hostprof.create () in
-  let coord = Hostprof.coordinator_ring hp in
-  let b = Hostprof.batch_begin coord in
-  let n = 1000 in
-  Gc.minor ();
-  let m = Hostprof.task_begin coord in
-  let l = Sys.opaque_identity (List.init n Fun.id) in
-  Hostprof.task_end coord ~tag:1 m;
-  Hostprof.batch_end coord b;
-  (* each cons cell is a header plus two fields *)
-  let expected = float_of_int (3 * List.length l) in
-  let s = Hostprof.drain hp in
-  match s.Hostprof.domains with
-  | [ d ] ->
-      let words = d.Hostprof.gc.Hostprof.minor_words in
-      if words < expected then
-        Alcotest.failf "task reported %.0f minor words, allocated >= %.0f"
-          words expected
-  | _ -> Alcotest.fail "one participant expected"
-
-let test_hostprof_disabled_noop () =
-  let hp = Hostprof.disabled in
-  Alcotest.(check bool) "disabled" false (Hostprof.enabled hp);
-  let r = Hostprof.coordinator_ring hp in
-  Alcotest.(check bool) "null ring" false (Hostprof.ring_on r);
-  let m = Hostprof.task_begin r in
-  Hostprof.task_end r ~tag:1 m;
-  Hostprof.chunk r ~first:0 ~len:1;
-  let s = Hostprof.drain hp in
-  Alcotest.(check int) "nothing recorded" 0 (List.length s.Hostprof.domains);
-  Alcotest.(check string) "empty json still well-formed" "null"
-    (match Dyno_jsonv.Jsonv.parse (Hostprof.to_json hp) with
-    | Ok _ -> "null"
-    | Error e -> e)
-
-let test_hostprof_eviction_and_json () =
-  let hp = Hostprof.create ~capacity:16 () in
-  let coord = Hostprof.coordinator_ring hp in
-  let n = 50 in
-  for i = 0 to n - 1 do
-    let m = Hostprof.task_begin coord in
-    Hostprof.task_end coord ~tag:i m
-  done;
-  let s = Hostprof.drain hp in
-  let d = List.hd s.Hostprof.domains in
-  (* capacity is clamped to >= 16; aggregates must survive eviction *)
-  Alcotest.(check int) "all tasks counted despite eviction" n
-    d.Hostprof.tasks;
-  Alcotest.(check int) "evictions counted" (n - 16) d.Hostprof.events_dropped;
-  Alcotest.(check int) "every tag still attributed" n
-    (List.length s.Hostprof.attributions);
-  let events =
-    match Hostprof.timelines hp with [ (_, ev) ] -> ev | _ -> assert false
-  in
-  Alcotest.(check int) "ring keeps the newest events" 16 (List.length events);
-  (match List.rev events with
-  | Hostprof.Task { tag; _ } :: _ ->
-      Alcotest.(check int) "newest retained event is the last task" (n - 1) tag
-  | _ -> Alcotest.fail "expected a task event");
-  match Dyno_jsonv.Jsonv.parse (Hostprof.to_json hp) with
-  | Error e -> Alcotest.fail ("profile JSON does not parse: " ^ e)
-  | Ok doc ->
-      let open Dyno_jsonv.Jsonv in
-      let timelines =
-        Option.bind (member "timelines" doc) arr |> Option.value ~default:[]
-      in
-      Alcotest.(check int) "one timeline" 1 (List.length timelines);
-      let tl = List.hd timelines in
-      Alcotest.(check (option (float 0.))) "dropped in json"
-        (Some (float_of_int (n - 16)))
-        (Option.bind (member "events_dropped" tl) num)
-
 let () =
   Alcotest.run "obs"
     [
@@ -1144,16 +1016,5 @@ let () =
         [
           Alcotest.test_case "round-trips parse" `Quick test_json_round_trips;
           Alcotest.test_case "escaping" `Quick test_json_escaping;
-        ] );
-      ( "hostprof",
-        [
-          Alcotest.test_case "records and drains" `Quick
-            test_hostprof_records_and_drains;
-          Alcotest.test_case "disabled is a no-op" `Quick
-            test_hostprof_disabled_noop;
-          Alcotest.test_case "task minor words are exact" `Quick
-            test_hostprof_minor_words;
-          Alcotest.test_case "eviction keeps aggregates, json parses" `Quick
-            test_hostprof_eviction_and_json;
         ] );
     ]
