@@ -326,6 +326,23 @@ let sensitivity () =
 (* Micro-benchmarks (real time): detection / correction machinery      *)
 (* ------------------------------------------------------------------ *)
 
+(* One Bechamel measurement -> ns/op estimate. *)
+let ns_of_test ?quota_s test =
+  let open Bechamel in
+  let quota_s = match quota_s with Some q -> q | None -> !quota in
+  let cfg =
+    Benchmark.cfg ~limit:2000 ~quota:(Time.second quota_s) ~kde:(Some 1000) ()
+  in
+  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] test in
+  let ols =
+    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
+  in
+  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
+  Hashtbl.fold
+    (fun _ v acc ->
+      match Analyze.OLS.estimates v with Some [ est ] -> Some est | _ -> acc)
+    results None
+
 let synthetic_umq ~n_dus ~n_scs =
   let umq = Dyno_view.Umq.create () in
   for i = 0 to n_dus - 1 do
@@ -387,7 +404,11 @@ let micro () =
       ~name:(Fmt.str "correction: SCC+toposort (%d DUs, %d SCs)" n_dus n_scs)
       (Staged.stage (fun () -> ignore (Dep_graph.correct g)))
   in
-  let tests =
+  List.iter
+    (fun t ->
+      match ns_of_test t with
+      | Some est -> Fmt.pr "%-45s %12.1f ns/op@." (Test.name t) est
+      | None -> Fmt.pr "%-45s (no estimate)@." (Test.name t))
     [
       test_flag;
       graph_test ~n_dus:100 ~n_scs:1;
@@ -396,55 +417,22 @@ let micro () =
       correct_test ~n_dus:100 ~n_scs:10;
       correct_test ~n_dus:1000 ~n_scs:10;
     ]
-  in
-  let benchmark test =
-    let instances = [ Toolkit.Instance.monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:2000
-        ~quota:(Time.second !quota)
-        ~kde:(Some 1000) ()
-    in
-    Benchmark.all cfg instances test
-  in
-  let analyze raw =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true
-        ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Toolkit.Instance.monotonic_clock raw
-  in
-  List.iter
-    (fun t ->
-      let results = analyze (benchmark t) in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Fmt.pr "%-45s %12.1f ns/op@." name est
-          | _ -> Fmt.pr "%-45s (no estimate)@." name)
-        results)
-    tests
 
 (* ------------------------------------------------------------------ *)
-(* Join micro-benchmarks (real time): physical plans head to head      *)
+(* Result documents of the gated experiments                           *)
 (* ------------------------------------------------------------------ *)
 
 let json_path = ref ""
 let check_path = ref ""
-let tolerance = ref 25.0
-let json_entries : (string * int * float) list ref = ref []
 
-let record_json ~op ~n ns = json_entries := (op, n, ns) :: !json_entries
-
-(* Shared JSON emission for the result-writing experiments (join, net,
-   overlap, selfmaint, scale): every document is kept in memory
-   for [--check] and written to [--json] through one code path. *)
-let bench_docs : (string, Dyno_jsonv.Jsonv.t) Hashtbl.t = Hashtbl.create 4
+(* The document of the one gated experiment run ([--json] and [--check]
+   need [--only]), kept in memory for [--check]. *)
+let fresh_doc = ref (Dyno_jsonv.Jsonv.Arr [])
 
 (* Host-side footprint of the producing experiment: wall-clock since the
    runner dispatched it (monotonic enough at bench granularity) and the
    process peak RSS from /proc.  Appended as one extra entry to every
-   emitted document; [check_regressions] skips entries it has no key
-   for, so baselines with or without it stay comparable. *)
+   emitted document; the gate reports it and never fails on it. *)
 let exp_start = ref 0.0
 
 let host_max_rss_kb () =
@@ -468,55 +456,36 @@ let host_max_rss_kb () =
       in
       Fun.protect ~finally:(fun () -> close_in ic) scan
 
-let with_host_footprint (doc : Dyno_jsonv.Jsonv.t) =
+let emit_json ~experiment entries =
   let open Dyno_jsonv.Jsonv in
-  match doc with
-  | Arr entries ->
-      let host =
-        [
-          ("host_wall_s", Num (Unix.gettimeofday () -. !exp_start));
-          (* Explicit null keeps the entry's shape stable across hosts
-             that cannot report a peak RSS. *)
-          ( "host_max_rss_kb",
-            match host_max_rss_kb () with
-            | Some kb -> Num (float_of_int kb)
-            | None -> Null );
-        ]
-      in
-      Arr (entries @ [ Obj host ])
-  | d -> d
-
-let emit_json ~experiment (doc : Dyno_jsonv.Jsonv.t) =
-  let doc = with_host_footprint doc in
-  Hashtbl.replace bench_docs experiment doc;
+  let host =
+    [
+      ("host_wall_s", Num (Unix.gettimeofday () -. !exp_start));
+      (* Explicit null keeps the entry's shape stable across hosts that
+         cannot report a peak RSS. *)
+      ( "host_max_rss_kb",
+        match host_max_rss_kb () with
+        | Some kb -> Num (float_of_int kb)
+        | None -> Null );
+    ]
+  in
+  let doc = Arr (entries @ [ Obj host ]) in
+  fresh_doc := doc;
   if !json_path <> "" then begin
     match open_out !json_path with
     | exception Sys_error e ->
         Fmt.epr "cannot write %s: %s@." !json_path e;
         exit 1
     | oc ->
-        output_string oc (Dyno_jsonv.Jsonv.to_string doc);
+        output_string oc (to_string doc);
         output_char oc '\n';
         close_out oc;
         Fmt.pr "@.wrote %s results to %s@." experiment !json_path
   end
 
-(* One Bechamel measurement -> ns/op estimate. *)
-let ns_of_test ?quota_s test =
-  let open Bechamel in
-  let quota_s = match quota_s with Some q -> q | None -> !quota in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second quota_s) ~kde:(Some 1000) ()
-  in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] test in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Hashtbl.fold
-    (fun _ v acc ->
-      match Analyze.OLS.estimates v with Some [ est ] -> Some est | _ -> acc)
-    results None
+(* ------------------------------------------------------------------ *)
+(* Join micro-benchmarks (real time): physical plans head to head      *)
+(* ------------------------------------------------------------------ *)
 
 let join_bench () =
   header "Join micro-benchmarks (REAL time) - physical plans, n x n equi-join";
@@ -541,61 +510,83 @@ let join_bench () =
   let sizes = if !fast then [ 1_000 ] else [ 1_000; 10_000 ] in
   Fmt.pr "%8s  %15s  %15s  %15s  %9s@." "rows" "indexed" "ephemeral"
     "nested-loop" "speedup";
-  List.iter
-    (fun n ->
-      let r = make_rel sch_r n 0 and s = make_rel sch_s n 3 in
-      let catalog = Eval.catalog [ ("R", r); ("S", s) ] in
-      (* Warm the persistent indexes so the indexed series measures probe
-         cost, not the one-off build (in the VM, source commits keep them
-         maintained incrementally across probes). *)
-      ignore (Eval.run ~planner:`Indexed ~catalog q);
-      let t_indexed =
-        Test.make
-          ~name:(Fmt.str "indexed (%d rows)" n)
-          (Staged.stage (fun () ->
-               ignore (Eval.run ~planner:`Indexed ~catalog q)))
-      in
-      let kr = Schema.index_of sch_r "k" and ks = Schema.index_of sch_s "k2" in
-      let t_ephemeral =
-        Test.make
-          ~name:(Fmt.str "ephemeral hash (%d rows)" n)
-          (Staged.stage (fun () ->
-               ignore (Eval.positional_join r s [ (kr, ks) ])))
-      in
-      let t_nested =
-        Test.make
-          ~name:(Fmt.str "nested loop (%d rows)" n)
-          (Staged.stage (fun () ->
-               ignore (Eval.run ~planner:`Nested_loop ~catalog q)))
-      in
-      (* A single 10k x 10k nested-loop op runs for seconds: give it quota
-         enough for a couple of samples so OLS has points to fit. *)
-      let nested_quota = Float.max !quota 2.0 in
-      match
-        ( ns_of_test t_indexed,
-          ns_of_test t_ephemeral,
-          ns_of_test ~quota_s:nested_quota t_nested )
-      with
-      | Some i, Some e, Some nl ->
-          record_json ~op:"indexed" ~n i;
-          record_json ~op:"ephemeral_hash" ~n e;
-          record_json ~op:"nested_loop" ~n nl;
-          Fmt.pr "%8d  %12.0f ns  %12.0f ns  %12.0f ns  %8.1fx@." n i e nl
-            (nl /. i)
-      | _ -> Fmt.pr "%8d  (no estimate)@." n)
-    sizes;
-  let open Dyno_jsonv.Jsonv in
-  emit_json ~experiment:"join"
-    (Arr
-       (List.rev_map
-          (fun (op, rows, ns) ->
-            Obj
-              [
-                ("op", Str op);
-                ("rows", Num (float_of_int rows));
-                ("ns_per_op", Num ns);
-              ])
-          !json_entries))
+  let entries =
+    List.concat_map
+      (fun n ->
+        let r = make_rel sch_r n 0 and s = make_rel sch_s n 3 in
+        let catalog = Eval.catalog [ ("R", r); ("S", s) ] in
+        (* Warm the persistent indexes so the indexed series measures
+           probe cost, not the one-off build (in the VM, source commits
+           keep them maintained incrementally across probes). *)
+        ignore (Eval.run ~planner:`Indexed ~catalog q);
+        let t_indexed =
+          Test.make
+            ~name:(Fmt.str "indexed (%d rows)" n)
+            (Staged.stage (fun () ->
+                 ignore (Eval.run ~planner:`Indexed ~catalog q)))
+        in
+        let kr = Schema.index_of sch_r "k" and ks = Schema.index_of sch_s "k2" in
+        let t_ephemeral =
+          Test.make
+            ~name:(Fmt.str "ephemeral hash (%d rows)" n)
+            (Staged.stage (fun () ->
+                 ignore (Eval.positional_join r s [ (kr, ks) ])))
+        in
+        let t_nested =
+          Test.make
+            ~name:(Fmt.str "nested loop (%d rows)" n)
+            (Staged.stage (fun () ->
+                 ignore (Eval.run ~planner:`Nested_loop ~catalog q)))
+        in
+        (* A single 10k x 10k nested-loop op runs for seconds: give it
+           quota enough for a couple of samples so OLS has points to fit. *)
+        let nested_quota = Float.max !quota 2.0 in
+        match
+          ( ns_of_test t_indexed,
+            ns_of_test t_ephemeral,
+            ns_of_test ~quota_s:nested_quota t_nested )
+        with
+        | Some i, Some e, Some nl ->
+            Fmt.pr "%8d  %12.0f ns  %12.0f ns  %12.0f ns  %8.1fx@." n i e nl
+              (nl /. i);
+            List.map
+              (fun (op, ns) ->
+                Dyno_jsonv.Jsonv.(
+                  Obj
+                    [
+                      ("op", Str op);
+                      ("rows", Num (float_of_int n));
+                      ("ns_per_op", Num ns);
+                    ]))
+              [ ("indexed", i); ("ephemeral_hash", e); ("nested_loop", nl) ]
+        | _ ->
+            Fmt.pr "%8d  (no estimate)@." n;
+            [])
+      sizes
+  in
+  emit_json ~experiment:"join" entries
+
+(* ------------------------------------------------------------------ *)
+(* Loss-point world of the transport and self-maintenance benches      *)
+(* ------------------------------------------------------------------ *)
+
+let loss_points () =
+  if !fast then [ 0.0; 0.1; 0.3 ] else [ 0.0; 0.05; 0.1; 0.2; 0.3; 0.4 ]
+
+(* The paper's world under a DU-only trickle, with [loss] on the channel. *)
+let loss_world loss =
+  let n_dus = if !fast then 100 else 300 in
+  let timeline =
+    Generator.mixed ~rows:!rows ~seed:8 ~n_dus ~du_interval:1.0
+      ~sc_interval:0.0 ~sc_kinds:[] ()
+  in
+  let faults = { Dyno_net.Channel.reliable with loss; retransmit = 0.1 } in
+  Scenario.make
+    Scenario.Config.(scenario_config () |> with_faults faults |> with_net_seed 8)
+    ~timeline
+
+let converged t =
+  match Scenario.check_convergent t with Ok b -> b | Error _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Transport: maintenance cost vs channel loss rate                    *)
@@ -611,32 +602,14 @@ let net_bench () =
     "expected shape: busy grows with loss (timeout + backoff); converged      stays true@.@.";
   Fmt.pr "%8s  %10s  %10s  %8s  %8s  %10s@." "loss" "busy" "net wait"
     "retries" "lost" "converged";
-  let points =
-    if !fast then [ 0.0; 0.1; 0.3 ] else [ 0.0; 0.05; 0.1; 0.2; 0.3; 0.4 ]
-  in
-  let n_dus = if !fast then 100 else 300 in
   let entries =
     List.map
       (fun loss ->
-        let timeline =
-          Generator.mixed ~rows:!rows ~seed:8 ~n_dus ~du_interval:1.0
-            ~sc_interval:0.0 ~sc_kinds:[] ()
-        in
-        let faults =
-          { Dyno_net.Channel.reliable with loss; retransmit = 0.1 }
-        in
-        let t =
-          Scenario.make
-            Scenario.Config.(
-              scenario_config () |> with_faults faults |> with_net_seed 8)
-            ~timeline
-        in
+        let t = loss_world loss in
         let stats =
           Scenario.run t ~config:(Run_config.of_strategy Strategy.Pessimistic)
         in
-        let converged =
-          match Scenario.check_convergent t with Ok b -> b | Error _ -> false
-        in
+        let converged = converged t in
         Fmt.pr "%8.2f  %10.1f  %10.1f  %8d  %8d  %10b@." loss stats.Stats.busy
           stats.Stats.net_wait stats.Stats.retries stats.Stats.msgs_lost
           converged;
@@ -650,20 +623,102 @@ let net_bench () =
             ("lost", Num (float_of_int stats.Stats.msgs_lost));
             ("converged", Bool converged);
           ])
-      points
+      (loss_points ())
   in
-  emit_json ~experiment:"net" (Dyno_jsonv.Jsonv.Arr entries)
+  emit_json ~experiment:"net" entries
+
+(* ------------------------------------------------------------------ *)
+(* Chain-join world of the overlap and scale benches                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Source Si holds one relation Ti(Ki, Ai) and the view chain-joins
+   T1..Tn on consecutive keys, so every DU needs n - 1 probe round trips
+   to the OTHER sources, and DUs from distinct sources are mutually
+   independent.  The cost model is latency-dominated (1 s query RTT,
+   microsecond scans). *)
+let chain_src i = Fmt.str "S%d" i
+let chain_rel i = Fmt.str "T%d" i
+
+let chain_schema i =
+  Schema.of_list [ Attr.int (Fmt.str "K%d" i); Attr.int (Fmt.str "A%d" i) ]
+
+let chain_du mku i row =
+  Dyno_sim.Timeline.Du
+    (mku ~source:(chain_src i) ~rel:(chain_rel i) (chain_schema i) row)
+
+(* Build the [n]-source world with [base_rows] rows per relation over
+   [timeline], materialize view [name] uncharged, and drain it through
+   the dispatch core with the sources dealt over [shards] queues. *)
+let run_chain ~name ~n ~base_rows ?(obs = Dyno_obs.Obs.disabled)
+    ?(shards = 1) ~config timeline =
+  let idx = List.init n (fun i -> i + 1) in
+  let key i = Fmt.str "%s.K%d" (chain_rel i) i in
+  let query =
+    Query.make ~name
+      ~select:
+        (List.concat_map
+           (fun i ->
+             [
+               Query.item (key i); Query.item (Fmt.str "%s.A%d" (chain_rel i) i);
+             ])
+           idx)
+      ~from:(List.map (fun i -> Query.table (chain_src i) (chain_rel i)) idx)
+      ~where:
+        (List.init (n - 1) (fun i ->
+             Predicate.eq_attr (key (i + 1)) (key (i + 2))))
+  in
+  let reg = Dyno_source.Registry.create () in
+  List.iter
+    (fun i ->
+      let s = Dyno_source.Data_source.create (chain_src i) in
+      Dyno_source.Registry.register reg s;
+      Dyno_source.Data_source.add_relation s (chain_rel i) (chain_schema i);
+      Dyno_source.Data_source.load s (chain_rel i)
+        (List.init base_rows (fun k ->
+             [ Value.int k; Value.int ((k * 3) + i) ])))
+    idx;
+  let plan = Shard.plan ~shards (List.map chain_src idx) in
+  let ids = ref 0 in
+  let umqs = Array.init shards (fun _ -> Dyno_view.Umq.create ~ids ()) in
+  let engine =
+    Dyno_view.Query_engine.create
+      ~trace:(Dyno_sim.Trace.create ~enabled:false ())
+      ~obs
+      ~cost:
+        { Dyno_sim.Cost_model.default with query_latency = 1.0; row_scale = 1.0 }
+      ~registry:reg ~timeline ~umq:umqs.(0) ()
+  in
+  if shards > 1 then
+    Dyno_view.Query_engine.install_routes engine ~umqs
+      ~route_of:(Shard.owner plan);
+  let mv =
+    Dyno_view.Mat_view.create
+      (Dyno_view.View_def.create
+         ~schemas:(List.map (fun i -> (chain_rel i, chain_schema i)) idx)
+         query)
+      (Relation.create Schema.empty)
+  in
+  let env (tr : Query.table_ref) =
+    Dyno_source.Data_source.relation
+      (Dyno_source.Registry.find reg tr.source)
+      tr.rel
+  in
+  Dyno_view.Mat_view.replace mv ~at:0.0 ~maintained:[]
+    (Eval.run
+       ~planner:(Dyno_view.Query_engine.planner engine)
+       ~catalog:env query);
+  let stats =
+    Scheduler.dispatch ~config ~plan engine [ mv ]
+      (Dyno_source.Meta_knowledge.create ())
+  in
+  (stats, Dyno_view.Mat_view.extent mv)
 
 (* ------------------------------------------------------------------ *)
 (* Overlap: serial vs dependency-parallel maintenance (simulated time)  *)
 (* ------------------------------------------------------------------ *)
 
-(* Four relations, each alone at its own source, view = chain join of all
-   four.  Every DU therefore needs 3 probe round-trips to the OTHER
-   sources, and DUs from distinct sources are mutually independent — the
-   ideal antichain workload.  The cost model is latency-dominated (1 s
-   query RTT, microsecond scans), so serial busy time is ~3 RTTs per DU
-   back-to-back while [--parallel 4] overlaps whole antichains of four. *)
+(* Four chain-joined sources: serial busy time is ~3 RTTs per DU
+   back-to-back, while [--parallel 4] overlaps whole antichains of four. *)
 let overlap_bench () =
   header
     "Overlap - dependency-parallel maintenance, 4 independent sources \
@@ -673,47 +728,7 @@ let overlap_bench () =
      pays@.every round-trip back-to-back; parallel dispatches antichains \
      of 4.@.@.";
   let n_sources = 4 in
-  let src i = Fmt.str "S%d" i in
-  let rel i = Fmt.str "T%d" i in
-  let key i = Fmt.str "K%d" i in
-  let schema i =
-    Schema.of_list [ Attr.int (key i); Attr.int (Fmt.str "A%d" i) ]
-  in
   let base_rows = 50 in
-  let query =
-    Query.make ~name:"OV"
-      ~select:
-        (List.concat_map
-           (fun i ->
-             [
-               Query.item (Fmt.str "%s.%s" (rel i) (key i));
-               Query.item (Fmt.str "%s.A%d" (rel i) i);
-             ])
-           (List.init n_sources (fun i -> i + 1)))
-      ~from:
-        (List.init n_sources (fun i ->
-             let i = i + 1 in
-             Query.table (src i) (rel i)))
-      ~where:
-        (List.init (n_sources - 1) (fun i ->
-             let i = i + 1 in
-             Predicate.eq_attr
-               (Fmt.str "%s.%s" (rel i) (key i))
-               (Fmt.str "%s.%s" (rel (i + 1)) (key (i + 1)))))
-  in
-  let build_registry () =
-    let reg = Dyno_source.Registry.create () in
-    for i = 1 to n_sources do
-      Dyno_source.Registry.register reg
-        (Dyno_source.Data_source.create (src i));
-      let s = Dyno_source.Registry.find reg (src i) in
-      Dyno_source.Data_source.add_relation s (rel i) (schema i);
-      Dyno_source.Data_source.load s (rel i)
-        (List.init base_rows (fun k ->
-             [ Value.int k; Value.int ((k * 3) + i) ]))
-    done;
-    reg
-  in
   (* [n_rounds] waves of one insert per source, all committed within the
      first half-second so the UMQ always holds a full-width antichain. *)
   let n_rounds = if !fast then 6 else 12 in
@@ -723,64 +738,16 @@ let overlap_bench () =
       for i = 1 to n_sources do
         Dyno_sim.Timeline.schedule tl
           ~time:(0.01 *. float_of_int ((j * n_sources) + i))
-          (Dyno_sim.Timeline.Du
-             (Update.insert ~source:(src i) ~rel:(rel i) (schema i)
-                [ Value.int (j mod base_rows); Value.int (1000 + (j * 10) + i) ]))
+          (chain_du Update.insert i
+             [ Value.int (j mod base_rows); Value.int (1000 + (j * 10) + i) ])
       done
     done;
     tl
   in
-  let cost =
-    {
-      Dyno_sim.Cost_model.default with
-      query_latency = 1.0;
-      row_scale = 1.0;
-    }
-  in
   let run ?obs ~parallel () =
-    let reg = build_registry () in
-    let umq = Dyno_view.Umq.create () in
-    let trace = Dyno_sim.Trace.create ~enabled:false () in
-    let engine =
-      Dyno_view.Query_engine.create ~trace ?obs ~cost ~registry:reg
-        ~timeline:(build_timeline ()) ~umq ()
-    in
-    let vd =
-      Dyno_view.View_def.create
-        ~schemas:
-          (List.init n_sources (fun i ->
-               let i = i + 1 in
-               (rel i, schema i)))
-        query
-    in
-    let mv =
-      Dyno_view.Mat_view.create vd (Relation.create Schema.empty)
-    in
-    let env (tr : Query.table_ref) =
-      Dyno_source.Data_source.relation
-        (Dyno_source.Registry.find reg tr.source)
-        tr.rel
-    in
-    Dyno_view.Mat_view.replace mv ~at:0.0 ~maintained:[]
-      (Eval.run
-         ~planner:(Dyno_view.Query_engine.planner engine)
-         ~catalog:env query);
-    let mk = Dyno_source.Meta_knowledge.create () in
-    let stats =
-      Scheduler.run
-        ~config:
-          {
-            Scheduler.strategy = Strategy.Pessimistic;
-            max_steps = 1_000_000;
-            compensate = true;
-            vm_mode = Scheduler.Incremental;
-            du_group = 1;
-            parallel;
-            self_maint = false;
-          }
-        engine mv mk
-    in
-    (stats, Dyno_view.Mat_view.extent mv)
+    run_chain ~name:"OV" ~n:n_sources ~base_rows ?obs
+      ~config:(Run_config.with_parallel parallel Run_config.default)
+      (build_timeline ())
   in
   let stats_s, extent_s = run ~parallel:1 () in
   let stats_p, extent_p = run ~parallel:n_sources () in
@@ -847,17 +814,16 @@ let overlap_bench () =
       ]
   in
   emit_json ~experiment:"overlap"
-    (Arr
-       [
-         mode "serial" 1 stats_s;
-         mode "parallel" n_sources stats_p;
-         Obj [ ("speedup", Num speedup) ];
-         Obj
-           [
-             ("lineage_busy_delta_s", Num busy_delta);
-             ("lineage_cpu_overhead_pct", Num cpu_overhead_pct);
-           ];
-       ])
+    [
+      mode "serial" 1 stats_s;
+      mode "parallel" n_sources stats_p;
+      Obj [ ("speedup", Num speedup) ];
+      Obj
+        [
+          ("lineage_busy_delta_s", Num busy_delta);
+          ("lineage_cpu_overhead_pct", Num cpu_overhead_pct);
+        ];
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Self-maintenance: the auxiliary-view tier vs the probing SWEEP       *)
@@ -880,32 +846,15 @@ let selfmaint_bench () =
      loss rate.@.@.";
   Fmt.pr "%8s  %8s  %8s  %8s  %7s  %10s  %10s  %12s@." "loss" "probes"
     "probes'" "avoided" "pct" "busy" "busy'" "bytes saved";
-  let points =
-    if !fast then [ 0.0; 0.1; 0.3 ] else [ 0.0; 0.05; 0.1; 0.2; 0.3; 0.4 ]
-  in
-  let n_dus = if !fast then 100 else 300 in
   let entries =
     List.map
       (fun loss ->
-        let faults =
-          { Dyno_net.Channel.reliable with loss; retransmit = 0.1 }
-        in
-        let world () =
-          let timeline =
-            Generator.mixed ~rows:!rows ~seed:8 ~n_dus ~du_interval:1.0
-              ~sc_interval:0.0 ~sc_kinds:[] ()
-          in
-          Scenario.make
-            Scenario.Config.(
-              scenario_config () |> with_faults faults |> with_net_seed 8)
-            ~timeline
-        in
-        let base = world () in
+        let base = loss_world loss in
         let stats_b =
           Scenario.run base
             ~config:(Run_config.of_strategy Strategy.Pessimistic)
         in
-        let sm = world () in
+        let sm = loss_world loss in
         let stats_s =
           Scenario.run sm
             ~config:
@@ -923,11 +872,6 @@ let selfmaint_bench () =
             loss;
           exit 1
         end;
-        let converged =
-          match Scenario.check_convergent sm with
-          | Ok b -> b
-          | Error _ -> false
-        in
         let avoided = stats_s.Stats.probes_avoided in
         let pct =
           let total = stats_s.Stats.probes + avoided in
@@ -948,28 +892,28 @@ let selfmaint_bench () =
             ("busy_base_s", Num stats_b.Stats.busy);
             ("busy_sm_s", Num stats_s.Stats.busy);
             ("bytes_saved_b", Num (float_of_int stats_s.Stats.bytes_saved));
-            ("converged", Bool converged);
+            ("converged", Bool (converged sm));
           ])
-      points
+      (loss_points ())
   in
   Fmt.pr
     "@.(probes' / busy' = the --self-maint run; extents checked identical \
      at every point)@.";
-  emit_json ~experiment:"selfmaint" (Dyno_jsonv.Jsonv.Arr entries)
+  emit_json ~experiment:"selfmaint" entries
 
 (* ------------------------------------------------------------------ *)
 (* Scale: sharded view manager, DU throughput at bounded staleness      *)
 (* ------------------------------------------------------------------ *)
 
-(* Eight single-relation sources, chain-join view, heavy-tailed
-   (Zipf alpha = 0.7) per-source commit distribution, and a paced arrival
-   schedule: each leg offers load at ~91% of what its hottest shard can
-   sustain, so the view's staleness stays bounded (checked as a
-   [view.*.staleness_s] p99 SLO) and the reported throughput is
-   honest-to-goodness sustained DU/s of simulated time, not a drain rate
-   with unbounded lag.  Every DU alternates insert/delete of one
-   off-join-key row, so extents stay bounded across a million updates
-   while each sweep still pays its 7 probe round-trips. *)
+(* Eight chain-joined sources, heavy-tailed (Zipf alpha = 0.7) per-source
+   commit distribution, and a paced arrival schedule: each leg offers
+   load at ~91% of what its hottest shard can sustain, so the view's
+   staleness stays bounded (checked as a [view.*.staleness_s] p99 SLO)
+   and the reported throughput is honest-to-goodness sustained DU/s of
+   simulated time, not a drain rate with unbounded lag.  Every DU
+   alternates insert/delete of one off-join-key row, so extents stay
+   bounded across a million updates while each sweep still pays its 7
+   probe round-trips. *)
 let scale_bench () =
   header
     "Scale - sharded view manager: sustained DU/s at bounded staleness \
@@ -980,46 +924,7 @@ let scale_bench () =
      scales as 1 / (hottest shard's@.traffic share) while staleness p99 \
      stays bounded.@.@.";
   let n_sources = 8 in
-  let base_rows = 4 in
-  let src i = Fmt.str "S%d" i in
-  let rel i = Fmt.str "T%d" i in
-  let key i = Fmt.str "K%d" i in
-  let schema i =
-    Schema.of_list [ Attr.int (key i); Attr.int (Fmt.str "A%d" i) ]
-  in
-  let query =
-    Query.make ~name:"SCALE"
-      ~select:
-        (List.concat_map
-           (fun i ->
-             [
-               Query.item (Fmt.str "%s.%s" (rel i) (key i));
-               Query.item (Fmt.str "%s.A%d" (rel i) i);
-             ])
-           (List.init n_sources (fun i -> i + 1)))
-      ~from:
-        (List.init n_sources (fun i ->
-             let i = i + 1 in
-             Query.table (src i) (rel i)))
-      ~where:
-        (List.init (n_sources - 1) (fun i ->
-             let i = i + 1 in
-             Predicate.eq_attr
-               (Fmt.str "%s.%s" (rel i) (key i))
-               (Fmt.str "%s.%s" (rel (i + 1)) (key (i + 1)))))
-  in
-  let build_registry () =
-    let reg = Dyno_source.Registry.create () in
-    for i = 1 to n_sources do
-      Dyno_source.Registry.register reg
-        (Dyno_source.Data_source.create (src i));
-      let s = Dyno_source.Registry.find reg (src i) in
-      Dyno_source.Data_source.add_relation s (rel i) (schema i);
-      Dyno_source.Data_source.load s (rel i)
-        (List.init base_rows (fun k -> [ Value.int k; Value.int ((k * 3) + i) ]))
-    done;
-    reg
-  in
+  let sources = List.init n_sources (fun i -> chain_src (i + 1)) in
   let weights = Generator.zipf ~alpha:0.7 ~n:n_sources in
   (* Deterministic heavy-tailed source stream: smooth weighted
      round-robin over the Zipf weights.  Deterministic pacing keeps the
@@ -1042,36 +947,18 @@ let scale_bench () =
     let tl = Dyno_sim.Timeline.create () in
     for j = 0 to n - 1 do
       let i = next () in
-      let row = [ Value.int (100 + i); Value.int i ] in
       let mku = if flip.(i) then Update.delete else Update.insert in
       flip.(i) <- not flip.(i);
       Dyno_sim.Timeline.schedule tl
         ~time:(horizon *. float_of_int j /. float_of_int n)
-        (Dyno_sim.Timeline.Du
-           (mku ~source:(src (i + 1)) ~rel:(rel (i + 1))
-              (schema (i + 1))
-              row))
+        (chain_du mku (i + 1) [ Value.int (100 + i); Value.int i ])
     done;
     tl
-  in
-  let cost =
-    {
-      Dyno_sim.Cost_model.default with
-      query_latency = 1.0;
-      row_scale = 1.0;
-    }
   in
   (* Spans off (a million Maintain spans is gigabytes of retained
      records), metrics on: the staleness histograms and shard gauges are
      bounded-size. *)
   let run ~shards ~timeline =
-    let reg = build_registry () in
-    let srcs = List.init n_sources (fun i -> src (i + 1)) in
-    let plan = Dyno_core.Shard.plan ~shards srcs in
-    let ids = ref 0 in
-    let umqs =
-      Array.init shards (fun _ -> Dyno_view.Umq.create ~ids ())
-    in
     let obs =
       {
         Dyno_obs.Obs.spans = Dyno_obs.Span.disabled;
@@ -1080,48 +967,23 @@ let scale_bench () =
         lineage = Dyno_obs.Lineage.disabled;
       }
     in
-    let trace = Dyno_sim.Trace.create ~enabled:false () in
-    let engine =
-      Dyno_view.Query_engine.create ~trace ~obs ~cost ~registry:reg
-        ~timeline ~umq:umqs.(0) ()
-    in
-    if shards > 1 then
-      Dyno_view.Query_engine.install_routes engine ~umqs
-        ~route_of:(Dyno_core.Shard.owner plan);
-    let vd =
-      Dyno_view.View_def.create
-        ~schemas:
-          (List.init n_sources (fun i ->
-               let i = i + 1 in
-               (rel i, schema i)))
-        query
-    in
-    let mv = Dyno_view.Mat_view.create vd (Relation.create Schema.empty) in
-    let env (tr : Query.table_ref) =
-      Dyno_source.Data_source.relation
-        (Dyno_source.Registry.find reg tr.source)
-        tr.rel
-    in
-    Dyno_view.Mat_view.replace mv ~at:0.0 ~maintained:[]
-      (Eval.run
-         ~planner:(Dyno_view.Query_engine.planner engine)
-         ~catalog:env query);
-    let mk = Dyno_source.Meta_knowledge.create () in
-    let stats =
-      Dyno_core.Shard_scheduler.run
+    let stats, _ =
+      run_chain ~name:"SCALE" ~n:n_sources ~base_rows:4 ~obs ~shards
         ~config:
           Run_config.(
             of_strategy Strategy.Pessimistic |> with_max_steps max_int)
-        ~plan engine mv mk
+        timeline
     in
-    (stats, Dyno_obs.Obs.metrics obs, plan)
+    (stats, Dyno_obs.Obs.metrics obs)
   in
   (* Calibrate the per-DU service time (everything arrives at t = 0, one
      shard, serial drain): the pacing horizons below derive from it, so
      the bench self-adjusts if the cost model moves. *)
   let cal_n = if !fast then 200 else 500 in
   let s_du =
-    let stats, _, _ = run ~shards:1 ~timeline:(build_timeline ~n:cal_n ~horizon:0.0) in
+    let stats, _ =
+      run ~shards:1 ~timeline:(build_timeline ~n:cal_n ~horizon:0.0)
+    in
     stats.Stats.busy /. float_of_int cal_n
   in
   let n = if !fast then 20_000 else 1_000_000 in
@@ -1133,29 +995,25 @@ let scale_bench () =
      %s@.@."
     s_du n slo_spec;
   (* Hottest shard's traffic share under the plan's round-robin deal. *)
-  let w_max plan shards =
+  let w_max shards =
+    let plan = Shard.plan ~shards sources in
     let w = Array.make shards 0.0 in
     List.iteri
       (fun i s ->
-        w.(Dyno_core.Shard.owner plan s) <-
-          w.(Dyno_core.Shard.owner plan s) +. weights.(i))
-      (List.init n_sources (fun i -> src (i + 1)));
+        let o = Shard.owner plan s in
+        w.(o) <- w.(o) +. weights.(i))
+      sources;
     Array.fold_left Float.max 0.0 w
   in
   Fmt.pr "%7s  %12s  %14s  %5s  %9s  %8s  %8s@." "shards" "DU/s (sim)"
     "staleness p99" "SLO" "barriers" "speedup" "ideal";
-  let legs = [ 1; 2; 4; 8 ] in
   let base_throughput = ref 0.0 in
   let entries =
     List.map
       (fun shards ->
-        let wm =
-          w_max (Dyno_core.Shard.plan ~shards
-                   (List.init n_sources (fun i -> src (i + 1))))
-            shards
-        in
+        let wm = w_max shards in
         let horizon = 1.1 *. float_of_int n *. s_du *. wm in
-        let stats, metrics, _ =
+        let stats, metrics =
           run ~shards ~timeline:(build_timeline ~n ~horizon)
         in
         let makespan = stats.Stats.end_time in
@@ -1190,272 +1048,45 @@ let scale_bench () =
             ("cross_shard_barriers", Num (float_of_int barriers));
             ("speedup_vs_1", Num speedup);
           ])
-      legs
+      [ 1; 2; 4; 8 ]
   in
   Fmt.pr
     "@.(ideal = 1 / hottest shard's Zipf traffic share; the paced \
      horizon makes each@.leg's makespan track it, minus the drain \
      tail)@.";
-  emit_json ~experiment:"scale" (Dyno_jsonv.Jsonv.Arr entries)
+  emit_json ~experiment:"scale" entries
 
 (* ------------------------------------------------------------------ *)
 (* Regression gate: compare this run's results against a baseline file  *)
 (* ------------------------------------------------------------------ *)
 
-(* [--check BASELINE.json] compares the experiment run in this invocation
-   against a committed baseline of the same shape (join / overlap / net,
-   detected from the baseline's fields).  Only entries present in BOTH
-   documents are compared — a [--fast] run covers a subset of the
-   baseline's points — and only a change beyond [--tolerance] percent in
-   the harmful direction (slower, or smaller speedup) fails.  Exit 1 on
-   any regression. *)
-let check_regressions () =
+(* [--check BASELINE.json] holds the experiment named by [--only] to its
+   declaration in {!Gate}; exit 1 on any regression. *)
+let check_regressions (gate : Dyno_bench.Gate.t) =
   let open Dyno_jsonv.Jsonv in
-  let get_num k o = Option.bind (member k o) num in
-  let get_str k o = Option.bind (member k o) str in
   match parse_file !check_path with
   | Error e ->
       Fmt.epr "--check: cannot read %s: %s@." !check_path e;
       exit 1
-  | Ok base -> (
-      let base_entries = Option.value (arr base) ~default:[] in
-      let experiment =
-        if List.exists (fun o -> get_num "ns_per_op" o <> None) base_entries
-        then Some "join"
-        else if List.exists (fun o -> get_str "mode" o <> None) base_entries
-        then Some "overlap"
-        else if List.exists (fun o -> get_num "du_per_s" o <> None) base_entries
-        then Some "scale"
-        (* selfmaint entries also carry a [loss] field — test before net *)
-        else if
-          List.exists (fun o -> get_num "pct_avoided" o <> None) base_entries
-        then Some "selfmaint"
-        else if List.exists (fun o -> get_num "loss" o <> None) base_entries
-        then Some "net"
-        else None
+  | Ok base ->
+      let entries d = Option.value (arr d) ~default:[] in
+      Fmt.pr "@.regression check vs %s (tolerance %.0f%%):@." !check_path
+        gate.tolerance_pct;
+      let r =
+        Dyno_bench.Gate.check gate ~base:(entries base)
+          ~fresh:(entries !fresh_doc)
       in
-      match experiment with
-      | None ->
-          Fmt.epr "--check: %s has no recognizable benchmark shape@."
-            !check_path;
-          exit 1
-      | Some exp -> (
-          match Hashtbl.find_opt bench_docs exp with
-          | None ->
-              Fmt.epr
-                "--check: baseline %s is a %s document but the %s experiment \
-                 did not run (use --only %s)@."
-                !check_path exp exp exp;
-              exit 1
-          | Some cur ->
-              let cur_entries = Option.value (arr cur) ~default:[] in
-              let failures = ref 0 and compared = ref 0 in
-              Fmt.pr "@.regression check vs %s (tolerance %.0f%%):@."
-                !check_path !tolerance;
-              let cmp ~label ~base_v ~cur_v ~higher_better =
-                incr compared;
-                let regressed =
-                  base_v <> 0.0
-                  &&
-                  if higher_better then
-                    cur_v < base_v *. (1.0 -. (!tolerance /. 100.0))
-                  else cur_v > base_v *. (1.0 +. (!tolerance /. 100.0))
-                in
-                let delta =
-                  if base_v = 0.0 then 0.0
-                  else (cur_v -. base_v) /. base_v *. 100.0
-                in
-                Fmt.pr "  %-36s base %12.4g  now %12.4g  %+7.1f%%  %s@." label
-                  base_v cur_v delta
-                  (if regressed then "REGRESSION" else "ok");
-                if regressed then incr failures
-              in
-              (* find the current entry matching a baseline entry under
-                 the experiment's natural key *)
-              let find keyed o = List.find_opt (keyed o) cur_entries in
-              List.iter
-                (fun b ->
-                  if member "host_wall_s" b <> None then begin
-                    (* The host footprint entry is hardware-specific: a
-                       baseline committed on one machine says nothing
-                       about another's wall clock or RSS.  Report the
-                       delta, never gate on it. *)
-                    let cur_host =
-                      List.find_opt
-                        (fun c -> member "host_wall_s" c <> None)
-                        cur_entries
-                    in
-                    let info label getter =
-                      match (getter b, Option.bind cur_host getter) with
-                      | Some bv, Some cv ->
-                          Fmt.pr
-                            "  %-36s base %12.4g  now %12.4g  \
-                             (informational)@."
-                            label bv cv
-                      | _ -> ()
-                    in
-                    info "host_wall_s" (get_num "host_wall_s");
-                    info "host_max_rss_kb" (get_num "host_max_rss_kb")
-                  end
-                  else
-                  match exp with
-                  | "join" -> (
-                      match (get_str "op" b, get_num "rows" b) with
-                      | Some op, Some rows -> (
-                          let same c =
-                            get_str "op" c = Some op
-                            && get_num "rows" c = Some rows
-                          in
-                          match find (fun _ -> same) b with
-                          | Some c -> (
-                              match
-                                (get_num "ns_per_op" b, get_num "ns_per_op" c)
-                              with
-                              | Some bv, Some cv ->
-                                  cmp
-                                    ~label:(Fmt.str "%s (%.0f rows)" op rows)
-                                    ~base_v:bv ~cur_v:cv ~higher_better:false
-                              | _ -> ())
-                          | None ->
-                              Fmt.pr "  %-36s (not in this run; skipped)@."
-                                (Fmt.str "%s (%.0f rows)" op rows))
-                      | _ -> ())
-                  | "overlap" -> (
-                      match (get_str "mode" b, get_num "speedup" b) with
-                      | Some m, _ -> (
-                          let same c = get_str "mode" c = Some m in
-                          match find (fun _ -> same) b with
-                          | Some c -> (
-                              match (get_num "busy_s" b, get_num "busy_s" c)
-                              with
-                              | Some bv, Some cv ->
-                                  cmp
-                                    ~label:(Fmt.str "busy_s (%s)" m)
-                                    ~base_v:bv ~cur_v:cv ~higher_better:false
-                              | _ -> ())
-                          | None ->
-                              Fmt.pr "  %-36s (not in this run; skipped)@." m)
-                      | None, Some sp -> (
-                          let speedup_of c = get_num "speedup" c in
-                          match List.find_map speedup_of cur_entries with
-                          | Some cv ->
-                              cmp ~label:"speedup" ~base_v:sp ~cur_v:cv
-                                ~higher_better:true
-                          | None -> ())
-                      | None, None -> ())
-                  | "scale" -> (
-                      (* throughput per shard count; an SLO flip is
-                         always a failure, tolerance notwithstanding *)
-                      match get_num "shards" b with
-                      | Some sh -> (
-                          let same c = get_num "shards" c = Some sh in
-                          match find (fun _ -> same) b with
-                          | Some c ->
-                              (match
-                                 (get_num "du_per_s" b, get_num "du_per_s" c)
-                               with
-                              | Some bv, Some cv ->
-                                  cmp
-                                    ~label:(Fmt.str "du_per_s (%.0f shards)" sh)
-                                    ~base_v:bv ~cur_v:cv ~higher_better:true
-                              | _ -> ());
-                              if
-                                member "slo_pass" b = Some (Bool true)
-                                && member "slo_pass" c = Some (Bool false)
-                              then begin
-                                Fmt.pr
-                                  "  %-36s staleness SLO now fails  \
-                                   REGRESSION@."
-                                  (Fmt.str "%.0f shards" sh);
-                                incr failures
-                              end
-                          | None ->
-                              Fmt.pr "  %-36s (not in this run; skipped)@."
-                                (Fmt.str "%.0f shards" sh))
-                      | None -> ())
-                  | "selfmaint" -> (
-                      (* probes avoided per loss point (higher is better)
-                         plus the self-maintaining run's busy time; a
-                         convergence flip is always a failure *)
-                      match get_num "loss" b with
-                      | Some loss -> (
-                          let same c = get_num "loss" c = Some loss in
-                          match find (fun _ -> same) b with
-                          | Some c ->
-                              (match
-                                 ( get_num "pct_avoided" b,
-                                   get_num "pct_avoided" c )
-                               with
-                              | Some bv, Some cv ->
-                                  cmp
-                                    ~label:
-                                      (Fmt.str "pct_avoided (loss %.2f)" loss)
-                                    ~base_v:bv ~cur_v:cv ~higher_better:true
-                              | _ -> ());
-                              (match
-                                 (get_num "busy_sm_s" b, get_num "busy_sm_s" c)
-                               with
-                              | Some bv, Some cv ->
-                                  cmp
-                                    ~label:
-                                      (Fmt.str "busy_sm_s (loss %.2f)" loss)
-                                    ~base_v:bv ~cur_v:cv ~higher_better:false
-                              | _ -> ());
-                              if
-                                member "converged" b = Some (Bool true)
-                                && member "converged" c = Some (Bool false)
-                              then begin
-                                Fmt.pr
-                                  "  %-36s no longer converges  REGRESSION@."
-                                  (Fmt.str "loss %.2f" loss);
-                                incr failures
-                              end
-                          | None ->
-                              Fmt.pr "  %-36s (not in this run; skipped)@."
-                                (Fmt.str "loss %.2f" loss))
-                      | None -> ())
-                  | _ -> (
-                      (* net: busy per loss point; a convergence flip is
-                         always a failure, tolerance notwithstanding *)
-                      match get_num "loss" b with
-                      | Some loss -> (
-                          let same c = get_num "loss" c = Some loss in
-                          match find (fun _ -> same) b with
-                          | Some c ->
-                              (match (get_num "busy_s" b, get_num "busy_s" c)
-                               with
-                              | Some bv, Some cv ->
-                                  cmp
-                                    ~label:(Fmt.str "busy_s (loss %.2f)" loss)
-                                    ~base_v:bv ~cur_v:cv ~higher_better:false
-                              | _ -> ());
-                              if
-                                member "converged" b = Some (Bool true)
-                                && member "converged" c = Some (Bool false)
-                              then begin
-                                Fmt.pr
-                                  "  %-36s no longer converges  REGRESSION@."
-                                  (Fmt.str "loss %.2f" loss);
-                                incr failures
-                              end
-                          | None ->
-                              Fmt.pr "  %-36s (not in this run; skipped)@."
-                                (Fmt.str "loss %.2f" loss))
-                      | None -> ()))
-                base_entries;
-              if !compared = 0 then begin
-                Fmt.epr
-                  "--check: no comparable entries between %s and this run@."
-                  !check_path;
-                exit 1
-              end;
-              if !failures > 0 then begin
-                Fmt.epr "@.%d regression(s) beyond %.0f%% tolerance@."
-                  !failures !tolerance;
-                exit 1
-              end
-              else Fmt.pr "@.all %d comparison(s) within tolerance@." !compared
-          ))
+      List.iter (Fmt.pr "%s@.") r.lines;
+      if r.compared = 0 then begin
+        Fmt.epr "--check: no comparable entries between %s and this run@."
+          !check_path;
+        exit 1
+      end;
+      if r.failures > 0 then begin
+        Fmt.epr "@.%d regression(s) against %s@." r.failures !check_path;
+        exit 1
+      end;
+      Fmt.pr "@.all %d comparison(s) within tolerance@." r.compared
 
 (* ------------------------------------------------------------------ *)
 
@@ -1477,8 +1108,13 @@ let experiments =
   ]
 
 (* The one source of truth for what exists: both [--list] and the
-   [--only] usage string derive from the [experiments] table. *)
+   [--only] usage string derive from the [experiments] table, and the
+   gated ones from {!Gate.all}. *)
 let experiment_names = List.map fst experiments
+
+let gated =
+  String.concat "/"
+    (List.map (fun g -> g.Dyno_bench.Gate.experiment) Dyno_bench.Gate.all)
 
 let () =
   let list_only = ref false in
@@ -1489,15 +1125,19 @@ let () =
       ("--rows", Arg.Set_int rows, "physical rows per relation (default 500; logical is always 100k via cost scaling)");
       ("--fast", Arg.Set fast, "fewer sweep points / smaller join sizes");
       ("--quota", Arg.Set_float quota, "bechamel quota per micro-bench, seconds (default 0.5)");
-      ("--json", Arg.Set_string json_path, "write the join/net/overlap/selfmaint/scale results to this JSON file");
-      ("--check", Arg.Set_string check_path, "compare this run's join/net/overlap/selfmaint/scale results against a baseline JSON file; exit 1 on regression");
-      ("--tolerance", Arg.Set_float tolerance, "allowed regression for --check, percent (default 25)");
+      ("--json", Arg.Set_string json_path, Fmt.str "write the results of the --only experiment (%s) to this JSON file" gated);
+      ("--check", Arg.Set_string check_path, Fmt.str "hold the --only experiment (%s) to its declared gate against a baseline JSON file; exit 1 on regression" gated);
     ]
   in
   Arg.parse specs (fun _ -> ()) "dyno benchmarks";
   if !list_only then begin
     List.iter (Fmt.pr "%s@.") experiment_names;
     exit 0
+  end;
+  let gate = Dyno_bench.Gate.find !only in
+  if (!json_path <> "" || !check_path <> "") && gate = None then begin
+    Fmt.epr "--json and --check need --only with one of %s@." gated;
+    exit 2
   end;
   let todo =
     if !only = "" then experiments
@@ -1518,4 +1158,6 @@ let () =
       exp_start := Unix.gettimeofday ();
       f ())
     todo;
-  if !check_path <> "" then check_regressions ()
+  match gate with
+  | Some g when !check_path <> "" -> check_regressions g
+  | _ -> ()

@@ -31,7 +31,9 @@ let bounded conv ~expect ok =
   Arg.conv ~docv:(Arg.conv_docv conv) (parse, Arg.conv_printer conv)
 
 let at_least_one = bounded Arg.int ~expect:"at least 1" (fun n -> n >= 1)
+let count = bounded Arg.int ~expect:"non-negative" (fun n -> n >= 0)
 let positive = bounded Arg.float ~expect:"positive" (fun x -> x > 0.0)
+let duration = bounded Arg.float ~expect:"non-negative" (fun x -> x >= 0.0)
 
 let probability =
   bounded Arg.float ~expect:"in [0, 1]" (fun p -> p >= 0.0 && p <= 1.0)
@@ -42,19 +44,19 @@ let rows =
 
 let dus =
   let doc = "Number of data updates." in
-  Arg.(value & opt int 100 & info [ "dus" ] ~docv:"N" ~doc)
+  Arg.(value & opt count 100 & info [ "dus" ] ~docv:"N" ~doc)
 
 let scs =
   let doc = "Number of schema changes (1 drop-attribute + renames)." in
-  Arg.(value & opt int 5 & info [ "scs" ] ~docv:"N" ~doc)
+  Arg.(value & opt count 5 & info [ "scs" ] ~docv:"N" ~doc)
 
 let du_interval =
   let doc = "Seconds between data-update commits." in
-  Arg.(value & opt float 1.0 & info [ "du-interval" ] ~docv:"S" ~doc)
+  Arg.(value & opt duration 1.0 & info [ "du-interval" ] ~docv:"S" ~doc)
 
 let sc_interval =
   let doc = "Seconds between schema-change commits." in
-  Arg.(value & opt float 10.0 & info [ "sc-interval" ] ~docv:"S" ~doc)
+  Arg.(value & opt duration 10.0 & info [ "sc-interval" ] ~docv:"S" ~doc)
 
 let seed =
   let doc = "Workload random seed." in
@@ -105,13 +107,13 @@ let reorder =
 
 let jitter =
   let doc = "Max extra uniform delivery delay per message, seconds." in
-  Arg.(value & opt float 0.0 & info [ "jitter" ] ~docv:"S" ~doc)
+  Arg.(value & opt duration 0.0 & info [ "jitter" ] ~docv:"S" ~doc)
 
 let reorder_delay =
   let doc =
     "How long a held-back message is delayed, seconds (it overtakes      nothing unless this exceeds the update interval)."
   in
-  Arg.(value & opt float 1.5 & info [ "reorder-delay" ] ~docv:"S" ~doc)
+  Arg.(value & opt duration 1.5 & info [ "reorder-delay" ] ~docv:"S" ~doc)
 
 let outages =
   let parse s =
@@ -443,7 +445,7 @@ let parallel_arg =
      per-view sweeps of the head update).  1 is the strictly serial \
      scheduler, bit-identical to the classic loop."
   in
-  Arg.(value & opt int 1 & info [ "parallel" ] ~docv:"N" ~doc)
+  Arg.(value & opt at_least_one 1 & info [ "parallel" ] ~docv:"N" ~doc)
 
 let self_maint_flag =
   let doc =
@@ -543,19 +545,19 @@ let run_cmd =
             tr.rel
         in
         Mat_view.replace mv2 ~at:0.0 ~maintained:[] (Eval.run ~catalog:env narrow);
-        let m = Multi_scheduler.create [ t.Scenario.mv; mv2 ] in
+        let views = [ t.Scenario.mv; mv2 ] in
         let stats =
-          Multi_scheduler.run
+          Scheduler.dispatch
             ~config:
               (run_config_of ~strategy ~no_compensation ~parallel ~self_maint)
-            ~plan:t.Scenario.plan t.Scenario.engine m t.Scenario.mk
+            ~plan:t.Scenario.plan t.Scenario.engine views t.Scenario.mk
         in
         List.iteri
           (fun i mv ->
             match Consistency.convergent t.Scenario.engine mv with
             | Ok b -> Fmt.pr "view %d convergent: %b@." i b
             | Error e -> Fmt.pr "view %d: not checkable (%s)@." i e)
-          (Multi_scheduler.views m);
+          views;
         stats
       end
       else
@@ -710,7 +712,7 @@ let explain_abort =
     "Explain the update behind the $(docv)-th abort of the run (1-based, \
      in time order)."
   in
-  Arg.(value & opt (some int) None & info [ "abort" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some at_least_one) None & info [ "abort" ] ~docv:"N" ~doc)
 
 let explain_view =
   let doc =

@@ -215,15 +215,9 @@ let schedule w events =
 let run ?(strategy = Dyno_core.Strategy.Pessimistic) ?(compensate = true) w =
   Dyno_core.Scheduler.run
     ~config:
-      {
-        Dyno_core.Scheduler.strategy;
-        max_steps = 100_000;
-        compensate;
-        vm_mode = Dyno_core.Scheduler.Incremental;
-        du_group = 1;
-        parallel = 1;
-        self_maint = false;
-      }
+      Dyno_core.Run_config.(
+        of_strategy strategy |> with_max_steps 100_000
+        |> with_compensate compensate)
     w.engine w.mv w.mk
 
 let print_view w =

@@ -1,9 +1,5 @@
-(** The shared runtime configuration record consumed by all three
-    schedulers — serial ({!Scheduler}), multi-view ({!Multi_scheduler})
-    and sharded ({!Shard_scheduler}).  One record, one set of defaults,
-    one CLI plumbing path; schedulers that do not implement a knob
-    document it as ignored rather than duplicating a trimmed copy of the
-    fields. *)
+(** The runtime configuration record consumed by the one scheduler core,
+    {!Scheduler.dispatch}; see run_config.mli. *)
 
 (** How data updates are maintained. *)
 type vm_mode =

@@ -1,10 +1,7 @@
-(** The shared runtime configuration record consumed by the one
-    scheduler core through its three entry points — serial
-    ({!Scheduler}), multi-view ({!Multi_scheduler}) and sharded
-    ({!Shard_scheduler}).  One record, one set of defaults, one CLI
-    plumbing path.  Entry points that do not implement a knob document
-    it as ignored ({!Multi_scheduler} ignores [vm_mode] and [du_group];
-    {!Shard_scheduler} ignores [du_group] with more than one shard). *)
+(** The runtime configuration record consumed by the one scheduler core,
+    {!Scheduler.dispatch}, whatever its queues and views.  One record,
+    one set of defaults, one CLI plumbing path.  A view set ignores
+    [vm_mode] and [du_group]; several shards ignore [du_group]. *)
 
 (** How data updates are maintained. *)
 type vm_mode =

@@ -1,5 +1,5 @@
 (** Dyno: the dynamic reordering scheduler (Figure 6) — one dispatch core
-    behind the serial, multi-view and sharded entry points.
+    over the queues, the views and the round width (see scheduler.mli).
 
     The main loop processes the queue heads forever:
 
@@ -28,30 +28,6 @@
 
 open Dyno_view
 open Dyno_sim
-
-(** How data updates are maintained (re-exported from {!Run_config} so
-    historical [Scheduler.Incremental] call sites keep reading
-    naturally). *)
-type vm_mode = Run_config.vm_mode =
-  | Incremental  (** SWEEP-style probes computing a view delta (default) *)
-  | Recompute
-      (** naive baseline: re-materialize the whole view per update — the
-          classic strawman incremental maintenance is measured against *)
-
-(** The scheduler consumes the shared {!Run_config.t} record — the same
-    record drives the multi-view and sharded entry points, so CLI
-    plumbing is written once. *)
-type config = Run_config.t = {
-  strategy : Strategy.t;
-  max_steps : int;
-  compensate : bool;
-  vm_mode : vm_mode;
-  du_group : int;
-  parallel : int;
-  self_maint : bool;
-}
-
-let default_config = Run_config.default
 
 exception Step_limit_exceeded of int
 
@@ -107,8 +83,8 @@ let adapt ?applied ~finish (w : Query_engine.t) (mv : Mat_view.t)
    compensation), an undefined view has nothing to do, and the entry's
    trace start and lineage terminal are left to the dispatcher, which
    records them once for every view. *)
-let maintain_entry ?applied ?local ~(compensate : bool) ~(vm_mode : vm_mode)
-    (w : Query_engine.t) (mv : Mat_view.t)
+let maintain_entry ?applied ?local ~(compensate : bool)
+    ~(vm_mode : Run_config.vm_mode) (w : Query_engine.t) (mv : Mat_view.t)
     (mk : Dyno_source.Meta_knowledge.t) (stats : Stats.t)
     (entry : Umq.entry) : step_outcome =
   let trace = Query_engine.trace w in
@@ -151,7 +127,7 @@ let maintain_entry ?applied ?local ~(compensate : bool) ~(vm_mode : vm_mode)
     match msgs with
     | [ m ] -> (
         match Update_msg.payload m with
-        | Update_msg.Du _ when vm_mode = Recompute -> (
+        | Update_msg.Du _ when vm_mode = Run_config.Recompute -> (
             match
               Dyno_va.Adapt.replace_extent w mv
                 ~maintained:[ Update_msg.id m ]
@@ -344,7 +320,7 @@ type view = {
 }
 
 type core = {
-  config : config;
+  config : Run_config.t;
   w : Query_engine.t;
   mk : Dyno_source.Meta_knowledge.t;
   stats : Stats.t;
@@ -698,7 +674,7 @@ let round_members c : member list =
   match c.views with
   | [ v ]
     when width * queues >= min_members
-         && c.config.vm_mode = Incremental
+         && c.config.vm_mode = Run_config.Incremental
          && View_def.is_valid (Mat_view.def v.mv) ->
       let found =
         merge_queues c
@@ -838,7 +814,8 @@ let maintain_views c (entry : Umq.entry) : step_outcome =
         let todo = List.filter (fun id -> not (List.mem id v.applied)) ids in
         match
           maintain_entry ~applied:v.applied ?local:v.local
-            ~compensate:c.config.compensate ~vm_mode:Incremental c.w v.mv c.mk
+            ~compensate:c.config.compensate ~vm_mode:Run_config.Incremental
+            c.w v.mv c.mk
             c.stats entry
         with
         | Done ->
@@ -1136,7 +1113,7 @@ let register_series c (series : Dyno_obs.Timeseries.t) : unit =
            0 c.views));
   List.iter (fun v -> Freshness.register_probes v.fresh series) c.views
 
-let dispatch ?(config = default_config) ?plan (w : Query_engine.t)
+let dispatch ?(config = Run_config.default) ?plan (w : Query_engine.t)
     (mvs : Mat_view.t list) (mk : Dyno_source.Meta_knowledge.t) : Stats.t =
   if mvs = [] then invalid_arg "Scheduler.dispatch: no view";
   (* One queue per route: draining fewer queues than the engine delivers

@@ -1,6 +1,6 @@
 (** Dyno: the dynamic reordering scheduler — the main loop of Figure 6,
-    as one dispatch core behind the serial ({!run}), multi-view
-    ({!Multi_scheduler}) and sharded ({!Shard_scheduler}) entry points.
+    as one dispatch core ({!dispatch}) over the queues, the views and the
+    round width, with {!run} as its one-queue, one-view case.
 
     Drives the queues to empty: (pessimistic) pre-exec detection +
     correction guarded by the schema-change flag, maintenance of the head
@@ -10,36 +10,49 @@
     maintenance resumes under the new legal order.  Every path — head
     entry, grouped sweep, dependency-parallel round, cross-shard barrier
     — charges its outcome through one settle step, so statistics, spans,
-    the trace and the lineage agree across modes. *)
+    the trace and the lineage agree across modes.
+
+    {b View sets.}  Several materialized views can share one update
+    stream, one queue set and one dependency-correction pipeline — the
+    "plugged into any view system" extension the paper's conclusion
+    sketches.  A schema change induces concurrent dependencies as soon as
+    it conflicts with {e any} valid view, so detection builds one graph
+    against every valid view ({!Dep_graph.build_many}) and the corrected
+    legal order is legal for all of them at once.  The head entry is
+    maintained against each view in turn; if a later view's maintenance
+    breaks while earlier views have already committed the entry, per-view
+    {e applied sets} ensure the retry (possibly as part of a larger
+    merged batch) only maintains what each view has not yet integrated,
+    and that compensation keeps already-applied effects in.  Statistics
+    are aggregated across views; per-view consistency is checked with the
+    ordinary {!Consistency} tools against each view's own commit log.
+    With [parallel > 1] the per-view sweeps of a single-DU head entry
+    overlap their probe round trips and commit in view order.
+    Self-maintenance builds one auxiliary-view store per view.
+
+    {b Shards.}  A {!Shard.t} plan partitions the sources; each shard owns
+    its own queue, transport channel and exactly-once sequencer
+    (installed by {!Dyno_view.Query_engine.install_routes}) and drains
+    single data updates independently — per round, every shard
+    contributes an antichain of data updates from distinct sources, and
+    refreshes commit serially in global arrival order (message id), the
+    dispatch-time exclusion-set discipline of parallel rounds lifted
+    across queues.  Schema changes cannot stay shard-local: a drop or
+    rename conflicts with the one global view definition, and its
+    concurrent dependencies may reach data updates queued on {e other}
+    shards.  The first round that sees any shard's schema-change flag
+    raised becomes a {b cross-shard barrier}: every queue pauses, the
+    union of all queued entries (in global arrival order) runs through
+    {!Dep_graph} detection + correction, and the corrected legal order is
+    maintained serially up to and including its last schema change — so
+    the global commit order is always a corrected topological order,
+    shard boundaries notwithstanding.  The corrected order is ephemeral:
+    shard queues are never rewritten, and the pure-DU suffix resumes
+    independent parallel draining.  An in-exec abort — in a round, at a
+    queue head or during the barrier — is corrected at a barrier.  A
+    1-shard plan is the one-queue case of the same core, bit for bit. *)
 
 open Dyno_view
-
-(** How data updates are maintained (re-exported from {!Run_config}). *)
-type vm_mode = Run_config.vm_mode =
-  | Incremental  (** SWEEP-style probes computing a view delta (default) *)
-  | Recompute
-      (** naive baseline: re-materialize the whole view per update — the
-          classic strawman incremental maintenance is measured against *)
-
-(** The scheduler consumes the shared {!Run_config.t} record (one record
-    drives the serial, multi-view and sharded entry points).  [parallel]
-    dispatches antichains of single data updates from distinct sources
-    with SWEEP exclusion sets fixed at dispatch; same-source commit order
-    and every CD/SD edge still serialize (Theorems 1–2), and [1] is
-    bit-identical to the historical serial loop. *)
-type config = Run_config.t = {
-  strategy : Strategy.t;
-  max_steps : int;
-  compensate : bool;
-  vm_mode : vm_mode;
-  du_group : int;
-  parallel : int;
-  self_maint : bool;
-}
-
-val default_config : config
-(** [= Run_config.default]: pessimistic, compensated, incremental, no
-    grouping, serial, one million steps. *)
 
 exception Step_limit_exceeded of int
 
@@ -55,7 +68,7 @@ val maintain_entry :
   ?applied:int list ->
   ?local:Dyno_vm.Sweep.local ->
   compensate:bool ->
-  vm_mode:vm_mode ->
+  vm_mode:Run_config.vm_mode ->
   Query_engine.t ->
   Mat_view.t ->
   Dyno_source.Meta_knowledge.t ->
@@ -94,25 +107,27 @@ val record_net_stats : Query_engine.t -> Stats.t -> unit
     into the run's statistics. *)
 
 val dispatch :
-  ?config:config ->
+  ?config:Run_config.t ->
   ?plan:Shard.t ->
   Query_engine.t ->
   Mat_view.t list ->
   Dyno_source.Meta_knowledge.t ->
   Stats.t
-(** The dispatch core behind {!run}, {!Multi_scheduler.run} and
-    {!Shard_scheduler.run}: one loop over the queues (the engine's first
+(** The dispatch core: one loop over the queues (the engine's first
     route, or one route per shard of [plan] when it has more than one
     shard), the views (one, or several maintained as a view set) and the
-    round width [config.parallel].  Grouping ([du_group]) needs one queue
-    and one view; a view set maintains incrementally, one entry at a
-    time.  Several queues detect and correct at a cross-shard barrier.
+    round width [config.parallel] (per queue: at most
+    [parallel × shards] sweeps are in flight per round).  [config]
+    defaults to {!Run_config.default}.  Grouping ([du_group]) needs one
+    queue and one view; a view set maintains incrementally, one entry at
+    a time.  Several queues detect and correct at a cross-shard
+    barrier.
     @raise Invalid_argument on an empty view list, or when the engine's
     route count differs from [plan]'s shard count (1 without a plan).
     @raise Step_limit_exceeded if the loop exceeds [config.max_steps]. *)
 
 val run :
-  ?config:config ->
+  ?config:Run_config.t ->
   Query_engine.t ->
   Mat_view.t ->
   Dyno_source.Meta_knowledge.t ->

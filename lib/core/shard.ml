@@ -6,34 +6,17 @@ type t = {
   owner : (string, int) Hashtbl.t;
 }
 
-let plan ?(partition = []) ~shards sources =
+let plan ~shards sources =
   if shards < 1 then
     invalid_arg (Fmt.str "Shard.plan: shards = %d (want >= 1)" shards);
   if sources = [] then invalid_arg "Shard.plan: no sources";
   let owner = Hashtbl.create (List.length sources) in
-  List.iter
-    (fun s ->
+  (* Deal round-robin in list order. *)
+  List.iteri
+    (fun i s ->
       if Hashtbl.mem owner s then
         invalid_arg (Fmt.str "Shard.plan: duplicate source %s" s);
-      Hashtbl.replace owner s (-1))
-    sources;
-  List.iter
-    (fun (s, i) ->
-      if not (Hashtbl.mem owner s) then
-        invalid_arg (Fmt.str "Shard.plan: partition names unknown source %s" s);
-      if i < 0 || i >= shards then
-        invalid_arg
-          (Fmt.str "Shard.plan: source %s -> shard %d of %d" s i shards);
-      Hashtbl.replace owner s i)
-    partition;
-  (* Deal the rest round-robin in list order, skipping overridden ones. *)
-  let next = ref 0 in
-  List.iter
-    (fun s ->
-      if Hashtbl.find owner s = -1 then begin
-        Hashtbl.replace owner s (!next mod shards);
-        incr next
-      end)
+      Hashtbl.replace owner s (i mod shards))
     sources;
   { shards; order = sources; owner }
 

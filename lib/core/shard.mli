@@ -6,24 +6,19 @@
     order (the sequencer's invariant) is therefore preserved trivially —
     a source's messages never cross a shard boundary — while shards
     drain their queues independently until a schema change forces a
-    cross-shard barrier (see {!Shard_scheduler}).
+    cross-shard barrier (see {!Scheduler.dispatch}).
 
     A plan is a total function from the world's sources to shard ids
-    [0 .. shards-1].  Sources without an explicit [partition] override
-    are dealt round-robin in the order given, so the default plan is
-    balanced by source count (not by load — heavy-tailed workloads pass
-    overrides to spread hot sources). *)
+    [0 .. shards-1]: sources are dealt round-robin in the order given, so
+    a plan is balanced by source count (not by load). *)
 
 type t
 
-val plan :
-  ?partition:(string * int) list -> shards:int -> string list -> t
-(** [plan ?partition ~shards sources] assigns every source a shard.
-    Explicit [partition] pairs win; remaining sources are dealt
-    round-robin over the shards in list order.
-    @raise Invalid_argument if [shards < 1], a partition override names
-    an unknown source or an out-of-range shard, or [sources] is empty
-    or contains duplicates. *)
+val plan : shards:int -> string list -> t
+(** [plan ~shards sources] deals the sources round-robin over the
+    shards in list order.
+    @raise Invalid_argument if [shards < 1], or [sources] is empty or
+    contains duplicates. *)
 
 val solo : string list -> t
 (** [plan ~shards:1 sources] — everything on one shard. *)

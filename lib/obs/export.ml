@@ -16,6 +16,8 @@
     {!Dyno_core.Stats} — which is what makes it an independent check of
     the accounting. *)
 
+open Dyno_jsonv
+
 let us t = t *. 1e6 (* simulated seconds → trace µs *)
 
 let attrs_json attrs =
@@ -25,7 +27,7 @@ let attrs_json attrs =
       "{"
       ^ String.concat ", "
           (List.rev_map
-             (fun (k, v) -> Fmt.str "%s: %s" (Json.quote k) (Json.quote v))
+             (fun (k, v) -> Fmt.str "%s: %s" (Jsonv.quote k) (Jsonv.quote v))
              attrs)
       ^ "}"
 
@@ -53,7 +55,7 @@ let chrome_trace ?(lineage = Lineage.disabled) (r : Span.recorder) : string =
         (Fmt.str
            "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": \
             %d, \"args\": {\"name\": %s}}"
-           tid (Json.quote name)))
+           tid (Jsonv.quote name)))
     (Span.threads r);
   List.iter
     (fun (sp : Span.t) ->
@@ -61,8 +63,8 @@ let chrome_trace ?(lineage = Lineage.disabled) (r : Span.recorder) : string =
         (Fmt.str
            "{\"name\": %s, \"cat\": %s, \"ph\": \"X\", \"ts\": %.3f, \
             \"dur\": %.3f, \"pid\": 1, \"tid\": %d, \"args\": %s}"
-           (Json.quote sp.name)
-           (Json.quote (Span.kind_to_string sp.kind))
+           (Jsonv.quote sp.name)
+           (Jsonv.quote (Span.kind_to_string sp.kind))
            (us sp.start)
            (us (sp.finish -. sp.start))
            sp.tid (attrs_json sp.attrs)))
@@ -73,13 +75,14 @@ let chrome_trace ?(lineage = Lineage.disabled) (r : Span.recorder) : string =
         (Fmt.str
            "{\"name\": %s, \"ph\": \"i\", \"ts\": %.3f, \"pid\": 1, \
             \"tid\": %d, \"s\": \"t\", \"args\": {\"detail\": %s}}"
-           (Json.quote e.ename) (us e.time) e.etid (Json.quote e.detail)))
+           (Jsonv.quote e.ename) (us e.time) e.etid
+           (Jsonv.quote e.detail)))
     (Span.events r);
   if Lineage.enabled lineage then
     List.iter
       (fun (lr : Lineage.record) ->
         if lr.Lineage.msg_id >= 0 then begin
-          let name = Json.quote (Fmt.str "msg %d" lr.Lineage.msg_id) in
+          let name = Jsonv.quote (Fmt.str "msg %d" lr.Lineage.msg_id) in
           let flow ph ?(bp = "") ts =
             add
               (Fmt.str
@@ -114,8 +117,8 @@ let spans_jsonl (r : Span.recorder) : string =
             \"kind\": %s, \"name\": %s, \"start\": %.9f, \"end\": %.9f, \
             \"attrs\": %s}\n"
            sp.id sp.parent sp.tid
-           (Json.quote (Span.kind_to_string sp.kind))
-           (Json.quote sp.name) sp.start sp.finish (attrs_json sp.attrs)))
+           (Jsonv.quote (Span.kind_to_string sp.kind))
+           (Jsonv.quote sp.name) sp.start sp.finish (attrs_json sp.attrs)))
     (Span.spans r);
   List.iter
     (fun (e : Span.event) ->
@@ -123,7 +126,7 @@ let spans_jsonl (r : Span.recorder) : string =
         (Fmt.str
            "{\"type\": \"event\", \"tid\": %d, \"name\": %s, \"time\": \
             %.9f, \"detail\": %s}\n"
-           e.etid (Json.quote e.ename) e.time (Json.quote e.detail)))
+           e.etid (Jsonv.quote e.ename) e.time (Jsonv.quote e.detail)))
     (Span.events r);
   Buffer.contents b
 

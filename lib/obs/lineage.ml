@@ -14,6 +14,8 @@
     no-op: no clock reads, no RNG draws, no allocation beyond the call —
     lineage-off runs are byte-identical. *)
 
+open Dyno_jsonv
+
 type segment =
   | Channel  (** commit → packet arrival at the warehouse *)
   | Hold  (** sequencer held-for-gap wait *)
@@ -409,15 +411,15 @@ let record_json r =
        "{\"msg\": %d, \"source\": %s, \"seq\": %d, \"sc\": %b, \
         \"commit_s\": %.9f, \"terminal\": %s, \"terminal_s\": %.9f, \
         \"parent\": %d, \"segments\": {"
-       r.msg_id (Json.quote r.source) r.seq r.sc r.commit_at
+       r.msg_id (Jsonv.quote r.source) r.seq r.sc r.commit_at
        (match r.term with
-       | Some s -> Json.quote (terminal_name s)
+       | Some s -> Jsonv.quote (terminal_name s)
        | None -> "null")
        r.term_at r.parent);
   let sep = ref "" in
   List.iter
     (fun (name, v) ->
-      Buffer.add_string b (Fmt.str "%s%s: %.9f" !sep (Json.quote name) v);
+      Buffer.add_string b (Fmt.str "%s%s: %.9f" !sep (Jsonv.quote name) v);
       sep := ", ")
     (segments r);
   Buffer.add_string b "}, \"events\": [";
@@ -428,11 +430,11 @@ let record_json r =
         (Fmt.str
            "%s{\"t\": %.9f, \"kind\": %s, \"segment\": %s, \"charged\": \
             %.9f, \"detail\": %s}"
-           !sep e.at (Json.quote e.kind)
+           !sep e.at (Jsonv.quote e.kind)
            (match e.seg with
-           | Some s -> Json.quote (segment_name s)
+           | Some s -> Jsonv.quote (segment_name s)
            | None -> "null")
-           e.charged (Json.quote e.detail));
+           e.charged (Jsonv.quote e.detail));
       sep := ", ")
     (events r);
   Buffer.add_string b "]}";

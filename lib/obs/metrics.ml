@@ -15,6 +15,8 @@
 
     A disabled registry is a structural no-op. *)
 
+open Dyno_jsonv
+
 let n_buckets = 64
 let base = 1e-6 (* bucket 0 upper bound: 1 µs *)
 
@@ -195,7 +197,6 @@ let clear t =
    need no escaping, but we escape anyway for safety. *)
 let to_json_string t =
   let b = Buffer.create 1024 in
-  let esc = Json.escape in
   let sect title filter render =
     Buffer.add_string b (Fmt.str "  %S: {" title);
     let first = ref true in
@@ -206,7 +207,8 @@ let to_json_string t =
         | Some v ->
             if not !first then Buffer.add_string b ",";
             first := false;
-            Buffer.add_string b (Fmt.str "\n    \"%s\": %s" (esc name) (render v)))
+            Buffer.add_string b
+              (Fmt.str "\n    %s: %s" (Jsonv.quote name) (render v)))
       ();
     Buffer.add_string b (if !first then "},\n" else "\n  },\n")
   in
@@ -228,9 +230,9 @@ let to_json_string t =
           let s = summarize h in
           Buffer.add_string b
             (Fmt.str
-               "\n    \"%s\": {\"count\": %d, \"sum\": %.6f, \"min\": %.6f, \
+               "\n    %s: {\"count\": %d, \"sum\": %.6f, \"min\": %.6f, \
                 \"max\": %.6f, \"p50\": %.6f, \"p90\": %.6f, \"p99\": %.6f}"
-               (esc name) s.count s.sum s.min s.max s.p50 s.p90 s.p99)
+               (Jsonv.quote name) s.count s.sum s.min s.max s.p50 s.p90 s.p99)
       | _ -> ())
     ();
   Buffer.add_string b (if !first then "}\n" else "\n  }\n");

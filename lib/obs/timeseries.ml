@@ -20,6 +20,8 @@
     byte-identical to seed behavior (pinned by the zero-overhead identity
     test).  A {!disabled} sampler is a structural no-op. *)
 
+open Dyno_jsonv
+
 type kind = [ `Gauge | `Counter ]
 
 type probe = {
@@ -158,7 +160,7 @@ let jsonl_of_sample s =
   Buffer.add_string b (Fmt.str "{\"t\": %.6f" s.at);
   List.iter
     (fun (k, v) ->
-      Buffer.add_string b (Fmt.str ", %s: %.6f" (Json.quote k) v))
+      Buffer.add_string b (Fmt.str ", %s: %.6f" (Jsonv.quote k) v))
     s.values;
   Buffer.add_string b "}";
   Buffer.contents b

@@ -190,8 +190,8 @@ let to_json_string t =
       if i > 0 then Buffer.add_string b ",";
       Buffer.add_string b
         (Fmt.str "\n  {\"time\": %.9f, \"kind\": %s, \"detail\": %s}" e.time
-           (Dyno_obs.Json.quote (kind_to_string e.kind))
-           (Dyno_obs.Json.quote e.detail)))
+           (Dyno_jsonv.Jsonv.quote (kind_to_string e.kind))
+           (Dyno_jsonv.Jsonv.quote e.detail)))
     (entries t);
   Buffer.add_string b (if t.len = 0 then "]" else "\n]");
   Buffer.contents b

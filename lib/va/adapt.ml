@@ -90,7 +90,7 @@ let equation6 ?(planner : Eval.plan = `Indexed) ?deltas
     compensates away every pending unmaintained DU on it except those in
     [exclude] (the ids being maintained right now, whose effects {e must}
     stay in).  Returns the compensated relation. *)
-let fetch_compensated ?(extra_cost = 0.0) (w : Query_engine.t)
+let fetch_compensated (w : Query_engine.t)
     ~(query : Query.t) ~(schemas : (string * Schema.t) list)
     (tr : Query.table_ref) ~(exclude : int list) :
     (Relation.t, Query_engine.failure) result =
@@ -130,23 +130,19 @@ let fetch_compensated ?(extra_cost = 0.0) (w : Query_engine.t)
          that incremental work now so that an abort mid-adaptation carries
          a realistic sunk cost (the expensive abort of Figure 9). *)
       Query_engine.advance w
-        (((Query_engine.cost w).Dyno_sim.Cost_model.va_per_tuple
-         *. Dyno_sim.Cost_model.rows (Query_engine.cost w)
-              ans.Dyno_source.Data_source.scanned)
-        +. extra_cost);
+        ((Query_engine.cost w).Dyno_sim.Cost_model.va_per_tuple
+        *. Dyno_sim.Cost_model.rows (Query_engine.cost w)
+             ans.Dyno_source.Data_source.scanned);
       compensated
 
 (** [fetch_all w ~query ~schemas ~exclude] fetches every view relation,
     compensated; stops at the first broken probe. *)
-let fetch_all ?(extra_per_fetch = 0.0) w ~query ~schemas ~exclude :
+let fetch_all w ~query ~schemas ~exclude :
     ((string * Relation.t) list, Query_engine.failure) result =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | tr :: rest -> (
-        match
-          fetch_compensated ~extra_cost:extra_per_fetch w ~query ~schemas tr
-            ~exclude
-        with
+        match fetch_compensated w ~query ~schemas tr ~exclude with
         | Error b -> Error b
         | Ok r -> go ((tr.Query.alias, r) :: acc) rest)
   in

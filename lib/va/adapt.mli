@@ -26,7 +26,6 @@ val equation6 :
     [`Indexed]) picks the physical plan each term is evaluated with. *)
 
 val fetch_compensated :
-  ?extra_cost:float ->
   Query_engine.t ->
   query:Query.t ->
   schemas:(string * Schema.t) list ->
@@ -38,11 +37,10 @@ val fetch_compensated :
     it except the ids in [exclude] (being maintained right now, whose
     effects must stay in).  Compensation reads the queue's pending sums at
     the answer's commit frontier, before the per-tuple adaptation charge
-    and [extra_cost] simulated seconds (pipelined adaptation work) move
-    the clock; a compensation failure is returned after the charge. *)
+    moves the clock; a compensation failure is returned after the
+    charge. *)
 
 val fetch_all :
-  ?extra_per_fetch:float ->
   Query_engine.t ->
   query:Query.t ->
   schemas:(string * Schema.t) list ->

@@ -73,11 +73,8 @@ type t = {
 }
 
 let create ?(trace = Trace.create ()) ?(planner = `Indexed)
-    ?(faults = Channel.reliable) ?(net_seed = 0) ?retry
+    ?(faults = Channel.reliable) ?(net_seed = 0)
     ?(obs = Dyno_obs.Obs.disabled) ~cost ~registry ~timeline ~umq () =
-  let retry =
-    match retry with Some p -> p | None -> Retry.of_cost cost
-  in
   let clock = Clock.create () in
   let exec = Executor.create clock in
   (* Keep span nesting honest under task interleaving: every context
@@ -102,7 +99,7 @@ let create ?(trace = Trace.create ()) ?(planner = `Indexed)
     planner;
     faults;
     net_seed;
-    retry;
+    retry = Retry.of_cost cost;
     obs;
     held_since = Hashtbl.create 16;
     timeouts = 0;
@@ -121,7 +118,6 @@ let registry w = w.registry
 let cost w = w.cost
 let planner w = w.planner
 let channel w = w.routes.(0).r_channel
-let retry_policy w = w.retry
 let obs w = w.obs
 let net_timeouts w = w.timeouts
 let net_retries w = w.retries

@@ -18,7 +18,6 @@ val create :
   ?planner:Eval.plan ->
   ?faults:Dyno_net.Channel.faults ->
   ?net_seed:int ->
-  ?retry:Dyno_net.Retry.policy ->
   ?obs:Dyno_obs.Obs.t ->
   cost:Cost_model.t ->
   registry:Dyno_source.Registry.t ->
@@ -31,8 +30,8 @@ val create :
     pass [`Nested_loop] to pin the reference plan.  [faults] (default
     {!Dyno_net.Channel.reliable}) configures the transport channel —
     reliable is a structural pass-through, bit-identical to a direct call;
-    [net_seed] seeds the channel's own RNG stream; [retry] (default
-    {!Dyno_net.Retry.of_cost}) governs probe timeout/backoff.  [obs]
+    [net_seed] seeds the channel's own RNG stream; probe timeout/backoff
+    follows {!Dyno_net.Retry.of_cost} of [cost].  [obs]
     (default {!Dyno_obs.Obs.disabled} — a structural no-op) records
     [Probe]/[Timeout]/[Retry] spans, the [probe.rtt_s] and [umq.hold_s]
     histograms and the [net.*]/[umq.*] counters, and is shared with the
@@ -63,8 +62,6 @@ val cost : t -> Cost_model.t
 
 val channel : t -> Update_msg.payload Dyno_net.Channel.t
 (** Route 0's channel (see {!umq}). *)
-
-val retry_policy : t -> Dyno_net.Retry.policy
 
 val install_routes :
   t -> umqs:Umq.t array -> route_of:(string -> int) -> unit

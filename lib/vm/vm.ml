@@ -180,14 +180,8 @@ let maintain ?compensate ?applied ?local (w : Query_engine.t)
     maintained) — the probe-level telescoping of Equation 6.  The view is
     refreshed and committed {e once} for the whole group, so the claimed
     source-state vector stays valid and strong consistency is preserved;
-    the view simply skips the intermediate states.
-
-    With [overlap] (and outside any executor task), the per-(source,rel)
-    sweeps — independent by construction until the final delta sum — run
-    as concurrent tasks whose probe round trips overlap; each sweep's
-    compensation exclusion set is fixed at dispatch to exactly what the
-    serial left-to-right pass would use, so the frontiers stay exact. *)
-let maintain_group ?(compensate = true) ?(overlap = false) ?local
+    the view simply skips the intermediate states. *)
+let maintain_group ?(compensate = true) ?local
     (w : Query_engine.t) (mv : Mat_view.t) (msgs : Update_msg.t list) :
     outcome =
   let vd = Mat_view.def mv in
@@ -233,93 +227,34 @@ let maintain_group ?(compensate = true) ?(overlap = false) ?local
           String.equal tr.source source && String.equal tr.rel rel)
         (Query.from q)
     in
-    let check_schema (pivot : Query.table_ref) delta rel =
-      match List.assoc_opt pivot.Query.alias schemas with
-      | Some s when Schema.equal s (Relation.schema delta) -> ()
-      | _ ->
-          raise
-            (Abort
-               {
-                 Dyno_source.Data_source.source = pivot.Query.source;
-                 query_name = Query.name q;
-                 reason = Fmt.str "group delta schema diverges on %s" rel;
-               })
-    in
-    let exec = Query_engine.executor w in
-    let use_tasks =
-      overlap
-      && (not (Dyno_sim.Executor.in_task exec))
-      && List.length order > 1
-    in
-    if use_tasks then begin
-      (* Concurrent sweeps.  Irrelevant keys are settled first (their ids
-         never occur in any probed relation's pending set, so excluding
-         them is a no-op either way); schema checks are free of clock
-         cost, so running them all up front preserves the serial
-         outcome.  Each sweep's exclusion set — its own ids plus those of
-         groups the serial pass would have processed before it — is
-         frozen at dispatch.  Failures resolve in group order: the first
-         failing group wins, later sweeps are discarded (their updates
-         stay queued and are re-swept on retry). *)
-      let relevant =
-        List.filter_map
-          (fun key ->
-            let delta, ids = Hashtbl.find groups key in
-            match pivot_of key with
-            | None ->
+    List.iter
+      (fun key ->
+        let delta, ids = Hashtbl.find groups key in
+        match pivot_of key with
+        | None -> processed := ids @ !processed (* irrelevant to the view *)
+        | Some pivot -> (
+            (match List.assoc_opt pivot.Query.alias schemas with
+            | Some s when Schema.equal s (Relation.schema delta) -> ()
+            | _ ->
+                raise
+                  (Abort
+                     {
+                       Dyno_source.Data_source.source = pivot.Query.source;
+                       query_name = Query.name q;
+                       reason =
+                         Fmt.str "group delta schema diverges on %s" (snd key);
+                     }));
+            match
+              sweep_delta ?local ~compensate w
+                (Maint_query.sweep_for vd pivot)
+                ~delta ~exclude:(ids @ !processed)
+            with
+            | Error (Query_engine.Broken b) -> raise (Abort b)
+            | Error (Query_engine.Unreachable u) -> raise (Stall u)
+            | Ok (dv, _) ->
                 processed := ids @ !processed;
-                None
-            | Some pivot -> Some (key, pivot, delta, ids))
-          order
-      in
-      List.iter
-        (fun ((_, rel), pivot, delta, _) -> check_schema pivot delta rel)
-        relevant;
-      let results = Array.make (List.length relevant) None in
-      let thunks =
-        let before = ref !processed in
-        List.mapi
-          (fun i (_, pivot, delta, ids) ->
-            let exclude = ids @ !before in
-            before := ids @ !before;
-            let sw = Maint_query.sweep_for vd pivot in
-            fun () ->
-              results.(i) <-
-                Some (sweep_delta ?local ~compensate w sw ~delta ~exclude))
-          relevant
-      in
-      Dyno_sim.Executor.run_all exec thunks;
-      List.iteri
-        (fun i (_, _, _, ids) ->
-          match results.(i) with
-          | Some (Ok (dv, _)) ->
-              processed := ids @ !processed;
-              add_delta dv
-          | Some (Error (Query_engine.Broken b)) -> raise (Abort b)
-          | Some (Error (Query_engine.Unreachable u)) -> raise (Stall u)
-          | None -> assert false)
-        relevant
-    end
-    else
-      List.iter
-        (fun key ->
-          let delta, ids = Hashtbl.find groups key in
-          let _, rel = key in
-          match pivot_of key with
-          | None -> processed := ids @ !processed (* irrelevant to the view *)
-          | Some pivot -> (
-              check_schema pivot delta rel;
-              match
-                sweep_delta ?local ~compensate w
-                  (Maint_query.sweep_for vd pivot)
-                  ~delta ~exclude:(ids @ !processed)
-              with
-              | Error (Query_engine.Broken b) -> raise (Abort b)
-              | Error (Query_engine.Unreachable u) -> raise (Stall u)
-              | Ok (dv, _) ->
-                  processed := ids @ !processed;
-                  add_delta dv))
-        order;
+                add_delta dv))
+      order;
     (match !total with
     | None ->
         Mat_view.record_commit mv ~at:(Query_engine.now w) ~maintained:all_ids
@@ -328,22 +263,3 @@ let maintain_group ?(compensate = true) ?(overlap = false) ?local
   with
   | Abort b -> Aborted b
   | Stall u -> Unreachable u
-
-(** [initialize w mv] fully (re)materializes the view from the sources'
-    current states — used at system start.  Charged as one big adaptation. *)
-let initialize (w : Query_engine.t) (mv : Mat_view.t) : unit =
-  let vd = Mat_view.def mv in
-  let q = View_def.peek vd in
-  let scanned = ref 0 in
-  let env (tr : Query.table_ref) =
-    match Query_engine.source_relation w ~source:tr.source ~rel:tr.rel with
-    | Some r ->
-        scanned := !scanned + Relation.support r;
-        r
-    | None -> raise (Eval.Error (Fmt.str "missing relation %s@%s" tr.rel tr.source))
-  in
-  let extent = Eval.run ~planner:(Query_engine.planner w) ~catalog:env q in
-  Query_engine.advance w
-    (Dyno_sim.Cost_model.adapt (Query_engine.cost w) ~scanned:!scanned
-       ~written:(Relation.support extent));
-  Mat_view.replace mv ~at:(Query_engine.now w) ~maintained:[] extent

@@ -82,7 +82,6 @@ val commit_swept :
 
 val maintain_group :
   ?compensate:bool ->
-  ?overlap:bool ->
   ?local:Sweep.local ->
   Query_engine.t ->
   Mat_view.t ->
@@ -90,13 +89,6 @@ val maintain_group :
   outcome
 (** Deferred/grouped maintenance of a queue prefix of data updates: one
     merged sweep per relation, one view commit for the whole group
-    (probe-level telescoping of Equation 6).  With [overlap] (default
-    false), the per-relation sweeps run as concurrent tasks whose probe
-    round trips overlap; exclusion sets are fixed at dispatch to match
-    the serial left-to-right pass exactly.
+    (probe-level telescoping of Equation 6).
     @raise Invalid_argument if a schema change is in the group.
     @raise Invalid_view when the view is undefined. *)
-
-val initialize : Query_engine.t -> Mat_view.t -> unit
-(** Fully (re)materialize the view from the sources' current states,
-    charged as one big adaptation (system start). *)

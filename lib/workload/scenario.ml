@@ -12,11 +12,9 @@ module Config = struct
     track_snapshots : bool;
     trace_enabled : bool;
     faults : Dyno_net.Channel.faults;
-    retry : Dyno_net.Retry.policy option;
     net_seed : int;
     obs : Dyno_obs.Obs.t;
     shards : int;
-    partition : (string * int) list;
   }
 
   let default =
@@ -26,11 +24,9 @@ module Config = struct
       track_snapshots = false;
       trace_enabled = false;
       faults = Dyno_net.Channel.reliable;
-      retry = None;
       net_seed = 0;
       obs = Dyno_obs.Obs.disabled;
       shards = 1;
-      partition = [];
     }
 
   let with_rows rows t = { t with rows }
@@ -38,11 +34,9 @@ module Config = struct
   let with_snapshots track_snapshots t = { t with track_snapshots }
   let with_trace trace_enabled t = { t with trace_enabled }
   let with_faults faults t = { t with faults }
-  let with_retry retry t = { t with retry = Some retry }
   let with_net_seed net_seed t = { t with net_seed }
   let with_obs obs t = { t with obs }
   let with_shards shards t = { t with shards }
-  let with_partition partition t = { t with partition }
 end
 
 module Run_config = Dyno_core.Run_config
@@ -62,8 +56,7 @@ let make (c : Config.t) ~timeline : t =
   let registry = Paper_schema.build_sources ~rows:c.Config.rows in
   let mk = Paper_schema.build_meta () in
   let plan =
-    Dyno_core.Shard.plan ~partition:c.Config.partition ~shards:c.Config.shards
-      Paper_schema.sources
+    Dyno_core.Shard.plan ~shards:c.Config.shards Paper_schema.sources
   in
   (* One shared id counter across every shard's queue: ids stay globally
      unique (exclusion sets, the consistency checker's message index and
@@ -76,7 +69,7 @@ let make (c : Config.t) ~timeline : t =
   let trace = Dyno_sim.Trace.create ~enabled:c.Config.trace_enabled () in
   let engine =
     Query_engine.create ~trace ~faults:c.Config.faults
-      ~net_seed:c.Config.net_seed ?retry:c.Config.retry ~obs:c.Config.obs
+      ~net_seed:c.Config.net_seed ~obs:c.Config.obs
       ~cost:c.Config.cost ~registry ~timeline ~umq:umqs.(0) ()
   in
   if Dyno_core.Shard.count plan > 1 then
@@ -100,7 +93,7 @@ let make (c : Config.t) ~timeline : t =
   { registry; mk; umq = umqs.(0); plan; timeline; engine; mv; trace }
 
 let run (t : t) ~(config : Run_config.t) : Dyno_core.Stats.t =
-  Dyno_core.Shard_scheduler.run ~config ~plan:t.plan t.engine t.mv t.mk
+  Dyno_core.Scheduler.dispatch ~config ~plan:t.plan t.engine [ t.mv ] t.mk
 
 (** [msg_index t] — message id → (source, source version), for the strong
     consistency checker.  Ids are globally unique (shared counter), so

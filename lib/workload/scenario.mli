@@ -21,14 +21,11 @@ module Config : sig
     trace_enabled : bool;
     faults : Dyno_net.Channel.faults;
         (** wrapper→UMQ transport faults (reliable by default) *)
-    retry : Dyno_net.Retry.policy option;
-        (** probe retry policy ([None] derives it from [cost]) *)
     net_seed : int;  (** channel RNG stream; shard [i] draws seed + i *)
     obs : Dyno_obs.Obs.t;
     shards : int;
-        (** view-manager shards; sources are partitioned across them *)
-    partition : (string * int) list;
-        (** explicit source→shard overrides (round-robin otherwise) *)
+        (** view-manager shards; sources are dealt round-robin across
+            them ({!Dyno_core.Shard.plan}) *)
   }
 
   val default : t
@@ -40,17 +37,15 @@ module Config : sig
   val with_snapshots : bool -> t -> t
   val with_trace : bool -> t -> t
   val with_faults : Dyno_net.Channel.faults -> t -> t
-  val with_retry : Dyno_net.Retry.policy -> t -> t
   val with_net_seed : int -> t -> t
   val with_obs : Dyno_obs.Obs.t -> t -> t
   val with_shards : int -> t -> t
-  val with_partition : (string * int) list -> t -> t
 end
 
 (** Alias of {!Dyno_core.Run_config}: the shared scheduler-run record
     ([strategy], [max_steps], [compensate], [vm_mode], [du_group],
-    [parallel]) with its own [default] / [of_strategy] / [with_]
-    helpers. *)
+    [parallel], [self_maint]) with its own [default] / [of_strategy] /
+    [with_] helpers. *)
 module Run_config = Dyno_core.Run_config
 
 type t = {
@@ -73,8 +68,8 @@ val make : Config.t -> timeline:Dyno_sim.Timeline.t -> t
     shard, every queue drawing message ids from one shared counter. *)
 
 val run : t -> config:Run_config.t -> Dyno_core.Stats.t
-(** Drive the maintenance loop to completion via
-    {!Dyno_core.Shard_scheduler.run} — which, on a 1-shard plan, is
+(** Drive the maintenance loop to completion: {!Dyno_core.Scheduler.dispatch}
+    over the world's plan and its one view — on a 1-shard plan,
     {!Dyno_core.Scheduler.run} bit for bit. *)
 
 val msg_index : t -> (int * (string * int)) list

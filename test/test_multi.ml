@@ -28,7 +28,7 @@ type world = {
   mk : Dyno_source.Meta_knowledge.t;
   umq : Umq.t;
   engine : Query_engine.t;
-  multi : Multi_scheduler.t;
+  views : Mat_view.t list;
 }
 
 let make_world ~rows ~cost ~timeline () =
@@ -50,7 +50,7 @@ let make_world ~rows ~cost ~timeline () =
   in
   let mv1 = materialize (Paper_schema.view_query ()) (Paper_schema.view_schemas ()) in
   let mv2 = materialize (view2_query ()) (view2_schemas ()) in
-  { registry; mk; umq; engine; multi = Multi_scheduler.create [ mv1; mv2 ] }
+  { registry; mk; umq; engine; views = [ mv1; mv2 ] }
 
 let check_view w mv label =
   let vd = Mat_view.def mv in
@@ -73,15 +73,13 @@ let check_view w mv label =
 let run_and_check ~rows ~cost ~timeline ~strategy () =
   let w = make_world ~rows ~cost ~timeline () in
   let stats =
-    Multi_scheduler.run
+    Scheduler.dispatch
       ~config:
         Dyno_core.Run_config.(of_strategy strategy |> with_max_steps 200_000)
-      w.engine w.multi w.mk
+      w.engine w.views w.mk
   in
   Alcotest.(check bool) "queue drained" true (Umq.is_empty w.umq);
-  List.iteri
-    (fun i mv -> check_view w mv (Fmt.str "view %d" i))
-    (Multi_scheduler.views w.multi);
+  List.iteri (fun i mv -> check_view w mv (Fmt.str "view %d" i)) w.views;
   (w, stats)
 
 let test_du_only strategy () =
@@ -138,7 +136,7 @@ let test_views_see_different_relevance () =
     run_and_check ~rows:10 ~cost:Dyno_sim.Cost_model.free ~timeline
       ~strategy:Strategy.Optimistic ()
   in
-  match Multi_scheduler.views w.multi with
+  match w.views with
   | [ mv1; mv2 ] ->
       Alcotest.(check bool) "narrow view has fewer columns" true
         (Schema.arity (Relation.schema (Mat_view.extent mv2))
@@ -160,9 +158,7 @@ let test_compensations_counted () =
       in
       let solo = make_world ~rows:10 ~cost ~timeline:(timeline ()) () in
       let alone =
-        Scheduler.run solo.engine
-          (List.hd (Multi_scheduler.views solo.multi))
-          solo.mk
+        Scheduler.run solo.engine (List.hd solo.views) solo.mk
       in
       if alone.Stats.compensations = 0 then
         Alcotest.failf "seed %d: the single view should compensate" seed;
@@ -199,16 +195,16 @@ let sharded_views ~seed =
       tr.rel
   in
   Mat_view.replace mv2 ~at:0.0 ~maintained:[] (Eval.run ~catalog:env (view2_query ()));
-  (t, Multi_scheduler.create [ t.Scenario.mv; mv2 ])
+  (t, [ t.Scenario.mv; mv2 ])
 
 (* The view set drains every shard's queue when given the plan: both
    views converge and every commit of both logs is strongly consistent. *)
 let test_sharded_view_set () =
   List.iter
     (fun seed ->
-      let t, m = sharded_views ~seed in
+      let t, views = sharded_views ~seed in
       ignore
-        (Multi_scheduler.run ~plan:t.Scenario.plan t.Scenario.engine m
+        (Scheduler.dispatch ~plan:t.Scenario.plan t.Scenario.engine views
            t.Scenario.mk
           : Stats.t);
       List.iteri
@@ -225,16 +221,16 @@ let test_sharded_view_set () =
           if not (Consistency.ok r) then
             Alcotest.failf "%s strong consistency: %a" label
               Consistency.pp_report r)
-        (Multi_scheduler.views m))
+        views)
     [ 11; 12; 13 ]
 
 (* Without the plan the view set would drain route 0 alone and wait
    forever on the other shard's queue: the entry point refuses to start. *)
 let test_sharded_view_set_needs_plan () =
-  let t, m = sharded_views ~seed:11 in
+  let t, views = sharded_views ~seed:11 in
   Alcotest.(check bool)
     "2-route engine without a plan rejected" true
-    (match Multi_scheduler.run t.Scenario.engine m t.Scenario.mk with
+    (match Scheduler.dispatch t.Scenario.engine views t.Scenario.mk with
     | _ -> false
     | exception Invalid_argument _ -> true)
 

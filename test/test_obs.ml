@@ -80,9 +80,8 @@ let run_mode ?(strategy = Dyno_core.Strategy.Pessimistic) mode
       Dyno_workload.Scenario.run t
         ~config:(Dyno_core.Run_config.with_parallel 2 config)
   | Multi ->
-      Dyno_core.Multi_scheduler.run ~config t.Dyno_workload.Scenario.engine
-        (Dyno_core.Multi_scheduler.create
-           [ t.Dyno_workload.Scenario.mv; second_view t ])
+      Dyno_core.Scheduler.dispatch ~config t.Dyno_workload.Scenario.engine
+        [ t.Dyno_workload.Scenario.mv; second_view t ]
         t.Dyno_workload.Scenario.mk
 
 let run_observed ?loss ?(strategy = Dyno_core.Strategy.Pessimistic)
@@ -541,9 +540,8 @@ let prop_lineage =
       in
       let _stats =
         if multi then
-          Dyno_core.Multi_scheduler.run ~config t.Dyno_workload.Scenario.engine
-            (Dyno_core.Multi_scheduler.create
-               [ t.Dyno_workload.Scenario.mv; second_view t ])
+          Dyno_core.Scheduler.dispatch ~config t.Dyno_workload.Scenario.engine
+            [ t.Dyno_workload.Scenario.mv; second_view t ]
             t.Dyno_workload.Scenario.mk
         else Dyno_workload.Scenario.run t ~config
       in

@@ -529,8 +529,7 @@ let prop_multi_view_end_to_end =
             ("R2", Dyno_workload.Paper_schema.schema_of_rel 2);
           ]
       in
-      let multi = Dyno_core.Multi_scheduler.create [ mv1; mv2 ] in
-      ignore (Dyno_core.Multi_scheduler.run engine multi mk);
+      ignore (Dyno_core.Scheduler.dispatch engine [ mv1; mv2 ] mk);
       let msg_index =
         List.map
           (fun m ->
@@ -547,7 +546,7 @@ let prop_multi_view_end_to_end =
              | Error _ -> false)
              && Dyno_core.Consistency.ok
                   (Dyno_core.Consistency.check_strong engine mv ~msg_index))
-        (Dyno_core.Multi_scheduler.views multi))
+        [ mv1; mv2 ])
 
 (* -- stats JSON round-trip --------------------------------------------- *)
 

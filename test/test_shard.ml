@@ -190,9 +190,9 @@ let prop_sharded_parallel_equals_serial =
            (Dyno_core.Consistency.ok (Dyno_workload.Scenario.check_strong ts))
            (Dyno_core.Consistency.ok (Dyno_workload.Scenario.check_strong tk)))
 
-(* A 1-shard plan is not merely equivalent — Shard_scheduler.run must
-   delegate to Scheduler.run and be bit-identical, trace entries
-   included, on a zero-fault world. *)
+(* A 1-shard plan is not merely equivalent — dispatch over it must be
+   Scheduler.run bit for bit, trace entries included, on a zero-fault
+   world. *)
 let test_one_shard_identity () =
   let mk () =
     let timeline =
@@ -236,13 +236,8 @@ let test_one_shard_identity () =
 
 (* The partition plan itself. *)
 let test_plan () =
-  let p =
-    Dyno_core.Shard.plan ~shards:3
-      ~partition:[ ("DS3", 0) ]
-      [ "DS1"; "DS2"; "DS3" ]
-  in
+  let p = Dyno_core.Shard.plan ~shards:3 [ "DS1"; "DS2"; "DS3" ] in
   Alcotest.(check int) "count" 3 (Dyno_core.Shard.count p);
-  Alcotest.(check int) "override wins" 0 (Dyno_core.Shard.owner p "DS3");
   Alcotest.(check int) "round-robin 0" 0 (Dyno_core.Shard.owner p "DS1");
   Alcotest.(check int) "round-robin 1" 1 (Dyno_core.Shard.owner p "DS2");
   Alcotest.(check bool)
@@ -254,11 +249,6 @@ let test_plan () =
     "bad shard count rejected" true
     (match Dyno_core.Shard.plan ~shards:0 [ "DS1" ] with
     | _ -> false
-    | exception Invalid_argument _ -> true);
-  Alcotest.(check bool)
-    "out-of-range override rejected" true
-    (match Dyno_core.Shard.plan ~shards:2 ~partition:[ ("DS1", 5) ] [ "DS1" ] with
-    | _ -> false
     | exception Invalid_argument _ -> true)
 
 (* Validation error paths of the plan constructor itself. *)
@@ -269,25 +259,8 @@ let test_plan_errors () =
     | _ -> false
     | exception Invalid_argument _ -> true);
   Alcotest.(check bool)
-    "partition naming unknown source rejected" true
-    (match
-       Dyno_core.Shard.plan ~shards:2
-         ~partition:[ ("DS9", 0) ]
-         [ "DS1"; "DS2" ]
-     with
-    | _ -> false
-    | exception Invalid_argument _ -> true);
-  Alcotest.(check bool)
     "empty source list rejected" true
     (match Dyno_core.Shard.plan ~shards:2 [] with
-    | _ -> false
-    | exception Invalid_argument _ -> true);
-  (* Negative shard override is out of range too. *)
-  Alcotest.(check bool)
-    "negative override rejected" true
-    (match
-       Dyno_core.Shard.plan ~shards:2 ~partition:[ ("DS1", -1) ] [ "DS1" ]
-     with
     | _ -> false
     | exception Invalid_argument _ -> true);
   (* More shards than sources is legal — some shards just own nothing. *)
