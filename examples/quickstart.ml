@@ -54,13 +54,5 @@ let () =
   | Ok true -> Fmt.pr "view converged to a full recompute: OK@."
   | Ok false -> Fmt.pr "view DIVERGED from a full recompute!@."
   | Error e -> Fmt.pr "cannot check: %s@." e);
-  let index =
-    List.map
-      (fun m ->
-        ( Dyno_view.Update_msg.id m,
-          (Dyno_view.Update_msg.source m, Dyno_view.Update_msg.source_version m) ))
-      (Dyno_view.Umq.history w.Bookinfo.umq)
-  in
   Fmt.pr "strong consistency: %a@." Dyno_core.Consistency.pp_report
-    (Dyno_core.Consistency.check_strong w.Bookinfo.engine w.Bookinfo.mv
-       ~msg_index:index)
+    (Dyno_core.Consistency.check_strong w.Bookinfo.engine w.Bookinfo.mv)

@@ -6,8 +6,9 @@
     {b Strong consistency} (Zhuge et al.): every committed view state
     equals the view definition at that commit evaluated over a valid
     source-state vector, advancing monotonically in source-commit order.
-    The claimed vector is derived from the maintained message ids; states
-    are reconstructed from the sources' version histories. *)
+    The claimed vector is derived from the maintained message ids; the
+    committed extents are rolled forward from the view's logged changes
+    and the source states from the sources' commit logs. *)
 
 open Dyno_view
 
@@ -27,12 +28,10 @@ val convergent : Query_engine.t -> Mat_view.t -> (bool, string) result
 (** [Ok true] when the extent matches a recompute; [Error] when the view
     is undefined (nothing to check against). *)
 
-val check_strong :
-  Query_engine.t ->
-  Mat_view.t ->
-  msg_index:(int * (string * int)) list ->
-  report
-(** [check_strong w mv ~msg_index] replays every snapshot-tracked commit;
-    [msg_index] maps a message id to [(source id, source version)] (see
-    [Dyno_workload.Scenario.msg_index]).  Commits without snapshots are
-    counted as skipped. *)
+val check_strong : Query_engine.t -> Mat_view.t -> report
+(** [check_strong w mv] rolls every tracked commit of [mv] forward and
+    checks it against the view over the source versions it claims, in
+    time linear in the commits.  A maintained message id that none of
+    [w]'s queues admitted is a mismatch, and so is a live extent that
+    differs from the one the last commit's log leads to.  Commits without
+    a logged change are counted as skipped. *)

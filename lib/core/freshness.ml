@@ -41,7 +41,6 @@ type src = {
 type t = {
   metrics : Dyno_obs.Metrics.t;
   view : string;
-  mv : Mat_view.t;
   sources : (string * src) list;  (** sorted by source id *)
 }
 
@@ -57,8 +56,8 @@ let baseline ds queued =
       (fun acc m ->
         if String.equal (Update_msg.source m) id then
           match acc with
-          | None -> Some (Update_msg.seq m)
-          | Some s -> Some (min s (Update_msg.seq m))
+          | None -> Some (Update_msg.source_version m)
+          | Some s -> Some (min s (Update_msg.source_version m))
         else acc)
       None queued
   in
@@ -78,7 +77,7 @@ let create ~metrics ~mv ~registry ~queued () =
            (Dyno_source.Data_source.id ds, { ds; applied = baseline ds queued }))
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  { metrics; view; mv; sources }
+  { metrics; view; sources }
 
 let view_name t = t.view
 
@@ -116,10 +115,7 @@ let note_applied t ~now ~source ~version ~commit_time =
   | Some s ->
       let before_s = staleness_seconds t ~now in
       let before_v = lag_versions t in
-      if version > s.applied then begin
-        s.applied <- version;
-        Mat_view.note_applied t.mv ~source ~version ~commit_time
-      end;
+      if version > s.applied then s.applied <- version;
       let after_s = staleness_seconds t ~now in
       if after_s > before_s +. 1e-9 then
         Dyno_obs.Metrics.incr t.metrics "freshness.monotonicity_violations";

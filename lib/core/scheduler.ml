@@ -209,10 +209,11 @@ let abort_provenance (umq : Umq.t) (b : Dyno_source.Data_source.broken) :
 (* ---- Self-maintenance tier wiring ---- *)
 
 (* Build a view's auxiliary store against this engine: projections are
-   seeded (and re-seeded after schema-change invalidation) from the
-   memoized source snapshots at the per-source delivered frontier — the
+   seeded (and re-seeded after schema-change invalidation) from each
+   source's forward replica at the per-source delivered frontier — the
    exact historical state, never the live one, which may hold committed
-   but undelivered updates neither maintenance path is allowed to see. *)
+   but undelivered updates neither maintenance path is allowed to see.
+   The frontier never decreases, so the replica only rolls forward. *)
 let aux_store (w : Query_engine.t) (mv : Mat_view.t) :
     Dyno_selfmaint.Aux_store.t =
   let registry = Query_engine.registry w in

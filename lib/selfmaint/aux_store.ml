@@ -23,10 +23,10 @@
     re-seed could answer locally where the baseline would probe into the
     conflict and abort); once the queue holds none, [sync] re-derives the
     source's descriptors from the — by then rewritten — view definition
-    and re-seeds them from the memoized source snapshot at the delivered
-    frontier.  Snapshots at the frontier are exact and exclude committed
-    but undelivered updates, which neither the probed-then-compensated
-    path nor the local path may see. *)
+    and re-seeds them from the source's state at the delivered frontier,
+    read from its forward replica.  That state is exact and excludes
+    committed but undelivered updates, which neither the
+    probed-then-compensated path nor the local path may see. *)
 
 open Dyno_relational
 module Obs = Dyno_obs.Obs
@@ -75,9 +75,9 @@ let gauge_coverage t =
 let delivered_frontier t source =
   Option.value (Hashtbl.find_opt t.frontier source) ~default:0
 
-(* Seed (or re-seed) one projection from the source snapshot at the
+(* Seed (or re-seed) one projection from the source state at the
    delivered frontier.  A missing source, out-of-range version or a
-   projected attribute absent from the snapshot schema leaves the
+   projected attribute absent from that state's schema leaves the
    projection invalid — maintenance falls back to probing. *)
 let seed t (def : Aux_plan.aux_def) =
   let version = delivered_frontier t def.Aux_plan.source in

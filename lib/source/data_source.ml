@@ -8,33 +8,26 @@
     answered with [Error] — the broken query of Definition 2.
 
     The store is multi-versioned: every commit bumps the version and
-    records enough information to reconstruct any past state
-    ({!snapshot_at}).  Version history is what lets tests check strong
-    consistency and lets view adaptation obtain pre-change states. *)
+    appends the change to a log ([log.(v - 1)] produced version [v]).
+    Past states are rolled {e forward} from a copy of version 0 taken just
+    before the first commit, into one private replica ({!relation_at}). *)
 
 open Dyno_relational
 
-type hist_entry =
-  | H_du of { update : Update.t; time : float }
-  | H_sc of {
-      sc : Schema_change.t;
-      time : float;
-      saved_catalog : Catalog.t;  (** catalog before the change *)
-      saved_rels : (string * Relation.t) list;
-          (** pre-change copies of relations touched by the change *)
-    }
-
-type t = {
-  id : string;
+(* A catalog with the extents of its relations, at a version. *)
+type state = {
   catalog : Catalog.t;
   tables : (string, Relation.t) Hashtbl.t;
   mutable version : int;  (** bumped on every commit; 0 = initial state *)
-  mutable history : (int * hist_entry) list;  (** newest first *)
-  snapshots : (int, Catalog.t * (string, Relation.t) Hashtbl.t) Hashtbl.t;
-      (** memoized past states, keyed by version.  A version's state never
-          changes retroactively, so entries stay valid forever; keeping
-          them alive means the indexes probes build on old extents survive
-          across probes at the same version. *)
+}
+
+type t = {
+  id : string;
+  live : state;
+  mutable log : (float * Dyno_sim.Timeline.event) array;
+      (** commit time and change; the first [live.version] slots are used *)
+  mutable v0 : state option;  (** version 0, kept from the first commit on *)
+  mutable replica : state option;  (** past state last asked for *)
 }
 
 type broken = { source : string; query_name : string; reason : string }
@@ -48,31 +41,32 @@ type answer = {
 let create id =
   {
     id;
-    catalog = Catalog.create ();
-    tables = Hashtbl.create 8;
-    version = 0;
-    history = [];
-    snapshots = Hashtbl.create 8;
+    live =
+      { catalog = Catalog.create (); tables = Hashtbl.create 8; version = 0 };
+    log = [||];
+    v0 = None;
+    replica = None;
   }
 
 let id s = s.id
-let catalog s = s.catalog
-let version s = s.version
+let catalog s = s.live.catalog
+let version s = s.live.version
 
-let relations s = Catalog.relations s.catalog
+let relations s = Catalog.relations s.live.catalog
 
-let relation s name =
-  match Hashtbl.find_opt s.tables name with
+let table st name =
+  match Hashtbl.find_opt st.tables name with
   | Some r -> r
   | None -> raise (Catalog.No_such_relation name)
 
-let relation_opt s name = Hashtbl.find_opt s.tables name
+let relation s name = table s.live name
+let relation_opt s name = Hashtbl.find_opt s.live.tables name
 
 (** [add_relation s name schema] registers an empty base relation (initial
     load, not versioned as an update). *)
 let add_relation s name schema =
-  Catalog.add_relation s.catalog name schema;
-  Hashtbl.replace s.tables name (Relation.create schema)
+  Catalog.add_relation s.live.catalog name schema;
+  Hashtbl.replace s.live.tables name (Relation.create schema)
 
 (** [load s name tuples] bulk-appends initial data (not versioned). *)
 let load s name tuples =
@@ -83,6 +77,48 @@ let load_counted s name pairs =
   let r = relation s name in
   List.iter (fun (t, c) -> Relation.add r (Tuple.of_list t) c) pairs
 
+(** [apply_sc st sc] — catalog surgery plus the extent transformation
+    mirroring it.  Commits and replay both call it. *)
+let apply_sc st (sc : Schema_change.t) =
+  Catalog.apply st.catalog sc;
+  match sc with
+  | Rename_relation { old_name; new_name; _ } ->
+      let r = table st old_name in
+      Hashtbl.remove st.tables old_name;
+      Hashtbl.replace st.tables new_name r
+  | Drop_relation { name; _ } -> Hashtbl.remove st.tables name
+  | Add_relation { name; schema; _ } ->
+      Hashtbl.replace st.tables name (Relation.create schema)
+  | Rename_attribute { rel; old_name; new_name; _ } ->
+      Hashtbl.replace st.tables rel
+        (Relation.rename_attr (table st rel) ~old_name ~new_name)
+  | Drop_attribute { rel; _ } ->
+      Hashtbl.replace st.tables rel
+        (Relation.project (table st rel)
+           (Schema.names (Catalog.schema_of st.catalog rel)))
+  | Add_attribute { rel; default; _ } ->
+      Hashtbl.replace st.tables rel
+        (Relation.map_tuples
+           (Catalog.schema_of st.catalog rel)
+           (fun t -> Tuple.append t default)
+           (table st rel))
+
+(* Deltas apply in place — O(|delta|), and any indexes probes have built
+   on the extent stay registered and are maintained incrementally. *)
+let step st (ev : Dyno_sim.Timeline.event) =
+  (match ev with
+  | Dyno_sim.Timeline.Du u ->
+      Relation.apply_delta_in_place (table st (Update.rel u)) (Update.delta u)
+  | Dyno_sim.Timeline.Sc sc -> apply_sc st sc);
+  st.version <- st.version + 1
+
+let copy_state st =
+  let tables = Hashtbl.create (Hashtbl.length st.tables) in
+  Hashtbl.iter
+    (fun k r -> Hashtbl.replace tables k (Relation.copy r))
+    st.tables;
+  { catalog = Catalog.copy st.catalog; tables; version = st.version }
+
 (* ------------------------------------------------------------------ *)
 (* Autonomous commits                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -91,13 +127,29 @@ exception Commit_rejected of string
 
 let reject fmt = Fmt.kstr (fun s -> raise (Commit_rejected s)) fmt
 
+(* Apply a validated change to the live state and log it.  The first
+   commit keeps a copy of version 0 before it mutates anything. *)
+let record s ~time ev =
+  if s.v0 = None then s.v0 <- Some (copy_state s.live);
+  step s.live ev;
+  let n = s.live.version in
+  if n > Array.length s.log then begin
+    let grown = Array.make (max 16 (2 * n)) (time, ev) in
+    Array.blit s.log 0 grown 0 (n - 1);
+    s.log <- grown
+  end;
+  s.log.(n - 1) <- (time, ev);
+  n
+
 (** [commit_du s ~time u] applies a data update; the delta schema must match
-    the current schema of the target relation.  Returns the new version. *)
+    the current schema of the target relation.  Returns the new version.
+    Autonomous sources apply their own committed writes unconditionally;
+    a deletion of an absent tuple would be a source-side bug. *)
 let commit_du s ~time (u : Update.t) =
   if not (String.equal (Update.source u) s.id) then
     reject "update targets source %s, not %s" (Update.source u) s.id;
   let rel_name = Update.rel u in
-  (match Catalog.schema_of_opt s.catalog rel_name with
+  (match Catalog.schema_of_opt s.live.catalog rel_name with
   | None -> reject "no relation %s at source %s" rel_name s.id
   | Some schema ->
       if not (Schema.equal schema (Relation.schema (Update.delta u))) then
@@ -105,25 +157,7 @@ let commit_du s ~time (u : Update.t) =
           Schema.pp
           (Relation.schema (Update.delta u))
           rel_name Schema.pp schema);
-  let r = relation s rel_name in
-  (* Autonomous sources apply their own committed writes unconditionally;
-     a deletion of an absent tuple would be a source-side bug.  Applied in
-     place — O(|delta|), and any indexes probes have built on the extent
-     stay registered and are maintained incrementally. *)
-  Relation.apply_delta_in_place r (Update.delta u);
-  s.version <- s.version + 1;
-  s.history <- (s.version, H_du { update = u; time }) :: s.history;
-  s.version
-
-(** Relations whose extent or schema a change touches (for snapshotting). *)
-let touched_rels (sc : Schema_change.t) =
-  match sc with
-  | Rename_relation { old_name; _ } -> [ old_name ]
-  | Drop_relation { name; _ } -> [ name ]
-  | Add_relation _ -> []
-  | Rename_attribute { rel; _ } | Drop_attribute { rel; _ }
-  | Add_attribute { rel; _ } ->
-      [ rel ]
+  record s ~time (Dyno_sim.Timeline.Du u)
 
 (** [commit_sc s ~time sc] applies a schema change: catalog surgery plus the
     corresponding extent transformation.  Returns the new version. *)
@@ -131,41 +165,10 @@ let commit_sc s ~time (sc : Schema_change.t) =
   if not (String.equal (Schema_change.source sc) s.id) then
     reject "schema change targets source %s, not %s"
       (Schema_change.source sc) s.id;
-  let saved_catalog = Catalog.copy s.catalog in
-  let saved_rels =
-    List.filter_map
-      (fun n ->
-        Option.map (fun r -> (n, Relation.copy r)) (relation_opt s n))
-      (touched_rels sc)
-  in
-  (try Catalog.apply s.catalog sc
+  (* Validate on a copy: a rejected change mutates nothing. *)
+  (try Catalog.apply (Catalog.copy s.live.catalog) sc
    with e -> reject "inapplicable schema change: %s" (Printexc.to_string e));
-  (* Extent transformation mirroring the catalog change. *)
-  (match sc with
-  | Rename_relation { old_name; new_name; _ } ->
-      let r = relation s old_name in
-      Hashtbl.remove s.tables old_name;
-      Hashtbl.replace s.tables new_name r
-  | Drop_relation { name; _ } -> Hashtbl.remove s.tables name
-  | Add_relation { name; schema; _ } ->
-      Hashtbl.replace s.tables name (Relation.create schema)
-  | Rename_attribute { rel; old_name; new_name; _ } ->
-      Hashtbl.replace s.tables rel
-        (Relation.rename_attr (relation s rel) ~old_name ~new_name)
-  | Drop_attribute { rel; attr; _ } ->
-      let r = relation s rel in
-      let schema' = Catalog.schema_of s.catalog rel in
-      let keep = Schema.names schema' in
-      ignore attr;
-      Hashtbl.replace s.tables rel (Relation.project r keep)
-  | Add_attribute { rel; default; _ } ->
-      let r = relation s rel in
-      let schema' = Catalog.schema_of s.catalog rel in
-      Hashtbl.replace s.tables rel
-        (Relation.map_tuples schema' (fun t -> Tuple.append t default) r));
-  s.version <- s.version + 1;
-  s.history <- (s.version, H_sc { sc; time; saved_catalog; saved_rels }) :: s.history;
-  s.version
+  record s ~time (Dyno_sim.Timeline.Sc sc)
 
 (** [commit s ~time ev] dispatches a timeline event. *)
 let commit s ~time (ev : Dyno_sim.Timeline.event) =
@@ -195,7 +198,7 @@ let answer ?(planner : Eval.plan = `Indexed) ?plan s (q : Query.t)
       (fun (tr : Query.table_ref) ->
         if List.mem_assoc tr.alias bound then None
         else if String.equal tr.source s.id then
-          if not (Catalog.mem s.catalog tr.rel) then
+          if not (Catalog.mem s.live.catalog tr.rel) then
             Some (Fmt.str "relation %s does not exist" tr.rel)
           else None
         else Some (Fmt.str "alias %s not bound and not local" tr.alias))
@@ -237,7 +240,7 @@ let validate s (q : Query.t) : (unit, broken) result =
     List.filter_map
       (fun (tr : Query.table_ref) ->
         if String.equal tr.source s.id then
-          Some (tr.alias, Catalog.schema_of_opt s.catalog tr.rel, tr.rel)
+          Some (tr.alias, Catalog.schema_of_opt s.live.catalog tr.rel, tr.rel)
         else None)
       (Query.from q)
   in
@@ -281,92 +284,40 @@ let validate s (q : Query.t) : (unit, broken) result =
 (* Version history                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(** Full state of the source at [version]: a catalog copy plus every
-    relation extent.  Reconstructed by undoing history newest-first, so it
-    is exact (schema changes keep pre-images). *)
-let snapshot_at_uncached s ~version =
-  let catalog = ref (Catalog.copy s.catalog) in
-  let tables = Hashtbl.copy s.tables in
-  (* Deep-copy current extents so undo does not alias live data. *)
-  Hashtbl.iter (fun k r -> Hashtbl.replace tables k (Relation.copy r)) s.tables;
-  List.iter
-    (fun (v, entry) ->
-      if v > version then
-        match entry with
-        | H_du { update; _ } ->
-            let rel_name = Update.rel update in
-            let r = Hashtbl.find tables rel_name in
-            Hashtbl.replace tables rel_name
-              (Relation.sum r (Relation.negate (Update.delta update)))
-        | H_sc { sc; saved_catalog; saved_rels; _ } ->
-            catalog := Catalog.copy saved_catalog;
-            (* Remove post-images of touched relations… *)
-            (match sc with
-            | Rename_relation { new_name; _ } -> Hashtbl.remove tables new_name
-            | Add_relation { name; _ } -> Hashtbl.remove tables name
-            | Drop_relation _ | Rename_attribute _ | Drop_attribute _
-            | Add_attribute _ ->
-                List.iter (fun (n, _) -> Hashtbl.remove tables n) saved_rels);
-            (* …and restore pre-images. *)
-            List.iter
-              (fun (n, r) -> Hashtbl.replace tables n (Relation.copy r))
-              saved_rels)
-    s.history;
-  (!catalog, tables)
-
-(** Memoizing wrapper: a past version's state never changes retroactively
-    (commits only append), so reconstructions are cached.  Repeated probes
-    at the same old version — the strong-consistency replay, concurrent
-    readers pinned to a snapshot — pay the undo walk once, and the indexes
-    they build on the cached extents persist across probes.  Callers must
-    treat the returned state as read-only. *)
-let snapshot_at s ~version =
-  if version > s.version || version < 0 then
-    invalid_arg
-      (Fmt.str "snapshot_at: version %d out of range [0..%d]" version s.version);
-  match Hashtbl.find_opt s.snapshots version with
-  | Some snap -> snap
-  | None ->
-      let snap = snapshot_at_uncached s ~version in
-      (* Bound the cache: histories are long-lived but replays cluster on
-         recent versions; dropping everything on overflow is simple and
-         keeps the common monotone replay fast. *)
-      if Hashtbl.length s.snapshots > 256 then Hashtbl.reset s.snapshots;
-      Hashtbl.replace s.snapshots version snap;
-      snap
-
-(** [relation_at s ~version name] extent of [name] at [version].
+(** [relation_at s ~version name] extent of [name] at [version], read
+    from the source's one replica: rolled forward in place when it is at
+    or behind [version] (its indexes survive), rebuilt from version 0
+    when it is ahead.  The result stays valid only until the next
+    [relation_at] on [s].
     @raise Catalog.No_such_relation if absent at that version. *)
 let relation_at s ~version name =
-  let _, tables = snapshot_at s ~version in
-  match Hashtbl.find_opt tables name with
-  | Some r -> r
-  | None -> raise (Catalog.No_such_relation name)
-
-let history s = List.rev s.history
-
-(** {2 Commit frontier}
-
-    What the freshness/staleness tracker reads: when did this source
-    commit a given version?  History is newest-first and versions are
-    dense, so both lookups are cheap. *)
+  if version > s.live.version || version < 0 then
+    invalid_arg
+      (Fmt.str "relation_at: version %d out of range [0..%d]" version
+         s.live.version);
+  let r =
+    match s.replica with
+    | Some r when r.version <= version -> r
+    | _ ->
+        let r = copy_state (Option.value s.v0 ~default:s.live) in
+        s.replica <- Some r;
+        r
+  in
+  while r.version < version do
+    step r (snd s.log.(r.version))
+  done;
+  table r name
 
 (** [commit_time_of_version s v] — the simulated time at which version
     [v] was committed; [None] for version 0 (initial load, not
-    versioned) or a version this source never produced. *)
+    versioned) or a version this source never produced.  The
+    freshness/staleness tracker's commit-frontier read. *)
 let commit_time_of_version s v =
-  match List.assoc_opt v s.history with
-  | Some (H_du { time; _ }) | Some (H_sc { time; _ }) -> Some time
-  | None -> None
-
-(** [last_commit_time s] — time of the newest commit, if any. *)
-let last_commit_time s =
-  match s.history with
-  | (_, H_du { time; _ }) :: _ | (_, H_sc { time; _ }) :: _ -> Some time
-  | [] -> None
+  if v >= 1 && v <= s.live.version then Some (fst s.log.(v - 1)) else None
 
 let pp ppf s =
-  Fmt.pf ppf "@[<v2>source %s (v%d):@,%a@]" s.id s.version Catalog.pp s.catalog
+  Fmt.pf ppf "@[<v2>source %s (v%d):@,%a@]" s.id s.live.version Catalog.pp
+    s.live.catalog
 
 let pp_broken ppf (b : broken) =
   Fmt.pf ppf "broken query %s at %s: %s" b.query_name b.source b.reason

@@ -2,8 +2,10 @@
     commits data updates and schema changes {e autonomously} (they can
     never be aborted by the view manager — the root constraint of the
     paper) and answers maintenance queries against its {e current} state.
-    The store is multi-versioned: any past state can be reconstructed,
-    which is what lets tests check strong consistency. *)
+    The store is multi-versioned: it logs every commit and rolls a copy
+    of version 0 forward to any past state, which is what lets the
+    strong-consistency check and self-maintenance re-seeding read the
+    exact state a view claims to reflect. *)
 
 open Dyno_relational
 
@@ -23,8 +25,8 @@ val catalog : t -> Catalog.t
 
 val version : t -> int
 (** Bumped on every commit; 0 = initial state.  Doubles as the
-    per-source monotone sequence number stamped on each outgoing update
-    message ([Update_msg.seq]): the UMQ's exactly-once sequencer is
+    per-source monotone sequence number of each outgoing update message
+    ([Update_msg.source_version]): the UMQ's exactly-once sequencer is
     anchored at the version of the source's first commit and expects
     every later commit to follow in order. *)
 
@@ -84,39 +86,22 @@ val validate : t -> Query.t -> (unit, broken) result
 
 (** {1 Version history} *)
 
-val snapshot_at : t -> version:int -> Catalog.t * (string, Relation.t) Hashtbl.t
-(** Full state at a version, reconstructed by undoing history (schema
-    changes keep pre-images, so it is exact).  Reconstructions are
-    memoized per version — a past version never changes retroactively —
-    so repeated probes at the same version are O(1) after the first, and
-    indexes built on the cached extents persist across probes.  Treat the
-    returned state as {b read-only}: it is shared between callers.
-    @raise Invalid_argument when out of range. *)
-
 val relation_at : t -> version:int -> string -> Relation.t
-(** Extent at a version, from the memoized snapshot (read-only; see
-    {!snapshot_at}).
-    @raise Catalog.No_such_relation if absent at that version. *)
-
-(** Commit-log entries (oldest first from {!history}). *)
-type hist_entry =
-  | H_du of { update : Update.t; time : float }
-  | H_sc of {
-      sc : Schema_change.t;
-      time : float;
-      saved_catalog : Catalog.t;
-      saved_rels : (string * Relation.t) list;
-    }
-
-val history : t -> (int * hist_entry) list
+(** Extent at a version, read from the source's one private replica of
+    its past: the replica rolls forward through the commit log in place
+    when asked for its own version or a later one (so the indexes probes
+    build on it persist), and is rebuilt from version 0 only when asked
+    for an older version.  A reader whose versions never decrease — the
+    strong-consistency check, self-maintenance re-seeding at the
+    delivered frontier — rebuilds at most once.  Read-only, and valid
+    only until the next [relation_at] on the same source.
+    @raise Catalog.No_such_relation if absent at that version.
+    @raise Invalid_argument when the version is out of range. *)
 
 val commit_time_of_version : t -> int -> float option
 (** Simulated time at which a version was committed; [None] for
     version 0 (initial load, not versioned) or an unknown version.  The
     freshness/staleness tracker's commit-frontier read. *)
-
-val last_commit_time : t -> float option
-(** Time of the newest commit, if any. *)
 
 val pp : Format.formatter -> t -> unit
 val pp_broken : Format.formatter -> broken -> unit

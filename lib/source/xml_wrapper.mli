@@ -9,10 +9,10 @@
     the source first ({!Dyno_source.Data_source.commit_du} /
     [commit_sc]), which assigns it the source's next commit version —
     and that version doubles as the message's per-source monotone
-    sequence number on the wire ([Update_msg.seq]).  Wrappers are
-    assumed to send on a FIFO stream and to retransmit lost messages
-    ({!Dyno_net.Channel}); the UMQ's sequencer relies on these numbers
-    to drop duplicates and re-order late arrivals, restoring the
+    sequence number on the wire ([Update_msg.source_version]).
+    Wrappers are assumed to send on a FIFO stream and to retransmit lost
+    messages ({!Dyno_net.Channel}); the UMQ's sequencer relies on these
+    numbers to drop duplicates and re-order late arrivals, restoring the
     exactly-once, commit-ordered delivery the maintenance algorithms
     assume. *)
 

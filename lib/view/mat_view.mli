@@ -1,17 +1,24 @@
 (** The materialized view: extent storage plus a commit log.  Every
-    successful maintenance process ends with w(MV) c(MV); with snapshot
-    tracking on, each commit stores a full copy of the extent and the
-    definition it was built on, so strong consistency can be verified
-    offline. *)
+    successful maintenance process ends with w(MV) c(MV).  With snapshot
+    tracking on, the view keeps a copy of the extent it was created with
+    and each commit logs how it changed the extent and the definition it
+    was built on, so every committed extent can be rolled forward and
+    checked for strong consistency offline. *)
 
 open Dyno_relational
 
+(** How a tracked commit changed the extent. *)
+type change =
+  | Unchanged
+  | Delta of Relation.t  (** a copy of the signed delta applied *)
+  | Installed of Relation.t  (** a copy of the extent installed *)
+
 type commit = {
   at : float;  (** simulated commit time *)
-  def_version : int;  (** view-definition version the commit was built on *)
   maintained : int list;  (** update-message ids integrated by this commit *)
-  snapshot : Relation.t option;
-  def_snapshot : (Query.t * (string * Schema.t) list) option;
+  logged : (change * Query.t) option;
+      (** with tracking: the extent change and the definition the commit
+          was built on *)
 }
 
 type t
@@ -19,6 +26,11 @@ type t
 val create : ?track_snapshots:bool -> View_def.t -> Relation.t -> t
 val def : t -> View_def.t
 val extent : t -> Relation.t
+
+val initial_extent : t -> Relation.t option
+(** A copy of the extent {!create} received, when tracking: where the
+    roll through the logged changes starts. *)
+
 val cardinality : t -> int
 val commit_count : t -> int
 
@@ -36,20 +48,5 @@ val refresh : t -> at:float -> maintained:int list -> Relation.t -> unit
 val replace : t -> at:float -> maintained:int list -> Relation.t -> unit
 (** Install a whole new extent (adaptation after the definition changed
     shape). *)
-
-(** {1 Applied frontier}
-
-    Per-source freshness bookkeeping written by the schedulers' staleness
-    tracker: the highest source version the view has integrated (or
-    trivially reflects) and the simulated time of that source commit. *)
-
-val note_applied : t -> source:string -> version:int -> commit_time:float -> unit
-(** Advance the frontier for a source (monotone: a stale redelivery never
-    moves it backwards). *)
-
-val applied_version : t -> string -> int option
-
-val applied_frontier : t -> (string * (int * float)) list
-(** [(source, (version, commit_time))], sorted by source id. *)
 
 val pp : Format.formatter -> t -> unit

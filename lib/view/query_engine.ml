@@ -181,17 +181,18 @@ let set_broken_query_flags w =
 let admit_packet w ri (p : Update_msg.payload Channel.packet) =
   let lin = Dyno_obs.Obs.lineage w.obs in
   match
-    Umq.deliver w.routes.(ri).r_umq ~source:p.source ~seq:p.seq
-      ~commit_time:p.sent ~source_version:p.seq p.payload
+    Umq.deliver w.routes.(ri).r_umq ~source:p.source ~commit_time:p.sent
+      ~source_version:p.seq p.payload
   with
   | Umq.Admitted ms ->
       List.iter
         (fun m ->
+          let version = Update_msg.source_version m in
           (* A message the sequencer had been holding for reordering is
              released now: charge its hold time to the UMQ histogram. *)
-          (match Hashtbl.find_opt w.held_since (p.source, Update_msg.seq m) with
+          (match Hashtbl.find_opt w.held_since (p.source, version) with
           | Some since ->
-              Hashtbl.remove w.held_since (p.source, Update_msg.seq m);
+              Hashtbl.remove w.held_since (p.source, version);
               Dyno_obs.Metrics.observe
                 (Dyno_obs.Obs.metrics w.obs)
                 "umq.hold_s" (now w -. since)
@@ -199,10 +200,10 @@ let admit_packet w ri (p : Update_msg.payload Channel.packet) =
           (* The carried packet arrives now; messages drained from the
              gap hold already recorded their arrival when they were
              held, so only their hold wait closes here (in [admit]). *)
-          if Update_msg.seq m = p.seq then
+          if version = p.seq then
             Dyno_obs.Lineage.arrive lin ~source:p.source ~seq:p.seq
               ~time:p.arrival;
-          Dyno_obs.Lineage.admit lin ~source:p.source ~seq:(Update_msg.seq m)
+          Dyno_obs.Lineage.admit lin ~source:p.source ~seq:version
             ~time:(now w) ~msg_id:(Update_msg.id m);
           Trace.recordf w.trace ~time:(now w) Trace.Enqueue "%a" Update_msg.pp
             m;

@@ -77,9 +77,9 @@ type t = {
           whole queue *)
   expected : (string, int) Hashtbl.t;
       (** per-source sequencer: next sequence number to admit *)
-  held : (string, (int * (float * int * Update_msg.payload)) list) Hashtbl.t;
+  held : (string, (int * (float * Update_msg.payload)) list) Hashtbl.t;
       (** per-source hold buffer for messages that arrived ahead of a gap:
-          seq → (commit_time, source_version, payload), unsorted, small *)
+          source version → (commit_time, payload), unsorted, small *)
   mutable dups_dropped : int;
   mutable reorders_healed : int;
 }
@@ -234,39 +234,40 @@ type delivery =
   | Duplicate  (** already admitted or already held — dropped *)
   | Held  (** arrived ahead of a gap — buffered until the gap fills *)
 
-(** [deliver q ~source ~seq ~commit_time ~source_version payload] runs one
-    arriving copy through the sequencer. *)
-let deliver q ~source ~seq ~commit_time ~source_version payload =
-  ensure_source q ~source ~first_seq:seq;
+(** [deliver q ~source ~commit_time ~source_version payload] runs one
+    arriving copy through the sequencer; [source_version] is its
+    sequence number. *)
+let deliver q ~source ~commit_time ~source_version payload =
+  ensure_source q ~source ~first_seq:source_version;
   let expected = Hashtbl.find q.expected source in
-  if seq < expected then begin
+  if source_version < expected then begin
     q.dups_dropped <- q.dups_dropped + 1;
     Duplicate
   end
-  else if seq > expected then begin
+  else if source_version > expected then begin
     let buf = Option.value ~default:[] (Hashtbl.find_opt q.held source) in
-    if List.mem_assoc seq buf then begin
+    if List.mem_assoc source_version buf then begin
       q.dups_dropped <- q.dups_dropped + 1;
       Duplicate
     end
     else begin
       Hashtbl.replace q.held source
-        ((seq, (commit_time, source_version, payload)) :: buf);
+        ((source_version, (commit_time, payload)) :: buf);
       Held
     end
   end
   else begin
     let first = enqueue q ~commit_time ~source_version payload in
-    Hashtbl.replace q.expected source (seq + 1);
+    Hashtbl.replace q.expected source (source_version + 1);
     (* Drain the hold buffer: every consecutive successor is released. *)
     let rec drain acc =
       let next = Hashtbl.find q.expected source in
       let buf = Option.value ~default:[] (Hashtbl.find_opt q.held source) in
       match List.assoc_opt next buf with
       | None -> List.rev acc
-      | Some (ct, sv, pl) ->
+      | Some (ct, pl) ->
           Hashtbl.replace q.held source (List.remove_assoc next buf);
-          let m = enqueue q ~commit_time:ct ~source_version:sv pl in
+          let m = enqueue q ~commit_time:ct ~source_version:next pl in
           Hashtbl.replace q.expected source (next + 1);
           q.reorders_healed <- q.reorders_healed + 1;
           drain (m :: acc)

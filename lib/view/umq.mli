@@ -68,12 +68,12 @@ type delivery =
 val deliver :
   t ->
   source:string ->
-  seq:int ->
   commit_time:float ->
   source_version:int ->
   Update_msg.payload ->
   delivery
-(** Run one arriving copy through the sequencer. *)
+(** Run one arriving copy through the sequencer; [source_version] is its
+    sequence number. *)
 
 val dups_dropped : t -> int
 val reorders_healed : t -> int

@@ -14,22 +14,18 @@ type payload = Du of Update.t | Sc of Schema_change.t
 type t = {
   id : int;  (** unique, in arrival order *)
   commit_time : float;  (** when the source committed it *)
-  source_version : int;  (** source version right after this commit *)
-  seq : int;
-      (** per-source monotone sequence number stamped by the wrapper —
-          the transport layer's dedup/reorder key.  Equals
-          [source_version] under the one-commit-one-message discipline. *)
+  source_version : int;
+      (** source version right after this commit — also the per-source
+          monotone sequence number the transport dedups and reorders on *)
   payload : payload;
 }
 
-let make ?seq ~id ~commit_time ~source_version payload =
-  let seq = Option.value ~default:source_version seq in
-  { id; commit_time; source_version; seq; payload }
+let make ~id ~commit_time ~source_version payload =
+  { id; commit_time; source_version; payload }
 
 let id m = m.id
 let commit_time m = m.commit_time
 let source_version m = m.source_version
-let seq m = m.seq
 let payload m = m.payload
 
 let source m =
@@ -49,20 +45,9 @@ let is_du m = match m.payload with Du _ -> true | Sc _ -> false
 let as_du m = match m.payload with Du u -> Some u | Sc _ -> None
 let as_sc m = match m.payload with Sc sc -> Some sc | Du _ -> None
 
-let of_event ?seq ~id ~commit_time ~source_version
-    (ev : Dyno_sim.Timeline.event) =
-  let payload =
-    match ev with
-    | Dyno_sim.Timeline.Du u -> Du u
-    | Dyno_sim.Timeline.Sc sc -> Sc sc
-  in
-  make ?seq ~id ~commit_time ~source_version payload
-
 let pp ppf m =
   match m.payload with
   | Du u ->
       Fmt.pf ppf "#%d@%.3fs DU(%s@%s, %d tuples)" m.id m.commit_time
         (Update.rel u) (Update.source u) (Update.size u)
   | Sc sc -> Fmt.pf ppf "#%d@%.3fs SC(%a)" m.id m.commit_time Schema_change.pp sc
-
-let to_string m = Fmt.str "%a" pp m

@@ -9,15 +9,14 @@ type payload = Du of Update.t | Sc of Schema_change.t
 
 type t
 
-val make :
-  ?seq:int -> id:int -> commit_time:float -> source_version:int -> payload -> t
-(** [seq] — per-source monotone sequence number stamped by the wrapper
-    (dedup/reorder key); defaults to [source_version]. *)
+val make : id:int -> commit_time:float -> source_version:int -> payload -> t
 
 val id : t -> int
 val commit_time : t -> float
 val source_version : t -> int
-val seq : t -> int
+(** Source version right after the commit — also the per-source monotone
+    sequence number the transport dedups and reorders on. *)
+
 val payload : t -> payload
 val source : t -> string
 
@@ -29,13 +28,4 @@ val is_du : t -> bool
 val as_du : t -> Update.t option
 val as_sc : t -> Schema_change.t option
 
-val of_event :
-  ?seq:int ->
-  id:int ->
-  commit_time:float ->
-  source_version:int ->
-  Dyno_sim.Timeline.event ->
-  t
-
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -95,8 +95,8 @@ let make (c : Config.t) ~timeline : t =
 let run (t : t) ~(config : Run_config.t) : Dyno_core.Stats.t =
   Dyno_core.Scheduler.dispatch ~config ~plan:t.plan t.engine [ t.mv ] t.mk
 
-(** [msg_index t] — message id → (source, source version), for the strong
-    consistency checker.  Ids are globally unique (shared counter), so
+(** [msg_index t] — message id → (source, source version) across every
+    shard's queue.  Ids are globally unique (shared counter), so
     concatenating the per-shard histories is a well-formed index. *)
 let msg_index (t : t) =
   List.concat_map
@@ -111,7 +111,7 @@ let msg_index (t : t) =
 let check_convergent (t : t) = Dyno_core.Consistency.convergent t.engine t.mv
 
 let check_strong (t : t) =
-  Dyno_core.Consistency.check_strong t.engine t.mv ~msg_index:(msg_index t)
+  Dyno_core.Consistency.check_strong t.engine t.mv
 
 (** [recompute_extent t] — oracle: the view evaluated over current source
     states (raises if the definition no longer matches the sources). *)

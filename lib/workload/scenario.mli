@@ -17,7 +17,8 @@ module Config : sig
     rows : int;  (** tuples loaded per relation *)
     cost : Dyno_sim.Cost_model.t;
     track_snapshots : bool;
-        (** retain per-commit view snapshots (consistency checkers) *)
+        (** log how each view commit changed the extent, for
+            {!check_strong} *)
     trace_enabled : bool;
     faults : Dyno_net.Channel.faults;
         (** wrapper→UMQ transport faults (reliable by default) *)
@@ -73,11 +74,13 @@ val run : t -> config:Run_config.t -> Dyno_core.Stats.t
     {!Dyno_core.Scheduler.run} bit for bit. *)
 
 val msg_index : t -> (int * (string * int)) list
-(** Message id → (source, source version) across every shard's queue,
-    for {!Dyno_core.Consistency.check_strong}. *)
+(** Message id → (source, source version) across every shard's queue. *)
 
 val check_convergent : t -> (bool, string) result
 val check_strong : t -> Dyno_core.Consistency.report
+(** {!Dyno_core.Consistency.check_strong} on the world's view: every
+    commit is checked when [Config.track_snapshots] is on, and none is
+    otherwise. *)
 
 val recompute_extent : t -> Relation.t
 (** Oracle: the view evaluated over current source states (raises if the

@@ -59,13 +59,7 @@ let check_view w mv label =
     | Ok true -> ()
     | Ok false -> Alcotest.failf "%s did not converge" label
     | Error e -> Alcotest.failf "%s not checkable: %s" label e);
-    let msg_index =
-      List.map
-        (fun m ->
-          (Update_msg.id m, (Update_msg.source m, Update_msg.source_version m)))
-        (Umq.history w.umq)
-    in
-    let r = Consistency.check_strong w.engine mv ~msg_index in
+    let r = Consistency.check_strong w.engine mv in
     if not (Consistency.ok r) then
       Alcotest.failf "%s strong consistency: %a" label Consistency.pp_report r
   end
@@ -214,10 +208,7 @@ let test_sharded_view_set () =
           | Ok true -> ()
           | Ok false -> Alcotest.failf "%s did not converge" label
           | Error e -> Alcotest.failf "%s not checkable: %s" label e);
-          let r =
-            Consistency.check_strong t.Scenario.engine mv
-              ~msg_index:(Scenario.msg_index t)
-          in
+          let r = Consistency.check_strong t.Scenario.engine mv in
           if not (Consistency.ok r) then
             Alcotest.failf "%s strong consistency: %a" label
               Consistency.pp_report r)

@@ -121,26 +121,26 @@ let test_sequencer_exactly_once () =
   let q = Umq.create () in
   Umq.ensure_source q ~source:"ds" ~first_seq:1;
   (* in-order admission *)
-  (match Umq.deliver q ~source:"ds" ~seq:1 ~commit_time:0.0 ~source_version:1 (payload_of 1) with
+  (match Umq.deliver q ~source:"ds" ~commit_time:0.0 ~source_version:1 (payload_of 1) with
   | Umq.Admitted [ _ ] -> ()
   | _ -> Alcotest.fail "seq 1 should be admitted alone");
   (* duplicate dropped *)
-  (match Umq.deliver q ~source:"ds" ~seq:1 ~commit_time:0.0 ~source_version:1 (payload_of 1) with
+  (match Umq.deliver q ~source:"ds" ~commit_time:0.0 ~source_version:1 (payload_of 1) with
   | Umq.Duplicate -> ()
   | _ -> Alcotest.fail "replayed seq 1 should be a duplicate");
   Alcotest.(check int) "dup counted" 1 (Umq.dups_dropped q);
   (* gap: seq 3 before seq 2 is held *)
-  (match Umq.deliver q ~source:"ds" ~seq:3 ~commit_time:2.0 ~source_version:3 (payload_of 3) with
+  (match Umq.deliver q ~source:"ds" ~commit_time:2.0 ~source_version:3 (payload_of 3) with
   | Umq.Held -> ()
   | _ -> Alcotest.fail "seq 3 should be held");
   Alcotest.(check int) "one held" 1 (Umq.held_count q);
   Alcotest.(check int) "queue has only seq 1" 1 (Umq.length q);
   (* a second copy of the held message is also a duplicate *)
-  (match Umq.deliver q ~source:"ds" ~seq:3 ~commit_time:2.0 ~source_version:3 (payload_of 3) with
+  (match Umq.deliver q ~source:"ds" ~commit_time:2.0 ~source_version:3 (payload_of 3) with
   | Umq.Duplicate -> ()
   | _ -> Alcotest.fail "held seq 3 replay should be a duplicate");
   (* the gap fills: 2 admits and drains 3 *)
-  (match Umq.deliver q ~source:"ds" ~seq:2 ~commit_time:1.0 ~source_version:2 (payload_of 2) with
+  (match Umq.deliver q ~source:"ds" ~commit_time:1.0 ~source_version:2 (payload_of 2) with
   | Umq.Admitted [ m2; m3 ] ->
       Alcotest.(check int) "first is v2" 2 (Update_msg.source_version m2);
       Alcotest.(check int) "then v3" 3 (Update_msg.source_version m3)
@@ -150,7 +150,7 @@ let test_sequencer_exactly_once () =
   Alcotest.(check int) "all three queued" 3 (Umq.length q);
   (* per-source independence *)
   Umq.ensure_source q ~source:"other" ~first_seq:7;
-  match Umq.deliver q ~source:"other" ~seq:7 ~commit_time:3.0 ~source_version:7 (payload_of 7) with
+  match Umq.deliver q ~source:"other" ~commit_time:3.0 ~source_version:7 (payload_of 7) with
   | Umq.Admitted [ _ ] -> ()
   | _ -> Alcotest.fail "other source starts at its own first_seq"
 

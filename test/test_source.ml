@@ -1,7 +1,7 @@
 (* Unit tests for Dyno_source.Data_source: autonomous commits, query
    answering with broken-query detection, metadata validation, and the
-   multi-version snapshot reconstruction that the strong-consistency
-   checker and view adaptation rely on. *)
+   past-version reads that the strong-consistency checker and
+   self-maintenance re-seeding rely on. *)
 
 open Dyno_relational
 open Dyno_source

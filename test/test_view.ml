@@ -200,7 +200,7 @@ let step q ~clock op =
            (sc_payload ()))
   | Deliver s ->
       ignore
-        (Umq.deliver q ~source:"dsd" ~seq:s ~commit_time:(float_of_int s)
+        (Umq.deliver q ~source:"dsd" ~commit_time:(float_of_int s)
            ~source_version:s (seq_payload s))
   | Remove_head -> Umq.remove_head q
   | Remove_entry i -> (
@@ -300,7 +300,15 @@ let test_mat_view () =
   Alcotest.(check int) "one commit" 1 (Mat_view.commit_count mv);
   (match Mat_view.commits mv with
   | [ c ] ->
-      Alcotest.(check bool) "snapshot taken" true (c.Mat_view.snapshot <> None);
+      Alcotest.(check bool) "snapshot taken" true
+        (match c.Mat_view.logged with
+        | Some (Mat_view.Delta d, _) -> Relation.equal d delta && d != delta
+        | _ -> false);
+      Alcotest.(check bool) "roll starts from the created extent" true
+        (match Mat_view.initial_extent mv with
+        | Some e ->
+            Relation.equal e (Relation.of_list schema [ [ Value.int 1 ] ])
+        | None -> false);
       Alcotest.(check (list int)) "maintained ids" [ 0 ] c.Mat_view.maintained
   | _ -> Alcotest.fail "one commit expected");
   (* deleting a non-existent tuple trips the guard *)
