@@ -826,7 +826,7 @@ let explain_cmd =
         let mentions (r : Dyno_obs.Lineage.record) =
           List.exists
             (fun (e : Dyno_obs.Lineage.event) ->
-              contains_sub e.Dyno_obs.Lineage.detail v)
+              contains_sub (Lazy.force e.Dyno_obs.Lineage.detail) v)
             (Dyno_obs.Lineage.events r)
         in
         let hits = List.filter mentions records in

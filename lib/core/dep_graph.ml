@@ -189,36 +189,32 @@ let pp_ids ppf = function
 (** [describe_edge g e] — a human-readable account of why the edge
     exists, naming the message ids involved and (for concurrent
     dependencies) the triggering schema change.  This is the provenance
-    [dyno explain] replays. *)
-let describe_edge g (e : Dependency.edge) : string =
-  let ids i = Umq.entry_ids g.nodes.(i) in
-  match e.Dependency.kind with
-  | Dependency.Concurrent -> (
-      match
-        List.find_opt Update_msg.is_sc
-          (Umq.entry_messages g.nodes.(e.Dependency.prerequisite))
-      with
-      | Some sc ->
-          Fmt.str "CD edge: %a conflicts with SC #%d (%s) and must wait for it"
-            pp_ids
-            (ids e.Dependency.dependent)
-            (Update_msg.id sc) (Update_msg.source sc)
-      | None ->
-          Fmt.str "CD edge: %a must follow %a" pp_ids
-            (ids e.Dependency.dependent)
-            pp_ids
-            (ids e.Dependency.prerequisite))
-  | Dependency.Semantic ->
-      let src =
-        match Umq.entry_messages g.nodes.(e.Dependency.prerequisite) with
-        | m :: _ -> Update_msg.source m
-        | [] -> "?"
-      in
-      Fmt.str "SD edge: %a must follow %a (commit order at %s)" pp_ids
-        (ids e.Dependency.dependent)
-        pp_ids
-        (ids e.Dependency.prerequisite)
-        src
+    [dyno explain] replays.  The two entries are read out of the node
+    array now; the text is rendered when forced. *)
+let describe_edge g (e : Dependency.edge) : string Lazy.t =
+  let dependent = g.nodes.(e.Dependency.dependent)
+  and prerequisite = g.nodes.(e.Dependency.prerequisite) in
+  lazy
+    (let dep_ids = Umq.entry_ids dependent
+     and pre_msgs = Umq.entry_messages prerequisite in
+     match e.Dependency.kind with
+     | Dependency.Concurrent -> (
+         match List.find_opt Update_msg.is_sc pre_msgs with
+         | Some sc ->
+             Fmt.str
+               "CD edge: %a conflicts with SC #%d (%s) and must wait for it"
+               pp_ids dep_ids (Update_msg.id sc) (Update_msg.source sc)
+         | None ->
+             Fmt.str "CD edge: %a must follow %a" pp_ids dep_ids pp_ids
+               (Umq.entry_ids prerequisite))
+     | Dependency.Semantic ->
+         let src =
+           match pre_msgs with m :: _ -> Update_msg.source m | [] -> "?"
+         in
+         Fmt.str "SD edge: %a must follow %a (commit order at %s)" pp_ids
+           dep_ids pp_ids
+           (Umq.entry_ids prerequisite)
+           src)
 
 (** Message ids of the edge's dependent entry — where the provenance is
     recorded in the lineage. *)

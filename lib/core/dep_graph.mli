@@ -40,10 +40,11 @@ val scc : t -> int list list
     algorithm, O(n + e).  Multi-node components are the maintenance
     deadlocks of Section 3.5. *)
 
-val describe_edge : t -> Dependency.edge -> string
+val describe_edge : t -> Dependency.edge -> string Lazy.t
 (** A human-readable account of why the edge exists, naming the message
     ids involved and (for concurrent dependencies) the triggering schema
-    change — the provenance [dyno explain] replays. *)
+    change — the provenance [dyno explain] replays.  The edge's entries
+    are read now; the text is rendered when the lazy is forced. *)
 
 val edge_dependent_ids : t -> Dependency.edge -> int list
 (** Message ids of the edge's dependent entry — where the provenance is

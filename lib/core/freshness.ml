@@ -29,7 +29,9 @@
     feed the {!Dyno_obs.Timeseries} sampler for staleness-over-time.
 
     The tracker is pure bookkeeping: it never touches the simulated
-    clock, the trace or the spans, so it cannot perturb a run. *)
+    clock, the trace or the spans, so it cannot perturb a run.  Its
+    per-view metric keys are built once, in {!create}; with the registry
+    disabled {!note_applied} only advances the frontier. *)
 
 open Dyno_view
 
@@ -41,6 +43,8 @@ type src = {
 type t = {
   metrics : Dyno_obs.Metrics.t;
   view : string;
+  staleness_key : string;  (** [view.<name>.staleness_s] *)
+  versions_key : string;  (** [view.<name>.staleness_versions] *)
   sources : (string * src) list;  (** sorted by source id *)
 }
 
@@ -77,7 +81,13 @@ let create ~metrics ~mv ~registry ~queued () =
            (Dyno_source.Data_source.id ds, { ds; applied = baseline ds queued }))
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  { metrics; view; sources }
+  {
+    metrics;
+    view;
+    staleness_key = Fmt.str "view.%s.staleness_s" view;
+    versions_key = Fmt.str "view.%s.staleness_versions" view;
+    sources;
+  }
 
 let view_name t = t.view
 
@@ -110,9 +120,11 @@ let staleness_seconds t ~now =
     Called by the schedulers at every path that integrates a message:
     refresh, irrelevant-commit, batch adaptation, view-undefined drop. *)
 let note_applied t ~now ~source ~version ~commit_time =
-  match List.assoc_opt source t.sources with
-  | None -> ()
-  | Some s ->
+  match List.assoc source t.sources with
+  | exception Not_found -> ()
+  | s when not (Dyno_obs.Metrics.enabled t.metrics) ->
+      if version > s.applied then s.applied <- version
+  | s ->
       let before_s = staleness_seconds t ~now in
       let before_v = lag_versions t in
       if version > s.applied then s.applied <- version;
@@ -120,12 +132,9 @@ let note_applied t ~now ~source ~version ~commit_time =
       if after_s > before_s +. 1e-9 then
         Dyno_obs.Metrics.incr t.metrics "freshness.monotonicity_violations";
       let age = Float.max 0.0 (now -. commit_time) in
-      Dyno_obs.Metrics.observe t.metrics
-        (Fmt.str "view.%s.staleness_s" t.view) age;
+      Dyno_obs.Metrics.observe t.metrics t.staleness_key age;
       Dyno_obs.Metrics.observe t.metrics "staleness_s" age;
-      Dyno_obs.Metrics.observe t.metrics
-        (Fmt.str "view.%s.staleness_versions" t.view)
-        (float_of_int before_v);
+      Dyno_obs.Metrics.observe t.metrics t.versions_key (float_of_int before_v);
       Dyno_obs.Metrics.observe t.metrics "staleness_versions"
         (float_of_int before_v)
 
@@ -145,11 +154,10 @@ let note_entry t ~now msgs =
     per-source commit and apply rates for free. *)
 let register_probes t series =
   let open Dyno_obs in
-  Timeseries.probe series (Fmt.str "view.%s.staleness_s" t.view) (fun now ->
+  Timeseries.probe series t.staleness_key (fun now ->
       staleness_seconds t ~now);
-  Timeseries.probe series
-    (Fmt.str "view.%s.staleness_versions" t.view)
-    (fun _ -> float_of_int (lag_versions t));
+  Timeseries.probe series t.versions_key (fun _ ->
+      float_of_int (lag_versions t));
   List.iter
     (fun (id, s) ->
       Timeseries.probe series ~kind:`Counter (Fmt.str "src.%s.version" id)

@@ -32,7 +32,8 @@ val note_applied :
   t -> now:float -> source:string -> version:int -> commit_time:float -> unit
 (** The view now reflects [source] up to [version].  Re-derives the lag
     before/after at the same [now] and counts any monotonicity violation
-    in [freshness.monotonicity_violations] (pinned at 0 by tests). *)
+    in [freshness.monotonicity_violations] (pinned at 0 by tests).  With
+    the registry disabled it only advances the frontier. *)
 
 val note_entry : t -> now:float -> Dyno_view.Update_msg.t list -> unit
 (** {!note_applied} for every message of a maintained queue entry. *)

@@ -60,20 +60,22 @@ let adapt ?applied ~finish (w : Query_engine.t) (mv : Mat_view.t)
       (match msgs with
       | [ _ ] ->
           stats.Stats.sc_maintained <- stats.Stats.sc_maintained + 1;
-          finish Dyno_obs.Lineage.Applied "view adapted (VS + VA)"
+          finish Dyno_obs.Lineage.Applied (lazy "view adapted (VS + VA)")
       | _ ->
           stats.Stats.batches <- stats.Stats.batches + 1;
           stats.Stats.batch_updates <-
             stats.Stats.batch_updates + List.length msgs;
           finish Dyno_obs.Lineage.Applied
-            (Fmt.str "batch of %d adapted atomically" (List.length msgs)));
+            (lazy
+              (Fmt.str "batch of %d adapted atomically" (List.length msgs))));
       stats.Stats.view_commits <- stats.Stats.view_commits + 1;
       Done
   | Dyno_va.Batch.Aborted b -> AbortedStep b
   | Dyno_va.Batch.Unreachable u -> UnreachableStep u
   | Dyno_va.Batch.View_undefined _ ->
       stats.Stats.view_undefined <- true;
-      finish Dyno_obs.Lineage.Applied "schema change left the view undefined";
+      finish Dyno_obs.Lineage.Applied
+        (lazy "schema change left the view undefined");
       Done
 
 (* Maintain one queue entry against one view.  Updates counters on
@@ -101,8 +103,8 @@ let maintain_entry ?applied ?local ~(compensate : bool)
      this entry's updates via the ambient scope. *)
   Dyno_obs.Lineage.set_scope lin ids;
   if lone then
-    Trace.recordf trace ~time:(Query_engine.now w) Trace.Maint_start "%a"
-      Umq.pp_entry entry;
+    Trace.record trace ~time:(Query_engine.now w) Trace.Maint_start
+      (lazy (Fmt.str "%a" Umq.pp_entry entry));
   let msgs =
     match applied with
     | None -> Umq.entry_messages entry
@@ -115,11 +117,11 @@ let maintain_entry ?applied ?local ~(compensate : bool)
   else if not (View_def.is_valid vd) then begin
     (* The view is undefined; updates are acknowledged and dropped. *)
     if lone then begin
-      Trace.recordf trace ~time:(Query_engine.now w) Trace.Info
-        "view undefined; dropping %a" Umq.pp_entry entry;
+      Trace.record trace ~time:(Query_engine.now w) Trace.Info
+        (lazy (Fmt.str "view undefined; dropping %a" Umq.pp_entry entry));
       stats.Stats.irrelevant <- stats.Stats.irrelevant + List.length msgs;
       finish Dyno_obs.Lineage.Dropped_undefined
-        "view undefined; update acknowledged and dropped"
+        (lazy "view undefined; update acknowledged and dropped")
     end;
     Done
   end
@@ -136,7 +138,7 @@ let maintain_entry ?applied ?local ~(compensate : bool)
             | Ok () ->
                 stats.Stats.du_maintained <- stats.Stats.du_maintained + 1;
                 stats.Stats.view_commits <- stats.Stats.view_commits + 1;
-                finish Dyno_obs.Lineage.Applied "view re-materialized";
+                finish Dyno_obs.Lineage.Applied (lazy "view re-materialized");
                 Done
             | Error (Query_engine.Broken b) -> AbortedStep b
             | Error (Query_engine.Unreachable u) -> UnreachableStep u)
@@ -144,14 +146,17 @@ let maintain_entry ?applied ?local ~(compensate : bool)
             match Dyno_vm.Vm.maintain ~compensate ?applied ?local w mv m u with
             | Dyno_vm.Vm.Refreshed { stats = s; _ } ->
                 count_refresh stats s;
-                if lone && Dyno_obs.Lineage.enabled lin then
-                  finish Dyno_obs.Lineage.Applied
+                let probes = s.Dyno_vm.Sweep.probes
+                and comps = s.Dyno_vm.Sweep.compensations in
+                finish Dyno_obs.Lineage.Applied
+                  (lazy
                     (Fmt.str "view refreshed (%d probe(s), %d compensation(s))"
-                       s.Dyno_vm.Sweep.probes s.Dyno_vm.Sweep.compensations);
+                       probes comps));
                 Done
             | Dyno_vm.Vm.Irrelevant ->
                 stats.Stats.irrelevant <- stats.Stats.irrelevant + 1;
-                finish Dyno_obs.Lineage.Irrelevant "no pivot row in the view";
+                finish Dyno_obs.Lineage.Irrelevant
+                  (lazy "no pivot row in the view");
                 Done
             | Dyno_vm.Vm.Aborted b -> AbortedStep b
             | Dyno_vm.Vm.Unreachable u -> UnreachableStep u)
@@ -168,9 +173,10 @@ let stall_and_wait (w : Query_engine.t) (stats : Stats.t) ~(t0 : float)
   let dt = Query_engine.now w -. t0 in
   stats.Stats.busy <- stats.Stats.busy +. dt;
   stats.Stats.net_stalls <- stats.Stats.net_stalls + 1;
-  Trace.recordf trace ~time:(Query_engine.now w) Trace.Outage
-    "maintenance stalled: %a; waiting for recovery"
-    Dyno_net.Retry.pp_unreachable u;
+  Trace.record trace ~time:(Query_engine.now w) Trace.Outage
+    (lazy
+      (Fmt.str "maintenance stalled: %a; waiting for recovery"
+         Dyno_net.Retry.pp_unreachable u));
   Dyno_obs.Metrics.incr
     (Dyno_obs.Obs.metrics (Query_engine.obs w))
     "net.stalls";
@@ -179,16 +185,18 @@ let stall_and_wait (w : Query_engine.t) (stats : Stats.t) ~(t0 : float)
       (Dyno_obs.Obs.spans (Query_engine.obs w))
       ~now:(fun () -> Query_engine.now w)
       Dyno_obs.Span.Stall
-      (Fmt.str "stall on %s" u.Dyno_net.Retry.source)
+      (lazy (Fmt.str "stall on %s" u.Dyno_net.Retry.source))
       (fun _ -> Query_engine.await_recovery w ~source:u.Dyno_net.Retry.source)
   in
   stats.Stats.busy <- stats.Stats.busy +. waited
 
 (* Name the schema change behind a broken query: in-exec detection only
    diagnoses the query, so the lineage narrative looks up the queued SC
-   from the broken source — the conflict the correction will resolve. *)
+   from the broken source — the conflict the correction will resolve.
+   The live queue is searched now; the detail captures only the found
+   message. *)
 let abort_provenance (umq : Umq.t) (b : Dyno_source.Data_source.broken) :
-    string =
+    string Lazy.t =
   let sc =
     List.find_opt
       (fun m ->
@@ -196,15 +204,17 @@ let abort_provenance (umq : Umq.t) (b : Dyno_source.Data_source.broken) :
         && String.equal (Update_msg.source m) b.Dyno_source.Data_source.source)
       (Umq.messages umq)
   in
-  match sc with
-  | Some m ->
-      Fmt.str "broken query %s (%s); aborting SC #%d at %s"
-        b.Dyno_source.Data_source.query_name b.Dyno_source.Data_source.reason
-        (Update_msg.id m) b.Dyno_source.Data_source.source
-  | None ->
-      Fmt.str "broken query %s at %s: %s"
-        b.Dyno_source.Data_source.query_name b.Dyno_source.Data_source.source
-        b.Dyno_source.Data_source.reason
+  lazy
+    (match sc with
+    | Some m ->
+        Fmt.str "broken query %s (%s); aborting SC #%d at %s"
+          b.Dyno_source.Data_source.query_name
+          b.Dyno_source.Data_source.reason (Update_msg.id m)
+          b.Dyno_source.Data_source.source
+    | None ->
+        Fmt.str "broken query %s at %s: %s"
+          b.Dyno_source.Data_source.query_name
+          b.Dyno_source.Data_source.source b.Dyno_source.Data_source.reason)
 
 (* ---- Self-maintenance tier wiring ---- *)
 
@@ -320,6 +330,15 @@ type view = {
   fresh : Freshness.t;
 }
 
+(* A round's texts depend only on its size and on each member's shard
+   (several queues) or slot (one queue), so they are built once per size
+   and rendered when read. *)
+type round_texts = {
+  round_name : string Lazy.t;  (** the round's Maintain span name *)
+  dispatched : string Lazy.t array;
+      (** each member's lineage dispatch detail, by shard or by slot *)
+}
+
 type core = {
   config : Run_config.t;
   w : Query_engine.t;
@@ -327,6 +346,8 @@ type core = {
   stats : Stats.t;
   umqs : Umq.t array;  (** one queue, or one per shard *)
   owner : string -> int;  (** index of the queue a source's updates ride *)
+  shard_busy : string array;  (** per-queue [shard.<i>.busy_s] metric keys *)
+  rounds : (int, round_texts) Hashtbl.t;  (** by round size *)
   views : view list;
   sp : Dyno_obs.Span.recorder;
   mx : Dyno_obs.Metrics.t;
@@ -396,9 +417,7 @@ let detect c (entries : Umq.entry list) : Dep_graph.t =
     Dyno_obs.Span.with_span c.sp
       ~now:(fun () -> now c)
       Dyno_obs.Span.Detect
-      (if Dyno_obs.Span.enabled c.sp then
-         Fmt.str "detect %d node(s)" (List.length entries)
-       else "")
+      (lazy (Fmt.str "detect %d node(s)" (List.length entries)))
       (fun _ ->
         let td = now c in
         let g = Dep_graph.build_many specs entries in
@@ -415,22 +434,23 @@ let detect c (entries : Umq.entry list) : Dep_graph.t =
         g)
   in
   c.stats.Stats.detections <- c.stats.Stats.detections + 1;
-  Trace.recordf (Query_engine.trace c.w) ~time:(now c) Trace.Detect
-    "graph: %d node(s), %d edge(s), %d unsafe" (Dep_graph.size g)
-    (List.length (Dep_graph.edges g))
-    (Dep_graph.unsafe_count g);
+  Trace.record (Query_engine.trace c.w) ~time:(now c) Trace.Detect
+    (lazy
+      (Fmt.str "graph: %d node(s), %d edge(s), %d unsafe" (Dep_graph.size g)
+         (List.length (Dep_graph.edges g))
+         (Dep_graph.unsafe_count g)));
   g
 
 (* Correct [g]: [install] puts the legal order in place and reports what
    changed; [note] is the Correct trace entry for a changed order.  Every
    unsafe edge (the ones forcing the reorder) lands on the dependent
    updates' lineage records before the order changes. *)
-let correct c ~(install : Dep_graph.t -> Correct.report) ~(note : string)
-    (g : Dep_graph.t) : unit =
+let correct c ~(install : Dep_graph.t -> Correct.report)
+    ~(note : string Lazy.t) (g : Dep_graph.t) : unit =
   let trace = Query_engine.trace c.w in
   Dyno_obs.Span.with_span c.sp
     ~now:(fun () -> now c)
-    Dyno_obs.Span.Correct "correct"
+    Dyno_obs.Span.Correct (lazy "correct")
     (fun cid ->
       let tc = now c in
       List.iter
@@ -444,8 +464,9 @@ let correct c ~(install : Dep_graph.t -> Correct.report) ~(note : string)
         (fun ids ->
           Dyno_obs.Lineage.merged c.lin ~ids ~time:tc
             ~detail:
-              (Fmt.str "dependency cycle merged: %d update(s) now one batch"
-                 (List.length ids)))
+              (lazy
+                (Fmt.str "dependency cycle merged: %d update(s) now one batch"
+                   (List.length ids))))
         r.Correct.merged_members;
       Query_engine.advance c.w
         (Cost_model.correct (Query_engine.cost c.w) ~nodes:r.Correct.nodes
@@ -459,9 +480,10 @@ let correct c ~(install : Dep_graph.t -> Correct.report) ~(note : string)
       end;
       if r.Correct.merged_cycles > 0 then begin
         c.stats.Stats.merges <- c.stats.Stats.merges + r.Correct.merged_cycles;
-        Trace.recordf trace ~time:(now c) Trace.Merge
-          "%d cycle(s) merged (%d update(s))" r.Correct.merged_cycles
-          r.Correct.merged_updates
+        Trace.record trace ~time:(now c) Trace.Merge
+          (lazy
+            (Fmt.str "%d cycle(s) merged (%d update(s))"
+               r.Correct.merged_cycles r.Correct.merged_updates))
       end)
 
 (* Merge-all provenance: one Merge entry per collapse, and the members
@@ -470,14 +492,16 @@ let note_merge_all c (r : Correct.report) : unit =
   if r.Correct.reordered then begin
     c.stats.Stats.corrections <- c.stats.Stats.corrections + 1;
     c.stats.Stats.merges <- c.stats.Stats.merges + 1;
-    Trace.recordf (Query_engine.trace c.w) ~time:(now c) Trace.Merge
-      "merge-all: %d update(s) collapsed" r.Correct.merged_updates;
+    Trace.record (Query_engine.trace c.w) ~time:(now c) Trace.Merge
+      (lazy
+        (Fmt.str "merge-all: %d update(s) collapsed" r.Correct.merged_updates));
     List.iter
       (fun ids ->
         Dyno_obs.Lineage.merged c.lin ~ids ~time:(now c)
           ~detail:
-            (Fmt.str "merge-all: %d update(s) collapsed into one batch"
-               (List.length ids)))
+            (lazy
+              (Fmt.str "merge-all: %d update(s) collapsed into one batch"
+                 (List.length ids))))
       r.Correct.merged_members
   end
 
@@ -490,7 +514,7 @@ let detect_and_correct c ~(force : bool) : unit =
   let t0 = now c in
   if Umq.test_and_clear_schema_change_flag umq || force then
     correct c ~install:(Correct.apply umq)
-      ~note:"queue reordered into a legal order"
+      ~note:(lazy "queue reordered into a legal order")
       (detect c (Umq.entries umq))
   else
     (* Flag fast path: no span — it would swamp the trace with one flag
@@ -521,7 +545,7 @@ let settle c ~mid ~(t0 : float) ~(what : string) ~(ids : int list)
       Dyno_obs.Span.set_attr c.sp mid "outcome" "stalled";
       stall_and_wait c.w stats ~t0 u;
       Dyno_obs.Lineage.stall c.lin ~ids ~time:(now c)
-        ~detail:(Fmt.str "%a" Dyno_net.Retry.pp_unreachable u)
+        ~detail:(lazy (Fmt.str "%a" Dyno_net.Retry.pp_unreachable u))
   | AbortedStep b -> (
       let dt = now c -. t0 in
       stats.Stats.busy <- stats.Stats.busy +. dt;
@@ -531,9 +555,10 @@ let settle c ~mid ~(t0 : float) ~(what : string) ~(ids : int list)
       c.aborted <- c.aborted +. dt;
       Dyno_obs.Span.set_attr c.sp mid "outcome" "aborted";
       Dyno_obs.Span.set_attr c.sp mid "abort_s" (Fmt.str "%.17g" c.aborted);
-      Trace.recordf (Query_engine.trace c.w) ~time:(now c) Trace.Abort
-        "%s aborted after %.3f s: %a" what dt
-        Dyno_source.Data_source.pp_broken b;
+      Trace.record (Query_engine.trace c.w) ~time:(now c) Trace.Abort
+        (lazy
+          (Fmt.str "%s aborted after %.3f s: %a" what dt
+             Dyno_source.Data_source.pp_broken b));
       Dyno_obs.Lineage.abort c.lin ~ids ~time:(now c)
         ~detail:
           (abort_provenance (queue_of c b.Dyno_source.Data_source.source) b);
@@ -589,7 +614,8 @@ let round c ~(commit : member -> Dyno_vm.Vm.outcome -> unit)
         Dyno_obs.Span.with_span c.sp
           ~now:(fun () -> now c)
           ~thread:mb.thread Dyno_obs.Span.Task
-          (Fmt.str "maintain #%d" (Update_msg.id mb.msg))
+          (let id = Update_msg.id mb.msg in
+           lazy (Fmt.str "maintain #%d" id))
           (fun _ ->
             (* Scope this task's context to its update so probe
                round-trips land on the right lineage record. *)
@@ -608,7 +634,7 @@ let round c ~(commit : member -> Dyno_vm.Vm.outcome -> unit)
     Array.iteri
       (fun i mb ->
         Dyno_obs.Metrics.add_gauge c.mx
-          (Fmt.str "shard.%d.busy_s" (c.owner (Update_msg.source mb.msg)))
+          c.shard_busy.(c.owner (Update_msg.source mb.msg))
           spent.(i))
       members;
   let rec commit_from i =
@@ -697,21 +723,47 @@ let round_members c : member list =
           found
   | _ -> []
 
+let round_texts c k =
+  match Hashtbl.find_opt c.rounds k with
+  | Some texts -> texts
+  | None ->
+      let texts =
+        if sharded c then
+          {
+            round_name = lazy (Fmt.str "shard round of %d" k);
+            dispatched =
+              Array.init (Array.length c.umqs) (fun shard ->
+                  lazy
+                    (Fmt.str "dispatched into shard round of %d (shard %d)" k
+                       shard));
+          }
+        else
+          {
+            round_name = lazy (Fmt.str "round of %d" k);
+            dispatched =
+              Array.init k (fun slot ->
+                  lazy
+                    (Fmt.str "dispatched into parallel round of %d (slot %d)" k
+                       slot));
+          }
+      in
+      Hashtbl.replace c.rounds k texts;
+      texts
+
 (* Dependency-parallel dispatch over one view: each member is its own
    entry, so it finishes and leaves its queue as it commits. *)
 let view_round c mid (members : member list) : unit =
   let k = List.length members in
   let sharded = sharded c in
   let trace = Query_engine.trace c.w in
-  if Dyno_obs.Span.enabled c.sp then
-    Dyno_obs.Span.set_name c.sp mid
-      (Fmt.str (if sharded then "shard round of %d" else "round of %d") k);
+  let texts = round_texts c k in
+  Dyno_obs.Span.set_name c.sp mid texts.round_name;
   clear_broken c;
   let t0 = now c in
   List.iter
     (fun mb ->
-      Trace.recordf trace ~time:t0 Trace.Maint_start "%a" Umq.pp_entry
-        (Umq.Single mb.msg))
+      Trace.record trace ~time:t0 Trace.Maint_start
+        (lazy (Fmt.str "%a" Umq.pp_entry (Umq.Single mb.msg))))
     members;
   List.iteri
     (fun i mb ->
@@ -719,31 +771,31 @@ let view_round c mid (members : member list) : unit =
         ~ids:[ Update_msg.id mb.msg ]
         ~time:t0
         ~detail:
-          (if sharded then
-             Fmt.str "dispatched into shard round of %d (shard %d)" k
-               (c.owner (Update_msg.source mb.msg))
-           else Fmt.str "dispatched into parallel round of %d (slot %d)" k i)
+          texts.dispatched.(if sharded then c.owner (Update_msg.source mb.msg)
+                            else i)
         ())
     members;
   let committed, outcome =
     round c members ~commit:(fun mb res ->
         let m = mb.msg in
         note_fresh c [ m ];
-        (if Dyno_obs.Lineage.enabled c.lin then
-           let state, detail =
-             match res with
-             | Dyno_vm.Vm.Refreshed { stats = s; _ } ->
-                 ( Dyno_obs.Lineage.Applied,
-                   Fmt.str
-                     "view refreshed in %s round (%d probe(s), %d \
-                      compensation(s))"
-                     (if sharded then "shard" else "parallel")
-                     s.Dyno_vm.Sweep.probes s.Dyno_vm.Sweep.compensations )
-             | _ -> (Dyno_obs.Lineage.Irrelevant, "no pivot row in the view")
-           in
-           Dyno_obs.Lineage.finish c.lin
-             ~ids:[ Update_msg.id m ]
-             ~time:(now c) ~state ~detail);
+        (let state, detail =
+           match res with
+           | Dyno_vm.Vm.Refreshed { stats = s; _ } ->
+               let probes = s.Dyno_vm.Sweep.probes
+               and comps = s.Dyno_vm.Sweep.compensations in
+               ( Dyno_obs.Lineage.Applied,
+                 lazy
+                   (Fmt.str
+                      "view refreshed in %s round (%d probe(s), %d \
+                       compensation(s))"
+                      (if sharded then "shard" else "parallel")
+                      probes comps) )
+           | _ -> (Dyno_obs.Lineage.Irrelevant, lazy "no pivot row in the view")
+         in
+         Dyno_obs.Lineage.finish c.lin
+           ~ids:[ Update_msg.id m ]
+           ~time:(now c) ~state ~detail);
         Umq.remove_entry (queue_of c (Update_msg.source m)) (Umq.Single m))
   in
   (* Later members' sweeps are discarded: the wasted work shows up as
@@ -754,7 +806,8 @@ let view_round c mid (members : member list) : unit =
         Dyno_obs.Lineage.note c.lin
           ~ids:[ Update_msg.id mb.msg ]
           ~time:(now c) ~kind:"requeued"
-          ~detail:"earlier round member failed; sweep discarded, requeued")
+          ~detail:
+            (lazy "earlier round member failed; sweep discarded, requeued"))
     members;
   let ids =
     match List.nth_opt members committed with
@@ -828,10 +881,12 @@ let maintain_views c (entry : Umq.entry) : step_outcome =
   | Done -> (
       match each c.views with
       | Done ->
+          let views = c.views in
           Dyno_obs.Lineage.finish c.lin ~ids ~time:(now c)
             ~state:Dyno_obs.Lineage.Applied
             ~detail:
-              (Fmt.str "integrated by all %d view(s)" (List.length c.views));
+              (lazy
+                (Fmt.str "integrated by all %d view(s)" (List.length views)));
           (* Integrated everywhere: its ids can never reappear. *)
           List.iter
             (fun v ->
@@ -863,15 +918,16 @@ let head c mid : unit =
   match !oldest with
   | None -> ()
   | Some entry ->
-      if Dyno_obs.Span.enabled c.sp then
-        Dyno_obs.Span.set_name c.sp mid (Fmt.str "%a" Umq.pp_entry entry);
+      Dyno_obs.Span.set_name c.sp mid
+        (lazy (Fmt.str "%a" Umq.pp_entry entry));
       clear_broken c;
       let t0 = now c in
       let ids = Umq.entry_ids entry in
       Dyno_obs.Lineage.dispatch c.lin ~ids ~time:t0
         ~detail:
-          (if sharded c then Fmt.str "dispatched at shard %d queue head" qi
-           else "dispatched at queue head")
+          (if sharded c then
+             lazy (Fmt.str "dispatched at shard %d queue head" qi)
+           else lazy "dispatched at queue head")
         ();
       settle c ~mid ~t0 ~what:"maintenance" ~ids (maintain_head c entry)
         ~on_done:(fun () ->
@@ -900,8 +956,7 @@ let group c : (view * int) option =
 
 let grouped c mid (v : view) (n : int) : unit =
   let umq = c.umqs.(0) in
-  if Dyno_obs.Span.enabled c.sp then
-    Dyno_obs.Span.set_name c.sp mid (Fmt.str "group of %d" n);
+  Dyno_obs.Span.set_name c.sp mid (lazy (Fmt.str "group of %d" n));
   let msgs =
     List.filteri (fun i _ -> i < n) (Umq.entries umq)
     |> List.concat_map Umq.entry_messages
@@ -910,7 +965,7 @@ let grouped c mid (v : view) (n : int) : unit =
   let t0 = now c in
   let gids = List.map Update_msg.id msgs in
   Dyno_obs.Lineage.dispatch c.lin ~ids:gids ~time:t0
-    ~detail:(Fmt.str "dispatched in a grouped sweep of %d" n)
+    ~detail:(lazy (Fmt.str "dispatched in a grouped sweep of %d" n))
     ();
   Dyno_obs.Lineage.set_scope c.lin gids;
   let res =
@@ -934,10 +989,10 @@ let grouped c mid (v : view) (n : int) : unit =
         match res with
         | Dyno_vm.Vm.Irrelevant ->
             ( Dyno_obs.Lineage.Irrelevant,
-              "grouped sweep: no pivot rows in the view" )
+              lazy "grouped sweep: no pivot rows in the view" )
         | _ ->
             ( Dyno_obs.Lineage.Applied,
-              Fmt.str "grouped sweep of %d applied atomically" n )
+              lazy (Fmt.str "grouped sweep of %d applied atomically" n) )
       in
       Dyno_obs.Lineage.finish c.lin ~ids:gids ~time:(now c) ~state ~detail;
       for _ = 1 to n do
@@ -952,7 +1007,7 @@ let grouped c mid (v : view) (n : int) : unit =
    in-exec abort restarts the pass on a fresh snapshot (the newly-detected
    conflict is part of the next graph). *)
 let barrier c mid : unit =
-  Dyno_obs.Span.set_name c.sp mid "cross-shard barrier";
+  Dyno_obs.Span.set_name c.sp mid (lazy "cross-shard barrier");
   c.stats.Stats.cross_shard_barriers <- c.stats.Stats.cross_shard_barriers + 1;
   Dyno_obs.Metrics.incr c.mx "sched.cross_shard_barriers";
   let rec pass () =
@@ -977,8 +1032,9 @@ let barrier c mid : unit =
             let n = List.length snapshot in
             correct c g
               ~note:
-                (Fmt.str "cross-shard barrier: legal order over %d entr%s" n
-                   (if n = 1 then "y" else "ies"))
+                (lazy
+                  (Fmt.str "cross-shard barrier: legal order over %d entr%s" n
+                     (if n = 1 then "y" else "ies")))
               ~install:(fun g ->
                 let co = Dep_graph.correct g in
                 order := co.Dep_graph.order;
@@ -1012,7 +1068,8 @@ let barrier c mid : unit =
         let ids = Umq.entry_ids entry in
         Dyno_obs.Lineage.dispatch c.lin ~ids ~time:t0
           ~seg:Dyno_obs.Lineage.Barrier
-          ~detail:"dispatched from cross-shard barrier drain" ();
+          ~detail:(lazy "dispatched from cross-shard barrier drain")
+          ();
         let outcome = maintain_head c entry in
         settle c ~mid ~t0 ~what:"barrier maintenance" ~ids outcome
           ~on_done:(fun () ->
@@ -1163,6 +1220,8 @@ let dispatch ?(config = Run_config.default) ?plan (w : Query_engine.t)
       stats = Stats.create ();
       umqs;
       owner;
+      shard_busy = Array.init (Array.length umqs) (Fmt.str "shard.%d.busy_s");
+      rounds = Hashtbl.create 8;
       views;
       sp = Dyno_obs.Obs.spans obs;
       mx = Dyno_obs.Obs.metrics obs;
@@ -1204,8 +1263,9 @@ let dispatch ?(config = Run_config.default) ?plan (w : Query_engine.t)
           loop ()
     end
     else begin
+      let n = c.steps in
       Dyno_obs.Span.with_span c.sp ~now:clock Dyno_obs.Span.Maintain
-        (if Dyno_obs.Span.enabled c.sp then Fmt.str "step %d" c.steps else "")
+        (lazy (Fmt.str "step %d" n))
         step;
       loop ()
     end

@@ -175,12 +175,12 @@ let send t ~now ~source ~seq payload : send_report =
   if transmissions > 1 then begin
     Dyno_obs.Metrics.incr mx ~by:(transmissions - 1) "net.lost_transmissions";
     Dyno_obs.Span.instant sp ~time:now ~thread:source "msg-lost"
-      (Fmt.str "seq=%d lost=%d" seq (transmissions - 1))
+      (lazy (Fmt.str "seq=%d lost=%d" seq (transmissions - 1)))
   end;
   if held then begin
     Dyno_obs.Metrics.incr mx "net.reorder_held";
     Dyno_obs.Span.instant sp ~time:now ~thread:source "msg-held"
-      (Fmt.str "seq=%d delay=%.3fs" seq f.reorder_delay)
+      (lazy (Fmt.str "seq=%d delay=%.3fs" seq f.reorder_delay))
   end;
   let arrival =
     now +. f.latency
@@ -195,7 +195,7 @@ let send t ~now ~source ~seq payload : send_report =
     t.duplicates_sent <- t.duplicates_sent + 1;
     Dyno_obs.Metrics.incr mx "net.duplicates_sent";
     Dyno_obs.Span.instant sp ~time:now ~thread:source "msg-dup"
-      (Fmt.str "seq=%d" seq);
+      (lazy (Fmt.str "seq=%d" seq));
     let echo_lag = Float.max f.retransmit f.latency in
     let arrival2 = past_outages t ~source (arrival +. echo_lag) in
     push t { source; seq; sent = now; arrival = arrival2; payload }

@@ -63,7 +63,7 @@ let chrome_trace ?(lineage = Lineage.disabled) (r : Span.recorder) : string =
         (Fmt.str
            "{\"name\": %s, \"cat\": %s, \"ph\": \"X\", \"ts\": %.3f, \
             \"dur\": %.3f, \"pid\": 1, \"tid\": %d, \"args\": %s}"
-           (Jsonv.quote sp.name)
+           (Jsonv.quote (Lazy.force sp.name))
            (Jsonv.quote (Span.kind_to_string sp.kind))
            (us sp.start)
            (us (sp.finish -. sp.start))
@@ -76,7 +76,7 @@ let chrome_trace ?(lineage = Lineage.disabled) (r : Span.recorder) : string =
            "{\"name\": %s, \"ph\": \"i\", \"ts\": %.3f, \"pid\": 1, \
             \"tid\": %d, \"s\": \"t\", \"args\": {\"detail\": %s}}"
            (Jsonv.quote e.ename) (us e.time) e.etid
-           (Jsonv.quote e.detail)))
+           (Jsonv.quote (Lazy.force e.detail))))
     (Span.events r);
   if Lineage.enabled lineage then
     List.iter
@@ -118,7 +118,8 @@ let spans_jsonl (r : Span.recorder) : string =
             \"attrs\": %s}\n"
            sp.id sp.parent sp.tid
            (Jsonv.quote (Span.kind_to_string sp.kind))
-           (Jsonv.quote sp.name) sp.start sp.finish (attrs_json sp.attrs)))
+           (Jsonv.quote (Lazy.force sp.name))
+           sp.start sp.finish (attrs_json sp.attrs)))
     (Span.spans r);
   List.iter
     (fun (e : Span.event) ->
@@ -126,7 +127,8 @@ let spans_jsonl (r : Span.recorder) : string =
         (Fmt.str
            "{\"type\": \"event\", \"tid\": %d, \"name\": %s, \"time\": \
             %.9f, \"detail\": %s}\n"
-           e.etid (Jsonv.quote e.ename) e.time (Jsonv.quote e.detail)))
+           e.etid (Jsonv.quote e.ename) e.time
+           (Jsonv.quote (Lazy.force e.detail))))
     (Span.events r);
   Buffer.contents b
 

@@ -10,6 +10,12 @@
     property in [test/test_obs.ml] pins the bookkeeping, not the
     arithmetic).
 
+    Event details are rendered only when they are read: every recording
+    function takes a [string Lazy.t], which {!to_jsonl}, {!pp_record} and
+    the exporters force.  A run that never exports its lineage never
+    formats a detail.  The lazies obey the capture rule stated in
+    [lineage.mli].
+
     A disabled recorder (the default, shared {!disabled}) is a structural
     no-op: no clock reads, no RNG draws, no allocation beyond the call —
     lineage-off runs are byte-identical. *)
@@ -51,6 +57,13 @@ let seg_index = function
 
 let n_segments = 8
 
+(* Metric keys, built once instead of once per sealed record: the
+   [lineage.<segment>_s] histograms by {!seg_index}, and the
+   [lineage.<terminal>] counters. *)
+let segment_keys =
+  Array.of_list
+    (List.map (fun s -> "lineage." ^ segment_name s ^ "_s") all_segments)
+
 type terminal =
   | Applied  (** integrated into every registered view *)
   | Irrelevant  (** no pivot row — dropped without view work *)
@@ -61,12 +74,17 @@ let terminal_name = function
   | Irrelevant -> "irrelevant"
   | Dropped_undefined -> "dropped_undefined"
 
+let terminal_key = function
+  | Applied -> "lineage.applied"
+  | Irrelevant -> "lineage.irrelevant"
+  | Dropped_undefined -> "lineage.dropped_undefined"
+
 type event = {
   at : float;  (** simulated time of the event *)
   kind : string;  (** "commit", "send", "arrive", "admit", ... *)
   seg : segment option;  (** segment this event charged, if any *)
   charged : float;  (** duration charged (0 for pure events) *)
-  detail : string;
+  detail : string Lazy.t;  (** rendered when read *)
 }
 
 type record = {
@@ -116,6 +134,22 @@ let clear t =
     Hashtbl.reset t.scopes;
     t.ctx <- 0
   end
+
+(* ------------------------------------------------------------------ *)
+(* Rendering: the recorder's own event texts, built when read          *)
+(* ------------------------------------------------------------------ *)
+
+let sent_text ~transmissions ~duplicated ~arrival =
+  Fmt.str "%d transmission%s%s%s, arrival t=%.3fs" transmissions
+    (if transmissions = 1 then "" else "s")
+    (if transmissions > 1 then Fmt.str " (%d lost)" (transmissions - 1)
+     else "")
+    (if duplicated then ", duplicated in flight" else "")
+    arrival
+
+let admit_text ~released msg_id =
+  if released then Fmt.str "released from gap hold as msg #%d" msg_id
+  else Fmt.str "admitted exactly-once as msg #%d" msg_id
 
 (* ------------------------------------------------------------------ *)
 (* Recording                                                           *)
@@ -169,16 +203,8 @@ let sent t ~source ~seq ~time ~transmissions ~duplicated ~arrival =
     match find_key t ~source ~seq with
     | None -> ()
     | Some r ->
-        let detail =
-          Fmt.str "%d transmission%s%s%s, arrival t=%.3fs" transmissions
-            (if transmissions = 1 then "" else "s")
-            (if transmissions > 1 then
-               Fmt.str " (%d lost)" (transmissions - 1)
-             else "")
-            (if duplicated then ", duplicated in flight" else "")
-            arrival
-        in
-        ev r ~at:time ~kind:"send" detail
+        ev r ~at:time ~kind:"send"
+          (lazy (sent_text ~transmissions ~duplicated ~arrival))
 
 let arrive t ~source ~seq ~time =
   if t.on then
@@ -187,7 +213,7 @@ let arrive t ~source ~seq ~time =
     | Some r ->
         let d = charge r ~time Channel in
         ev r ~at:time ~kind:"arrive" ~seg:Channel ~charged:d
-          "packet at warehouse"
+          (lazy "packet at warehouse")
 
 let held t ~source ~seq ~time =
   if t.on then
@@ -195,14 +221,15 @@ let held t ~source ~seq ~time =
     | None -> ()
     | Some r ->
         r.held <- true;
-        ev r ~at:time ~kind:"held" "sequencer holding for a gap"
+        ev r ~at:time ~kind:"held" (lazy "sequencer holding for a gap")
 
 let dedup t ~source ~seq ~time =
   if t.on then begin
     Metrics.incr t.metrics "lineage.dedups";
     match find_key t ~source ~seq with
     | None -> ()
-    | Some r -> ev r ~at:time ~kind:"dedup" "duplicate delivery discarded"
+    | Some r ->
+        ev r ~at:time ~kind:"dedup" (lazy "duplicate delivery discarded")
   end
 
 let admit t ~source ~seq ~time ~msg_id =
@@ -216,11 +243,10 @@ let admit t ~source ~seq ~time ~msg_id =
           r.held <- false;
           let d = charge r ~time Hold in
           ev r ~at:time ~kind:"admit" ~seg:Hold ~charged:d
-            (Fmt.str "released from gap hold as msg #%d" msg_id)
+            (lazy (admit_text ~released:true msg_id))
         end
         else
-          ev r ~at:time ~kind:"admit"
-            (Fmt.str "admitted exactly-once as msg #%d" msg_id)
+          ev r ~at:time ~kind:"admit" (lazy (admit_text ~released:false msg_id))
 
 (* Dispatch and everything after is keyed by message id.  [seg] names
    the wait the dispatch closes: [Queue] for normal scheduling, [Barrier]
@@ -366,16 +392,11 @@ let finish t ~ids ~time ~state ~detail =
               ev r ~at:time
                 ~kind:(terminal_name state)
                 ~seg:Compute ~charged:d detail;
-              Metrics.incr t.metrics
-                (Fmt.str "lineage.%s" (terminal_name state));
+              Metrics.incr t.metrics (terminal_key state);
               Metrics.observe t.metrics "lineage.total_s" (time -. r.commit_at);
               Array.iteri
                 (fun i v ->
-                  if v > 0.0 then
-                    Metrics.observe t.metrics
-                      (Fmt.str "lineage.%s_s"
-                         (segment_name (List.nth all_segments i)))
-                      v)
+                  if v > 0.0 then Metrics.observe t.metrics segment_keys.(i) v)
                 r.segs
             end)
       ids
@@ -434,7 +455,8 @@ let record_json r =
            (match e.seg with
            | Some s -> Jsonv.quote (segment_name s)
            | None -> "null")
-           e.charged (Jsonv.quote e.detail));
+           e.charged
+           (Jsonv.quote (Lazy.force e.detail)));
       sep := ", ")
     (events r);
   Buffer.add_string b "]}";
@@ -463,7 +485,7 @@ let pp_record ppf r =
     Fmt.pf ppf "  causal parent: merged into batch led by msg #%d@," r.parent;
   List.iter
     (fun e ->
-      Fmt.pf ppf "  t=%8.3fs  %-10s %s%s@," e.at e.kind e.detail
+      Fmt.pf ppf "  t=%8.3fs  %-10s %s%s@," e.at e.kind (Lazy.force e.detail)
         (match e.seg with
         | Some s when e.charged > 0.0 ->
             Fmt.str "  [%s +%.3fs]" (segment_name s) e.charged

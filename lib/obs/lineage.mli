@@ -4,7 +4,18 @@
     named segments (channel / hold / queue / barrier / probe / compute /
     stall / abort) via an advancing cursor, so the segment sums equal the
     elapsed time by construction.  {!disabled} is a structural no-op —
-    lineage-off runs are byte-identical. *)
+    lineage-off runs are byte-identical.
+
+    {b Details are rendered when read.}  Every recording function takes
+    its [~detail] as a [string Lazy.t]; only {!to_jsonl}, {!pp_record},
+    the exporters and [dyno explain] force it.
+
+    {b Capture rule.}  A detail is forced long after it is recorded, so
+    its lazy may capture only values that nothing mutates afterwards:
+    messages, queue entries, timeline events and their deltas, ints,
+    floats and strings.  Read anything else into immutable locals first —
+    a graph's node array, an accumulating relation, a live queue — and
+    capture those. *)
 
 type segment =
   | Channel  (** commit → packet arrival at the warehouse *)
@@ -28,7 +39,7 @@ type event = {
   kind : string;
   seg : segment option;
   charged : float;
-  detail : string;
+  detail : string Lazy.t;  (** rendered when read; see the capture rule *)
 }
 
 type record = {
@@ -59,7 +70,12 @@ val clear : t -> unit
 (** {1 Recording} *)
 
 val commit :
-  t -> source:string -> seq:int -> time:float -> sc:bool -> detail:string ->
+  t ->
+  source:string ->
+  seq:int ->
+  time:float ->
+  sc:bool ->
+  detail:string Lazy.t ->
   unit
 (** A source transaction committed: open the record, start the clock. *)
 
@@ -83,25 +99,33 @@ val admit : t -> source:string -> seq:int -> time:float -> msg_id:int -> unit
     the [Hold] segment when the packet had been held. *)
 
 val dispatch :
-  t -> ids:int list -> time:float -> ?seg:segment -> detail:string -> unit ->
+  t ->
+  ids:int list ->
+  time:float ->
+  ?seg:segment ->
+  detail:string Lazy.t ->
+  unit ->
   unit
 (** The scheduler picked the entry holding [ids] for maintenance —
     charges [Queue] (default) or [Barrier] per update. *)
 
-val note : t -> ids:int list -> time:float -> kind:string -> detail:string -> unit
+val note :
+  t -> ids:int list -> time:float -> kind:string -> detail:string Lazy.t -> unit
 (** A pure (non-charging) event on each id's record. *)
 
-val stall : t -> ids:int list -> time:float -> detail:string -> unit
+val stall : t -> ids:int list -> time:float -> detail:string Lazy.t -> unit
 (** An outage stalled the dispatched entry — charges [Stall]. *)
 
-val abort : t -> ids:int list -> time:float -> detail:string -> unit
+val abort : t -> ids:int list -> time:float -> detail:string Lazy.t -> unit
 (** The maintenance step aborted — charges [Abort]; [detail] carries the
     provenance (aborting SC, believed schema). *)
 
-val edge : t -> dep_ids:int list -> time:float -> detail:string -> unit
+val edge :
+  t -> dep_ids:int list -> time:float -> detail:string Lazy.t -> unit
 (** Forensics: a detected CD/SD edge, recorded on the dependent ids. *)
 
-val merged : t -> ids:int list -> time:float -> detail:string -> unit
+val merged :
+  t -> ids:int list -> time:float -> detail:string Lazy.t -> unit
 (** Forensics: a cycle merge or [Merge_all] collapse; members gain a
     causal parent link to the batch's smallest id. *)
 
@@ -115,7 +139,8 @@ val set_scope : t -> int list -> unit
 (** Register the ids whose maintenance is running in the current
     context; [\[\]] clears.  Probe charges go to the active scope. *)
 
-val note_scope : t -> time:float -> kind:string -> detail:string -> unit
+val note_scope :
+  t -> time:float -> kind:string -> detail:string Lazy.t -> unit
 (** A pure event on each record in the active ambient scope — used by
     subsystems (e.g. the self-maintenance tier) that know what happened
     but not which update is being maintained. *)
@@ -123,13 +148,18 @@ val note_scope : t -> time:float -> kind:string -> detail:string -> unit
 val probe_begin : t -> time:float -> unit
 (** Charge [Compute] up to the probe's start for the scoped ids. *)
 
-val probe_end : t -> time:float -> detail:string -> unit
+val probe_end : t -> time:float -> detail:string Lazy.t -> unit
 (** Charge the probe round-trip to [Probe] for the scoped ids. *)
 
 (** {1 Terminal} *)
 
 val finish :
-  t -> ids:int list -> time:float -> state:terminal -> detail:string -> unit
+  t ->
+  ids:int list ->
+  time:float ->
+  state:terminal ->
+  detail:string Lazy.t ->
+  unit
 (** Charge the trailing [Compute] and seal the record (first terminal
     wins); observes [lineage.total_s] and per-segment histograms. *)
 

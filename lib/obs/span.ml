@@ -15,7 +15,11 @@
     closes it.  A {e disabled} recorder is a structural no-op: nothing
     is allocated per call, no clock interaction happens, and ids are
     constant — so obs-off runs behave bit-identically to a build without
-    the recorder. *)
+    the recorder.
+
+    Span names and event details are [string Lazy.t]s, rendered only
+    when read (by {!pp_span} or an exporter), under the capture rule
+    stated in [span.mli]. *)
 
 (** The span vocabulary of the maintenance pipeline.  [Maintain] is the
     top-level unit (one scheduler iteration over a queue head, detection
@@ -65,14 +69,19 @@ type t = {
   parent : int;  (** enclosing span id, or 0 for a root span *)
   tid : int;  (** logical thread (see {!thread_id}) *)
   kind : kind;
-  mutable name : string;
+  mutable name : string Lazy.t;  (** rendered when read *)
   start : float;  (** simulated seconds *)
   mutable finish : float;  (** simulated seconds; = [start] while open *)
   mutable attrs : (string * string) list;  (** newest first *)
 }
 
 (** A point-in-time event (message lost, commit applied, …). *)
-type event = { time : float; etid : int; ename : string; detail : string }
+type event = {
+  time : float;
+  etid : int;
+  ename : string;
+  detail : string Lazy.t;  (** rendered when read *)
+}
 
 type recorder = {
   on : bool;
@@ -256,7 +265,7 @@ let clear r =
 
 let pp_span ppf sp =
   Fmt.pf ppf "[%8.3fs +%7.3fs] %-10s %s" sp.start (sp.finish -. sp.start)
-    (kind_to_string sp.kind) sp.name
+    (kind_to_string sp.kind) (Lazy.force sp.name)
 
 let pp ppf r =
   Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:cut pp_span) (spans r)

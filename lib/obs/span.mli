@@ -4,7 +4,14 @@
     [Maintain] span per scheduler iteration, with [Detect], [Correct],
     [Probe] (and its [Timeout]/[Retry] children), [Compensate], [Refresh],
     [Vs], [Va], [Batch] and [Stall] nested under it.  A disabled recorder
-    is a structural no-op. *)
+    is a structural no-op.
+
+    Span names and event details are [string Lazy.t]s, rendered only when
+    they are read: by {!pp_span} or an exporter.  {b Capture rule}: such
+    a lazy is forced long after it is recorded, so it may capture only
+    values that nothing mutates afterwards — messages, queue entries,
+    timeline events and their deltas, ints, floats and strings.  Read
+    anything else into immutable locals first. *)
 
 type kind =
   | Maintain  (** one scheduler iteration's busy work over a queue head *)
@@ -32,13 +39,18 @@ type t = {
   parent : int;  (** enclosing span id, or 0 for a root span *)
   tid : int;  (** logical thread (see {!thread_id}) *)
   kind : kind;
-  mutable name : string;
+  mutable name : string Lazy.t;  (** rendered when read *)
   start : float;  (** simulated seconds *)
   mutable finish : float;  (** simulated seconds; = [start] while open *)
   mutable attrs : (string * string) list;  (** newest first *)
 }
 
-type event = { time : float; etid : int; ename : string; detail : string }
+type event = {
+  time : float;
+  etid : int;
+  ename : string;
+  detail : string Lazy.t;  (** rendered when read *)
+}
 
 type recorder
 
@@ -69,7 +81,7 @@ val context : recorder -> int
 (** The current ambient context (0 unless inside an executor task). *)
 
 val begin_span :
-  recorder -> time:float -> ?thread:string -> kind -> string -> int
+  recorder -> time:float -> ?thread:string -> kind -> string Lazy.t -> int
 (** Open a span parented under the current innermost open span; returns
     its id (0 when disabled). *)
 
@@ -81,21 +93,21 @@ val set_attr : recorder -> int -> string -> string -> unit
 (** [set_attr r id key value] sets an attribute of an open or closed span;
     setting a key again keeps only its latest value. *)
 
-val set_name : recorder -> int -> string -> unit
+val set_name : recorder -> int -> string Lazy.t -> unit
 
 val with_span :
   recorder ->
   now:(unit -> float) ->
   ?thread:string ->
   kind ->
-  string ->
+  string Lazy.t ->
   (int -> 'a) ->
   'a
 (** Exception-safe bracket: begins a span, runs the body with its id, ends
     the span at the then-current simulated time even on exceptions. *)
 
 val instant :
-  recorder -> time:float -> ?thread:string -> string -> string -> unit
+  recorder -> time:float -> ?thread:string -> string -> string Lazy.t -> unit
 (** A point event on a logical thread (message lost, outage hit, …). *)
 
 val spans : recorder -> t list

@@ -41,7 +41,7 @@ type proj = {
 type t = {
   obs : Dyno_obs.Obs.t;
   lookup : source:string -> rel:string -> version:int -> Relation.t option;
-  view : string;  (** view name, for the per-view coverage gauge *)
+  coverage_key : string;  (** the per-view [selfmaint.<view>.coverage] gauge *)
   refresh_cost : delta_tuples:int -> float;
   frontier : (string, int) Hashtbl.t;
       (** per-source delivered frontier: highest admitted source version *)
@@ -68,9 +68,7 @@ let coverage t =
       float_of_int valid /. float_of_int (List.length ps)
 
 let gauge_coverage t =
-  Metrics.set_gauge (Obs.metrics t.obs)
-    (Fmt.str "selfmaint.%s.coverage" t.view)
-    (coverage t)
+  Metrics.set_gauge (Obs.metrics t.obs) t.coverage_key (coverage t)
 
 let delivered_frontier t source =
   Option.value (Hashtbl.find_opt t.frontier source) ~default:0
@@ -106,7 +104,8 @@ let create ~obs ~lookup ~frontier ~refresh_cost (mv : Mat_view.t) =
     {
       obs;
       lookup;
-      view = View_def.name (Mat_view.def mv);
+      coverage_key =
+        Fmt.str "selfmaint.%s.coverage" (View_def.name (Mat_view.def mv));
       refresh_cost;
       frontier = tbl;
       projs = [];

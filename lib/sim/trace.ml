@@ -126,9 +126,11 @@ let grow t =
   t.buf <- buf';
   t.head <- 0
 
+(* The detail is forced here, when the trace is on, so an entry holds its
+   text; a disabled trace drops the lazy unforced. *)
 let record t ~time kind detail =
   if t.enabled then begin
-    let e = { time; kind; detail } in
+    let e = { time; kind; detail = Lazy.force detail } in
     t.counts.(kind_index kind) <- t.counts.(kind_index kind) + 1;
     t.recorded <- t.recorded + 1;
     (match t.capacity with
@@ -147,12 +149,6 @@ let record t ~time kind detail =
           t.head <- (t.head + 1) mod c
         end)
   end
-
-(* A disabled trace consumes the arguments without formatting them: no
-   string is built and no [%a] printer runs. *)
-let recordf t ~time kind fmt =
-  if t.enabled then Fmt.kstr (fun s -> record t ~time kind s) fmt
-  else Format.ikfprintf ignore Format.str_formatter fmt
 
 (** Retained entries in chronological order. *)
 let entries t =

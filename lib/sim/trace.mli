@@ -46,12 +46,19 @@ val dropped : t -> int
 (** Entries evicted by a bounded ring since the last {!clear} (always 0
     for an unbounded trace). *)
 
-val record : t -> time:float -> kind -> string -> unit
+val record : t -> time:float -> kind -> string Lazy.t -> unit
+(** [record t ~time kind (lazy detail)] appends an entry.  An enabled
+    trace forces the detail now, so {!entry.detail} stays plain text and
+    shows the state at record time; a disabled one drops it unforced: no
+    string is built and no printer runs.
 
-val recordf :
-  t -> time:float -> kind -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** [record] with a formatted detail.  On a disabled trace nothing is
-    formatted: the arguments are consumed and no [%a] printer runs. *)
+    Capture rule, shared with the lineage and span recorders: a detail
+    lazy captures only values that nothing mutates afterwards — messages,
+    queue entries, timeline events and their deltas, ints, floats and
+    strings.  Anything else (a graph's node array, an accumulating
+    relation, a live queue) is read into immutable locals first.  The
+    trace forces at once, so its lazies are safe either way; the rule
+    matters for the recorders that force at export. *)
 
 val entries : t -> entry list
 (** Retained entries, chronological order. *)

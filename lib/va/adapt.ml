@@ -209,10 +209,11 @@ let replace_extent (w : Query_engine.t) (mv : Mat_view.t)
       | Error b -> Error b
       | Ok () ->
           Mat_view.replace mv ~at:(Query_engine.now w) ~maintained extent;
-          Dyno_sim.Trace.recordf (Query_engine.trace w)
+          Dyno_sim.Trace.record (Query_engine.trace w)
             ~time:(Query_engine.now w) Dyno_sim.Trace.Adapt
-            "view %s re-materialized: %d tuples" (Query.name query)
-            (Relation.cardinality extent);
+            (lazy
+              (Fmt.str "view %s re-materialized: %d tuples" (Query.name query)
+                 (Relation.cardinality extent)));
           Ok ())
 
 (** [refresh_with_equation6 w mv ~maintained ~batch_deltas ~exclude]
@@ -269,8 +270,9 @@ let refresh_with_equation6 (w : Query_engine.t) (mv : Mat_view.t)
       | Error b -> Error b
       | Ok () ->
           Mat_view.refresh mv ~at:(Query_engine.now w) ~maintained dv;
-          Dyno_sim.Trace.recordf (Query_engine.trace w)
+          Dyno_sim.Trace.record (Query_engine.trace w)
             ~time:(Query_engine.now w) Dyno_sim.Trace.Adapt
-            "view %s += %d tuple(s) via Equation 6" (Query.name query)
-            (Relation.mass dv);
+            (lazy
+              (Fmt.str "view %s += %d tuple(s) via Equation 6"
+                 (Query.name query) (Relation.mass dv)));
           Ok ()

@@ -149,7 +149,7 @@ let rec maintain ?(applied = []) (w : Query_engine.t) (mv : Mat_view.t)
   let sp = Dyno_obs.Obs.spans (Query_engine.obs w) in
   let now () = Query_engine.now w in
   Dyno_obs.Span.with_span sp ~now Dyno_obs.Span.Batch
-    (Fmt.str "batch of %d" (List.length msgs))
+    (lazy (Fmt.str "batch of %d" (List.length msgs)))
     (fun batch_id ->
       let outcome = maintain_unspanned ~applied w mv mk msgs in
       Dyno_obs.Span.set_attr sp batch_id "msgs"
@@ -174,9 +174,10 @@ and maintain_unspanned ~applied (w : Query_engine.t) (mv : Mat_view.t)
   let prep = preprocess msgs in
   let trace = Query_engine.trace w in
   if prep.dropped_du_tuples > 0 then
-    Dyno_sim.Trace.recordf trace ~time:(Query_engine.now w) Dyno_sim.Trace.Info
-      "batch: %d DU tuple(s) absorbed by a relation drop"
-      prep.dropped_du_tuples;
+    Dyno_sim.Trace.record trace ~time:(Query_engine.now w) Dyno_sim.Trace.Info
+      (lazy
+        (Fmt.str "batch: %d DU tuple(s) absorbed by a relation drop"
+           prep.dropped_du_tuples));
   (* Step 2: one synchronization for the combined schema changes. *)
   match
     Dyno_vs.Synchronizer.sync_many mk
@@ -187,14 +188,16 @@ and maintain_unspanned ~applied (w : Query_engine.t) (mv : Mat_view.t)
       Dyno_obs.Span.with_span
         (Dyno_obs.Obs.spans (Query_engine.obs w))
         ~now:(fun () -> Query_engine.now w)
-        Dyno_obs.Span.Vs "sync (failed)"
+        Dyno_obs.Span.Vs (lazy "sync (failed)")
         (fun _ ->
           Query_engine.advance w
             (Dyno_sim.Cost_model.synchronize (Query_engine.cost w)));
       View_def.invalidate vd;
-      Dyno_sim.Trace.recordf trace ~time:(Query_engine.now w)
-        Dyno_sim.Trace.Sync "view %s is now UNDEFINED: %s"
-        (Query.name old_query) reason;
+      Dyno_sim.Trace.record trace ~time:(Query_engine.now w)
+        Dyno_sim.Trace.Sync
+        (lazy
+          (Fmt.str "view %s is now UNDEFINED: %s" (Query.name old_query)
+             reason));
       View_undefined reason
   | sync ->
       if prep.scs <> [] then
@@ -202,7 +205,7 @@ and maintain_unspanned ~applied (w : Query_engine.t) (mv : Mat_view.t)
           (Dyno_obs.Obs.spans (Query_engine.obs w))
           ~now:(fun () -> Query_engine.now w)
           Dyno_obs.Span.Vs
-          (Fmt.str "sync %d SC(s)" (List.length prep.scs))
+          (lazy (Fmt.str "sync %d SC(s)" (List.length prep.scs)))
           (fun _ ->
             Query_engine.advance w
               (float_of_int (List.length prep.scs)
@@ -211,8 +214,9 @@ and maintain_unspanned ~applied (w : Query_engine.t) (mv : Mat_view.t)
               sync.Dyno_vs.Synchronizer.query;
             List.iter
               (fun a ->
-                Dyno_sim.Trace.recordf trace ~time:(Query_engine.now w)
-                  Dyno_sim.Trace.Sync "%a" Dyno_vs.Synchronizer.pp_action a)
+                Dyno_sim.Trace.record trace ~time:(Query_engine.now w)
+                  Dyno_sim.Trace.Sync
+                  (lazy (Fmt.str "%a" Dyno_vs.Synchronizer.pp_action a)))
               sync.Dyno_vs.Synchronizer.actions);
       let new_query = View_def.peek vd in
       let new_schemas = View_def.schemas vd in
@@ -237,7 +241,7 @@ and maintain_unspanned ~applied (w : Query_engine.t) (mv : Mat_view.t)
           then
             Dyno_obs.Span.with_span sp
               ~now:(fun () -> Query_engine.now w)
-              Dyno_obs.Span.Va "adapt (equation 6)"
+              Dyno_obs.Span.Va (lazy "adapt (equation 6)")
               (fun _ ->
                 let batch_deltas =
                   List.filter_map
@@ -258,7 +262,7 @@ and maintain_unspanned ~applied (w : Query_engine.t) (mv : Mat_view.t)
           else
             Dyno_obs.Span.with_span sp
               ~now:(fun () -> Query_engine.now w)
-              Dyno_obs.Span.Va "adapt (re-materialize)"
+              Dyno_obs.Span.Va (lazy "adapt (re-materialize)")
               (fun _ ->
                 Adapt.replace_extent w mv ~maintained:ids
                   ~exclude:exclude_ids)

@@ -205,15 +205,15 @@ let admit_packet w ri (p : Update_msg.payload Channel.packet) =
               ~time:p.arrival;
           Dyno_obs.Lineage.admit lin ~source:p.source ~seq:version
             ~time:(now w) ~msg_id:(Update_msg.id m);
-          Trace.recordf w.trace ~time:(now w) Trace.Enqueue "%a" Update_msg.pp
-            m;
+          Trace.record w.trace ~time:(now w) Trace.Enqueue
+            (lazy (Fmt.str "%a" Update_msg.pp m));
           List.iter (fun h -> h m) w.admit_hooks)
         ms
   | Umq.Duplicate ->
       Dyno_obs.Metrics.incr (Dyno_obs.Obs.metrics w.obs) "umq.duplicates";
       Dyno_obs.Lineage.dedup lin ~source:p.source ~seq:p.seq ~time:(now w);
-      Trace.recordf w.trace ~time:(now w) Trace.Msg_duplicated
-        "dropped duplicate seq %d from %s" p.seq p.source
+      Trace.record w.trace ~time:(now w) Trace.Msg_duplicated
+        (lazy (Fmt.str "dropped duplicate seq %d from %s" p.seq p.source))
   | Umq.Held ->
       Hashtbl.replace w.held_since (p.source, p.seq) (now w);
       Dyno_obs.Lineage.arrive lin ~source:p.source ~seq:p.seq ~time:p.arrival;
@@ -222,9 +222,9 @@ let admit_packet w ri (p : Update_msg.payload Channel.packet) =
       Dyno_obs.Span.instant
         (Dyno_obs.Obs.spans w.obs)
         ~time:(now w) ~thread:p.source "umq-held"
-        (Fmt.str "seq=%d" p.seq);
-      Trace.recordf w.trace ~time:(now w) Trace.Info
-        "holding out-of-order seq %d from %s" p.seq p.source
+        (lazy (Fmt.str "seq=%d" p.seq));
+      Trace.record w.trace ~time:(now w) Trace.Info
+        (lazy (Fmt.str "holding out-of-order seq %d from %s" p.seq p.source))
 
 (* Deliver every channel copy whose arrival time has passed.  With
    several routes, due packets are merged in global arrival order (ties
@@ -260,8 +260,9 @@ let deliver_due w =
         Dyno_source.Registry.commit w.registry ~time:e.time e.event
       in
       let source = Dyno_source.Data_source.id src in
-      Trace.recordf w.trace ~time:e.time Trace.Commit "%s v%d: %a" source
-        version Timeline.pp_event e.event;
+      Trace.record w.trace ~time:e.time Trace.Commit
+        (lazy
+          (Fmt.str "%s v%d: %a" source version Timeline.pp_event e.event));
       (* The first commit carries the lowest seq this source will ever
          send; registering it here (before any delivery can happen)
          anchors the sequencer even if that first message is reordered. *)
@@ -273,13 +274,14 @@ let deliver_due w =
         | Timeline.Sc sc -> Update_msg.Sc sc
       in
       let lin = Dyno_obs.Obs.lineage w.obs in
-      if Dyno_obs.Lineage.enabled lin then
-        Dyno_obs.Lineage.commit lin ~source ~seq:version ~time:e.time
-          ~sc:
-            (match payload with
-            | Update_msg.Sc _ -> true
-            | Update_msg.Du _ -> false)
-          ~detail:(Fmt.str "%a" Timeline.pp_event e.event);
+      Dyno_obs.Lineage.commit lin ~source ~seq:version ~time:e.time
+        ~sc:
+          (match payload with
+          | Update_msg.Sc _ -> true
+          | Update_msg.Du _ -> false)
+        ~detail:
+          (let event = e.event in
+           lazy (Fmt.str "%a" Timeline.pp_event event));
       let report =
         Channel.send r.r_channel ~now:e.time ~source ~seq:version payload
       in
@@ -287,9 +289,11 @@ let deliver_due w =
         ~transmissions:report.transmissions ~duplicated:report.duplicated
         ~arrival:report.arrival;
       if report.transmissions > 1 then
-        Trace.recordf w.trace ~time:e.time Trace.Msg_dropped
-          "%s seq %d: %d transmission(s) lost, retransmitted" source version
-          (report.transmissions - 1);
+        Trace.record w.trace ~time:e.time Trace.Msg_dropped
+          (lazy
+            (Fmt.str "%s seq %d: %d transmission(s) lost, retransmitted"
+               source version
+               (report.transmissions - 1)));
       deliver_arrived w)
     (Timeline.pop_until w.timeline ~time:(now w));
   deliver_arrived w
@@ -370,18 +374,19 @@ let with_rpc w ~target ~what (attempt_ok : unit -> ('a, failure) result) :
       Dyno_obs.Metrics.incr mx "net.timeouts";
       (match outage with
       | Some o ->
-          Trace.recordf w.trace ~time:(now w) Trace.Outage
-            "%s unreachable (outage until %.3fs)" target o.ends
+          Trace.record w.trace ~time:(now w) Trace.Outage
+            (lazy (Fmt.str "%s unreachable (outage until %.3fs)" target o.ends))
       | None -> ());
       Dyno_obs.Span.with_span sp
         ~now:(fun () -> now w)
         Dyno_obs.Span.Timeout
-        (Fmt.str "%s %s attempt %d" what target n)
+        (lazy (Fmt.str "%s %s attempt %d" what target n))
         (fun _ -> advance w w.retry.Retry.timeout);
       w.net_wait <- w.net_wait +. w.retry.Retry.timeout;
-      Trace.recordf w.trace ~time:(now w) Trace.Timeout
-        "%s %s: no answer after %.3fs (attempt %d/%d)" what target
-        w.retry.Retry.timeout n w.retry.Retry.max_attempts;
+      Trace.record w.trace ~time:(now w) Trace.Timeout
+        (lazy
+          (Fmt.str "%s %s: no answer after %.3fs (attempt %d/%d)" what target
+             w.retry.Retry.timeout n w.retry.Retry.max_attempts));
       let waited = waited +. w.retry.Retry.timeout in
       if n >= w.retry.Retry.max_attempts then
         Error (Unreachable { Retry.source = target; attempts = n; waited })
@@ -390,14 +395,15 @@ let with_rpc w ~target ~what (attempt_ok : unit -> ('a, failure) result) :
         Dyno_obs.Span.with_span sp
           ~now:(fun () -> now w)
           Dyno_obs.Span.Retry
-          (Fmt.str "%s %s backoff %d" what target n)
+          (lazy (Fmt.str "%s %s backoff %d" what target n))
           (fun _ -> advance w backoff);
         w.net_wait <- w.net_wait +. backoff;
         w.retries <- w.retries + 1;
         Dyno_obs.Metrics.incr mx "net.retries";
-        Trace.recordf w.trace ~time:(now w) Trace.Retry
-          "%s %s: retry %d/%d after %.3fs backoff" what target (n + 1)
-          w.retry.Retry.max_attempts backoff;
+        Trace.record w.trace ~time:(now w) Trace.Retry
+          (lazy
+            (Fmt.str "%s %s: retry %d/%d after %.3fs backoff" what target
+               (n + 1) w.retry.Retry.max_attempts backoff));
         attempt ~n:(n + 1) ~waited:(waited +. backoff)
       end
     end
@@ -419,12 +425,7 @@ let probe_span w ~target ~what (body : unit -> ('a, failure) result) :
     ('a, failure) result =
   let sp = Dyno_obs.Obs.spans w.obs in
   let lin = Dyno_obs.Obs.lineage w.obs in
-  (* Names and details are formatted only for a recorder that keeps them. *)
-  let name =
-    if Dyno_obs.Span.enabled sp || Dyno_obs.Lineage.enabled lin then
-      what ^ " " ^ target
-    else ""
-  in
+  let name = lazy (what ^ " " ^ target) in
   Dyno_obs.Span.with_span sp
     ~now:(fun () -> now w)
     Dyno_obs.Span.Probe name
@@ -440,13 +441,13 @@ let probe_span w ~target ~what (body : unit -> ('a, failure) result) :
       in
       Dyno_obs.Span.set_attr sp span_id "target" target;
       Dyno_obs.Span.set_attr sp span_id "outcome" outcome;
-      if Dyno_obs.Lineage.enabled lin then
-        Dyno_obs.Lineage.probe_end lin ~time:(now w)
-          ~detail:
-            (Fmt.str "%s %s: %s, rtt %.3fs" name target outcome (now w -. t0));
-      Dyno_obs.Metrics.observe
-        (Dyno_obs.Obs.metrics w.obs)
-        "probe.rtt_s" (now w -. t0);
+      let rtt = now w -. t0 in
+      Dyno_obs.Lineage.probe_end lin ~time:(now w)
+        ~detail:
+          (lazy
+            (Fmt.str "%s %s: %s, rtt %.3fs" (Lazy.force name) target outcome
+               rtt));
+      Dyno_obs.Metrics.observe (Dyno_obs.Obs.metrics w.obs) "probe.rtt_s" rtt;
       result)
 
 (** [execute_timed w q ~bound ~target] — like {!execute}, but also
@@ -458,8 +459,8 @@ let probe_span w ~target ~what (body : unit -> ('a, failure) result) :
 let execute_timed ?plan w (q : Query.t) ~bound ~target :
     (Dyno_source.Data_source.answer * float, failure) result =
   probe_span w ~target ~what:"probe" @@ fun () ->
-  Trace.recordf w.trace ~time:(now w) Trace.Query_sent "%s <- %s" target
-    (Query.name q);
+  Trace.record w.trace ~time:(now w) Trace.Query_sent
+    (lazy (Fmt.str "%s <- %s" target (Query.name q)));
   let src = Dyno_source.Registry.find w.registry target in
   (* Estimate the scan the source is about to do (current sizes). *)
   let scan_estimate =
@@ -503,14 +504,14 @@ let execute_timed ?plan w (q : Query.t) ~bound ~target :
                ~returned:(Relation.support ans.rows)
              -. w.cost.Cost_model.query_latency
             |> Float.max 0.0);
-          Trace.recordf w.trace ~time:(now w) Trace.Query_answered
-            "%s -> %d rows" target
-            (Relation.support ans.rows);
+          Trace.record w.trace ~time:(now w) Trace.Query_answered
+            (lazy
+              (Fmt.str "%s -> %d rows" target (Relation.support ans.rows)));
           Ok (ans, answered_at)
       | Error b ->
           set_broken_query_flags w;
-          Trace.recordf w.trace ~time:(now w) Trace.Broken_query "%a"
-            Dyno_source.Data_source.pp_broken b;
+          Trace.record w.trace ~time:(now w) Trace.Broken_query
+            (lazy (Fmt.str "%a" Dyno_source.Data_source.pp_broken b));
           Error (Broken b))
 
 let execute w (q : Query.t) ~bound ~target :
@@ -532,8 +533,9 @@ let validate w (q : Query.t) ~target : (unit, failure) result =
       | Ok () -> Ok ()
       | Error b ->
           set_broken_query_flags w;
-          Trace.recordf w.trace ~time:(now w) Trace.Broken_query
-            "validation: %a" Dyno_source.Data_source.pp_broken b;
+          Trace.record w.trace ~time:(now w) Trace.Broken_query
+            (lazy
+              (Fmt.str "validation: %a" Dyno_source.Data_source.pp_broken b));
           Error (Broken b))
 
 (** [await_recovery w ~source] — called by the scheduler after an

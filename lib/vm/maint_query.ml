@@ -233,7 +233,9 @@ type probe = {
 
 type sweep = {
   version : int;  (** view-definition version compiled from *)
-  view : string;  (** the view's name *)
+  local_name : string Lazy.t;
+      (** name of the span marking a sweep answered locally, built once
+          per compiled sweep and rendered when read *)
   pivot : Query.table_ref;
   start : Eval.prepared;
       (** delta → first partial result: the pivot's local filters, its
@@ -306,7 +308,15 @@ let compile ~version (q : Query.t) (schemas : (string * Schema.t) list)
          ~where:(Predicate.map_refs in_partial (residual_atoms q owner)))
       [ (partial_alias, !partial) ]
   in
-  { version; view = Query.name q; pivot; start; probes; finish }
+  let view = Query.name q and alias = pivot.alias in
+  {
+    version;
+    local_name = lazy (Fmt.str "local:%s:%s" view alias);
+    pivot;
+    start;
+    probes;
+    finish;
+  }
 
 (* The single-table plans run under the reference planner: it scans, and
    never registers an index on the delta or on a partial result. *)

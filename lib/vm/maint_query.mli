@@ -90,7 +90,9 @@ type probe = {
 
 type sweep = private {
   version : int;  (** view-definition version compiled from *)
-  view : string;  (** the view's name *)
+  local_name : string Lazy.t;
+      (** name of the span marking a sweep answered locally
+          ([local:<view>:<pivot alias>]), rendered when read *)
   pivot : Query.table_ref;
   start : Eval.prepared;
       (** delta → first partial result: the pivot's local filters, its

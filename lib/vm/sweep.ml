@@ -118,12 +118,14 @@ let delta_view ?(compensate = true) (w : Query_engine.t)
                           comp_tuples =
                             !stats.comp_tuples + Relation.mass contribution;
                         };
-                      Dyno_sim.Trace.recordf trace
+                      Dyno_sim.Trace.record trace
                         ~time:(Query_engine.now w) Dyno_sim.Trace.Compensate
-                        "removed %d tuple(s) of %d pending update(s) from \
-                         probe %s"
-                        (Relation.mass contribution)
-                        count (Query.name probe);
+                        (lazy
+                          (Fmt.str
+                             "removed %d tuple(s) of %d pending update(s) \
+                              from probe %s"
+                             (Relation.mass contribution)
+                             count (Query.name probe)));
                       (* Compensation is local view-manager work, not
                          charged on the clock: a zero-duration span marks
                          where it happened inside the enclosing probe. *)
@@ -131,7 +133,8 @@ let delta_view ?(compensate = true) (w : Query_engine.t)
                       let sid =
                         Dyno_obs.Span.begin_span sp
                           ~time:(Query_engine.now w)
-                          Dyno_obs.Span.Compensate (Query.name probe)
+                          Dyno_obs.Span.Compensate
+                          (Lazy.from_val (Query.name probe))
                       in
                       Dyno_obs.Span.set_attr sp sid "tuples"
                         (string_of_int (Relation.mass contribution));
@@ -264,28 +267,25 @@ let delta_view_local (w : Query_engine.t) (sw : Maint_query.sweep)
         let mark key value =
           let id =
             Dyno_obs.Span.begin_span sp ~time:(Query_engine.now w)
-              Dyno_obs.Span.Local
-              (if Dyno_obs.Span.enabled sp then
-                 Fmt.str "local:%s:%s" sw.Maint_query.view
-                   sw.Maint_query.pivot.Query.alias
-               else "")
+              Dyno_obs.Span.Local sw.Maint_query.local_name
           in
           Dyno_obs.Span.set_attr sp id key value;
           Dyno_obs.Span.end_span sp ~time:(Query_engine.now w) id
         in
         match sweep () with
         | (_, st) as ok ->
-            mark "probes_avoided" (string_of_int st.probes_avoided);
-            local.note_avoided ~probes:st.probes_avoided ~bytes:st.bytes_saved;
-            let lin = Dyno_obs.Obs.lineage (Query_engine.obs w) in
-            if Dyno_obs.Lineage.enabled lin then
-              Dyno_obs.Lineage.note_scope lin ~time:(Query_engine.now w)
-                ~kind:"local-answer"
-                ~detail:
+            let probes = st.probes_avoided and bytes = st.bytes_saved in
+            mark "probes_avoided" (string_of_int probes);
+            local.note_avoided ~probes ~bytes;
+            Dyno_obs.Lineage.note_scope
+              (Dyno_obs.Obs.lineage (Query_engine.obs w))
+              ~time:(Query_engine.now w) ~kind:"local-answer"
+              ~detail:
+                (lazy
                   (Fmt.str
                      "self-maintenance tier answered locally: %d probe(s) \
                       avoided, %d byte(s) saved"
-                     st.probes_avoided st.bytes_saved);
+                     probes bytes));
             Some ok
         | exception Eval.Error _ ->
             (* A local evaluation the probed path might survive (or

@@ -121,32 +121,32 @@ let maintain_sweep ?(compensate = true) ?(applied = []) ?(exclude_extra = [])
    [ids] maintained together ([grouped]). *)
 let refresh_view (w : Query_engine.t) (mv : Mat_view.t) ~(ids : int list)
     ~(grouped : bool) (dv : Relation.t) =
-  let q = View_def.peek (Mat_view.def mv) in
+  let view = Query.name (View_def.peek (Mat_view.def mv)) in
   let delta_tuples = Relation.mass dv in
   let obs = Query_engine.obs w in
   Dyno_obs.Span.with_span (Dyno_obs.Obs.spans obs)
     ~now:(fun () -> Query_engine.now w)
-    Dyno_obs.Span.Refresh (Query.name q)
+    Dyno_obs.Span.Refresh (Lazy.from_val view)
     (fun _ ->
       Query_engine.advance w
         (Dyno_sim.Cost_model.refresh (Query_engine.cost w) ~delta_tuples);
       Mat_view.refresh mv ~at:(Query_engine.now w) ~maintained:ids dv);
   Dyno_obs.Metrics.incr (Dyno_obs.Obs.metrics obs) "vm.refreshes";
   let trace = Query_engine.trace w and now = Query_engine.now w in
-  if grouped then
-    Dyno_sim.Trace.recordf trace ~time:now Dyno_sim.Trace.Refresh
-      "view %s += %d tuple(s) for group of %d" (Query.name q) delta_tuples
-      (List.length ids)
-  else
-    Dyno_sim.Trace.recordf trace ~time:now Dyno_sim.Trace.Refresh
-      "view %s += %d tuple(s) for #%d" (Query.name q) delta_tuples
-      (List.hd ids);
-  let lin = Dyno_obs.Obs.lineage obs in
-  if Dyno_obs.Lineage.enabled lin then
-    Dyno_obs.Lineage.note lin ~ids ~time:now ~kind:"refresh"
-      ~detail:
-        (Fmt.str "view %s += %d tuple(s)%s" (Query.name q) delta_tuples
-           (if grouped then " (grouped)" else ""))
+  Dyno_sim.Trace.record trace ~time:now Dyno_sim.Trace.Refresh
+    (lazy
+      (if grouped then
+         Fmt.str "view %s += %d tuple(s) for group of %d" view delta_tuples
+           (List.length ids)
+       else
+         Fmt.str "view %s += %d tuple(s) for #%d" view delta_tuples
+           (List.hd ids)));
+  Dyno_obs.Lineage.note (Dyno_obs.Obs.lineage obs) ~ids ~time:now
+    ~kind:"refresh"
+    ~detail:
+      (lazy
+        (Fmt.str "view %s += %d tuple(s)%s" view delta_tuples
+           (if grouped then " (grouped)" else "")))
 
 (** [commit_swept w mv msg dv stats] — the refresh half of {!maintain}
     for a delta computed by {!maintain_sweep}: charge the refresh cost,

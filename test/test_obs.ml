@@ -9,6 +9,11 @@
      span-derived breakdown agrees with Stats on busy/abort/idle/net-wait;
    - the obs-off guarantee: enabling recording changes no Stats byte and
      no view tuple;
+   - laziness: lineage and span texts are rendered when exported, once;
+     an enabled trace renders at record time; a disabled recorder never
+     renders;
+   - the allocation budget: a fleet-shaped run with every recorder on
+     allocates at most 1.3x the words of the same run with them off;
    - JSON round-trips: stats, metrics, trace, chrome trace and the span
      JSONL all parse under the tiny checker in Json_check. *)
 
@@ -92,6 +97,11 @@ let run_observed ?loss ?(strategy = Dyno_core.Strategy.Pessimistic)
   let stats = run_mode ~strategy mode t in
   (obs, t, stats)
 
+let contains haystack needle =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+  go 0
+
 (* -- span recorder ------------------------------------------------------ *)
 
 let test_span_nesting_ids () =
@@ -100,9 +110,9 @@ let test_span_nesting_ids () =
   let now () = !clock in
   let inner_id = ref 0 in
   let outer =
-    Span.with_span r ~now Span.Maintain "outer" (fun outer ->
+    Span.with_span r ~now Span.Maintain (lazy "outer") (fun outer ->
         clock := 1.0;
-        Span.with_span r ~now Span.Probe "inner" (fun inner ->
+        Span.with_span r ~now Span.Probe (lazy "inner") (fun inner ->
             inner_id := inner;
             clock := 2.0);
         clock := 3.0;
@@ -122,10 +132,10 @@ let test_span_disabled_noop () =
   let id =
     Span.with_span r
       ~now:(fun () -> 0.0)
-      Span.Maintain "x"
+      Span.Maintain (lazy "x")
       (fun id ->
         Span.set_attr r id "k" "v";
-        Span.instant r ~time:0.0 "ev" "d";
+        Span.instant r ~time:0.0 "ev" (lazy "d");
         id)
   in
   Alcotest.(check int) "id is 0" 0 id;
@@ -138,7 +148,7 @@ let test_span_exception_safety () =
   (try
      Span.with_span r
        ~now:(fun () -> !clock)
-       Span.Vs "boom"
+       Span.Vs (lazy "boom")
        (fun _ ->
          clock := 7.0;
          failwith "boom")
@@ -193,7 +203,7 @@ let test_trace_ring_eviction () =
   let open Dyno_sim in
   let t = Trace.create ~capacity:3 () in
   for i = 1 to 5 do
-    Trace.record t ~time:(float_of_int i) Trace.Info (string_of_int i)
+    Trace.record t ~time:(float_of_int i) Trace.Info (lazy (string_of_int i))
   done;
   let kept =
     List.map (fun (e : Trace.entry) -> e.Trace.detail) (Trace.entries t)
@@ -207,7 +217,7 @@ let test_trace_unbounded_growth () =
   let open Dyno_sim in
   let t = Trace.create () in
   for i = 1 to 1000 do
-    Trace.record t ~time:(float_of_int i) Trace.Commit "c"
+    Trace.record t ~time:(float_of_int i) Trace.Commit (lazy "c")
   done;
   Alcotest.(check int) "all retained" 1000 (List.length (Trace.entries t));
   Alcotest.(check int) "none dropped" 0 (Trace.dropped t);
@@ -385,6 +395,136 @@ let test_obs_off_identical () =
   Alcotest.(check bool) "lineage-off extent identical" true
     (Dyno_relational.Relation.equal e_off e_nl)
 
+(* -- laziness: texts are rendered when read, once ------------------------ *)
+
+(* A text that counts how often it is rendered. *)
+let counted calls text =
+  lazy
+    (incr calls;
+     text)
+
+let test_lineage_renders_when_read () =
+  let calls = ref 0 in
+  let record lin =
+    Lineage.commit lin ~source:"DS1" ~seq:1 ~time:0.0 ~sc:false
+      ~detail:(counted calls "DU counted");
+    Lineage.admit lin ~source:"DS1" ~seq:1 ~time:0.1 ~msg_id:0;
+    Lineage.finish lin ~ids:[ 0 ] ~time:0.2 ~state:Lineage.Applied
+      ~detail:(lazy "done")
+  in
+  record Lineage.disabled;
+  Alcotest.(check int) "a disabled recorder renders nothing" 0 !calls;
+  let lin = Lineage.create () in
+  record lin;
+  Alcotest.(check int) "recording renders nothing" 0 !calls;
+  let jsonl = Lineage.to_jsonl lin in
+  let narrative =
+    match Lineage.records lin with
+    | [ r ] -> Fmt.str "%a" Lineage.pp_record r
+    | _ -> Alcotest.fail "one record expected"
+  in
+  Alcotest.(check int) "two exports render it once" 1 !calls;
+  Alcotest.(check bool) "JSONL carries the text" true
+    (contains jsonl "DU counted");
+  Alcotest.(check bool) "narrative carries the text" true
+    (contains narrative "DU counted")
+
+let test_span_renders_when_read () =
+  let names = ref 0 and details = ref 0 in
+  let record r =
+    Span.with_span r
+      ~now:(fun () -> 0.0)
+      Span.Maintain (counted names "step counted")
+      (fun _ -> Span.instant r ~time:0.0 "ev" (counted details "detail counted"))
+  in
+  record Span.disabled;
+  Alcotest.(check (pair int int)) "a disabled recorder renders nothing" (0, 0)
+    (!names, !details);
+  let r = Span.create () in
+  record r;
+  Alcotest.(check (pair int int)) "recording renders nothing" (0, 0)
+    (!names, !details);
+  let trace = Export.chrome_trace r in
+  let jsonl = Export.spans_jsonl r in
+  Alcotest.(check (pair int int)) "two exports render each once" (1, 1)
+    (!names, !details);
+  List.iter
+    (fun (what, doc) ->
+      Alcotest.(check bool) (what ^ " carries the name") true
+        (contains doc "step counted");
+      Alcotest.(check bool) (what ^ " carries the detail") true
+        (contains doc "detail counted"))
+    [ ("chrome trace", trace); ("span JSONL", jsonl) ]
+
+let test_trace_renders_at_record () =
+  let calls = ref 0 in
+  let off = Dyno_sim.Trace.create ~enabled:false () in
+  Dyno_sim.Trace.record off ~time:0.0 Dyno_sim.Trace.Info
+    (counted calls "off");
+  Alcotest.(check int) "a disabled trace renders nothing" 0 !calls;
+  let on = Dyno_sim.Trace.create () in
+  Dyno_sim.Trace.record on ~time:0.0 Dyno_sim.Trace.Info (counted calls "on");
+  Alcotest.(check int) "an enabled trace renders at record time" 1 !calls;
+  match Dyno_sim.Trace.entries on with
+  | [ e ] -> Alcotest.(check string) "detail" "on" e.Dyno_sim.Trace.detail
+  | _ -> Alcotest.fail "one entry expected"
+
+(* -- observability allocation budget -------------------------------------- *)
+
+(* A fleet-shaped run (3 shards, width 2, self-maintenance, 5% loss, dup
+   and reorder, one DU every 0.15 sim s) allocates at most 1.3x the words
+   with spans, metrics, lineage and a 10 s series on as with all of them
+   off.  Words are minor + major - promoted; no clock is read, so the
+   ratio is deterministic. *)
+let fleet_words ~obs ~seed =
+  let rows = 500 in
+  let cost = Dyno_sim.Cost_model.scaled (100_000.0 /. float_of_int rows) in
+  let timeline =
+    Dyno_workload.Generator.build ~rows ~seed
+      (List.init 300 (fun k ->
+           Dyno_workload.Generator.At_du (0.15 *. float_of_int k)))
+  in
+  let faults =
+    {
+      Dyno_net.Channel.reliable with
+      loss = 0.05;
+      dup = 0.05;
+      reorder = 0.05;
+      reorder_delay = 1.5;
+      retransmit = cost.Dyno_sim.Cost_model.retransmit_interval;
+    }
+  in
+  let t =
+    Dyno_workload.Scenario.make
+      Dyno_workload.Scenario.Config.(
+        default |> with_rows rows |> with_cost cost |> with_faults faults
+        |> with_net_seed seed |> with_shards 3 |> with_obs obs)
+      ~timeline
+  in
+  let config =
+    Dyno_core.Run_config.(default |> with_parallel 2 |> with_self_maint true)
+  in
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  ignore (Dyno_workload.Scenario.run t ~config : Dyno_core.Stats.t);
+  words () -. w0
+
+let test_obs_allocation_budget () =
+  List.iter
+    (fun seed ->
+      let off = fleet_words ~obs:Obs.disabled ~seed in
+      let on = fleet_words ~obs:(Obs.create ~sample_interval:10.0 ()) ~seed in
+      let ratio = on /. off in
+      if ratio > 1.3 then
+        Alcotest.failf
+          "seed %d: obs on allocates %.0f words, %.2fx the %.0f words with obs \
+           off (budget 1.3x)"
+          seed on ratio off)
+    [ 1; 2; 3 ]
+
 (* -- lineage: cursor tiling, forensics, terminals ----------------------- *)
 
 let terminal_kinds = [ "applied"; "irrelevant"; "dropped_undefined" ]
@@ -395,22 +535,51 @@ let terminal_event_count r =
        (fun (e : Lineage.event) -> List.mem e.Lineage.kind terminal_kinds)
        (Lineage.events r))
 
+(* The rendered detail of a record's first event of [kind]. *)
+let detail_of r kind =
+  match
+    List.find_opt (fun (e : Lineage.event) -> e.Lineage.kind = kind)
+      (Lineage.events r)
+  with
+  | Some e -> Lazy.force e.Lineage.detail
+  | None -> Alcotest.failf "no %s event" kind
+
 let test_lineage_cursor_tiling () =
-  let lin = Lineage.create () in
-  Lineage.commit lin ~source:"DS1" ~seq:1 ~time:0.0 ~sc:false ~detail:"DU";
+  let mx = Metrics.create () in
+  let lin = Lineage.create ~metrics:mx () in
+  Lineage.commit lin ~source:"DS1" ~seq:1 ~time:0.0 ~sc:false
+    ~detail:(lazy "DU");
   Lineage.sent lin ~source:"DS1" ~seq:1 ~time:0.0 ~transmissions:2
     ~duplicated:false ~arrival:0.4;
   Lineage.arrive lin ~source:"DS1" ~seq:1 ~time:0.4;
   Lineage.admit lin ~source:"DS1" ~seq:1 ~time:0.4 ~msg_id:0;
-  Lineage.dispatch lin ~ids:[ 0 ] ~time:1.4 ~detail:"head" ();
+  Lineage.dispatch lin ~ids:[ 0 ] ~time:1.4 ~detail:(lazy "head") ();
   Lineage.set_scope lin [ 0 ];
   Lineage.probe_begin lin ~time:1.5;
-  Lineage.probe_end lin ~time:1.7 ~detail:"probe DS1";
+  Lineage.probe_end lin ~time:1.7 ~detail:(lazy "probe DS1");
   Lineage.finish lin ~ids:[ 0 ] ~time:2.0 ~state:Lineage.Applied
-    ~detail:"done";
+    ~detail:(lazy "done");
+  (* the terminal registers its metrics under the historical names, in
+     first-use order: the terminal counter, the total, then every
+     non-zero segment in canonical order *)
+  Alcotest.(check (list string))
+    "finish's metric names"
+    [
+      "lineage.applied"; "lineage.total_s"; "lineage.channel_s";
+      "lineage.queue_s"; "lineage.probe_s"; "lineage.compute_s";
+    ]
+    (Metrics.names mx);
+  Alcotest.(check int) "terminal counted" 1
+    (Metrics.counter_value mx "lineage.applied");
+  Alcotest.(check bool) "segment histogram" true
+    (Metrics.kind_of mx "lineage.queue_s" = Some `Histogram);
   match Lineage.find_msg lin 0 with
   | None -> Alcotest.fail "record should be indexed by msg id"
   | Some r ->
+      Alcotest.(check string) "send detail"
+        "2 transmissions (1 lost), arrival t=0.400s" (detail_of r "send");
+      Alcotest.(check string) "admit detail" "admitted exactly-once as msg #0"
+        (detail_of r "admit");
       let seg = Lineage.segment_value r in
       Alcotest.(check (float 1e-12)) "channel" 0.4 (seg Lineage.Channel);
       Alcotest.(check (float 1e-12)) "queue" 1.0 (seg Lineage.Queue);
@@ -424,9 +593,9 @@ let test_lineage_cursor_tiling () =
       Alcotest.(check int) "exactly one terminal event" 1
         (terminal_event_count r);
       (* the record is sealed: later charges are structural no-ops *)
-      Lineage.dispatch lin ~ids:[ 0 ] ~time:9.0 ~detail:"too late" ();
+      Lineage.dispatch lin ~ids:[ 0 ] ~time:9.0 ~detail:(lazy "too late") ();
       Lineage.finish lin ~ids:[ 0 ] ~time:9.5 ~state:Lineage.Irrelevant
-        ~detail:"second terminal loses";
+        ~detail:(lazy "second terminal loses");
       Alcotest.(check (float 1e-12)) "sum unchanged after seal" 2.0
         (Lineage.segment_sum r);
       Alcotest.(check bool) "first terminal wins" true
@@ -436,7 +605,10 @@ let test_lineage_hold_dedup_merge () =
   let mx = Metrics.create () in
   let lin = Lineage.create ~metrics:mx () in
   (* a held-for-gap packet charges [Hold] between arrival and admission *)
-  Lineage.commit lin ~source:"DS2" ~seq:2 ~time:0.0 ~sc:false ~detail:"DU";
+  Lineage.commit lin ~source:"DS2" ~seq:2 ~time:0.0 ~sc:false
+    ~detail:(lazy "DU");
+  Lineage.sent lin ~source:"DS2" ~seq:2 ~time:0.0 ~transmissions:1
+    ~duplicated:true ~arrival:0.3;
   Lineage.arrive lin ~source:"DS2" ~seq:2 ~time:0.3;
   Lineage.held lin ~source:"DS2" ~seq:2 ~time:0.3;
   Lineage.dedup lin ~source:"DS2" ~seq:2 ~time:0.5;
@@ -444,6 +616,13 @@ let test_lineage_hold_dedup_merge () =
   (match Lineage.find_msg lin 7 with
   | None -> Alcotest.fail "held record should be admitted as msg 7"
   | Some r ->
+      Alcotest.(check string) "duplicated send detail"
+        "1 transmission, duplicated in flight, arrival t=0.300s"
+        (detail_of r "send");
+      Alcotest.(check string) "release detail"
+        "released from gap hold as msg #7" (detail_of r "admit");
+      Alcotest.(check string) "dedup detail" "duplicate delivery discarded"
+        (detail_of r "dedup");
       Alcotest.(check (float 1e-12)) "hold charged" 0.6
         (Lineage.segment_value r Lineage.Hold);
       Alcotest.(check int) "dedup counted" 1
@@ -452,12 +631,14 @@ let test_lineage_hold_dedup_merge () =
   List.iter
     (fun (seq, id) ->
       Lineage.commit lin ~source:"DS1" ~seq ~time:1.0 ~sc:(seq = 9)
-        ~detail:"member";
+        ~detail:(lazy "member");
       Lineage.admit lin ~source:"DS1" ~seq ~time:1.0 ~msg_id:id)
     [ (8, 3); (9, 5) ];
-  Lineage.merged lin ~ids:[ 5; 3 ] ~time:2.0 ~detail:"cycle merged";
+  Lineage.merged lin ~ids:[ 5; 3 ] ~time:2.0 ~detail:(lazy "cycle merged");
   (match (Lineage.find_msg lin 3, Lineage.find_msg lin 5) with
   | Some a, Some b ->
+      Alcotest.(check string) "merge detail" "cycle merged"
+        (detail_of b "merge");
       Alcotest.(check int) "smallest id is the parent" (-1) a.Lineage.parent;
       Alcotest.(check int) "member links to parent" 3 b.Lineage.parent
   | _ -> Alcotest.fail "merge members should exist");
@@ -466,9 +647,11 @@ let test_lineage_hold_dedup_merge () =
 
 let test_lineage_disabled_noop () =
   let lin = Lineage.disabled in
-  Lineage.commit lin ~source:"DS1" ~seq:1 ~time:0.0 ~sc:false ~detail:"x";
+  Lineage.commit lin ~source:"DS1" ~seq:1 ~time:0.0 ~sc:false
+    ~detail:(lazy "x");
   Lineage.admit lin ~source:"DS1" ~seq:1 ~time:0.0 ~msg_id:0;
-  Lineage.finish lin ~ids:[ 0 ] ~time:1.0 ~state:Lineage.Applied ~detail:"x";
+  Lineage.finish lin ~ids:[ 0 ] ~time:1.0 ~state:Lineage.Applied
+    ~detail:(lazy "x");
   Alcotest.(check bool) "reports disabled" false (Lineage.enabled lin);
   Alcotest.(check int) "no records" 0 (List.length (Lineage.records lin));
   Alcotest.(check bool) "no index" true (Lineage.find_msg lin 0 = None);
@@ -487,7 +670,7 @@ let test_lineage_abort_forensics () =
       (fun r ->
         List.exists
           (fun (e : Lineage.event) ->
-            e.Lineage.kind = kind && pred e.Lineage.detail)
+            e.Lineage.kind = kind && pred (Lazy.force e.Lineage.detail))
           (Lineage.events r))
       records
   in
@@ -610,16 +793,16 @@ let test_json_escaping () =
   let r = Span.create () in
   Span.with_span r
     ~now:(fun () -> 0.0)
-    Span.Probe "na\"me\\with\ttabs"
+    Span.Probe (lazy "na\"me\\with\ttabs")
     (fun id -> Span.set_attr r id "k\"ey" "v\nal");
-  Span.instant r ~time:0.0 "ev\"ent" "de\ttail";
+  Span.instant r ~time:0.0 "ev\"ent" (lazy "de\ttail");
   Json_check.check_exn ~what:"escaped chrome trace" (Export.chrome_trace r);
   Json_check.check_jsonl_exn ~what:"escaped span JSONL" (Export.spans_jsonl r);
   let m = Metrics.create () in
   Metrics.incr m "weird\"name\\";
   Json_check.check_exn ~what:"escaped metrics" (Metrics.to_json_string m);
   let tr = Dyno_sim.Trace.create ~enabled:true () in
-  Dyno_sim.Trace.record tr ~time:0.0 Dyno_sim.Trace.Info "de\"tail\\";
+  Dyno_sim.Trace.record tr ~time:0.0 Dyno_sim.Trace.Info (lazy "de\"tail\\");
   Json_check.check_exn ~what:"escaped trace" (Dyno_sim.Trace.to_json_string tr);
   Json_check.check_exn ~what:"checker rejects garbage is tested inline"
     "{\"a\": [1, 2.5e-3, true, null, \"x\\u00e9\"]}";
@@ -853,11 +1036,6 @@ let test_slo_eval () =
 
 (* -- OpenMetrics exposition --------------------------------------------- *)
 
-let contains haystack needle =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  go 0
-
 let test_openmetrics_format () =
   let m = Metrics.create () in
   Metrics.incr m ~by:3 "net.retries";
@@ -987,6 +1165,20 @@ let () =
         ] );
       ( "staleness",
         [ QCheck_alcotest.to_alcotest prop_staleness ] );
+      ( "laziness",
+        [
+          Alcotest.test_case "lineage renders when read, once" `Quick
+            test_lineage_renders_when_read;
+          Alcotest.test_case "spans render when read, once" `Quick
+            test_span_renders_when_read;
+          Alcotest.test_case "trace renders at record time" `Quick
+            test_trace_renders_at_record;
+        ] );
+      ( "budget",
+        [
+          Alcotest.test_case "fleet-shaped run allocates <= 1.3x obs off"
+            `Quick test_obs_allocation_budget;
+        ] );
       ( "trace-ring",
         [
           Alcotest.test_case "bounded eviction" `Quick test_trace_ring_eviction;

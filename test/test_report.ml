@@ -7,17 +7,18 @@ open Dyno_core
 let tr () =
   let t = Trace.create () in
   (* a successful DU maintenance: 0.0 .. 0.3 *)
-  Trace.record t ~time:0.0 Trace.Maint_start "#0@0.000s DU(R1@DS1, 1 tuples)";
-  Trace.record t ~time:0.1 Trace.Query_sent "DS1 <- q";
-  Trace.record t ~time:0.3 Trace.Refresh "view += 1";
+  Trace.record t ~time:0.0 Trace.Maint_start
+    (lazy "#0@0.000s DU(R1@DS1, 1 tuples)");
+  Trace.record t ~time:0.1 Trace.Query_sent (lazy "DS1 <- q");
+  Trace.record t ~time:0.3 Trace.Refresh (lazy "view += 1");
   (* an aborted SC maintenance: 1.0 .. 8.5 *)
-  Trace.record t ~time:1.0 Trace.Maint_start "#1@1.000s SC(ALTER ...)";
+  Trace.record t ~time:1.0 Trace.Maint_start (lazy "#1@1.000s SC(ALTER ...)");
   Trace.record t ~time:8.5 Trace.Broken_query
-    "broken query adapt:V:R3 at DS2: relation R3 does not exist";
-  Trace.record t ~time:8.5 Trace.Abort "maintenance aborted";
+    (lazy "broken query adapt:V:R3 at DS2: relation R3 does not exist");
+  Trace.record t ~time:8.5 Trace.Abort (lazy "maintenance aborted");
   (* a successful batch: 9.0 .. 29.0 *)
-  Trace.record t ~time:9.0 Trace.Maint_start "BATCH{#1; #2}";
-  Trace.record t ~time:29.0 Trace.Adapt "view re-materialized";
+  Trace.record t ~time:9.0 Trace.Maint_start (lazy "BATCH{#1; #2}");
+  Trace.record t ~time:29.0 Trace.Adapt (lazy "view re-materialized");
   t
 
 let test_episodes () =

@@ -82,9 +82,9 @@ let test_cost_model () =
 
 let test_trace () =
   let tr = Trace.create () in
-  Trace.record tr ~time:1.0 Trace.Commit "a";
-  Trace.recordf tr ~time:2.0 Trace.Abort "b %d" 7;
-  Trace.record tr ~time:3.0 Trace.Commit "c";
+  Trace.record tr ~time:1.0 Trace.Commit (lazy "a");
+  Trace.record tr ~time:2.0 Trace.Abort (lazy (Fmt.str "b %d" 7));
+  Trace.record tr ~time:3.0 Trace.Commit (lazy "c");
   Alcotest.(check int) "count commits" 2 (Trace.count tr Trace.Commit);
   Alcotest.(check int) "count aborts" 1 (Trace.count tr Trace.Abort);
   (match Trace.entries tr with
@@ -92,23 +92,28 @@ let test_trace () =
       Alcotest.(check bool) "chronological" true (e1.Trace.time < e3.Trace.time)
   | _ -> Alcotest.fail "expected 3 entries");
   let off = Trace.create ~enabled:false () in
-  Trace.record off ~time:0.0 Trace.Commit "x";
+  Trace.record off ~time:0.0 Trace.Commit (lazy "x");
   Alcotest.(check int) "disabled records nothing" 0 (List.length (Trace.entries off))
 
-(* A disabled trace must not pay for formatting: its [%a] printers never
-   run.  An enabled one still formats every argument. *)
+(* A disabled trace must not pay for formatting: the detail lazy is never
+   forced, so its [%a] printers never run.  An enabled one forces it once,
+   at record time. *)
 let test_trace_off_formats_nothing () =
   let calls = ref 0 in
   let pp ppf s =
     incr calls;
     Fmt.string ppf s
   in
+  let detail () = lazy (Fmt.str "%s v%d: %a" "DS1" 3 pp "delta") in
   let off = Trace.create ~enabled:false () in
-  Trace.recordf off ~time:0.0 Trace.Commit "%s v%d: %a" "DS1" 3 pp "delta";
+  Trace.record off ~time:0.0 Trace.Commit (detail ());
   Alcotest.(check int) "printer not called when disabled" 0 !calls;
   let on = Trace.create () in
-  Trace.recordf on ~time:0.0 Trace.Commit "%s v%d: %a" "DS1" 3 pp "delta";
-  Alcotest.(check int) "printer called when enabled" 1 !calls;
+  Trace.record on ~time:0.0 Trace.Commit (detail ());
+  Alcotest.(check int) "printer called once, at record time" 1 !calls;
+  ignore (Trace.entries on : Trace.entry list);
+  ignore (Trace.to_json_string on : string);
+  Alcotest.(check int) "reading the entry formats nothing more" 1 !calls;
   match Trace.entries on with
   | [ e ] -> Alcotest.(check string) "detail" "DS1 v3: delta" e.Trace.detail
   | _ -> Alcotest.fail "one entry expected"
