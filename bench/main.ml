@@ -21,24 +21,29 @@ let fast = ref false
 let only = ref ""
 let quota = ref 0.5
 
-(* Logical extent is the paper's 100k tuples/relation; the cost model
-   scales physical rows up to it. *)
-let scale () = 100_000.0 /. float_of_int !rows
-
-let cost () = Dyno_sim.Cost_model.scaled (scale ())
-
 let line = String.make 72 '-'
 
 let header fmt =
   Fmt.kstr (fun s -> Fmt.pr "@.%s@.%s@.%s@." line s line) fmt
 
-let scenario_config () =
-  Scenario.Config.(default |> with_rows !rows |> with_cost (cost ()))
+(* Every paper-world experiment is one spec: [--rows] tuples per
+   relation charged as the paper's 100k, DUs trickling in one per second
+   (a realistic background load) and the schema-change train starting at
+   once. *)
+let spec ?(strategy = Strategy.Pessimistic) () =
+  {
+    Spec.default with
+    du_interval = 1.0;
+    world = Spec.paper_world ~rows:!rows;
+    run = Run_config.of_strategy strategy;
+  }
 
-let run_timeline ~timeline ~strategy =
-  let t = Scenario.make (scenario_config ()) ~timeline in
-  let stats = Scenario.run t ~config:(Run_config.of_strategy strategy) in
-  (t, stats)
+(* [n] data updates [interval] seconds apart, and no schema change. *)
+let du_only ~seed ~interval n =
+  Generator.mixed ~rows:!rows ~seed ~n_dus:n ~du_interval:interval
+    ~sc_interval:0.0 ~sc_kinds:[] ()
+
+let stats_of ?timeline s = snd (Spec.run ?timeline s)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 8: data-update processing with vs without detection          *)
@@ -57,15 +62,14 @@ let fig8 () =
   in
   List.iter
     (fun n ->
-      let mk () =
-        Generator.mixed ~rows:!rows ~seed:8 ~n_dus:n ~du_interval:0.0
-          ~sc_interval:0.0 ~sc_kinds:[] ()
-      in
       (* "With detection": the Dyno pessimistic loop runs its pre-exec flag
          check before every maintenance; "without": the optimistic loop
          never detects (and nothing ever breaks in a DU-only workload). *)
-      let _, with_d = run_timeline ~timeline:(mk ()) ~strategy:Strategy.Pessimistic in
-      let _, without_d = run_timeline ~timeline:(mk ()) ~strategy:Strategy.Optimistic in
+      let run strategy =
+        stats_of ~timeline:(du_only ~seed:8 ~interval:0.0 n) (spec ~strategy ())
+      in
+      let with_d = run Strategy.Pessimistic in
+      let without_d = run Strategy.Optimistic in
       Fmt.pr "%8d  %14.1f  %17.1f  %12.1f@." n with_d.Stats.busy
         without_d.Stats.busy
         (0.233 *. float_of_int n))
@@ -103,8 +107,7 @@ let fig9 () =
            (fun i ev -> ((if spaced then float_of_int i *. 10_000.0 else 0.0), ev))
            events)
     in
-    let _, stats = run_timeline ~timeline ~strategy in
-    stats
+    stats_of ~timeline (spec ~strategy ())
   in
   let workloads =
     [
@@ -127,16 +130,10 @@ let fig9 () =
 (* Figures 10-12: mixed workloads                                      *)
 (* ------------------------------------------------------------------ *)
 
-let mixed_run ~seed ~n_dus ~n_scs ~sc_interval ~strategy =
-  (* DUs trickle in at one per second (a realistic background load); the
-     schema-change train starts immediately. *)
-  let timeline =
-    Generator.mixed ~rows:!rows ~seed ~n_dus ~du_interval:1.0
-      ~sc_interval
-      ~sc_kinds:(Generator.drop_then_renames n_scs)
-      ()
-  in
-  snd (run_timeline ~timeline ~strategy)
+(* One point of Figures 10-12: its optimistic and pessimistic runs. *)
+let both (s : Spec.t) =
+  let run strategy = stats_of { s with run = Run_config.of_strategy strategy } in
+  (run Strategy.Optimistic, run Strategy.Pessimistic)
 
 let print_4series points point_label results =
   Fmt.pr "%12s  %11s  %11s  %11s  %11s@." point_label "optimistic"
@@ -161,10 +158,7 @@ let fig10 () =
   let results =
     List.map
       (fun itv ->
-        ( mixed_run ~seed:21 ~n_dus:200 ~n_scs:10 ~sc_interval:itv
-            ~strategy:Strategy.Optimistic,
-          mixed_run ~seed:21 ~n_dus:200 ~n_scs:10 ~sc_interval:itv
-            ~strategy:Strategy.Pessimistic ))
+        both { (spec ()) with seed = 21; dus = 200; scs = 10; sc_interval = itv })
       points
   in
   print_4series
@@ -182,10 +176,7 @@ let fig11 () =
   let results =
     List.map
       (fun n ->
-        ( mixed_run ~seed:22 ~n_dus:200 ~n_scs:n ~sc_interval:25.0
-            ~strategy:Strategy.Optimistic,
-          mixed_run ~seed:22 ~n_dus:200 ~n_scs:n ~sc_interval:25.0
-            ~strategy:Strategy.Pessimistic ))
+        both { (spec ()) with seed = 22; dus = 200; scs = n; sc_interval = 25.0 })
       points
   in
   print_4series (List.map string_of_int points) "#SCs" results
@@ -203,10 +194,7 @@ let fig12 () =
   let results =
     List.map
       (fun n ->
-        ( mixed_run ~seed:23 ~n_dus:n ~n_scs:5 ~sc_interval:25.0
-            ~strategy:Strategy.Optimistic,
-          mixed_run ~seed:23 ~n_dus:n ~n_scs:5 ~sc_interval:25.0
-            ~strategy:Strategy.Pessimistic ))
+        both { (spec ()) with seed = 23; dus = n; scs = 5; sc_interval = 25.0 })
       points
   in
   print_4series (List.map string_of_int points) "#DUs" results
@@ -226,13 +214,16 @@ let ablation () =
     "abort(s)" "aborts" "commits" "batches" "merges";
   List.iter
     (fun strategy ->
-      let timeline =
-        Generator.mixed ~rows:!rows ~seed:31 ~n_dus:200 ~du_interval:1.0
-          ~sc_interval:9.0
-          ~sc_kinds:(Generator.drop_then_renames 10)
-          ()
+      let s =
+        stats_of
+          {
+            (spec ~strategy ()) with
+            seed = 31;
+            dus = 200;
+            scs = 10;
+            sc_interval = 9.0;
+          }
       in
-      let _, s = run_timeline ~timeline ~strategy in
       Fmt.pr "%12s  %9.1f  %9.1f  %8d  %9d  %8d  %8d@."
         (Strategy.to_string strategy)
         s.Stats.busy s.Stats.abort_cost s.Stats.aborts s.Stats.view_commits
@@ -244,16 +235,10 @@ let ablation () =
   Fmt.pr "%14s  %10s  %9s@." "vm mode" "cost(s)" "commits";
   List.iter
     (fun (label, vm_mode) ->
-      let timeline =
-        Generator.mixed ~rows:!rows ~seed:32 ~n_dus:100 ~du_interval:0.0
-          ~sc_interval:0.0 ~sc_kinds:[] ()
-      in
-      let t = Scenario.make (scenario_config ()) ~timeline in
       let s =
-        Scenario.run t
-          ~config:
-            Run_config.(
-              of_strategy Strategy.Pessimistic |> with_vm_mode vm_mode)
+        stats_of
+          ~timeline:(du_only ~seed:32 ~interval:0.0 100)
+          { (spec ()) with run = Run_config.(default |> with_vm_mode vm_mode) }
       in
       Fmt.pr "%14s  %10.1f  %9d@." label s.Stats.busy s.Stats.view_commits)
     [
@@ -265,16 +250,10 @@ let ablation () =
   Fmt.pr "%12s  %10s  %9s@." "group size" "cost(s)" "commits";
   List.iter
     (fun du_group ->
-      let timeline =
-        Generator.mixed ~rows:!rows ~seed:33 ~n_dus:200 ~du_interval:0.0
-          ~sc_interval:0.0 ~sc_kinds:[] ()
-      in
-      let t = Scenario.make (scenario_config ()) ~timeline in
       let s =
-        Scenario.run t
-          ~config:
-            Run_config.(
-              of_strategy Strategy.Pessimistic |> with_du_group du_group)
+        stats_of
+          ~timeline:(du_only ~seed:33 ~interval:0.0 200)
+          { (spec ()) with run = Run_config.(default |> with_du_group du_group) }
       in
       Fmt.pr "%12d  %10.1f  %9d@." du_group s.Stats.busy s.Stats.view_commits)
     [ 1; 4; 16; 64 ]
@@ -296,23 +275,20 @@ let sensitivity () =
     "cost(s)" "abort(s)";
   List.iter
     (fun rebuild ->
+      let base = spec () in
       let cost_model =
-        { (cost ()) with Dyno_sim.Cost_model.va_rebuild_per_tuple = rebuild }
-      in
-      let timeline =
-        Generator.mixed ~rows:!rows ~seed:22 ~n_dus:200 ~du_interval:1.0
-          ~sc_interval:25.0
-          ~sc_kinds:(Generator.drop_then_renames 10)
-          ()
-      in
-      let t =
-        Scenario.make
-          Scenario.Config.(
-            default |> with_rows !rows |> with_cost cost_model)
-          ~timeline
+        { base.world.cost with Dyno_sim.Cost_model.va_rebuild_per_tuple = rebuild }
       in
       let s =
-        Scenario.run t ~config:(Run_config.of_strategy Strategy.Pessimistic)
+        stats_of
+          {
+            base with
+            seed = 22;
+            dus = 200;
+            scs = 10;
+            sc_interval = 25.0;
+            world = Scenario.Config.with_cost cost_model base.world;
+          }
       in
       (* one drop ≈ rename cost + rebuild over the 100k-tuple extent *)
       let drop_estimate =
@@ -573,17 +549,18 @@ let join_bench () =
 let loss_points () =
   if !fast then [ 0.0; 0.1; 0.3 ] else [ 0.0; 0.05; 0.1; 0.2; 0.3; 0.4 ]
 
-(* The paper's world under a DU-only trickle, with [loss] on the channel. *)
-let loss_world loss =
-  let n_dus = if !fast then 100 else 300 in
-  let timeline =
-    Generator.mixed ~rows:!rows ~seed:8 ~n_dus ~du_interval:1.0
-      ~sc_interval:0.0 ~sc_kinds:[] ()
-  in
+(* The paper's world under a DU-only trickle, with [loss] on the channel,
+   run under [run]. *)
+let loss_run ?(run = Run_config.default) loss =
+  let s = spec () in
   let faults = { Dyno_net.Channel.reliable with loss; retransmit = 0.1 } in
-  Scenario.make
-    Scenario.Config.(scenario_config () |> with_faults faults |> with_net_seed 8)
-    ~timeline
+  Spec.run
+    ~timeline:(du_only ~seed:8 ~interval:1.0 (if !fast then 100 else 300))
+    {
+      s with
+      world = Scenario.Config.(s.world |> with_faults faults |> with_net_seed 8);
+      run;
+    }
 
 let converged t =
   match Scenario.check_convergent t with Ok b -> b | Error _ -> false
@@ -605,10 +582,7 @@ let net_bench () =
   let entries =
     List.map
       (fun loss ->
-        let t = loss_world loss in
-        let stats =
-          Scenario.run t ~config:(Run_config.of_strategy Strategy.Pessimistic)
-        in
+        let t, stats = loss_run loss in
         let converged = converged t in
         Fmt.pr "%8.2f  %10.1f  %10.1f  %8d  %8d  %10b@." loss stats.Stats.busy
           stats.Stats.net_wait stats.Stats.retries stats.Stats.msgs_lost
@@ -646,9 +620,9 @@ let chain_du mku i row =
   Dyno_sim.Timeline.Du
     (mku ~source:(chain_src i) ~rel:(chain_rel i) (chain_schema i) row)
 
-(* Build the [n]-source world with [base_rows] rows per relation over
-   [timeline], materialize view [name] uncharged, and drain it through
-   the dispatch core with the sources dealt over [shards] queues. *)
+(* Assemble the [n]-source world with [base_rows] rows per relation and
+   view [name] over [timeline], and drain it through the dispatch core
+   with the sources dealt over [shards] queues. *)
 let run_chain ~name ~n ~base_rows ?(obs = Dyno_obs.Obs.disabled)
     ?(shards = 1) ~config timeline =
   let idx = List.init n (fun i -> i + 1) in
@@ -667,51 +641,31 @@ let run_chain ~name ~n ~base_rows ?(obs = Dyno_obs.Obs.disabled)
         (List.init (n - 1) (fun i ->
              Predicate.eq_attr (key (i + 1)) (key (i + 2))))
   in
-  let reg = Dyno_source.Registry.create () in
+  let registry = Dyno_source.Registry.create () in
   List.iter
     (fun i ->
       let s = Dyno_source.Data_source.create (chain_src i) in
-      Dyno_source.Registry.register reg s;
+      Dyno_source.Registry.register registry s;
       Dyno_source.Data_source.add_relation s (chain_rel i) (chain_schema i);
       Dyno_source.Data_source.load s (chain_rel i)
         (List.init base_rows (fun k ->
              [ Value.int k; Value.int ((k * 3) + i) ])))
     idx;
-  let plan = Shard.plan ~shards (List.map chain_src idx) in
-  let ids = ref 0 in
-  let umqs = Array.init shards (fun _ -> Dyno_view.Umq.create ~ids ()) in
-  let engine =
-    Dyno_view.Query_engine.create
-      ~trace:(Dyno_sim.Trace.create ~enabled:false ())
-      ~obs
-      ~cost:
-        { Dyno_sim.Cost_model.default with query_latency = 1.0; row_scale = 1.0 }
-      ~registry:reg ~timeline ~umq:umqs.(0) ()
+  let t =
+    Scenario.assemble
+      Scenario.Config.(
+        default
+        |> with_cost
+             {
+               Dyno_sim.Cost_model.default with
+               query_latency = 1.0;
+               row_scale = 1.0;
+             }
+        |> with_obs obs |> with_shards shards)
+      ~registry ~mk:(Dyno_source.Meta_knowledge.create ()) ~view:query
+      ~timeline
   in
-  if shards > 1 then
-    Dyno_view.Query_engine.install_routes engine ~umqs
-      ~route_of:(Shard.owner plan);
-  let mv =
-    Dyno_view.Mat_view.create
-      (Dyno_view.View_def.create
-         ~schemas:(List.map (fun i -> (chain_rel i, chain_schema i)) idx)
-         query)
-      (Relation.create Schema.empty)
-  in
-  let env (tr : Query.table_ref) =
-    Dyno_source.Data_source.relation
-      (Dyno_source.Registry.find reg tr.source)
-      tr.rel
-  in
-  Dyno_view.Mat_view.replace mv ~at:0.0 ~maintained:[]
-    (Eval.run
-       ~planner:(Dyno_view.Query_engine.planner engine)
-       ~catalog:env query);
-  let stats =
-    Scheduler.dispatch ~config ~plan engine [ mv ]
-      (Dyno_source.Meta_knowledge.create ())
-  in
-  (stats, Dyno_view.Mat_view.extent mv)
+  (Scenario.run t ~config, Dyno_view.Mat_view.extent t.mv)
 
 (* ------------------------------------------------------------------ *)
 (* Overlap: serial vs dependency-parallel maintenance (simulated time)  *)
@@ -757,7 +711,8 @@ let overlap_bench () =
   end;
   (* lineage-overhead probe: the same parallel run with the full obs
      stack (spans + metrics + lineage) on must stay byte-identical in
-     simulated time and cost < 5% extra host CPU. *)
+     simulated time; its extra host CPU is reported, and is not small
+     (12.9% in the committed baseline). *)
   let timed f =
     let t0 = Sys.time () in
     let r = f () in
@@ -783,10 +738,10 @@ let overlap_bench () =
   let cpu_overhead_pct =
     if cpu_off > 0.0 then (cpu_lin -. cpu_off) /. cpu_off *. 100.0 else 0.0
   in
-  (* host CPU timings on a fast run are noisy; fail only on a blowup an
-     order of magnitude past the 5% budget *)
+  (* host CPU timings on a run this short are noisy: fail only on a
+     blowup past 50%; an observability budget needs a longer workload *)
   if cpu_off > 0.01 && cpu_overhead_pct > 50.0 then begin
-    Fmt.epr "overlap bench: lineage overhead %.1f%% CPU (budget 5%%)@."
+    Fmt.epr "overlap bench: lineage overhead %.1f%% CPU (fails above 50%%)@."
       cpu_overhead_pct;
     exit 1
   end;
@@ -849,17 +804,9 @@ let selfmaint_bench () =
   let entries =
     List.map
       (fun loss ->
-        let base = loss_world loss in
-        let stats_b =
-          Scenario.run base
-            ~config:(Run_config.of_strategy Strategy.Pessimistic)
-        in
-        let sm = loss_world loss in
-        let stats_s =
-          Scenario.run sm
-            ~config:
-              Run_config.(
-                of_strategy Strategy.Pessimistic |> with_self_maint true)
+        let base, stats_b = loss_run loss in
+        let sm, stats_s =
+          loss_run ~run:(Run_config.with_self_maint true Run_config.default) loss
         in
         if
           not

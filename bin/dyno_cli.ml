@@ -117,18 +117,26 @@ let reorder_delay =
 
 let outages =
   let parse s =
+    let bad why = Error (`Msg (Fmt.str "bad outage %S (%s)" s why)) in
     match String.split_on_char ':' s with
     | [ src; start; dur ] -> (
         match (float_of_string_opt start, float_of_string_opt dur) with
-        | Some st, Some d when d > 0.0 ->
-            Ok
-              {
-                Dyno_net.Channel.source = src;
-                starts = st;
-                ends = st +. d;
-              }
-        | _ -> Error (`Msg (Fmt.str "bad outage %S (want SRC:START:DUR)" s)))
-    | _ -> Error (`Msg (Fmt.str "bad outage %S (want SRC:START:DUR)" s))
+        | Some st, Some d
+          when Float.is_finite st && st >= 0.0 && Float.is_finite d && d > 0.0
+          ->
+            if List.mem src Paper_schema.sources then
+              Ok
+                {
+                  Dyno_net.Channel.source = src;
+                  starts = st;
+                  ends = st +. d;
+                }
+            else
+              bad
+                (Fmt.str "no source %s; the sources are %s" src
+                   (String.concat ", " Paper_schema.sources))
+        | _ -> bad "want a finite START >= 0 and a finite DUR > 0")
+    | _ -> bad "want SRC:START:DUR"
   in
   let pp_outage ppf (o : Dyno_net.Channel.outage) =
     Fmt.pf ppf "%s:%g:%g" o.source o.starts (o.ends -. o.starts)
@@ -191,11 +199,16 @@ let critical_path_flag =
   in
   Arg.(value & flag & info [ "critical-path" ] ~doc)
 
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  output_char oc '\n';
-  close_out oc
+(* Write [contents ()] and a newline to [path], when given, and announce
+   it. *)
+let export path contents announce =
+  Option.iter
+    (fun f ->
+      Out_channel.with_open_text f (fun oc ->
+          output_string oc (contents ());
+          output_char oc '\n');
+      announce f)
+    path
 
 (* ---- telemetry options ---------------------------------------------- *)
 
@@ -267,20 +280,6 @@ let install_watch series =
           (fun (n, v) -> Fmt.pr "%-40s %14.6g@." n v)
           s.Dyno_obs.Timeseries.values;
         Fmt.pr "@?")
-
-let write_series series = function
-  | None -> ()
-  | Some f ->
-      write_file f (String.trim (Dyno_obs.Timeseries.to_jsonl series));
-      Fmt.pr "time series written to %s (%d samples, %d dropped)@." f
-        (Dyno_obs.Timeseries.length series)
-        (Dyno_obs.Timeseries.dropped series)
-
-let write_openmetrics mx = function
-  | None -> ()
-  | Some f ->
-      write_file f (String.trim (Dyno_obs.Export.openmetrics mx));
-      Fmt.pr "openmetrics written to %s@." f
 
 (* Per-view staleness summary derived from the [view.<v>.staleness_*]
    histograms the freshness tracker records at every apply. *)
@@ -418,19 +417,6 @@ let slo_section mx slos =
     Dyno_obs.Slo.all_pass verdicts
   end
 
-let faults_of ~cost ~loss ~dup ~reorder ~jitter ~reorder_delay ~outages :
-    Dyno_net.Channel.faults =
-  {
-    Dyno_net.Channel.reliable with
-    loss;
-    dup;
-    reorder;
-    jitter;
-    reorder_delay = (if reorder > 0.0 then reorder_delay else 0.0);
-    retransmit = cost.Dyno_sim.Cost_model.retransmit_interval;
-    outages;
-  }
-
 let multi_flag =
   let doc =
     "Maintain a second, narrower view (R1 join R2) alongside the full \
@@ -464,158 +450,186 @@ let shards_arg =
   in
   Arg.(value & opt at_least_one 1 & info [ "shards" ] ~docv:"N" ~doc)
 
-(* The one place CLI flags turn into the shared scheduler run record. *)
-let run_config_of ~strategy ~no_compensation ~parallel ~self_maint =
-  Run_config.(
-    of_strategy strategy
-    |> with_compensate (not no_compensation)
-    |> with_parallel parallel
-    |> with_self_maint self_maint)
+(* ---- the run spec: the world and run flags of run, report, explain -- *)
 
-(* ...and the one place they turn into the world-construction record. *)
-let scenario_config_of ~rows ~cost ~trace ~faults ~net_seed ~obs ~shards =
-  Scenario.Config.(
-    default |> with_rows rows |> with_cost cost |> with_snapshots true
-    |> with_trace trace |> with_faults faults |> with_net_seed net_seed
-    |> with_obs obs |> with_shards shards)
+let run_config =
+  let make strategy no_compensation parallel self_maint =
+    Run_config.(
+      of_strategy strategy
+      |> with_compensate (not no_compensation)
+      |> with_parallel parallel
+      |> with_self_maint self_maint)
+  in
+  Term.(
+    const make $ strategy $ no_compensation $ parallel_arg $ self_maint_flag)
 
-let timeline_of ~rows ~seed ~dus ~du_interval ~scs ~sc_interval =
-  Generator.mixed ~rows ~seed ~n_dus:dus ~du_interval ~sc_interval
-    ~sc_kinds:(Generator.drop_then_renames scs)
-    ()
+let faults =
+  let make loss dup reorder jitter reorder_delay outages =
+    {
+      Dyno_net.Channel.reliable with
+      loss;
+      dup;
+      reorder;
+      jitter;
+      reorder_delay;
+      outages;
+    }
+  in
+  Term.(const make $ loss $ dup $ reorder $ jitter $ reorder_delay $ outages)
+
+(* The paper's world at [--rows], every commit tracked for the strong
+   consistency check. *)
+let spec =
+  let make rows dus scs du_interval sc_interval seed run shards faults
+      net_seed =
+    Spec.with_transport ?net_seed faults
+      {
+        Spec.default with
+        seed;
+        dus;
+        scs;
+        du_interval;
+        sc_interval;
+        run;
+        world =
+          Scenario.Config.(
+            Spec.paper_world ~rows |> with_snapshots true
+            |> with_shards shards);
+      }
+  in
+  Term.(
+    const make $ rows $ dus $ scs $ du_interval $ sc_interval $ seed
+    $ run_config $ shards_arg $ faults $ net_seed)
+
+(* [spec] with its world's trace switch and recorders set. *)
+let observed ?(trace = false) obs (s : Spec.t) =
+  {
+    s with
+    world = Scenario.Config.(s.world |> with_trace trace |> with_obs obs);
+  }
+
+(* ---- exports: the files run and report write ----------------------- *)
+
+type exports = {
+  trace_out : string option;
+  metrics_out : string option;
+  lineage_out : string option;
+  series_out : string option;
+  openmetrics_out : string option;
+  slos : Dyno_obs.Slo.objective list;
+  slo_exit : bool;
+}
+
+let exports =
+  let make trace_out metrics_out lineage_out series_out openmetrics_out slos
+      slo_exit =
+    {
+      trace_out;
+      metrics_out;
+      lineage_out;
+      series_out;
+      openmetrics_out;
+      slos;
+      slo_exit;
+    }
+  in
+  Term.(
+    const make $ trace_out $ metrics_out $ lineage_out $ series_out
+    $ openmetrics_out $ slo_specs $ slo_exit)
+
+(* Write every requested file, print the staleness summary, [sections]
+   and the SLO verdicts, then exit 2 when the view became undefined, or 3
+   when [--slo-exit] and an objective failed. *)
+let write_exports ?(sections = ignore) obs e (stats : Stats.t) =
+  let open Dyno_obs in
+  let mx = Obs.metrics obs in
+  let lin = Obs.lineage obs and series = Obs.series obs in
+  export e.trace_out
+    (fun () -> Export.chrome_trace ~lineage:lin (Obs.spans obs))
+    (Fmt.pr "chrome trace written to %s (open in ui.perfetto.dev)@.");
+  export e.metrics_out
+    (fun () -> Metrics.to_json_string mx)
+    (Fmt.pr "metrics written to %s@.");
+  export e.lineage_out
+    (fun () -> String.trim (Lineage.to_jsonl lin))
+    (fun f ->
+      Fmt.pr "lineage written to %s (%d record(s))@." f
+        (List.length (Lineage.records lin)));
+  export e.series_out
+    (fun () -> String.trim (Timeseries.to_jsonl series))
+    (fun f ->
+      Fmt.pr "time series written to %s (%d samples, %d dropped)@." f
+        (Timeseries.length series) (Timeseries.dropped series));
+  export e.openmetrics_out
+    (fun () -> String.trim (Export.openmetrics mx))
+    (Fmt.pr "openmetrics written to %s@.");
+  staleness_section mx;
+  sections ();
+  let slo_ok = slo_section mx e.slos in
+  if stats.view_undefined then exit 2;
+  if e.slo_exit && not slo_ok then exit 3
 
 (* ---- run ----------------------------------------------------------- *)
 
 let run_cmd =
-  let action rows dus scs du_interval sc_interval seed strategy trace
-      no_compensation report multi parallel self_maint shards loss dup reorder
-      jitter reorder_delay outages net_seed json_file trace_out metrics_out
-      lineage_out no_lineage sample_interval series_out openmetrics_out slos
-      slo_exit watch =
-    let timeline =
-      timeline_of ~rows ~seed ~dus ~du_interval ~scs ~sc_interval
+  let action spec trace report multi json_file exports sample_interval
+      no_lineage watch =
+    let interval =
+      effective_interval ~sample_interval ~series_out:exports.series_out
+        ~watch
     in
-    let cost = Dyno_sim.Cost_model.scaled (100_000.0 /. float_of_int rows) in
-    let faults =
-      faults_of ~cost ~loss ~dup ~reorder ~jitter ~reorder_delay ~outages
-    in
-    let net_seed = Option.value net_seed ~default:seed in
-    let interval = effective_interval ~sample_interval ~series_out ~watch in
     let obs =
       if
-        trace_out <> None || metrics_out <> None || openmetrics_out <> None
-        || lineage_out <> None || slos <> [] || interval <> None
+        exports.trace_out <> None || exports.metrics_out <> None
+        || exports.openmetrics_out <> None || exports.lineage_out <> None
+        || exports.slos <> [] || interval <> None
       then
         Dyno_obs.Obs.create ?sample_interval:interval ~lineage:(not no_lineage)
           ()
       else Dyno_obs.Obs.disabled
     in
     if watch then install_watch (Dyno_obs.Obs.series obs);
-    let t =
-      Scenario.make
-        (scenario_config_of ~rows ~cost ~trace:(trace || report) ~faults
-           ~net_seed ~obs ~shards)
-        ~timeline
-    in
+    let spec = observed ~trace:(trace || report) obs spec in
+    let t = Spec.build spec in
     let stats =
       if multi then begin
-        let open Dyno_relational in
-        let open Dyno_view in
-        let narrow =
-          Query.make ~name:"V2"
-            ~select:[ Query.item "R1.K1"; Query.item "R1.B1"; Query.item "R2.B2" ]
-            ~from:[ Query.table "DS1" "R1"; Query.table "DS1" "R2" ]
-            ~where:[ Predicate.eq_attr "R1.K1" "R2.K2" ]
+        let views =
+          [ t.mv; Scenario.add_view t (Paper_schema.view2_query ()) ]
         in
-        let vd =
-          View_def.create
-            ~schemas:
-              [
-                ("R1", Paper_schema.schema_of_rel 1);
-                ("R2", Paper_schema.schema_of_rel 2);
-              ]
-            narrow
-        in
-        let mv2 =
-          Mat_view.create ~track_snapshots:true vd (Relation.create Schema.empty)
-        in
-        let env (tr : Query.table_ref) =
-          Dyno_source.Data_source.relation
-            (Dyno_source.Registry.find t.Scenario.registry tr.source)
-            tr.rel
-        in
-        Mat_view.replace mv2 ~at:0.0 ~maintained:[] (Eval.run ~catalog:env narrow);
-        let views = [ t.Scenario.mv; mv2 ] in
         let stats =
-          Scheduler.dispatch
-            ~config:
-              (run_config_of ~strategy ~no_compensation ~parallel ~self_maint)
-            ~plan:t.Scenario.plan t.Scenario.engine views t.Scenario.mk
+          Scheduler.dispatch ~config:spec.run ~plan:t.plan t.engine views t.mk
         in
         List.iteri
           (fun i mv ->
-            match Consistency.convergent t.Scenario.engine mv with
+            (match Consistency.convergent t.engine mv with
             | Ok b -> Fmt.pr "view %d convergent: %b@." i b
-            | Error e -> Fmt.pr "view %d: not checkable (%s)@." i e)
+            | Error e -> Fmt.pr "view %d: not checkable (%s)@." i e);
+            Fmt.pr "view %d strong consistency: %a@." i Consistency.pp_report
+              (Consistency.check_strong t.engine mv))
           views;
         stats
       end
-      else
-        Scenario.run t
-          ~config:
-            (run_config_of ~strategy ~no_compensation ~parallel ~self_maint)
+      else Scenario.run t ~config:spec.run
     in
-    if trace then Fmt.pr "%a@.@." Dyno_sim.Trace.pp t.Scenario.trace;
-    if report then Fmt.pr "%a@.@." Report.pp (Report.of_trace t.Scenario.trace);
-    Fmt.pr "strategy: %a@.%a@." Strategy.pp strategy Stats.pp stats;
-    (if not multi then
-       match Scenario.check_convergent t with
-       | Ok b -> Fmt.pr "convergent: %b@." b
-       | Error e -> Fmt.pr "convergence: not checkable (%s)@." e);
-    if not multi then
+    if trace then Fmt.pr "%a@.@." Dyno_sim.Trace.pp t.trace;
+    if report then Fmt.pr "%a@.@." Report.pp (Report.of_trace t.trace);
+    Fmt.pr "strategy: %a@.%a@." Strategy.pp spec.run.strategy Stats.pp stats;
+    if not multi then begin
+      (match Scenario.check_convergent t with
+      | Ok b -> Fmt.pr "convergent: %b@." b
+      | Error e -> Fmt.pr "convergence: not checkable (%s)@." e);
       Fmt.pr "strong consistency: %a@." Consistency.pp_report
-        (Scenario.check_strong t);
-    (match json_file with
-    | None -> ()
-    | Some f ->
-        write_file f (Stats.to_json_string stats);
-        Fmt.pr "stats written to %s@." f);
-    (match trace_out with
-    | None -> ()
-    | Some f ->
-        write_file f
-          (Dyno_obs.Export.chrome_trace
-             ~lineage:(Dyno_obs.Obs.lineage obs)
-             (Dyno_obs.Obs.spans obs));
-        Fmt.pr "chrome trace written to %s (open in ui.perfetto.dev)@." f);
-    (match metrics_out with
-    | None -> ()
-    | Some f ->
-        write_file f
-          (Dyno_obs.Metrics.to_json_string (Dyno_obs.Obs.metrics obs));
-        Fmt.pr "metrics written to %s@." f);
-    (match lineage_out with
-    | None -> ()
-    | Some f ->
-        let lin = Dyno_obs.Obs.lineage obs in
-        write_file f (String.trim (Dyno_obs.Lineage.to_jsonl lin));
-        Fmt.pr "lineage written to %s (%d record(s))@." f
-          (List.length (Dyno_obs.Lineage.records lin)));
-    write_series (Dyno_obs.Obs.series obs) series_out;
-    write_openmetrics (Dyno_obs.Obs.metrics obs) openmetrics_out;
-    staleness_section (Dyno_obs.Obs.metrics obs);
-    let slo_ok = slo_section (Dyno_obs.Obs.metrics obs) slos in
-    if Stats.(stats.view_undefined) then exit 2;
-    if slo_exit && not slo_ok then exit 3
+        (Scenario.check_strong t)
+    end;
+    export json_file
+      (fun () -> Stats.to_json_string stats)
+      (Fmt.pr "stats written to %s@.");
+    write_exports obs exports stats
   in
   let term =
     Term.(
-      const action $ rows $ dus $ scs $ du_interval $ sc_interval $ seed
-      $ strategy $ trace_flag $ no_compensation $ report_flag $ multi_flag
-      $ parallel_arg $ self_maint_flag $ shards_arg $ loss $ dup $ reorder
-      $ jitter $ reorder_delay $ outages $ net_seed $ json_file $ trace_out
-      $ metrics_out $ lineage_out $ no_lineage $ sample_interval
-      $ series_out $ openmetrics_out $ slo_specs $ slo_exit $ watch_flag)
+      const action $ spec $ trace_flag $ report_flag $ multi_flag $ json_file
+      $ exports $ sample_interval $ no_lineage $ watch_flag)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Simulate a mixed workload under a strategy")
@@ -624,74 +638,23 @@ let run_cmd =
 (* ---- report: span-derived cost breakdown ---------------------------- *)
 
 let report_cmd =
-  let action rows dus scs du_interval sc_interval seed strategy
-      no_compensation parallel self_maint shards loss dup reorder jitter
-      reorder_delay outages net_seed trace_out metrics_out lineage_out
-      critical_path sample_interval series_out openmetrics_out slos slo_exit =
-    let timeline =
-      timeline_of ~rows ~seed ~dus ~du_interval ~scs ~sc_interval
-    in
-    let cost = Dyno_sim.Cost_model.scaled (100_000.0 /. float_of_int rows) in
-    let faults =
-      faults_of ~cost ~loss ~dup ~reorder ~jitter ~reorder_delay ~outages
-    in
-    let net_seed = Option.value net_seed ~default:seed in
+  let action spec exports critical_path sample_interval =
     (* [report] always samples: the timeline section needs a series. *)
     let interval = Option.value sample_interval ~default:1.0 in
     let obs = Dyno_obs.Obs.create ~sample_interval:interval () in
-    let t =
-      Scenario.make
-        (scenario_config_of ~rows ~cost ~trace:false ~faults ~net_seed ~obs
-           ~shards)
-        ~timeline
-    in
-    let stats =
-      Scenario.run t
-        ~config:
-          (run_config_of ~strategy ~no_compensation ~parallel ~self_maint)
-    in
-    let spans = Dyno_obs.Obs.spans obs in
-    Fmt.pr "strategy: %a@.@." Strategy.pp strategy;
+    let _, stats = Spec.run (observed obs spec) in
+    Fmt.pr "strategy: %a@.@." Strategy.pp spec.run.strategy;
     Fmt.pr "%a@." Dyno_obs.Export.pp_breakdown
-      (Dyno_obs.Export.breakdown spans);
-    Fmt.pr "@.%a@." Dyno_obs.Metrics.pp (Dyno_obs.Obs.metrics obs);
-    (match trace_out with
-    | None -> ()
-    | Some f ->
-        write_file f
-          (Dyno_obs.Export.chrome_trace ~lineage:(Dyno_obs.Obs.lineage obs)
-             spans);
-        Fmt.pr "@.chrome trace written to %s (open in ui.perfetto.dev)@." f);
-    (match metrics_out with
-    | None -> ()
-    | Some f ->
-        write_file f
-          (Dyno_obs.Metrics.to_json_string (Dyno_obs.Obs.metrics obs));
-        Fmt.pr "metrics written to %s@." f);
-    (match lineage_out with
-    | None -> ()
-    | Some f ->
-        let lin = Dyno_obs.Obs.lineage obs in
-        write_file f (String.trim (Dyno_obs.Lineage.to_jsonl lin));
-        Fmt.pr "lineage written to %s (%d record(s))@." f
-          (List.length (Dyno_obs.Lineage.records lin)));
-    write_series (Dyno_obs.Obs.series obs) series_out;
-    write_openmetrics (Dyno_obs.Obs.metrics obs) openmetrics_out;
-    staleness_section (Dyno_obs.Obs.metrics obs);
-    shard_section (Dyno_obs.Obs.metrics obs);
-    if critical_path then critical_path_section (Dyno_obs.Obs.metrics obs);
-    timeline_section (Dyno_obs.Obs.series obs);
-    let slo_ok = slo_section (Dyno_obs.Obs.metrics obs) slos in
-    if Stats.(stats.view_undefined) then exit 2;
-    if slo_exit && not slo_ok then exit 3
+      (Dyno_obs.Export.breakdown (Dyno_obs.Obs.spans obs));
+    let mx = Dyno_obs.Obs.metrics obs in
+    Fmt.pr "@.%a@." Dyno_obs.Metrics.pp mx;
+    write_exports obs exports stats ~sections:(fun () ->
+        shard_section mx;
+        if critical_path then critical_path_section mx;
+        timeline_section (Dyno_obs.Obs.series obs))
   in
   let term =
-    Term.(
-      const action $ rows $ dus $ scs $ du_interval $ sc_interval $ seed
-      $ strategy $ no_compensation $ parallel_arg $ self_maint_flag
-      $ shards_arg $ loss $ dup $ reorder $ jitter $ reorder_delay $ outages
-      $ net_seed $ trace_out $ metrics_out $ lineage_out $ critical_path_flag
-      $ sample_interval $ series_out $ openmetrics_out $ slo_specs $ slo_exit)
+    Term.(const action $ spec $ exports $ critical_path_flag $ sample_interval)
   in
   Cmd.v
     (Cmd.info "report"
@@ -757,29 +720,9 @@ let lineage_summary_table records =
     records
 
 let explain_cmd =
-  let action rows dus scs du_interval sc_interval seed strategy
-      no_compensation parallel self_maint shards loss dup reorder jitter
-      reorder_delay outages net_seed msg abort_n view =
-    let timeline =
-      timeline_of ~rows ~seed ~dus ~du_interval ~scs ~sc_interval
-    in
-    let cost = Dyno_sim.Cost_model.scaled (100_000.0 /. float_of_int rows) in
-    let faults =
-      faults_of ~cost ~loss ~dup ~reorder ~jitter ~reorder_delay ~outages
-    in
-    let net_seed = Option.value net_seed ~default:seed in
+  let action spec msg abort_n view =
     let obs = Dyno_obs.Obs.create () in
-    let t =
-      Scenario.make
-        (scenario_config_of ~rows ~cost ~trace:false ~faults ~net_seed ~obs
-           ~shards)
-        ~timeline
-    in
-    let (_ : Stats.t) =
-      Scenario.run t
-        ~config:
-          (run_config_of ~strategy ~no_compensation ~parallel ~self_maint)
-    in
+    let (_ : Scenario.t * Stats.t) = Spec.run (observed obs spec) in
     let lin = Dyno_obs.Obs.lineage obs in
     let records = Dyno_obs.Lineage.records lin in
     let slowest n rs =
@@ -830,7 +773,11 @@ let explain_cmd =
             (Dyno_obs.Lineage.events r)
         in
         let hits = List.filter mentions records in
-        let hits = if hits = [] then records else hits in
+        if hits = [] then begin
+          Fmt.epr "no update's lineage mentions view %s (%d update(s) traced)@."
+            v (List.length records);
+          exit 1
+        end;
         Fmt.pr "%d update(s) touched view %s:@.@." (List.length hits) v;
         lineage_summary_table hits;
         Fmt.pr "@.slowest:@.@.";
@@ -842,11 +789,7 @@ let explain_cmd =
         List.iter narrate (slowest 3 records)
   in
   let term =
-    Term.(
-      const action $ rows $ dus $ scs $ du_interval $ sc_interval $ seed
-      $ strategy $ no_compensation $ parallel_arg $ self_maint_flag
-      $ shards_arg $ loss $ dup $ reorder $ jitter $ reorder_delay $ outages
-      $ net_seed $ explain_msg $ explain_abort $ explain_view)
+    Term.(const action $ spec $ explain_msg $ explain_abort $ explain_view)
   in
   Cmd.v
     (Cmd.info "explain"
@@ -863,24 +806,27 @@ let inspect_cmd =
   let action rows dus scs seed =
     (* Flood everything at t=0 so the whole workload is queued, then show
        the dependency graph and its correction. *)
-    let timeline =
-      Generator.mixed ~rows ~seed ~n_dus:dus ~du_interval:0.0 ~sc_interval:0.0
-        ~sc_kinds:(Generator.drop_then_renames scs)
-        ()
-    in
     let t =
-      Scenario.make
-        Scenario.Config.(
-          default |> with_rows rows |> with_cost Dyno_sim.Cost_model.free)
-        ~timeline
+      Spec.build
+        {
+          Spec.default with
+          seed;
+          dus;
+          scs;
+          du_interval = 0.0;
+          sc_interval = 0.0;
+          world =
+            Scenario.Config.(
+              default |> with_rows rows |> with_cost Dyno_sim.Cost_model.free);
+        }
     in
-    Dyno_view.Query_engine.deliver_due t.Scenario.engine;
-    let vd = Dyno_view.Mat_view.def t.Scenario.mv in
+    Dyno_view.Query_engine.deliver_due t.engine;
+    let vd = Dyno_view.Mat_view.def t.mv in
     let g =
       Dep_graph.build
         (Dyno_view.View_def.peek vd)
         (Dyno_view.View_def.schemas vd)
-        (Dyno_view.Umq.entries t.Scenario.umq)
+        (Dyno_view.Umq.entries t.umq)
     in
     Fmt.pr "%a@.@.unsafe dependencies: %d@.@." Dep_graph.pp g
       (Dep_graph.unsafe_count g);
@@ -909,40 +855,10 @@ let sql_cmd =
   in
   let action file strategy trace =
     let open Dyno_relational in
-    let text =
-      let ic = open_in file in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    in
-    (* strip -- comments, split on ';' *)
-    let stmts =
-      String.split_on_char '\n' text
-      |> List.map (fun line ->
-             match String.index_opt line '-' with
-             | Some i
-               when i + 1 < String.length line
-                    && line.[i + 1] = '-'
-                    && (i = 0 || line.[i - 1] <> '\'') ->
-                 String.sub line 0 i
-             | _ -> line)
-      |> String.concat "\n"
-      |> String.split_on_char ';'
-      |> List.map String.trim
-      |> List.filter (fun s -> s <> "")
-    in
+    let text = In_channel.with_open_bin file In_channel.input_all in
     let registry = Dyno_source.Registry.create () in
-    let mk = Dyno_source.Meta_knowledge.create () in
-    let umq = Dyno_view.Umq.create () in
     let timeline = Dyno_sim.Timeline.create () in
-    let tracer = Dyno_sim.Trace.create ~enabled:trace () in
-    let engine =
-      Dyno_view.Query_engine.create ~trace:tracer
-        ~cost:{ Dyno_sim.Cost_model.default with row_scale = 1.0 }
-        ~registry ~timeline ~umq ()
-    in
-    let mv = ref None in
+    let world = ref None in
     let next_time = ref 1.0 in
     let ensure_source id =
       if not (Dyno_source.Registry.mem registry id) then
@@ -966,25 +882,20 @@ let sql_cmd =
           match Sql_parser.parse_view stmt_text with
           | Error e -> fail "in %S: %s" stmt_text e
           | Ok q ->
-              let schemas =
-                List.map
-                  (fun (tr : Query.table_ref) ->
-                    (tr.alias, schema_of ~source:tr.source ~rel:tr.rel))
-                  (Query.from q)
-              in
-              let vd = Dyno_view.View_def.create ~schemas q in
-              let m =
-                Dyno_view.Mat_view.create ~track_snapshots:true vd
-                  (Relation.create Schema.empty)
-              in
-              let env (tr : Query.table_ref) =
-                Dyno_source.Data_source.relation
-                  (Dyno_source.Registry.find registry tr.source)
-                  tr.rel
-              in
-              Dyno_view.Mat_view.replace m ~at:0.0 ~maintained:[]
-                (Eval.run ~catalog:env q);
-              mv := Some m
+              List.iter
+                (fun (tr : Query.table_ref) ->
+                  ignore (schema_of ~source:tr.source ~rel:tr.rel : Schema.t))
+                (Query.from q);
+              world :=
+                Some
+                  (Scenario.assemble
+                     Scenario.Config.(
+                       default
+                       |> with_cost
+                            { Dyno_sim.Cost_model.default with row_scale = 1.0 }
+                       |> with_snapshots true |> with_trace trace)
+                     ~registry ~mk:(Dyno_source.Meta_knowledge.create ())
+                     ~view:q ~timeline)
         end
         else
           match Sql_parser.parse_statement stmt_text with
@@ -1000,7 +911,7 @@ let sql_cmd =
               match Sql_parser.to_update schema stmt with
               | Error e -> fail "in %S: %s" stmt_text e
               | Ok u ->
-                  if !mv = None then
+                  if !world = None then
                     (* before the view exists: direct load *)
                     Dyno_source.Data_source.load_counted
                       (Dyno_source.Registry.find registry source)
@@ -1014,23 +925,20 @@ let sql_cmd =
                     next_time := !next_time +. 1.0
                   end)
           | Ok (Sql_parser.Alter sc) ->
-              if !mv = None then fail "schema changes require a view first";
+              if !world = None then fail "schema changes require a view first";
               Dyno_sim.Timeline.schedule timeline ~time:!next_time
                 (Dyno_sim.Timeline.Sc sc);
               next_time := !next_time +. 1.0)
-      stmts;
-    match !mv with
+      (Sql_lexer.statements text);
+    match !world with
     | None -> fail "the script must contain a CREATE VIEW statement"
-    | Some m ->
-        let stats =
-          Dyno_core.Scheduler.run
-            ~config:(Dyno_core.Run_config.of_strategy strategy) engine m mk
-        in
-        if trace then Fmt.pr "%a@.@." Dyno_sim.Trace.pp tracer;
-        Fmt.pr "%a@.@." Sql.pp_view (Dyno_view.View_def.peek (Dyno_view.Mat_view.def m));
-        Fmt.pr "%a@.@." Sql.pp_relation_table (Dyno_view.Mat_view.extent m);
+    | Some t ->
+        let stats = Scenario.run t ~config:(Run_config.of_strategy strategy) in
+        if trace then Fmt.pr "%a@.@." Dyno_sim.Trace.pp t.trace;
+        Fmt.pr "%a@.@." Sql.pp_view (Dyno_view.View_def.peek (Dyno_view.Mat_view.def t.mv));
+        Fmt.pr "%a@.@." Sql.pp_relation_table (Dyno_view.Mat_view.extent t.mv);
         Fmt.pr "%a@." Stats.pp stats;
-        match Consistency.convergent engine m with
+        match Scenario.check_convergent t with
         | Ok b -> Fmt.pr "convergent: %b@." b
         | Error e -> Fmt.pr "convergence not checkable: %s@." e
   in

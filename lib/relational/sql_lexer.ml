@@ -146,3 +146,46 @@ let tokenize (s : string) : token list =
     end
   done;
   List.rev (EOF :: !toks)
+
+(** [statements script] splits a script on each [;] outside a string
+    literal (where [''] escapes a quote) and drops each [--] comment
+    outside a string literal up to its end of line; every statement comes
+    back trimmed, and empty ones are dropped. *)
+let statements (script : string) : string list =
+  let n = String.length script in
+  let stmts = ref [] and cur = Buffer.create 64 in
+  let flush () =
+    let stmt = String.trim (Buffer.contents cur) in
+    if stmt <> "" then stmts := stmt :: !stmts;
+    Buffer.clear cur
+  in
+  let rec code i =
+    if i < n then
+      match script.[i] with
+      | ';' ->
+          flush ();
+          code (i + 1)
+      | '-' when i + 1 < n && script.[i + 1] = '-' -> comment (i + 2)
+      | '\'' ->
+          Buffer.add_char cur '\'';
+          literal (i + 1)
+      | c ->
+          Buffer.add_char cur c;
+          code (i + 1)
+  and comment i =
+    if i < n then if script.[i] = '\n' then code i else comment (i + 1)
+  and literal i =
+    if i < n then begin
+      Buffer.add_char cur script.[i];
+      (* a closing quote, unless it is the first of a [''] escape *)
+      if script.[i] <> '\'' then literal (i + 1)
+      else if i + 1 < n && script.[i + 1] = '\'' then begin
+        Buffer.add_char cur '\'';
+        literal (i + 2)
+      end
+      else code (i + 1)
+    end
+  in
+  code 0;
+  flush ();
+  List.rev !stmts

@@ -32,3 +32,10 @@ val pp_token : Format.formatter -> token -> unit
 val tokenize : string -> token list
 (** Lex the whole input (ends with [EOF]).
     @raise Lex_error on malformed input. *)
+
+val statements : string -> string list
+(** Split a script into its statements: on each [;] outside a string
+    literal, with every [--] comment outside a string literal dropped up
+    to its end of line.  Each statement is trimmed; empty ones are
+    dropped.  An unterminated literal runs to the end of the script, for
+    {!tokenize} to report. *)

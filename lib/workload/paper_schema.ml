@@ -63,6 +63,12 @@ let view_query () : Query.t =
              (Fmt.str "%s.%s" (rel_name i) (key_attr i))
              (Fmt.str "%s.%s" (rel_name (i + 1)) (key_attr (i + 1)))))
 
+let view2_query () : Query.t =
+  Query.make ~name:"V2"
+    ~select:[ Query.item "R1.K1"; Query.item "R1.B1"; Query.item "R2.B2" ]
+    ~from:[ Query.table "DS1" "R1"; Query.table "DS1" "R2" ]
+    ~where:[ Predicate.eq_attr "R1.K1" "R2.K2" ]
+
 let view_schemas () =
   List.init n_relations (fun i ->
       let i = i + 1 in

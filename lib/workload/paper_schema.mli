@@ -22,6 +22,10 @@ val tuple_for : ?salt:int -> int -> int -> Value.t list
 val view_query : unit -> Query.t
 val view_schemas : unit -> (string * Schema.t) list
 
+val view2_query : unit -> Query.t
+(** [V2], the narrower second view of the multi-view runs:
+    [R1.K1, R1.B1, R2.B2] over [R1 ⋈ R2], both at [DS1]. *)
+
 val build_sources : rows:int -> Dyno_source.Registry.t
 (** Create and load the three source servers. *)
 

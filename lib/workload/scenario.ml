@@ -1,6 +1,6 @@
-(** Scenario assembly and execution: glue that builds the whole simulated
-    world (sources, view, engine, workload) and runs the Dyno scheduler
-    over it.  Used by benches, examples and integration tests. *)
+(** Scenario assembly and execution: the one place a simulated world
+    (sources, views, engine, routes) is assembled, and the Dyno scheduler
+    run over it. *)
 
 open Dyno_relational
 open Dyno_view
@@ -50,13 +50,40 @@ type t = {
   engine : Query_engine.t;
   mv : Mat_view.t;
   trace : Dyno_sim.Trace.t;
+  config : Config.t;
 }
 
-let make (c : Config.t) ~timeline : t =
-  let registry = Paper_schema.build_sources ~rows:c.Config.rows in
-  let mk = Paper_schema.build_meta () in
+(* [query] over the sources' current states, with the engine's planner. *)
+let evaluate ~registry ~engine query =
+  Eval.run ~planner:(Query_engine.planner engine)
+    ~catalog:(fun (tr : Query.table_ref) ->
+      Dyno_source.Data_source.relation
+        (Dyno_source.Registry.find registry tr.source)
+        tr.rel)
+    query
+
+(* Uncharged (initialization is not part of any measured experiment);
+   each alias gets its relation's schema at its source now. *)
+let materialize (c : Config.t) ~registry ~engine query =
+  let schema (tr : Query.table_ref) =
+    ( tr.alias,
+      Catalog.schema_of
+        (Dyno_source.Data_source.catalog
+           (Dyno_source.Registry.find registry tr.source))
+        tr.rel )
+  in
+  let mv =
+    Mat_view.create ~track_snapshots:c.Config.track_snapshots
+      (View_def.create ~schemas:(List.map schema (Query.from query)) query)
+      (Relation.create Schema.empty)
+  in
+  Mat_view.replace mv ~at:0.0 ~maintained:[] (evaluate ~registry ~engine query);
+  mv
+
+let assemble (c : Config.t) ~registry ~mk ~view ~timeline : t =
   let plan =
-    Dyno_core.Shard.plan ~shards:c.Config.shards Paper_schema.sources
+    Dyno_core.Shard.plan ~shards:c.Config.shards
+      (Dyno_source.Registry.ids registry)
   in
   (* One shared id counter across every shard's queue: ids stay globally
      unique (exclusion sets, the consistency checker's message index and
@@ -75,22 +102,18 @@ let make (c : Config.t) ~timeline : t =
   if Dyno_core.Shard.count plan > 1 then
     Query_engine.install_routes engine ~umqs
       ~route_of:(Dyno_core.Shard.owner plan);
-  let query = Paper_schema.view_query () in
-  let schemas = Paper_schema.view_schemas () in
-  let vd = View_def.create ~schemas query in
-  let mv =
-    Mat_view.create ~track_snapshots:c.Config.track_snapshots vd
-      (Relation.create Schema.empty)
-  in
-  (* Initial materialization, uncharged. *)
-  let env (tr : Query.table_ref) =
-    Dyno_source.Data_source.relation
-      (Dyno_source.Registry.find registry tr.source)
-      tr.rel
-  in
-  Mat_view.replace mv ~at:0.0 ~maintained:[]
-    (Eval.run ~planner:(Query_engine.planner engine) ~catalog:env query);
-  { registry; mk; umq = umqs.(0); plan; timeline; engine; mv; trace }
+  let mv = materialize c ~registry ~engine view in
+  { registry; mk; umq = umqs.(0); plan; timeline; engine; mv; trace; config = c }
+
+let make (c : Config.t) ~timeline : t =
+  assemble c
+    ~registry:(Paper_schema.build_sources ~rows:c.Config.rows)
+    ~mk:(Paper_schema.build_meta ())
+    ~view:(Paper_schema.view_query ())
+    ~timeline
+
+let add_view (t : t) query =
+  materialize t.config ~registry:t.registry ~engine:t.engine query
 
 let run (t : t) ~(config : Run_config.t) : Dyno_core.Stats.t =
   Dyno_core.Scheduler.dispatch ~config ~plan:t.plan t.engine [ t.mv ] t.mk
@@ -116,10 +139,5 @@ let check_strong (t : t) =
 (** [recompute_extent t] — oracle: the view evaluated over current source
     states (raises if the definition no longer matches the sources). *)
 let recompute_extent (t : t) =
-  let query = View_def.peek (Mat_view.def t.mv) in
-  let env (tr : Query.table_ref) =
-    Dyno_source.Data_source.relation
-      (Dyno_source.Registry.find t.registry tr.source)
-      tr.rel
-  in
-  Eval.run ~planner:(Query_engine.planner t.engine) ~catalog:env query
+  evaluate ~registry:t.registry ~engine:t.engine
+    (View_def.peek (Mat_view.def t.mv))

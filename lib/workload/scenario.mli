@@ -1,6 +1,7 @@
-(** Scenario assembly and execution: build the whole simulated world
-    (sources, view, engine, workload) and run the Dyno scheduler over it.
-    Used by benches, examples and integration tests.
+(** Scenario assembly and execution: the one place a simulated world
+    (sources, views, engine, routes) is assembled, and the Dyno scheduler
+    run over it.  The paper's world is {!make}; {!assemble} takes any
+    sources and view; {!Spec} declares a whole run over the paper's.
 
     World construction is driven by an explicit {!Config.t} record (no
     optional-argument soup): build one with {!Config.default} and the
@@ -58,15 +59,35 @@ type t = {
   engine : Query_engine.t;
   mv : Mat_view.t;
   trace : Dyno_sim.Trace.t;
+  config : Config.t;  (** what the world was assembled from *)
 }
 
+val assemble :
+  Config.t ->
+  registry:Dyno_source.Registry.t ->
+  mk:Dyno_source.Meta_knowledge.t ->
+  view:Query.t ->
+  timeline:Dyno_sim.Timeline.t ->
+  t
+(** Wire an engine around loaded sources and a timeline, and materialize
+    [view] as by {!add_view}.  With [Config.shards > 1] the sources are
+    partitioned by {!Dyno_core.Shard.plan} in registration order and the
+    engine gets one transport route per shard, every queue drawing
+    message ids from one shared counter.  [Config.rows] is not read: the
+    caller loaded the sources. *)
+
 val make : Config.t -> timeline:Dyno_sim.Timeline.t -> t
-(** Build the paper's 6-relation world, load [Config.rows] tuples per
-    relation, materialize the view (uncharged — initialization is not
-    part of any measured experiment) and wire the engine around the
-    timeline.  With [Config.shards > 1] the sources are partitioned by
-    {!Dyno_core.Shard.plan} and the engine gets one transport route per
-    shard, every queue drawing message ids from one shared counter. *)
+(** The paper's world: {!assemble} over its three sources, loaded with
+    [Config.rows] tuples per relation, its meta knowledge and its 6-way
+    view. *)
+
+val add_view : t -> Query.t -> Mat_view.t
+(** Materialize a further view over the world's sources — uncharged
+    (initialization is not part of any measured experiment), with the
+    engine's planner, each alias typed by its relation's schema at its
+    source now, and logging its commits when [Config.track_snapshots] is
+    on.  The view is maintained only by a run given it, e.g.
+    {!Dyno_core.Scheduler.dispatch} over [[t.mv; v]]. *)
 
 val run : t -> config:Run_config.t -> Dyno_core.Stats.t
 (** Drive the maintenance loop to completion: {!Dyno_core.Scheduler.dispatch}

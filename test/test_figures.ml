@@ -8,33 +8,26 @@ open Dyno_relational
 open Dyno_workload
 open Dyno_core
 
-let rows = 50
-let cost () = Dyno_sim.Cost_model.scaled (100_000.0 /. float_of_int rows)
+(* The bench's paper-world spec at 50 rows per relation: DUs one second
+   apart, the schema-change train from t = 0. *)
+let spec strategy =
+  {
+    Spec.default with
+    du_interval = 1.0;
+    world = Spec.paper_world ~rows:50;
+    run = Run_config.of_strategy strategy;
+  }
 
-let config () =
-  Scenario.Config.(default |> with_rows rows |> with_cost (cost ()))
+let run ?timeline s = snd (Spec.run ?timeline s)
 
-let run ~timeline ~strategy =
-  let t = Scenario.make (config ()) ~timeline in
-  Scenario.run t ~config:(Run_config.of_strategy strategy)
-
-let mixed ~seed ~n_dus ~n_scs ~sc_interval ~strategy =
-  run
-    ~timeline:
-      (Generator.mixed ~rows ~seed ~n_dus ~du_interval:1.0 ~sc_interval
-         ~sc_kinds:(Generator.drop_then_renames n_scs)
-         ())
-    ~strategy
+(* [n] data updates flooding in at t = 0, and no schema change. *)
+let flood_dus ~seed n =
+  Generator.mixed ~rows:50 ~seed ~n_dus:n ~du_interval:0.0 ~sc_interval:0.0
+    ~sc_kinds:[] ()
 
 (* Figure 8: detection overhead unobservable; cost linear in #DUs. *)
 let test_fig8_shape () =
-  let du_only n strategy =
-    run
-      ~timeline:
-        (Generator.mixed ~rows ~seed:8 ~n_dus:n ~du_interval:0.0
-           ~sc_interval:0.0 ~sc_kinds:[] ())
-      ~strategy
-  in
+  let du_only n strategy = run ~timeline:(flood_dus ~seed:8 n) (spec strategy) in
   let with500 = du_only 500 Strategy.Pessimistic in
   let without500 = du_only 500 Strategy.Optimistic in
   Alcotest.(check bool) "detection overhead unobservable (< 0.5%)" true
@@ -66,7 +59,9 @@ let test_fig9_shape () =
          { source = "DS3"; old_name = "R5"; new_name = "R5X" })
   in
   let flood events strategy =
-    run ~timeline:(Dyno_sim.Timeline.of_list (List.map (fun e -> (0.0, e)) events)) ~strategy
+    run
+      ~timeline:(Dyno_sim.Timeline.of_list (List.map (fun e -> (0.0, e)) events))
+      (spec strategy)
   in
   let opt_du_sc = flood [ du_r1; drop_r3 ] Strategy.Optimistic in
   let opt_sc_sc = flood [ drop_r3; rename_r5 ] Strategy.Optimistic in
@@ -84,7 +79,7 @@ let test_fig9_shape () =
    time then collapses; pessimistic aborts <= optimistic aborts. *)
 let test_fig10_shape () =
   let point itv strategy =
-    mixed ~seed:21 ~n_dus:200 ~n_scs:10 ~sc_interval:itv ~strategy
+    run { (spec strategy) with seed = 21; dus = 200; scs = 10; sc_interval = itv }
   in
   let p0 = point 0.0 Strategy.Pessimistic in
   let p9 = point 9.0 Strategy.Pessimistic in
@@ -103,8 +98,15 @@ let test_fig10_shape () =
 
 (* Figure 11: abort cost grows with the number of schema changes. *)
 let test_fig11_shape () =
-  let point n = mixed ~seed:22 ~n_dus:200 ~n_scs:n ~sc_interval:25.0
-      ~strategy:Strategy.Pessimistic
+  let point n =
+    run
+      {
+        (spec Strategy.Pessimistic) with
+        seed = 22;
+        dus = 200;
+        scs = n;
+        sc_interval = 25.0;
+      }
   in
   let p5 = point 5 and p15 = point 15 in
   Alcotest.(check bool) "abort grows with #SCs" true
@@ -114,8 +116,15 @@ let test_fig11_shape () =
 
 (* Figure 12: abort cost flat in #DUs. *)
 let test_fig12_shape () =
-  let point n = mixed ~seed:23 ~n_dus:n ~n_scs:5 ~sc_interval:25.0
-      ~strategy:Strategy.Pessimistic
+  let point n =
+    run
+      {
+        (spec Strategy.Pessimistic) with
+        seed = 23;
+        dus = n;
+        scs = 5;
+        sc_interval = 25.0;
+      }
   in
   let p200 = point 200 and p400 = point 400 in
   Alcotest.(check bool)
@@ -130,15 +139,12 @@ let test_fig12_shape () =
    margin. *)
 let test_baseline_shape () =
   let du_only vm_mode =
-    let timeline =
-      Generator.mixed ~rows ~seed:32 ~n_dus:50 ~du_interval:0.0
-        ~sc_interval:0.0 ~sc_kinds:[] ()
-    in
-    let t = Scenario.make (config ()) ~timeline in
-    Scenario.run t
-      ~config:
-        Run_config.(
-          of_strategy Strategy.Pessimistic |> with_vm_mode vm_mode)
+    run
+      ~timeline:(flood_dus ~seed:32 50)
+      {
+        (spec Strategy.Pessimistic) with
+        run = Run_config.(default |> with_vm_mode vm_mode);
+      }
   in
   let inc = du_only Run_config.Incremental in
   let rec_ = du_only Run_config.Recompute in

@@ -9,72 +9,41 @@ open Dyno_view
 open Dyno_workload
 open Dyno_core
 
-(* Second view: a narrower join over R1, R2 only. *)
-let view2_query () =
-  Query.make ~name:"V2"
-    ~select:[ Query.item "R1.K1"; Query.item "R1.B1"; Query.item "R2.B2" ]
-    ~from:
-      [
-        Query.table "DS1" "R1";
-        Query.table "DS1" "R2";
-      ]
-    ~where:[ Predicate.eq_attr "R1.K1" "R2.K2" ]
+(* A world's view and the narrower [V2] over R1, R2 only, as a view
+   set. *)
+let with_v2 (t : Scenario.t) =
+  (t, [ t.mv; Scenario.add_view t (Paper_schema.view2_query ()) ])
 
-let view2_schemas () =
-  [ ("R1", Paper_schema.schema_of_rel 1); ("R2", Paper_schema.schema_of_rel 2) ]
-
-type world = {
-  registry : Dyno_source.Registry.t;
-  mk : Dyno_source.Meta_knowledge.t;
-  umq : Umq.t;
-  engine : Query_engine.t;
-  views : Mat_view.t list;
-}
-
-let make_world ~rows ~cost ~timeline () =
-  let registry = Paper_schema.build_sources ~rows in
-  let mk = Paper_schema.build_meta () in
-  let umq = Umq.create () in
-  let trace = Dyno_sim.Trace.create ~enabled:true () in
-  let engine = Query_engine.create ~trace ~cost ~registry ~timeline ~umq () in
-  let materialize query schemas =
-    let vd = View_def.create ~schemas query in
-    let mv = Mat_view.create ~track_snapshots:true vd (Relation.create Schema.empty) in
-    let env (tr : Query.table_ref) =
-      Dyno_source.Data_source.relation
-        (Dyno_source.Registry.find registry tr.source)
-        tr.rel
-    in
-    Mat_view.replace mv ~at:0.0 ~maintained:[] (Eval.run ~catalog:env query);
-    mv
-  in
-  let mv1 = materialize (Paper_schema.view_query ()) (Paper_schema.view_schemas ()) in
-  let mv2 = materialize (view2_query ()) (view2_schemas ()) in
-  { registry; mk; umq; engine; views = [ mv1; mv2 ] }
-
-let check_view w mv label =
+let check_view (t : Scenario.t) mv label =
   let vd = Mat_view.def mv in
   if View_def.is_valid vd then begin
-    (match Consistency.convergent w.engine mv with
+    (match Consistency.convergent t.engine mv with
     | Ok true -> ()
     | Ok false -> Alcotest.failf "%s did not converge" label
     | Error e -> Alcotest.failf "%s not checkable: %s" label e);
-    let r = Consistency.check_strong w.engine mv in
+    let r = Consistency.check_strong t.engine mv in
     if not (Consistency.ok r) then
       Alcotest.failf "%s strong consistency: %a" label Consistency.pp_report r
   end
 
+(* The paper's world at [rows] tuples per relation, traced and tracking
+   every commit. *)
+let world ~rows ~cost =
+  Scenario.Config.(
+    default |> with_rows rows |> with_cost cost |> with_snapshots true
+    |> with_trace true)
+
 let run_and_check ~rows ~cost ~timeline ~strategy () =
-  let w = make_world ~rows ~cost ~timeline () in
+  let t, views = with_v2 (Scenario.make (world ~rows ~cost) ~timeline) in
   let stats =
     Scheduler.dispatch
       ~config:
         Dyno_core.Run_config.(of_strategy strategy |> with_max_steps 200_000)
-      w.engine w.views w.mk
+      t.engine views t.mk
   in
-  Alcotest.(check bool) "queue drained" true (Umq.is_empty w.umq);
-  List.iteri (fun i mv -> check_view w mv (Fmt.str "view %d" i)) w.views;
-  (w, stats)
+  Alcotest.(check bool) "queue drained" true (Umq.is_empty t.umq);
+  List.iteri (fun i mv -> check_view t mv (Fmt.str "view %d" i)) views;
+  (views, stats)
 
 let test_du_only strategy () =
   let timeline =
@@ -126,11 +95,11 @@ let test_views_see_different_relevance () =
     Generator.build ~rows:10 ~seed:44
       (List.init 10 (fun i -> Generator.At_du (float_of_int i *. 0.05)))
   in
-  let w, _ =
+  let views, _ =
     run_and_check ~rows:10 ~cost:Dyno_sim.Cost_model.free ~timeline
       ~strategy:Strategy.Optimistic ()
   in
-  match w.views with
+  match views with
   | [ mv1; mv2 ] ->
       Alcotest.(check bool) "narrow view has fewer columns" true
         (Schema.arity (Relation.schema (Mat_view.extent mv2))
@@ -150,10 +119,8 @@ let test_compensations_counted () =
           ~sc_kinds:(Generator.drop_then_renames 2)
           ()
       in
-      let solo = make_world ~rows:10 ~cost ~timeline:(timeline ()) () in
-      let alone =
-        Scheduler.run solo.engine (List.hd solo.views) solo.mk
-      in
+      let solo = Scenario.make (world ~rows:10 ~cost) ~timeline:(timeline ()) in
+      let alone = Scheduler.run solo.engine solo.mv solo.mk in
       if alone.Stats.compensations = 0 then
         Alcotest.failf "seed %d: the single view should compensate" seed;
       let _, stats =
@@ -168,28 +135,17 @@ let test_compensations_counted () =
 (* A two-view set over a sharded world: the paper's view plus [V2], on a
    2-shard [Scenario] (one queue and route per shard). *)
 let sharded_views ~seed =
-  let timeline =
-    Generator.mixed ~rows:40 ~seed ~n_dus:30 ~du_interval:1.0 ~sc_interval:10.0
-      ~sc_kinds:(Generator.drop_then_renames 3)
-      ()
-  in
-  let t =
-    Scenario.make
-      Scenario.Config.(
-        default |> with_rows 40 |> with_snapshots true |> with_shards 2)
-      ~timeline
-  in
-  let vd = View_def.create ~schemas:(view2_schemas ()) (view2_query ()) in
-  let mv2 =
-    Mat_view.create ~track_snapshots:true vd (Relation.create Schema.empty)
-  in
-  let env (tr : Query.table_ref) =
-    Dyno_source.Data_source.relation
-      (Dyno_source.Registry.find t.Scenario.registry tr.source)
-      tr.rel
-  in
-  Mat_view.replace mv2 ~at:0.0 ~maintained:[] (Eval.run ~catalog:env (view2_query ()));
-  (t, [ t.Scenario.mv; mv2 ])
+  with_v2
+    (Spec.build
+       {
+         Spec.default with
+         seed;
+         dus = 30;
+         scs = 3;
+         world =
+           Scenario.Config.(
+             default |> with_rows 40 |> with_snapshots true |> with_shards 2);
+       })
 
 (* The view set drains every shard's queue when given the plan: both
    views converge and every commit of both logs is strongly consistent. *)

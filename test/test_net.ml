@@ -156,50 +156,24 @@ let test_sequencer_exactly_once () =
 
 (* -- end-to-end: zero-fault identity ----------------------------------- *)
 
-let scenario ?(trace_enabled = false) ?faults ?net_seed ?obs ~seed ~n_dus
-    ~n_scs () =
-  let timeline =
-    Dyno_workload.Generator.mixed ~rows:10 ~seed ~n_dus ~du_interval:0.2
-      ~sc_start:0.1 ~sc_interval:1.5
-      ~sc_kinds:(Dyno_workload.Generator.drop_then_renames n_scs)
-      ()
-  in
-  let c =
-    Dyno_workload.Scenario.Config.(
-      default |> with_rows 10
-      |> with_cost { Dyno_sim.Cost_model.default with row_scale = 1.0 }
-      |> with_snapshots true |> with_trace trace_enabled)
-  in
-  let c =
-    match faults with
-    | Some f -> Dyno_workload.Scenario.Config.with_faults f c
-    | None -> c
-  in
-  let c =
-    match net_seed with
-    | Some n -> Dyno_workload.Scenario.Config.with_net_seed n c
-    | None -> c
-  in
-  let c =
-    match obs with
-    | Some o -> Dyno_workload.Scenario.Config.with_obs o c
-    | None -> c
-  in
-  Dyno_workload.Scenario.make c ~timeline
-
 let test_zero_fault_identity () =
-  let run ?faults ?net_seed ?parallel ?self_maint ?obs () =
-    let t =
-      scenario ~trace_enabled:true ?faults ?net_seed ?obs ~seed:11 ~n_dus:12
-        ~n_scs:2 ()
-    in
-    let stats =
-      Dyno_workload.Scenario.run t
-        ~config:
-          Dyno_core.Run_config.(
-            of_strategy Dyno_core.Strategy.Pessimistic
-            |> with_parallel (Option.value parallel ~default:1)
-            |> with_self_maint (Option.value self_maint ~default:false))
+  let run ?(faults = Channel.reliable) ?(net_seed = 0) ?(parallel = 1)
+      ?(self_maint = false) ?(obs = Dyno_obs.Obs.disabled) () =
+    let t, stats =
+      Dyno_workload.Spec.run
+        {
+          Fixture.base with
+          seed = 11;
+          dus = 12;
+          scs = 2;
+          world =
+            Dyno_workload.Scenario.Config.(
+              Fixture.base.world |> with_trace true |> with_faults faults
+              |> with_net_seed net_seed |> with_obs obs);
+          run =
+            Dyno_core.Run_config.(
+              default |> with_parallel parallel |> with_self_maint self_maint);
+        }
     in
     ( Fmt.str "%a" Dyno_core.Stats.pp stats,
       Dyno_view.Mat_view.extent t.mv,
@@ -277,32 +251,21 @@ let prop_faulty_converges_like_reliable =
        extent"
     ~count:300 arb_faulty_workload
     (fun ((seed, n_dus, n_scs, strat), (loss, dup, reorder, net_seed)) ->
-      let strategy =
-        match strat with
-        | 0 -> Dyno_core.Strategy.Pessimistic
-        | 1 -> Dyno_core.Strategy.Optimistic
-        | _ -> Dyno_core.Strategy.Merge_all
-      in
-      let faults =
+      let strategy = List.nth Dyno_core.Strategy.all strat in
+      let spec =
         {
-          Channel.reliable with
-          loss;
-          dup;
-          reorder;
-          reorder_delay = 0.5;
-          retransmit = 0.05;
+          Fixture.base with
+          seed;
+          dus = n_dus;
+          scs = n_scs;
+          run = Dyno_core.Run_config.of_strategy strategy;
         }
       in
-      let run ?faults ?net_seed () =
-        let t = scenario ?faults ?net_seed ~seed ~n_dus ~n_scs () in
-        let stats =
-          Dyno_workload.Scenario.run t
-            ~config:(Dyno_core.Run_config.of_strategy strategy)
-        in
-        (t, stats)
+      let tr, _ = Dyno_workload.Spec.run spec in
+      let tf, stats_f =
+        Dyno_workload.Spec.run
+          (Fixture.faulty ~loss ~dup ~reorder ~net_seed spec)
       in
-      let tr, _ = run () in
-      let tf, stats_f = run ~faults ~net_seed () in
       let same_extent =
         Relation.equal
           (Dyno_view.Mat_view.extent tr.Dyno_workload.Scenario.mv)

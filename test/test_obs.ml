@@ -21,53 +21,30 @@ open Dyno_obs
 
 (* -- a small faulty workload that exercises every span kind ------------- *)
 
-let scenario ?(obs = Obs.disabled) ?(loss = 0.0) ?(shards = 1) ~seed ~n_dus
-    ~n_scs () =
-  let timeline =
-    Dyno_workload.Generator.mixed ~rows:10 ~seed ~n_dus ~du_interval:0.2
-      ~sc_start:0.1 ~sc_interval:1.5
-      ~sc_kinds:(Dyno_workload.Generator.drop_then_renames n_scs)
-      ()
-  in
-  let faults =
-    { Dyno_net.Channel.reliable with loss; retransmit = 0.05 }
-  in
-  Dyno_workload.Scenario.make
-    Dyno_workload.Scenario.Config.(
-      default |> with_rows 10
-      |> with_cost { Dyno_sim.Cost_model.default with row_scale = 1.0 }
-      |> with_snapshots true |> with_trace true |> with_faults faults
-      |> with_net_seed 99 |> with_obs obs |> with_shards shards)
-    ~timeline
+(* The shared base run, traced, with [loss] on channel stream 99. *)
+let spec ?(obs = Obs.disabled) ?(loss = 0.0) ?(shards = 1) ~seed ~dus ~scs
+    () : Dyno_workload.Spec.t =
+  {
+    Fixture.base with
+    seed;
+    dus;
+    scs;
+    world =
+      Dyno_workload.Scenario.Config.(
+        Fixture.base.world |> with_trace true
+        |> with_faults
+             { Dyno_net.Channel.reliable with loss; retransmit = 0.05 }
+        |> with_net_seed 99 |> with_obs obs |> with_shards shards);
+  }
 
-(* A second, narrower view over R1, R2 (the CLI's --multi view), so the
-   same world can run as a two-view set. *)
-let second_view (t : Dyno_workload.Scenario.t) =
-  let open Dyno_relational in
-  let open Dyno_view in
-  let q =
-    Query.make ~name:"V2"
-      ~select:[ Query.item "R1.K1"; Query.item "R1.B1"; Query.item "R2.B2" ]
-      ~from:[ Query.table "DS1" "R1"; Query.table "DS1" "R2" ]
-      ~where:[ Predicate.eq_attr "R1.K1" "R2.K2" ]
-  in
-  let vd =
-    View_def.create
-      ~schemas:
-        [
-          ("R1", Dyno_workload.Paper_schema.schema_of_rel 1);
-          ("R2", Dyno_workload.Paper_schema.schema_of_rel 2);
-        ]
-      q
-  in
-  let mv = Mat_view.create ~track_snapshots:true vd (Relation.create Schema.empty) in
-  let env (tr : Query.table_ref) =
-    Dyno_source.Data_source.relation
-      (Dyno_source.Registry.find t.Dyno_workload.Scenario.registry tr.source)
-      tr.rel
-  in
-  Mat_view.replace mv ~at:0.0 ~maintained:[] (Eval.run ~catalog:env q);
-  mv
+(* The world's view and the CLI's narrower --multi view [V2], as a
+   two-view set. *)
+let two_views (t : Dyno_workload.Scenario.t) =
+  [
+    t.mv;
+    Dyno_workload.Scenario.add_view t
+      (Dyno_workload.Paper_schema.view2_query ());
+  ]
 
 (* The three dispatch shapes the shared accounting must hold for: one
    queue and one view at width 1, two shards at width 2, and a two-view
@@ -86,14 +63,15 @@ let run_mode ?(strategy = Dyno_core.Strategy.Pessimistic) mode
         ~config:(Dyno_core.Run_config.with_parallel 2 config)
   | Multi ->
       Dyno_core.Scheduler.dispatch ~config t.Dyno_workload.Scenario.engine
-        [ t.Dyno_workload.Scenario.mv; second_view t ]
-        t.Dyno_workload.Scenario.mk
+        (two_views t) t.Dyno_workload.Scenario.mk
 
 let run_observed ?loss ?(strategy = Dyno_core.Strategy.Pessimistic)
     ?(mode = Serial) ?(seed = 11) () =
   let obs = Obs.create () in
   let shards = if mode = Sharded then 2 else 1 in
-  let t = scenario ~obs ?loss ~shards ~seed ~n_dus:12 ~n_scs:2 () in
+  let t =
+    Dyno_workload.Spec.build (spec ~obs ?loss ~shards ~seed ~dus:12 ~scs:2 ())
+  in
   let stats = run_mode ~strategy mode t in
   (obs, t, stats)
 
@@ -314,24 +292,25 @@ let test_detect_entry_per_pass () =
    oldest update) per collapse, from grouped sweeps and parallel rounds as
    from the queue head. *)
 let test_merge_all_provenance () =
-  let timeline () =
-    Dyno_workload.Generator.mixed ~rows:10 ~seed:1 ~n_dus:16 ~du_interval:0.05
-      ~sc_start:0.3 ~sc_interval:1.0
-      ~sc_kinds:(Dyno_workload.Generator.drop_then_renames 2)
-      ()
-  in
   List.iter
-    (fun (name, config) ->
+    (fun (name, run) ->
       let obs = Obs.create () in
-      let t =
-        Dyno_workload.Scenario.make
-          Dyno_workload.Scenario.Config.(
-            default |> with_rows 10
-            |> with_cost { Dyno_sim.Cost_model.default with row_scale = 1.0 }
-            |> with_trace true |> with_obs obs)
-          ~timeline:(timeline ())
+      let t, stats =
+        Dyno_workload.Spec.run
+          {
+            seed = 1;
+            dus = 16;
+            du_interval = 0.05;
+            scs = 2;
+            sc_start = 0.3;
+            sc_interval = 1.0;
+            world =
+              Dyno_workload.Scenario.Config.(
+                Fixture.base.world |> with_snapshots false |> with_trace true
+                |> with_obs obs);
+            run;
+          }
       in
-      let stats = Dyno_workload.Scenario.run t ~config in
       let merges = stats.Dyno_core.Stats.merges in
       if merges < 2 then Alcotest.failf "%s: expected repeated collapses" name;
       Alcotest.(check int) (name ^ ": one Merge entry per collapse") merges
@@ -376,10 +355,8 @@ let test_metrics_mirror_stats () =
 
 let test_obs_off_identical () =
   let run obs =
-    let t = scenario ~obs ~loss:0.3 ~seed:11 ~n_dus:12 ~n_scs:2 () in
-    let stats =
-      Dyno_workload.Scenario.run t
-        ~config:(Dyno_core.Run_config.of_strategy Dyno_core.Strategy.Pessimistic)
+    let t, stats =
+      Dyno_workload.Spec.run (spec ~obs ~loss:0.3 ~seed:11 ~dus:12 ~scs:2 ())
     in
     ( Fmt.str "%a" Dyno_core.Stats.pp stats,
       Dyno_view.Mat_view.extent t.Dyno_workload.Scenario.mv )
@@ -478,38 +455,40 @@ let test_trace_renders_at_record () =
    ratio is deterministic. *)
 let fleet_words ~obs ~seed =
   let rows = 500 in
-  let cost = Dyno_sim.Cost_model.scaled (100_000.0 /. float_of_int rows) in
-  let timeline =
-    Dyno_workload.Generator.build ~rows ~seed
-      (List.init 300 (fun k ->
-           Dyno_workload.Generator.At_du (0.15 *. float_of_int k)))
-  in
-  let faults =
-    {
-      Dyno_net.Channel.reliable with
-      loss = 0.05;
-      dup = 0.05;
-      reorder = 0.05;
-      reorder_delay = 1.5;
-      retransmit = cost.Dyno_sim.Cost_model.retransmit_interval;
-    }
+  let spec =
+    Dyno_workload.Spec.with_transport
+      {
+        Dyno_net.Channel.reliable with
+        loss = 0.05;
+        dup = 0.05;
+        reorder = 0.05;
+        reorder_delay = 1.5;
+      }
+      {
+        Dyno_workload.Spec.default with
+        seed;
+        world =
+          Dyno_workload.Scenario.Config.(
+            Dyno_workload.Spec.paper_world ~rows |> with_shards 3
+            |> with_obs obs);
+        run =
+          Dyno_core.Run_config.(
+            default |> with_parallel 2 |> with_self_maint true);
+      }
   in
   let t =
-    Dyno_workload.Scenario.make
-      Dyno_workload.Scenario.Config.(
-        default |> with_rows rows |> with_cost cost |> with_faults faults
-        |> with_net_seed seed |> with_shards 3 |> with_obs obs)
-      ~timeline
-  in
-  let config =
-    Dyno_core.Run_config.(default |> with_parallel 2 |> with_self_maint true)
+    Dyno_workload.Spec.build spec
+      ~timeline:
+        (Dyno_workload.Generator.build ~rows ~seed
+           (List.init 300 (fun k ->
+                Dyno_workload.Generator.At_du (0.15 *. float_of_int k))))
   in
   let words () =
     let minor, promoted, major = Gc.counters () in
     minor +. major -. promoted
   in
   let w0 = words () in
-  ignore (Dyno_workload.Scenario.run t ~config : Dyno_core.Stats.t);
+  ignore (Dyno_workload.Scenario.run t ~config:spec.run : Dyno_core.Stats.t);
   words () -. w0
 
 let test_obs_allocation_budget () =
@@ -716,7 +695,10 @@ let prop_lineage =
         [| (1, 1, false); (2, 1, false); (4, 1, false); (2, 2, false); (1, 1, true) |].(shape)
       in
       let obs = Obs.create () in
-      let t = scenario ~obs ~loss ~shards ~seed ~n_dus ~n_scs:1 () in
+      let t =
+        Dyno_workload.Spec.build
+          (spec ~obs ~loss ~shards ~seed ~dus:n_dus ~scs:1 ())
+      in
       let config =
         Dyno_core.Run_config.(
           of_strategy Dyno_core.Strategy.Pessimistic |> with_parallel parallel)
@@ -724,8 +706,7 @@ let prop_lineage =
       let _stats =
         if multi then
           Dyno_core.Scheduler.dispatch ~config t.Dyno_workload.Scenario.engine
-            [ t.Dyno_workload.Scenario.mv; second_view t ]
-            t.Dyno_workload.Scenario.mk
+            (two_views t) t.Dyno_workload.Scenario.mk
         else Dyno_workload.Scenario.run t ~config
       in
       let records = Lineage.records (Obs.lineage obs) in
@@ -1076,11 +1057,8 @@ let prop_staleness =
     (fun (seed, n_dus, loss_pct) ->
       let loss = float_of_int loss_pct /. 100.0 in
       let obs = Obs.create ~sample_interval:0.25 () in
-      let t = scenario ~obs ~loss ~seed ~n_dus ~n_scs:1 () in
-      let _stats =
-        Dyno_workload.Scenario.run t
-          ~config:
-            (Dyno_core.Run_config.of_strategy Dyno_core.Strategy.Pessimistic)
+      let _ =
+        Dyno_workload.Spec.run (spec ~obs ~loss ~seed ~dus:n_dus ~scs:1 ())
       in
       let samples = Timeseries.samples (Obs.series obs) in
       if samples = [] then QCheck.Test.fail_report "no samples taken";

@@ -9,57 +9,6 @@
    compensations inside parallel rounds. *)
 
 open Dyno_relational
-open Dyno_net
-
-let scenario ?faults ?net_seed ~seed ~n_dus ~n_scs () =
-  let timeline =
-    Dyno_workload.Generator.mixed ~rows:10 ~seed ~n_dus ~du_interval:0.2
-      ~sc_start:0.1 ~sc_interval:1.5
-      ~sc_kinds:(Dyno_workload.Generator.drop_then_renames n_scs)
-      ()
-  in
-  let c =
-    Dyno_workload.Scenario.Config.(
-      default |> with_rows 10
-      |> with_cost { Dyno_sim.Cost_model.default with row_scale = 1.0 }
-      |> with_snapshots true)
-  in
-  let c =
-    match faults with
-    | Some f -> Dyno_workload.Scenario.Config.with_faults f c
-    | None -> c
-  in
-  let c =
-    match net_seed with
-    | Some n -> Dyno_workload.Scenario.Config.with_net_seed n c
-    | None -> c
-  in
-  Dyno_workload.Scenario.make c ~timeline
-
-(* Per-source sets of update messages integrated into the view: commit-log
-   [maintained] ids resolved through the scenario's id -> (source, version)
-   index, deduplicated and sorted.  The serial and parallel runs may order
-   commits differently on the clock, but must apply the same updates of
-   every source. *)
-let applied_per_source (t : Dyno_workload.Scenario.t) =
-  let index = Dyno_workload.Scenario.msg_index t in
-  let tbl : (string, int list ref) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (c : Dyno_view.Mat_view.commit) ->
-      List.iter
-        (fun id ->
-          match List.assoc_opt id index with
-          | None -> ()
-          | Some (src, version) -> (
-              match Hashtbl.find_opt tbl src with
-              | Some l -> l := version :: !l
-              | None -> Hashtbl.add tbl src (ref [ version ])))
-        c.maintained)
-    (Dyno_view.Mat_view.commits t.mv);
-  Hashtbl.fold
-    (fun src l acc -> (src, List.sort_uniq Int.compare !l) :: acc)
-    tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let arb_parallel_workload =
   QCheck.make
@@ -84,31 +33,19 @@ let prop_parallel_equals_serial =
     ~name:"parallel maintenance is observationally serial (faults included)"
     ~count:300 arb_parallel_workload
     (fun ((seed, n_dus, n_scs, strat), (loss, dup, (reorder, par), net_seed)) ->
-      let strategy =
-        match strat with
-        | 0 -> Dyno_core.Strategy.Pessimistic
-        | 1 -> Dyno_core.Strategy.Optimistic
-        | _ -> Dyno_core.Strategy.Merge_all
-      in
-      let faults =
-        {
-          Channel.reliable with
-          loss;
-          dup;
-          reorder;
-          reorder_delay = 0.5;
-          retransmit = 0.05;
-        }
+      let strategy = List.nth Dyno_core.Strategy.all strat in
+      let spec =
+        Fixture.faulty ~loss ~dup ~reorder ~net_seed
+          { Fixture.base with seed; dus = n_dus; scs = n_scs }
       in
       let run ~parallel =
-        let t = scenario ~faults ~net_seed ~seed ~n_dus ~n_scs () in
-        let stats =
-          Dyno_workload.Scenario.run t
-            ~config:
+        Dyno_workload.Spec.run
+          {
+            spec with
+            run =
               Dyno_core.Run_config.(
-                of_strategy strategy |> with_parallel parallel)
-        in
-        (t, stats)
+                of_strategy strategy |> with_parallel parallel);
+          }
       in
       let ts, stats_s = run ~parallel:1 in
       let tp, stats_p = run ~parallel:par in
@@ -129,7 +66,7 @@ let prop_parallel_equals_serial =
         | Error _ -> false
       in
       let same_applied =
-        applied_per_source ts = applied_per_source tp
+        Fixture.applied_per_source ts = Fixture.applied_per_source tp
       in
       let no_undefined =
         stats_s.Dyno_core.Stats.view_undefined

@@ -354,29 +354,17 @@ let prop_end_to_end =
   QCheck.Test.make
     ~name:"random workloads converge with strong consistency (all strategies)"
     ~count:40 arb_workload (fun (seed, n_dus, n_scs, strat) ->
-      let strategy =
-        match strat with
-        | 0 -> Dyno_core.Strategy.Pessimistic
-        | 1 -> Dyno_core.Strategy.Optimistic
-        | _ -> Dyno_core.Strategy.Merge_all
+      let strategy = List.nth Dyno_core.Strategy.all strat in
+      let t, _ =
+        Dyno_workload.Spec.run
+          {
+            Fixture.base with
+            seed;
+            dus = n_dus;
+            scs = n_scs;
+            run = Dyno_core.Run_config.of_strategy strategy;
+          }
       in
-      let timeline =
-        Dyno_workload.Generator.mixed ~rows:10 ~seed ~n_dus ~du_interval:0.2
-          ~sc_start:0.1 ~sc_interval:1.5
-          ~sc_kinds:(Dyno_workload.Generator.drop_then_renames n_scs)
-          ()
-      in
-      let t =
-        Dyno_workload.Scenario.make
-          Dyno_workload.Scenario.Config.(
-            default |> with_rows 10
-            |> with_cost { Dyno_sim.Cost_model.default with row_scale = 1.0 }
-            |> with_snapshots true)
-          ~timeline
-      in
-      ignore
-        (Dyno_workload.Scenario.run t
-           ~config:(Dyno_core.Run_config.of_strategy strategy));
       let convergent =
         match Dyno_workload.Scenario.check_convergent t with
         | Ok b -> b
@@ -494,53 +482,28 @@ let prop_multi_view_end_to_end =
        ~print:(fun (s, d, c) -> Fmt.str "seed=%d dus=%d scs=%d" s d c))
     (fun (seed, n_dus, n_scs) ->
       let open Dyno_view in
-      let rows = 8 in
-      let registry = Dyno_workload.Paper_schema.build_sources ~rows in
-      let mk = Dyno_workload.Paper_schema.build_meta () in
-      let umq = Umq.create () in
-      let timeline =
-        Dyno_workload.Generator.mixed ~rows ~seed ~n_dus ~du_interval:0.15
-          ~sc_start:0.1 ~sc_interval:1.0
-          ~sc_kinds:(Dyno_workload.Generator.drop_then_renames n_scs)
-          ()
+      let t =
+        Dyno_workload.Spec.build
+          {
+            Fixture.base with
+            seed;
+            dus = n_dus;
+            du_interval = 0.15;
+            scs = n_scs;
+            sc_interval = 1.0;
+            world = Dyno_workload.Scenario.Config.with_rows 8 Fixture.base.world;
+          }
       in
-      let engine =
-        Query_engine.create
-          ~cost:{ Dyno_sim.Cost_model.default with row_scale = 1.0 }
-          ~registry ~timeline ~umq ()
-      in
-      let materialize query schemas =
-        let vd = View_def.create ~schemas query in
-        let mv =
-          Mat_view.create ~track_snapshots:true vd (Relation.create Schema.empty)
-        in
-        let env (tr : Query.table_ref) =
-          Dyno_source.Data_source.relation
-            (Dyno_source.Registry.find registry tr.source)
-            tr.rel
-        in
-        Mat_view.replace mv ~at:0.0 ~maintained:[] (Eval.run ~catalog:env query);
-        mv
-      in
-      let narrow =
-        Query.make ~name:"V2"
-          ~select:[ Query.item "R1.K1"; Query.item "R2.A2" ]
-          ~from:[ Query.table "DS1" "R1"; Query.table "DS1" "R2" ]
-          ~where:[ Predicate.eq_attr "R1.K1" "R2.K2" ]
-      in
-      let mv1 =
-        materialize
-          (Dyno_workload.Paper_schema.view_query ())
-          (Dyno_workload.Paper_schema.view_schemas ())
-      in
+      let engine = t.engine in
+      let mv1 = t.mv in
       let mv2 =
-        materialize narrow
-          [
-            ("R1", Dyno_workload.Paper_schema.schema_of_rel 1);
-            ("R2", Dyno_workload.Paper_schema.schema_of_rel 2);
-          ]
+        Dyno_workload.Scenario.add_view t
+          (Query.make ~name:"V2"
+             ~select:[ Query.item "R1.K1"; Query.item "R2.A2" ]
+             ~from:[ Query.table "DS1" "R1"; Query.table "DS1" "R2" ]
+             ~where:[ Predicate.eq_attr "R1.K1" "R2.K2" ])
       in
-      ignore (Dyno_core.Scheduler.dispatch engine [ mv1; mv2 ] mk);
+      ignore (Dyno_core.Scheduler.dispatch engine [ mv1; mv2 ] t.mk);
       List.for_all
         (fun mv ->
           let vd = Mat_view.def mv in

@@ -55,23 +55,19 @@ let test_broken_by_source () =
 
 let test_on_live_run () =
   (* the report machinery must digest a real trace without confusion *)
-  let timeline =
-    Dyno_workload.Generator.mixed ~rows:10 ~seed:9 ~n_dus:10 ~du_interval:0.2
-      ~sc_interval:2.0
-      ~sc_kinds:(Dyno_workload.Generator.drop_then_renames 2)
-      ()
-  in
-  let t =
-    Dyno_workload.Scenario.make
-      Dyno_workload.Scenario.Config.(
-        default |> with_rows 10
-        |> with_cost { Dyno_sim.Cost_model.default with row_scale = 1.0 }
-        |> with_trace true)
-      ~timeline
-  in
-  let stats =
-    Dyno_workload.Scenario.run t
-      ~config:(Dyno_core.Run_config.of_strategy Strategy.Pessimistic)
+  let t, stats =
+    Dyno_workload.Spec.run
+      {
+        Fixture.base with
+        seed = 9;
+        dus = 10;
+        scs = 2;
+        sc_start = 0.0;
+        sc_interval = 2.0;
+        world =
+          Dyno_workload.Scenario.Config.(
+            Fixture.base.world |> with_snapshots false |> with_trace true);
+      }
   in
   let r = Report.of_trace t.Dyno_workload.Scenario.trace in
   let finished =

@@ -2,43 +2,19 @@
    covered maintenance sweeps locally, skipping probe round trips.  The
    tier is an optimization, never a semantic change, so the golden
    property is observational equivalence: for every workload, fault mix,
-   strategy and shard count, [--self-maint] reaches the same final
+   strategy, shard count and width, [--self-maint] reaches the same final
    extent, the same convergence and strong-consistency verdicts and the
    same per-source applied sets as the probing baseline. *)
 
 open Dyno_relational
-open Dyno_net
 open Dyno_workload
-
-let scenario ?faults ?net_seed ?(shards = 1) ~seed ~n_dus ~n_scs () =
-  let timeline =
-    Generator.mixed ~rows:10 ~seed ~n_dus ~du_interval:0.2 ~sc_start:0.1
-      ~sc_interval:1.5
-      ~sc_kinds:(Generator.drop_then_renames n_scs)
-      ()
-  in
-  let c =
-    Scenario.Config.(
-      default |> with_rows 10
-      |> with_cost { Dyno_sim.Cost_model.default with row_scale = 1.0 }
-      |> with_snapshots true |> with_shards shards)
-  in
-  let c =
-    match faults with Some f -> Scenario.Config.with_faults f c | None -> c
-  in
-  let c =
-    match net_seed with
-    | Some n -> Scenario.Config.with_net_seed n c
-    | None -> c
-  in
-  Scenario.make c ~timeline
 
 (* -- derivation -------------------------------------------------------- *)
 
 (* One projection per alias of the view query, each with the alias's
    needed probe attributes (join keys + selected columns). *)
 let test_derive () =
-  let t = scenario ~seed:1 ~n_dus:0 ~n_scs:0 () in
+  let t = Spec.build { Fixture.base with seed = 1; dus = 0; scs = 0 } in
   let defs = Dyno_selfmaint.Aux_plan.derive t.Scenario.mv in
   let q = Dyno_view.View_def.peek (Dyno_view.Mat_view.def t.Scenario.mv) in
   Alcotest.(check int)
@@ -74,7 +50,7 @@ let test_derive () =
 (* -- the store --------------------------------------------------------- *)
 
 let test_store_refresh_and_invalidate () =
-  let t = scenario ~seed:2 ~n_dus:0 ~n_scs:0 () in
+  let t = Spec.build { Fixture.base with seed = 2; dus = 0; scs = 0 } in
   let w = t.Scenario.engine in
   let store = Dyno_core.Scheduler.aux_store w t.Scenario.mv in
   Alcotest.(check (float 1e-9))
@@ -146,15 +122,14 @@ let test_store_refresh_and_invalidate () =
 
 let test_local_fires () =
   let run ~self_maint =
-    let t = scenario ~seed:3 ~n_dus:20 ~n_scs:0 () in
-    let stats =
-      Scenario.run t
-        ~config:
-          Dyno_core.Run_config.(
-            of_strategy Dyno_core.Strategy.Pessimistic
-            |> with_self_maint self_maint)
-    in
-    (t, stats)
+    Spec.run
+      {
+        Fixture.base with
+        seed = 3;
+        dus = 20;
+        scs = 0;
+        run = Dyno_core.Run_config.(default |> with_self_maint self_maint);
+      }
   in
   let tb, _ = run ~self_maint:false in
   let ts, stats = run ~self_maint:true in
@@ -178,27 +153,6 @@ let test_local_fires () =
 
 (* -- the golden property ----------------------------------------------- *)
 
-(* Per-source sets of integrated update versions (see test_shard.ml). *)
-let applied_per_source (t : Scenario.t) =
-  let index = Scenario.msg_index t in
-  let tbl : (string, int list ref) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (c : Dyno_view.Mat_view.commit) ->
-      List.iter
-        (fun id ->
-          match List.assoc_opt id index with
-          | None -> ()
-          | Some (src, version) -> (
-              match Hashtbl.find_opt tbl src with
-              | Some l -> l := version :: !l
-              | None -> Hashtbl.add tbl src (ref [ version ])))
-        c.maintained)
-    (Dyno_view.Mat_view.commits t.mv);
-  Hashtbl.fold
-    (fun src l acc -> (src, List.sort_uniq Int.compare !l) :: acc)
-    tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
 let arb_selfmaint_workload =
   QCheck.make
     QCheck.Gen.(
@@ -207,16 +161,17 @@ let arb_selfmaint_workload =
         (quad (int_range 1 10000) (int_range 1 12) (int_range 0 2)
            (int_range 0 2))
         (quad (f01 0 25) (f01 0 25)
-           (pair (f01 0 25) (int_range 0 2))
+           (triple (f01 0 25) (int_range 0 2) (int_range 1 3))
            (int_range 0 1000)))
     ~print:
-      (fun ((seed, dus, scs, strat), (loss, dup, (reorder, sh), net_seed)) ->
+      (fun ( (seed, dus, scs, strat),
+             (loss, dup, (reorder, sh, width), net_seed) ) ->
       Fmt.str
         "seed=%d dus=%d scs=%d strategy=%d loss=%.2f dup=%.2f reorder=%.2f \
-         shards=%d net_seed=%d"
+         shards=%d parallel=%d net_seed=%d"
         seed dus scs strat loss dup reorder
         (match sh with 0 -> 1 | 1 -> 2 | _ -> 4)
-        net_seed)
+        width net_seed)
 
 let prop_selfmaint_equals_baseline =
   QCheck.Test.make
@@ -224,34 +179,31 @@ let prop_selfmaint_equals_baseline =
       "self-maintenance is observationally the probing baseline (faults, \
        SCs, shards included)"
     ~count:300 arb_selfmaint_workload
-    (fun ((seed, n_dus, n_scs, strat), (loss, dup, (reorder, sh), net_seed))
-       ->
-      let strategy =
-        match strat with
-        | 0 -> Dyno_core.Strategy.Pessimistic
-        | 1 -> Dyno_core.Strategy.Optimistic
-        | _ -> Dyno_core.Strategy.Merge_all
-      in
+    (fun ( (seed, n_dus, n_scs, strat),
+           (loss, dup, (reorder, sh, width), net_seed) ) ->
+      let strategy = List.nth Dyno_core.Strategy.all strat in
       let shards = match sh with 0 -> 1 | 1 -> 2 | _ -> 4 in
-      let faults =
-        {
-          Channel.reliable with
-          loss;
-          dup;
-          reorder;
-          reorder_delay = 0.5;
-          retransmit = 0.05;
-        }
+      let spec =
+        Fixture.faulty ~loss ~dup ~reorder ~net_seed
+          {
+            Fixture.base with
+            seed;
+            dus = n_dus;
+            scs = n_scs;
+            world = Scenario.Config.with_shards shards Fixture.base.world;
+          }
       in
+      (* Both runs at the same width: self-maintenance is the only
+         difference. *)
       let run ~self_maint =
-        let t = scenario ~faults ~net_seed ~shards ~seed ~n_dus ~n_scs () in
-        let stats =
-          Scenario.run t
-            ~config:
+        Spec.run
+          {
+            spec with
+            run =
               Dyno_core.Run_config.(
-                of_strategy strategy |> with_self_maint self_maint)
-        in
-        (t, stats)
+                of_strategy strategy |> with_parallel width
+                |> with_self_maint self_maint);
+          }
       in
       let tb, stats_b = run ~self_maint:false in
       let ts, stats_s = run ~self_maint:true in
@@ -270,7 +222,9 @@ let prop_selfmaint_equals_baseline =
           (Dyno_core.Consistency.ok (Scenario.check_strong tb))
           (Dyno_core.Consistency.ok (Scenario.check_strong ts))
       in
-      let same_applied = applied_per_source tb = applied_per_source ts in
+      let same_applied =
+        Fixture.applied_per_source tb = Fixture.applied_per_source ts
+      in
       let no_undefined =
         stats_b.Dyno_core.Stats.view_undefined
         = stats_s.Dyno_core.Stats.view_undefined

@@ -12,57 +12,6 @@
    sequencing makes the delivered per-source streams identical). *)
 
 open Dyno_relational
-open Dyno_net
-
-let scenario ?faults ?net_seed ~shards ~seed ~n_dus ~n_scs () =
-  let timeline =
-    Dyno_workload.Generator.mixed ~rows:10 ~seed ~n_dus ~du_interval:0.2
-      ~sc_start:0.1 ~sc_interval:1.5
-      ~sc_kinds:(Dyno_workload.Generator.drop_then_renames n_scs)
-      ()
-  in
-  let c =
-    Dyno_workload.Scenario.Config.(
-      default |> with_rows 10
-      |> with_cost { Dyno_sim.Cost_model.default with row_scale = 1.0 }
-      |> with_snapshots true |> with_shards shards)
-  in
-  let c =
-    match faults with
-    | Some f -> Dyno_workload.Scenario.Config.with_faults f c
-    | None -> c
-  in
-  let c =
-    match net_seed with
-    | Some n -> Dyno_workload.Scenario.Config.with_net_seed n c
-    | None -> c
-  in
-  Dyno_workload.Scenario.make c ~timeline
-
-(* Per-source sets of update messages integrated into the view (see
-   test_parallel.ml): commit-log ids resolved through the id ->
-   (source, version) index.  Serial and sharded runs may interleave
-   commits differently on the clock, but must apply the same updates of
-   every source. *)
-let applied_per_source (t : Dyno_workload.Scenario.t) =
-  let index = Dyno_workload.Scenario.msg_index t in
-  let tbl : (string, int list ref) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (c : Dyno_view.Mat_view.commit) ->
-      List.iter
-        (fun id ->
-          match List.assoc_opt id index with
-          | None -> ()
-          | Some (src, version) -> (
-              match Hashtbl.find_opt tbl src with
-              | Some l -> l := version :: !l
-              | None -> Hashtbl.add tbl src (ref [ version ])))
-        c.maintained)
-    (Dyno_view.Mat_view.commits t.mv);
-  Hashtbl.fold
-    (fun src l acc -> (src, List.sort_uniq Int.compare !l) :: acc)
-    tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let arb_shard_workload =
   QCheck.make
@@ -93,30 +42,19 @@ let prop_sharded_equals_serial =
     ~count:300 arb_shard_workload
     (fun ((seed, n_dus, n_scs, strat), (loss, dup, (reorder, sh), net_seed))
        ->
-      let strategy =
-        match strat with
-        | 0 -> Dyno_core.Strategy.Pessimistic
-        | 1 -> Dyno_core.Strategy.Optimistic
-        | _ -> Dyno_core.Strategy.Merge_all
-      in
+      let strategy = List.nth Dyno_core.Strategy.all strat in
       let shards = if sh = 0 then 2 else 4 in
-      let faults =
-        {
-          Channel.reliable with
-          loss;
-          dup;
-          reorder;
-          reorder_delay = 0.5;
-          retransmit = 0.05;
-        }
+      let spec =
+        Fixture.faulty ~loss ~dup ~reorder ~net_seed
+          { Fixture.base with seed; dus = n_dus; scs = n_scs }
       in
       let run ~shards =
-        let t = scenario ~faults ~net_seed ~shards ~seed ~n_dus ~n_scs () in
-        let stats =
-          Dyno_workload.Scenario.run t
-            ~config:(Dyno_core.Run_config.of_strategy strategy)
-        in
-        (t, stats)
+        Dyno_workload.Spec.run
+          {
+            spec with
+            world = Dyno_workload.Scenario.Config.with_shards shards spec.world;
+            run = Dyno_core.Run_config.of_strategy strategy;
+          }
       in
       let ts, stats_s = run ~shards:1 in
       let tk, stats_k = run ~shards in
@@ -136,7 +74,9 @@ let prop_sharded_equals_serial =
         | Ok b -> b
         | Error _ -> false
       in
-      let same_applied = applied_per_source ts = applied_per_source tk in
+      let same_applied =
+        Fixture.applied_per_source ts = Fixture.applied_per_source tk
+      in
       let no_undefined =
         stats_s.Dyno_core.Stats.view_undefined
         = stats_k.Dyno_core.Stats.view_undefined
@@ -153,39 +93,30 @@ let prop_sharded_parallel_equals_serial =
     arb_shard_workload
     (fun ((seed, n_dus, n_scs, strat), (loss, dup, (reorder, sh), net_seed))
        ->
-      let strategy =
-        match strat with
-        | 0 -> Dyno_core.Strategy.Pessimistic
-        | 1 -> Dyno_core.Strategy.Optimistic
-        | _ -> Dyno_core.Strategy.Merge_all
-      in
+      let strategy = List.nth Dyno_core.Strategy.all strat in
       let shards = if sh = 0 then 2 else 4 in
-      let faults =
-        {
-          Channel.reliable with
-          loss;
-          dup;
-          reorder;
-          reorder_delay = 0.5;
-          retransmit = 0.05;
-        }
+      let spec =
+        Fixture.faulty ~loss ~dup ~reorder ~net_seed
+          { Fixture.base with seed; dus = n_dus; scs = n_scs }
       in
       let run ~shards ~parallel =
-        let t = scenario ~faults ~net_seed ~shards ~seed ~n_dus ~n_scs () in
-        ignore
-          (Dyno_workload.Scenario.run t
-             ~config:
-               Dyno_core.Run_config.(
-                 of_strategy strategy |> with_parallel parallel)
-            : Dyno_core.Stats.t);
-        t
+        fst
+          (Dyno_workload.Spec.run
+             {
+               spec with
+               world =
+                 Dyno_workload.Scenario.Config.with_shards shards spec.world;
+               run =
+                 Dyno_core.Run_config.(
+                   of_strategy strategy |> with_parallel parallel);
+             })
       in
       let ts = run ~shards:1 ~parallel:1 in
       let tk = run ~shards ~parallel:3 in
       Relation.equal
         (Dyno_view.Mat_view.extent ts.Dyno_workload.Scenario.mv)
         (Dyno_view.Mat_view.extent tk.Dyno_workload.Scenario.mv)
-      && applied_per_source ts = applied_per_source tk
+      && Fixture.applied_per_source ts = Fixture.applied_per_source tk
       && Bool.equal
            (Dyno_core.Consistency.ok (Dyno_workload.Scenario.check_strong ts))
            (Dyno_core.Consistency.ok (Dyno_workload.Scenario.check_strong tk)))
@@ -195,18 +126,14 @@ let prop_sharded_parallel_equals_serial =
    world. *)
 let test_one_shard_identity () =
   let mk () =
-    let timeline =
-      Dyno_workload.Generator.mixed ~rows:10 ~seed:11 ~n_dus:12
-        ~du_interval:0.2 ~sc_start:0.1 ~sc_interval:1.5
-        ~sc_kinds:(Dyno_workload.Generator.drop_then_renames 2)
-        ()
-    in
-    Dyno_workload.Scenario.make
-      Dyno_workload.Scenario.Config.(
-        default |> with_rows 10
-        |> with_cost { Dyno_sim.Cost_model.default with row_scale = 1.0 }
-        |> with_snapshots true |> with_trace true)
-      ~timeline
+    Dyno_workload.Spec.build
+      {
+        Fixture.base with
+        seed = 11;
+        dus = 12;
+        scs = 2;
+        world = Dyno_workload.Scenario.Config.with_trace true Fixture.base.world;
+      }
   in
   let config =
     Dyno_core.Run_config.of_strategy Dyno_core.Strategy.Pessimistic

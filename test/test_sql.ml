@@ -123,6 +123,41 @@ let test_parse_errors () =
   in
   Alcotest.(check bool) "missing VALUES" true bads
 
+(* A script split into statements and each statement parsed. *)
+let script_statements script =
+  List.map
+    (fun stmt -> ok (Sql_parser.parse_statement stmt))
+    (Sql_lexer.statements script)
+
+let inserted_rows = function
+  | [ Sql_parser.Insert { rows; _ } ] -> rows
+  | stmts ->
+      Alcotest.failf "expected one INSERT, got %d statements"
+        (List.length stmts)
+
+let test_script_comment () =
+  (* the first '-' on the line is a sign; the comment starts later *)
+  let rows =
+    inserted_rows
+      (script_statements "INSERT INTO R@S VALUES (-1, 5); -- note\n")
+  in
+  Alcotest.(check bool) "row (-1, 5)" true
+    (rows = [ [ Value.int (-1); Value.int 5 ] ])
+
+let test_script_literal () =
+  (* ';', '--' and an escaped quote inside a literal are text *)
+  let rows =
+    inserted_rows
+      (script_statements
+         "INSERT INTO R@S VALUES (1, 'a;b'), (2, 'it''s -- here');\n-- end")
+  in
+  Alcotest.(check bool) "rows kept whole" true
+    (rows
+    = [
+        [ Value.int 1; Value.string "a;b" ];
+        [ Value.int 2; Value.string "it's -- here" ];
+      ])
+
 let () =
   Alcotest.run "sql"
     [
@@ -136,5 +171,9 @@ let () =
           Alcotest.test_case "INSERT/DELETE" `Quick test_parse_insert_delete;
           Alcotest.test_case "DDL statements" `Quick test_parse_ddl;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "script: comment after a negative literal" `Quick
+            test_script_comment;
+          Alcotest.test_case "script: ';' and '--' inside a literal" `Quick
+            test_script_literal;
         ] );
     ]
