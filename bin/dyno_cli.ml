@@ -679,17 +679,10 @@ let explain_abort =
 
 let explain_view =
   let doc =
-    "Explain the updates whose lineage mentions view $(docv), slowest \
-     first."
+    "Explain the updates integrated into view $(docv), slowest first; \
+     $(docv) must name a view of the run."
   in
   Arg.(value & opt (some string) None & info [ "view" ] ~docv:"VIEW" ~doc)
-
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  m = 0
-  ||
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
 
 let lineage_summary_table records =
   Fmt.pr "%4s  %-10s  %-4s  %-10s  %9s  %s@." "msg" "update" "kind"
@@ -722,7 +715,7 @@ let lineage_summary_table records =
 let explain_cmd =
   let action spec msg abort_n view =
     let obs = Dyno_obs.Obs.create () in
-    let (_ : Scenario.t * Stats.t) = Spec.run (observed obs spec) in
+    let t, (_ : Stats.t) = Spec.run (observed obs spec) in
     let lin = Dyno_obs.Obs.lineage obs in
     let records = Dyno_obs.Lineage.records lin in
     let slowest n rs =
@@ -766,18 +759,14 @@ let explain_cmd =
               (List.length aborts) n;
             exit 1)
     | None, None, Some v ->
-        let mentions (r : Dyno_obs.Lineage.record) =
-          List.exists
-            (fun (e : Dyno_obs.Lineage.event) ->
-              contains_sub (Lazy.force e.Dyno_obs.Lineage.detail) v)
-            (Dyno_obs.Lineage.events r)
+        let hits =
+          match Scenario.updates_to_view t lin v with
+          | Ok hits -> hits
+          | Error views ->
+              Fmt.epr "no view %s in this run (its views: %s)@." v
+                (String.concat ", " views);
+              exit 1
         in
-        let hits = List.filter mentions records in
-        if hits = [] then begin
-          Fmt.epr "no update's lineage mentions view %s (%d update(s) traced)@."
-            v (List.length records);
-          exit 1
-        end;
         Fmt.pr "%d update(s) touched view %s:@.@." (List.length hits) v;
         lineage_summary_table hits;
         Fmt.pr "@.slowest:@.@.";
@@ -796,8 +785,8 @@ let explain_cmd =
        ~doc:
          "Re-run a workload with lineage recording on and print the causal \
           narrative of one update (--msg), of the update behind the N-th \
-          abort (--abort), of the updates touching a view (--view), or a \
-          summary of every update")
+          abort (--abort), of the updates integrated into a view (--view), \
+          or a summary of every update")
     term
 
 (* ---- inspect ------------------------------------------------------- *)

@@ -95,7 +95,7 @@ let pp ppf s =
      maintained: %d DU, %d SC, %d batch (%d msgs), %d irrelevant@,\
      aborts: %d (broken queries %d)@,\
      detection passes: %d, corrections: %d, cycles merged: %d@,\
-     probes: %d (compensated %d), view commits: %d%s@]"
+     probes: %d (compensated %d), view commits: %d%s"
     s.busy s.abort_cost s.idle s.end_time s.du_maintained s.sc_maintained
     s.batches s.batch_updates s.irrelevant s.aborts s.broken_queries
     s.detections s.corrections s.merges s.probes s.compensations
@@ -119,7 +119,9 @@ let pp ppf s =
   (* Likewise: only self-maintaining runs ever print it. *)
   if s.probes_avoided > 0 then
     Fmt.pf ppf "@,self-maintenance: %d probe(s) avoided, ~%d B saved"
-      s.probes_avoided s.bytes_saved
+      s.probes_avoided s.bytes_saved;
+  (* One vertical box around every section, so each starts a line. *)
+  Fmt.pf ppf "@]"
 
 (** Machine-readable JSON rendering (mirrors the bench's [--json]
     output style; no external JSON dependency). *)

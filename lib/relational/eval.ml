@@ -202,6 +202,9 @@ type prepared = {
       (** cross-alias atoms that are not equi-joins, over the product *)
   out_schema : Schema.t;
   out_idxs : int array;  (** product positions of the select list *)
+  identity : bool;
+      (** one FROM entry, no predicate, every column selected in order:
+          the answer is a copy of the input under [out_schema] *)
 }
 
 let output_schema p = p.out_schema
@@ -294,14 +297,21 @@ let prepare (q : Query.t) (schemas : (string * Schema.t) list) : prepared =
     if residual = [] then None
     else Some (Predicate.compile (resolve binder) residual)
   in
+  let inputs = Array.of_list (List.map (fun b -> b.schema) binder.bindings) in
+  let out_idxs = Array.of_list (List.map fst out_attrs) in
+  let identity =
+    steps = [] && scans.(0).filter = None && residual = None
+    && out_idxs = Array.init (Schema.arity inputs.(0)) Fun.id
+  in
   {
     query = q;
-    inputs = Array.of_list (List.map (fun b -> b.schema) binder.bindings);
+    inputs;
     scans;
     steps = Array.of_list steps;
     residual;
     out_schema = Schema.of_list (List.map snd out_attrs);
-    out_idxs = Array.of_list (List.map fst out_attrs);
+    out_idxs;
+    identity;
   }
 
 (* The data-dependent half of the pipeline, over inputs whose schemas are
@@ -475,7 +485,13 @@ let run_prepared planner p rels =
     selections on a base relation into index lookups, and falls back to
     ephemeral hash joins for everything else.  [`Nested_loop] forces the
     quadratic compare-everything plan — the reference the property tests
-    hold the indexed plans to.
+    hold the indexed plans to.  Under either planner a query with one FROM
+    entry, no predicate and every column selected in order (output names
+    may differ) is answered by {!Relation.copy_as} of its input.
+
+    The result is always a relation only the caller holds — never an
+    input, and sharing nothing mutable with one — so callers may mutate
+    it in place.
 
     @raise Error on resolution failure against changed schemas.
     @raise Invalid_argument when [inputs] does not match the FROM list. *)
@@ -498,7 +514,10 @@ let execute ?(planner : plan = `Indexed) (p : prepared)
            (fun (tr : Query.table_ref) r -> (tr.alias, Relation.schema r))
            (Query.from p.query) inputs)
   in
-  run_prepared planner p rels
+  (* An identity query is a copy of its input: the same tuples, the
+     input's indexes kept, nothing re-hashed. *)
+  if p.identity then Relation.copy_as p.out_schema rels.(0)
+  else run_prepared planner p rels
 
 (** [run ?planner ~catalog q] = [execute ?planner (prepare q schemas)]
     over the relations [catalog] binds (asked once per FROM entry): the

@@ -76,7 +76,15 @@ val execute : ?planner:plan -> prepared -> Relation.t list -> Relation.t
     data-dependent choices (which join side to hash, whether an index
     wins).  When an input's schema differs from the one [p] was prepared
     for, the query is re-prepared against the actual schemas first, so
-    the result always equals {!run} over the same inputs.
+    the result always equals {!run} over the same inputs.  An {e identity}
+    query — one FROM entry, no predicate, every column selected in order,
+    output names free — is answered by {!Relation.copy_as} of its input:
+    the same tuples, the input's registered indexes kept, nothing
+    re-hashed.
+
+    The result is owned by the caller: it is never one of [inputs] and
+    shares nothing mutable with them, so the caller may mutate it in
+    place (compensation subtracts from answers this way).
     @raise Error when re-preparing fails — a broken query.
     @raise Invalid_argument when [inputs] has the wrong length. *)
 

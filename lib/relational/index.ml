@@ -23,6 +23,12 @@ type t = {
 
 let create positions = { positions = Array.copy positions; buckets = Tuple.Table.create 64 }
 
+(** [copy ix] — an index with the same entries that evolves on its own:
+    the bucket table is copied, the buckets themselves are shared.  That
+    is safe because a bucket is an immutable list that {!update} replaces
+    and never mutates. *)
+let copy ix = { ix with buckets = Tuple.Table.copy ix.buckets }
+
 let positions ix = ix.positions
 
 (** [same_key ix positions] — does [ix] index exactly these columns? *)
@@ -41,7 +47,9 @@ let update ix tup k =
   if k <> 0 then begin
     let key = key_of ix tup in
     let bucket =
-      Option.value ~default:[] (Tuple.Table.find_opt ix.buckets key)
+      match Tuple.Table.find ix.buckets key with
+      | b -> b
+      | exception Not_found -> []
     in
     let rec adjust = function
       | [] -> [ (tup, k) ]
@@ -59,9 +67,9 @@ let update ix tup k =
 (** [iter_matches ix key f] streams every (tuple, multiplicity) whose key
     projection equals [key] — the probe side of an indexed join. *)
 let iter_matches ix key f =
-  match Tuple.Table.find_opt ix.buckets key with
-  | None -> ()
-  | Some bucket -> List.iter (fun (t, c) -> f t c) bucket
+  match Tuple.Table.find ix.buckets key with
+  | bucket -> List.iter (fun (t, c) -> f t c) bucket
+  | exception Not_found -> ()
 
 (** [lookup ix key] — snapshot of the matching bucket (unspecified order). *)
 let lookup ix key =

@@ -14,6 +14,11 @@ type t
 val create : int array -> t
 (** Empty index keyed on the given column positions. *)
 
+val copy : t -> t
+(** An index with the same entries that evolves independently of the
+    original: the bucket table is copied, the immutable buckets are
+    shared. *)
+
 val positions : t -> int array
 val same_key : t -> int array -> bool
 (** Does the index key exactly these columns, in this order? *)

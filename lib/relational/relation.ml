@@ -19,8 +19,13 @@ type t = {
 
 exception Schema_mismatch of string
 
-let create schema =
-  { schema; data = Tuple.Table.create 64; indexes = ref [] }
+(* [sized schema n] — an empty relation whose table is built for about
+   [n] tuples, so filling it never resizes (a resize re-hashes every
+   tuple).  Most relations are small partials: 16 buckets to start. *)
+let sized schema n =
+  { schema; data = Tuple.Table.create (max 16 n); indexes = ref [] }
+
+let create schema = sized schema 16
 
 let schema r = r.schema
 
@@ -35,9 +40,8 @@ let mass r = Tuple.Table.fold (fun _ c acc -> acc + abs c) r.data 0
 
 let is_empty r = support r = 0
 
-let count r tup = match Tuple.Table.find_opt r.data tup with
-  | Some c -> c
-  | None -> 0
+let count r tup =
+  match Tuple.Table.find r.data tup with c -> c | exception Not_found -> 0
 
 let mem r tup = count r tup <> 0
 
@@ -48,10 +52,15 @@ let mem r tup = count r tup <> 0
     it; external writers go through the checked {!add}. *)
 let add_unchecked r tup k =
   if k <> 0 then begin
-    let c = count r tup + k in
-    if c = 0 then Tuple.Table.remove r.data tup
-    else Tuple.Table.replace r.data tup c;
-    List.iter (fun ix -> Index.update ix tup k) !(r.indexes)
+    (match Tuple.Table.find r.data tup with
+    | c ->
+        let c = c + k in
+        if c = 0 then Tuple.Table.remove r.data tup
+        else Tuple.Table.replace r.data tup c
+    | exception Not_found -> Tuple.Table.add r.data tup k);
+    match !(r.indexes) with
+    | [] -> ()
+    | ixs -> List.iter (fun ix -> Index.update ix tup k) ixs
   end
 
 (** [add r tup k] adjusts the multiplicity of [tup] by [k], dropping the
@@ -92,10 +101,32 @@ let to_list r =
     (fun (t, c) -> if c > 0 then List.init c (fun _ -> t) else [])
     (to_counted r)
 
+(* The copy shares the (immutable) tuples but no mutable state: its
+   table and every registered index are copied, so both sides evolve
+   independently and the copy's indexes stay maintained by its own
+   [add]s — no rescan, no re-hash. *)
 let copy r =
-  (* Indexes are not copied: the copy starts with a fresh registry and
-     rebuilds lazily on demand. *)
-  { schema = r.schema; data = Tuple.Table.copy r.data; indexes = ref [] }
+  {
+    schema = r.schema;
+    data = Tuple.Table.copy r.data;
+    indexes = ref (List.map Index.copy !(r.indexes));
+  }
+
+let copy_as schema r =
+  let n = Schema.arity schema in
+  let rec positional i =
+    i = n
+    || Value.Vtype.equal
+         (Attr.ty (Schema.attr_at schema i))
+         (Attr.ty (Schema.attr_at r.schema i))
+       && positional (i + 1)
+  in
+  if n <> Schema.arity r.schema || not (positional 0) then
+    raise
+      (Schema_mismatch
+         (Fmt.str "copy_as: %a is not positionally %a" Schema.pp schema
+            Schema.pp r.schema));
+  { (copy r) with schema }
 
 (* ------------------------------------------------------------------ *)
 (* Secondary indexes                                                  *)
@@ -169,7 +200,7 @@ let select p r =
 (** [map_tuples schema' f r] applies a tuple transformation, re-aggregating
     multiplicities under the image (projection semantics on multisets). *)
 let map_tuples schema' f r =
-  let out = create schema' in
+  let out = sized schema' (support r) in
   iter (fun t c -> add_unchecked out (f t) c) r;
   out
 
@@ -206,8 +237,12 @@ let negate r =
   iter (fun t c -> add_unchecked out t (-c)) r;
   out
 
-(** [diff a b] is [sum a (negate b)]. *)
-let diff a b = sum a (negate b)
+(** [diff a b] is [sum a (negate b)], subtracted in place from a copy
+    of [a] (which keeps [a]'s indexes). *)
+let diff a b =
+  let out = copy a in
+  sum_in_place ~scale:(-1) out b;
+  out
 
 (** [positive r] / [negative r] split a delta into its insert/delete parts;
     [negative] returns the deletions with positive counts. *)

@@ -11,6 +11,8 @@ type t
 exception Schema_mismatch of string
 
 val create : Schema.t -> t
+(** An empty relation, its table sized for a small partial result. *)
+
 val schema : t -> Schema.t
 
 val support : t -> int
@@ -64,8 +66,17 @@ val to_list : t -> Tuple.t list
     tests/printing only. *)
 
 val copy : t -> t
-(** Deep copy of the storage.  Registered indexes are {e not} copied; the
-    copy starts with an empty index registry. *)
+(** A copy that shares the original's (immutable) tuples and nothing
+    mutable: the table is copied without re-hashing, and every registered
+    index is copied too ({!Index.copy}), so the copy answers the same
+    index probes at once and its own {!add}s keep them maintained.  Later
+    changes to either side never show in the other. *)
+
+val copy_as : Schema.t -> t -> t
+(** {!copy} under another schema with the same arity and the same type at
+    every position (the names may differ): what an identity projection
+    returns.
+    @raise Schema_mismatch when the schemas are not positionally equal. *)
 
 (** {1 Secondary indexes}
 
@@ -121,6 +132,8 @@ val sum_in_place : ?scale:int -> t -> t -> unit
 
 val negate : t -> t
 val diff : t -> t -> t
+(** [diff a b = sum a (negate b)]: a {!copy} of [a] (indexes included)
+    with [b] subtracted in place. *)
 
 val positive : t -> t
 (** The insertions of a delta. *)

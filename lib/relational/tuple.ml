@@ -25,8 +25,14 @@ let compare (a : t) (b : t) =
   in
   go 0
 
+(* Allocation-free, like {!Value.hash}: a tuple is hashed twice per
+   [Relation.add] and once per index probe. *)
 let hash (t : t) =
-  Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 t
+  let h = ref 17 in
+  for i = 0 to Array.length t - 1 do
+    h := (!h * 31) + Value.hash (Array.unsafe_get t i)
+  done;
+  !h
 
 let pp ppf (t : t) =
   Fmt.pf ppf "(%a)" Fmt.(array ~sep:(any ", ") Value.pp) t

@@ -72,13 +72,18 @@ let compare (a : t) (b : t) =
   | VNull, VNull -> 0
   | _ -> Int.compare (rank a) (rank b)
 
+(** [hash v] hashes the payload and mixes the constructor in
+    arithmetically, so it allocates nothing (hashing a [(tag, payload)]
+    pair would box one per value).  Equal values hash equally:
+    [Hashtbl.hash] already maps every NaN to one hash and [-0.0] to that
+    of [0.0], which is where {!Float.equal} equates floats. *)
 let hash (v : t) =
   match v with
-  | VInt x -> Hashtbl.hash (0, x)
-  | VFloat x -> Hashtbl.hash (1, x)
-  | VString x -> Hashtbl.hash (2, x)
-  | VBool x -> Hashtbl.hash (3, x)
-  | VNull -> Hashtbl.hash 4
+  | VInt x -> Hashtbl.hash x * 5
+  | VFloat x -> (Hashtbl.hash x * 5) + 1
+  | VString x -> (Hashtbl.hash x * 5) + 2
+  | VBool x -> (Hashtbl.hash x * 5) + 3
+  | VNull -> 4
 
 let pp ppf = function
   | VInt i -> Fmt.int ppf i

@@ -39,6 +39,8 @@ val compare : t -> t -> int
     rank so sorting heterogeneous columns is deterministic. *)
 
 val hash : t -> int
+(** Allocation-free; equal values (in the sense of {!equal}) hash
+    equally. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

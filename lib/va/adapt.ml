@@ -103,20 +103,20 @@ let fetch_compensated (w : Query_engine.t)
          BEFORE charging further work, which would deliver newer commits
          into the queue's live sums that the answer cannot contain.  Each
          schema group costs one evaluation (SPJ linearity over signed
-         multisets). *)
+         multisets), subtracted in place: the answer is ours. *)
+      let rows = ans.Dyno_source.Data_source.rows in
       let compensated =
         try
-          Ok
-            (List.fold_left
-               (fun acc (g : Umq.pending_sum) ->
-                 Relation.diff acc
-                   (Eval.run
-                      ~planner:(Query_engine.planner w)
-                      ~catalog:(Eval.catalog [ (tr.Query.alias, g.sum) ])
-                      fq))
-               ans.Dyno_source.Data_source.rows
-               (Query_engine.pending_sums w ~source:tr.Query.source
-                  ~rel:tr.Query.rel ~exclude))
+          List.iter
+            (fun (g : Umq.pending_sum) ->
+              Relation.sum_in_place ~scale:(-1) rows
+                (Eval.run
+                   ~planner:(Query_engine.planner w)
+                   ~catalog:(Eval.catalog [ (tr.Query.alias, g.sum) ])
+                   fq))
+            (Query_engine.pending_sums w ~source:tr.Query.source
+               ~rel:tr.Query.rel ~exclude);
+          Ok rows
         with Eval.Error reason ->
           Error
             (Query_engine.Broken

@@ -94,76 +94,75 @@ let delta_view ?(compensate = true) (w : Query_engine.t)
              those later updates are not in the answer, so they must not
              be compensated away.  (Serially the frontier leaves nothing
              out: every pending update arrived — hence committed — before
-             the answer.)  The sums are live; nothing below parks. *)
+             the answer.)  The sums are live; nothing below parks.  The
+             answer is this sweep's own ({!Eval.execute}'s contract), so
+             each contribution is subtracted from it in place. *)
           let pending =
             if not compensate then []
             else
               Query_engine.pending_sums w ~after:(answered_at +. 1e-12)
                 ~source:tr.Query.source ~rel:tr.Query.rel ~exclude
           in
-          let compensated =
-            List.fold_left
-              (fun acc { Umq.sum; count; _ } ->
-                match
-                  Eval.execute ~planner:(Query_engine.planner w) plan
-                    [ sum; !partial ]
-                with
-                | contribution ->
-                    if Relation.is_empty contribution then acc
-                    else begin
-                      stats :=
-                        {
-                          !stats with
-                          compensations = !stats.compensations + 1;
-                          comp_tuples =
-                            !stats.comp_tuples + Relation.mass contribution;
-                        };
-                      Dyno_sim.Trace.record trace
-                        ~time:(Query_engine.now w) Dyno_sim.Trace.Compensate
-                        (lazy
-                          (Fmt.str
-                             "removed %d tuple(s) of %d pending update(s) \
-                              from probe %s"
-                             (Relation.mass contribution)
-                             count (Query.name probe)));
-                      (* Compensation is local view-manager work, not
-                         charged on the clock: a zero-duration span marks
-                         where it happened inside the enclosing probe. *)
-                      let sp = Dyno_obs.Obs.spans (Query_engine.obs w) in
-                      let sid =
-                        Dyno_obs.Span.begin_span sp
-                          ~time:(Query_engine.now w)
-                          Dyno_obs.Span.Compensate
-                          (Lazy.from_val (Query.name probe))
-                      in
-                      Dyno_obs.Span.set_attr sp sid "tuples"
-                        (string_of_int (Relation.mass contribution));
-                      Dyno_obs.Span.end_span sp ~time:(Query_engine.now w)
-                        sid;
-                      Dyno_obs.Metrics.incr
-                        (Dyno_obs.Obs.metrics (Query_engine.obs w))
-                        ~by:(Relation.mass contribution)
-                        "sweep.comp_tuples";
-                      Relation.diff acc contribution
-                    end
-                | exception Eval.Error reason ->
-                    (* The pending updates are expressed against a schema
-                       the probe cannot see — a schema conflict is in
-                       flight; treat the probe as broken (conservative,
-                       sound). *)
-                    raise
-                      (Failed
-                         (Query_engine.Broken
-                            {
-                              Dyno_source.Data_source.source =
-                                tr.Query.source;
-                              query_name = Query.name probe;
-                              reason =
-                                Fmt.str "compensation impossible: %s" reason;
-                            })))
-              answer pending
-          in
-          partial := compensated)
+          List.iter
+            (fun { Umq.sum; count; _ } ->
+              match
+                Eval.execute ~planner:(Query_engine.planner w) plan
+                  [ sum; !partial ]
+              with
+              | contribution ->
+                  if not (Relation.is_empty contribution) then begin
+                    stats :=
+                      {
+                        !stats with
+                        compensations = !stats.compensations + 1;
+                        comp_tuples =
+                          !stats.comp_tuples + Relation.mass contribution;
+                      };
+                    Dyno_sim.Trace.record trace
+                      ~time:(Query_engine.now w) Dyno_sim.Trace.Compensate
+                      (lazy
+                        (Fmt.str
+                           "removed %d tuple(s) of %d pending update(s) \
+                            from probe %s"
+                           (Relation.mass contribution)
+                           count (Query.name probe)));
+                    (* Compensation is local view-manager work, not
+                       charged on the clock: a zero-duration span marks
+                       where it happened inside the enclosing probe. *)
+                    let sp = Dyno_obs.Obs.spans (Query_engine.obs w) in
+                    let sid =
+                      Dyno_obs.Span.begin_span sp
+                        ~time:(Query_engine.now w)
+                        Dyno_obs.Span.Compensate
+                        (Lazy.from_val (Query.name probe))
+                    in
+                    Dyno_obs.Span.set_attr sp sid "tuples"
+                      (string_of_int (Relation.mass contribution));
+                    Dyno_obs.Span.end_span sp ~time:(Query_engine.now w)
+                      sid;
+                    Dyno_obs.Metrics.incr
+                      (Dyno_obs.Obs.metrics (Query_engine.obs w))
+                      ~by:(Relation.mass contribution)
+                      "sweep.comp_tuples";
+                    Relation.sum_in_place ~scale:(-1) answer contribution
+                  end
+              | exception Eval.Error reason ->
+                  (* The pending updates are expressed against a schema
+                     the probe cannot see — a schema conflict is in
+                     flight; treat the probe as broken (conservative,
+                     sound). *)
+                  raise
+                    (Failed
+                       (Query_engine.Broken
+                          {
+                            Dyno_source.Data_source.source =
+                              tr.Query.source;
+                            query_name = Query.name probe;
+                            reason =
+                              Fmt.str "compensation impossible: %s" reason;
+                          })))
+            pending;
+          partial := answer)
         sw.Maint_query.probes;
       Ok (Maint_query.finish sw !partial, !stats)
     end
@@ -244,21 +243,27 @@ let delta_view_local (w : Query_engine.t) (sw : Maint_query.sweep)
                     bytes_saved = st.bytes_saved + est partial + est answer;
                   }
                 in
-                List.fold_left
-                  (fun (acc, st) { Umq.sum; _ } ->
-                    let contribution =
-                      Eval.execute ~planner p.Maint_query.plan [ sum; partial ]
-                    in
-                    if Relation.is_empty contribution then (acc, st)
-                    else
-                      ( Relation.diff acc contribution,
+                (* The answer is ours: compensate it in place. *)
+                let st =
+                  List.fold_left
+                    (fun st { Umq.sum; _ } ->
+                      let contribution =
+                        Eval.execute ~planner p.Maint_query.plan
+                          [ sum; partial ]
+                      in
+                      if Relation.is_empty contribution then st
+                      else begin
+                        Relation.sum_in_place ~scale:(-1) answer contribution;
                         {
                           st with
                           compensations = st.compensations + 1;
                           comp_tuples =
                             st.comp_tuples + Relation.mass contribution;
-                        } ))
-                  (answer, st) pending)
+                        }
+                      end)
+                    st pending
+                in
+                (answer, st))
               (partial0, no_stats) auxes
           in
           (Maint_query.finish sw partial, st)

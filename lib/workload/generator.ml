@@ -212,9 +212,9 @@ let mixed ~rows ~seed ?(du_start = 0.0) ?(du_interval = 0.0) ~n_dus
   build ~rows ~seed (dus @ scs)
 
 (** The Figure 10/11/12 schema-change train: one drop-attribute followed by
-    [n - 1] rename-relation operations. *)
+    [n - 1] rename-relation operations; no schema change for [n <= 0]. *)
 let drop_then_renames n : sc_kind list =
-  Drop_attr :: List.init (max 0 (n - 1)) (fun _ -> Rename_rel)
+  if n <= 0 then [] else Drop_attr :: List.init (n - 1) (fun _ -> Rename_rel)
 
 (** Zipf weights: [w_i ∝ (i + 1)^(-alpha)], normalized to sum 1.  The
     canonical heavy-tailed popularity law — [alpha = 0] is uniform,

@@ -37,7 +37,7 @@ val mixed :
 
 val drop_then_renames : int -> sc_kind list
 (** The Figure 10/11/12 train: one drop-attribute followed by [n-1]
-    rename-relation operations. *)
+    rename-relation operations; empty for [n <= 0]. *)
 
 val zipf : alpha:float -> n:int -> float array
 (** Normalized Zipf weights [w_i ∝ (i+1)^(-alpha)]; [alpha = 0] is

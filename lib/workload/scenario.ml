@@ -118,6 +118,22 @@ let add_view (t : t) query =
 let run (t : t) ~(config : Run_config.t) : Dyno_core.Stats.t =
   Dyno_core.Scheduler.dispatch ~config ~plan:t.plan t.engine [ t.mv ] t.mk
 
+(** [updates_to_view t lineage name] — the updates {!run} integrated into
+    the view called [name]: the lineage records whose terminal is
+    [Applied], which means integrated into every view the run maintains
+    (here [t.mv] alone).  [Error views] when the run has no view called
+    [name]: a name is matched against the run's views, never searched
+    for in lineage text. *)
+let updates_to_view (t : t) lineage name =
+  let views = [ Query.name (View_def.peek (Mat_view.def t.mv)) ] in
+  if List.mem name views then
+    Ok
+      (List.filter
+         (fun (r : Dyno_obs.Lineage.record) ->
+           r.Dyno_obs.Lineage.term = Some Dyno_obs.Lineage.Applied)
+         (Dyno_obs.Lineage.records lineage))
+  else Error views
+
 (** [msg_index t] — message id → (source, source version) across every
     shard's queue.  Ids are globally unique (shared counter), so
     concatenating the per-shard histories is a well-formed index. *)

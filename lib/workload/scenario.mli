@@ -94,6 +94,16 @@ val run : t -> config:Run_config.t -> Dyno_core.Stats.t
     over the world's plan and its one view — on a 1-shard plan,
     {!Dyno_core.Scheduler.run} bit for bit. *)
 
+val updates_to_view :
+  t ->
+  Dyno_obs.Lineage.t ->
+  string ->
+  (Dyno_obs.Lineage.record list, string list) result
+(** The lineage records of the updates {!run} integrated into the view
+    with this name: those whose terminal is [Applied] (integrated into
+    every view the run maintains, which is [t.mv]).  [Error views] lists
+    the run's view names when none matches. *)
+
 val msg_index : t -> (int * (string * int)) list
 (** Message id → (source, source version) across every shard's queue. *)
 

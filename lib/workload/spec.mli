@@ -10,7 +10,7 @@ type t = {
   du_interval : float;  (** ... this many seconds apart *)
   scs : int;
       (** the schema-change train {!Generator.drop_then_renames} [scs]:
-          a drop-attribute, then renames *)
+          a drop-attribute, then renames; none when [scs = 0] *)
   sc_start : float;  (** first schema change, s *)
   sc_interval : float;  (** seconds between schema changes *)
   world : Scenario.Config.t;

@@ -189,6 +189,142 @@ let prop_index_maintenance =
          zombie entries survive cancellation to zero. *)
       buckets_ok && Index.support ix = Relation.support r)
 
+(* -- copies carry their indexes ----------------------------------------- *)
+
+(* Keys a relation over [schema_a] may have registered: none, one or two
+   of these. *)
+let key_choices = [| [| 0 |]; [| 1 |]; [| 1; 0 |] |]
+
+(* Every (k, v) a generated tuple can take, so every possible key. *)
+let all_tuples =
+  List.concat_map
+    (fun k -> List.map (fun v -> Tuple.of_list [ Value.int k; Value.int v ]) [ 0; 1; 2; 3 ])
+    [ 0; 1; 2; 3; 4; 5 ]
+
+(* An index as plain data: each possible key with its sorted bucket. *)
+let index_contents ix =
+  List.map
+    (fun t ->
+      let key = Index.key_of ix t in
+      (key, List.sort compare (Index.lookup ix key)))
+    all_tuples
+
+let indexes_of r keys =
+  List.map
+    (fun pos ->
+      match Relation.find_index_pos r pos with
+      | Some ix -> index_contents ix
+      | None -> [])
+    keys
+
+(* The indexes a fresh relation holding [r]'s data would build. *)
+let rebuilt r keys =
+  let fresh = Relation.create (Relation.schema r) in
+  Relation.iter (fun t c -> Relation.add fresh t c) r;
+  List.map (fun pos -> index_contents (Relation.ensure_index_pos fresh pos)) keys
+
+let gen_counted =
+  QCheck.Gen.(
+    list_size (int_range 0 15)
+      (triple (int_range 0 5) (int_range 0 3) (int_range (-3) 3)))
+
+let of_triples r =
+  List.iter
+    (fun (k, v, c) -> Relation.add r (Tuple.of_list [ Value.int k; Value.int v ]) c)
+
+let prop_copy_carries_indexes =
+  QCheck.Test.make
+    ~name:"a copy's indexes = indexes rebuilt from its data; copies evolve apart"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (base, n, to_copy, to_orig) ->
+         Fmt.str "base %d ops, %d index(es), %d ops on the copy, %d on the original"
+           (List.length base) n (List.length to_copy) (List.length to_orig))
+       QCheck.Gen.(quad gen_counted (int_range 0 2) gen_counted gen_counted))
+    (fun (base, n, to_copy, to_orig) ->
+      let keys = Array.to_list (Array.sub key_choices 0 n) in
+      let orig = Relation.create schema_a in
+      List.iter (fun pos -> ignore (Relation.ensure_index_pos orig pos : Index.t)) keys;
+      of_triples orig base;
+      let snapshot r = (Relation.to_counted r, indexes_of r keys) in
+      let orig_before = snapshot orig in
+      let copy = Relation.copy orig in
+      let carried = Relation.index_count copy = List.length keys in
+      let fresh_ok () = indexes_of copy keys = rebuilt copy keys in
+      let at_copy = fresh_ok () in
+      of_triples copy to_copy;
+      let after_adds = fresh_ok () in
+      let orig_untouched = snapshot orig = orig_before in
+      let copy_before = snapshot copy in
+      of_triples orig to_orig;
+      let copy_untouched = snapshot copy = copy_before in
+      let orig_fresh = indexes_of orig keys = rebuilt orig keys in
+      carried && at_copy && after_adds && orig_untouched && copy_untouched
+      && orig_fresh)
+
+(* -- identity projections are copies ---------------------------------- *)
+
+(* Every column in order under new names: the identity path.  Its
+   permutation, and [select_q] (every column, but filtered), take the
+   general one. *)
+let identity_q =
+  Query.make ~name:"I"
+    ~select:[ Query.item ~as_:"k1" "A.k"; Query.item ~as_:"v1" "A.v" ]
+    ~from:[ Query.table ~alias:"A" "x" "A" ]
+    ~where:[]
+
+let swapped_q =
+  Query.make ~name:"P"
+    ~select:[ Query.item ~as_:"v1" "A.v"; Query.item ~as_:"k1" "A.k" ]
+    ~from:[ Query.table ~alias:"A" "x" "A" ]
+    ~where:[]
+
+let prop_identity_projection =
+  QCheck.Test.make
+    ~name:"identity projection = general projection (both planners), a copy"
+    ~count:300
+    (QCheck.pair (arb_rel schema_a) (QCheck.int_range 0 2))
+    (fun (a, n) ->
+      let keys = Array.to_list (Array.sub key_choices 0 n) in
+      List.iter (fun pos -> ignore (Relation.ensure_index_pos a pos : Index.t)) keys;
+      let out_schema = Schema.of_list [ Attr.int "k1"; Attr.int "v1" ] in
+      (* the general projection, operator by operator *)
+      let general = Relation.map_tuples out_schema Fun.id a in
+      let swapped =
+        Relation.map_tuples
+          (Schema.of_list [ Attr.int "v1"; Attr.int "k1" ])
+          (fun t -> Tuple.project_idx t [| 1; 0 |])
+          a
+      in
+      let filtered =
+        Relation.select
+          (fun t ->
+            Value.equal (Tuple.get t 0) (Value.int 2)
+            && not (Value.equal (Tuple.get t 1) (Value.int 1)))
+          a
+      in
+      let snapshot () = (Relation.to_counted a, indexes_of a keys) in
+      let a_before = snapshot () in
+      List.for_all
+        (fun planner ->
+          let run q = Eval.run ~planner ~catalog:(Eval.catalog [ ("A", a) ]) q in
+          let id = run identity_q in
+          let same = Relation.equal id general in
+          let keeps_indexes =
+            indexes_of id keys = indexes_of a keys
+            && Relation.index_count id = Relation.index_count a
+          in
+          (* the caller owns the answer: changing it leaves the input *)
+          let owned =
+            id != a
+            && (Relation.add id (Tuple.of_list [ Value.int 9; Value.int 9 ]) 1;
+                snapshot () = a_before)
+          in
+          same && keeps_indexes && owned
+          && Relation.equal (run swapped_q) swapped
+          && Relation.equal (run select_q) filtered)
+        [ `Indexed; `Nested_loop ])
+
 (* -- edge cases (plain alcotest) -------------------------------------- *)
 
 let empty_a () = Relation.create schema_a
@@ -273,8 +409,15 @@ let () =
     [
       ( "plan equivalence",
         List.map to_alcotest
-          [ prop_join2; prop_join3; prop_select; prop_prepared ] );
-      ("index maintenance", List.map to_alcotest [ prop_index_maintenance ]);
+          [
+            prop_join2;
+            prop_join3;
+            prop_select;
+            prop_prepared;
+            prop_identity_projection;
+          ] );
+      ( "index maintenance",
+        List.map to_alcotest [ prop_index_maintenance; prop_copy_carries_indexes ] );
       ( "edge cases",
         [
           Alcotest.test_case "empty inputs" `Quick test_empty_inputs;

@@ -677,6 +677,42 @@ let test_lineage_abort_forensics () =
   Alcotest.(check bool) "narrative mentions the abort" true
     (contains_sub text "aborting SC #")
 
+(* [dyno explain --view NAME] selects through
+   [Scenario.updates_to_view]: NAME must be one of the run's views.
+   "DU" and "admitted" occur in the run's lineage text, yet only "V"
+   names a view; its updates are the records applied to it. *)
+let test_updates_to_view () =
+  let obs = Obs.create () in
+  let t, _ = Dyno_workload.Spec.run (spec ~obs ~seed:1 ~dus:10 ~scs:1 ()) in
+  let lin = Obs.lineage obs in
+  let records = Lineage.records lin in
+  let in_text word =
+    List.exists
+      (fun r ->
+        List.exists
+          (fun (e : Lineage.event) -> contains (Lazy.force e.Lineage.detail) word)
+          (Lineage.events r))
+      records
+  in
+  List.iter
+    (fun word ->
+      Alcotest.(check bool) (word ^ " occurs in lineage text") true (in_text word);
+      match Dyno_workload.Scenario.updates_to_view t lin word with
+      | Ok _ -> Alcotest.failf "%s is not a view of the run" word
+      | Error views ->
+          Alcotest.(check (list string)) "the run's views" [ "V" ] views)
+    [ "DU"; "admitted" ];
+  match Dyno_workload.Scenario.updates_to_view t lin "V" with
+  | Error _ -> Alcotest.fail "V is the run's view"
+  | Ok hits ->
+      let applied =
+        List.filter (fun r -> r.Lineage.term = Some Lineage.Applied) records
+      in
+      Alcotest.(check bool) "some update applied" true (applied <> []);
+      Alcotest.(check (list int)) "exactly the applied records"
+        (List.map (fun r -> r.Lineage.msg_id) applied)
+        (List.map (fun r -> r.Lineage.msg_id) hits)
+
 (* Under faults, across shard counts: every delivered update reaches
    exactly one terminal state, every segment is non-negative, and the
    segments tile the commit-to-terminal interval exactly. *)
@@ -1140,6 +1176,8 @@ let () =
           Alcotest.test_case "abort forensics name the SC" `Quick
             test_lineage_abort_forensics;
           QCheck_alcotest.to_alcotest prop_lineage;
+          Alcotest.test_case "explain --view names a view of the run" `Quick
+            test_updates_to_view;
         ] );
       ( "staleness",
         [ QCheck_alcotest.to_alcotest prop_staleness ] );

@@ -132,6 +132,29 @@ let test_scale () =
   Alcotest.(check int) "x0 empties" 0 (Relation.support (Relation.scale 0 a));
   Alcotest.(check int) "x-1 negates" (-1) (Relation.cardinality (Relation.scale (-1) a))
 
+(* [copy_as] re-names positionally: same tuples under the new names, and
+   a schema whose arity or types differ is refused. *)
+let test_copy_as () =
+  let r = rel [ t 1 "a"; t 2 "b" ] in
+  let renamed = Schema.of_list [ Attr.int "k1"; Attr.string "s1" ] in
+  let c = Relation.copy_as renamed r in
+  Alcotest.(check (list string)) "new names" [ "k1"; "s1" ]
+    (Schema.names (Relation.schema c));
+  Alcotest.(check bool) "same contents" true (Relation.equal_contents r c);
+  List.iter
+    (fun sch ->
+      Alcotest.(check bool)
+        (Fmt.str "%a refused" Schema.pp sch)
+        true
+        (match Relation.copy_as sch r with
+        | _ -> false
+        | exception Relation.Schema_mismatch _ -> true))
+    [
+      Schema.of_list [ Attr.string "k"; Attr.string "s" ];
+      Schema.of_list [ Attr.int "k" ];
+      Schema.of_list [ Attr.int "k"; Attr.string "s"; Attr.int "x" ];
+    ]
+
 let () =
   Alcotest.run "relation"
     [
@@ -153,5 +176,6 @@ let () =
           Alcotest.test_case "equality/subset" `Quick test_equal_and_subset;
           Alcotest.test_case "rename attribute" `Quick test_rename_attr;
           Alcotest.test_case "scale" `Quick test_scale;
+          Alcotest.test_case "copy_as renames positionally" `Quick test_copy_as;
         ] );
     ]

@@ -80,6 +80,32 @@ let test_on_live_run () =
       Alcotest.(check bool) "durations non-negative" true (e.Report.duration >= 0.0))
     r.Report.episodes
 
+(* Every optional section of [Stats.pp] starts a line of its own, also
+   when the line before it is short (a run whose transport never
+   misbehaved): the sections share one vertical box. *)
+let test_stats_sections () =
+  let s = Stats.create () in
+  s.Stats.view_commits <- 384;
+  s.Stats.compensations <- 6;
+  s.Stats.cross_shard_barriers <- 1;
+  s.Stats.probes_avoided <- 7;
+  s.Stats.bytes_saved <- 640;
+  let check ~transport n =
+    let lines = String.split_on_char '\n' (Fmt.str "%a" Stats.pp s) in
+    let has line = List.mem line lines in
+    Alcotest.(check bool) "probes line ends the first section" true
+      (has "probes: 0 (compensated 6), view commits: 384");
+    Alcotest.(check bool) "transport line" transport
+      (List.exists (String.starts_with ~prefix:"transport:") lines);
+    Alcotest.(check bool) "barrier line" true (has "cross-shard barriers: 1");
+    Alcotest.(check bool) "self-maintenance line" true
+      (has "self-maintenance: 7 probe(s) avoided, ~640 B saved");
+    Alcotest.(check int) "line count" n (List.length lines)
+  in
+  check ~transport:false 7;
+  s.Stats.retries <- 1;
+  check ~transport:true 9
+
 let () =
   Alcotest.run "report"
     [
@@ -90,5 +116,7 @@ let () =
           Alcotest.test_case "event counts" `Quick test_event_counts;
           Alcotest.test_case "broken-query attribution" `Quick test_broken_by_source;
           Alcotest.test_case "live run digestion" `Quick test_on_live_run;
+          Alcotest.test_case "stats: every section on its own line" `Quick
+            test_stats_sections;
         ] );
     ]

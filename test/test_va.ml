@@ -306,6 +306,125 @@ let test_fetch_compensation_frontier () =
   Alcotest.(check int) "the late insert was delivered during the charge" 2
     (List.length (Umq.pending_dus umq ~source:"ds1" ~rel:"A"))
 
+(* -- fetches share the source's tuples and keys ------------------------ *)
+
+let tuples_of r = Relation.fold (fun t c acc -> (t, c) :: acc) r [] |> List.sort compare
+
+(* A fetch of A (every column, in order, no filter) with A's key index
+   built at the source, as SWEEP probes build it. *)
+let indexed_fetch () =
+  let w, mv, ds1, _ = make_world () in
+  let src = Dyno_source.Data_source.relation ds1 "A" in
+  ignore (Relation.ensure_index_pos src [| 0 |] : Index.t);
+  let vd = Mat_view.def mv in
+  let tr = List.hd (Query.from (View_def.peek vd)) in
+  match
+    Dyno_va.Adapt.fetch_compensated w ~query:(View_def.peek vd)
+      ~schemas:(View_def.schemas vd) tr ~exclude:[]
+  with
+  | Ok r -> (ds1, src, r)
+  | Error f -> Alcotest.failf "broken: %a" Query_engine.pp_failure f
+
+(* The identity fetch is a copy of the source's extent: the very tuples
+   (physically), and the source's key index, ready to probe. *)
+let test_identity_fetch_shares () =
+  let _, src, r = indexed_fetch () in
+  Alcotest.(check bool) "same contents" true (Relation.equal src r);
+  Relation.iter
+    (fun t _ ->
+      Alcotest.(check bool) "tuple physically the source's" true
+        (Relation.fold (fun t' _ found -> found || t' == t) src false))
+    r;
+  match Relation.find_index_pos r [| 0 |] with
+  | None -> Alcotest.fail "the fetch lost the source's key index"
+  | Some ix ->
+      Alcotest.(check int) "index covers the fetch" (Relation.support r)
+        (Index.support ix)
+
+(* Sharing tuples must not share state: a commit landing after the fetch
+   changes the source and its index, never the fetched copy or its. *)
+let test_fetch_isolated_from_commits () =
+  let ds1, src, r = indexed_fetch () in
+  let before = tuples_of r in
+  let key1 = Tuple.of_list [ Value.int 1 ] in
+  let bucket r =
+    match Relation.find_index_pos r [| 0 |] with
+    | Some ix -> List.sort compare (Index.lookup ix key1)
+    | None -> Alcotest.fail "no key index"
+  in
+  let bucket_before = bucket r in
+  ignore
+    (Dyno_source.Data_source.commit_du ds1 ~time:1.0
+       (Update.make ~source:"ds1" ~rel:"A"
+          (Relation.of_counted a_schema
+             [
+               ([ Value.int 1; Value.string "a" ], -1);
+               ([ Value.int 1; Value.string "b" ], 1);
+               ([ Value.int 5; Value.string "e" ], 1);
+             ])));
+  Alcotest.(check int) "the source moved" 2 (Relation.support src);
+  Alcotest.(check bool) "fetched data unchanged" true (before = tuples_of r);
+  Alcotest.(check bool) "fetched index unchanged" true (bucket_before = bucket r);
+  (* and the other way round: the fetch is the caller's to change *)
+  Relation.add r (Tuple.of_list [ Value.int 1; Value.string "zz" ]) 3;
+  Alcotest.(check int) "the source ignores the fetch's changes" 0
+    (Relation.count src (Tuple.of_list [ Value.int 1; Value.string "zz" ]));
+  Alcotest.(check int) "the source's bucket" 1 (List.length (bucket src))
+
+(* -- allocation budget of one merged-batch adaptation -------------------
+
+   Churn-shaped: the paper's world at 500 rows, 120 DUs queued around a
+   relation rename, and the rename maintained with the 60 DUs committed
+   before it as one batch.  The rename keeps the view's shape, so the
+   batch adapts by Equation 6 over six compensated fetches (the 60 later
+   DUs are pending).  Words are minor + major - promoted; no clock is
+   read, so the count is deterministic. *)
+let batch_words () =
+  let rows = 500 and seed = 24 in
+  let requests =
+    List.init 60 (fun _ -> Dyno_workload.Generator.At_du 0.0)
+    @ [ Dyno_workload.Generator.At_sc (0.0, Dyno_workload.Generator.Rename_rel) ]
+    @ List.init 60 (fun _ -> Dyno_workload.Generator.At_du 0.0)
+  in
+  let t =
+    Dyno_workload.Spec.build
+      { Dyno_workload.Spec.default with seed; world = Dyno_workload.Spec.paper_world ~rows }
+      ~timeline:(Dyno_workload.Generator.build ~rows ~seed requests)
+  in
+  let w = t.Dyno_workload.Scenario.engine in
+  Query_engine.deliver_due w;
+  let rec through_sc = function
+    | [] -> []
+    | m :: rest -> (
+        match Update_msg.payload m with
+        | Update_msg.Sc _ -> [ m ]
+        | Update_msg.Du _ -> m :: through_sc rest)
+  in
+  let batch = through_sc (Umq.messages t.Dyno_workload.Scenario.umq) in
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  let outcome =
+    Dyno_va.Batch.maintain w t.Dyno_workload.Scenario.mv
+      t.Dyno_workload.Scenario.mk batch
+  in
+  let used = words () -. w0 in
+  (match outcome with
+  | Dyno_va.Batch.Adapted -> ()
+  | _ -> Alcotest.fail "the batch did not adapt");
+  used
+
+(* Re-hashing every fetched tuple, copying each fetch per pending group
+   and indexing every old state cost this batch about 658k words; fetches
+   that copy the source's table and indexes, compensated in place, about
+   388k (OCaml 5.1, 64-bit). *)
+let test_batch_allocation_budget () =
+  let used = batch_words () in
+  if used > 500_000.0 then
+    Alcotest.failf "the batch allocates %.0f words (budget 500k)" used
+
 let test_replace_extent_after_sync () =
   let w, mv, ds1, _umq = make_world () in
   (* source drops A.x; the view drops it too (simulate a dispensable
@@ -356,5 +475,14 @@ let () =
           Alcotest.test_case "compensation frontier under a charge" `Quick
             test_fetch_compensation_frontier;
           Alcotest.test_case "replace extent after sync" `Quick test_replace_extent_after_sync;
+          Alcotest.test_case "an identity fetch shares tuples and key index" `Quick
+            test_identity_fetch_shares;
+          Alcotest.test_case "a later commit leaves a fetch and its index alone" `Quick
+            test_fetch_isolated_from_commits;
+        ] );
+      ( "budget",
+        [
+          Alcotest.test_case "merged-batch Equation 6 adaptation <= 500k words"
+            `Quick test_batch_allocation_budget;
         ] );
     ]

@@ -52,12 +52,48 @@ let test_compare_total_order () =
   Alcotest.(check int) "sort stable length" (List.length values) (List.length sorted)
 
 let test_hash_consistent_with_equal () =
-  let pairs = [ (Value.int 3, Value.int 3); (Value.string "x", Value.string "x") ] in
+  let pairs =
+    [
+      (Value.int 3, Value.int 3);
+      (Value.string "x", Value.string "x");
+      (Value.float 0.0, Value.float (-0.0));
+      (Value.float Float.nan, Value.float (-.Float.nan));
+      (Value.bool true, Value.bool true);
+      (Value.null, Value.null);
+    ]
+  in
   List.iter
     (fun (a, b) ->
-      if Value.equal a b then
-        Alcotest.(check int) "equal implies same hash" (Value.hash a) (Value.hash b))
-    pairs
+      Alcotest.(check bool)
+        (Fmt.str "%a = %a" Value.pp a Value.pp b)
+        true (Value.equal a b);
+      Alcotest.(check int) "equal implies same hash" (Value.hash a) (Value.hash b))
+    pairs;
+  let t () = Tuple.of_list [ Value.int 1; Value.float (-0.0); Value.string "a"; Value.null ] in
+  Alcotest.(check int) "equal tuples hash equally" (Tuple.hash (t ()))
+    (Tuple.hash (Tuple.of_list [ Value.int 1; Value.float 0.0; Value.string "a"; Value.null ]))
+
+(* Hashing runs twice per [Relation.add] and once per index probe, so it
+   must not allocate: 10k calls per constructor, and on a 4-column tuple,
+   measured in minor-heap words. *)
+let test_hash_allocates_nothing () =
+  let words_of_10k f =
+    let before = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    Gc.minor_words () -. before
+  in
+  List.iter
+    (fun v ->
+      let words = words_of_10k (fun () -> Value.hash v) in
+      if words > 0.0 then
+        Alcotest.failf "Value.hash %a: %.0f words over 10k calls" Value.pp v words)
+    [ Value.int 7; Value.float 2.5; Value.string "abc"; Value.bool true; Value.null ];
+  let tup = Tuple.of_list [ Value.int 1; Value.float 2.5; Value.string "x"; Value.null ] in
+  let words = words_of_10k (fun () -> Tuple.hash tup) in
+  if words > 0.0 then
+    Alcotest.failf "Tuple.hash of a 4-tuple: %.0f words over 10k calls" words
 
 let test_coerce () =
   Alcotest.(check bool) "int->float" true
@@ -88,5 +124,6 @@ let () =
           Alcotest.test_case "hash/equal consistency" `Quick test_hash_consistent_with_equal;
           Alcotest.test_case "coercion" `Quick test_coerce;
           Alcotest.test_case "printing" `Quick test_pp;
+          Alcotest.test_case "hashing allocates nothing" `Quick test_hash_allocates_nothing;
         ] );
     ]

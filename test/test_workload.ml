@@ -108,6 +108,25 @@ let test_generator_determinism () =
   in
   Alcotest.(check (list string)) "same seed, same timeline" (dump (mk ())) (dump (mk ()))
 
+(* A spec that asks for no schema change gets none: its timeline is the
+   DUs alone. *)
+let test_spec_without_scs () =
+  let events =
+    Dyno_sim.Timeline.peek_all
+      (Spec.timeline { Spec.default with dus = 5; scs = 0 })
+  in
+  Alcotest.(check int) "5 events" 5 (List.length events);
+  List.iter
+    (fun (e : Dyno_sim.Timeline.entry) ->
+      match e.event with
+      | Dyno_sim.Timeline.Du _ -> ()
+      | Dyno_sim.Timeline.Sc _ ->
+          Alcotest.failf "scs = 0 scheduled %a" Dyno_sim.Timeline.pp_event
+            e.event)
+    events;
+  Alcotest.(check int) "no SC kinds" 0
+    (List.length (Generator.drop_then_renames 0))
+
 let test_scenario_smoke () =
   let timeline =
     Generator.mixed ~rows:10 ~seed:5 ~n_dus:8 ~du_interval:0.0 ~sc_interval:0.0
@@ -143,5 +162,7 @@ let () =
           Alcotest.test_case "generator counts & spacing" `Quick test_generator_counts;
           Alcotest.test_case "generator determinism" `Quick test_generator_determinism;
           Alcotest.test_case "scenario smoke" `Quick test_scenario_smoke;
+          Alcotest.test_case "a spec with scs = 0 has no schema change" `Quick
+            test_spec_without_scs;
         ] );
     ]
