@@ -709,22 +709,48 @@ let overlap_bench () =
     Fmt.epr "overlap bench: parallel extent diverged from serial@.";
     exit 1
   end;
-  (* lineage-overhead probe: the same parallel run with the full obs
+  (* Lineage-overhead probe: the same parallel run with the full obs
      stack (spans + metrics + lineage) on must stay byte-identical in
-     simulated time; its extra host CPU is reported, and is not small
-     (12.9% in the committed baseline). *)
-  let timed f =
+     simulated time.  A run takes a millisecond or two of host CPU, so
+     one timing of each leg is noise: each leg's time is the median of
+     [reps] runs, the legs alternating.  Its allocation is exact: words
+     allocated, the minor heap emptied before each read. *)
+  let reps = 31 in
+  let off () = run ~parallel:n_sources () in
+  let on () = run ~obs:(Dyno_obs.Obs.create ()) ~parallel:n_sources () in
+  let cpu f =
     let t0 = Sys.time () in
+    ignore (f () : Stats.t * Relation.t);
+    Sys.time () -. t0
+  in
+  let words f =
+    let allocated () =
+      Gc.minor ();
+      let minor, promoted, major = Gc.counters () in
+      minor +. major -. promoted
+    in
+    let w0 = allocated () in
     let r = f () in
-    (r, Sys.time () -. t0)
+    (r, allocated () -. w0)
   in
   (* one throwaway each to warm allocators before timing *)
-  ignore (run ~parallel:n_sources ());
-  let (stats_off, _), cpu_off = timed (fun () -> run ~parallel:n_sources ()) in
-  let (stats_lin, extent_lin), cpu_lin =
-    timed (fun () ->
-        run ~obs:(Dyno_obs.Obs.create ()) ~parallel:n_sources ())
+  ignore (off () : Stats.t * Relation.t);
+  ignore (on () : Stats.t * Relation.t);
+  let cpu_offs = Array.make reps 0.0 and cpu_lins = Array.make reps 0.0 in
+  for k = 0 to reps - 1 do
+    cpu_offs.(k) <- cpu off;
+    cpu_lins.(k) <- cpu on
+  done;
+  (* Nearest-rank quartiles of a leg's times. *)
+  let quartile ts q =
+    let a = Array.copy ts in
+    Array.sort Float.compare a;
+    a.(q * (Array.length a - 1) / 4)
   in
+  let cpu_off = quartile cpu_offs 2 and cpu_lin = quartile cpu_lins 2 in
+  let (stats_off, _), words_off = words off in
+  let (stats_lin, extent_lin), words_lin = words on in
+  let alloc_ratio = words_lin /. words_off in
   if not (Relation.equal extent_p extent_lin) then begin
     Fmt.epr "overlap bench: lineage-on extent diverged@.";
     exit 1
@@ -755,8 +781,11 @@ let overlap_bench () =
   Fmt.pr "@.speedup: %.2fx (extents identical)@." speedup;
   Fmt.pr
     "lineage: busy_s delta %.9f (must be 0), host CPU %+.1f%% vs obs-off \
-     (%.3fs -> %.3fs)@."
-    busy_delta cpu_overhead_pct cpu_off cpu_lin;
+     (medians of %d alternating runs: %.4fs [%.4f..%.4f] -> %.4fs \
+     [%.4f..%.4f]), allocation %.3fx obs-off (%.0f -> %.0f words, exact)@."
+    busy_delta cpu_overhead_pct reps cpu_off (quartile cpu_offs 1)
+    (quartile cpu_offs 3) cpu_lin (quartile cpu_lins 1) (quartile cpu_lins 3)
+    alloc_ratio words_off words_lin;
   let open Dyno_jsonv.Jsonv in
   let mode name parallel (s : Stats.t) =
     Obj
@@ -777,6 +806,7 @@ let overlap_bench () =
         [
           ("lineage_busy_delta_s", Num busy_delta);
           ("lineage_cpu_overhead_pct", Num cpu_overhead_pct);
+          ("lineage_alloc_ratio", Num alloc_ratio);
         ];
     ]
 

@@ -115,14 +115,18 @@ let create ?(faults = reliable) ?(obs = Dyno_obs.Obs.disabled) ~seed () =
 
 let faults t = t.faults
 let in_flight t = List.length t.order
+let has_packets t = match t.order with [] -> false | _ :: _ -> true
 let lost_transmissions t = t.lost_transmissions
 let duplicates_sent t = t.duplicates_sent
 
 let outage_at t ~source ~now =
-  List.find_opt
-    (fun (o : outage) ->
-      String.equal o.source source && o.starts <= now && now < o.ends)
-    t.faults.outages
+  match t.faults.outages with
+  | [] -> None
+  | outages ->
+      List.find_opt
+        (fun (o : outage) ->
+          String.equal o.source source && o.starts <= now && now < o.ends)
+        outages
 
 (** [rpc_lost t] — fate of one maintenance-query round trip: the request or
     the reply is lost.  Draws nothing when the loss rate is zero. *)
@@ -227,23 +231,33 @@ let due t ~now =
     ordered stream as the source's update messages, so its arrival implies
     every earlier message has arrived too. *)
 let flush_source t ~source =
-  let mine, rest =
-    List.partition
-      (fun ((p : _ packet), _) -> String.equal p.source source)
-      t.order
-  in
-  t.order <- rest;
-  List.map fst
-    (List.sort
-       (fun ((a : _ packet), ia) ((b : _ packet), ib) ->
-         match Int.compare a.seq b.seq with
-         | 0 -> Int.compare ia ib
-         | c -> c)
-       mine)
+  match t.order with
+  | [] -> []
+  | _ ->
+      let mine, rest =
+        List.partition
+          (fun ((p : _ packet), _) -> String.equal p.source source)
+          t.order
+      in
+      t.order <- rest;
+      List.map fst
+        (List.sort
+           (fun ((a : _ packet), ia) ((b : _ packet), ib) ->
+             match Int.compare a.seq b.seq with
+             | 0 -> Int.compare ia ib
+             | c -> c)
+           mine)
 
 (* ------------------------------------------------------------------ *)
 (* Split-phase maintenance-query RPCs                                  *)
 (* ------------------------------------------------------------------ *)
+
+(* The in-flight round-trip gauge, set when metrics record. *)
+let rpc_gauge t =
+  let m = Dyno_obs.Obs.metrics t.obs in
+  if Dyno_obs.Metrics.enabled m then
+    Dyno_obs.Metrics.set_gauge m "net.rpc_inflight"
+      (float_of_int (List.length t.rpcs))
 
 (** [issue_rpc t ~now ~source ~ready] — register one maintenance-query
     round trip on the wire: the request leaves now, the answer lands at
@@ -254,10 +268,7 @@ let issue_rpc t ~now ~source ~ready =
   let id = t.next_rpc in
   t.next_rpc <- id + 1;
   t.rpcs <- { rpc_id = id; rpc_source = source; issued = now; ready } :: t.rpcs;
-  Dyno_obs.Metrics.set_gauge
-    (Dyno_obs.Obs.metrics t.obs)
-    "net.rpc_inflight"
-    (float_of_int (List.length t.rpcs));
+  rpc_gauge t;
   id
 
 let rpc_ready t id =
@@ -265,13 +276,14 @@ let rpc_ready t id =
   | Some r -> r.ready
   | None -> invalid_arg "Channel.rpc_ready: unknown rpc id"
 
+let rec without_rpc id = function
+  | [] -> []
+  | r :: rest -> if r.rpc_id = id then rest else r :: without_rpc id rest
+
 (** [complete_rpc t id] — take the finished round trip off the wire. *)
 let complete_rpc t id =
-  t.rpcs <- List.filter (fun r -> r.rpc_id <> id) t.rpcs;
-  Dyno_obs.Metrics.set_gauge
-    (Dyno_obs.Obs.metrics t.obs)
-    "net.rpc_inflight"
-    (float_of_int (List.length t.rpcs))
+  t.rpcs <- without_rpc id t.rpcs;
+  rpc_gauge t
 
 let rpcs_in_flight t = List.length t.rpcs
 

@@ -51,6 +51,9 @@ val create :
 val faults : 'a t -> faults
 val in_flight : 'a t -> int
 
+val has_packets : 'a t -> bool
+(** Some copy is in flight: [in_flight t > 0] in O(1). *)
+
 val lost_transmissions : 'a t -> int
 (** Total transmissions dropped by the channel (each was retransmitted). *)
 

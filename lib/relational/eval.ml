@@ -4,12 +4,17 @@
     left-deep join pipeline with selection push-down, applies residual
     predicates, and projects the select list.  It works in two halves:
     {!prepare} does everything that depends only on the query and its
-    input schemas, once; {!execute} runs that plan over data, keeping the
+    input schemas, once — bindings, positions, the pushed-down filters,
+    each step's join keys and the output projection fused into the last
+    step; {!execute} runs that plan over data, keeping only the
     data-dependent choices, and its [?planner] selects the physical plan:
     [`Indexed] (default) probes persistent hash indexes on base relations
     for equi-joins and constant-equality selections, falling back to
     ephemeral hash joins; [`Nested_loop] forces the quadratic reference
-    plan.  {!run} is [execute (prepare …)], the one-shot form.  The module is deliberately free of any
+    plan.  Rows flow between join steps flat, never hashed; only the
+    output is hashed ({!execute}), or not even that when it cannot repeat
+    a tuple ({!execute_rows}).  {!run} is [execute (prepare …)], the
+    one-shot form.  The module is deliberately free of any
     source/distribution concerns — the distributed decomposition lives in
     [Dyno_vm]; this module is also what each simulated {e source server}
     runs locally to answer maintenance queries. *)
@@ -86,72 +91,146 @@ let resolve_in_alias binder alias attr =
       | Some i -> i
       | None -> err "relation %s has no attribute %s" alias attr)
 
-(* Positional hash join: join [left] (arbitrary join-product schema) with
-   [right] on (left position, right position) pairs.  The smaller side is
-   hashed and the larger streamed — maintenance probes typically join a
-   partial result of a handful of tuples against a large base relation, so
-   this keeps the per-probe cost at one pass with cheap lookups. *)
-let positional_join ?project left right (pairs : (int * int) list) =
-  let lpos = Array.of_list (List.map fst pairs) in
-  let rpos = Array.of_list (List.map snd pairs) in
-  let schema', emit =
-    match project with
-    | None ->
-        ( Schema.concat (Relation.schema left) (Relation.schema right),
-          fun t -> t )
-    | Some (sch, f) -> (sch, f)
-  in
-  let out = Relation.create schema' in
-  let hash_left = Relation.support left <= Relation.support right in
+(* ------------------------------------------------------------------ *)
+(* Join kernels                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Rows in flight between join steps: tuples and counts appended in the
+   order they are produced, never hashed.  Every input is consolidated
+   and a step's output is the concatenation of its two inputs' tuples,
+   so intermediate rows never repeat a tuple either. *)
+type buf = {
+  mutable tuples : Tuple.t array;
+  mutable counts : int array;
+  mutable len : int;
+}
+
+let buf () = { tuples = [||]; counts = [||]; len = 0 }
+
+let push b t c =
+  if b.len = Array.length b.tuples then begin
+    let cap = max 4 (2 * b.len) in
+    let tuples = Array.make cap t and counts = Array.make cap 0 in
+    Array.blit b.tuples 0 tuples 0 b.len;
+    Array.blit b.counts 0 counts 0 b.len;
+    b.tuples <- tuples;
+    b.counts <- counts
+  end;
+  Array.unsafe_set b.tuples b.len t;
+  Array.unsafe_set b.counts b.len c;
+  b.len <- b.len + 1
+
+(* One operand of a join step, its pushed-down filter already applied:
+   a relation as given, or rows. *)
+type side = Rel of Relation.t | Buf of buf
+
+let side_len = function Rel r -> Relation.support r | Buf b -> b.len
+
+let side_iter f = function
+  | Rel r -> Relation.iter f r
+  | Buf b ->
+      for i = 0 to b.len - 1 do
+        f (Array.unsafe_get b.tuples i) (Array.unsafe_get b.counts i)
+      done
+
+(* A kernel hands each joined pair to [emit left right count], in
+   product order: left = the accumulated side, right = the new entry. *)
+
+(* The matches of one streamed tuple [ts] in a base's index bucket,
+   filtered by the base's pushed-down predicate. *)
+let rec probe_bucket emit pred base_is_left ts cs = function
+  | [] -> ()
+  | (tb, cb) :: rest ->
+      (match pred with
+      | Some p when not (p tb) -> ()
+      | _ -> if base_is_left then emit tb ts (cs * cb) else emit ts tb (cs * cb));
+      probe_bucket emit pred base_is_left ts cs rest
+
+(* Index probe: stream [stream] against [ix], a maintained index of a
+   base relation on its join key, filtering matches by the base's local
+   predicate [pred] on the fly. *)
+let index_probe emit ix ~pred ~base_is_left ~stream ~stream_pos =
+  match stream with
+  | Buf b ->
+      for i = 0 to b.len - 1 do
+        let ts = Array.unsafe_get b.tuples i in
+        probe_bucket emit pred base_is_left ts
+          (Array.unsafe_get b.counts i)
+          (Index.lookup ix (Tuple.project_idx ts stream_pos))
+      done
+  | Rel r ->
+      Relation.iter
+        (fun ts cs ->
+          probe_bucket emit pred base_is_left ts cs
+            (Index.lookup ix (Tuple.project_idx ts stream_pos)))
+        r
+
+(* Ephemeral hash join: the smaller side is hashed on its key and the
+   larger streamed — a maintenance probe joins a few partial tuples
+   against a large relation, so this is one pass with cheap lookups. *)
+let hash_join emit ~left ~lpos ~right ~rpos =
+  let hash_left = side_len left <= side_len right in
   let build, build_pos, stream, stream_pos =
     if hash_left then (left, lpos, right, rpos) else (right, rpos, left, lpos)
   in
-  let index = Tuple.Table.create (max 16 (Relation.support build)) in
-  Relation.iter
+  let table = Tuple.Table.create (max 16 (side_len build)) in
+  side_iter
     (fun t c ->
       let key = Tuple.project_idx t build_pos in
-      let prev = Option.value ~default:[] (Tuple.Table.find_opt index key) in
-      Tuple.Table.replace index key ((t, c) :: prev))
+      let prev =
+        match Tuple.Table.find table key with
+        | l -> l
+        | exception Not_found -> []
+      in
+      Tuple.Table.replace table key ((t, c) :: prev))
     build;
-  Relation.iter
+  side_iter
     (fun t c ->
-      let key = Tuple.project_idx t stream_pos in
-      match Tuple.Table.find_opt index key with
-      | None -> ()
-      | Some matches ->
+      match Tuple.Table.find table (Tuple.project_idx t stream_pos) with
+      | matches ->
           List.iter
             (fun (t', c') ->
-              (* Output order is always (left, right). *)
-              let tup =
-                if hash_left then Tuple.concat t' t else Tuple.concat t t'
-              in
-              Relation.add_unchecked out (emit tup) (c * c'))
-            matches)
-    stream;
-  out
+              if hash_left then emit t' t (c' * c) else emit t t' (c * c'))
+            matches
+      | exception Not_found -> ())
+    stream
 
-(* Positional nested-loop join: every pair of tuples compared on the key
-   positions, no hashing, no index — the O(n·m) reference plan the planner
-   falls back to and the baseline the micro-benchmarks measure the indexed
-   plans against.  Materializes only matches (never the full product). *)
-let nested_loop_join left right (pairs : (int * int) list) =
-  let lpos = Array.of_list (List.map fst pairs) in
-  let rpos = Array.of_list (List.map snd pairs) in
+(* Nested loop: every pair compared on the key positions, no hashing, no
+   index — the O(n·m) reference plan, and with no key the product. *)
+let nested_loop emit ~left ~lpos ~right ~rpos =
   let n = Array.length lpos in
-  let schema' = Schema.concat (Relation.schema left) (Relation.schema right) in
-  let out = Relation.create schema' in
-  Relation.iter
+  side_iter
     (fun ta ca ->
-      Relation.iter
+      side_iter
         (fun tb cb ->
           let rec matches i =
             i >= n
             || Value.equal (Tuple.get ta lpos.(i)) (Tuple.get tb rpos.(i))
                && matches (i + 1)
           in
-          if matches 0 then Relation.add_unchecked out (Tuple.concat ta tb) (ca * cb))
+          if matches 0 then emit ta tb (ca * cb))
         right)
-    left;
+    left
+
+let key_positions pairs =
+  (Array.of_list (List.map fst pairs), Array.of_list (List.map snd pairs))
+
+let joined_into left right =
+  let out =
+    Relation.create (Schema.concat (Relation.schema left) (Relation.schema right))
+  in
+  (out, fun l r c -> Relation.add_unchecked out (Tuple.concat l r) c)
+
+let positional_join left right pairs =
+  let lpos, rpos = key_positions pairs in
+  let out, emit = joined_into left right in
+  hash_join emit ~left:(Rel left) ~lpos ~right:(Rel right) ~rpos;
+  out
+
+let nested_loop_join left right pairs =
+  let lpos, rpos = key_positions pairs in
+  let out, emit = joined_into left right in
+  nested_loop emit ~left:(Rel left) ~lpos ~right:(Rel right) ~rpos;
   out
 
 type plan = [ `Indexed | `Nested_loop ]
@@ -205,6 +284,15 @@ type prepared = {
   identity : bool;
       (** one FROM entry, no predicate, every column selected in order:
           the answer is a copy of the input under [out_schema] *)
+  fused : int array option;
+      (** the select list picked straight from the last join step's pair,
+          left position [p] as [p] and right position [p] as [-1 - p];
+          [None] without a join step or with a residual predicate *)
+  covering : bool;
+      (** the select list keeps every column of the product, so the
+          output repeats no tuple when no input does *)
+  mutable restaged : (Schema.t array * (prepared, string) result) option;
+      (** the query re-prepared for other input schemas, keyed by them *)
 }
 
 let output_schema p = p.out_schema
@@ -299,9 +387,16 @@ let prepare (q : Query.t) (schemas : (string * Schema.t) list) : prepared =
   in
   let inputs = Array.of_list (List.map (fun b -> b.schema) binder.bindings) in
   let out_idxs = Array.of_list (List.map fst out_attrs) in
+  let width = Array.fold_left (fun n s -> n + Schema.arity s) 0 inputs in
   let identity =
     steps = [] && scans.(0).filter = None && residual = None
-    && out_idxs = Array.init (Schema.arity inputs.(0)) Fun.id
+    && out_idxs = Array.init width Fun.id
+  in
+  let fused =
+    if steps = [] || residual <> None then None
+    else
+      let left = width - Schema.arity inputs.(Array.length inputs - 1) in
+      Some (Array.map (fun i -> if i < left then i else -1 - (i - left)) out_idxs)
   in
   {
     query = q;
@@ -312,171 +407,193 @@ let prepare (q : Query.t) (schemas : (string * Schema.t) list) : prepared =
     out_schema = Schema.of_list (List.map snd out_attrs);
     out_idxs;
     identity;
+    fused;
+    covering =
+      List.for_all (fun i -> Array.mem i out_idxs) (List.init width Fun.id);
+    restaged = None;
   }
 
-(* The data-dependent half of the pipeline, over inputs whose schemas are
-   the ones [p] was prepared for. *)
-let run_prepared planner p rels =
-  (* Per-alias selection push-down.  Under [`Indexed], constant-equality
-     conjuncts become one index lookup instead of a scan. *)
-  let materialize i rel =
-    let s = p.scans.(i) in
-    match (s.filter, planner) with
-    | None, _ -> rel
-    | Some filter, `Nested_loop -> Relation.select filter rel
-    | Some filter, `Indexed when Array.length s.eq_pos = 0 ->
-        Relation.select filter rel
-    | Some _, `Indexed ->
-        let ix = Relation.ensure_index_pos rel s.eq_pos in
-        let out = Relation.create (Relation.schema rel) in
-        Index.iter_matches ix s.eq_key (fun t c ->
-            if match s.rest with None -> true | Some pr -> pr t then
-              Relation.add_unchecked out t c);
-        out
-  in
-  (* One join step streaming [stream] against the persistent index of the
-     pristine base [raw]: each stream tuple's key is probed, matches are
-     filtered by the base's local predicate on the fly.  Output tuple
-     order stays (left, right) = (accumulated, new). *)
-  let index_probe ~emit ~stream ~stream_pos ~raw ~raw_pos ~raw_pred
-      ~raw_is_left out =
-    let ix = Relation.ensure_index_pos raw raw_pos in
-    Relation.iter
-      (fun ts cs ->
-        let key = Tuple.project_idx ts stream_pos in
-        Index.iter_matches ix key (fun ti ci ->
-            if match raw_pred with None -> true | Some pr -> pr ti then
-              let tup =
-                if raw_is_left then Tuple.concat ti ts else Tuple.concat ts ti
-              in
-              Relation.add_unchecked out (emit tup) (cs * ci)))
-      stream
-  in
-  (* Projection fused into the final join step: when no residual predicate
-     needs the full join product, the last hash join emits projected
-     tuples directly, saving one whole materialize-and-rehash pass over
-     the wide intermediate. *)
-  let fused = ref false in
-  let last = Array.length p.steps - 1 in
-  (* [acc] is the materialized intermediate; until the first join
-     consumes it, the leftmost base stays pristine so its persistent
-     index remains usable. *)
-  let acc = ref None in
-  let pristine = ref (Some rels.(0)) in
-  let acc_mat () =
-    match !acc with
-    | Some m -> m
-    | None ->
-        let m = materialize 0 rels.(0) in
-        pristine := None;
-        acc := Some m;
-        m
-  in
-  Array.iteri
-    (fun i ({ pairs; lpos; rpos } : step) ->
-      let k = i + 1 and r = rels.(i + 1) in
-      (* The fused-projection sink, available only on the final step
-         (positions in [out_idxs] refer to the full product) and only
-         when no residual predicate needs the wide tuple. *)
-      let sink () =
-        if i = last && p.residual = None then begin
-          fused := true;
-          Some (p.out_schema, fun t -> Tuple.project_idx t p.out_idxs)
-        end
-        else None
-      in
-      let step =
-        match planner with
-        | `Nested_loop -> nested_loop_join (acc_mat ()) (materialize k r) pairs
-        | `Indexed when pairs = [] ->
-            Relation.product (acc_mat ()) (materialize k r)
-        | `Indexed -> (
-            let lsize =
-              match !pristine with
-              | Some lraw -> Relation.support lraw
-              | None -> Relation.support (acc_mat ())
-            in
-            (* A persistent index wins when it is already built and
-               maintained, or when the probing side is much smaller than
-               the base it would index — the maintenance-probe shape
-               (build once, probe forever).  Otherwise fall back to an
-               ephemeral hash join: building, then forever maintaining,
-               an index the query streams past about once is pure
-               overhead. *)
-            let index_wins ~raw ~probes pos =
-              Option.is_some (Relation.find_index_pos raw pos)
-              || probes * 4 <= Relation.support raw
-            in
-            if Relation.support r >= lsize then begin
-              if not (index_wins ~raw:r ~probes:lsize rpos) then
-                positional_join ?project:(sink ()) (acc_mat ())
-                  (materialize k r) pairs
-              else begin
-                (* Probe the (large) new base's persistent index with the
-                   accumulated (small) side. *)
-                let left = acc_mat () in
-                let sch, emit =
-                  match sink () with
-                  | Some (sch, f) -> (sch, f)
-                  | None ->
-                      ( Schema.concat (Relation.schema left) (Relation.schema r),
-                        fun t -> t )
-                in
-                let out = Relation.create sch in
-                index_probe ~emit ~stream:left ~stream_pos:lpos ~raw:r
-                  ~raw_pos:rpos ~raw_pred:p.scans.(k).filter
-                  ~raw_is_left:false out;
-                out
-              end
-            end
-            else
-              match !pristine with
-              | Some lraw
-                when index_wins ~raw:lraw ~probes:(Relation.support r) lpos ->
-                  (* The accumulated side is still a pristine (large)
-                     base: probe ITS persistent index with the new (small)
-                     side — the maintenance-probe fast path. *)
-                  let right = materialize k r in
-                  let sch, emit =
-                    match sink () with
-                    | Some (sch, f) -> (sch, f)
-                    | None ->
-                        ( Schema.concat (Relation.schema lraw)
-                            (Relation.schema right),
-                          fun t -> t )
-                  in
-                  let out = Relation.create sch in
-                  index_probe ~emit ~stream:right ~stream_pos:rpos ~raw:lraw
-                    ~raw_pos:lpos ~raw_pred:p.scans.(0).filter
-                    ~raw_is_left:true out;
-                  pristine := None;
-                  out
-              | Some _ | None ->
-                  (* Two intermediates, or no index worth building:
-                     ephemeral hash join, smaller side hashed. *)
-                  positional_join ?project:(sink ()) (acc_mat ())
-                    (materialize k r) pairs)
-      in
-      pristine := None;
-      acc := Some step)
-    p.steps;
-  let joined = acc_mat () in
-  let joined =
-    match p.residual with
-    | None -> joined
-    | Some pr -> Relation.select pr joined
-  in
-  (* Final projection (already emitted by the last join step when fused). *)
-  if !fused then joined
-  else Relation.map_tuples p.out_schema (fun t -> Tuple.project_idx t p.out_idxs) joined
+(* The select list picked from a joined pair without building the pair:
+   the fused output projection of the last join step. *)
+let project_pair (src : int array) (l : Tuple.t) (r : Tuple.t) : Tuple.t =
+  let n = Array.length src in
+  if n = 0 then [||]
+  else begin
+    let s0 = Array.unsafe_get src 0 in
+    let out =
+      Array.make n
+        (if s0 >= 0 then Array.unsafe_get l s0 else Array.unsafe_get r (-1 - s0))
+    in
+    for j = 1 to n - 1 do
+      let s = Array.unsafe_get src j in
+      Array.unsafe_set out j
+        (if s >= 0 then Array.unsafe_get l s else Array.unsafe_get r (-1 - s))
+    done;
+    out
+  end
 
-(** [execute ?planner p inputs] evaluates the prepared query over
-    [inputs], one relation per FROM entry in FROM order.  It first checks
-    that every input carries the schema [p] was prepared for, and
-    re-prepares against the actual schemas otherwise — so a stale plan
-    never yields a wrong answer, and a schema conflict raises the same
-    {!Error} that {!run} raises.  What is left is data-dependent: which
-    side of a join to hash, and whether a persistent index wins.
+(* Entry [i] of [inputs] with its pushed-down selection applied.  Under
+   [`Indexed], constant-equality conjuncts on a relation become one index
+   lookup instead of a scan. *)
+let materialize planner p (inputs : Rows.t array) i =
+  let s = p.scans.(i) in
+  match (s.filter, inputs.(i)) with
+  | None, Rows.Hashed r -> Rel r
+  | None, Rows.Flat f -> Buf { tuples = f.tuples; counts = f.counts; len = f.len }
+  | Some _, Rows.Hashed r when planner = `Indexed && Array.length s.eq_pos > 0
+    ->
+      let b = buf () in
+      List.iter
+        (fun (t, c) ->
+          match s.rest with Some pr when not (pr t) -> () | _ -> push b t c)
+        (Index.lookup (Relation.ensure_index_pos r s.eq_pos) s.eq_key);
+      Buf b
+  | Some filter, input ->
+      let b = buf () in
+      Rows.iter (fun t c -> if filter t then push b t c) input;
+      Buf b
+
+(* A persistent index wins when it is already built and maintained, or
+   when the probing side is much smaller than the relation it would
+   index — the maintenance-probe shape (build once, probe forever).
+   Otherwise an ephemeral hash join: building, then forever maintaining,
+   an index the query streams past about once is pure overhead. *)
+let index_wins raw ~probes pos =
+  Option.is_some (Relation.find_index_pos raw pos)
+  || probes * 4 <= Relation.support raw
+
+(* One [`Indexed] equi-join step joining entry [k] to the accumulated
+   side: [acc] is [None] while the leftmost entry is still pristine, so
+   its persistent index remains usable. *)
+let indexed_step emit p (inputs : Rows.t array) acc k ({ lpos; rpos; _ } : step)
+    =
+  let accumulated () =
+    match acc with Some a -> a | None -> materialize `Indexed p inputs 0
+  in
+  let lsize =
+    match acc with None -> Rows.support inputs.(0) | Some a -> side_len a
+  in
+  let r = inputs.(k) in
+  if Rows.support r >= lsize then
+    match r with
+    | Rows.Hashed raw when index_wins raw ~probes:lsize rpos ->
+        (* Probe the (large) new relation's index with the accumulated
+           (small) side. *)
+        index_probe emit
+          (Relation.ensure_index_pos raw rpos)
+          ~pred:p.scans.(k).filter ~base_is_left:false ~stream:(accumulated ())
+          ~stream_pos:lpos
+    | _ ->
+        hash_join emit ~left:(accumulated ()) ~lpos
+          ~right:(materialize `Indexed p inputs k) ~rpos
+  else
+    match (acc, inputs.(0)) with
+    | None, Rows.Hashed lraw when index_wins lraw ~probes:(Rows.support r) lpos
+      ->
+        (* The accumulated side is still a pristine (large) relation:
+           probe ITS index with the new (small) side — the
+           maintenance-probe fast path. *)
+        index_probe emit
+          (Relation.ensure_index_pos lraw lpos)
+          ~pred:p.scans.(0).filter ~base_is_left:true
+          ~stream:(materialize `Indexed p inputs k) ~stream_pos:rpos
+    | _ ->
+        hash_join emit ~left:(accumulated ()) ~lpos
+          ~right:(materialize `Indexed p inputs k) ~rpos
+
+(* The last step's pairs, projected onto the select list — straight from
+   the pair when the projection is fused, otherwise through the residual
+   predicate. *)
+let final p out l r c =
+  match p.fused with
+  | Some src -> out (project_pair src l r) c
+  | None -> (
+      let t = Tuple.concat l r in
+      match p.residual with
+      | Some pr when not (pr t) -> ()
+      | _ -> out (Tuple.project_idx t p.out_idxs) c)
+
+(* The data-dependent half of the pipeline, over inputs whose schemas are
+   the ones [p] was prepared for: each output tuple goes to [out]. *)
+let run_prepared planner p (inputs : Rows.t array) (out : Tuple.t -> int -> unit)
+    =
+  let last = Array.length p.steps - 1 in
+  if last < 0 then
+    (* No join step: the one entry's rows go to [out]. *)
+    side_iter
+      (fun t c ->
+        match p.residual with
+        | Some pr when not (pr t) -> ()
+        | _ -> out (Tuple.project_idx t p.out_idxs) c)
+      (materialize planner p inputs 0)
+  else begin
+    let acc = ref None in
+    for i = 0 to last do
+      let step = p.steps.(i) and k = i + 1 in
+      let next = if i = last then None else Some (buf ()) in
+      let emit =
+        match next with
+        | None -> final p out
+        | Some b -> fun l r c -> push b (Tuple.concat l r) c
+      in
+      (match planner with
+      | `Indexed when step.pairs <> [] -> indexed_step emit p inputs !acc k step
+      | `Indexed | `Nested_loop ->
+          let left =
+            match !acc with
+            | Some a -> a
+            | None -> materialize planner p inputs 0
+          in
+          nested_loop emit ~left ~lpos:step.lpos
+            ~right:(materialize planner p inputs k)
+            ~rpos:step.rpos);
+      acc := match next with Some b -> Some (Buf b) | None -> None
+    done
+  end
+
+(* [p] itself when every input carries the schema [p] was prepared for;
+   otherwise [p] re-prepared for the actual schemas — once per schema
+   set, remembered in [p.restaged], a failure included. *)
+let rec carry (inputs : Rows.t array) schemas i =
+  i = Array.length schemas
+  ||
+  let s = Rows.schema inputs.(i) in
+  (s == schemas.(i) || Schema.equal s schemas.(i)) && carry inputs schemas (i + 1)
+
+let current (p : prepared) (inputs : Rows.t array) =
+  if carry inputs p.inputs 0 then p
+  else
+    let restaged =
+      match p.restaged with
+      | Some (schemas, r) when carry inputs schemas 0 -> r
+      | _ ->
+          let r =
+            match
+              prepare p.query
+                (List.mapi
+                   (fun i (tr : Query.table_ref) ->
+                     (tr.alias, Rows.schema inputs.(i)))
+                   (Query.from p.query))
+            with
+            | q -> Ok q
+            | exception Error reason -> Error reason
+          in
+          p.restaged <- Some (Array.map Rows.schema inputs, r);
+          r
+    in
+    match restaged with Ok q -> q | Error reason -> raise (Error reason)
+
+let restaged p =
+  match p.restaged with Some (_, Ok q) -> Some q | Some (_, Error _) | None -> None
+
+(** [execute_rows ?planner p inputs] evaluates the prepared query over
+    [inputs], one per FROM entry in FROM order.  It first checks that
+    every input carries the schema [p] was prepared for, and re-prepares
+    against the actual schemas otherwise — once per set of schemas, kept
+    with [p] — so a stale plan never yields a wrong answer, and a schema
+    conflict raises the same {!Error} that {!run} raises, every time.
+    What is left is data-dependent: which side of a join to hash, and
+    whether a persistent index wins.
 
     [`Indexed] (the default) routes equi-join steps against a base
     relation through a {e persistent} hash index registered on that
@@ -487,37 +604,42 @@ let run_prepared planner p rels =
     quadratic compare-everything plan — the reference the property tests
     hold the indexed plans to.  Under either planner a query with one FROM
     entry, no predicate and every column selected in order (output names
-    may differ) is answered by {!Relation.copy_as} of its input.
+    may differ) answers a copy of its input ({!Relation.copy_as} of a
+    hashed one).
 
-    The result is always a relation only the caller holds — never an
-    input, and sharing nothing mutable with one — so callers may mutate
-    it in place.
+    The answer is flat when it cannot repeat a tuple — the select list
+    keeps every column of the join and every input is consolidated — and
+    hashed otherwise.  It is always the caller's own: never an input, and
+    sharing nothing mutable with one, so callers may mutate it in place.
 
     @raise Error on resolution failure against changed schemas.
     @raise Invalid_argument when [inputs] does not match the FROM list. *)
-let execute ?(planner : plan = `Indexed) (p : prepared)
-    (inputs : Relation.t list) =
-  let rels = Array.of_list inputs in
-  if Array.length rels <> Array.length p.inputs then
+let execute_rows ?(planner : plan = `Indexed) (p : prepared)
+    (inputs : Rows.t list) =
+  let inputs = Array.of_list inputs in
+  if Array.length inputs <> Array.length p.inputs then
     invalid_arg
       (Fmt.str "Eval.execute: %d input(s) for %d FROM entries"
-         (Array.length rels) (Array.length p.inputs));
-  let prepared_for r s =
-    let s' = Relation.schema r in
-    s' == s || Schema.equal s' s
-  in
-  let p =
-    if Array.for_all2 prepared_for rels p.inputs then p
-    else
-      prepare p.query
-        (List.map2
-           (fun (tr : Query.table_ref) r -> (tr.alias, Relation.schema r))
-           (Query.from p.query) inputs)
-  in
-  (* An identity query is a copy of its input: the same tuples, the
-     input's indexes kept, nothing re-hashed. *)
-  if p.identity then Relation.copy_as p.out_schema rels.(0)
-  else run_prepared planner p rels
+         (Array.length inputs) (Array.length p.inputs));
+  let p = current p inputs in
+  match inputs.(0) with
+  | Rows.Hashed r when p.identity ->
+      (* The same tuples, the input's indexes kept, nothing re-hashed. *)
+      Rows.of_relation (Relation.copy_as p.out_schema r)
+  | Rows.Flat f when p.identity -> Rows.flat p.out_schema f.tuples f.counts f.len
+  | _ when p.covering ->
+      let b = buf () in
+      run_prepared planner p inputs (push b);
+      Rows.flat p.out_schema b.tuples b.counts b.len
+  | _ ->
+      let out = Relation.create p.out_schema in
+      run_prepared planner p inputs (Relation.add_unchecked out);
+      Rows.of_relation out
+
+(** [execute ?planner p inputs] is {!execute_rows} over relations, its
+    answer hashed. *)
+let execute ?planner p inputs =
+  Rows.relation (execute_rows ?planner p (List.map Rows.of_relation inputs))
 
 (** [run ?planner ~catalog q] = [execute ?planner (prepare q schemas)]
     over the relations [catalog] binds (asked once per FROM entry): the

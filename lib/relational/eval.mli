@@ -31,21 +31,16 @@ val resolve_in_alias : binder -> string -> string -> int
 (** {1 Physical operators} *)
 
 val positional_join :
-  ?project:Schema.t * (Tuple.t -> Tuple.t) ->
-  Relation.t ->
-  Relation.t ->
-  (int * int) list ->
-  Relation.t
-(** Ephemeral hash join on (left position, right position) pairs; the
-    smaller side is hashed, the table is discarded afterwards.  Output
-    schema is [Schema.concat left right], unless [?project] supplies a
-    (schema, transform) pair applied to each output tuple as it is
-    emitted — the fused final projection of the query pipeline. *)
+  Relation.t -> Relation.t -> (int * int) list -> Relation.t
+(** Ephemeral hash join on (left position, right position) pairs — the
+    evaluator's hash-join kernel: the smaller side is hashed, the table
+    is discarded afterwards.  Output schema is [Schema.concat left
+    right]. *)
 
 val nested_loop_join :
   Relation.t -> Relation.t -> (int * int) list -> Relation.t
-(** O(n·m) compare-everything join — the reference plan.  Only matches are
-    materialized, never the full product. *)
+(** The evaluator's O(n·m) compare-everything kernel — the reference
+    plan.  Only matches are materialized, never the full product. *)
 
 (** {1 Prepared queries} *)
 
@@ -62,8 +57,9 @@ type prepared
 (** A query planned against one schema per FROM entry: bindings, the
     predicate partition, every attribute position, compiled local and
     residual predicates, constant-equality index keys, per-step join keys
-    and the output projection.  Immutable, so it may be shared across
-    executions. *)
+    and the output projection, fused into the last join step.  A plan
+    may be shared across executions; the only thing that changes in it is
+    a one-slot memo of the plan re-prepared for other input schemas. *)
 
 val prepare : Query.t -> (string * Schema.t) list -> prepared
 (** [prepare q schemas] plans [q] with [schemas] bound to its aliases.
@@ -74,9 +70,13 @@ val execute : ?planner:plan -> prepared -> Relation.t list -> Relation.t
 (** [execute p inputs] evaluates [p] over one relation per FROM entry, in
     FROM order.  [planner] defaults to [`Indexed]; it decides only the
     data-dependent choices (which join side to hash, whether an index
-    wins).  When an input's schema differs from the one [p] was prepared
+    wins).  Rows pass between join steps flat; only the output is
+    hashed.  When an input's schema differs from the one [p] was prepared
     for, the query is re-prepared against the actual schemas first, so
-    the result always equals {!run} over the same inputs.  An {e identity}
+    the result always equals {!run} over the same inputs; the re-prepared
+    plan is kept with [p] ({!restaged}) until inputs with yet other
+    schemas come, and a re-prepare that failed raises the same {!Error}
+    again without preparing again.  An {e identity}
     query — one FROM entry, no predicate, every column selected in order,
     output names free — is answered by {!Relation.copy_as} of its input:
     the same tuples, the input's registered indexes kept, nothing
@@ -87,6 +87,20 @@ val execute : ?planner:plan -> prepared -> Relation.t list -> Relation.t
     place (compensation subtracts from answers this way).
     @raise Error when re-preparing fails — a broken query.
     @raise Invalid_argument when [inputs] has the wrong length. *)
+
+val execute_rows : ?planner:plan -> prepared -> Rows.t list -> Rows.t
+(** {!execute} over rows, answering rows.  The answer is {e flat} when it
+    cannot repeat a tuple — the select list keeps every column of the
+    join, and inputs are consolidated — and hashed otherwise; an
+    identity query answers a copy of a hashed input ({!Relation.copy_as})
+    or a flat input's rows under the output schema.  Either way it is
+    consolidated, so its counts are exact, and it is the caller's own.
+    @raise Error when re-preparing fails — a broken query.
+    @raise Invalid_argument when [inputs] has the wrong length. *)
+
+val restaged : prepared -> prepared option
+(** The plan {!execute} last re-prepared [p] into for inputs whose
+    schemas differ from [p]'s, if that succeeded. *)
 
 val output_schema : prepared -> Schema.t
 (** The schema {!execute} returns when the input schemas match. *)

@@ -33,10 +33,9 @@ let positions ix = ix.positions
 
 (** [same_key ix positions] — does [ix] index exactly these columns? *)
 let same_key ix ps =
-  Array.length ix.positions = Array.length ps
-  && (let ok = ref true in
-      Array.iteri (fun i p -> if p <> ps.(i) then ok := false) ix.positions;
-      !ok)
+  let n = Array.length ps in
+  let rec from i = i = n || (ix.positions.(i) = ps.(i) && from (i + 1)) in
+  Array.length ix.positions = n && from 0
 
 let key_of ix tup = Tuple.project_idx tup ix.positions
 
@@ -64,16 +63,14 @@ let update ix tup k =
     | b -> Tuple.Table.replace ix.buckets key b
   end
 
-(** [iter_matches ix key f] streams every (tuple, multiplicity) whose key
-    projection equals [key] — the probe side of an indexed join. *)
-let iter_matches ix key f =
-  match Tuple.Table.find ix.buckets key with
-  | bucket -> List.iter (fun (t, c) -> f t c) bucket
-  | exception Not_found -> ()
-
-(** [lookup ix key] — snapshot of the matching bucket (unspecified order). *)
+(** [lookup ix key] — the matching bucket (unspecified order), [[]] on a
+    miss: the stored list itself, which {!update} replaces and never
+    mutates, so nothing is allocated — the probe side of an indexed
+    join. *)
 let lookup ix key =
-  Option.value ~default:[] (Tuple.Table.find_opt ix.buckets key)
+  match Tuple.Table.find ix.buckets key with
+  | bucket -> bucket
+  | exception Not_found -> []
 
 (** Number of distinct keys currently indexed. *)
 let key_count ix = Tuple.Table.length ix.buckets

@@ -30,12 +30,10 @@ val update : t -> Tuple.t -> int -> unit
 (** Adjust a tuple's indexed multiplicity by a signed delta; entries and
     buckets reaching zero are dropped (mirror of [Relation.add]). *)
 
-val iter_matches : t -> Tuple.t -> (Tuple.t -> int -> unit) -> unit
-(** Stream every (tuple, multiplicity) under a key — O(bucket), the probe
-    side of an indexed join. *)
-
 val lookup : t -> Tuple.t -> (Tuple.t * int) list
-(** Snapshot of the bucket under a key (unspecified order). *)
+(** The (tuple, multiplicity) pairs under a key (unspecified order), [[]]
+    on a miss — the probe side of an indexed join.  The stored bucket
+    itself, an immutable list, so nothing is allocated. *)
 
 val key_count : t -> int
 (** Distinct keys indexed. *)

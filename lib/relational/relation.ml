@@ -45,6 +45,12 @@ let count r tup =
 
 let mem r tup = count r tup <> 0
 
+(* Registered indexes follow every change of a tuple's count. *)
+let update_indexes r tup k =
+  match !(r.indexes) with
+  | [] -> ()
+  | ixs -> List.iter (fun ix -> Index.update ix tup k) ixs
+
 (** [add_unchecked r tup k] — {!add} minus the schema typecheck, for
     output tuples that are type-correct by construction (projections and
     concatenations of tuples already in a relation).  The hot loops of
@@ -58,9 +64,16 @@ let add_unchecked r tup k =
         if c = 0 then Tuple.Table.remove r.data tup
         else Tuple.Table.replace r.data tup c
     | exception Not_found -> Tuple.Table.add r.data tup k);
-    match !(r.indexes) with
-    | [] -> ()
-    | ixs -> List.iter (fun ix -> Index.update ix tup k) ixs
+    update_indexes r tup k
+  end
+
+(** [add_absent r tup k] — {!add_unchecked} for a tuple [r] does not
+    hold: one hash instead of two.  The evaluator's output, when it
+    cannot repeat a tuple, is built this way. *)
+let add_absent r tup k =
+  if k <> 0 then begin
+    Tuple.Table.add r.data tup k;
+    update_indexes r tup k
   end
 
 (** [add r tup k] adjusts the multiplicity of [tup] by [k], dropping the
@@ -132,13 +145,19 @@ let copy_as schema r =
 (* Secondary indexes                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The registered index keyed on exactly [positions].
+   @raise Not_found when there is none. *)
+let rec index_on positions = function
+  | [] -> raise Not_found
+  | ix :: rest -> if Index.same_key ix positions then ix else index_on positions rest
+
 (** [ensure_index_pos r positions] returns the registered index keyed on
     exactly [positions], building (one O(n) scan) and registering it first
     if absent.  Once registered it is maintained incrementally by {!add}. *)
 let ensure_index_pos r (positions : int array) =
-  match List.find_opt (fun ix -> Index.same_key ix positions) !(r.indexes) with
-  | Some ix -> ix
-  | None ->
+  match index_on positions !(r.indexes) with
+  | ix -> ix
+  | exception Not_found ->
       let ix = Index.create positions in
       iter (fun t c -> Index.update ix t c) r;
       r.indexes := ix :: !(r.indexes);
@@ -149,7 +168,9 @@ let ensure_index_pos r (positions : int array) =
     without the build side effect, so a planner can ask "is there a
     maintained index?" without committing to one. *)
 let find_index_pos r (positions : int array) =
-  List.find_opt (fun ix -> Index.same_key ix positions) !(r.indexes)
+  match index_on positions !(r.indexes) with
+  | ix -> Some ix
+  | exception Not_found -> None
 
 (** [ensure_index r names] — {!ensure_index_pos} with the key given as
     attribute names resolved against the current schema. *)

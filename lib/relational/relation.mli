@@ -13,6 +13,10 @@ exception Schema_mismatch of string
 val create : Schema.t -> t
 (** An empty relation, its table sized for a small partial result. *)
 
+val sized : Schema.t -> int -> t
+(** [sized schema n] — an empty relation whose table holds about [n]
+    tuples without resizing. *)
+
 val schema : t -> Schema.t
 
 val support : t -> int
@@ -37,6 +41,10 @@ val add_unchecked : t -> Tuple.t -> int -> unit
     whose output tuples are type-correct by construction (projections and
     concatenations of tuples already in a relation).  Never feed it
     external input. *)
+
+val add_absent : t -> Tuple.t -> int -> unit
+(** {!add_unchecked} for a tuple the relation does not hold: one hash
+    instead of two.  Adding a tuple the relation holds breaks it. *)
 
 val insert : t -> Tuple.t -> unit
 val delete : t -> Tuple.t -> unit

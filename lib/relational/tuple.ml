@@ -50,7 +50,15 @@ let project schema (t : t) names : t =
 (** [project_idx t idxs] positional projection (precomputed index list),
     the hot path used by the evaluator. *)
 let project_idx (t : t) idxs : t =
-  Array.map (fun i -> t.(i)) idxs
+  let n = Array.length idxs in
+  if n = 0 then [||]
+  else begin
+    let out = Array.make n t.(idxs.(0)) in
+    for j = 1 to n - 1 do
+      Array.unsafe_set out j t.(Array.unsafe_get idxs j)
+    done;
+    out
+  end
 
 (** [concat a b] juxtaposes two tuples (join product). *)
 let concat (a : t) (b : t) : t = Array.append a b

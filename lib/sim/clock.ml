@@ -10,6 +10,7 @@ type t = { mutable now : float }
 let create ?(start = 0.0) () = { now = start }
 
 let now c = c.now
+let reached c t = t <= c.now +. 1e-12
 
 (** [advance c dt] moves time forward by [dt] seconds.
     @raise Invalid_argument on negative [dt]. *)

@@ -126,6 +126,8 @@ let grow t =
   t.buf <- buf';
   t.head <- 0
 
+let enabled t = t.enabled
+
 (* The detail is forced here, when the trace is on, so an entry holds its
    text; a disabled trace drops the lazy unforced. *)
 let record t ~time kind detail =

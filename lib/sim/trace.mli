@@ -46,6 +46,10 @@ val dropped : t -> int
 (** Entries evicted by a bounded ring since the last {!clear} (always 0
     for an unbounded trace). *)
 
+val enabled : t -> bool
+(** Whether {!record} keeps entries.  A hot path checks it before
+    building a record's time and text. *)
+
 val record : t -> time:float -> kind -> string Lazy.t -> unit
 (** [record t ~time kind (lazy detail)] appends an entry.  An enabled
     trace forces the detail now, so {!entry.detail} stays plain text and

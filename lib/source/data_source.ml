@@ -34,7 +34,7 @@ type broken = { source : string; query_name : string; reason : string }
 (** Diagnosis of a broken maintenance query. *)
 
 type answer = {
-  rows : Relation.t;
+  rows : Rows.t;  (** consolidated: flat, or hashed when it had to be *)
   scanned : int;  (** total source tuples scanned to answer (cost input) *)
 }
 
@@ -180,52 +180,65 @@ let commit s ~time (ev : Dyno_sim.Timeline.event) =
 (* Query answering (with broken-query detection)                      *)
 (* ------------------------------------------------------------------ *)
 
+(* A FROM entry the source cannot bind, with the reason. *)
+exception Unbound of string
+
+(* The rows shipped with the query under [alias]. *)
+let rec shipped alias = function
+  | [] -> None
+  | (a, rows) :: rest -> if String.equal a alias then Some rows else shipped alias rest
+
 (** [answer s q ~bound] evaluates [q] against the source's {e current}
     state.  Table refs whose [source] field names this source are resolved
     in the local catalog; other aliases must be provided in [bound]
     (partial results shipped with the query, as SWEEP does).  [plan] is
     [q] as the view manager prepared it against the schemas it believes;
     it runs only if the bound relations' current schemas equal the
-    prepared ones ({!Eval.execute} checks), and [q] is re-prepared here
+    prepared ones ({!Eval.execute_rows} checks), and [q] is re-prepared
     otherwise.  Any schema discrepancy — missing relation, missing
     attribute — yields [Error] rather than an exception: that is the
-    in-exec broken-query signal. *)
+    in-exec broken-query signal.  The answer's rows are the evaluator's
+    ({!Eval.execute_rows}): the caller's own, and consolidated. *)
 let answer ?(planner : Eval.plan = `Indexed) ?plan s (q : Query.t)
-    ~(bound : (string * Relation.t) list) : (answer, broken) result =
+    ~(bound : (string * Rows.t) list) : (answer, broken) result =
   let broken reason = Error { source = s.id; query_name = Query.name q; reason } in
-  let missing =
-    List.find_map
-      (fun (tr : Query.table_ref) ->
-        if List.mem_assoc tr.alias bound then None
-        else if String.equal tr.source s.id then
-          if not (Catalog.mem s.live.catalog tr.rel) then
-            Some (Fmt.str "relation %s does not exist" tr.rel)
-          else None
-        else Some (Fmt.str "alias %s not bound and not local" tr.alias))
-      (Query.from q)
+  let scanned = ref 0 in
+  (* One pass over the FROM list: shipped rows by alias, else a local
+     relation. *)
+  let rec bind = function
+    | [] -> []
+    | (tr : Query.table_ref) :: rest ->
+        let rows =
+          match shipped tr.alias bound with
+          | Some rows -> rows
+          | None when not (String.equal tr.source s.id) ->
+              raise
+                (Unbound (Fmt.str "alias %s not bound and not local" tr.alias))
+          | None -> (
+              match Hashtbl.find_opt s.live.tables tr.rel with
+              | Some r ->
+                  scanned := !scanned + Relation.support r;
+                  Rows.of_relation r
+              | None ->
+                  raise (Unbound (Fmt.str "relation %s does not exist" tr.rel)))
+        in
+        rows :: bind rest
   in
-  match missing with
-  | Some reason -> broken reason
-  | None -> (
-      let scanned = ref 0 in
-      let env (tr : Query.table_ref) =
-        match List.assoc_opt tr.alias bound with
-        | Some r -> r
-        | None ->
-            let r = relation s tr.rel in
-            scanned := !scanned + Relation.support r;
-            r
-      in
-      let evaluate () =
+  match bind (Query.from q) with
+  | exception Unbound reason -> broken reason
+  | inputs -> (
+      let plan () =
         match plan with
-        | None -> Eval.run ~planner ~catalog:env q
-        | Some p -> Eval.execute ~planner p (List.map env (Query.from q))
+        | Some p -> p
+        | None ->
+            Eval.prepare q
+              (List.map2
+                 (fun (tr : Query.table_ref) rows -> (tr.alias, Rows.schema rows))
+                 (Query.from q) inputs)
       in
-      match evaluate () with
+      match Eval.execute_rows ~planner (plan ()) inputs with
       | rows -> Ok { rows; scanned = !scanned }
-      | exception Eval.Error reason -> broken reason
-      | exception Catalog.No_such_relation r ->
-          broken (Fmt.str "relation %s does not exist" r))
+      | exception Eval.Error reason -> broken reason)
 
 (** [validate s q] — metadata-only dry run of query [q] against the
     current catalog: do the referenced local relations and attributes

@@ -15,7 +15,9 @@ type broken = { source : string; query_name : string; reason : string }
 (** Diagnosis of a broken maintenance query. *)
 
 type answer = {
-  rows : Relation.t;
+  rows : Rows.t;
+      (** the caller's own and consolidated: flat when the answer cannot
+          repeat a tuple, hashed otherwise ({!Eval.execute_rows}) *)
   scanned : int;  (** source tuples scanned to answer (cost input) *)
 }
 
@@ -66,11 +68,12 @@ val commit : t -> time:float -> Dyno_sim.Timeline.event -> int
 val answer :
   ?planner:Eval.plan ->
   ?plan:Eval.prepared ->
-  t -> Query.t -> bound:(string * Relation.t) list ->
+  t -> Query.t -> bound:(string * Rows.t) list ->
   (answer, broken) result
 (** Evaluate against the current state.  Aliases in [bound] resolve to the
-    supplied relations (partial results shipped with the query, as SWEEP
-    does); other local refs resolve in the catalog.  Any schema
+    supplied rows (partial results shipped with the query, as SWEEP
+    does); other local refs resolve in the catalog, in one pass over the
+    FROM list.  Any schema
     discrepancy yields [Error] — the in-exec broken-query signal.
     [planner] (default [`Indexed]) picks the physical plan; under
     [`Indexed] repeated probes reuse persistent indexes on the source's

@@ -24,10 +24,11 @@ let register t s =
 let unregister t id =
   t.sources <- List.filter (fun (i, _) -> not (String.equal i id)) t.sources
 
-let find t id =
-  match List.assoc_opt id t.sources with
-  | Some s -> s
-  | None -> raise (Unknown_source id)
+let rec lookup id = function
+  | [] -> raise (Unknown_source id)
+  | (id', s) :: rest -> if String.equal id id' then s else lookup id rest
+
+let find t id = lookup id t.sources
 
 let find_opt t id = List.assoc_opt id t.sources
 

@@ -104,7 +104,7 @@ let fetch_compensated (w : Query_engine.t)
          into the queue's live sums that the answer cannot contain.  Each
          schema group costs one evaluation (SPJ linearity over signed
          multisets), subtracted in place: the answer is ours. *)
-      let rows = ans.Dyno_source.Data_source.rows in
+      let rows = Rows.relation ans.Dyno_source.Data_source.rows in
       let compensated =
         try
           List.iter

@@ -250,53 +250,67 @@ let deliver_arrived w =
         |> List.iter (fun (i, p) -> admit_packet w i p)
   end
 
+(* Does some route's channel hold a copy in flight? *)
+let rec in_flight routes i =
+  i < Array.length routes
+  && (Channel.has_packets routes.(i).r_channel || in_flight routes (i + 1))
+
 (** [deliver_due w] applies every source commit scheduled at or before the
     current simulated time, sends the corresponding message down the
     wrapper's channel, and delivers every channel copy that has arrived. *)
 let deliver_due w =
-  List.iter
-    (fun (e : Timeline.entry) ->
-      let src, version =
-        Dyno_source.Registry.commit w.registry ~time:e.time e.event
-      in
-      let source = Dyno_source.Data_source.id src in
-      Trace.record w.trace ~time:e.time Trace.Commit
-        (lazy
-          (Fmt.str "%s v%d: %a" source version Timeline.pp_event e.event));
-      (* The first commit carries the lowest seq this source will ever
-         send; registering it here (before any delivery can happen)
-         anchors the sequencer even if that first message is reordered. *)
-      let r = route w source in
-      Umq.ensure_source r.r_umq ~source ~first_seq:version;
-      let payload =
-        match e.event with
-        | Timeline.Du u -> Update_msg.Du u
-        | Timeline.Sc sc -> Update_msg.Sc sc
-      in
-      let lin = Dyno_obs.Obs.lineage w.obs in
-      Dyno_obs.Lineage.commit lin ~source ~seq:version ~time:e.time
-        ~sc:
-          (match payload with
-          | Update_msg.Sc _ -> true
-          | Update_msg.Du _ -> false)
-        ~detail:
-          (let event = e.event in
-           lazy (Fmt.str "%a" Timeline.pp_event event));
-      let report =
-        Channel.send r.r_channel ~now:e.time ~source ~seq:version payload
-      in
-      Dyno_obs.Lineage.sent lin ~source ~seq:version ~time:e.time
-        ~transmissions:report.transmissions ~duplicated:report.duplicated
-        ~arrival:report.arrival;
-      if report.transmissions > 1 then
-        Trace.record w.trace ~time:e.time Trace.Msg_dropped
+  (* The common case — no commit due, no copy in flight — allocates
+     nothing. *)
+  let commit_due =
+    match Timeline.peek_all w.timeline with
+    | e :: _ -> Clock.reached w.clock e.Timeline.time
+    | [] -> false
+  in
+  if commit_due || in_flight w.routes 0 then begin
+    List.iter
+      (fun (e : Timeline.entry) ->
+        let src, version =
+          Dyno_source.Registry.commit w.registry ~time:e.time e.event
+        in
+        let source = Dyno_source.Data_source.id src in
+        Trace.record w.trace ~time:e.time Trace.Commit
           (lazy
-            (Fmt.str "%s seq %d: %d transmission(s) lost, retransmitted"
-               source version
-               (report.transmissions - 1)));
-      deliver_arrived w)
-    (Timeline.pop_until w.timeline ~time:(now w));
-  deliver_arrived w
+            (Fmt.str "%s v%d: %a" source version Timeline.pp_event e.event));
+        (* The first commit carries the lowest seq this source will ever
+           send; registering it here (before any delivery can happen)
+           anchors the sequencer even if that first message is reordered. *)
+        let r = route w source in
+        Umq.ensure_source r.r_umq ~source ~first_seq:version;
+        let payload =
+          match e.event with
+          | Timeline.Du u -> Update_msg.Du u
+          | Timeline.Sc sc -> Update_msg.Sc sc
+        in
+        let lin = Dyno_obs.Obs.lineage w.obs in
+        Dyno_obs.Lineage.commit lin ~source ~seq:version ~time:e.time
+          ~sc:
+            (match payload with
+            | Update_msg.Sc _ -> true
+            | Update_msg.Du _ -> false)
+          ~detail:
+            (let event = e.event in
+             lazy (Fmt.str "%a" Timeline.pp_event event));
+        let report =
+          Channel.send r.r_channel ~now:e.time ~source ~seq:version payload
+        in
+        Dyno_obs.Lineage.sent lin ~source ~seq:version ~time:e.time
+          ~transmissions:report.transmissions ~duplicated:report.duplicated
+          ~arrival:report.arrival;
+        if report.transmissions > 1 then
+          Trace.record w.trace ~time:e.time Trace.Msg_dropped
+            (lazy
+              (Fmt.str "%s seq %d: %d transmission(s) lost, retransmitted"
+                 source version
+                 (report.transmissions - 1)));
+        deliver_arrived w)
+      (Timeline.pop_until w.timeline ~time:(now w));
+    deliver_arrived w
+  end
 
 (** [advance w dt] spends [dt] simulated seconds of view-manager work and
     delivers any source commits that happen meanwhile.  Inside an
@@ -336,8 +350,9 @@ let next_wakeup w =
    keeps the SWEEP compensation frontier exact under transport delay. *)
 let flush_in_flight w ~source =
   let ri = w.route_of source in
-  List.iter (admit_packet w ri)
-    (Channel.flush_source w.routes.(ri).r_channel ~source)
+  match Channel.flush_source w.routes.(ri).r_channel ~source with
+  | [] -> ()
+  | ps -> List.iter (admit_packet w ri) ps
 
 (** How a maintenance query can fail:
 
@@ -358,57 +373,59 @@ let pp_failure ppf = function
    each RPC attempt against the fault config, charging timeout + backoff
    on the simulated clock (commits keep being delivered meanwhile), until
    an attempt goes through or the budget is exhausted. *)
-let with_rpc w ~target ~what (attempt_ok : unit -> ('a, failure) result) :
+let rec rpc_attempt w ~target ~what
+    (attempt_ok : unit -> ('a, failure) result) ~n ~waited :
     ('a, failure) result =
-  let rec attempt ~n ~waited =
-    let ch = (route w target).r_channel in
-    let outage = Channel.outage_at ch ~source:target ~now:(now w) in
-    let lost =
-      match outage with Some _ -> true | None -> Channel.rpc_lost ch
-    in
-    if not lost then attempt_ok ()
+  let ch = (route w target).r_channel in
+  let outage = Channel.outage_at ch ~source:target ~now:(now w) in
+  let lost =
+    match outage with Some _ -> true | None -> Channel.rpc_lost ch
+  in
+  if not lost then attempt_ok ()
+  else begin
+    let sp = Dyno_obs.Obs.spans w.obs
+    and mx = Dyno_obs.Obs.metrics w.obs in
+    w.timeouts <- w.timeouts + 1;
+    Dyno_obs.Metrics.incr mx "net.timeouts";
+    (match outage with
+    | Some o ->
+        Trace.record w.trace ~time:(now w) Trace.Outage
+          (lazy (Fmt.str "%s unreachable (outage until %.3fs)" target o.ends))
+    | None -> ());
+    Dyno_obs.Span.with_span sp
+      ~now:(fun () -> now w)
+      Dyno_obs.Span.Timeout
+      (lazy (Fmt.str "%s %s attempt %d" what target n))
+      (fun _ -> advance w w.retry.Retry.timeout);
+    w.net_wait <- w.net_wait +. w.retry.Retry.timeout;
+    Trace.record w.trace ~time:(now w) Trace.Timeout
+      (lazy
+        (Fmt.str "%s %s: no answer after %.3fs (attempt %d/%d)" what target
+           w.retry.Retry.timeout n w.retry.Retry.max_attempts));
+    let waited = waited +. w.retry.Retry.timeout in
+    if n >= w.retry.Retry.max_attempts then
+      Error (Unreachable { Retry.source = target; attempts = n; waited })
     else begin
-      let sp = Dyno_obs.Obs.spans w.obs
-      and mx = Dyno_obs.Obs.metrics w.obs in
-      w.timeouts <- w.timeouts + 1;
-      Dyno_obs.Metrics.incr mx "net.timeouts";
-      (match outage with
-      | Some o ->
-          Trace.record w.trace ~time:(now w) Trace.Outage
-            (lazy (Fmt.str "%s unreachable (outage until %.3fs)" target o.ends))
-      | None -> ());
+      let backoff = Retry.backoff_delay w.retry ~attempt:n in
       Dyno_obs.Span.with_span sp
         ~now:(fun () -> now w)
-        Dyno_obs.Span.Timeout
-        (lazy (Fmt.str "%s %s attempt %d" what target n))
-        (fun _ -> advance w w.retry.Retry.timeout);
-      w.net_wait <- w.net_wait +. w.retry.Retry.timeout;
-      Trace.record w.trace ~time:(now w) Trace.Timeout
+        Dyno_obs.Span.Retry
+        (lazy (Fmt.str "%s %s backoff %d" what target n))
+        (fun _ -> advance w backoff);
+      w.net_wait <- w.net_wait +. backoff;
+      w.retries <- w.retries + 1;
+      Dyno_obs.Metrics.incr mx "net.retries";
+      Trace.record w.trace ~time:(now w) Trace.Retry
         (lazy
-          (Fmt.str "%s %s: no answer after %.3fs (attempt %d/%d)" what target
-             w.retry.Retry.timeout n w.retry.Retry.max_attempts));
-      let waited = waited +. w.retry.Retry.timeout in
-      if n >= w.retry.Retry.max_attempts then
-        Error (Unreachable { Retry.source = target; attempts = n; waited })
-      else begin
-        let backoff = Retry.backoff_delay w.retry ~attempt:n in
-        Dyno_obs.Span.with_span sp
-          ~now:(fun () -> now w)
-          Dyno_obs.Span.Retry
-          (lazy (Fmt.str "%s %s backoff %d" what target n))
-          (fun _ -> advance w backoff);
-        w.net_wait <- w.net_wait +. backoff;
-        w.retries <- w.retries + 1;
-        Dyno_obs.Metrics.incr mx "net.retries";
-        Trace.record w.trace ~time:(now w) Trace.Retry
-          (lazy
-            (Fmt.str "%s %s: retry %d/%d after %.3fs backoff" what target
-               (n + 1) w.retry.Retry.max_attempts backoff));
-        attempt ~n:(n + 1) ~waited:(waited +. backoff)
-      end
+          (Fmt.str "%s %s: retry %d/%d after %.3fs backoff" what target
+             (n + 1) w.retry.Retry.max_attempts backoff));
+      rpc_attempt w ~target ~what attempt_ok ~n:(n + 1)
+        ~waited:(waited +. backoff)
     end
-  in
-  attempt ~n:1 ~waited:0.0
+  end
+
+let with_rpc w ~target ~what attempt_ok =
+  rpc_attempt w ~target ~what attempt_ok ~n:1 ~waited:0.0
 
 (** [execute w q ~bound ~target] runs one maintenance-query probe against
     source [target].
@@ -425,6 +442,14 @@ let probe_span w ~target ~what (body : unit -> ('a, failure) result) :
     ('a, failure) result =
   let sp = Dyno_obs.Obs.spans w.obs in
   let lin = Dyno_obs.Obs.lineage w.obs in
+  let mx = Dyno_obs.Obs.metrics w.obs in
+  (* With every recorder off there is nothing to wrap. *)
+  if
+    not
+      (Dyno_obs.Span.enabled sp || Dyno_obs.Lineage.enabled lin
+     || Dyno_obs.Metrics.enabled mx)
+  then body ()
+  else
   let name = lazy (what ^ " " ^ target) in
   Dyno_obs.Span.with_span sp
     ~now:(fun () -> now w)
@@ -447,7 +472,7 @@ let probe_span w ~target ~what (body : unit -> ('a, failure) result) :
           (lazy
             (Fmt.str "%s %s: %s, rtt %.3fs" (Lazy.force name) target outcome
                rtt));
-      Dyno_obs.Metrics.observe (Dyno_obs.Obs.metrics w.obs) "probe.rtt_s" rtt;
+      Dyno_obs.Metrics.observe mx "probe.rtt_s" rtt;
       result)
 
 (** [execute_timed w q ~bound ~target] — like {!execute}, but also
@@ -456,23 +481,28 @@ let probe_span w ~target ~what (body : unit -> ('a, failure) result) :
     tasks may deliver commits while this task parks on the result
     transfer; the caller's compensation frontier must only include
     pending updates committed at or before that instant. *)
-let execute_timed ?plan w (q : Query.t) ~bound ~target :
-    (Dyno_source.Data_source.answer * float, failure) result =
-  probe_span w ~target ~what:"probe" @@ fun () ->
-  Trace.record w.trace ~time:(now w) Trace.Query_sent
-    (lazy (Fmt.str "%s <- %s" target (Query.name q)));
-  let src = Dyno_source.Registry.find w.registry target in
-  (* Estimate the scan the source is about to do (current sizes). *)
-  let scan_estimate =
-    List.fold_left
-      (fun acc (tr : Query.table_ref) ->
+(* The scan a probe's source is about to do: the current sizes of its
+   local relations. *)
+let rec scan_estimate src ~target acc = function
+  | [] -> acc
+  | (tr : Query.table_ref) :: rest ->
+      let acc =
         if String.equal tr.source target then
           match Dyno_source.Data_source.relation_opt src tr.rel with
           | Some r -> acc + Relation.support r
           | None -> acc
-        else acc)
-      0 (Query.from q)
-  in
+        else acc
+      in
+      scan_estimate src ~target acc rest
+
+let execute_timed ?plan w (q : Query.t) ~bound ~target :
+    (Dyno_source.Data_source.answer * float, failure) result =
+  probe_span w ~target ~what:"probe" @@ fun () ->
+  if Trace.enabled w.trace then
+    Trace.record w.trace ~time:(now w) Trace.Query_sent
+      (lazy (Fmt.str "%s <- %s" target (Query.name q)));
+  let src = Dyno_source.Registry.find w.registry target in
+  let scan_estimate = scan_estimate src ~target 0 (Query.from q) in
   with_rpc w ~target ~what:"probe" (fun () ->
       (* Issue half: the request goes on the wire; this task parks for
          the round trip + source scan while other tasks' probes overlap. *)
@@ -501,12 +531,13 @@ let execute_timed ?plan w (q : Query.t) ~bound ~target :
              deliver their own commits — hence [answered_at].) *)
           Executor.sleep_for w.exec
             (Cost_model.probe w.cost ~scanned:0
-               ~returned:(Relation.support ans.rows)
+               ~returned:(Rows.support ans.rows)
              -. w.cost.Cost_model.query_latency
             |> Float.max 0.0);
-          Trace.record w.trace ~time:(now w) Trace.Query_answered
-            (lazy
-              (Fmt.str "%s -> %d rows" target (Relation.support ans.rows)));
+          if Trace.enabled w.trace then
+            Trace.record w.trace ~time:(now w) Trace.Query_answered
+              (lazy
+                (Fmt.str "%s -> %d rows" target (Rows.support ans.rows)));
           Ok (ans, answered_at)
       | Error b ->
           set_broken_query_flags w;

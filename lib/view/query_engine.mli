@@ -122,7 +122,8 @@ val net_wait : t -> float
 val deliver_due : t -> unit
 (** Apply every source commit scheduled at or before the current simulated
     time, send its message down the channel, and run every arrived copy
-    through the UMQ sequencer. *)
+    through the UMQ sequencer.  With no commit due and no copy in flight
+    it returns at once and allocates nothing. *)
 
 val advance : t -> float -> unit
 (** Spend simulated seconds of view-manager work, delivering any source
@@ -148,7 +149,7 @@ val pp_failure : Format.formatter -> failure -> unit
 val execute :
   t ->
   Query.t ->
-  bound:(string * Relation.t) list ->
+  bound:(string * Rows.t) list ->
   target:string ->
   (Dyno_source.Data_source.answer, failure) result
 (** Run one maintenance-query probe against a source.  Round-trip latency
@@ -165,7 +166,7 @@ val execute_timed :
   ?plan:Eval.prepared ->
   t ->
   Query.t ->
-  bound:(string * Relation.t) list ->
+  bound:(string * Rows.t) list ->
   target:string ->
   (Dyno_source.Data_source.answer * float, failure) result
 (** Like {!execute}, but also returns the simulated time at which the

@@ -322,12 +322,15 @@ let compile ~version (q : Query.t) (schemas : (string * Schema.t) list)
    never registers an index on the delta or on a partial result. *)
 
 (** [start sw delta] turns the delta of the maintained update into the
-    first partial result. *)
-let start sw delta = Eval.execute ~planner:`Nested_loop sw.start [ delta ]
+    first partial result: rows, flat unless the pivot's kept columns
+    could make two delta tuples one. *)
+let start sw delta =
+  Eval.execute_rows ~planner:`Nested_loop sw.start [ Rows.of_relation delta ]
 
 (** [finish sw partial] projects the completed partial result onto the
-    view's select list. *)
-let finish sw partial = Eval.execute ~planner:`Nested_loop sw.finish [ partial ]
+    view's select list: the sweep's one hashing of its result. *)
+let finish sw partial =
+  Rows.relation (Eval.execute_rows ~planner:`Nested_loop sw.finish [ partial ])
 
 (** The schema of the view delta a sweep produces. *)
 let output_schema sw = Eval.output_schema sw.finish

@@ -110,13 +110,16 @@ val compile :
     @raise Eval.Error when the view does not resolve against [schemas].
     @raise Unsupported for an alias that contributes no attribute. *)
 
-val start : sweep -> Relation.t -> Relation.t
+val start : sweep -> Relation.t -> Rows.t
 (** Turn the maintained update's delta into the first partial result:
-    local filters applied, needed attributes projected, names prefixed. *)
+    local filters applied, needed attributes projected, names prefixed.
+    The rows are consolidated, so an empty result means the delta
+    cancels or is filtered out. *)
 
-val finish : sweep -> Relation.t -> Relation.t
+val finish : sweep -> Rows.t -> Relation.t
 (** Project the completed partial result onto the view's select list
-    (applying residual atoms), restoring output names and types. *)
+    (applying residual atoms), restoring output names and types: the
+    view delta, hashed here, the caller's own. *)
 
 val output_schema : sweep -> Schema.t
 (** The schema of the view delta the sweep produces. *)

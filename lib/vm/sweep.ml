@@ -68,7 +68,7 @@ let delta_view ?(compensate = true) (w : Query_engine.t)
   let trace = Query_engine.trace w in
   let exception Failed of Query_engine.failure in
   try
-    if Relation.is_empty !partial then
+    if Rows.is_empty !partial then
       (* The delta is filtered out locally; nothing joins, no probes needed. *)
       Ok (Relation.create (Maint_query.output_schema sw), !stats)
     else begin
@@ -95,73 +95,75 @@ let delta_view ?(compensate = true) (w : Query_engine.t)
              be compensated away.  (Serially the frontier leaves nothing
              out: every pending update arrived — hence committed — before
              the answer.)  The sums are live; nothing below parks.  The
-             answer is this sweep's own ({!Eval.execute}'s contract), so
-             each contribution is subtracted from it in place. *)
+             answer is this sweep's own ({!Eval.execute_rows}'s
+             contract); a non-empty contribution is subtracted from it,
+             which consolidates it (hashed, in place once hashed). *)
           let pending =
             if not compensate then []
             else
               Query_engine.pending_sums w ~after:(answered_at +. 1e-12)
                 ~source:tr.Query.source ~rel:tr.Query.rel ~exclude
           in
-          List.iter
-            (fun { Umq.sum; count; _ } ->
-              match
-                Eval.execute ~planner:(Query_engine.planner w) plan
-                  [ sum; !partial ]
-              with
-              | contribution ->
-                  if not (Relation.is_empty contribution) then begin
-                    stats :=
-                      {
-                        !stats with
-                        compensations = !stats.compensations + 1;
-                        comp_tuples =
-                          !stats.comp_tuples + Relation.mass contribution;
-                      };
-                    Dyno_sim.Trace.record trace
-                      ~time:(Query_engine.now w) Dyno_sim.Trace.Compensate
-                      (lazy
-                        (Fmt.str
-                           "removed %d tuple(s) of %d pending update(s) \
-                            from probe %s"
-                           (Relation.mass contribution)
-                           count (Query.name probe)));
-                    (* Compensation is local view-manager work, not
-                       charged on the clock: a zero-duration span marks
-                       where it happened inside the enclosing probe. *)
-                    let sp = Dyno_obs.Obs.spans (Query_engine.obs w) in
-                    let sid =
-                      Dyno_obs.Span.begin_span sp
-                        ~time:(Query_engine.now w)
-                        Dyno_obs.Span.Compensate
-                        (Lazy.from_val (Query.name probe))
-                    in
-                    Dyno_obs.Span.set_attr sp sid "tuples"
-                      (string_of_int (Relation.mass contribution));
-                    Dyno_obs.Span.end_span sp ~time:(Query_engine.now w)
-                      sid;
-                    Dyno_obs.Metrics.incr
-                      (Dyno_obs.Obs.metrics (Query_engine.obs w))
-                      ~by:(Relation.mass contribution)
-                      "sweep.comp_tuples";
-                    Relation.sum_in_place ~scale:(-1) answer contribution
-                  end
-              | exception Eval.Error reason ->
-                  (* The pending updates are expressed against a schema
-                     the probe cannot see — a schema conflict is in
-                     flight; treat the probe as broken (conservative,
-                     sound). *)
-                  raise
-                    (Failed
-                       (Query_engine.Broken
-                          {
-                            Dyno_source.Data_source.source =
-                              tr.Query.source;
-                            query_name = Query.name probe;
-                            reason =
-                              Fmt.str "compensation impossible: %s" reason;
-                          })))
-            pending;
+          let answer =
+            List.fold_left
+              (fun answer { Umq.sum; count; _ } ->
+                match
+                  Eval.execute_rows ~planner:(Query_engine.planner w) plan
+                    [ Rows.of_relation sum; !partial ]
+                with
+                | contribution ->
+                    if Rows.is_empty contribution then answer
+                    else begin
+                      let mass = Rows.mass contribution in
+                      stats :=
+                        {
+                          !stats with
+                          compensations = !stats.compensations + 1;
+                          comp_tuples = !stats.comp_tuples + mass;
+                        };
+                      Dyno_sim.Trace.record trace
+                        ~time:(Query_engine.now w) Dyno_sim.Trace.Compensate
+                        (lazy
+                          (Fmt.str
+                             "removed %d tuple(s) of %d pending update(s) \
+                              from probe %s"
+                             mass count (Query.name probe)));
+                      (* Compensation is local view-manager work, not
+                         charged on the clock: a zero-duration span marks
+                         where it happened inside the enclosing probe. *)
+                      let sp = Dyno_obs.Obs.spans (Query_engine.obs w) in
+                      let sid =
+                        Dyno_obs.Span.begin_span sp
+                          ~time:(Query_engine.now w)
+                          Dyno_obs.Span.Compensate
+                          (Lazy.from_val (Query.name probe))
+                      in
+                      Dyno_obs.Span.set_attr sp sid "tuples"
+                        (string_of_int mass);
+                      Dyno_obs.Span.end_span sp ~time:(Query_engine.now w)
+                        sid;
+                      Dyno_obs.Metrics.incr
+                        (Dyno_obs.Obs.metrics (Query_engine.obs w))
+                        ~by:mass "sweep.comp_tuples";
+                      Rows.subtract answer contribution
+                    end
+                | exception Eval.Error reason ->
+                    (* The pending updates are expressed against a schema
+                       the probe cannot see — a schema conflict is in
+                       flight; treat the probe as broken (conservative,
+                       sound). *)
+                    raise
+                      (Failed
+                         (Query_engine.Broken
+                            {
+                              Dyno_source.Data_source.source =
+                                tr.Query.source;
+                              query_name = Query.name probe;
+                              reason =
+                                Fmt.str "compensation impossible: %s" reason;
+                            })))
+              answer pending
+          in
           partial := answer)
         sw.Maint_query.probes;
       Ok (Maint_query.finish sw !partial, !stats)
@@ -217,7 +219,7 @@ let delta_view_local (w : Query_engine.t) (sw : Maint_query.sweep)
   | None -> None
   | Some auxes ->
       let partial0 = Maint_query.start sw delta in
-      if Relation.is_empty partial0 then
+      if Rows.is_empty partial0 then
         (* Filtered out locally — no span, matching the probed path which
            sends no probes either. *)
         Some (Relation.create (Maint_query.output_schema sw), no_stats)
@@ -226,15 +228,15 @@ let delta_view_local (w : Query_engine.t) (sw : Maint_query.sweep)
         (* Wire-cost estimate for a round trip replaced: the partial
            shipped out plus the answer shipped back, 8 bytes a field. *)
         let est r =
-          8 * Relation.support r * List.length (Schema.attrs (Relation.schema r))
+          8 * Rows.support r * List.length (Schema.attrs (Rows.schema r))
         in
         let sweep () =
           let partial, st =
             List.fold_left
               (fun (partial, st) ((p : Maint_query.probe), aux_data, pending) ->
                 let answer =
-                  Eval.execute ~planner p.Maint_query.local_plan
-                    [ aux_data; partial ]
+                  Eval.execute_rows ~planner p.Maint_query.local_plan
+                    [ Rows.of_relation aux_data; partial ]
                 in
                 let st =
                   {
@@ -243,27 +245,23 @@ let delta_view_local (w : Query_engine.t) (sw : Maint_query.sweep)
                     bytes_saved = st.bytes_saved + est partial + est answer;
                   }
                 in
-                (* The answer is ours: compensate it in place. *)
-                let st =
-                  List.fold_left
-                    (fun st { Umq.sum; _ } ->
-                      let contribution =
-                        Eval.execute ~planner p.Maint_query.plan
-                          [ sum; partial ]
-                      in
-                      if Relation.is_empty contribution then st
-                      else begin
-                        Relation.sum_in_place ~scale:(-1) answer contribution;
+                (* The answer is ours: a non-empty contribution is
+                   subtracted from it, which consolidates it. *)
+                List.fold_left
+                  (fun (answer, st) { Umq.sum; _ } ->
+                    let contribution =
+                      Eval.execute_rows ~planner p.Maint_query.plan
+                        [ Rows.of_relation sum; partial ]
+                    in
+                    if Rows.is_empty contribution then (answer, st)
+                    else
+                      ( Rows.subtract answer contribution,
                         {
                           st with
                           compensations = st.compensations + 1;
-                          comp_tuples =
-                            st.comp_tuples + Relation.mass contribution;
-                        }
-                      end)
-                    st pending
-                in
-                (answer, st))
+                          comp_tuples = st.comp_tuples + Rows.mass contribution;
+                        } ))
+                  (answer, st) pending)
               (partial0, no_stats) auxes
           in
           (Maint_query.finish sw partial, st)

@@ -141,6 +141,30 @@ let prop_prepared =
             prepared)
         instances)
 
+(* The same prepared plans answering rows: the rows consolidate to the
+   relation [execute] answers, and their distinct count and mass are
+   that relation's — flat or hashed, whatever the select list keeps. *)
+let prop_rows =
+  QCheck.Test.make ~name:"execute_rows = execute, exact counts (both planners)"
+    ~count:200
+    (QCheck.triple (arb_rel schema_a) (arb_rel schema_b) (arb_rel schema_c))
+    (fun (a, b, c) ->
+      let env = [ ("A", a); ("B", b); ("C", c) ] in
+      List.for_all
+        (fun (q, p) ->
+          List.for_all
+            (fun planner ->
+              let rel = Eval.execute ~planner p (inputs_of q env) in
+              let rows =
+                Eval.execute_rows ~planner p
+                  (List.map Rows.of_relation (inputs_of q env))
+              in
+              Rows.support rows = Relation.support rel
+              && Rows.mass rows = Relation.mass rel
+              && Relation.equal (Rows.relation rows) rel)
+            [ `Indexed; `Nested_loop ])
+        prepared)
+
 (* -- index maintenance ------------------------------------------------ *)
 
 (* Random add/delete stream applied to an indexed relation: every bucket
@@ -394,6 +418,39 @@ let test_stale_plan_reprepares () =
          Eval.run ~catalog:(Eval.catalog [ ("A", a); ("B", c) ]) join2))
     (reason (fun () -> Eval.execute p [ a; c ]))
 
+let test_stale_plan_prepares_once () =
+  (* A plan executed over inputs with other schemas re-prepares once and
+     keeps that plan for the next execution with the same schemas. *)
+  let p = Eval.prepare join2 [ ("A", schema_a); ("B", schema_b) ] in
+  let a = Relation.of_list schema_a [ [ Value.int 1; Value.int 7 ] ] in
+  let swapped = Schema.of_list [ Attr.int "w"; Attr.int "k2" ] in
+  let b = Relation.of_list swapped [ [ Value.int 9; Value.int 1 ] ] in
+  let fresh = Eval.prepare join2 [ ("A", schema_a); ("B", swapped) ] in
+  List.iter
+    (fun planner ->
+      let first = Eval.execute ~planner p [ a; b ] in
+      let restaged = Eval.restaged p in
+      let second = Eval.execute ~planner p [ a; b ] in
+      Alcotest.(check bool) "first = fresh prepare" true
+        (Relation.equal first (Eval.execute ~planner fresh [ a; b ]));
+      Alcotest.(check bool) "second = fresh prepare" true
+        (Relation.equal second (Eval.execute ~planner fresh [ a; b ]));
+      Alcotest.(check bool) "re-prepared once" true
+        (match (restaged, Eval.restaged p) with
+        | Some r1, Some r2 -> r1 == r2
+        | _ -> false))
+    [ `Indexed; `Nested_loop ];
+  (* a re-prepare that fails raises the same error every time *)
+  let c = Relation.create schema_c in
+  let reason () =
+    match Eval.execute p [ a; c ] with
+    | _ -> "none"
+    | exception Eval.Error r -> r
+  in
+  let first = reason () in
+  Alcotest.(check bool) "conflict raises" true (first <> "none");
+  Alcotest.(check string) "same error again" first (reason ())
+
 let test_index_registry () =
   let r = Relation.of_list schema_a [ [ Value.int 1; Value.int 2 ] ] in
   let ix = Relation.ensure_index r [ "k" ] in
@@ -414,6 +471,7 @@ let () =
             prop_join3;
             prop_select;
             prop_prepared;
+            prop_rows;
             prop_identity_projection;
           ] );
       ( "index maintenance",
@@ -425,6 +483,8 @@ let () =
           Alcotest.test_case "mismatched schema" `Quick test_mismatched_schema;
           Alcotest.test_case "stale plan re-prepares" `Quick
             test_stale_plan_reprepares;
+          Alcotest.test_case "stale plan prepares once per schema" `Quick
+            test_stale_plan_prepares_once;
           Alcotest.test_case "index registry" `Quick test_index_registry;
         ] );
     ]

@@ -451,8 +451,10 @@ let test_trace_renders_at_record () =
 (* A fleet-shaped run (3 shards, width 2, self-maintenance, 5% loss, dup
    and reorder, one DU every 0.15 sim s) allocates at most 1.3x the words
    with spans, metrics, lineage and a 10 s series on as with all of them
-   off.  Words are minor + major - promoted; no clock is read, so the
-   ratio is deterministic. *)
+   off.  Words are minor + major - promoted.  OCaml 5 counts a minor
+   heap's words only when it is collected, so each read first empties it
+   with [Gc.minor]; the count then repeats to the word, whatever earlier
+   tests left in the heap. *)
 let fleet_words ~obs ~seed =
   let rows = 500 in
   let spec =
@@ -484,6 +486,7 @@ let fleet_words ~obs ~seed =
                 Dyno_workload.Generator.At_du (0.15 *. float_of_int k))))
   in
   let words () =
+    Gc.minor ();
     let minor, promoted, major = Gc.counters () in
     minor +. major -. promoted
   in
@@ -497,6 +500,8 @@ let test_obs_allocation_budget () =
       let off = fleet_words ~obs:Obs.disabled ~seed in
       let on = fleet_words ~obs:(Obs.create ~sample_interval:10.0 ()) ~seed in
       let ratio = on /. off in
+      Printf.printf "seed %d: obs on %.0f / off %.0f words = %.3fx\n" seed on
+        off ratio;
       if ratio > 1.3 then
         Alcotest.failf
           "seed %d: obs on allocates %.0f words, %.2fx the %.0f words with obs \

@@ -78,7 +78,7 @@ let test_answer_and_broken () =
   let s = fresh () in
   (match Data_source.answer s (single_table_query "R") ~bound:[] with
   | Ok ans ->
-      Alcotest.(check int) "2 rows" 2 (Relation.cardinality ans.Data_source.rows);
+      Alcotest.(check int) "2 rows" 2 (Relation.cardinality (Rows.relation ans.Data_source.rows));
       Alcotest.(check int) "scanned" 2 ans.Data_source.scanned
   | Error _ -> Alcotest.fail "query should succeed");
   (* missing relation -> broken, not an exception *)
@@ -103,8 +103,8 @@ let test_answer_with_bound () =
       ~from:[ Query.table ~alias:"R" "ds" "R"; Query.table ~alias:"B" "ds" "__b" ]
       ~where:[ Predicate.eq_attr "R.k" "B.bk" ]
   in
-  match Data_source.answer s q ~bound:[ ("B", bound_rel) ] with
-  | Ok ans -> Alcotest.(check int) "semijoin" 1 (Relation.cardinality ans.Data_source.rows)
+  match Data_source.answer s q ~bound:[ ("B", Rows.of_relation bound_rel) ] with
+  | Ok ans -> Alcotest.(check int) "semijoin" 1 (Relation.cardinality (Rows.relation ans.Data_source.rows))
   | Error b -> Alcotest.failf "unexpected break: %a" Data_source.pp_broken b
 
 let test_validate () =

@@ -353,7 +353,7 @@ let test_engine_delivery_before_answer () =
   match Query_engine.execute w (view_q ()) ~bound:[] ~target:"ds" with
   | Ok ans ->
       Alcotest.(check int) "answer reflects concurrent commit" 2
-        (Relation.cardinality ans.Dyno_source.Data_source.rows);
+        (Relation.cardinality (Rows.relation ans.Dyno_source.Data_source.rows));
       Alcotest.(check int) "message enqueued" 1 (Umq.length umq)
   | Error _ -> Alcotest.fail "no break expected"
 

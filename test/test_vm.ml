@@ -347,11 +347,11 @@ let test_maint_query_shapes () =
       (Relation.of_list a_schema [ [ Value.int 1; Value.string "v" ] ])
   in
   Alcotest.(check (list string)) "prefixed partial columns" [ "A__k"; "A__x" ]
-    (Schema.names (Relation.schema partial));
+    (Schema.names (Rows.schema partial));
   let b_ref = List.nth (Query.from q) 1 in
   let probe =
     Dyno_vm.Maint_query.probe_query q owner b_ref
-      ~partial_schema:(Relation.schema partial) ~bound:[ "A" ]
+      ~partial_schema:(Rows.schema partial) ~bound:[ "A" ]
   in
   Alcotest.(check int) "probe FROM has table + partial" 2
     (List.length (Query.from probe));
