@@ -21,18 +21,32 @@ type report = {
   edges : int;
 }
 
+let rec drop n l =
+  match l with _ :: rest when n > 0 -> drop (n - 1) rest | _ -> l
+
 (** [apply umq g] corrects the queue according to graph [g] and installs
-    the legal order.  Returns what happened, for stats/trace. *)
+    the legal order.  Returns what happened, for stats/trace.
+
+    Detection charges its time on the simulated clock, and a delivery
+    falling due meanwhile appends to the queue, so [g]'s entries may be
+    only a prefix of it.  The entries admitted since follow the corrected
+    order, in arrival order; an admitted SC has set the schema-change
+    flag, so the next pass corrects them. *)
 let apply (umq : Umq.t) (g : Dep_graph.t) : report =
   let before = Umq.entries umq in
   let c = Dep_graph.correct g in
+  let n = Dep_graph.size g in
+  let order =
+    if Umq.length umq = n then c.Dep_graph.order
+    else c.Dep_graph.order @ drop n before
+  in
   let reordered =
-    List.length before <> List.length c.Dep_graph.order
+    List.length before <> List.length order
     || List.exists2
          (fun a b -> Umq.entry_ids a <> Umq.entry_ids b)
-         before c.Dep_graph.order
+         before order
   in
-  if reordered then Umq.replace umq c.Dep_graph.order;
+  if reordered then Umq.replace umq order;
   {
     reordered;
     merged_cycles = c.Dep_graph.merged_cycles;

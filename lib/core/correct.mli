@@ -17,7 +17,9 @@ type report = {
 val apply : Umq.t -> Dep_graph.t -> report
 (** [apply umq g] corrects the queue according to graph [g] and installs
     the legal order.  The set of queued updates is preserved exactly
-    ({!Umq.replace} enforces it). *)
+    ({!Umq.replace} enforces it): entries admitted after [g] was built —
+    a delivery inside the detection pass's clock charge — stay queued
+    after the corrected order, in arrival order. *)
 
 val collapse : Umq.entry list -> Umq.entry list * report
 (** The strawman correction the paper argues against, over an entry

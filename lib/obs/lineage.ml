@@ -16,6 +16,12 @@
     formats a detail.  The lazies obey the capture rule stated in
     [lineage.mli].
 
+    Records are found without hashing a key: message ids come from one
+    counter and a source's [seq] is its version, so both are dense.  A
+    record sits at its message id's slot of one growable array, and at
+    its [seq]'s slot of its source's array; only the source's short name
+    is hashed.  {!records} keeps commit order from a list of its own.
+
     A disabled recorder (the default, shared {!disabled}) is a structural
     no-op: no clock reads, no RNG draws, no allocation beyond the call —
     lineage-off runs are byte-identical. *)
@@ -102,11 +108,60 @@ type record = {
   mutable parent : int;  (** causal parent msg id (batch rebirth), -1 *)
 }
 
+(* The empty slot: no record is physically this one. *)
+let nil =
+  {
+    source = "";
+    seq = -1;
+    sc = false;
+    msg_id = -1;
+    commit_at = 0.0;
+    cursor = 0.0;
+    revents = [];
+    segs = [||];
+    held = false;
+    term = None;
+    term_at = 0.0;
+    parent = -1;
+  }
+
+(* Records by a dense int key that may start anywhere, skip values or
+   arrive out of order: key [k] at [recs.(k - base)], absent keys [nil].
+   The array grows by doubling towards the key that did not fit, so its
+   size follows the range of keys seen, not their number: message ids and
+   source versions count up by one. *)
+type slots = { mutable base : int; mutable recs : record array }
+
+let slots () = { base = 0; recs = [||] }
+
+let get s k =
+  let i = k - s.base in
+  if i >= 0 && i < Array.length s.recs then Array.unsafe_get s.recs i else nil
+
+let put s k r =
+  let n = Array.length s.recs in
+  let i = k - s.base in
+  if i >= 0 && i < n then s.recs.(i) <- r
+  else begin
+    let below = n > 0 && k < s.base in
+    let lo = if n = 0 || below then k else s.base in
+    let hi = if n = 0 then k else max k (s.base + n - 1) in
+    let cap = max 16 (max (hi - lo + 1) (2 * n)) in
+    let base = if below then hi + 1 - cap else lo in
+    let recs = Array.make cap nil in
+    if n > 0 then Array.blit s.recs 0 recs (s.base - base) n;
+    s.base <- base;
+    s.recs <- recs;
+    recs.(k - base) <- r
+  end
+
+module Sources = Hashtbl.Make (String)
+
 type t = {
   on : bool;
   metrics : Metrics.t;
-  by_key : (string * int, record) Hashtbl.t;
-  by_msg : (int, record) Hashtbl.t;
+  by_seq : slots Sources.t;  (** source → its records by [seq] *)
+  by_msg : slots;  (** records by message id, once admitted *)
   mutable rorder : record list;  (** commit order, newest first *)
   scopes : (int, int list) Hashtbl.t;  (** ambient ctx → dispatched ids *)
   mutable ctx : int;
@@ -116,8 +171,8 @@ let create ?(enabled = true) ?(metrics = Metrics.disabled) () =
   {
     on = enabled;
     metrics;
-    by_key = Hashtbl.create (if enabled then 64 else 0);
-    by_msg = Hashtbl.create (if enabled then 64 else 0);
+    by_seq = Sources.create (if enabled then 8 else 0);
+    by_msg = slots ();
     rorder = [];
     scopes = Hashtbl.create (if enabled then 8 else 0);
     ctx = 0;
@@ -128,8 +183,9 @@ let enabled t = t.on
 
 let clear t =
   if t.on then begin
-    Hashtbl.reset t.by_key;
-    Hashtbl.reset t.by_msg;
+    Sources.reset t.by_seq;
+    t.by_msg.base <- 0;
+    t.by_msg.recs <- [||];
     t.rorder <- [];
     Hashtbl.reset t.scopes;
     t.ctx <- 0
@@ -172,8 +228,17 @@ let charge r ~time seg =
     d
   end
 
-let find_key t ~source ~seq = Hashtbl.find_opt t.by_key (source, seq)
-let find_msg t id = if t.on then Hashtbl.find_opt t.by_msg id else None
+(* The record of [(source, seq)], or [nil]. *)
+let of_key t ~source ~seq =
+  match Sources.find t.by_seq source with
+  | s -> get s seq
+  | exception Not_found -> nil
+
+let find_msg t id =
+  if t.on then
+    let r = get t.by_msg id in
+    if r == nil then None else Some r
+  else None
 
 let commit t ~source ~seq ~time ~sc ~detail =
   if t.on then begin
@@ -193,60 +258,62 @@ let commit t ~source ~seq ~time ~sc ~detail =
         parent = -1;
       }
     in
-    Hashtbl.replace t.by_key (source, seq) r;
+    (match Sources.find t.by_seq source with
+    | s -> put s seq r
+    | exception Not_found ->
+        let s = slots () in
+        put s seq r;
+        Sources.add t.by_seq source s);
     t.rorder <- r :: t.rorder;
     ev r ~at:time ~kind:"commit" detail
   end
 
 let sent t ~source ~seq ~time ~transmissions ~duplicated ~arrival =
   if t.on then
-    match find_key t ~source ~seq with
-    | None -> ()
-    | Some r ->
-        ev r ~at:time ~kind:"send"
-          (lazy (sent_text ~transmissions ~duplicated ~arrival))
+    let r = of_key t ~source ~seq in
+    if r != nil then
+      ev r ~at:time ~kind:"send"
+        (lazy (sent_text ~transmissions ~duplicated ~arrival))
 
 let arrive t ~source ~seq ~time =
   if t.on then
-    match find_key t ~source ~seq with
-    | None -> ()
-    | Some r ->
-        let d = charge r ~time Channel in
-        ev r ~at:time ~kind:"arrive" ~seg:Channel ~charged:d
-          (lazy "packet at warehouse")
+    let r = of_key t ~source ~seq in
+    if r != nil then
+      let d = charge r ~time Channel in
+      ev r ~at:time ~kind:"arrive" ~seg:Channel ~charged:d
+        (lazy "packet at warehouse")
 
 let held t ~source ~seq ~time =
   if t.on then
-    match find_key t ~source ~seq with
-    | None -> ()
-    | Some r ->
-        r.held <- true;
-        ev r ~at:time ~kind:"held" (lazy "sequencer holding for a gap")
+    let r = of_key t ~source ~seq in
+    if r != nil then begin
+      r.held <- true;
+      ev r ~at:time ~kind:"held" (lazy "sequencer holding for a gap")
+    end
 
 let dedup t ~source ~seq ~time =
   if t.on then begin
     Metrics.incr t.metrics "lineage.dedups";
-    match find_key t ~source ~seq with
-    | None -> ()
-    | Some r ->
-        ev r ~at:time ~kind:"dedup" (lazy "duplicate delivery discarded")
+    let r = of_key t ~source ~seq in
+    if r != nil then
+      ev r ~at:time ~kind:"dedup" (lazy "duplicate delivery discarded")
   end
 
 let admit t ~source ~seq ~time ~msg_id =
   if t.on then
-    match find_key t ~source ~seq with
-    | None -> ()
-    | Some r ->
-        r.msg_id <- msg_id;
-        Hashtbl.replace t.by_msg msg_id r;
-        if r.held then begin
-          r.held <- false;
-          let d = charge r ~time Hold in
-          ev r ~at:time ~kind:"admit" ~seg:Hold ~charged:d
-            (lazy (admit_text ~released:true msg_id))
-        end
-        else
-          ev r ~at:time ~kind:"admit" (lazy (admit_text ~released:false msg_id))
+    let r = of_key t ~source ~seq in
+    if r != nil then begin
+      r.msg_id <- msg_id;
+      put t.by_msg msg_id r;
+      if r.held then begin
+        r.held <- false;
+        let d = charge r ~time Hold in
+        ev r ~at:time ~kind:"admit" ~seg:Hold ~charged:d
+          (lazy (admit_text ~released:true msg_id))
+      end
+      else
+        ev r ~at:time ~kind:"admit" (lazy (admit_text ~released:false msg_id))
+    end
 
 (* Dispatch and everything after is keyed by message id.  [seg] names
    the wait the dispatch closes: [Queue] for normal scheduling, [Barrier]
@@ -255,31 +322,28 @@ let dispatch t ~ids ~time ?(seg = Queue) ~detail () =
   if t.on then
     List.iter
       (fun id ->
-        match find_msg t id with
-        | None -> ()
-        | Some r ->
-            let d = charge r ~time seg in
-            ev r ~at:time ~kind:"dispatch" ~seg ~charged:d detail)
+        let r = get t.by_msg id in
+        if r != nil then
+          let d = charge r ~time seg in
+          ev r ~at:time ~kind:"dispatch" ~seg ~charged:d detail)
       ids
 
 let note t ~ids ~time ~kind ~detail =
   if t.on then
     List.iter
       (fun id ->
-        match find_msg t id with
-        | None -> ()
-        | Some r -> ev r ~at:time ~kind detail)
+        let r = get t.by_msg id in
+        if r != nil then ev r ~at:time ~kind detail)
       ids
 
 let stall t ~ids ~time ~detail =
   if t.on then
     List.iter
       (fun id ->
-        match find_msg t id with
-        | None -> ()
-        | Some r ->
-            let d = charge r ~time Stall in
-            ev r ~at:time ~kind:"stall" ~seg:Stall ~charged:d detail)
+        let r = get t.by_msg id in
+        if r != nil then
+          let d = charge r ~time Stall in
+          ev r ~at:time ~kind:"stall" ~seg:Stall ~charged:d detail)
       ids
 
 let abort t ~ids ~time ~detail =
@@ -287,11 +351,10 @@ let abort t ~ids ~time ~detail =
     Metrics.incr t.metrics "lineage.aborts";
     List.iter
       (fun id ->
-        match find_msg t id with
-        | None -> ()
-        | Some r ->
-            let d = charge r ~time Abort in
-            ev r ~at:time ~kind:"abort" ~seg:Abort ~charged:d detail)
+        let r = get t.by_msg id in
+        if r != nil then
+          let d = charge r ~time Abort in
+          ev r ~at:time ~kind:"abort" ~seg:Abort ~charged:d detail)
       ids
   end
 
@@ -301,9 +364,8 @@ let edge t ~dep_ids ~time ~detail =
   if t.on then
     List.iter
       (fun id ->
-        match find_msg t id with
-        | None -> ()
-        | Some r -> ev r ~at:time ~kind:"dep-edge" detail)
+        let r = get t.by_msg id in
+        if r != nil then ev r ~at:time ~kind:"dep-edge" detail)
       dep_ids
 
 (* Forensics: a cycle merge (or Merge_all collapse).  Members gain a
@@ -315,11 +377,11 @@ let merged t ~ids ~time ~detail =
     let parent = List.fold_left min max_int ids in
     List.iter
       (fun id ->
-        match find_msg t id with
-        | None -> ()
-        | Some r ->
-            if r.msg_id <> parent then r.parent <- parent;
-            ev r ~at:time ~kind:"merge" detail)
+        let r = get t.by_msg id in
+        if r != nil then begin
+          if r.msg_id <> parent then r.parent <- parent;
+          ev r ~at:time ~kind:"merge" detail
+        end)
       ids
   end
 
@@ -349,29 +411,26 @@ let note_scope t ~time ~kind ~detail =
   if t.on then
     List.iter
       (fun id ->
-        match find_msg t id with
-        | None -> ()
-        | Some r -> ev r ~at:time ~kind detail)
+        let r = get t.by_msg id in
+        if r != nil then ev r ~at:time ~kind detail)
       (scope t)
 
 let probe_begin t ~time =
   if t.on then
     List.iter
       (fun id ->
-        match find_msg t id with
-        | None -> ()
-        | Some r -> ignore (charge r ~time Compute))
+        let r = get t.by_msg id in
+        if r != nil then ignore (charge r ~time Compute))
       (scope t)
 
 let probe_end t ~time ~detail =
   if t.on then
     List.iter
       (fun id ->
-        match find_msg t id with
-        | None -> ()
-        | Some r ->
-            let d = charge r ~time Probe in
-            ev r ~at:time ~kind:"probe" ~seg:Probe ~charged:d detail)
+        let r = get t.by_msg id in
+        if r != nil then
+          let d = charge r ~time Probe in
+          ev r ~at:time ~kind:"probe" ~seg:Probe ~charged:d detail)
       (scope t)
 
 (* ------------------------------------------------------------------ *)
@@ -382,23 +441,20 @@ let finish t ~ids ~time ~state ~detail =
   if t.on then
     List.iter
       (fun id ->
-        match find_msg t id with
-        | None -> ()
-        | Some r ->
-            if r.term = None then begin
-              let d = charge r ~time Compute in
-              r.term <- Some state;
-              r.term_at <- time;
-              ev r ~at:time
-                ~kind:(terminal_name state)
-                ~seg:Compute ~charged:d detail;
-              Metrics.incr t.metrics (terminal_key state);
-              Metrics.observe t.metrics "lineage.total_s" (time -. r.commit_at);
-              Array.iteri
-                (fun i v ->
-                  if v > 0.0 then Metrics.observe t.metrics segment_keys.(i) v)
-                r.segs
-            end)
+        let r = get t.by_msg id in
+        if r != nil && r.term = None then begin
+          let d = charge r ~time Compute in
+          r.term <- Some state;
+          r.term_at <- time;
+          ev r ~at:time ~kind:(terminal_name state) ~seg:Compute ~charged:d
+            detail;
+          Metrics.incr t.metrics (terminal_key state);
+          Metrics.observe t.metrics "lineage.total_s" (time -. r.commit_at);
+          Array.iteri
+            (fun i v ->
+              if v > 0.0 then Metrics.observe t.metrics segment_keys.(i) v)
+            r.segs
+        end)
       ids
 
 (* ------------------------------------------------------------------ *)

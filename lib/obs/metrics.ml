@@ -13,6 +13,12 @@
     conservative to within a factor of 2, which is the usual trade of
     log-bucketed histograms (HdrHistogram-style).
 
+    Names are looked up in a table specialised to strings, and a counter,
+    a gauge or a histogram keeps its figures unboxed: once a name is
+    registered, {!incr}, {!observe} and the gauge setters allocate
+    nothing.  {!fold} hands out a gauge as a fresh [float ref] holding
+    its value.
+
     A disabled registry is a structural no-op. *)
 
 open Dyno_jsonv
@@ -30,99 +36,118 @@ let bucket_of v =
     let i = 1 + int_of_float (Float.log2 (v /. base)) in
     if i >= n_buckets then n_buckets - 1 else i
 
-type histogram = {
-  hname : string;
-  buckets : int array;
-  mutable n : int;
+(* Float-only records are stored flat, so their fields update in place
+   without boxing. *)
+type moments = {
   mutable sum : float;
   mutable minv : float;
   mutable maxv : float;
 }
+
+type histogram = {
+  hname : string;
+  buckets : int array;
+  mutable n : int;
+  m : moments;
+}
+
+type gauge = { mutable g : float }
 
 type metric =
   | Counter of int ref
   | Gauge of float ref
   | Histogram of histogram
 
+(* What the registry holds: a {!metric} whose gauge is unboxed. *)
+type entry = C of int ref | G of gauge | H of histogram
+
+module Names = Hashtbl.Make (String)
+
 type t = {
   on : bool;
-  tbl : (string, metric) Hashtbl.t;
-  mutable order : string list;  (** registration order, reversed *)
+  tbl : entry Names.t;
+  mutable order : (string * entry) list;  (** registration order, reversed *)
 }
 
 let create ?(enabled = true) () =
-  { on = enabled; tbl = Hashtbl.create (if enabled then 32 else 1); order = [] }
+  { on = enabled; tbl = Names.create (if enabled then 32 else 1); order = [] }
 
 (** A shared no-op registry. *)
 let disabled = create ~enabled:false ()
 
 let enabled t = t.on
 
-let get t name make =
-  match Hashtbl.find_opt t.tbl name with
-  | Some m -> m
-  | None ->
-      let m = make () in
-      Hashtbl.replace t.tbl name m;
-      t.order <- name :: t.order;
-      m
+let register t name e =
+  Names.add t.tbl name e;
+  t.order <- (name, e) :: t.order
+
+let find t name = Names.find_opt t.tbl name
+
+(* Get-or-create one kind of metric: a hit allocates nothing. *)
+let counter t name =
+  match Names.find t.tbl name with
+  | C r -> r
+  | _ -> invalid_arg (name ^ " is not a counter")
+  | exception Not_found ->
+      let r = ref 0 in
+      register t name (C r);
+      r
+
+let gauge t name =
+  match Names.find t.tbl name with
+  | G g -> g
+  | _ -> invalid_arg (name ^ " is not a gauge")
+  | exception Not_found ->
+      let g = { g = 0.0 } in
+      register t name (G g);
+      g
+
+let histogram t name =
+  match Names.find t.tbl name with
+  | H h -> h
+  | _ -> invalid_arg (name ^ " is not a histogram")
+  | exception Not_found ->
+      let h =
+        {
+          hname = name;
+          buckets = Array.make n_buckets 0;
+          n = 0;
+          m = { sum = 0.0; minv = Float.infinity; maxv = Float.neg_infinity };
+        }
+      in
+      register t name (H h);
+      h
 
 let incr t ?(by = 1) name =
   if t.on then
-    match get t name (fun () -> Counter (ref 0)) with
-    | Counter r -> r := !r + by
-    | _ -> invalid_arg (name ^ " is not a counter")
+    let r = counter t name in
+    r := !r + by
 
-let set_counter t name v =
-  if t.on then
-    match get t name (fun () -> Counter (ref 0)) with
-    | Counter r -> r := v
-    | _ -> invalid_arg (name ^ " is not a counter")
-
-let set_gauge t name v =
-  if t.on then
-    match get t name (fun () -> Gauge (ref 0.0)) with
-    | Gauge r -> r := v
-    | _ -> invalid_arg (name ^ " is not a gauge")
+let set_counter t name v = if t.on then counter t name := v
+let set_gauge t name v = if t.on then (gauge t name).g <- v
 
 let add_gauge t name v =
   if t.on then
-    match get t name (fun () -> Gauge (ref 0.0)) with
-    | Gauge r -> r := !r +. v
-    | _ -> invalid_arg (name ^ " is not a gauge")
+    let g = gauge t name in
+    g.g <- g.g +. v
 
 let observe t name v =
-  if t.on then
-    match
-      get t name (fun () ->
-          Histogram
-            {
-              hname = name;
-              buckets = Array.make n_buckets 0;
-              n = 0;
-              sum = 0.0;
-              minv = Float.infinity;
-              maxv = Float.neg_infinity;
-            })
-    with
-    | Histogram h ->
-        let i = bucket_of v in
-        h.buckets.(i) <- h.buckets.(i) + 1;
-        h.n <- h.n + 1;
-        h.sum <- h.sum +. v;
-        if v < h.minv then h.minv <- v;
-        if v > h.maxv then h.maxv <- v
-    | _ -> invalid_arg (name ^ " is not a histogram")
+  if t.on then begin
+    let h = histogram t name in
+    let i = bucket_of v in
+    h.buckets.(i) <- h.buckets.(i) + 1;
+    h.n <- h.n + 1;
+    let m = h.m in
+    m.sum <- m.sum +. v;
+    if v < m.minv then m.minv <- v;
+    if v > m.maxv then m.maxv <- v
+  end
 
 let counter_value t name =
-  match Hashtbl.find_opt t.tbl name with
-  | Some (Counter r) -> !r
-  | _ -> 0
+  match find t name with Some (C r) -> !r | _ -> 0
 
 let gauge_value t name =
-  match Hashtbl.find_opt t.tbl name with
-  | Some (Gauge r) -> !r
-  | _ -> 0.0
+  match find t name with Some (G g) -> g.g | _ -> 0.0
 
 (* Rank-based readout: the upper bound of the bucket holding the
    ceil(q·n)-th observation. *)
@@ -134,18 +159,16 @@ let histogram_quantile h q =
       if r < 1 then 1 else if r > h.n then h.n else r
     in
     let rec walk i seen =
-      if i >= n_buckets then h.maxv
+      if i >= n_buckets then h.m.maxv
       else
         let seen = seen + h.buckets.(i) in
-        if seen >= rank then Float.min (bucket_bound i) h.maxv else walk (i + 1) seen
+        if seen >= rank then Float.min (bucket_bound i) h.m.maxv else walk (i + 1) seen
     in
     walk 0 0
   end
 
 let quantile t name q =
-  match Hashtbl.find_opt t.tbl name with
-  | Some (Histogram h) -> histogram_quantile h q
-  | _ -> 0.0
+  match find t name with Some (H h) -> histogram_quantile h q | _ -> 0.0
 
 type histogram_summary = {
   count : int;
@@ -160,37 +183,40 @@ type histogram_summary = {
 let summarize h =
   {
     count = h.n;
-    sum = h.sum;
-    min = (if h.n = 0 then 0.0 else h.minv);
-    max = (if h.n = 0 then 0.0 else h.maxv);
+    sum = h.m.sum;
+    min = (if h.n = 0 then 0.0 else h.m.minv);
+    max = (if h.n = 0 then 0.0 else h.m.maxv);
     p50 = histogram_quantile h 0.50;
     p90 = histogram_quantile h 0.90;
     p99 = histogram_quantile h 0.99;
   }
 
 let histogram_summary t name =
-  match Hashtbl.find_opt t.tbl name with
-  | Some (Histogram h) -> Some (summarize h)
-  | _ -> None
+  match find t name with Some (H h) -> Some (summarize h) | _ -> None
 
 (** [kind_of t name] — what (if anything) is registered under [name]. *)
 let kind_of t name =
-  match Hashtbl.find_opt t.tbl name with
-  | Some (Counter _) -> Some `Counter
-  | Some (Gauge _) -> Some `Gauge
-  | Some (Histogram _) -> Some `Histogram
+  match find t name with
+  | Some (C _) -> Some `Counter
+  | Some (G _) -> Some `Gauge
+  | Some (H _) -> Some `Histogram
   | None -> None
 
 (** Every metric, in registration order. *)
 let fold t f acc =
   List.fold_left
-    (fun acc name -> f acc name (Hashtbl.find t.tbl name))
+    (fun acc (name, e) ->
+      f acc name
+        (match e with
+        | C r -> Counter r
+        | G g -> Gauge (ref g.g)
+        | H h -> Histogram h))
     acc (List.rev t.order)
 
-let names t = List.rev t.order
+let names t = List.rev_map fst t.order
 
 let clear t =
-  Hashtbl.reset t.tbl;
+  Names.reset t.tbl;
   t.order <- []
 
 (* JSON rendering; metric names are machine-chosen ([a-z0-9._]) so they

@@ -2,7 +2,8 @@
     histograms with p50/p90/p99 readout.  A disabled registry is a
     structural no-op.  Naming scheme (documented in DESIGN.md §11):
     [subsystem.quantity] with a [_s] suffix for durations in simulated
-    seconds — e.g. [probe.rtt_s], [net.retries], [umq.hold_s]. *)
+    seconds — e.g. [probe.rtt_s], [net.retries], [umq.hold_s].  Once a
+    name is registered, updating it allocates nothing. *)
 
 type t
 
@@ -59,7 +60,8 @@ type metric =
 and histogram
 
 val fold : t -> ('a -> string -> metric -> 'a) -> 'a -> 'a
-(** Every metric, in registration order. *)
+(** Every metric, in registration order; a gauge as a fresh [float ref]
+    holding its current value. *)
 
 val names : t -> string list
 val clear : t -> unit

@@ -12,10 +12,21 @@
     switches the ambient context at every task switch so interleaved
     tasks each see their own open-span stack.  [begin_span] parents the
     new span under the top of the ambient context's stack, [end_span]
-    closes it.  A {e disabled} recorder is a structural no-op: nothing
-    is allocated per call, no clock interaction happens, and ids are
-    constant — so obs-off runs behave bit-identically to a build without
-    the recorder.
+    closes it.
+
+    Span ids count up from 1, so a span is stored at its id's slot of a
+    growable array, next to the context it opened in: {!find},
+    {!set_attr}, {!set_name} and {!end_span} read that slot instead of
+    hashing the id.  The ambient context's stack is held apart; the
+    stacks of the other contexts with open spans are parked in a small
+    table, touched only when the executor switches contexts.  {!clear}
+    moves the first live slot past every id issued so far: old ids are
+    gone, and new ones keep counting.
+
+    A {e disabled} recorder is a structural no-op: nothing is allocated
+    per call, no clock interaction happens, and ids are constant — so
+    obs-off runs behave bit-identically to a build without the
+    recorder.
 
     Span names and event details are [string Lazy.t]s, rendered only
     when read (by {!pp_span} or an exporter), under the capture rule
@@ -86,16 +97,19 @@ type event = {
 type recorder = {
   on : bool;
   mutable next_id : int;
-  stacks : (int, t list) Hashtbl.t;
-      (** context → open spans, innermost first.  Context 0 is the serial
-          driver; the executor's switch hook selects a per-task context. *)
+  mutable base : int;  (** id stored in slot 0; smaller ids were cleared *)
+  mutable slots : t array;  (** span [id] at [id - base], for ids < [next_id] *)
+  mutable ctxs : int array;  (** the context span [id] opened in, same slot *)
   mutable ambient : int;  (** context new spans open under *)
-  ctx_of : (int, int) Hashtbl.t;  (** span id → context it opened in *)
+  mutable stack : t list;  (** the ambient context's open spans, innermost first *)
+  parked : (int, t list) Hashtbl.t;
+      (** every other context with open spans → its stack.  Context 0 is
+          the serial driver; the executor's switch hook selects a
+          per-task context. *)
   mutable closed : t list;  (** newest first *)
   mutable evs : event list;  (** newest first *)
   mutable threads : (string * int) list;  (** name → tid, reverse order *)
   mutable next_tid : int;
-  by_id : (int, t) Hashtbl.t;
 }
 
 let scheduler_thread = "scheduler"
@@ -104,14 +118,16 @@ let create ?(enabled = true) () =
   {
     on = enabled;
     next_id = 1;
-    stacks = Hashtbl.create (if enabled then 8 else 1);
+    base = 1;
+    slots = [||];
+    ctxs = [||];
     ambient = 0;
-    ctx_of = Hashtbl.create (if enabled then 64 else 1);
+    stack = [];
+    parked = Hashtbl.create (if enabled then 8 else 1);
     closed = [];
     evs = [];
     threads = (if enabled then [ (scheduler_thread, 0) ] else []);
     next_tid = 1;
-    by_id = Hashtbl.create (if enabled then 64 else 1);
   }
 
 (** A shared no-op recorder: every operation returns immediately. *)
@@ -139,10 +155,32 @@ let threads r = List.rev r.threads
 (** [set_context r ctx] — switch the ambient open-span context.  The
     executor's switch hook calls this so spans opened by interleaved
     tasks nest under their own task's spans, not each other's. *)
-let set_context r ctx = if r.on then r.ambient <- ctx
+let set_context r ctx =
+  if r.on && ctx <> r.ambient then begin
+    if r.stack <> [] then Hashtbl.replace r.parked r.ambient r.stack;
+    r.stack <-
+      (match Hashtbl.find_opt r.parked ctx with
+      | Some stack ->
+          Hashtbl.remove r.parked ctx;
+          stack
+      | None -> []);
+    r.ambient <- ctx
+  end
 
 let context r = r.ambient
-let stack_of r ctx = Option.value ~default:[] (Hashtbl.find_opt r.stacks ctx)
+
+(* Is span [id] live: issued, and not cleared since? *)
+let live r id = id >= r.base && id < r.next_id
+
+(* Make room for one more slot, doubling. *)
+let grow r sp =
+  let n = Array.length r.slots in
+  let cap = max 64 (2 * n) in
+  let slots = Array.make cap sp and ctxs = Array.make cap 0 in
+  Array.blit r.slots 0 slots 0 n;
+  Array.blit r.ctxs 0 ctxs 0 n;
+  r.slots <- slots;
+  r.ctxs <- ctxs
 
 let begin_span r ~time ?thread kind name =
   if not r.on then 0
@@ -150,8 +188,7 @@ let begin_span r ~time ?thread kind name =
     let tid =
       match thread with None -> 0 | Some n -> thread_id r n
     in
-    let stack = stack_of r r.ambient in
-    let parent = match stack with [] -> 0 | s :: _ -> s.id in
+    let parent = match r.stack with [] -> 0 | s :: _ -> s.id in
     let sp =
       {
         id = r.next_id;
@@ -164,42 +201,54 @@ let begin_span r ~time ?thread kind name =
         attrs = [];
       }
     in
+    let i = sp.id - r.base in
+    if i = Array.length r.slots then grow r sp;
+    r.slots.(i) <- sp;
+    r.ctxs.(i) <- r.ambient;
     r.next_id <- r.next_id + 1;
-    Hashtbl.replace r.stacks r.ambient (sp :: stack);
-    Hashtbl.replace r.ctx_of sp.id r.ambient;
-    Hashtbl.replace r.by_id sp.id sp;
+    r.stack <- sp :: r.stack;
     sp.id
   end
 
-(* Close one open span.  Out-of-order ends (an exception unwound past an
-   open child) close the orphans at the same time — defensive; disciplined
-   callers always end in LIFO order. *)
+let rec opened id = function
+  | [] -> false
+  | sp :: rest -> sp.id = id || opened id rest
+
+(* Close one open span of [stack], returning what stays open.
+   Out-of-order ends (an exception unwound past an open child) close the
+   orphans at the same time — defensive; disciplined callers always end
+   in LIFO order. *)
+let close r ~time id stack =
+  let rec pop = function
+    | [] -> []
+    | sp :: rest ->
+        sp.finish <- time;
+        r.closed <- sp :: r.closed;
+        if sp.id = id then rest else pop rest
+  in
+  if opened id stack then pop stack else stack
+
 let end_span r ~time id =
-  if r.on && id > 0 then begin
-    let ctx = Option.value ~default:0 (Hashtbl.find_opt r.ctx_of id) in
-    let stack = stack_of r ctx in
-    let rec pop = function
-      | [] -> []
-      | sp :: rest ->
-          sp.finish <- time;
-          r.closed <- sp :: r.closed;
-          if sp.id = id then rest else pop rest
-    in
-    if List.exists (fun sp -> sp.id = id) stack then
-      Hashtbl.replace r.stacks ctx (pop stack)
+  if r.on && live r id then begin
+    let ctx = r.ctxs.(id - r.base) in
+    if ctx = r.ambient then r.stack <- close r ~time id r.stack
+    else
+      match Hashtbl.find_opt r.parked ctx with
+      | None -> ()
+      | Some stack -> (
+          match close r ~time id stack with
+          | [] -> Hashtbl.remove r.parked ctx
+          | rest -> Hashtbl.replace r.parked ctx rest)
   end
 
 let set_attr r id key value =
-  if r.on && id > 0 then
-    match Hashtbl.find_opt r.by_id id with
-    | None -> ()
-    | Some sp -> sp.attrs <- (key, value) :: List.remove_assoc key sp.attrs
+  if r.on && live r id then begin
+    let sp = r.slots.(id - r.base) in
+    sp.attrs <- (key, value) :: List.remove_assoc key sp.attrs
+  end
 
 let set_name r id name =
-  if r.on && id > 0 then
-    match Hashtbl.find_opt r.by_id id with
-    | None -> ()
-    | Some sp -> sp.name <- name
+  if r.on && live r id then r.slots.(id - r.base).name <- name
 
 (** [with_span r ~now kind name f] — exception-safe bracket: begins a
     span, runs [f id], ends the span at the current simulated time even if
@@ -236,13 +285,14 @@ let spans r =
 
 (* All open spans across every context, innermost/newest first. *)
 let open_spans r =
-  Hashtbl.fold (fun _ stack acc -> stack @ acc) r.stacks []
+  Hashtbl.fold (fun _ stack acc -> stack @ acc) r.parked r.stack
   |> List.sort (fun a b -> Int.compare b.id a.id)
 let events r = List.rev r.evs
 let span_count r = List.length r.closed
 
-(** Span by id ([None] for the disabled recorder's id 0). *)
-let find r id = if id = 0 then None else Hashtbl.find_opt r.by_id id
+(** Span by id ([None] for the disabled recorder's id 0, and for ids
+    never issued or cleared since). *)
+let find r id = if live r id then Some r.slots.(id - r.base) else None
 
 (** Total duration of all closed spans of [kind]. *)
 let total_duration r kind =
@@ -256,12 +306,14 @@ let count_kind r kind =
     0 r.closed
 
 let clear r =
-  Hashtbl.reset r.stacks;
+  r.base <- r.next_id;
+  r.slots <- [||];
+  r.ctxs <- [||];
   r.ambient <- 0;
-  Hashtbl.reset r.ctx_of;
+  r.stack <- [];
+  Hashtbl.reset r.parked;
   r.closed <- [];
-  r.evs <- [];
-  Hashtbl.reset r.by_id
+  r.evs <- []
 
 let pp_span ppf sp =
   Fmt.pf ppf "[%8.3fs +%7.3fs] %-10s %s" sp.start (sp.finish -. sp.start)

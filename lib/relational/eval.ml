@@ -586,6 +586,21 @@ let current (p : prepared) (inputs : Rows.t array) =
 let restaged p =
   match p.restaged with Some (_, Ok q) -> Some q | Some (_, Error _) | None -> None
 
+(* The rows of [r] laid flat under [schema], in its table's order: a
+   relation is consolidated, so no tuple repeats and no count is 0. *)
+let flat_rows schema r =
+  let n = Relation.support r in
+  let tuples = Array.make n [||] and counts = Array.make n 0 in
+  let (_ : int) =
+    Relation.fold
+      (fun t c i ->
+        tuples.(i) <- t;
+        counts.(i) <- c;
+        i + 1)
+      r 0
+  in
+  Rows.flat schema tuples counts n
+
 (** [execute_rows ?planner p inputs] evaluates the prepared query over
     [inputs], one per FROM entry in FROM order.  It first checks that
     every input carries the schema [p] was prepared for, and re-prepares
@@ -605,7 +620,7 @@ let restaged p =
     hold the indexed plans to.  Under either planner a query with one FROM
     entry, no predicate and every column selected in order (output names
     may differ) answers a copy of its input ({!Relation.copy_as} of a
-    hashed one).
+    hashed one), or with [~copy:false] a hashed input's rows laid flat.
 
     The answer is flat when it cannot repeat a tuple — the select list
     keeps every column of the join and every input is consolidated — and
@@ -614,7 +629,7 @@ let restaged p =
 
     @raise Error on resolution failure against changed schemas.
     @raise Invalid_argument when [inputs] does not match the FROM list. *)
-let execute_rows ?(planner : plan = `Indexed) (p : prepared)
+let execute_rows ?(planner : plan = `Indexed) ?(copy = true) (p : prepared)
     (inputs : Rows.t list) =
   let inputs = Array.of_list inputs in
   if Array.length inputs <> Array.length p.inputs then
@@ -623,6 +638,7 @@ let execute_rows ?(planner : plan = `Indexed) (p : prepared)
          (Array.length inputs) (Array.length p.inputs));
   let p = current p inputs in
   match inputs.(0) with
+  | Rows.Hashed r when p.identity && not copy -> flat_rows p.out_schema r
   | Rows.Hashed r when p.identity ->
       (* The same tuples, the input's indexes kept, nothing re-hashed. *)
       Rows.of_relation (Relation.copy_as p.out_schema r)

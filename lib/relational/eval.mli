@@ -88,13 +88,17 @@ val execute : ?planner:plan -> prepared -> Relation.t list -> Relation.t
     @raise Error when re-preparing fails — a broken query.
     @raise Invalid_argument when [inputs] has the wrong length. *)
 
-val execute_rows : ?planner:plan -> prepared -> Rows.t list -> Rows.t
+val execute_rows :
+  ?planner:plan -> ?copy:bool -> prepared -> Rows.t list -> Rows.t
 (** {!execute} over rows, answering rows.  The answer is {e flat} when it
     cannot repeat a tuple — the select list keeps every column of the
     join, and inputs are consolidated — and hashed otherwise; an
     identity query answers a copy of a hashed input ({!Relation.copy_as})
-    or a flat input's rows under the output schema.  Either way it is
-    consolidated, so its counts are exact, and it is the caller's own.
+    or a flat input's rows under the output schema.  With [~copy:false]
+    (default [true]) an identity query answers a hashed input's rows
+    flat too, over its own tuples: for a caller that only streams the
+    answer, nothing is copied but two row arrays.  Either way the answer
+    is consolidated, so its counts are exact, and it is the caller's own.
     @raise Error when re-preparing fails — a broken query.
     @raise Invalid_argument when [inputs] has the wrong length. *)
 

@@ -323,9 +323,12 @@ let compile ~version (q : Query.t) (schemas : (string * Schema.t) list)
 
 (** [start sw delta] turns the delta of the maintained update into the
     first partial result: rows, flat unless the pivot's kept columns
-    could make two delta tuples one. *)
+    could make two delta tuples one.  A sweep only streams its partials,
+    so an identity start lays the delta's own tuples flat instead of
+    copying its table. *)
 let start sw delta =
-  Eval.execute_rows ~planner:`Nested_loop sw.start [ Rows.of_relation delta ]
+  Eval.execute_rows ~planner:`Nested_loop ~copy:false sw.start
+    [ Rows.of_relation delta ]
 
 (** [finish sw partial] projects the completed partial result onto the
     view's select list: the sweep's one hashing of its result. *)

@@ -153,6 +153,29 @@ let test_correction_reorders_sc_first () =
   let flat = List.concat_map Umq.entry_ids c.Dep_graph.order in
   Alcotest.(check (list int)) "stable among unconstrained" [ 2; 0; 1 ] flat
 
+(* Detection charges its time on the simulated clock, so an update can
+   be admitted after the graph was built: [Correct.apply] installs the
+   corrected order of the graph's entries, then the newcomer. *)
+let test_apply_keeps_admitted () =
+  let q = Umq.create () in
+  let enqueue m =
+    ignore
+      (Umq.enqueue q ~commit_time:(Update_msg.commit_time m)
+         ~source_version:(Update_msg.source_version m) (Update_msg.payload m)
+        : Update_msg.t)
+  in
+  List.iter enqueue
+    [ du ~id:0 ~source:"ds2" ~rel:"B"; du ~id:1 ~source:"ds2" ~rel:"B";
+      sc_rename ~id:2 ~source:"ds1" ~rel:"A" ];
+  let g = Dep_graph.build (view_q ()) (schemas ()) (Umq.entries q) in
+  enqueue (du ~id:3 ~source:"ds1" ~rel:"A");
+  let r = Correct.apply q g in
+  Alcotest.(check bool) "reordered" true r.Correct.reordered;
+  Alcotest.(check int) "graph nodes" 3 r.Correct.nodes;
+  Alcotest.(check (list int)) "corrected order, then the newcomer"
+    [ 2; 0; 1; 3 ]
+    (List.concat_map Umq.entry_ids (Umq.entries q))
+
 let test_figure4_cycle_merge () =
   (* Figure 4: DU1 then SC1 (other source) then SC2 (same source as DU1):
      SD DU1→SC2, CD edges from SC1 and SC2 to everyone: the three nodes
@@ -276,5 +299,7 @@ let () =
           Alcotest.test_case "independent DUs untouched" `Quick test_independent_dus_untouched;
           Alcotest.test_case "Tarjan SCC" `Quick test_scc_on_crafted_graph;
           Alcotest.test_case "batch entries as nodes" `Quick test_batch_node_participates;
+          Alcotest.test_case "entry admitted after the graph stays queued" `Quick
+            test_apply_keeps_admitted;
         ] );
     ]

@@ -12,7 +12,8 @@
      whose projection cancels, non-empty compensation and auxiliary data
      wider than the probe needs;
    - allocation: a steady-shaped sweep allocates a bounded number of words
-     per probe, counted exactly (the minor heap emptied before each read);
+     per probe, counted exactly (the minor heap emptied before each read),
+     and only streams the update's delta: it neither copies nor changes it;
    - delivery: with nothing due [deliver_due] allocates nothing, and its
      fast exit still admits a copy in flight. *)
 
@@ -268,7 +269,9 @@ let prop_flat_equals_hashed ~local planner =
    The words are counted exactly: the minor heap is emptied before each
    read.  Hashing every partial, these sweeps allocated 518 words per
    probe; carrying them flat, 248. *)
-let sweep_words_per_probe () =
+(* The steady workload's world at 500 rows, and the compiled sweep and
+   delta of each of its first 200 DUs. *)
+let steady_sweeps () =
   let rows = 500 in
   let t =
     Dyno_workload.Scenario.make
@@ -296,6 +299,10 @@ let sweep_words_per_probe () =
         (Dyno_vm.Maint_query.sweep_for vd pivot, Update.delta u))
       deltas
   in
+  (t, sweeps)
+
+let sweep_words_per_probe () =
+  let t, sweeps = steady_sweeps () in
   let sweep_all () =
     List.fold_left
       (fun probes (sw, delta) ->
@@ -320,6 +327,30 @@ let test_sweep_allocation () =
   Printf.printf "steady-shaped sweeps: %.1f words per probe\n" per_probe;
   if per_probe > 300.0 then
     Alcotest.failf "sweeps allocate %.1f words per probe (budget 300)" per_probe
+
+(* A sweep only streams the update's delta: its start lays the delta's
+   own tuples flat (no copy of the table), and the whole sweep leaves the
+   delta as it was — same rows, no index registered. *)
+let test_sweep_leaves_delta () =
+  let t, sweeps = steady_sweeps () in
+  List.iter
+    (fun (sw, delta) ->
+      let before = Relation.copy delta in
+      (match Dyno_vm.Maint_query.start sw delta with
+      | Rows.Flat f ->
+          Alcotest.(check int) "one row per delta tuple" (Relation.support delta)
+            f.len;
+          for i = 0 to f.len - 1 do
+            if Relation.count delta f.tuples.(i) <> f.counts.(i) then
+              Alcotest.fail "a start row differs from the delta's"
+          done
+      | Rows.Hashed _ -> Alcotest.fail "an identity start answers flat rows");
+      (match Dyno_vm.Sweep.delta_view t.engine sw ~delta ~exclude:[] with
+      | Ok _ -> ()
+      | Error _ -> Alcotest.fail "no probe may fail");
+      Alcotest.(check bool) "same rows" true (Relation.equal before delta);
+      Alcotest.(check int) "no index registered" 0 (Relation.index_count delta))
+    sweeps
 
 (* -- delivery ----------------------------------------------------------- *)
 
@@ -365,7 +396,11 @@ let () =
             prop_flat_equals_hashed ~local:true `Nested_loop;
           ] );
       ( "allocation",
-        [ Alcotest.test_case "sweep words per probe" `Quick test_sweep_allocation ] );
+        [
+          Alcotest.test_case "sweep words per probe" `Quick test_sweep_allocation;
+          Alcotest.test_case "a sweep leaves the delta untouched" `Quick
+            test_sweep_leaves_delta;
+        ] );
       ( "delivery",
         [ Alcotest.test_case "deliver_due admits a copy in flight" `Quick test_deliver_due_in_flight ] );
     ]

@@ -252,6 +252,52 @@ let test_spaced_scs_never_abort () =
   assert_converged t;
   assert_strong t
 
+(* A detection pass charges its time on the simulated clock, and a
+   commit arriving meanwhile is admitted behind the graph's snapshot.
+   These are the specs of [dyno run --dus 400 --du-interval 0.15 --scs 10
+   --sc-interval 5] with [--seed 17], [--seed 10 --strategy optimistic]
+   and [--seed 12 --multi], built as the CLI builds them: each admits an
+   update during detection, and correction must keep it queued. *)
+let test_admitted_during_detection () =
+  let spec ~seed ~strategy =
+    Spec.with_transport Dyno_net.Channel.reliable
+      {
+        Spec.default with
+        seed;
+        dus = 400;
+        scs = 10;
+        du_interval = 0.15;
+        sc_interval = 5.0;
+        run = Run_config.of_strategy strategy;
+        world = Scenario.Config.(Spec.paper_world ~rows:200 |> with_snapshots true);
+      }
+  in
+  let check_view (t : Scenario.t) mv label =
+    (match Consistency.convergent t.engine mv with
+    | Ok true -> ()
+    | Ok false -> Alcotest.failf "%s did not converge" label
+    | Error e -> Alcotest.failf "%s not checkable: %s" label e);
+    let r = Consistency.check_strong t.engine mv in
+    if not (Consistency.ok r && r.Consistency.skipped = 0 && r.checked > 0)
+    then
+      Alcotest.failf "%s strong consistency: %a" label Consistency.pp_report r
+  in
+  List.iter
+    (fun (seed, strategy) ->
+      let s = spec ~seed ~strategy in
+      let t, (_ : Stats.t) = Spec.run s in
+      check_view t t.mv (Fmt.str "seed %d" seed))
+    [ (17, Strategy.Pessimistic); (10, Strategy.Optimistic) ];
+  let s = spec ~seed:12 ~strategy:Strategy.Pessimistic in
+  let t = Spec.build s in
+  let views = [ t.mv; Scenario.add_view t (Paper_schema.view2_query ()) ] in
+  ignore
+    (Scheduler.dispatch ~config:s.run ~plan:t.plan t.engine views t.mk
+      : Stats.t);
+  List.iteri
+    (fun i mv -> check_view t mv (Fmt.str "seed 12 --multi, view %d" i))
+    views
+
 let suite strategy =
   let n = Strategy.to_string strategy in
   [
@@ -277,5 +323,7 @@ let () =
             Alcotest.test_case "idle accounting" `Quick test_idle_accounting;
             Alcotest.test_case "spaced SCs never abort" `Quick
               test_spaced_scs_never_abort;
+            Alcotest.test_case "update admitted during detection" `Quick
+              test_admitted_during_detection;
           ] );
       ])
