@@ -612,7 +612,7 @@ let run_cmd =
       else Scenario.run t ~config:spec.run
     in
     if trace then Fmt.pr "%a@.@." Dyno_sim.Trace.pp t.trace;
-    if report then Fmt.pr "%a@.@." Report.pp (Report.of_trace t.trace);
+    if report then Fmt.pr "%a@.@." Report.pp (Report.of_run stats t.trace);
     Fmt.pr "strategy: %a@.%a@." Strategy.pp spec.run.strategy Stats.pp stats;
     if not multi then begin
       (match Scenario.check_convergent t with

@@ -89,8 +89,6 @@ let create ~metrics ~mv ~registry ~queued () =
     sources;
   }
 
-let view_name t = t.view
-
 (** Committed-but-unapplied updates, summed over sources. *)
 let lag_versions t =
   List.fold_left

@@ -19,8 +19,6 @@ val create :
     their versions count as unapplied; everything older is the initial
     materialization's baseline. *)
 
-val view_name : t -> string
-
 val lag_versions : t -> int
 (** Committed-but-unapplied updates, summed over sources. *)
 

@@ -1,96 +1,46 @@
-(** Post-run reporting: cost breakdowns derived from an execution trace.
-
-    {!Stats} carries the aggregate counters the benchmarks plot; this
-    module digs into the {!Dyno_sim.Trace} to answer the operational
-    questions a user of the system asks after a run: how long do
-    maintenance processes take, split by kind and outcome?  where do
-    broken queries happen?  how much time went to each activity? *)
+(** Post-run reporting: the answers to the operational questions a user
+    of the system asks after a run.  How long do maintenance processes
+    take, split by kind and outcome?  The scheduler tallies its episodes
+    into {!Stats} as steps settle.  Where do broken queries happen, and
+    how often did each activity occur?  The {!Dyno_sim.Trace} says. *)
 
 open Dyno_sim
 
-(** Classification of one maintenance episode found in the trace. *)
-type episode_kind = Du_maint | Sc_maint | Batch_maint
-
-let episode_kind_to_string = function
+let episode_kind_to_string : Stats.episode_kind -> string = function
   | Du_maint -> "data update"
   | Sc_maint -> "schema change"
   | Batch_maint -> "merged batch"
 
-type episode = {
-  kind : episode_kind;
-  started : float;
-  duration : float;
-  aborted : bool;
-}
-
-(** Summary statistics over a list of durations. *)
-type summary = {
-  count : int;
-  total : float;
-  mean : float;
-  max : float;
-}
-
-let summarize durations =
-  match durations with
-  | [] -> { count = 0; total = 0.0; mean = 0.0; max = 0.0 }
-  | ds ->
-      let total = List.fold_left ( +. ) 0.0 ds in
-      {
-        count = List.length ds;
-        total;
-        mean = total /. float_of_int (List.length ds);
-        max = List.fold_left Float.max 0.0 ds;
-      }
+type summary = { count : int; total : float; mean : float; max : float }
 
 type t = {
-  episodes : episode list;
+  episodes : (Stats.episode_kind * bool * summary) list;
   event_counts : (Trace.kind * int) list;  (** non-zero kinds only *)
   broken_by_source : (string * int) list;
   dropped : int;  (** trace ring-buffer evictions (bounded traces) *)
 }
 
-(* A maintenance episode starts at Maint_start and ends at the next
-   Refresh/Adapt (success) or Abort; its kind is inferred from the entry
-   text (single DU vs SC vs BATCH). *)
-let episodes_of_trace (tr : Trace.t) : episode list =
-  let entries = Trace.entries tr in
-  let rec go acc = function
-    | [] -> List.rev acc
-    | (e : Trace.entry) :: rest when e.kind = Trace.Maint_start ->
-        let kind =
-          if String.length e.detail >= 5 && String.sub e.detail 0 5 = "BATCH"
-          then Batch_maint
-          else if
-            (* "#id@t DU(...)" vs "#id@t SC(...)" *)
-            match String.index_opt e.detail ' ' with
-            | Some i ->
-                i + 2 < String.length e.detail
-                && String.sub e.detail (i + 1) 2 = "SC"
-            | None -> false
-          then Sc_maint
-          else Du_maint
-        in
-        let rec finish = function
-          | [] -> None
-          | (f : Trace.entry) :: more -> (
-              match f.kind with
-              | Trace.Refresh | Trace.Adapt ->
-                  Some (f.time, false, more)
-              | Trace.Abort -> Some (f.time, true, more)
-              | Trace.Maint_start -> None (* no terminal event recorded *)
-              | _ -> finish more)
-        in
-        (match finish rest with
-        | Some (endt, aborted, _) ->
-            go
-              ({ kind; started = e.time; duration = endt -. e.time; aborted }
-              :: acc)
-              rest
-        | None -> go acc rest)
-    | _ :: rest -> go acc rest
-  in
-  go [] entries
+(* The non-empty (kind, aborted) cells of the run's episode tally, in
+   table order. *)
+let episodes_of (stats : Stats.t) =
+  List.concat_map
+    (fun kind ->
+      List.filter_map
+        (fun aborted ->
+          let e = Stats.episodes stats kind ~aborted in
+          if e.Stats.count = 0 then None
+          else
+            Some
+              ( kind,
+                aborted,
+                {
+                  count = e.Stats.count;
+                  total = e.Stats.total;
+                  mean = e.Stats.total /. float_of_int e.Stats.count;
+                  max = e.Stats.longest;
+                } ))
+        [ false; true ])
+    [ Stats.Du_maint; Sc_maint; Batch_maint ]
 
 let broken_by_source (tr : Trace.t) =
   let tbl = Hashtbl.create 8 in
@@ -130,10 +80,10 @@ let all_kinds =
     Trace.Retry; Trace.Outage; Trace.Info;
   ]
 
-(** [of_trace tr] builds the full report. *)
-let of_trace (tr : Trace.t) : t =
+(** [of_run stats tr] builds the full report. *)
+let of_run (stats : Stats.t) (tr : Trace.t) : t =
   {
-    episodes = episodes_of_trace tr;
+    episodes = episodes_of stats;
     event_counts =
       List.filter_map
         (fun k ->
@@ -144,28 +94,16 @@ let of_trace (tr : Trace.t) : t =
     dropped = Trace.dropped tr;
   }
 
-(** [by_kind r kind ~aborted] durations of matching episodes. *)
-let by_kind (r : t) kind ~aborted =
-  List.filter_map
-    (fun e ->
-      if e.kind = kind && e.aborted = aborted then Some e.duration else None)
-    r.episodes
-
 let pp ppf (r : t) =
   Fmt.pf ppf "@[<v>maintenance episodes:@,";
   List.iter
-    (fun kind ->
-      List.iter
-        (fun aborted ->
-          let s = summarize (by_kind r kind ~aborted) in
-          if s.count > 0 then
-            Fmt.pf ppf
-              "  %-13s %-9s  n=%-4d total=%8.2fs  mean=%7.3fs  max=%7.3fs@,"
-              (episode_kind_to_string kind)
-              (if aborted then "(aborted)" else "(ok)")
-              s.count s.total s.mean s.max)
-        [ false; true ])
-    [ Du_maint; Sc_maint; Batch_maint ];
+    (fun (kind, aborted, s) ->
+      Fmt.pf ppf
+        "  %-13s %-9s  n=%-4d total=%8.2fs  mean=%7.3fs  max=%7.3fs@,"
+        (episode_kind_to_string kind)
+        (if aborted then "(aborted)" else "(ok)")
+        s.count s.total s.mean s.max)
+    r.episodes;
   Fmt.pf ppf "event counts:@,";
   List.iter
     (fun (k, c) -> Fmt.pf ppf "  %-15s %d@," (Trace.kind_to_string k) c)

@@ -1,26 +1,16 @@
-(** Post-run reporting: cost breakdowns derived from an execution trace —
-    per-kind maintenance durations (split by outcome), event counts, and
-    broken queries by source. *)
+(** Post-run reporting: maintenance episodes per kind and outcome (from
+    the {!Stats} tally), event counts, and broken queries by source (from
+    the trace). *)
 
 open Dyno_sim
 
-type episode_kind = Du_maint | Sc_maint | Batch_maint
-
-val episode_kind_to_string : episode_kind -> string
-
-type episode = {
-  kind : episode_kind;
-  started : float;
-  duration : float;
-  aborted : bool;
-}
-
 type summary = { count : int; total : float; mean : float; max : float }
 
-val summarize : float list -> summary
-
 type t = {
-  episodes : episode list;
+  episodes : (Stats.episode_kind * bool * summary) list;
+      (** (kind, aborted, durations) for each non-empty cell, in table
+          order: data updates, schema changes, merged batches; ok before
+          aborted *)
   event_counts : (Trace.kind * int) list;  (** non-zero kinds only *)
   broken_by_source : (string * int) list;
   dropped : int;
@@ -28,9 +18,8 @@ type t = {
           non-zero, since every derived count undercounts the run *)
 }
 
-val of_trace : Trace.t -> t
-
-val by_kind : t -> episode_kind -> aborted:bool -> float list
-(** Durations of matching episodes. *)
+val of_run : Stats.t -> Trace.t -> t
+(** The report of a run that returned these statistics and recorded
+    this trace. *)
 
 val pp : Format.formatter -> t -> unit

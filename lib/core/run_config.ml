@@ -51,7 +51,6 @@ let default =
 
 let of_strategy strategy = { default with strategy }
 
-let with_strategy strategy t = { t with strategy }
 let with_max_steps max_steps t = { t with max_steps }
 let with_compensate compensate t = { t with compensate }
 let with_vm_mode vm_mode t = { t with vm_mode }

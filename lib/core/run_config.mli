@@ -47,7 +47,6 @@ val default : t
 val of_strategy : Strategy.t -> t
 (** [default] with the given strategy — the most common construction. *)
 
-val with_strategy : Strategy.t -> t -> t
 val with_max_steps : int -> t -> t
 val with_compensate : bool -> t -> t
 val with_vm_mode : vm_mode -> t -> t

@@ -525,21 +525,26 @@ let detect_and_correct c ~(force : bool) : unit =
 (* -- outcomes -- *)
 
 (* Charge one dispatched step's outcome — the one place Done, stalled and
-   aborted steps are accounted.  Done adds the step to busy time and runs
+   aborted steps are accounted.  Done adds the step to busy time, counts
+   it as an episode of [kind] when it [changed] a view, and runs
    [on_done] (freshness, lineage, dequeue).  A stall charges the sunk work
-   and waits out the outage; the entry stays queued.  An abort charges the
-   wasted work as abort cost, names the conflicting schema change, and
-   runs the strategy's correction: with one queue it rewrites the queue,
-   with several the next iteration is a cross-shard barrier.  [mid] is
-   the iteration's Maintain span: it carries the last step's outcome and
-   the iteration's total abort time. *)
+   and waits out the outage; the entry stays queued and its retry is the
+   episode.  An abort is an episode: it charges the wasted work as abort
+   cost, names the conflicting schema change, and runs the strategy's
+   correction: with one queue it rewrites the queue, with several the
+   next iteration is a cross-shard barrier.  [mid] is the iteration's
+   Maintain span: it carries the last step's outcome and the iteration's
+   total abort time. *)
 let settle c ~mid ~(t0 : float) ~(what : string) ~(ids : int list)
-    ~(on_done : unit -> unit) (outcome : step_outcome) : unit =
+    ~(kind : Stats.episode_kind) ~(changed : bool) ~(on_done : unit -> unit)
+    (outcome : step_outcome) : unit =
   let stats = c.stats in
   match outcome with
   | Done ->
+      let dt = now c -. t0 in
       Dyno_obs.Span.set_attr c.sp mid "outcome" "done";
-      stats.Stats.busy <- stats.Stats.busy +. (now c -. t0);
+      stats.Stats.busy <- stats.Stats.busy +. dt;
+      if changed then Stats.note_episode stats kind ~aborted:false dt;
       on_done ()
   | UnreachableStep u ->
       Dyno_obs.Span.set_attr c.sp mid "outcome" "stalled";
@@ -552,6 +557,7 @@ let settle c ~mid ~(t0 : float) ~(what : string) ~(ids : int list)
       stats.Stats.abort_cost <- stats.Stats.abort_cost +. dt;
       stats.Stats.aborts <- stats.Stats.aborts + 1;
       stats.Stats.broken_queries <- stats.Stats.broken_queries + 1;
+      Stats.note_episode stats kind ~aborted:true dt;
       c.aborted <- c.aborted +. dt;
       Dyno_obs.Span.set_attr c.sp mid "outcome" "aborted";
       Dyno_obs.Span.set_attr c.sp mid "abort_s" (Fmt.str "%.17g" c.aborted);
@@ -782,6 +788,8 @@ let view_round c mid (members : member list) : unit =
         (let state, detail =
            match res with
            | Dyno_vm.Vm.Refreshed { stats = s; _ } ->
+               Stats.note_episode c.stats Stats.Du_maint ~aborted:false
+                 (now c -. t0);
                let probes = s.Dyno_vm.Sweep.probes
                and comps = s.Dyno_vm.Sweep.compensations in
                ( Dyno_obs.Lineage.Applied,
@@ -814,9 +822,10 @@ let view_round c mid (members : member list) : unit =
     | Some mb -> [ Update_msg.id mb.msg ]
     | None -> []
   in
+  (* Committed members were counted as they committed. *)
   settle c ~mid ~t0
     ~what:(if sharded then "sharded round" else "parallel round")
-    ~ids ~on_done:ignore outcome
+    ~ids ~kind:Stats.Du_maint ~changed:false ~on_done:ignore outcome
 
 (* -- per-entry paths -- *)
 
@@ -830,6 +839,8 @@ let view_round c mid (members : member list) : unit =
    missing. *)
 let maintain_views c (entry : Umq.entry) : step_outcome =
   let ids = Umq.entry_ids entry in
+  Trace.record (Query_engine.trace c.w) ~time:(now c) Trace.Maint_start
+    (lazy (Fmt.str "%a" Umq.pp_entry entry));
   (* Serial view-by-view probes charge the head entry's updates. *)
   Dyno_obs.Lineage.set_scope c.lin ids;
   let per_view_round =
@@ -903,6 +914,16 @@ let maintain_head c (entry : Umq.entry) : step_outcome =
         ~vm_mode:c.config.vm_mode c.w v.mv c.mk c.stats entry
   | _ -> maintain_views c entry
 
+(* Refreshes and replacements of the run's views so far: a step that
+   moved them refreshed or adapted a view. *)
+let extent_changes c =
+  List.fold_left (fun n v -> n + Mat_view.extent_changes v.mv) 0 c.views
+
+let episode_kind = function
+  | Umq.Single m when Update_msg.is_sc m -> Stats.Sc_maint
+  | Umq.Single _ -> Stats.Du_maint
+  | Umq.Batch _ -> Stats.Batch_maint
+
 (* Maintain the globally-oldest queue head (the head, with one queue). *)
 let head c mid : unit =
   let qi = ref (-1) and oldest = ref None in
@@ -929,7 +950,10 @@ let head c mid : unit =
              lazy (Fmt.str "dispatched at shard %d queue head" qi)
            else lazy "dispatched at queue head")
         ();
-      settle c ~mid ~t0 ~what:"maintenance" ~ids (maintain_head c entry)
+      let before = extent_changes c in
+      let outcome = maintain_head c entry in
+      settle c ~mid ~t0 ~what:"maintenance" ~ids ~kind:(episode_kind entry)
+        ~changed:(extent_changes c > before) outcome
         ~on_done:(fun () ->
           note_fresh c (Umq.entry_messages entry);
           Umq.remove_head c.umqs.(qi))
@@ -978,7 +1002,10 @@ let grouped c mid (v : view) (n : int) : unit =
     | Dyno_vm.Vm.Aborted b -> AbortedStep b
     | Dyno_vm.Vm.Unreachable u -> UnreachableStep u
   in
-  settle c ~mid ~t0 ~what:"grouped maintenance" ~ids:gids outcome
+  settle c ~mid ~t0 ~what:"grouped maintenance" ~ids:gids
+    ~kind:Stats.Batch_maint
+    ~changed:(match res with Dyno_vm.Vm.Refreshed _ -> true | _ -> false)
+    outcome
     ~on_done:(fun () ->
       let stats = c.stats in
       stats.Stats.batches <- stats.Stats.batches + 1;
@@ -1070,8 +1097,11 @@ let barrier c mid : unit =
           ~seg:Dyno_obs.Lineage.Barrier
           ~detail:(lazy "dispatched from cross-shard barrier drain")
           ();
+        let before = extent_changes c in
         let outcome = maintain_head c entry in
-        settle c ~mid ~t0 ~what:"barrier maintenance" ~ids outcome
+        settle c ~mid ~t0 ~what:"barrier maintenance" ~ids
+          ~kind:(episode_kind entry) ~changed:(extent_changes c > before)
+          outcome
           ~on_done:(fun () ->
             let msgs = Umq.entry_messages entry in
             note_fresh c msgs;

@@ -8,6 +8,10 @@
     separately.  "The maintenance cost includes the abort cost throughout
     our experiments" (footnote 4) — same here. *)
 
+type episode_kind = Du_maint | Sc_maint | Batch_maint
+
+type episodes = { count : int; total : float; longest : float }
+
 type t = {
   mutable busy : float;  (** total maintenance cost (includes aborts) *)
   mutable abort_cost : float;  (** work thrown away due to broken queries *)
@@ -47,6 +51,9 @@ type t = {
       (** self-maintenance: estimated wire bytes the avoided probes would
           have shipped *)
   mutable net_wait : float;  (** time lost to timeouts/backoff/recovery, s *)
+  episodes : float array;
+      (** three slots (count, total, longest) per kind and outcome, flat
+          so that counting allocates nothing *)
 }
 
 let create () =
@@ -80,7 +87,22 @@ let create () =
     probes_avoided = 0;
     bytes_saved = 0;
     net_wait = 0.0;
+    episodes = Array.make 18 0.0;
   }
+
+let cell kind ~aborted =
+  let k = match kind with Du_maint -> 0 | Sc_maint -> 1 | Batch_maint -> 2 in
+  3 * ((2 * k) + if aborted then 1 else 0)
+
+let episodes s kind ~aborted =
+  let i = cell kind ~aborted and a = s.episodes in
+  { count = int_of_float a.(i); total = a.(i + 1); longest = a.(i + 2) }
+
+let note_episode s kind ~aborted duration =
+  let i = cell kind ~aborted and a = s.episodes in
+  a.(i) <- a.(i) +. 1.0;
+  a.(i + 1) <- a.(i + 1) +. duration;
+  if duration > a.(i + 2) then a.(i + 2) <- duration
 
 let has_transport_activity s =
   s.retries > 0 || s.timeouts > 0 || s.msgs_lost > 0

@@ -3,6 +3,18 @@
     correction, aborted work); "the maintenance cost includes the abort
     cost throughout our experiments" (the paper's footnote 4). *)
 
+(** What a maintenance episode maintained: a data update (a round member
+    included), a schema change, or a merged batch (a grouped sweep
+    included). *)
+type episode_kind = Du_maint | Sc_maint | Batch_maint
+
+(** The maintenance episodes of one kind and one outcome. *)
+type episodes = {
+  count : int;
+  total : float;  (** summed durations, s *)
+  longest : float;  (** s *)
+}
+
 type t = {
   mutable busy : float;  (** total maintenance cost, s (includes aborts) *)
   mutable abort_cost : float;  (** work thrown away on broken queries, s *)
@@ -42,9 +54,20 @@ type t = {
       (** self-maintenance: estimated wire bytes the avoided probes would
           have shipped *)
   mutable net_wait : float;  (** time lost to timeouts/backoff/recovery, s *)
+  episodes : float array;
+      (** maintenance episodes: the steps that refreshed or adapted a
+          view, or that aborted — counted by {!note_episode} and read
+          through {!episodes}; {!pp} and {!to_json_string} leave them
+          out *)
 }
 
 val create : unit -> t
+
+val episodes : t -> episode_kind -> aborted:bool -> episodes
+(** The episodes of one kind and outcome so far. *)
+
+val note_episode : t -> episode_kind -> aborted:bool -> float -> unit
+(** Count one episode lasting the given seconds. *)
 
 val has_transport_activity : t -> bool
 (** Any transport counter nonzero — i.e. the channel actually misbehaved. *)

@@ -57,10 +57,6 @@ let reliable =
     outages = [];
   }
 
-let is_reliable f =
-  f.latency = 0.0 && f.jitter = 0.0 && f.loss = 0.0 && f.dup = 0.0
-  && f.reorder = 0.0 && f.outages = []
-
 let pp_outage ppf o =
   Fmt.pf ppf "%s off [%.3fs, %.3fs)" o.source o.starts o.ends
 
@@ -284,8 +280,6 @@ let rec without_rpc id = function
 let complete_rpc t id =
   t.rpcs <- without_rpc id t.rpcs;
   rpc_gauge t
-
-let rpcs_in_flight t = List.length t.rpcs
 
 (** Earliest pending arrival, if any. *)
 let next_arrival t =

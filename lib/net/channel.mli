@@ -27,8 +27,6 @@ type faults = {
 val reliable : faults
 (** All rates and delays zero; no outages. *)
 
-val is_reliable : faults -> bool
-
 val pp_faults : Format.formatter -> faults -> unit
 
 (** One delivered copy of an update message. *)
@@ -98,8 +96,6 @@ val rpc_ready : 'a t -> int -> float
 
 val complete_rpc : 'a t -> int -> unit
 (** Take a finished round trip off the wire (idempotent). *)
-
-val rpcs_in_flight : 'a t -> int
 
 val outage_at : 'a t -> source:string -> now:float -> outage option
 (** The outage window covering [now] for [source], if any. *)

@@ -39,7 +39,3 @@ type unreachable = {
 let pp_unreachable ppf u =
   Fmt.pf ppf "source %s unreachable after %d attempts (%.3fs waited)"
     u.source u.attempts u.waited
-
-let pp_policy ppf p =
-  Fmt.pf ppf "timeout=%.3fs backoff=%.3fs x%.1f max_attempts=%d" p.timeout
-    p.backoff p.multiplier p.max_attempts

@@ -28,4 +28,3 @@ val backoff_delay : policy -> attempt:int -> float
 type unreachable = { source : string; attempts : int; waited : float }
 
 val pp_unreachable : Format.formatter -> unreachable -> unit
-val pp_policy : Format.formatter -> policy -> unit

@@ -227,12 +227,6 @@ let positional_join left right pairs =
   hash_join emit ~left:(Rel left) ~lpos ~right:(Rel right) ~rpos;
   out
 
-let nested_loop_join left right pairs =
-  let lpos, rpos = key_positions pairs in
-  let out, emit = joined_into left right in
-  nested_loop emit ~left:(Rel left) ~lpos ~right:(Rel right) ~rpos;
-  out
-
 type plan = [ `Indexed | `Nested_loop ]
 
 type catalog = Query.table_ref -> Relation.t

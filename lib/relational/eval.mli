@@ -37,11 +37,6 @@ val positional_join :
     is discarded afterwards.  Output schema is [Schema.concat left
     right]. *)
 
-val nested_loop_join :
-  Relation.t -> Relation.t -> (int * int) list -> Relation.t
-(** The evaluator's O(n·m) compare-everything kernel — the reference
-    plan.  Only matches are materialized, never the full product. *)
-
 (** {1 Prepared queries} *)
 
 type plan = [ `Indexed | `Nested_loop ]

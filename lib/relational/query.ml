@@ -53,9 +53,6 @@ let where q = q.where
 
 let aliases q = List.map (fun tr -> tr.alias) q.from
 
-let find_table q alias =
-  List.find_opt (fun tr -> String.equal tr.alias alias) q.from
-
 (** Every attribute reference appearing anywhere in the query. *)
 let all_refs q =
   List.map (fun it -> it.expr) q.select @ Predicate.refs q.where

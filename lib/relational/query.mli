@@ -41,7 +41,6 @@ val select : t -> select_item list
 val from : t -> table_ref list
 val where : t -> Predicate.t
 val aliases : t -> string list
-val find_table : t -> string -> table_ref option
 
 val all_refs : t -> Attr.Qualified.t list
 (** Every attribute reference anywhere in the query. *)

@@ -26,12 +26,6 @@ let pp_update ppf (u : Update.t) =
   in
   Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:cut string) (List.sort String.compare stmts)
 
-let update_to_string u = Fmt.str "%a" pp_update u
-
-let pp_schema_change = Schema_change.pp
-
-let schema_change_to_string = Schema_change.to_string
-
 (** [pp_relation_table ppf r] renders a bordered ASCII table (sorted), used
     by the examples to show view extents. *)
 let pp_relation_table ppf r =

@@ -13,11 +13,6 @@ val pp_values : Format.formatter -> Tuple.t -> unit
 val pp_update : Format.formatter -> Update.t -> unit
 (** A block of INSERT/DELETE statements. *)
 
-val update_to_string : Update.t -> string
-
-val pp_schema_change : Format.formatter -> Schema_change.t -> unit
-val schema_change_to_string : Schema_change.t -> string
-
 val pp_relation_table : Format.formatter -> Relation.t -> unit
 (** Bordered ASCII table (sorted rows), used by the examples and the CLI
     to show view extents. *)

@@ -8,7 +8,6 @@ type t = Value.t array
 
 let of_list = Array.of_list
 let to_list = Array.to_list
-let of_array (a : Value.t array) : t = Array.copy a
 let arity (t : t) = Array.length t
 let get (t : t) i = t.(i)
 

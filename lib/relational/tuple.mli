@@ -5,7 +5,6 @@ type t = Value.t array
 
 val of_list : Value.t list -> t
 val to_list : t -> Value.t list
-val of_array : Value.t array -> t
 val arity : t -> int
 val get : t -> int -> Value.t
 

@@ -22,11 +22,6 @@ type aux_def = {
       (** needed attributes, in first-reference order — the probe columns *)
 }
 
-let pp_def ppf d =
-  Fmt.pf ppf "%s = π[%s] %s.%s" d.alias
-    (String.concat ", " d.attrs)
-    d.source d.rel
-
 (** [derive mv] — one projection per table the view joins, onto the
     attributes its maintenance probes need.  An invalidated view
     definition (the view is undefined after an unhandled drop) or an

@@ -13,8 +13,6 @@ type aux_def = {
       (** needed attributes, in first-reference order — the probe columns *)
 }
 
-val pp_def : Format.formatter -> aux_def -> unit
-
 val derive : Dyno_view.Mat_view.t -> aux_def list
 (** [derive mv] — one projection descriptor per table the (current,
     possibly rewritten) view definition joins.  An invalidated view or an

@@ -36,8 +36,6 @@ let create clk =
 
 let clock t = t.clk
 let in_task t = t.current <> None
-let current_task t = t.current
-let tasks_parked t = List.length t.queue
 let on_switch t f = t.switch_hook <- f
 
 let insert t time id p =

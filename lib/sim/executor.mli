@@ -23,13 +23,6 @@ val clock : t -> Clock.t
 val in_task : t -> bool
 (** Are we currently executing inside a task spawned by {!run_all}? *)
 
-val current_task : t -> int option
-(** Id of the running task, if any.  Ids are assigned in spawn order and
-    are unique over the executor's lifetime. *)
-
-val tasks_parked : t -> int
-(** Number of tasks currently parked waiting for their wake-up time. *)
-
 val on_switch : t -> (int option -> unit) -> unit
 (** Install a hook called with [Some id] every time task [id] starts or
     resumes, and with [None] every time control returns to the driver.

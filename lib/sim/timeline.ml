@@ -17,8 +17,6 @@ let event_source = function
   | Du u -> Update.source u
   | Sc sc -> Schema_change.source sc
 
-let event_rel = function Du u -> Update.rel u | Sc sc -> Schema_change.rel sc
-
 let is_sc = function Sc _ -> true | Du _ -> false
 
 let pp_event ppf = function

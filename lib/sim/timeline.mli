@@ -9,7 +9,6 @@ open Dyno_relational
 type event = Du of Update.t | Sc of Schema_change.t
 
 val event_source : event -> string
-val event_rel : event -> string
 val is_sc : event -> bool
 val pp_event : Format.formatter -> event -> unit
 

@@ -24,6 +24,7 @@ type t = {
   def : View_def.t;
   mutable extent : Relation.t;
   mutable commits : commit list;  (** newest first *)
+  mutable changes : int;  (** refreshes and replacements *)
   initial : Relation.t option;  (** the created extent (when tracking) *)
 }
 
@@ -32,6 +33,7 @@ let create ?(track_snapshots = false) def extent =
     def;
     extent;
     commits = [];
+    changes = 0;
     initial = (if track_snapshots then Some (Relation.copy extent) else None);
   }
 
@@ -41,6 +43,7 @@ let initial_extent v = v.initial
 let cardinality v = Relation.cardinality v.extent
 
 let commit_count v = List.length v.commits
+let extent_changes v = v.changes
 
 (** Commits in chronological order. *)
 let commits v = List.rev v.commits
@@ -62,12 +65,14 @@ let record_commit v ~at ~maintained =
     extent and the commit log untouched. *)
 let refresh v ~at ~maintained delta =
   Relation.apply_delta_in_place v.extent delta;
+  v.changes <- v.changes + 1;
   log v ~at ~maintained (fun () -> Delta (Relation.copy delta))
 
 (** [replace v ~at ~maintained extent] installs a whole new extent — used
     by view adaptation when the definition itself changed shape. *)
 let replace v ~at ~maintained extent =
   v.extent <- extent;
+  v.changes <- v.changes + 1;
   log v ~at ~maintained (fun () -> Installed (Relation.copy extent))
 
 let pp ppf v =

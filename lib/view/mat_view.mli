@@ -34,6 +34,10 @@ val initial_extent : t -> Relation.t option
 val cardinality : t -> int
 val commit_count : t -> int
 
+val extent_changes : t -> int
+(** How many {!refresh}es and {!replace}s the view has had: a step that
+    moved it refreshed or adapted the view. *)
+
 val commits : t -> commit list
 (** Chronological order. *)
 

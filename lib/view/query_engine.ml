@@ -156,7 +156,6 @@ let add_admit_hook w h = w.admit_hooks <- w.admit_hooks @ [ h ]
 let route_count w = Array.length w.routes
 let route_umq w i = w.routes.(i).r_umq
 let umqs w = Array.to_list (Array.map (fun r -> r.r_umq) w.routes)
-let umq_for w ~source = (route w source).r_umq
 
 let net_msgs_lost w =
   Array.fold_left
@@ -176,6 +175,13 @@ let umq_reorders_healed w =
 
 let set_broken_query_flags w =
   Array.iter (fun r -> Umq.set_broken_query_flag r.r_umq) w.routes
+
+(* When a packet reached the warehouse: its planned arrival, or now when
+   a probe's flush (FIFO-stream semantics) admits it ahead of that plan —
+   a lineage record's cursor must never move back.  A packet that is due
+   reads no boxed clock. *)
+let arrived_by w (p : Update_msg.payload Channel.packet) =
+  if Clock.reached w.clock p.arrival then p.arrival else now w
 
 (* Run one arriving copy through its route's exactly-once sequencer. *)
 let admit_packet w ri (p : Update_msg.payload Channel.packet) =
@@ -202,7 +208,7 @@ let admit_packet w ri (p : Update_msg.payload Channel.packet) =
              held, so only their hold wait closes here (in [admit]). *)
           if version = p.seq then
             Dyno_obs.Lineage.arrive lin ~source:p.source ~seq:p.seq
-              ~time:p.arrival;
+              ~time:(arrived_by w p);
           Dyno_obs.Lineage.admit lin ~source:p.source ~seq:version
             ~time:(now w) ~msg_id:(Update_msg.id m);
           Trace.record w.trace ~time:(now w) Trace.Enqueue
@@ -216,7 +222,8 @@ let admit_packet w ri (p : Update_msg.payload Channel.packet) =
         (lazy (Fmt.str "dropped duplicate seq %d from %s" p.seq p.source))
   | Umq.Held ->
       Hashtbl.replace w.held_since (p.source, p.seq) (now w);
-      Dyno_obs.Lineage.arrive lin ~source:p.source ~seq:p.seq ~time:p.arrival;
+      Dyno_obs.Lineage.arrive lin ~source:p.source ~seq:p.seq
+        ~time:(arrived_by w p);
       Dyno_obs.Lineage.held lin ~source:p.source ~seq:p.seq ~time:(now w);
       Dyno_obs.Metrics.incr (Dyno_obs.Obs.metrics w.obs) "umq.held";
       Dyno_obs.Span.instant

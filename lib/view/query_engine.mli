@@ -83,9 +83,6 @@ val route_umq : t -> int -> Umq.t
 val umqs : t -> Umq.t list
 (** All routes' queues, in route order. *)
 
-val umq_for : t -> source:string -> Umq.t
-(** The queue owning a source's updates. *)
-
 val add_admit_hook : t -> (Update_msg.t -> unit) -> unit
 (** Observe the admitted update stream: [h] is called once per message
     the exactly-once sequencer admits into any route's UMQ (post-dedup,

@@ -427,8 +427,6 @@ let replace q new_entries =
 (* Flag protocol of Figure 6 (atomic in the paper; the simulation is
    single-threaded so plain reads/writes suffice). *)
 
-let set_schema_change_flag q = q.new_schema_change <- true
-
 (** Test-and-clear, as in [Test_If_True_Set_False]. *)
 let test_and_clear_schema_change_flag q =
   let v = q.new_schema_change in

@@ -132,8 +132,6 @@ val replace : t -> entry list -> unit
 
 (** {1 Flags (Figure 6/7 protocol)} *)
 
-val set_schema_change_flag : t -> unit
-
 val test_and_clear_schema_change_flag : t -> bool
 (** [Test_If_True_Set_False]. *)
 

@@ -224,31 +224,3 @@ let zipf ~alpha ~n : float array =
   let w = Array.init n (fun i -> (float_of_int (i + 1)) ** -.alpha) in
   let z = Array.fold_left ( +. ) 0.0 w in
   Array.map (fun x -> x /. z) w
-
-(** Heavy-tailed DU-only workload: [n_dus] data updates evenly spaced
-    over [0, horizon), each targeting a relation drawn from a Zipf law
-    of exponent [alpha] over the paper schema's relations.  The skew is
-    what makes shard-partition quality visible: a hot relation pins its
-    whole stream to one shard. *)
-let heavy_tailed ~rows ~seed ~n_dus ~horizon ?(alpha = 0.7) () : Timeline.t =
-  let rng = Rng.make seed in
-  let m = make_mirror ~rows in
-  let timeline = Timeline.create () in
-  let weights = zipf ~alpha ~n:Paper_schema.n_relations in
-  let spacing = horizon /. float_of_int (max 1 n_dus) in
-  for k = 0 to n_dus - 1 do
-    let time = float_of_int k *. spacing in
-    (* Inverse-CDF draw over the relation weights. *)
-    let u = Rng.float rng 1.0 in
-    let i =
-      let rec find i acc =
-        if i >= Array.length weights - 1 then i
-        else
-          let acc = acc +. weights.(i) in
-          if u < acc then i else find (i + 1) acc
-      in
-      find 0 0.0
-    in
-    Timeline.schedule timeline ~time (Timeline.Du (gen_du m rng i))
-  done;
-  timeline

@@ -42,15 +42,3 @@ val drop_then_renames : int -> sc_kind list
 val zipf : alpha:float -> n:int -> float array
 (** Normalized Zipf weights [w_i ∝ (i+1)^(-alpha)]; [alpha = 0] is
     uniform, larger values concentrate mass on the first entries. *)
-
-val heavy_tailed :
-  rows:int ->
-  seed:int ->
-  n_dus:int ->
-  horizon:float ->
-  ?alpha:float ->
-  unit ->
-  Timeline.t
-(** [n_dus] data updates evenly spaced over [0, horizon), each targeting
-    a relation drawn from {!zipf} [~alpha] (default 0.7) — the
-    heavy-tailed per-source commit distribution of the scale bench. *)

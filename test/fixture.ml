@@ -38,12 +38,12 @@ let faulty ~loss ~dup ~reorder ~net_seed (s : Dyno_workload.Spec.t) =
         s.world |> with_faults faults |> with_net_seed net_seed);
   }
 
-(* Per-source sets of update messages integrated into the view: commit-log
-   [maintained] ids resolved through the world's id -> (source, version)
-   index, deduplicated and sorted.  Runs that order commits differently
-   on the clock (parallel, sharded, self-maintained) must still apply the
-   same updates of every source. *)
-let applied_per_source (t : Dyno_workload.Scenario.t) =
+(* Per-source sets of update messages integrated into [mv], a view of
+   [t]: commit-log [maintained] ids resolved through the world's id ->
+   (source, version) index, deduplicated and sorted.  Runs that order
+   commits differently on the clock (parallel, sharded, self-maintained)
+   must still apply the same updates of every source. *)
+let applied_per_source (t : Dyno_workload.Scenario.t) mv =
   let index = Dyno_workload.Scenario.msg_index t in
   let tbl : (string, int list ref) Hashtbl.t = Hashtbl.create 8 in
   List.iter
@@ -57,7 +57,7 @@ let applied_per_source (t : Dyno_workload.Scenario.t) =
               | Some l -> l := version :: !l
               | None -> Hashtbl.add tbl src (ref [ version ])))
         c.maintained)
-    (Dyno_view.Mat_view.commits t.mv);
+    (Dyno_view.Mat_view.commits mv);
   Hashtbl.fold
     (fun src l acc -> (src, List.sort_uniq Int.compare !l) :: acc)
     tbl []

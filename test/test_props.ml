@@ -341,40 +341,6 @@ let prop_correction_legal =
       in
       preserved && legal && batches_ordered)
 
-(* -- golden end-to-end property ----------------------------------------- *)
-
-let arb_workload =
-  QCheck.make
-    QCheck.Gen.(
-      quad (int_range 1 10000) (int_range 0 18) (int_range 0 3) (int_range 0 2))
-    ~print:(fun (seed, dus, scs, strat) ->
-      Fmt.str "seed=%d dus=%d scs=%d strategy=%d" seed dus scs strat)
-
-let prop_end_to_end =
-  QCheck.Test.make
-    ~name:"random workloads converge with strong consistency (all strategies)"
-    ~count:40 arb_workload (fun (seed, n_dus, n_scs, strat) ->
-      let strategy = List.nth Dyno_core.Strategy.all strat in
-      let t, _ =
-        Dyno_workload.Spec.run
-          {
-            Fixture.base with
-            seed;
-            dus = n_dus;
-            scs = n_scs;
-            run = Dyno_core.Run_config.of_strategy strategy;
-          }
-      in
-      let convergent =
-        match Dyno_workload.Scenario.check_convergent t with
-        | Ok b -> b
-        | Error _ -> false
-      in
-      let strong =
-        Dyno_core.Consistency.ok (Dyno_workload.Scenario.check_strong t)
-      in
-      convergent && strong)
-
 (* -- versioned-store reconstruction ------------------------------------- *)
 
 (* The strong-consistency checker rests on Data_source.relation_at being
@@ -471,49 +437,6 @@ let prop_snapshot_reconstruction =
       List.for_all matches (List.rev !mirrors)
       && List.for_all matches !mirrors
       && List.for_all matches shuffled)
-
-(* -- multi-view golden property ----------------------------------------- *)
-
-let prop_multi_view_end_to_end =
-  QCheck.Test.make
-    ~name:"multi-view: random workloads keep every view consistent" ~count:15
-    (QCheck.make
-       QCheck.Gen.(triple (int_range 1 10000) (int_range 0 12) (int_range 0 2))
-       ~print:(fun (s, d, c) -> Fmt.str "seed=%d dus=%d scs=%d" s d c))
-    (fun (seed, n_dus, n_scs) ->
-      let open Dyno_view in
-      let t =
-        Dyno_workload.Spec.build
-          {
-            Fixture.base with
-            seed;
-            dus = n_dus;
-            du_interval = 0.15;
-            scs = n_scs;
-            sc_interval = 1.0;
-            world = Dyno_workload.Scenario.Config.with_rows 8 Fixture.base.world;
-          }
-      in
-      let engine = t.engine in
-      let mv1 = t.mv in
-      let mv2 =
-        Dyno_workload.Scenario.add_view t
-          (Query.make ~name:"V2"
-             ~select:[ Query.item "R1.K1"; Query.item "R2.A2" ]
-             ~from:[ Query.table "DS1" "R1"; Query.table "DS1" "R2" ]
-             ~where:[ Predicate.eq_attr "R1.K1" "R2.K2" ])
-      in
-      ignore (Dyno_core.Scheduler.dispatch engine [ mv1; mv2 ] t.mk);
-      List.for_all
-        (fun mv ->
-          let vd = Mat_view.def mv in
-          (not (View_def.is_valid vd))
-          || (match Dyno_core.Consistency.convergent engine mv with
-             | Ok b -> b
-             | Error _ -> false)
-             && Dyno_core.Consistency.ok
-                  (Dyno_core.Consistency.check_strong engine mv))
-        [ mv1; mv2 ])
 
 (* -- stats JSON round-trip --------------------------------------------- *)
 
@@ -636,6 +559,5 @@ let () =
       ("correction", List.map to_alcotest [ prop_correction_legal ]);
       ( "versioned store",
         List.map to_alcotest [ prop_snapshot_reconstruction ] );
-      ("end to end", List.map to_alcotest [ prop_end_to_end; prop_multi_view_end_to_end ]);
       ("stats json", List.map to_alcotest [ prop_stats_json_roundtrip ]);
     ]

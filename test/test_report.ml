@@ -1,60 +1,51 @@
-(* Unit tests for the trace-derived report: episode extraction, outcome
-   split, event counts, broken-query attribution. *)
+(* Tests for the run report: the episode table in every dispatch shape,
+   its summaries, event counts and broken-query attribution. *)
 
 open Dyno_sim
 open Dyno_core
 
 let tr () =
   let t = Trace.create () in
-  (* a successful DU maintenance: 0.0 .. 0.3 *)
   Trace.record t ~time:0.0 Trace.Maint_start
     (lazy "#0@0.000s DU(R1@DS1, 1 tuples)");
   Trace.record t ~time:0.1 Trace.Query_sent (lazy "DS1 <- q");
   Trace.record t ~time:0.3 Trace.Refresh (lazy "view += 1");
-  (* an aborted SC maintenance: 1.0 .. 8.5 *)
   Trace.record t ~time:1.0 Trace.Maint_start (lazy "#1@1.000s SC(ALTER ...)");
   Trace.record t ~time:8.5 Trace.Broken_query
     (lazy "broken query adapt:V:R3 at DS2: relation R3 does not exist");
   Trace.record t ~time:8.5 Trace.Abort (lazy "maintenance aborted");
-  (* a successful batch: 9.0 .. 29.0 *)
   Trace.record t ~time:9.0 Trace.Maint_start (lazy "BATCH{#1; #2}");
   Trace.record t ~time:29.0 Trace.Adapt (lazy "view re-materialized");
   t
 
-let test_episodes () =
-  let r = Report.of_trace (tr ()) in
-  Alcotest.(check int) "three episodes" 3 (List.length r.Report.episodes);
-  let du_ok = Report.by_kind r Report.Du_maint ~aborted:false in
-  Alcotest.(check int) "one successful DU" 1 (List.length du_ok);
-  Alcotest.(check (float 1e-9)) "DU duration" 0.3 (List.hd du_ok);
-  let sc_ab = Report.by_kind r Report.Sc_maint ~aborted:true in
-  Alcotest.(check int) "one aborted SC" 1 (List.length sc_ab);
-  Alcotest.(check (float 1e-9)) "SC abort duration" 7.5 (List.hd sc_ab);
-  let batch_ok = Report.by_kind r Report.Batch_maint ~aborted:false in
-  Alcotest.(check (float 1e-9)) "batch duration" 20.0 (List.hd batch_ok)
-
 let test_summary () =
-  let s = Report.summarize [ 1.0; 2.0; 3.0 ] in
-  Alcotest.(check int) "count" 3 s.Report.count;
-  Alcotest.(check (float 1e-9)) "total" 6.0 s.Report.total;
-  Alcotest.(check (float 1e-9)) "mean" 2.0 s.Report.mean;
-  Alcotest.(check (float 1e-9)) "max" 3.0 s.Report.max;
-  Alcotest.(check int) "empty" 0 (Report.summarize []).Report.count
+  let s = Stats.create () in
+  List.iter (Stats.note_episode s Stats.Du_maint ~aborted:false) [ 1.0; 2.0; 3.0 ];
+  Stats.note_episode s Stats.Sc_maint ~aborted:true 7.5;
+  match (Report.of_run s (Trace.create ())).Report.episodes with
+  | [ (Stats.Du_maint, false, du); (Stats.Sc_maint, true, sc) ] ->
+      Alcotest.(check int) "count" 3 du.Report.count;
+      Alcotest.(check (float 1e-9)) "total" 6.0 du.Report.total;
+      Alcotest.(check (float 1e-9)) "mean" 2.0 du.Report.mean;
+      Alcotest.(check (float 1e-9)) "max" 3.0 du.Report.max;
+      Alcotest.(check int) "aborted SC" 1 sc.Report.count
+  | cells ->
+      Alcotest.failf "expected the two non-empty cells, got %d"
+        (List.length cells)
 
 let test_event_counts () =
-  let r = Report.of_trace (tr ()) in
+  let r = Report.of_run (Stats.create ()) (tr ()) in
   Alcotest.(check bool) "maint-start counted" true
     (List.assoc_opt Trace.Maint_start r.Report.event_counts = Some 3);
   Alcotest.(check bool) "zero kinds omitted" true
     (List.assoc_opt Trace.Compensate r.Report.event_counts = None)
 
 let test_broken_by_source () =
-  let r = Report.of_trace (tr ()) in
+  let r = Report.of_run (Stats.create ()) (tr ()) in
   Alcotest.(check (list (pair string int))) "DS2 blamed" [ ("DS2", 1) ]
     r.Report.broken_by_source
 
 let test_on_live_run () =
-  (* the report machinery must digest a real trace without confusion *)
   let t, stats =
     Dyno_workload.Spec.run
       {
@@ -69,16 +60,49 @@ let test_on_live_run () =
             Fixture.base.world |> with_snapshots false |> with_trace true);
       }
   in
-  let r = Report.of_trace t.Dyno_workload.Scenario.trace in
+  let r = Report.of_run stats t.Dyno_workload.Scenario.trace in
   let finished =
-    List.length (List.filter (fun e -> not e.Report.aborted) r.Report.episodes)
+    List.fold_left
+      (fun n (_, aborted, s) -> if aborted then n else n + s.Report.count)
+      0 r.Report.episodes
   in
   Alcotest.(check bool) "episodes cover all commits" true
     (finished >= stats.Stats.view_commits - stats.Stats.irrelevant);
   List.iter
-    (fun e ->
-      Alcotest.(check bool) "durations non-negative" true (e.Report.duration >= 0.0))
+    (fun (_, _, s) ->
+      Alcotest.(check bool) "durations non-negative" true (s.Report.max >= 0.0))
     r.Report.episodes
+
+(* The CLI's [run --dus 40 --scs 3 --seed 1 --report] in the other
+   dispatch shapes: a round counts each member that refreshed, and a view
+   set each entry once.  29 data updates refresh the view. *)
+let cli_report ?(views = 1) ~shards ~parallel () =
+  let open Dyno_workload in
+  let t =
+    Spec.build
+      { Spec.default with dus = 40; scs = 3;
+        world = Scenario.Config.(Spec.paper_world ~rows:200 |> with_shards shards
+                                 |> with_trace true) }
+  in
+  let config = Run_config.(default |> with_parallel parallel) in
+  let v2 () = Scenario.add_view t (Paper_schema.view2_query ()) in
+  let mvs = if views = 2 then [ t.mv; v2 () ] else [ t.mv ] in
+  Report.of_run (Scheduler.dispatch ~config ~plan:t.plan t.engine mvs t.mk) t.trace
+
+let test_rounds_and_shards () =
+  List.iter
+    (fun (name, shards, parallel) ->
+      match (cli_report ~shards ~parallel ()).Report.episodes with
+      | (Stats.Du_maint, false, s) :: _ ->
+          Alcotest.(check int) (name ^ ": data update (ok)") 29 s.Report.count
+      | _ -> Alcotest.failf "%s: no data update (ok) row" name)
+    [ ("serial", 1, 1); ("--parallel 4", 1, 4); ("--shards 3", 3, 1) ]
+
+let test_view_set () =
+  let r = cli_report ~views:2 ~shards:1 ~parallel:1 () in
+  Alcotest.(check bool) "episodes tabulated" true (r.Report.episodes <> []);
+  Alcotest.(check bool) "one maint-start per dispatched entry" true
+    (List.assoc_opt Trace.Maint_start r.Report.event_counts <> None)
 
 (* Every optional section of [Stats.pp] starts a line of its own, also
    when the line before it is short (a run whose transport never
@@ -111,11 +135,14 @@ let () =
     [
       ( "report",
         [
-          Alcotest.test_case "episode extraction" `Quick test_episodes;
           Alcotest.test_case "summaries" `Quick test_summary;
           Alcotest.test_case "event counts" `Quick test_event_counts;
           Alcotest.test_case "broken-query attribution" `Quick test_broken_by_source;
           Alcotest.test_case "live run digestion" `Quick test_on_live_run;
+          Alcotest.test_case "rounds and shards count every refresh" `Quick
+            test_rounds_and_shards;
+          Alcotest.test_case "a view set tabulates its episodes" `Quick
+            test_view_set;
           Alcotest.test_case "stats: every section on its own line" `Quick
             test_stats_sections;
         ] );
