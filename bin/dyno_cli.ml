@@ -537,9 +537,49 @@ let exports =
     const make $ trace_out $ metrics_out $ lineage_out $ series_out
     $ openmetrics_out $ slo_specs $ slo_exit)
 
+(* ---- exit statuses ------------------------------------------------ *)
+
+let view_undefined = 2
+let slo_failed = 3
+let rejected_refresh = 4
+
+(* The statuses of a command that runs the workload, besides cmdliner's;
+   [report] and [run] also end on the view and the SLOs. *)
+let run_exits ~verdicts =
+  let status code doc = Cmd.Exit.info code ~doc in
+  (if verdicts then
+     [
+       status view_undefined "when a schema change left the view undefined.";
+       status slo_failed
+         "when $(b,--slo-exit) is given and an objective failed.";
+     ]
+   else [])
+  @ status rejected_refresh
+      "when $(b,--no-compensation) let a maintenance count concurrent \
+       updates twice and the view rejected the refresh."
+    :: Cmd.Exit.defaults
+
+(* With compensation off a sweep keeps concurrent updates in its probe
+   answers, so they are counted twice: the duplication anomaly
+   [--no-compensation] shows.  The view rejects a refresh that would
+   drive a tuple's multiplicity negative ({!Dyno_view.Mat_view.refresh});
+   the run then ends with one line naming the refresh, and
+   [rejected_refresh]. *)
+let guard_compensation (spec : Spec.t) f =
+  if spec.run.compensate then f ()
+  else
+    try f ()
+    with Invalid_argument reason ->
+      Fmt.epr
+        "dyno: %s; compensation is off (--no-compensation), so concurrent \
+         updates were counted twice@."
+        reason;
+      exit rejected_refresh
+
 (* Write every requested file, print the staleness summary, [sections]
-   and the SLO verdicts, then exit 2 when the view became undefined, or 3
-   when [--slo-exit] and an objective failed. *)
+   and the SLO verdicts, then exit [view_undefined] when the view became
+   undefined, or [slo_failed] when [--slo-exit] and an objective
+   failed. *)
 let write_exports ?(sections = ignore) obs e (stats : Stats.t) =
   let open Dyno_obs in
   let mx = Obs.metrics obs in
@@ -566,8 +606,8 @@ let write_exports ?(sections = ignore) obs e (stats : Stats.t) =
   staleness_section mx;
   sections ();
   let slo_ok = slo_section mx e.slos in
-  if stats.view_undefined then exit 2;
-  if e.slo_exit && not slo_ok then exit 3
+  if stats.view_undefined then exit view_undefined;
+  if e.slo_exit && not slo_ok then exit slo_failed
 
 (* ---- run ----------------------------------------------------------- *)
 
@@ -592,6 +632,7 @@ let run_cmd =
     let spec = observed ~trace:(trace || report) obs spec in
     let t = Spec.build spec in
     let stats =
+      guard_compensation spec @@ fun () ->
       if multi then begin
         let views =
           [ t.mv; Scenario.add_view t (Paper_schema.view2_query ()) ]
@@ -632,7 +673,8 @@ let run_cmd =
       $ exports $ sample_interval $ no_lineage $ watch_flag)
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Simulate a mixed workload under a strategy")
+    (Cmd.info "run" ~exits:(run_exits ~verdicts:true)
+       ~doc:"Simulate a mixed workload under a strategy")
     term
 
 (* ---- report: span-derived cost breakdown ---------------------------- *)
@@ -642,7 +684,9 @@ let report_cmd =
     (* [report] always samples: the timeline section needs a series. *)
     let interval = Option.value sample_interval ~default:1.0 in
     let obs = Dyno_obs.Obs.create ~sample_interval:interval () in
-    let _, stats = Spec.run (observed obs spec) in
+    let _, stats =
+      guard_compensation spec (fun () -> Spec.run (observed obs spec))
+    in
     Fmt.pr "strategy: %a@.@." Strategy.pp spec.run.strategy;
     Fmt.pr "%a@." Dyno_obs.Export.pp_breakdown
       (Dyno_obs.Export.breakdown (Dyno_obs.Obs.spans obs));
@@ -657,7 +701,7 @@ let report_cmd =
     Term.(const action $ spec $ exports $ critical_path_flag $ sample_interval)
   in
   Cmd.v
-    (Cmd.info "report"
+    (Cmd.info "report" ~exits:(run_exits ~verdicts:true)
        ~doc:
          "Run a workload with span recording on and print the \
           busy/abort/idle/net-wait cost breakdown derived from spans alone, \
@@ -715,7 +759,9 @@ let lineage_summary_table records =
 let explain_cmd =
   let action spec msg abort_n view =
     let obs = Dyno_obs.Obs.create () in
-    let t, (_ : Stats.t) = Spec.run (observed obs spec) in
+    let t, (_ : Stats.t) =
+      guard_compensation spec (fun () -> Spec.run (observed obs spec))
+    in
     let lin = Dyno_obs.Obs.lineage obs in
     let records = Dyno_obs.Lineage.records lin in
     let slowest n rs =
@@ -782,6 +828,10 @@ let explain_cmd =
   in
   Cmd.v
     (Cmd.info "explain"
+       ~exits:
+         (Cmd.Exit.info 1
+            ~doc:"when the asked-for message, abort or view is not in the run."
+         :: run_exits ~verdicts:false)
        ~doc:
          "Re-run a workload with lineage recording on and print the causal \
           narrative of one update (--msg), of the update behind the N-th \

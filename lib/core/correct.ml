@@ -24,37 +24,44 @@ type report = {
 let rec drop n l =
   match l with _ :: rest when n > 0 -> drop (n - 1) rest | _ -> l
 
-(** [apply umq g] corrects the queue according to graph [g] and installs
-    the legal order.  Returns what happened, for stats/trace.
+(** [order entries g] — the legal order of [entries], the list [g] was
+    built over or a list that extends it, and what correcting changed.
 
     Detection charges its time on the simulated clock, and a delivery
     falling due meanwhile appends to the queue, so [g]'s entries may be
-    only a prefix of it.  The entries admitted since follow the corrected
-    order, in arrival order; an admitted SC has set the schema-change
-    flag, so the next pass corrects them. *)
-let apply (umq : Umq.t) (g : Dep_graph.t) : report =
-  let before = Umq.entries umq in
+    only a prefix of [entries].  The entries admitted since follow the
+    corrected order, in arrival order; an admitted SC has set the
+    schema-change flag, so the next pass corrects them.  A merged cycle
+    changes the entries even where the message order stays. *)
+let order (entries : Umq.entry list) (g : Dep_graph.t) :
+    Umq.entry list * report =
   let c = Dep_graph.correct g in
   let n = Dep_graph.size g in
   let order =
-    if Umq.length umq = n then c.Dep_graph.order
-    else c.Dep_graph.order @ drop n before
+    if List.length entries = n then c.Dep_graph.order
+    else c.Dep_graph.order @ drop n entries
   in
   let reordered =
-    List.length before <> List.length order
+    List.length entries <> List.length order
     || List.exists2
          (fun a b -> Umq.entry_ids a <> Umq.entry_ids b)
-         before order
+         entries order
   in
-  if reordered then Umq.replace umq order;
-  {
-    reordered;
-    merged_cycles = c.Dep_graph.merged_cycles;
-    merged_updates = c.Dep_graph.merged_updates;
-    merged_members = c.Dep_graph.merged_members;
-    nodes = Dep_graph.size g;
-    edges = List.length (Dep_graph.edges g);
-  }
+  ( order,
+    {
+      reordered;
+      merged_cycles = c.Dep_graph.merged_cycles;
+      merged_updates = c.Dep_graph.merged_updates;
+      merged_members = c.Dep_graph.merged_members;
+      nodes = n;
+      edges = List.length (Dep_graph.edges g);
+    } )
+
+(** [apply umq g] — {!order} the queue and install the legal order. *)
+let apply (umq : Umq.t) (g : Dep_graph.t) : report =
+  let order, r = order (Umq.entries umq) g in
+  if r.reordered then Umq.replace umq order;
+  r
 
 (** [collapse entries] — the strawman correction over an entry list:
     every message, in commit order, as a single batch.  Loses

@@ -14,12 +14,17 @@ type report = {
   edges : int;
 }
 
+val order : Umq.entry list -> Dep_graph.t -> Umq.entry list * report
+(** [order entries g] — the legal order of [entries] by graph [g], built
+    over [entries] or a prefix of it, and what correcting changed.  The
+    set of entries' updates is preserved exactly: entries past [g]'s —
+    admitted during the detection pass's clock charge — follow the
+    corrected order, in arrival order.  [reordered] holds when the entry
+    sequence changed: a reorder, or a cycle merged into one batch. *)
+
 val apply : Umq.t -> Dep_graph.t -> report
-(** [apply umq g] corrects the queue according to graph [g] and installs
-    the legal order.  The set of queued updates is preserved exactly
-    ({!Umq.replace} enforces it): entries admitted after [g] was built —
-    a delivery inside the detection pass's clock charge — stay queued
-    after the corrected order, in arrival order. *)
+(** [apply umq g] — {!order} the queue's entries and install the legal
+    order ({!Umq.replace} checks that the set of updates is kept). *)
 
 val collapse : Umq.entry list -> Umq.entry list * report
 (** The strawman correction the paper argues against, over an entry

@@ -38,73 +38,111 @@ type step_outcome =
       (** a maintenance query exhausted its transport retry budget; the
           entry stays at the queue head and is retried after recovery *)
 
-(* A refreshed data update's SWEEP work, added to the run's counters — the
-   one place sweep statistics reach [Stats]. *)
-let count_refresh (stats : Stats.t) (s : Dyno_vm.Sweep.stats) : unit =
-  stats.Stats.du_maintained <- stats.Stats.du_maintained + 1;
-  stats.Stats.probes <- stats.Stats.probes + s.Dyno_vm.Sweep.probes;
-  stats.Stats.compensations <-
-    stats.Stats.compensations + s.Dyno_vm.Sweep.compensations;
-  stats.Stats.probes_avoided <-
-    stats.Stats.probes_avoided + s.Dyno_vm.Sweep.probes_avoided;
-  stats.Stats.bytes_saved <- stats.Stats.bytes_saved + s.Dyno_vm.Sweep.bytes_saved;
-  stats.Stats.view_commits <- stats.Stats.view_commits + 1
+(* What one maintenance step did to the views: [account] counts it and
+   [terminal] ends the updates' lineage with it. *)
+type result =
+  | Refreshed of Dyno_vm.Sweep.stats  (** a data update swept and refreshed *)
+  | Rematerialized  (** a data update, the view recomputed *)
+  | Irrelevant of int  (** one data update, or a group of [n], off the view *)
+  | Adapted_sc  (** a schema change, VS + VA *)
+  | Adapted_batch of int  (** a merged batch of [n], adapted atomically *)
+  | Grouped of int * Dyno_vm.Sweep.stats  (** [n] data updates swept as one *)
+  | Undefined  (** a schema change left the view undefined *)
+  | Dropped of int  (** the view is undefined: [n] updates acknowledged *)
+  | Integrated of int  (** each of a view set's [n] views has the entry *)
+  | Aborted of Dyno_source.Data_source.broken
+  | Unreachable of Dyno_net.Retry.unreachable
 
-(* VS + VA for a schema change, or batch adaptation for a merged node;
-   [finish] records the lineage terminal. *)
-let adapt ?applied ~finish (w : Query_engine.t) (mv : Mat_view.t)
-    (mk : Dyno_source.Meta_knowledge.t) (stats : Stats.t)
-    (msgs : Update_msg.t list) : step_outcome =
-  match Dyno_va.Batch.maintain ?applied w mv mk msgs with
-  | Dyno_va.Batch.Adapted ->
-      (match msgs with
-      | [ _ ] ->
-          stats.Stats.sc_maintained <- stats.Stats.sc_maintained + 1;
-          finish Dyno_obs.Lineage.Applied (lazy "view adapted (VS + VA)")
-      | _ ->
-          stats.Stats.batches <- stats.Stats.batches + 1;
-          stats.Stats.batch_updates <-
-            stats.Stats.batch_updates + List.length msgs;
-          finish Dyno_obs.Lineage.Applied
-            (lazy
-              (Fmt.str "batch of %d adapted atomically" (List.length msgs))));
-      stats.Stats.view_commits <- stats.Stats.view_commits + 1;
-      Done
-  | Dyno_va.Batch.Aborted b -> AbortedStep b
-  | Dyno_va.Batch.Unreachable u -> UnreachableStep u
-  | Dyno_va.Batch.View_undefined _ ->
-      stats.Stats.view_undefined <- true;
-      finish Dyno_obs.Lineage.Applied
-        (lazy "schema change left the view undefined");
-      Done
+let outcome = function
+  | Aborted b -> AbortedStep b
+  | Unreachable u -> UnreachableStep u
+  | _ -> Done
 
-(* Maintain one queue entry against one view.  Updates counters on
-   success.  [local] is the self-maintenance hook (None unless
-   [config.self_maint]).  With [applied] the view is one member of a view
-   set: messages it already integrated are skipped (and kept in by
-   compensation), an undefined view has nothing to do, and the entry's
-   trace start and lineage terminal are left to the dispatcher, which
-   records them once for every view. *)
-let maintain_entry ?applied ?local ~(compensate : bool)
+(* The one place a maintained step reaches the per-update counters.  A
+   view set's entry was counted view by view. *)
+let account (stats : Stats.t) (r : result) : unit =
+  (match r with
+  | Refreshed s | Grouped (_, s) ->
+      stats.Stats.probes <- stats.Stats.probes + s.Dyno_vm.Sweep.probes;
+      stats.Stats.compensations <-
+        stats.Stats.compensations + s.Dyno_vm.Sweep.compensations;
+      stats.Stats.probes_avoided <-
+        stats.Stats.probes_avoided + s.Dyno_vm.Sweep.probes_avoided;
+      stats.Stats.bytes_saved <-
+        stats.Stats.bytes_saved + s.Dyno_vm.Sweep.bytes_saved
+  | _ -> ());
+  match r with
+  | Refreshed _ | Rematerialized ->
+      stats.Stats.du_maintained <- stats.Stats.du_maintained + 1;
+      stats.Stats.view_commits <- stats.Stats.view_commits + 1
+  | Adapted_sc ->
+      stats.Stats.sc_maintained <- stats.Stats.sc_maintained + 1;
+      stats.Stats.view_commits <- stats.Stats.view_commits + 1
+  | Adapted_batch n | Grouped (n, _) ->
+      stats.Stats.batches <- stats.Stats.batches + 1;
+      stats.Stats.batch_updates <- stats.Stats.batch_updates + n;
+      stats.Stats.view_commits <- stats.Stats.view_commits + 1
+  | Irrelevant n | Dropped n ->
+      stats.Stats.irrelevant <- stats.Stats.irrelevant + n
+  | Undefined -> stats.Stats.view_undefined <- true
+  | Integrated _ | Aborted _ | Unreachable _ -> ()
+
+let finish w ~ids state detail =
+  Dyno_obs.Lineage.finish (Dyno_obs.Obs.lineage (Query_engine.obs w)) ~ids
+    ~time:(Query_engine.now w) ~state ~detail
+
+(* The one place a maintained step ends its updates' lineage: [r] in
+   words.  [how] places a refresh (a round's). *)
+let terminal (w : Query_engine.t) ~(ids : int list) ~(how : string)
+    (r : result) : unit =
+  let applied = Dyno_obs.Lineage.Applied
+  and irrelevant = Dyno_obs.Lineage.Irrelevant in
+  if Dyno_obs.Lineage.enabled (Dyno_obs.Obs.lineage (Query_engine.obs w)) then
+    match r with
+    | Refreshed s ->
+        let probes = s.Dyno_vm.Sweep.probes
+        and comps = s.Dyno_vm.Sweep.compensations in
+        finish w ~ids applied
+          (lazy
+            (Fmt.str "view refreshed%s (%d probe(s), %d compensation(s))" how
+               probes comps))
+    | Rematerialized -> finish w ~ids applied (lazy "view re-materialized")
+    | Irrelevant 1 -> finish w ~ids irrelevant (lazy "no pivot row in the view")
+    | Irrelevant _ ->
+        finish w ~ids irrelevant
+          (lazy "grouped sweep: no pivot rows in the view")
+    | Adapted_sc -> finish w ~ids applied (lazy "view adapted (VS + VA)")
+    | Adapted_batch n ->
+        finish w ~ids applied
+          (lazy (Fmt.str "batch of %d adapted atomically" n))
+    | Grouped (n, _) ->
+        finish w ~ids applied
+          (lazy (Fmt.str "grouped sweep of %d applied atomically" n))
+    | Undefined ->
+        finish w ~ids applied (lazy "schema change left the view undefined")
+    | Dropped _ ->
+        finish w ~ids Dyno_obs.Lineage.Dropped_undefined
+          (lazy "view undefined; update acknowledged and dropped")
+    | Integrated n ->
+        finish w ~ids applied (lazy (Fmt.str "integrated by all %d view(s)" n))
+    | Aborted _ | Unreachable _ -> ()
+
+(* VS + VA for a schema change, or batch adaptation for a merged node. *)
+let adapt ?applied w mv mk (msgs : Update_msg.t list) : result =
+  match (Dyno_va.Batch.maintain ?applied w mv mk msgs, msgs) with
+  | Dyno_va.Batch.Adapted, [ _ ] -> Adapted_sc
+  | Dyno_va.Batch.Adapted, _ -> Adapted_batch (List.length msgs)
+  | Dyno_va.Batch.Aborted b, _ -> Aborted b
+  | Dyno_va.Batch.Unreachable u, _ -> Unreachable u
+  | Dyno_va.Batch.View_undefined _, _ -> Undefined
+
+(* The one-view maintainer: maintain [entry] against [mv] and say what it
+   did.  [local] is the self-maintenance hook; [applied] (a view set's)
+   lists the messages this view already integrated, skipped here and kept
+   in by compensation. *)
+let maintain_view ?applied ?local ~(compensate : bool)
     ~(vm_mode : Run_config.vm_mode) (w : Query_engine.t) (mv : Mat_view.t)
-    (mk : Dyno_source.Meta_knowledge.t) (stats : Stats.t)
-    (entry : Umq.entry) : step_outcome =
-  let trace = Query_engine.trace w in
-  let vd = Mat_view.def mv in
-  let lin = Dyno_obs.Obs.lineage (Query_engine.obs w) in
-  let ids = Umq.entry_ids entry in
-  let lone = Option.is_none applied in
-  let finish state detail =
-    if lone then
-      Dyno_obs.Lineage.finish lin ~ids ~time:(Query_engine.now w) ~state
-        ~detail
-  in
-  (* Probe round-trips issued by this maintenance step are charged to
-     this entry's updates via the ambient scope. *)
-  Dyno_obs.Lineage.set_scope lin ids;
-  if lone then
-    Trace.record trace ~time:(Query_engine.now w) Trace.Maint_start
-      (lazy (Fmt.str "%a" Umq.pp_entry entry));
+    (mk : Dyno_source.Meta_knowledge.t) (entry : Umq.entry) : result =
   let msgs =
     match applied with
     | None -> Umq.entry_messages entry
@@ -113,17 +151,10 @@ let maintain_entry ?applied ?local ~(compensate : bool)
           (fun m -> not (List.mem (Update_msg.id m) a))
           (Umq.entry_messages entry)
   in
-  if msgs = [] then Done
-  else if not (View_def.is_valid vd) then begin
-    (* The view is undefined; updates are acknowledged and dropped. *)
-    if lone then begin
-      Trace.record trace ~time:(Query_engine.now w) Trace.Info
-        (lazy (Fmt.str "view undefined; dropping %a" Umq.pp_entry entry));
-      stats.Stats.irrelevant <- stats.Stats.irrelevant + List.length msgs;
-      finish Dyno_obs.Lineage.Dropped_undefined
-        (lazy "view undefined; update acknowledged and dropped")
-    end;
-    Done
+  if not (View_def.is_valid (Mat_view.def mv)) then begin
+    Trace.record (Query_engine.trace w) ~time:(Query_engine.now w) Trace.Info
+      (lazy (Fmt.str "view undefined; dropping %a" Umq.pp_entry entry));
+    Dropped (List.length msgs)
   end
   else
     match msgs with
@@ -135,33 +166,35 @@ let maintain_entry ?applied ?local ~(compensate : bool)
                 ~maintained:[ Update_msg.id m ]
                 ~exclude:[ Update_msg.id m ]
             with
-            | Ok () ->
-                stats.Stats.du_maintained <- stats.Stats.du_maintained + 1;
-                stats.Stats.view_commits <- stats.Stats.view_commits + 1;
-                finish Dyno_obs.Lineage.Applied (lazy "view re-materialized");
-                Done
-            | Error (Query_engine.Broken b) -> AbortedStep b
-            | Error (Query_engine.Unreachable u) -> UnreachableStep u)
+            | Ok () -> Rematerialized
+            | Error (Query_engine.Broken b) -> Aborted b
+            | Error (Query_engine.Unreachable u) -> Unreachable u)
         | Update_msg.Du u -> (
             match Dyno_vm.Vm.maintain ~compensate ?applied ?local w mv m u with
-            | Dyno_vm.Vm.Refreshed { stats = s; _ } ->
-                count_refresh stats s;
-                let probes = s.Dyno_vm.Sweep.probes
-                and comps = s.Dyno_vm.Sweep.compensations in
-                finish Dyno_obs.Lineage.Applied
-                  (lazy
-                    (Fmt.str "view refreshed (%d probe(s), %d compensation(s))"
-                       probes comps));
-                Done
-            | Dyno_vm.Vm.Irrelevant ->
-                stats.Stats.irrelevant <- stats.Stats.irrelevant + 1;
-                finish Dyno_obs.Lineage.Irrelevant
-                  (lazy "no pivot row in the view");
-                Done
-            | Dyno_vm.Vm.Aborted b -> AbortedStep b
-            | Dyno_vm.Vm.Unreachable u -> UnreachableStep u)
-        | Update_msg.Sc _ -> adapt ?applied ~finish w mv mk stats msgs)
-    | _ -> adapt ?applied ~finish w mv mk stats msgs
+            | Dyno_vm.Vm.Refreshed { stats; _ } -> Refreshed stats
+            | Dyno_vm.Vm.Irrelevant -> Irrelevant 1
+            | Dyno_vm.Vm.Aborted b -> Aborted b
+            | Dyno_vm.Vm.Unreachable u -> Unreachable u)
+        | Update_msg.Sc _ -> adapt ?applied w mv mk msgs)
+    | _ -> adapt ?applied w mv mk msgs
+
+(* Trace the start of [entry]'s maintenance and charge the probes it
+   issues to its updates (the ambient lineage scope). *)
+let start_entry (w : Query_engine.t) ~(ids : int list) (entry : Umq.entry) =
+  Dyno_obs.Lineage.set_scope (Dyno_obs.Obs.lineage (Query_engine.obs w)) ids;
+  Trace.record (Query_engine.trace w) ~time:(Query_engine.now w)
+    Trace.Maint_start (lazy (Fmt.str "%a" Umq.pp_entry entry))
+
+(* One entry against one view, counted and ended: the dispatch core's
+   head step, as a public call. *)
+let maintain_entry ?local ~compensate ~vm_mode w mv mk (stats : Stats.t) entry
+    : step_outcome =
+  let ids = Umq.entry_ids entry in
+  start_entry w ~ids entry;
+  let r = maintain_view ?local ~compensate ~vm_mode w mv mk entry in
+  account stats r;
+  terminal w ~ids ~how:"" r;
+  outcome r
 
 (* A maintenance step stalled on an unreachable source: charge the sunk
    work as busy (it is NOT thrown away — the entry stays queued and is
@@ -441,12 +474,12 @@ let detect c (entries : Umq.entry list) : Dep_graph.t =
          (Dep_graph.unsafe_count g)));
   g
 
-(* Correct [g]: [install] puts the legal order in place and reports what
-   changed; [note] is the Correct trace entry for a changed order.  Every
-   unsafe edge (the ones forcing the reorder) lands on the dependent
-   updates' lineage records before the order changes. *)
-let correct c ~(install : Dep_graph.t -> Correct.report)
-    ~(note : string Lazy.t) (g : Dep_graph.t) : unit =
+(* Record and charge the correction of [g] that reported [r]; [note] is
+   the Correct trace entry for a changed order.  Every unsafe edge (the
+   ones forcing the reorder) lands on the dependent updates' lineage
+   records before the merges. *)
+let correct c ~(note : string Lazy.t) (g : Dep_graph.t) (r : Correct.report) :
+    unit =
   let trace = Query_engine.trace c.w in
   Dyno_obs.Span.with_span c.sp
     ~now:(fun () -> now c)
@@ -459,7 +492,6 @@ let correct c ~(install : Dep_graph.t -> Correct.report)
             ~dep_ids:(Dep_graph.edge_dependent_ids g e)
             ~time:tc ~detail:(Dep_graph.describe_edge g e))
         (Dep_graph.unsafe g);
-      let r = install g in
       List.iter
         (fun ids ->
           Dyno_obs.Lineage.merged c.lin ~ids ~time:tc
@@ -513,9 +545,9 @@ let detect_and_correct c ~(force : bool) : unit =
   let umq = c.umqs.(0) in
   let t0 = now c in
   if Umq.test_and_clear_schema_change_flag umq || force then
-    correct c ~install:(Correct.apply umq)
-      ~note:(lazy "queue reordered into a legal order")
-      (detect c (Umq.entries umq))
+    let g = detect c (Umq.entries umq) in
+    correct c ~note:(lazy "queue reordered into a legal order") g
+      (Correct.apply umq g)
   else
     (* Flag fast path: no span — it would swamp the trace with one flag
        check per iteration. *)
@@ -525,27 +557,25 @@ let detect_and_correct c ~(force : bool) : unit =
 (* -- outcomes -- *)
 
 (* Charge one dispatched step's outcome — the one place Done, stalled and
-   aborted steps are accounted.  Done adds the step to busy time, counts
-   it as an episode of [kind] when it [changed] a view, and runs
-   [on_done] (freshness, lineage, dequeue).  A stall charges the sunk work
-   and waits out the outage; the entry stays queued and its retry is the
-   episode.  An abort is an episode: it charges the wasted work as abort
-   cost, names the conflicting schema change, and runs the strategy's
-   correction: with one queue it rewrites the queue, with several the
-   next iteration is a cross-shard barrier.  [mid] is the iteration's
-   Maintain span: it carries the last step's outcome and the iteration's
-   total abort time. *)
+   aborted steps are accounted.  Done adds the step to busy time and
+   counts it as an episode of [kind] when it [changed] a view.  A stall
+   charges the sunk work and waits out the outage; the entry stays queued
+   and its retry is the episode.  An abort is an episode: it charges the
+   wasted work as abort cost, names the conflicting schema change, and
+   runs the strategy's correction: with one queue it rewrites the queue,
+   with several the next iteration is a cross-shard barrier.  [mid] is the
+   iteration's Maintain span: it carries the last step's outcome and the
+   iteration's total abort time. *)
 let settle c ~mid ~(t0 : float) ~(what : string) ~(ids : int list)
-    ~(kind : Stats.episode_kind) ~(changed : bool) ~(on_done : unit -> unit)
-    (outcome : step_outcome) : unit =
+    ~(kind : Stats.episode_kind) ~(changed : bool) (outcome : step_outcome) :
+    unit =
   let stats = c.stats in
   match outcome with
   | Done ->
       let dt = now c -. t0 in
       Dyno_obs.Span.set_attr c.sp mid "outcome" "done";
       stats.Stats.busy <- stats.Stats.busy +. dt;
-      if changed then Stats.note_episode stats kind ~aborted:false dt;
-      on_done ()
+      if changed then Stats.note_episode stats kind ~aborted:false dt
   | UnreachableStep u ->
       Dyno_obs.Span.set_attr c.sp mid "outcome" "stalled";
       stall_and_wait c.w stats ~t0 u;
@@ -600,12 +630,12 @@ type member = {
    data update across the views of a set, or every shard's prefix.  The
    sweeps, probe round trips included, run as cooperative executor tasks
    and overlap on the wire.  Refreshes then commit serially at the
-   barrier, in member order, stopping at the first failed member;
-   [commit] runs after each successful commit.  Later members' results
+   barrier, in member order, stopping at the first failed member; each
+   commit is counted, then [commit] runs.  Later members' results
    are discarded: exclusion sets were fixed at dispatch, so a re-sweep
    compensates correctly.  Returns how many members committed and the
    first failure ([Done] when every member committed). *)
-let round c ~(commit : member -> Dyno_vm.Vm.outcome -> unit)
+let round c ~(commit : member -> result -> unit)
     (members : member list) : int * step_outcome =
   let members = Array.of_list members in
   let k = Array.length members in
@@ -647,23 +677,25 @@ let round c ~(commit : member -> Dyno_vm.Vm.outcome -> unit)
     if i = k then (k, Done)
     else
       let mb = members.(i) in
-      match results.(i) with
-      | Some (Dyno_vm.Vm.Swept (dv, s)) -> (
-          match Dyno_vm.Vm.commit_swept c.w mb.view.mv mb.msg dv s with
-          | Dyno_vm.Vm.Refreshed { stats = s; _ } as res ->
-              count_refresh c.stats s;
-              commit mb res;
-              commit_from (i + 1)
-          | _ -> assert false)
-      | Some Dyno_vm.Vm.Swept_irrelevant ->
-          Mat_view.record_commit mb.view.mv ~at:(now c)
-            ~maintained:[ Update_msg.id mb.msg ];
-          c.stats.Stats.irrelevant <- c.stats.Stats.irrelevant + 1;
-          commit mb Dyno_vm.Vm.Irrelevant;
+      let r =
+        match results.(i) with
+        | Some (Dyno_vm.Vm.Swept (dv, s)) ->
+            ignore (Dyno_vm.Vm.commit_swept c.w mb.view.mv mb.msg dv s);
+            Refreshed s
+        | Some Dyno_vm.Vm.Swept_irrelevant ->
+            Mat_view.record_commit mb.view.mv ~at:(now c)
+              ~maintained:[ Update_msg.id mb.msg ];
+            Irrelevant 1
+        | Some (Dyno_vm.Vm.Swept_aborted b) -> Aborted b
+        | Some (Dyno_vm.Vm.Swept_unreachable u) -> Unreachable u
+        | None -> assert false
+      in
+      match outcome r with
+      | Done ->
+          account c.stats r;
+          commit mb r;
           commit_from (i + 1)
-      | Some (Dyno_vm.Vm.Swept_aborted b) -> (i, AbortedStep b)
-      | Some (Dyno_vm.Vm.Swept_unreachable u) -> (i, UnreachableStep u)
-      | None -> assert false
+      | failed -> (i, failed)
   in
   let committed = commit_from 0 in
   (* Overlap saved: the spread between the members' summed task lifetimes
@@ -761,18 +793,14 @@ let round_texts c k =
 let view_round c mid (members : member list) : unit =
   let k = List.length members in
   let sharded = sharded c in
-  let trace = Query_engine.trace c.w in
   let texts = round_texts c k in
   Dyno_obs.Span.set_name c.sp mid texts.round_name;
   clear_broken c;
   let t0 = now c in
-  List.iter
-    (fun mb ->
-      Trace.record trace ~time:t0 Trace.Maint_start
-        (lazy (Fmt.str "%a" Umq.pp_entry (Umq.Single mb.msg))))
-    members;
   List.iteri
     (fun i mb ->
+      Trace.record (Query_engine.trace c.w) ~time:t0 Trace.Maint_start
+        (lazy (Fmt.str "%a" Umq.pp_entry (Umq.Single mb.msg)));
       Dyno_obs.Lineage.dispatch c.lin
         ~ids:[ Update_msg.id mb.msg ]
         ~time:t0
@@ -782,28 +810,18 @@ let view_round c mid (members : member list) : unit =
         ())
     members;
   let committed, outcome =
-    round c members ~commit:(fun mb res ->
+    round c members ~commit:(fun mb r ->
         let m = mb.msg in
         note_fresh c [ m ];
-        (let state, detail =
-           match res with
-           | Dyno_vm.Vm.Refreshed { stats = s; _ } ->
-               Stats.note_episode c.stats Stats.Du_maint ~aborted:false
-                 (now c -. t0);
-               let probes = s.Dyno_vm.Sweep.probes
-               and comps = s.Dyno_vm.Sweep.compensations in
-               ( Dyno_obs.Lineage.Applied,
-                 lazy
-                   (Fmt.str
-                      "view refreshed in %s round (%d probe(s), %d \
-                       compensation(s))"
-                      (if sharded then "shard" else "parallel")
-                      probes comps) )
-           | _ -> (Dyno_obs.Lineage.Irrelevant, lazy "no pivot row in the view")
-         in
-         Dyno_obs.Lineage.finish c.lin
-           ~ids:[ Update_msg.id m ]
-           ~time:(now c) ~state ~detail);
+        (match r with
+        | Refreshed _ ->
+            Stats.note_episode c.stats Stats.Du_maint ~aborted:false
+              (now c -. t0)
+        | _ -> ());
+        terminal c.w
+          ~ids:[ Update_msg.id m ]
+          ~how:(if sharded then " in shard round" else " in parallel round")
+          r;
         Umq.remove_entry (queue_of c (Update_msg.source m)) (Umq.Single m))
   in
   (* Later members' sweeps are discarded: the wasted work shows up as
@@ -825,7 +843,7 @@ let view_round c mid (members : member list) : unit =
   (* Committed members were counted as they committed. *)
   settle c ~mid ~t0
     ~what:(if sharded then "sharded round" else "parallel round")
-    ~ids ~kind:Stats.Du_maint ~changed:false ~on_done:ignore outcome
+    ~ids ~kind:Stats.Du_maint ~changed:false outcome
 
 (* -- per-entry paths -- *)
 
@@ -834,88 +852,68 @@ let view_round c mid (members : member list) : unit =
    — the views are independent (each has its own extent and commit log),
    so no exclusion set is needed — committing in view order; every
    remaining view, and every other entry shape, is maintained view by
-   view.  Views that already integrated the entry (their applied sets)
-   skip it, so a retry after a later view broke redoes only what is
-   missing. *)
-let maintain_views c (entry : Umq.entry) : step_outcome =
-  let ids = Umq.entry_ids entry in
-  Trace.record (Query_engine.trace c.w) ~time:(now c) Trace.Maint_start
-    (lazy (Fmt.str "%a" Umq.pp_entry entry));
-  (* Serial view-by-view probes charge the head entry's updates. *)
-  Dyno_obs.Lineage.set_scope c.lin ids;
+   view and counted as it commits.  A view that is undefined, or already
+   integrated the entry (its applied set), skips it, so a retry after a
+   later view broke redoes only what is missing. *)
+let maintain_views c ~(ids : int list) (entry : Umq.entry) : result =
+  let todo v =
+    if View_def.is_valid (Mat_view.def v.mv) then
+      List.filter (fun id -> not (List.mem id v.applied)) ids
+    else []
+  in
   let per_view_round =
     match entry with
     | Umq.Single m when c.config.parallel > 1 -> (
-        match Update_msg.as_du m with
-        | Some u ->
-            let eligible =
-              List.filter
-                (fun v ->
-                  View_def.is_valid (Mat_view.def v.mv)
-                  && not (List.mem (Update_msg.id m) v.applied))
-                c.views
-            in
-            if List.length eligible < 2 then Done
-            else
-              snd
-                (round c
-                   (List.filteri (fun i _ -> i < c.config.parallel) eligible
-                   |> List.mapi (fun i v ->
-                          {
-                            view = v;
-                            msg = m;
-                            du = u;
-                            exclude = [];
-                            thread = Fmt.str "view-%d" i;
-                          }))
-                   ~commit:(fun mb _ ->
-                     mb.view.applied <- Update_msg.id m :: mb.view.applied))
-        | None -> Done)
+        match
+          (Update_msg.as_du m, List.filter (fun v -> todo v <> []) c.views)
+        with
+        | Some u, (_ :: _ :: _ as eligible) ->
+            snd
+              (round c
+                 (List.filteri (fun i _ -> i < c.config.parallel) eligible
+                 |> List.mapi (fun i v ->
+                        {
+                          view = v;
+                          msg = m;
+                          du = u;
+                          exclude = [];
+                          thread = Fmt.str "view-%d" i;
+                        }))
+                 ~commit:(fun mb _ ->
+                   mb.view.applied <- Update_msg.id m :: mb.view.applied))
+        | _ -> Done)
     | _ -> Done
   in
   let rec each = function
-    | [] -> Done
+    | [] ->
+        (* Integrated everywhere: its ids can never reappear. *)
+        List.iter
+          (fun v ->
+            v.applied <-
+              List.filter (fun id -> not (List.mem id ids)) v.applied)
+          c.views;
+        Integrated (List.length c.views)
     | v :: rest -> (
-        let todo = List.filter (fun id -> not (List.mem id v.applied)) ids in
-        match
-          maintain_entry ~applied:v.applied ?local:v.local
-            ~compensate:c.config.compensate ~vm_mode:Run_config.Incremental
-            c.w v.mv c.mk
-            c.stats entry
-        with
-        | Done ->
-            v.applied <- todo @ v.applied;
-            each rest
-        | failed -> failed)
+        match todo v with
+        | [] -> each rest
+        | todo -> (
+            match
+              maintain_view ~applied:v.applied ?local:v.local
+                ~compensate:c.config.compensate
+                ~vm_mode:Run_config.Incremental c.w v.mv c.mk entry
+            with
+            | (Aborted _ | Unreachable _) as failed -> failed
+            | r ->
+                account c.stats r;
+                v.applied <- todo @ v.applied;
+                each rest))
   in
   match per_view_round with
-  | Done -> (
-      match each c.views with
-      | Done ->
-          let views = c.views in
-          Dyno_obs.Lineage.finish c.lin ~ids ~time:(now c)
-            ~state:Dyno_obs.Lineage.Applied
-            ~detail:
-              (lazy
-                (Fmt.str "integrated by all %d view(s)" (List.length views)));
-          (* Integrated everywhere: its ids can never reappear. *)
-          List.iter
-            (fun v ->
-              v.applied <- List.filter (fun id -> not (List.mem id ids)) v.applied)
-            c.views;
-          Done
-      | failed -> failed)
-  | failed -> failed
+  | Done -> each c.views
+  | AbortedStep b -> Aborted b
+  | UnreachableStep u -> Unreachable u
 
-let maintain_head c (entry : Umq.entry) : step_outcome =
-  match c.views with
-  | [ v ] ->
-      maintain_entry ?local:v.local ~compensate:c.config.compensate
-        ~vm_mode:c.config.vm_mode c.w v.mv c.mk c.stats entry
-  | _ -> maintain_views c entry
-
-(* Refreshes and replacements of the run's views so far: a step that
-   moved them refreshed or adapted a view. *)
+(* Refreshes and replacements of the run's views so far. *)
 let extent_changes c =
   List.fold_left (fun n v -> n + Mat_view.extent_changes v.mv) 0 c.views
 
@@ -923,6 +921,82 @@ let episode_kind = function
   | Umq.Single m when Update_msg.is_sc m -> Stats.Sc_maint
   | Umq.Single _ -> Stats.Du_maint
   | Umq.Batch _ -> Stats.Batch_maint
+
+type at =
+  | Head of int  (** dispatched at the head of queue [i] *)
+  | Group  (** a grouped prefix of the one queue, as one transient batch *)
+  | Drain  (** an entry of a cross-shard barrier's corrected order *)
+
+(* The one dispatch path of a queue head, a grouped prefix and a
+   barrier-drain entry: clear the broken-query flags, record the
+   dispatch, maintain and count, settle with [changed] read from the
+   views' extent changes, then end the lineage, advance freshness and
+   dequeue.  A grouped prefix, like a round, advances freshness first:
+   the recorders' call order fixes the metrics registry's key order. *)
+let dispatch_entry c mid (at : at) (entry : Umq.entry) : step_outcome =
+  clear_broken c;
+  let t0 = now c in
+  let ids = Umq.entry_ids entry and msgs = Umq.entry_messages entry in
+  Dyno_obs.Lineage.dispatch c.lin ~ids ~time:t0
+    ?seg:(match at with Drain -> Some Dyno_obs.Lineage.Barrier | _ -> None)
+    ~detail:
+      (match at with
+      | Head qi when sharded c ->
+          lazy (Fmt.str "dispatched at shard %d queue head" qi)
+      | Head _ -> lazy "dispatched at queue head"
+      | Group ->
+          let n = List.length msgs in
+          lazy (Fmt.str "dispatched in a grouped sweep of %d" n)
+      | Drain -> lazy "dispatched from cross-shard barrier drain")
+    ();
+  let before = extent_changes c in
+  let r =
+    match (at, c.views) with
+    | Group, v :: _ -> (
+        Dyno_obs.Lineage.set_scope c.lin ids;
+        match
+          Dyno_vm.Vm.maintain_group ~compensate:c.config.compensate
+            ?local:v.local c.w v.mv msgs
+        with
+        | Dyno_vm.Vm.Refreshed { stats; _ } -> Grouped (List.length msgs, stats)
+        | Dyno_vm.Vm.Irrelevant -> Irrelevant (List.length msgs)
+        | Dyno_vm.Vm.Aborted b -> Aborted b
+        | Dyno_vm.Vm.Unreachable u -> Unreachable u)
+    | _, views -> (
+        start_entry c.w ~ids entry;
+        match views with
+        | [ v ] ->
+            maintain_view ?local:v.local ~compensate:c.config.compensate
+              ~vm_mode:c.config.vm_mode c.w v.mv c.mk entry
+        | _ -> maintain_views c ~ids entry)
+  in
+  account c.stats r;
+  let outcome = outcome r in
+  settle c ~mid ~t0
+    ~what:
+      (match at with
+      | Head _ -> "maintenance"
+      | Group -> "grouped maintenance"
+      | Drain -> "barrier maintenance")
+    ~ids ~kind:(episode_kind entry)
+    ~changed:(extent_changes c > before)
+    outcome;
+  (if outcome == Done then
+     let grouped = at = Group in
+     if grouped then note_fresh c msgs;
+     terminal c.w ~ids ~how:"" r;
+     if not grouped then note_fresh c msgs;
+     match at with
+     | Head qi -> Umq.remove_head c.umqs.(qi)
+     | Group | Drain ->
+         (* A grouped prefix, and a corrected entry that may merge messages
+            owned by several shards, still sit as [Single]s in the owning
+            queues. *)
+         List.iter
+           (fun m ->
+             Umq.remove_entry (queue_of c (Update_msg.source m)) (Umq.Single m))
+           msgs);
+  outcome
 
 (* Maintain the globally-oldest queue head (the head, with one queue). *)
 let head c mid : unit =
@@ -935,96 +1009,37 @@ let head c mid : unit =
         qi := i;
         oldest := h
   done;
-  let qi = !qi in
   match !oldest with
   | None -> ()
   | Some entry ->
       Dyno_obs.Span.set_name c.sp mid
         (lazy (Fmt.str "%a" Umq.pp_entry entry));
-      clear_broken c;
-      let t0 = now c in
-      let ids = Umq.entry_ids entry in
-      Dyno_obs.Lineage.dispatch c.lin ~ids ~time:t0
-        ~detail:
-          (if sharded c then
-             lazy (Fmt.str "dispatched at shard %d queue head" qi)
-           else lazy "dispatched at queue head")
-        ();
-      let before = extent_changes c in
-      let outcome = maintain_head c entry in
-      settle c ~mid ~t0 ~what:"maintenance" ~ids ~kind:(episode_kind entry)
-        ~changed:(extent_changes c > before) outcome
-        ~on_done:(fun () ->
-          note_fresh c (Umq.entry_messages entry);
-          Umq.remove_head c.umqs.(qi))
+      ignore (dispatch_entry c mid (Head !qi) entry : step_outcome)
 
-(* Deferred/grouped maintenance: a prefix of up to [config.du_group]
+(* Deferred/grouped maintenance: a prefix of two to [config.du_group]
    single data updates of the one queue, maintained against the one view
-   as one transient batch.  Taking a queue prefix preserves the legal
-   order. *)
-let group c : (view * int) option =
+   as one transient batch; returns whether it took the iteration.  Taking
+   a queue prefix preserves the legal order. *)
+let grouped c mid : bool =
   match c.views with
   | [ v ]
     when c.config.du_group > 1
          && (not (sharded c))
-         && View_def.is_valid (Mat_view.def v.mv) ->
-      let rec count n = function
+         && View_def.is_valid (Mat_view.def v.mv) -> (
+      let rec prefix n acc = function
         | Umq.Single m :: rest
           when Update_msg.is_du m && n < c.config.du_group ->
-            count (n + 1) rest
-        | _ -> n
+            prefix (n + 1) (m :: acc) rest
+        | _ -> List.rev acc
       in
-      let n = count 0 (Umq.entries c.umqs.(0)) in
-      if n > 1 then Some (v, n) else None
-  | _ -> None
-
-let grouped c mid (v : view) (n : int) : unit =
-  let umq = c.umqs.(0) in
-  Dyno_obs.Span.set_name c.sp mid (lazy (Fmt.str "group of %d" n));
-  let msgs =
-    List.filteri (fun i _ -> i < n) (Umq.entries umq)
-    |> List.concat_map Umq.entry_messages
-  in
-  clear_broken c;
-  let t0 = now c in
-  let gids = List.map Update_msg.id msgs in
-  Dyno_obs.Lineage.dispatch c.lin ~ids:gids ~time:t0
-    ~detail:(lazy (Fmt.str "dispatched in a grouped sweep of %d" n))
-    ();
-  Dyno_obs.Lineage.set_scope c.lin gids;
-  let res =
-    Dyno_vm.Vm.maintain_group ~compensate:c.config.compensate ?local:v.local
-      c.w v.mv msgs
-  in
-  let outcome =
-    match res with
-    | Dyno_vm.Vm.Refreshed _ | Dyno_vm.Vm.Irrelevant -> Done
-    | Dyno_vm.Vm.Aborted b -> AbortedStep b
-    | Dyno_vm.Vm.Unreachable u -> UnreachableStep u
-  in
-  settle c ~mid ~t0 ~what:"grouped maintenance" ~ids:gids
-    ~kind:Stats.Batch_maint
-    ~changed:(match res with Dyno_vm.Vm.Refreshed _ -> true | _ -> false)
-    outcome
-    ~on_done:(fun () ->
-      let stats = c.stats in
-      stats.Stats.batches <- stats.Stats.batches + 1;
-      stats.Stats.batch_updates <- stats.Stats.batch_updates + List.length msgs;
-      stats.Stats.view_commits <- stats.Stats.view_commits + 1;
-      note_fresh c msgs;
-      let state, detail =
-        match res with
-        | Dyno_vm.Vm.Irrelevant ->
-            ( Dyno_obs.Lineage.Irrelevant,
-              lazy "grouped sweep: no pivot rows in the view" )
-        | _ ->
-            ( Dyno_obs.Lineage.Applied,
-              lazy (Fmt.str "grouped sweep of %d applied atomically" n) )
-      in
-      Dyno_obs.Lineage.finish c.lin ~ids:gids ~time:(now c) ~state ~detail;
-      for _ = 1 to n do
-        Umq.remove_head umq
-      done)
+      match prefix 0 [] (Umq.entries c.umqs.(0)) with
+      | _ :: _ :: _ as msgs ->
+          let n = List.length msgs in
+          Dyno_obs.Span.set_name c.sp mid (lazy (Fmt.str "group of %d" n));
+          ignore (dispatch_entry c mid Group (Umq.Batch msgs) : step_outcome);
+          true
+      | _ -> false)
+  | _ -> false
 
 (* Cross-shard barrier: every shard pauses; the union of the queues in
    global arrival order runs through detection + correction, and the
@@ -1055,64 +1070,27 @@ let barrier c mid : unit =
             note_merge_all c r;
             order
         | Strategy.Pessimistic | Strategy.Optimistic ->
-            let order = ref snapshot in
+            let order, r = Correct.order snapshot g in
             let n = List.length snapshot in
-            correct c g
+            correct c g r
               ~note:
                 (lazy
                   (Fmt.str "cross-shard barrier: legal order over %d entr%s" n
-                     (if n = 1 then "y" else "ies")))
-              ~install:(fun g ->
-                let co = Dep_graph.correct g in
-                order := co.Dep_graph.order;
-                {
-                  Correct.reordered =
-                    List.concat_map Umq.entry_ids co.Dep_graph.order
-                    <> List.concat_map Umq.entry_ids snapshot;
-                  merged_cycles = co.Dep_graph.merged_cycles;
-                  merged_updates = co.Dep_graph.merged_updates;
-                  merged_members = co.Dep_graph.merged_members;
-                  nodes = Dep_graph.size g;
-                  edges = List.length (Dep_graph.edges g);
-                });
-            !order
+                     (if n = 1 then "y" else "ies")));
+            order
       in
       c.stats.Stats.busy <- c.stats.Stats.busy +. (now c -. t0);
-      let last_sc =
-        List.fold_left
-          (fun (i, last) e -> (i + 1, if Umq.entry_has_sc e then i else last))
-          (0, -1) order
-        |> snd
+      let rec from_last_sc = function
+        | e :: rest when not (Umq.entry_has_sc e) -> from_last_sc rest
+        | rev -> rev
       in
-      drain (List.filteri (fun i _ -> i <= last_sc) order)
+      drain (List.rev (from_last_sc (List.rev order)))
     end
   and drain = function
     | [] -> ()
     | entry :: rest -> (
         tick c;
-        clear_broken c;
-        let t0 = now c in
-        let ids = Umq.entry_ids entry in
-        Dyno_obs.Lineage.dispatch c.lin ~ids ~time:t0
-          ~seg:Dyno_obs.Lineage.Barrier
-          ~detail:(lazy "dispatched from cross-shard barrier drain")
-          ();
-        let before = extent_changes c in
-        let outcome = maintain_head c entry in
-        settle c ~mid ~t0 ~what:"barrier maintenance" ~ids
-          ~kind:(episode_kind entry) ~changed:(extent_changes c > before)
-          outcome
-          ~on_done:(fun () ->
-            let msgs = Umq.entry_messages entry in
-            note_fresh c msgs;
-            (* A corrected entry may merge messages owned by several
-               shards; each still sits as its own [Single] in its owning
-               queue. *)
-            List.iter
-              (fun m ->
-                Umq.remove_entry (queue_of c (Update_msg.source m)) (Umq.Single m))
-              msgs);
-        match outcome with
+        match dispatch_entry c mid Drain entry with
         | Done -> drain rest
         | UnreachableStep _ -> drain (entry :: rest)
         | AbortedStep _ -> pass ())
@@ -1145,13 +1123,10 @@ let pre_exec c mid : bool =
    duration equals exactly the busy time this iteration contributes —
    the invariant Σ maintain-span durations = Stats.busy rests on it. *)
 let iteration c mid : unit =
-  if not (pre_exec c mid) then
-    match group c with
-    | Some (v, n) -> grouped c mid v n
-    | None -> (
-        match round_members c with
-        | [] -> head c mid
-        | members -> view_round c mid members)
+  if not (pre_exec c mid || grouped c mid) then
+    match round_members c with
+    | [] -> head c mid
+    | members -> view_round c mid members
 
 (* -- setup and the run loop -- *)
 

@@ -9,8 +9,9 @@
     query breaks: the process aborts, the queue is corrected, and
     maintenance resumes under the new legal order.  Every path — head
     entry, grouped sweep, dependency-parallel round, cross-shard barrier
-    — charges its outcome through one settle step, so statistics, spans,
-    the trace and the lineage agree across modes.
+    — says what a step did as one result, counted by one account, ended
+    in the lineage by one terminal and charged by one settle step, so
+    statistics, spans, the trace and the lineage agree across modes.
 
     {b View sets.}  Several materialized views can share one update
     stream, one queue set and one dependency-correction pipeline — the
@@ -65,7 +66,6 @@ type step_outcome =
           entry stays at the queue head and is retried after recovery *)
 
 val maintain_entry :
-  ?applied:int list ->
   ?local:Dyno_vm.Sweep.local ->
   compensate:bool ->
   vm_mode:Run_config.vm_mode ->
@@ -75,16 +75,12 @@ val maintain_entry :
   Stats.t ->
   Umq.entry ->
   step_outcome
-(** Maintain one queue entry (VM for a data update, VS+VA for a schema
-    change, batch adaptation for a merged node), updating counters on
-    success.  Does {e not} dequeue — the caller owns the queue.  [local]
-    (self-maintenance tier) lets fully-covered sweeps skip their probe
-    round trips — see {!Dyno_vm.Vm.maintain}.  [applied] makes the view
-    one member of a view set: the entry's messages in [applied] (already
-    integrated by this view) are skipped and kept in by compensation, an
-    undefined view has nothing to do, and the trace start and lineage
-    terminal are left to the caller, which records them once for every
-    view. *)
+(** Maintain one queue entry against one view (VM for a data update,
+    VS+VA for a schema change, batch adaptation for a merged node), count
+    it in the statistics and end its updates' lineage — the dispatch
+    core's head step.  Does {e not} dequeue — the caller owns the queue.
+    [local] (self-maintenance tier) lets fully-covered sweeps skip their
+    probe round trips — see {!Dyno_vm.Vm.maintain}. *)
 
 val aux_store : Query_engine.t -> Mat_view.t -> Dyno_selfmaint.Aux_store.t
 (** Build the view's auxiliary-projection store: derive the plan from the

@@ -59,12 +59,19 @@ let record_commit v ~at ~maintained =
 
 (** [refresh v ~at ~maintained delta] applies a signed delta to the extent
     in place — O(|delta|) — and commits: the w(MV) c(MV) of a VM process.
-    @raise Invalid_argument if the delta drives a multiplicity negative
-    (a maintenance bug; tests rely on this tripwire).  The delta is
-    checked before anything is applied, so a rejected refresh leaves the
-    extent and the commit log untouched. *)
+    @raise Invalid_argument naming the view and [maintained] if the delta
+    drives a multiplicity negative (a maintenance bug, or the duplication
+    anomaly of maintenance without compensation; tests rely on this
+    tripwire).  The delta is checked before anything is applied, so a
+    rejected refresh leaves the extent and the commit log untouched. *)
 let refresh v ~at ~maintained delta =
-  Relation.apply_delta_in_place v.extent delta;
+  (try Relation.apply_delta_in_place v.extent delta
+   with Invalid_argument reason ->
+     invalid_arg
+       (Fmt.str "view %s rejected the refresh for %a (%s)"
+          (View_def.name v.def)
+          Fmt.(list ~sep:sp (fmt "#%d"))
+          maintained reason));
   v.changes <- v.changes + 1;
   log v ~at ~maintained (fun () -> Delta (Relation.copy delta))
 

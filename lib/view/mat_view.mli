@@ -46,8 +46,10 @@ val record_commit : t -> at:float -> maintained:int list -> unit
 
 val refresh : t -> at:float -> maintained:int list -> Relation.t -> unit
 (** Apply a signed delta and commit — w(MV) c(MV) of a VM process.
-    @raise Invalid_argument if the delta drives a multiplicity negative
-    (a maintenance bug; tests rely on this tripwire). *)
+    @raise Invalid_argument naming the view and [maintained] if the delta
+    drives a multiplicity negative (a maintenance bug, or the duplication
+    anomaly of maintenance without compensation; tests rely on this
+    tripwire). *)
 
 val replace : t -> at:float -> maintained:int list -> Relation.t -> unit
 (** Install a whole new extent (adaptation after the definition changed

@@ -48,6 +48,10 @@ type swept =
   | Swept_aborted of Dyno_source.Data_source.broken
   | Swept_unreachable of Dyno_net.Retry.unreachable
 
+(* A maintenance query of view [q] broke at [source]. *)
+let broken q ~source reason =
+  { Dyno_source.Data_source.source; query_name = Query.name q; reason }
+
 (* The r(VD) prelude every entry point shares: the view must be defined,
    and the update's relation must occur in it exactly once, as the pivot.
    The delta must be expressed against the schema the view believes; a
@@ -79,13 +83,7 @@ let prelude (mv : Mat_view.t) (du : Update.t) :
               (Update.rel du) (Update.source du) (Query.name q)))
   | [ pivot ] -> (
       let abort reason =
-        Error
-          (Swept_aborted
-             {
-               Dyno_source.Data_source.source = Update.source du;
-               query_name = Query.name q;
-               reason;
-             })
+        Error (Swept_aborted (broken q ~source:(Update.source du) reason))
       in
       let actual = Relation.schema (Update.delta du) in
       match View_def.schema_of_alias vd pivot.Query.alias with
@@ -118,7 +116,7 @@ let maintain_sweep ?(compensate = true) ?(applied = []) ?(exclude_extra = [])
 
 (* The w(MV) c(MV) of a maintenance process: charge the refresh, refresh
    and commit the view, and record it — for one update, or for a group of
-   [ids] maintained together ([grouped]). *)
+   [ids] maintained together ([grouped]).  Returns the delta's mass. *)
 let refresh_view (w : Query_engine.t) (mv : Mat_view.t) ~(ids : int list)
     ~(grouped : bool) (dv : Relation.t) =
   let view = Query.name (View_def.peek (Mat_view.def mv)) in
@@ -146,7 +144,8 @@ let refresh_view (w : Query_engine.t) (mv : Mat_view.t) ~(ids : int list)
     ~detail:
       (lazy
         (Fmt.str "view %s += %d tuple(s)%s" view delta_tuples
-           (if grouped then " (grouped)" else "")))
+           (if grouped then " (grouped)" else "")));
+  delta_tuples
 
 (** [commit_swept w mv msg dv stats] — the refresh half of {!maintain}
     for a delta computed by {!maintain_sweep}: charge the refresh cost,
@@ -154,8 +153,8 @@ let refresh_view (w : Query_engine.t) (mv : Mat_view.t) ~(ids : int list)
     barrier, never inside a task. *)
 let commit_swept (w : Query_engine.t) (mv : Mat_view.t)
     (msg : Update_msg.t) (dv : Relation.t) (stats : Sweep.stats) : outcome =
-  refresh_view w mv ~ids:[ Update_msg.id msg ] ~grouped:false dv;
-  Refreshed { delta_tuples = Relation.mass dv; stats }
+  let ids = [ Update_msg.id msg ] in
+  Refreshed { delta_tuples = refresh_view w mv ~ids ~grouped:false dv; stats }
 
 (** [maintain w mv msg du] runs one full VM process for data update [du]
     carried by message [msg]: {!maintain_sweep}, then {!commit_swept} (or
@@ -180,7 +179,9 @@ let maintain ?compensate ?applied ?local (w : Query_engine.t)
     maintained) — the probe-level telescoping of Equation 6.  The view is
     refreshed and committed {e once} for the whole group, so the claimed
     source-state vector stays valid and strong consistency is preserved;
-    the view simply skips the intermediate states. *)
+    the view simply skips the intermediate states.  A refresh carries the
+    sweeps' summed statistics; a group none of whose relations is in the
+    view is [Irrelevant]. *)
 let maintain_group ?(compensate = true) ?local
     (w : Query_engine.t) (mv : Mat_view.t) (msgs : Update_msg.t list) :
     outcome =
@@ -189,77 +190,71 @@ let maintain_group ?(compensate = true) ?local
   let q, _ = View_def.read vd in
   let schemas = View_def.schemas vd in
   let all_ids = List.map Update_msg.id msgs in
-  (* Merge per (source, rel), preserving first-occurrence order. *)
-  let groups : (string * string, Relation.t * int list) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let order = ref [] in
+  (* Merge per (source, rel), latest key first; each merged delta is the
+     group's private copy, added to in place. *)
+  let groups = ref [] in
   List.iter
     (fun m ->
       match Update_msg.as_du m with
       | None -> invalid_arg "maintain_group: schema change in a DU group"
-      | Some u ->
+      | Some u -> (
           let key = (Update.source u, Update.rel u) in
-          (match Hashtbl.find_opt groups key with
+          match List.assoc_opt key !groups with
           | Some (d, ids) ->
-              (* [d] is the group's private copy: add in place. *)
               Relation.sum_in_place d (Update.delta u);
-              Hashtbl.replace groups key (d, Update_msg.id m :: ids)
+              ids := Update_msg.id m :: !ids
           | None ->
-              order := key :: !order;
-              Hashtbl.replace groups key
-                (Relation.copy (Update.delta u), [ Update_msg.id m ])))
+              let d = Relation.copy (Update.delta u) in
+              groups := (key, (d, ref [ Update_msg.id m ])) :: !groups))
     msgs;
-  let order = List.rev !order in
-  let exception Abort of Dyno_source.Data_source.broken in
-  let exception Stall of Dyno_net.Retry.unreachable in
-  try
-    let total = ref None in
-    let processed = ref [] in
-    let add_delta dv =
-      match !total with
-      | None -> total := Some dv
-      | Some acc -> Relation.sum_in_place acc dv
-    in
-    let pivot_of (source, rel) =
+  let exception Failed of outcome in
+  (* Sweep one merged delta, with the deltas already processed excluded
+     from compensation; a relation not in the view counts as processed. *)
+  let sweep (total, (stats : Sweep.stats), processed) (key, (delta, ids)) =
+    let ids = !ids in
+    match
       List.find_opt
         (fun (tr : Query.table_ref) ->
-          String.equal tr.source source && String.equal tr.rel rel)
+          String.equal tr.source (fst key) && String.equal tr.rel (snd key))
         (Query.from q)
-    in
-    List.iter
-      (fun key ->
-        let delta, ids = Hashtbl.find groups key in
-        match pivot_of key with
-        | None -> processed := ids @ !processed (* irrelevant to the view *)
-        | Some pivot -> (
-            (match List.assoc_opt pivot.Query.alias schemas with
-            | Some s when Schema.equal s (Relation.schema delta) -> ()
-            | _ ->
-                raise
-                  (Abort
-                     {
-                       Dyno_source.Data_source.source = pivot.Query.source;
-                       query_name = Query.name q;
-                       reason =
-                         Fmt.str "group delta schema diverges on %s" (snd key);
-                     }));
-            match
-              sweep_delta ?local ~compensate w
-                (Maint_query.sweep_for vd pivot)
-                ~delta ~exclude:(ids @ !processed)
-            with
-            | Error (Query_engine.Broken b) -> raise (Abort b)
-            | Error (Query_engine.Unreachable u) -> raise (Stall u)
-            | Ok (dv, _) ->
-                processed := ids @ !processed;
-                add_delta dv))
-      order;
-    (match !total with
-    | None ->
-        Mat_view.record_commit mv ~at:(Query_engine.now w) ~maintained:all_ids
-    | Some dv -> refresh_view w mv ~ids:all_ids ~grouped:true dv);
-    Refreshed { delta_tuples = 0; stats = Sweep.no_stats }
-  with
-  | Abort b -> Aborted b
-  | Stall u -> Unreachable u
+    with
+    | None -> (total, stats, ids @ processed)
+    | Some pivot -> (
+        (match List.assoc_opt pivot.Query.alias schemas with
+        | Some s when Schema.equal s (Relation.schema delta) -> ()
+        | _ ->
+            let b =
+              broken q ~source:pivot.Query.source
+                (Fmt.str "group delta schema diverges on %s" (snd key))
+            in
+            raise (Failed (Aborted b)));
+        match
+          sweep_delta ?local ~compensate w
+            (Maint_query.sweep_for vd pivot)
+            ~delta ~exclude:(ids @ processed)
+        with
+        | Error (Query_engine.Broken b) -> raise (Failed (Aborted b))
+        | Error (Query_engine.Unreachable u) -> raise (Failed (Unreachable u))
+        | Ok (dv, s) ->
+            ( (match total with
+              | None -> Some dv
+              | Some acc ->
+                  Relation.sum_in_place acc dv;
+                  total),
+              {
+                Sweep.probes = stats.probes + s.probes;
+                compensations = stats.compensations + s.compensations;
+                comp_tuples = stats.comp_tuples + s.comp_tuples;
+                probes_avoided = stats.probes_avoided + s.probes_avoided;
+                bytes_saved = stats.bytes_saved + s.bytes_saved;
+              },
+              ids @ processed ))
+  in
+  match List.fold_left sweep (None, Sweep.no_stats, []) (List.rev !groups) with
+  | None, _, _ ->
+      Mat_view.record_commit mv ~at:(Query_engine.now w) ~maintained:all_ids;
+      Irrelevant
+  | Some dv, stats, _ ->
+      let delta_tuples = refresh_view w mv ~ids:all_ids ~grouped:true dv in
+      Refreshed { delta_tuples; stats }
+  | exception Failed o -> o

@@ -89,6 +89,8 @@ val maintain_group :
   outcome
 (** Deferred/grouped maintenance of a queue prefix of data updates: one
     merged sweep per relation, one view commit for the whole group
-    (probe-level telescoping of Equation 6).
+    (probe-level telescoping of Equation 6).  [Refreshed] carries the
+    sweeps' summed statistics; [Irrelevant] means no relation of the
+    group is in the view.
     @raise Invalid_argument if a schema change is in the group.
     @raise Invalid_view when the view is undefined. *)

@@ -159,6 +159,66 @@ let test_du_grouping strategy () =
   Alcotest.(check bool) "grouping commits less often" true
     (grouped.Stats.view_commits < single.Stats.view_commits)
 
+(* A grouped sweep reports what it did, as the same updates do one by
+   one: the probes it sends reach the statistics, and a group none of
+   whose updates touches the view ends irrelevant — no batch, no Batch
+   episode, no view commit. *)
+let test_grouped_reports () =
+  let world ~obs =
+    Scenario.make
+      Scenario.Config.(default |> with_rows 10 |> with_obs obs)
+      ~timeline:
+        (Generator.mixed ~rows:10 ~seed:3 ~n_dus:12 ~du_interval:0.0
+           ~sc_interval:0.0 ~sc_kinds:[] ())
+  in
+  let grouped du_group = Run_config.(default |> with_du_group du_group) in
+  List.iter
+    (fun du_group ->
+      let obs = Dyno_obs.Obs.create () in
+      let stats = Scenario.run (world ~obs) ~config:(grouped du_group) in
+      let sent =
+        match
+          Dyno_obs.Metrics.histogram_summary (Dyno_obs.Obs.metrics obs)
+            "probe.rtt_s"
+        with
+        | Some h -> h.Dyno_obs.Metrics.count
+        | None -> 0
+      in
+      if sent = 0 then Alcotest.fail "the workload sends no probe";
+      Alcotest.(check int)
+        (Fmt.str "du_group %d: probes = probe.rtt_s count" du_group)
+        sent stats.Stats.probes)
+    [ 1; 4 ];
+  (* Over V2 (R1 join R2) most of the 12 updates touch no relation of the
+     view. *)
+  let over_v2 du_group =
+    let obs = Dyno_obs.Obs.create () in
+    let t = world ~obs in
+    let v2 = Scenario.add_view t (Paper_schema.view2_query ()) in
+    let stats = Scheduler.run ~config:(grouped du_group) t.engine v2 t.mk in
+    let ended_irrelevant =
+      List.length
+        (List.filter
+           (fun (r : Dyno_obs.Lineage.record) ->
+             r.Dyno_obs.Lineage.term = Some Dyno_obs.Lineage.Irrelevant)
+           (Dyno_obs.Lineage.records (Dyno_obs.Obs.lineage obs)))
+    in
+    (stats, ended_irrelevant)
+  in
+  let one, _ = over_v2 1 and group, ended_irrelevant = over_v2 4 in
+  Alcotest.(check int) "ungrouped: 10 irrelevant" 10 one.Stats.irrelevant;
+  if group.Stats.irrelevant = 0 then
+    Alcotest.fail "no group of 4 left V2 untouched";
+  Alcotest.(check int) "grouped: every update irrelevant or batched" 12
+    (group.Stats.irrelevant + group.Stats.batch_updates);
+  Alcotest.(check int) "grouped: irrelevant updates end irrelevant"
+    group.Stats.irrelevant ended_irrelevant;
+  Alcotest.(check int) "grouped: one Batch episode per batch"
+    group.Stats.batches
+    (Stats.episodes group Stats.Batch_maint ~aborted:false).Stats.count;
+  Alcotest.(check int) "grouped: one view commit per batch"
+    group.Stats.batches group.Stats.view_commits
+
 (* -- strategy-independent edge cases -------------------------------- *)
 
 let test_view_undefined () =
@@ -325,5 +385,7 @@ let () =
               test_spaced_scs_never_abort;
             Alcotest.test_case "update admitted during detection" `Quick
               test_admitted_during_detection;
+            Alcotest.test_case "grouped sweeps report what they did" `Quick
+              test_grouped_reports;
           ] );
       ])

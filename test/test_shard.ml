@@ -45,6 +45,44 @@ let test_one_shard_identity () =
     (Fmt.str "%a" Dyno_sim.Trace.pp t1.Dyno_workload.Scenario.trace)
     (Fmt.str "%a" Dyno_sim.Trace.pp t2.Dyno_workload.Scenario.trace)
 
+(* A cross-shard barrier takes its correction report from [Correct], the
+   single queue's own: a pass that merges a dependency cycle counts as a
+   correction even where it leaves the message order as it was.  On the
+   spec of [dyno run --dus 10 --scs 4 --seed 7] three shards correct as
+   often as one queue does. *)
+let test_barrier_counts_merges () =
+  let run shards =
+    let t, stats =
+      Dyno_workload.Spec.run
+        (Dyno_workload.Spec.with_transport Dyno_net.Channel.reliable
+           {
+             Dyno_workload.Spec.default with
+             seed = 7;
+             dus = 10;
+             scs = 4;
+             world =
+               Dyno_workload.Scenario.Config.(
+                 Dyno_workload.Spec.paper_world ~rows:200
+                 |> with_snapshots true |> with_trace true
+                 |> with_shards shards);
+           })
+    in
+    ( stats,
+      Dyno_sim.Trace.count t.Dyno_workload.Scenario.trace Dyno_sim.Trace.Correct
+    )
+  in
+  let serial, _ = run 1 and sharded, entries = run 3 in
+  Alcotest.(check int) "a barrier was raised" 1
+    sharded.Dyno_core.Stats.cross_shard_barriers;
+  Alcotest.(check int) "cycles merged as on one queue"
+    serial.Dyno_core.Stats.merges sharded.Dyno_core.Stats.merges;
+  Alcotest.(check int) "corrections as on one queue" 3
+    serial.Dyno_core.Stats.corrections;
+  Alcotest.(check int) "corrections at the barrier" 3
+    sharded.Dyno_core.Stats.corrections;
+  Alcotest.(check int) "one Correct trace entry per correction"
+    sharded.Dyno_core.Stats.corrections entries
+
 (* The partition plan itself. *)
 let test_plan () =
   let p = Dyno_core.Shard.plan ~shards:3 [ "DS1"; "DS2"; "DS3" ] in
@@ -93,4 +131,7 @@ let () =
       ( "identity",
         [ Alcotest.test_case "1 shard = serial, bit for bit" `Quick
             test_one_shard_identity ] );
+      ( "barrier",
+        [ Alcotest.test_case "a merge-only pass is a correction" `Quick
+            test_barrier_counts_merges ] );
     ]
