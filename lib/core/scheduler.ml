@@ -46,7 +46,8 @@ type result =
   | Irrelevant of int  (** one data update, or a group of [n], off the view *)
   | Adapted_sc  (** a schema change, VS + VA *)
   | Adapted_batch of int  (** a merged batch of [n], adapted atomically *)
-  | Grouped of int * Dyno_vm.Sweep.stats  (** [n] data updates swept as one *)
+  | Grouped of int * int list * Dyno_vm.Sweep.stats
+      (** [n] data updates swept as one, the listed ones off the view *)
   | Undefined  (** a schema change left the view undefined *)
   | Dropped of int  (** the view is undefined: [n] updates acknowledged *)
   | Integrated of int  (** each of a view set's [n] views has the entry *)
@@ -62,7 +63,7 @@ let outcome = function
    view set's entry was counted view by view. *)
 let account (stats : Stats.t) (r : result) : unit =
   (match r with
-  | Refreshed s | Grouped (_, s) ->
+  | Refreshed s | Grouped (_, _, s) ->
       stats.Stats.probes <- stats.Stats.probes + s.Dyno_vm.Sweep.probes;
       stats.Stats.compensations <-
         stats.Stats.compensations + s.Dyno_vm.Sweep.compensations;
@@ -78,9 +79,15 @@ let account (stats : Stats.t) (r : result) : unit =
   | Adapted_sc ->
       stats.Stats.sc_maintained <- stats.Stats.sc_maintained + 1;
       stats.Stats.view_commits <- stats.Stats.view_commits + 1
-  | Adapted_batch n | Grouped (n, _) ->
+  | Adapted_batch n ->
       stats.Stats.batches <- stats.Stats.batches + 1;
       stats.Stats.batch_updates <- stats.Stats.batch_updates + n;
+      stats.Stats.view_commits <- stats.Stats.view_commits + 1
+  | Grouped (n, off, _) ->
+      let off = List.length off in
+      stats.Stats.batches <- stats.Stats.batches + 1;
+      stats.Stats.batch_updates <- stats.Stats.batch_updates + n - off;
+      stats.Stats.irrelevant <- stats.Stats.irrelevant + off;
       stats.Stats.view_commits <- stats.Stats.view_commits + 1
   | Irrelevant n | Dropped n ->
       stats.Stats.irrelevant <- stats.Stats.irrelevant + n
@@ -115,9 +122,16 @@ let terminal (w : Query_engine.t) ~(ids : int list) ~(how : string)
     | Adapted_batch n ->
         finish w ~ids applied
           (lazy (Fmt.str "batch of %d adapted atomically" n))
-    | Grouped (n, _) ->
+    | Grouped (n, [], _) ->
         finish w ~ids applied
           (lazy (Fmt.str "grouped sweep of %d applied atomically" n))
+    | Grouped (n, off, _) ->
+        finish w
+          ~ids:(List.filter (fun id -> not (List.mem id off)) ids)
+          applied
+          (lazy (Fmt.str "grouped sweep of %d applied atomically" n));
+        finish w ~ids:off irrelevant
+          (lazy "grouped sweep: no relation of the view")
     | Undefined ->
         finish w ~ids applied (lazy "schema change left the view undefined")
     | Dropped _ ->
@@ -958,10 +972,11 @@ let dispatch_entry c mid (at : at) (entry : Umq.entry) : step_outcome =
           Dyno_vm.Vm.maintain_group ~compensate:c.config.compensate
             ?local:v.local c.w v.mv msgs
         with
-        | Dyno_vm.Vm.Refreshed { stats; _ } -> Grouped (List.length msgs, stats)
-        | Dyno_vm.Vm.Irrelevant -> Irrelevant (List.length msgs)
-        | Dyno_vm.Vm.Aborted b -> Aborted b
-        | Dyno_vm.Vm.Unreachable u -> Unreachable u)
+        | Dyno_vm.Vm.Refreshed { stats; _ }, off ->
+            Grouped (List.length msgs, off, stats)
+        | Dyno_vm.Vm.Irrelevant, _ -> Irrelevant (List.length msgs)
+        | Dyno_vm.Vm.Aborted b, _ -> Aborted b
+        | Dyno_vm.Vm.Unreachable u, _ -> Unreachable u)
     | _, views -> (
         start_entry c.w ~ids entry;
         match views with

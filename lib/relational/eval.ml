@@ -121,17 +121,45 @@ let push b t c =
   b.len <- b.len + 1
 
 (* One operand of a join step, its pushed-down filter already applied:
-   a relation as given, or rows. *)
-type side = Rel of Relation.t | Buf of buf
+   a relation as given, rows, a relation seen through a projection
+   ({!Rows.Projected}), or any of them plus signed parts
+   ([side + Σ k·part], a sum input left unconsolidated: a tuple may
+   repeat across the terms). *)
+type side =
+  | Rel of Relation.t
+  | Buf of buf
+  | Proj of Relation.t * int array
+  | Plus of side * (int * Relation.t) list
 
-let side_len = function Rel r -> Relation.support r | Buf b -> b.len
+let rec side_len = function
+  | Rel r | Proj (r, _) -> Relation.support r
+  | Buf b -> b.len
+  | Plus (s, parts) ->
+      List.fold_left (fun n (_, r) -> n + Relation.support r) (side_len s) parts
 
-let side_iter f = function
+let rec side_iter f = function
   | Rel r -> Relation.iter f r
   | Buf b ->
       for i = 0 to b.len - 1 do
         f (Array.unsafe_get b.tuples i) (Array.unsafe_get b.counts i)
       done
+  | Proj (r, cols) -> Relation.iter (fun t c -> f (Tuple.project_idx t cols) c) r
+  | Plus (s, parts) ->
+      side_iter f s;
+      List.iter (fun (k, r) -> Relation.iter (fun t c -> f t (k * c)) r) parts
+
+(* [emit] with every count multiplied by [k]: a part's matches. *)
+let scaled emit k = if k = 1 then emit else fun l r c -> emit l r (k * c)
+
+(* [emit] for matches drawn from a projected base's index: each base
+   tuple projected onto [cols], then its pushed-down filter [pred]. *)
+let through cols pred ~base_is_left emit =
+  if base_is_left then fun l r c ->
+    let l = Tuple.project_idx l cols in
+    match pred with Some p when not (p l) -> () | _ -> emit l r c
+  else fun l r c ->
+    let r = Tuple.project_idx r cols in
+    match pred with Some p when not (p r) -> () | _ -> emit l r c
 
 (* A kernel hands each joined pair to [emit left right count], in
    product order: left = the accumulated side, right = the new entry. *)
@@ -158,12 +186,12 @@ let index_probe emit ix ~pred ~base_is_left ~stream ~stream_pos =
           (Array.unsafe_get b.counts i)
           (Index.lookup ix (Tuple.project_idx ts stream_pos))
       done
-  | Rel r ->
-      Relation.iter
+  | (Rel _ | Proj _ | Plus _) as s ->
+      side_iter
         (fun ts cs ->
           probe_bucket emit pred base_is_left ts cs
             (Index.lookup ix (Tuple.project_idx ts stream_pos)))
-        r
+        s
 
 (* Ephemeral hash join: the smaller side is hashed on its key and the
    larger streamed — a maintenance probe joins a few partial tuples
@@ -290,6 +318,12 @@ type prepared = {
 }
 
 let output_schema p = p.out_schema
+let is_identity p = p.identity
+
+let columns p =
+  if Array.length p.steps = 0 && p.scans.(0).filter = None && p.residual = None
+  then Some p.out_idxs
+  else None
 
 (** [prepare q schemas] — everything about evaluating [q] that depends
     only on the query and the schema bound to each alias: name binding,
@@ -426,26 +460,52 @@ let project_pair (src : int array) (l : Tuple.t) (r : Tuple.t) : Tuple.t =
     out
   end
 
+(* The signed parts of input [i]: none unless the inputs are sums. *)
+let parts_at (parts : (int * Relation.t) list array) i =
+  if Array.length parts = 0 then [] else Array.unsafe_get parts i
+
+(* The rows of input [i], its parts included: with parts, a bound on the
+   consolidated support, which is all a size decision needs. *)
+let input_size (inputs : Rows.t array) parts i =
+  match parts_at parts i with
+  | [] -> Rows.support inputs.(i)
+  | ps ->
+      List.fold_left
+        (fun n (_, r) -> n + Relation.support r)
+        (Rows.support inputs.(i)) ps
+
 (* Entry [i] of [inputs] with its pushed-down selection applied.  Under
    [`Indexed], constant-equality conjuncts on a relation become one index
-   lookup instead of a scan. *)
-let materialize planner p (inputs : Rows.t array) i =
+   lookup instead of a scan.  A sum's parts ride along, filtered and
+   scaled into fresh rows, or beside an unfiltered base as [Plus]. *)
+let materialize planner p (inputs : Rows.t array) parts i =
   let s = p.scans.(i) in
-  match (s.filter, inputs.(i)) with
-  | None, Rows.Hashed r -> Rel r
-  | None, Rows.Flat f -> Buf { tuples = f.tuples; counts = f.counts; len = f.len }
-  | Some _, Rows.Hashed r when planner = `Indexed && Array.length s.eq_pos > 0
-    ->
-      let b = buf () in
+  let base =
+    match (s.filter, inputs.(i)) with
+    | None, Rows.Hashed r -> Rel r
+    | None, Rows.Flat f -> Buf { tuples = f.tuples; counts = f.counts; len = f.len }
+    | None, Rows.Projected p -> Proj (p.rel, p.cols)
+    | Some _, Rows.Hashed r when planner = `Indexed && Array.length s.eq_pos > 0
+      ->
+        let b = buf () in
+        List.iter
+          (fun (t, c) ->
+            match s.rest with Some pr when not (pr t) -> () | _ -> push b t c)
+          (Index.lookup (Relation.ensure_index_pos r s.eq_pos) s.eq_key);
+        Buf b
+    | Some filter, input ->
+        let b = buf () in
+        Rows.iter (fun t c -> if filter t then push b t c) input;
+        Buf b
+  in
+  match (parts_at parts i, s.filter, base) with
+  | [], _, _ -> base
+  | ps, Some filter, Buf b ->
       List.iter
-        (fun (t, c) ->
-          match s.rest with Some pr when not (pr t) -> () | _ -> push b t c)
-        (Index.lookup (Relation.ensure_index_pos r s.eq_pos) s.eq_key);
-      Buf b
-  | Some filter, input ->
-      let b = buf () in
-      Rows.iter (fun t c -> if filter t then push b t c) input;
-      Buf b
+        (fun (k, r) -> Relation.iter (fun t c -> if filter t then push b t (k * c)) r)
+        ps;
+      base
+  | ps, _, _ -> Plus (base, ps)
 
 (* A persistent index wins when it is already built and maintained, or
    when the probing side is much smaller than the relation it would
@@ -456,44 +516,83 @@ let index_wins raw ~probes pos =
   Option.is_some (Relation.find_index_pos raw pos)
   || probes * 4 <= Relation.support raw
 
+(* The index a join step keyed at [pos] probes on a projected base: its
+   relation's, at the positions the key has there, when one wins. *)
+let projected_index rel cols ~probes pos =
+  let at = Array.map (fun i -> cols.(i)) pos in
+  if index_wins rel ~probes at then Some (Relation.ensure_index_pos rel at)
+  else None
+
+(* Probe a sum's base through [ix] — projecting each match onto
+   [through_cols] for a projected base — and each of its parts through
+   the part's own index, [stream] joining all of them. *)
+let probe_sum emit ix through_cols parts ~pred ~base_is_left ~stream
+    ~stream_pos ~pos =
+  (match through_cols with
+  | None -> index_probe emit ix ~pred ~base_is_left ~stream ~stream_pos
+  | Some cols ->
+      index_probe
+        (through cols pred ~base_is_left emit)
+        ix ~pred:None ~base_is_left ~stream ~stream_pos);
+  match parts with
+  | [] -> ()
+  | ps ->
+      List.iter
+        (fun (k, r) ->
+          index_probe (scaled emit k)
+            (Relation.ensure_index_pos r pos)
+            ~pred ~base_is_left ~stream ~stream_pos)
+        ps
+
 (* One [`Indexed] equi-join step joining entry [k] to the accumulated
    side: [acc] is [None] while the leftmost entry is still pristine, so
    its persistent index remains usable. *)
-let indexed_step emit p (inputs : Rows.t array) acc k ({ lpos; rpos; _ } : step)
-    =
-  let accumulated () =
-    match acc with Some a -> a | None -> materialize `Indexed p inputs 0
-  in
+let accumulated p inputs parts = function
+  | Some a -> a
+  | None -> materialize `Indexed p inputs parts 0
+
+let indexed_step emit p (inputs : Rows.t array) parts acc k
+    ({ lpos; rpos; _ } : step) =
   let lsize =
-    match acc with None -> Rows.support inputs.(0) | Some a -> side_len a
+    match acc with None -> input_size inputs parts 0 | Some a -> side_len a
   in
-  let r = inputs.(k) in
-  if Rows.support r >= lsize then
-    match r with
+  let rsize = input_size inputs parts k in
+  (* Probe the (large) new relation's index with the accumulated (small)
+     side. *)
+  let probe_right ix through_cols =
+    probe_sum emit ix through_cols (parts_at parts k) ~pred:p.scans.(k).filter
+      ~base_is_left:false
+      ~stream:(accumulated p inputs parts acc) ~stream_pos:lpos ~pos:rpos
+  in
+  (* The accumulated side is still a pristine (large) relation: probe ITS
+     index with the new (small) side — the maintenance-probe fast path. *)
+  let probe_left ix through_cols =
+    probe_sum emit ix through_cols (parts_at parts 0) ~pred:p.scans.(0).filter
+      ~base_is_left:true
+      ~stream:(materialize `Indexed p inputs parts k) ~stream_pos:rpos ~pos:lpos
+  in
+  let hash () =
+    hash_join emit ~left:(accumulated p inputs parts acc) ~lpos
+      ~right:(materialize `Indexed p inputs parts k) ~rpos
+  in
+  if rsize >= lsize then
+    match inputs.(k) with
     | Rows.Hashed raw when index_wins raw ~probes:lsize rpos ->
-        (* Probe the (large) new relation's index with the accumulated
-           (small) side. *)
-        index_probe emit
-          (Relation.ensure_index_pos raw rpos)
-          ~pred:p.scans.(k).filter ~base_is_left:false ~stream:(accumulated ())
-          ~stream_pos:lpos
-    | _ ->
-        hash_join emit ~left:(accumulated ()) ~lpos
-          ~right:(materialize `Indexed p inputs k) ~rpos
+        probe_right (Relation.ensure_index_pos raw rpos) None
+    | Rows.Projected pr -> (
+        match projected_index pr.rel pr.cols ~probes:lsize rpos with
+        | Some ix -> probe_right ix (Some pr.cols)
+        | None -> hash ())
+    | _ -> hash ()
   else
     match (acc, inputs.(0)) with
-    | None, Rows.Hashed lraw when index_wins lraw ~probes:(Rows.support r) lpos
-      ->
-        (* The accumulated side is still a pristine (large) relation:
-           probe ITS index with the new (small) side — the
-           maintenance-probe fast path. *)
-        index_probe emit
-          (Relation.ensure_index_pos lraw lpos)
-          ~pred:p.scans.(0).filter ~base_is_left:true
-          ~stream:(materialize `Indexed p inputs k) ~stream_pos:rpos
-    | _ ->
-        hash_join emit ~left:(accumulated ()) ~lpos
-          ~right:(materialize `Indexed p inputs k) ~rpos
+    | None, Rows.Hashed lraw when index_wins lraw ~probes:rsize lpos ->
+        probe_left (Relation.ensure_index_pos lraw lpos) None
+    | None, Rows.Projected pr -> (
+        match projected_index pr.rel pr.cols ~probes:rsize lpos with
+        | Some ix -> probe_left ix (Some pr.cols)
+        | None -> hash ())
+    | _ -> hash ()
 
 (* The last step's pairs, projected onto the select list — straight from
    the pair when the projection is fused, otherwise through the residual
@@ -508,9 +607,10 @@ let final p out l r c =
       | _ -> out (Tuple.project_idx t p.out_idxs) c)
 
 (* The data-dependent half of the pipeline, over inputs whose schemas are
-   the ones [p] was prepared for: each output tuple goes to [out]. *)
-let run_prepared planner p (inputs : Rows.t array) (out : Tuple.t -> int -> unit)
-    =
+   the ones [p] was prepared for, with [parts] their sums' parts (empty
+   for plain rows): each output tuple goes to [out]. *)
+let run_prepared planner p (inputs : Rows.t array) parts
+    (out : Tuple.t -> int -> unit) =
   let last = Array.length p.steps - 1 in
   if last < 0 then
     (* No join step: the one entry's rows go to [out]. *)
@@ -519,7 +619,7 @@ let run_prepared planner p (inputs : Rows.t array) (out : Tuple.t -> int -> unit
         match p.residual with
         | Some pr when not (pr t) -> ()
         | _ -> out (Tuple.project_idx t p.out_idxs) c)
-      (materialize planner p inputs 0)
+      (materialize planner p inputs parts 0)
   else begin
     let acc = ref None in
     for i = 0 to last do
@@ -531,15 +631,16 @@ let run_prepared planner p (inputs : Rows.t array) (out : Tuple.t -> int -> unit
         | Some b -> fun l r c -> push b (Tuple.concat l r) c
       in
       (match planner with
-      | `Indexed when step.pairs <> [] -> indexed_step emit p inputs !acc k step
+      | `Indexed when step.pairs <> [] ->
+          indexed_step emit p inputs parts !acc k step
       | `Indexed | `Nested_loop ->
           let left =
             match !acc with
             | Some a -> a
-            | None -> materialize planner p inputs 0
+            | None -> materialize planner p inputs parts 0
           in
           nested_loop emit ~left ~lpos:step.lpos
-            ~right:(materialize planner p inputs k)
+            ~right:(materialize planner p inputs parts k)
             ~rpos:step.rpos);
       acc := match next with Some b -> Some (Buf b) | None -> None
     done
@@ -595,6 +696,25 @@ let flat_rows schema r =
   in
   Rows.flat schema tuples counts n
 
+(* The table an answer starts with: sized to the one input when there is
+   no join step and no filter, since such an answer cannot outgrow its
+   input and filling a sized table never re-hashes; a join can outgrow
+   its inputs, and a filter may keep a sliver of its input, whose
+   oversized table every later scan would walk. *)
+let answer_table p size =
+  if Array.length p.steps = 0 && p.scans.(0).filter = None then
+    Relation.sized p.out_schema size
+  else Relation.create p.out_schema
+
+let check_arity p n =
+  if n <> Array.length p.inputs then
+    invalid_arg
+      (Fmt.str "Eval.execute: %d input(s) for %d FROM entries" n
+         (Array.length p.inputs))
+
+(* No input carries parts. *)
+let no_parts : (int * Relation.t) list array = [||]
+
 (** [execute_rows ?planner p inputs] evaluates the prepared query over
     [inputs], one per FROM entry in FROM order.  It first checks that
     every input carries the schema [p] was prepared for, and re-prepares
@@ -618,18 +738,17 @@ let flat_rows schema r =
 
     The answer is flat when it cannot repeat a tuple — the select list
     keeps every column of the join and every input is consolidated — and
-    hashed otherwise.  It is always the caller's own: never an input, and
-    sharing nothing mutable with one, so callers may mutate it in place.
+    hashed otherwise, in a table sized to the input when it has one
+    input and no filter.  It is always the caller's own: never an input,
+    and sharing nothing mutable with one, so callers may mutate it in
+    place.
 
     @raise Error on resolution failure against changed schemas.
     @raise Invalid_argument when [inputs] does not match the FROM list. *)
 let execute_rows ?(planner : plan = `Indexed) ?(copy = true) (p : prepared)
     (inputs : Rows.t list) =
   let inputs = Array.of_list inputs in
-  if Array.length inputs <> Array.length p.inputs then
-    invalid_arg
-      (Fmt.str "Eval.execute: %d input(s) for %d FROM entries"
-         (Array.length inputs) (Array.length p.inputs));
+  check_arity p (Array.length inputs);
   let p = current p inputs in
   match inputs.(0) with
   | Rows.Hashed r when p.identity && not copy -> flat_rows p.out_schema r
@@ -639,11 +758,11 @@ let execute_rows ?(planner : plan = `Indexed) ?(copy = true) (p : prepared)
   | Rows.Flat f when p.identity -> Rows.flat p.out_schema f.tuples f.counts f.len
   | _ when p.covering ->
       let b = buf () in
-      run_prepared planner p inputs (push b);
+      run_prepared planner p inputs no_parts (push b);
       Rows.flat p.out_schema b.tuples b.counts b.len
-  | _ ->
-      let out = Relation.create p.out_schema in
-      run_prepared planner p inputs (Relation.add_unchecked out);
+  | first ->
+      let out = answer_table p (Rows.support first) in
+      run_prepared planner p inputs no_parts (Relation.add_unchecked out);
       Rows.of_relation out
 
 (** [execute ?planner p inputs] is {!execute_rows} over relations, its
@@ -663,3 +782,55 @@ let run ?planner ~(catalog : catalog) (q : Query.t) =
           (fun (tr : Query.table_ref) r -> (tr.alias, Relation.schema r))
           (Query.from q) inputs))
     inputs
+
+(* ------------------------------------------------------------------ *)
+(* Sum inputs                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(** A relation plus a few small signed parts, [base + Σ k·part], kept
+    apart: a base extent compensated, or an old state as a new state
+    minus its delta, without copying the base. *)
+type sum = { base : Rows.t; parts : (int * Relation.t) list }
+
+let sum base = { base; parts = [] }
+
+let sum_schema s = Rows.schema s.base
+
+(** [add_part s k r] is [s + k·r].
+    @raise Relation.Schema_mismatch when [r]'s schema is not [s]'s. *)
+let add_part s k r =
+  if not (Schema.equal (Rows.schema s.base) (Relation.schema r)) then
+    raise
+      (Relation.Schema_mismatch
+         (Fmt.str "sum part: %a vs %a" Schema.pp (Relation.schema r) Schema.pp
+            (Rows.schema s.base)));
+  { s with parts = s.parts @ [ (k, r) ] }
+
+(** [execute_sums ?planner p sums] evaluates [p] over one sum per FROM
+    entry.  By linearity each join step joins a base and every part
+    alike: a base through its maintained index (or an ephemeral hash),
+    a part through its own index.  The answer is hashed, so the terms
+    consolidate and cancel; it is the caller's own, and no base, part
+    or index of one is changed, except that an index a join step wants
+    may be registered on a base or a part.
+    @raise Error when re-preparing fails — a broken query.
+    @raise Invalid_argument when [sums] does not match the FROM list. *)
+let execute_sums ?(planner : plan = `Indexed) (p : prepared) (sums : sum list) =
+  let inputs = Array.of_list (List.map (fun s -> s.base) sums) in
+  let parts = Array.of_list (List.map (fun s -> s.parts) sums) in
+  check_arity p (Array.length inputs);
+  let p = current p inputs in
+  let out = answer_table p (input_size inputs parts 0) in
+  run_prepared planner p inputs parts (Relation.add_unchecked out);
+  out
+
+(** [run_sums ?planner lookup q] is {!execute_sums} of [q] prepared
+    against the sums [lookup] binds to its FROM entries. *)
+let run_sums ?planner (lookup : Query.table_ref -> sum) (q : Query.t) =
+  let sums = List.map lookup (Query.from q) in
+  execute_sums ?planner
+    (prepare q
+       (List.map2
+          (fun (tr : Query.table_ref) s -> (tr.alias, sum_schema s))
+          (Query.from q) sums))
+    sums

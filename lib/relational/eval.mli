@@ -79,7 +79,7 @@ val execute : ?planner:plan -> prepared -> Relation.t list -> Relation.t
 
     The result is owned by the caller: it is never one of [inputs] and
     shares nothing mutable with them, so the caller may mutate it in
-    place (compensation subtracts from answers this way).
+    place.
     @raise Error when re-preparing fails — a broken query.
     @raise Invalid_argument when [inputs] has the wrong length. *)
 
@@ -94,6 +94,9 @@ val execute_rows :
     flat too, over its own tuples: for a caller that only streams the
     answer, nothing is copied but two row arrays.  Either way the answer
     is consolidated, so its counts are exact, and it is the caller's own.
+    A hashed answer of one input and no filter starts in a table sized
+    to that input, which it cannot outgrow, so filling it never
+    re-hashes; a join or a filter starts small.
     @raise Error when re-preparing fails — a broken query.
     @raise Invalid_argument when [inputs] has the wrong length. *)
 
@@ -103,6 +106,15 @@ val restaged : prepared -> prepared option
 
 val output_schema : prepared -> Schema.t
 (** The schema {!execute} returns when the input schemas match. *)
+
+val is_identity : prepared -> bool
+(** One FROM entry, no predicate, every column selected in order: the
+    answer holds exactly the input's rows. *)
+
+val columns : prepared -> int array option
+(** [Some cols] when the query selects columns [cols] of its one FROM
+    entry under no predicate: its answer is the input projected onto
+    them. *)
 
 (** {1 One-shot evaluation} *)
 
@@ -119,3 +131,39 @@ val run : ?planner:plan -> catalog:catalog -> Query.t -> Relation.t
     [`Indexed].
     @raise Error on binding or resolution failure — the relational-level
     face of a broken query. *)
+
+(** {1 Sum inputs}
+
+    A relation plus a few small signed parts, [base + Σ k·part], kept
+    apart instead of consolidated: a source extent with a compensation
+    to subtract, or an old state as a new state minus its delta, without
+    a copy of the extent.  A tuple may occur in the base and in parts;
+    by linearity each join step joins them alike, so the consolidated
+    answer is the answer over the consolidated sum. *)
+
+type sum = private { base : Rows.t; parts : (int * Relation.t) list }
+
+val sum : Rows.t -> sum
+(** The rows alone, no part. *)
+
+val add_part : sum -> int -> Relation.t -> sum
+(** [add_part s k r] is [s + k·r], [r] kept by reference: the caller
+    changes neither it nor the base while the sum is in use.
+    @raise Relation.Schema_mismatch when [r]'s schema is not [s]'s. *)
+
+val sum_schema : sum -> Schema.t
+
+val execute_sums : ?planner:plan -> prepared -> sum list -> Relation.t
+(** {!execute} over one sum per FROM entry: a join step probes a base
+    through its maintained index, or hashes it when no index wins, and
+    each part through the part's own index.  The answer is hashed, so
+    its terms consolidate and cancel; it is the caller's own.  Nothing
+    of a base or a part changes, except that a join step may register
+    an index on one ({!Relation.ensure_index_pos}).
+    @raise Error when re-preparing fails — a broken query.
+    @raise Invalid_argument when the list has the wrong length. *)
+
+val run_sums : ?planner:plan -> (Query.table_ref -> sum) -> Query.t -> Relation.t
+(** {!execute_sums} of the query prepared against the sums the lookup
+    binds to its FROM entries, asked once per entry.
+    @raise Error on binding or resolution failure. *)

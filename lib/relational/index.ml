@@ -75,6 +75,29 @@ let lookup ix key =
 (** Number of distinct keys currently indexed. *)
 let key_count ix = Tuple.Table.length ix.buckets
 
+(** [separates ix cols] — do the tuples of every bucket differ on the
+    columns [cols]?  When [cols] include the key, two tuples equal on
+    [cols] share a bucket, so this says that projecting onto [cols]
+    merges no two indexed tuples.  One pass over the buckets, comparing
+    only within the few that hold several tuples. *)
+let separates ix cols =
+  let same a b =
+    Array.for_all (fun p -> Value.equal (Tuple.get a p) (Tuple.get b p)) cols
+  in
+  let rec clash = function
+    | [] -> false
+    | (t, _) :: rest -> List.exists (fun (u, _) -> same t u) rest || clash rest
+  in
+  Array.for_all (fun p -> Array.mem p cols) ix.positions
+  &&
+  try
+    Tuple.Table.iter
+      (fun _ bucket ->
+        match bucket with [] | [ _ ] -> () | b -> if clash b then raise Exit)
+      ix.buckets;
+    true
+  with Exit -> false
+
 (** Number of distinct tuples across all buckets. *)
 let support ix =
   Tuple.Table.fold (fun _ b acc -> acc + List.length b) ix.buckets 0

@@ -38,6 +38,12 @@ val lookup : t -> Tuple.t -> (Tuple.t * int) list
 val key_count : t -> int
 (** Distinct keys indexed. *)
 
+val separates : t -> int array -> bool
+(** [separates ix cols]: the key is among the columns [cols] and the
+    tuples of every bucket differ on [cols], so projecting the indexed
+    tuples onto [cols] merges no two of them.  O(keys), comparing only
+    within buckets of several tuples. *)
+
 val support : t -> int
 (** Distinct tuples across all buckets. *)
 

@@ -180,6 +180,15 @@ let ensure_index r names =
 
 let index_count r = List.length !(r.indexes)
 
+let buckets r = (Tuple.Table.stats r.data).Hashtbl.num_buckets
+
+(** [injective_on r cols] — some registered index keys only columns among
+    [cols], and within each of its buckets the tuples differ on [cols]
+    ({!Index.separates}): projecting onto [cols] merges no two tuples.
+    [false] when no registered index shows it. *)
+let injective_on r cols =
+  List.exists (fun ix -> Index.separates ix cols) !(r.indexes)
+
 (** Multiset equality: same schema (by attribute equality) and identical
     multiplicity for every tuple. *)
 let equal a b =

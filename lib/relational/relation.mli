@@ -107,6 +107,17 @@ val find_index_pos : t -> int array -> Index.t option
 val index_count : t -> int
 (** Number of registered indexes (introspection/tests). *)
 
+val injective_on : t -> int array -> bool
+(** [injective_on r cols]: some registered index keys only columns among
+    [cols] and the tuples of each of its buckets differ on [cols]
+    ({!Index.separates}), so projecting [r] onto [cols] merges no two of
+    its tuples.  Conservative: [false] when no registered index shows
+    it.  O(keys) per index keyed within [cols]. *)
+
+val buckets : t -> int
+(** Size of the tuple table; a table filled past twice its size has
+    re-hashed (introspection/tests). *)
+
 val equal : t -> t -> bool
 (** Same schema and identical multiplicity for every tuple. *)
 

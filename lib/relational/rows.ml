@@ -9,7 +9,9 @@
     consolidated relation's count.  The evaluator builds a [Flat] answer
     only when its output cannot repeat a tuple; a SWEEP carries its
     partial result between probes this way and hashes it once, at the
-    end. *)
+    end.  [Projected] is a relation seen through a projection that
+    merges no two of its tuples — a source extent answering a fetch that
+    drops columns, read in place. *)
 
 type t =
   | Hashed of Relation.t
@@ -19,14 +21,23 @@ type t =
       counts : int array;
       len : int;
     }
+  | Projected of { rel : Relation.t; cols : int array; schema : Schema.t }
 
 let of_relation r = Hashed r
 
 let flat schema tuples counts len = Flat { schema; tuples; counts; len }
 
-let schema = function Hashed r -> Relation.schema r | Flat f -> f.schema
+let projected rel cols schema = Projected { rel; cols; schema }
 
-let support = function Hashed r -> Relation.support r | Flat f -> f.len
+let schema = function
+  | Hashed r -> Relation.schema r
+  | Flat f -> f.schema
+  | Projected p -> p.schema
+
+let support = function
+  | Hashed r -> Relation.support r
+  | Flat f -> f.len
+  | Projected p -> Relation.support p.rel
 
 let is_empty rows = support rows = 0
 
@@ -36,9 +47,11 @@ let iter fn = function
       for i = 0 to f.len - 1 do
         fn (Array.unsafe_get f.tuples i) (Array.unsafe_get f.counts i)
       done
+  | Projected p -> Relation.iter (fun t c -> fn (Tuple.project_idx t p.cols) c) p.rel
 
 let mass = function
   | Hashed r -> Relation.mass r
+  | Projected p -> Relation.mass p.rel
   | Flat f ->
       let m = ref 0 in
       for i = 0 to f.len - 1 do
@@ -57,6 +70,12 @@ let hash schema tuples counts len =
 let relation = function
   | Hashed r -> r
   | Flat f -> hash f.schema f.tuples f.counts f.len
+  | Projected p ->
+      let r = Relation.sized p.schema (Relation.support p.rel) in
+      Relation.iter
+        (fun t c -> Relation.add_absent r (Tuple.project_idx t p.cols) c)
+        p.rel;
+      r
 
 let subtract a b =
   let r = relation a in

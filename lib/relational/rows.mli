@@ -15,6 +15,10 @@ type t = private
       counts : int array;
       len : int;  (** rows in use: the first [len] slots of both arrays *)
     }  (** the same content in production order, never hashed *)
+  | Projected of { rel : Relation.t; cols : int array; schema : Schema.t }
+      (** [rel]'s rows projected onto its columns [cols], under [schema]:
+          a projection that merges no two of [rel]'s tuples, so the rows
+          are consolidated as they stand; read in place, never copied *)
 
 val of_relation : Relation.t -> t
 (** The relation itself, not a copy. *)
@@ -23,6 +27,12 @@ val flat : Schema.t -> Tuple.t array -> int array -> int -> t
 (** [flat schema tuples counts len] — the first [len] rows of the two
     arrays, which the caller no longer mutates.  The caller guarantees
     that no tuple repeats and no count is zero. *)
+
+val projected : Relation.t -> int array -> Schema.t -> t
+(** [projected rel cols schema] — [rel]'s rows projected onto [cols],
+    read in place.  The caller guarantees that the projection merges no
+    two tuples of [rel] ({!Relation.injective_on}) and that [rel] does
+    not change while the rows are in use. *)
 
 val schema : t -> Schema.t
 
@@ -38,7 +48,8 @@ val iter : (Tuple.t -> int -> unit) -> t -> unit
 
 val relation : t -> Relation.t
 (** The rows as a hashed relation: a [Hashed] value's relation itself,
-    or flat rows hashed now into a relation only the caller holds. *)
+    or flat or projected rows hashed now into a relation only the caller
+    holds. *)
 
 val subtract : t -> t -> t
 (** [subtract a b] is [a − b], consolidated (hashed).  When [a] is

@@ -10,7 +10,13 @@
     The store is multi-versioned: every commit bumps the version and
     appends the change to a log ([log.(v - 1)] produced version [v]).
     Past states are rolled {e forward} from a copy of version 0 taken just
-    before the first commit, into one private replica ({!relation_at}). *)
+    before the first commit, into one private replica ({!relation_at}).
+
+    An adaptation's fetch of a relation's columns is answered with the
+    live extent itself, {e pinned} ({!fetch}): a commit about to touch a
+    pinned extent first swaps the live state onto a copy of it, so what
+    was fetched never changes, and is copied only when a commit lands on
+    it before the adaptation releases it ({!unpin}). *)
 
 open Dyno_relational
 
@@ -28,6 +34,8 @@ type t = {
       (** commit time and change; the first [live.version] slots are used *)
   mutable v0 : state option;  (** version 0, kept from the first commit on *)
   mutable replica : state option;  (** past state last asked for *)
+  mutable pins : Relation.t list;
+      (** live extents lent to adaptations by {!fetch}, once per fetch *)
 }
 
 type broken = { source : string; query_name : string; reason : string }
@@ -46,6 +54,7 @@ let create id =
     log = [||];
     v0 = None;
     replica = None;
+    pins = [];
   }
 
 let id s = s.id
@@ -127,10 +136,28 @@ exception Commit_rejected of string
 
 let reject fmt = Fmt.kstr (fun s -> raise (Commit_rejected s)) fmt
 
+(* A commit about to touch a pinned extent — a DU mutates it in place,
+   an SC re-schemes it or moves it ({!Relation.rename_attr} shares its
+   table) — first swaps the live state onto a copy: the pinned relation
+   stays exactly as fetched, and no pin holds the copy. *)
+let unshare s ev =
+  let rel =
+    match ev with
+    | Dyno_sim.Timeline.Du u -> Update.rel u
+    | Dyno_sim.Timeline.Sc sc -> Schema_change.rel sc
+  in
+  match Hashtbl.find_opt s.live.tables rel with
+  | Some r when List.memq r s.pins ->
+      Hashtbl.replace s.live.tables rel (Relation.copy r);
+      s.pins <- List.filter (fun p -> p != r) s.pins
+  | _ -> ()
+
 (* Apply a validated change to the live state and log it.  The first
-   commit keeps a copy of version 0 before it mutates anything. *)
+   commit keeps a copy of version 0 before it mutates anything; a commit
+   touching a pinned extent unshares it first. *)
 let record s ~time ev =
   if s.v0 = None then s.v0 <- Some (copy_state s.live);
+  (match s.pins with [] -> () | _ -> unshare s ev);
   step s.live ev;
   let n = s.live.version in
   if n > Array.length s.log then begin
@@ -239,6 +266,45 @@ let answer ?(planner : Eval.plan = `Indexed) ?plan s (q : Query.t)
       match Eval.execute_rows ~planner (plan ()) inputs with
       | rows -> Ok { rows; scanned = !scanned }
       | exception Eval.Error reason -> broken reason)
+
+(** [fetch s q] answers an adaptation's fetch: [q] reads one local
+    relation, no rows shipped.  A query selecting the relation's columns
+    under no predicate is answered with the live extent itself, pinned
+    until {!unpin}: as it stands when it selects every column in order
+    under its own names, seen through the projection when that merges
+    no two tuples.  Any other fetch is an ordinary {!answer}. *)
+let fetch ?(planner : Eval.plan = `Indexed) s (q : Query.t) =
+  let pin r rows =
+    s.pins <- r :: s.pins;
+    Ok { rows; scanned = Relation.support r }
+  in
+  match Query.from q with
+  | [ tr ] when String.equal tr.source s.id -> (
+      match Hashtbl.find_opt s.live.tables tr.rel with
+      | None -> answer ~planner s q ~bound:[]
+      | Some r -> (
+          match Eval.prepare q [ (tr.alias, Relation.schema r) ] with
+          | exception Eval.Error _ -> answer ~planner s q ~bound:[]
+          | p -> (
+              let out = Eval.output_schema p in
+              match Eval.columns p with
+              | Some _
+                when Eval.is_identity p && Schema.equal out (Relation.schema r) ->
+                  pin r (Rows.of_relation r)
+              | Some cols when Relation.injective_on r cols ->
+                  pin r (Rows.projected r cols out)
+              | _ -> answer ~planner ~plan:p s q ~bound:[])))
+  | _ -> answer ~planner s q ~bound:[]
+
+(** [unpin s r] releases one pin of [r]; an [r] that is not pinned (an
+    answer the caller owns, or an extent a commit already swapped out)
+    is left alone. *)
+let unpin s r =
+  let rec drop = function
+    | [] -> []
+    | p :: rest -> if p == r then rest else p :: drop rest
+  in
+  match s.pins with [] -> () | pins -> s.pins <- drop pins
 
 (** [validate s q] — metadata-only dry run of query [q] against the
     current catalog: do the referenced local relations and attributes

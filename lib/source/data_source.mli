@@ -83,6 +83,26 @@ val answer :
     and the query is re-prepared against the current schemas otherwise,
     so a conflict yields the same [Error] as without a plan. *)
 
+val fetch : ?planner:Eval.plan -> t -> Query.t -> (answer, broken) result
+(** An adaptation's fetch: {!answer} of a query reading one local
+    relation, no rows shipped.  A query that selects the relation's
+    columns under no predicate is answered with the live extent itself,
+    indexes included, {e pinned}: as it stands for an {e identity} query
+    (every column in order under its own name), or seen through the
+    projection ({!Rows.Projected}) when a registered index shows that
+    the projection merges no two tuples ({!Relation.injective_on}).  From
+    then on a commit about to touch the relation — any data update on
+    it, any schema change to it — first swaps the live state onto a
+    copy, so the fetched relation never changes.  It is read-only, and
+    pinned until {!unpin}.  Any other query's rows are the caller's own,
+    as {!answer}'s. *)
+
+val unpin : t -> Relation.t -> unit
+(** Release one pin {!fetch} took on the relation; one that is not
+    pinned (an answer the caller owns, or an extent a commit already
+    swapped out) is left alone.  Until then every commit on a pinned
+    extent copies it once. *)
+
 val validate : t -> Query.t -> (unit, broken) result
 (** Metadata-only dry run: do the referenced local relations and
     attributes still exist?  One round trip, no scan. *)

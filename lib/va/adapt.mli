@@ -3,56 +3,76 @@
     Section 5, compensated source re-reads, and shape-changing
     re-materialization.  All source access goes through the query engine,
     so concurrent schema changes can break adaptation too (the type (4)
-    anomaly, whose abort is the expensive one in Figure 9). *)
+    anomaly, whose abort is the expensive one in Figure 9).  An
+    adaptation reads the sources' own extents, pinned while it runs
+    ({!Query_engine.fetch}), and never copies, diffs or subtracts into
+    one: compensated and old states are sums ({!Eval.sum}). *)
 
 open Dyno_relational
 open Dyno_view
 
 val equation6 :
   ?planner:Eval.plan ->
-  ?deltas:(string * Relation.t) list ->
-  old_env:(string * Relation.t) list ->
-  new_env:(string * Relation.t) list ->
+  deltas:(string * Relation.t) list ->
+  old_env:(string * Eval.sum) list ->
+  new_env:(string * Eval.sum) list ->
   Query.t ->
   Relation.t
 (** [ΔV = ΔR₁ ⋈ R₂ ⋈ … ⋈ Rₙ + R₁ⁿᵉʷ ⋈ ΔR₂ ⋈ … + … +
     R₁ⁿᵉʷ ⋈ … ⋈ ΔRₙ] over signed multisets; equals
-    [eval query new_env − eval query old_env].  [deltas] supplies each
-    changed alias's [ΔRᵢ = new − old] when the caller already holds it
-    (unlisted aliases are unchanged); without it the deltas are derived
-    from the two environments.  Aliases whose delta is empty contribute
-    no term; each term is evaluated delta first, the other aliases in
-    SWEEP order ({!Dyno_vm.Maint_query.sweep_order}).  [planner] (default
-    [`Indexed]) picks the physical plan each term is evaluated with. *)
+    [eval query new_env − eval query old_env] when [deltas] lists each
+    changed alias's [ΔRᵢ = new − old] (unlisted aliases are unchanged).
+    Aliases whose delta is empty contribute no term; each term is
+    evaluated delta first, the other aliases in SWEEP order
+    ({!Dyno_vm.Maint_query.sweep_order}), over the states as given.
+    [planner] (default [`Indexed]) picks the physical plan each term is
+    evaluated with. *)
+
+type fetch = { table : Query.table_ref; query : Query.t }
+(** One view relation and its adaptation probe
+    ({!Dyno_vm.Maint_query.fetch_query}). *)
+
+val fetches : Query.t -> (string * Schema.t) list -> fetch list
+(** Every view relation's fetch, in FROM order, under the believed alias
+    schemas: built once per adaptation, for its fetches, its delta
+    projections and its validation waves. *)
+
+type held
+(** The relations one adaptation fetched. *)
+
+val holding : Query_engine.t -> (held -> 'a) -> 'a
+(** [holding w f] runs [f] with a fresh {!held}; when [f] returns or
+    raises, every relation fetched through it is released at its source
+    ({!Query_engine.unpin}). *)
 
 val fetch_compensated :
   Query_engine.t ->
-  query:Query.t ->
-  schemas:(string * Schema.t) list ->
-  Query.table_ref ->
+  held ->
+  fetch ->
   exclude:int list ->
-  (Relation.t, Query_engine.failure) result
-(** Read one table's current (filtered, projected) extent through a
-    maintenance query, compensating away every pending unmaintained DU on
-    it except the ids in [exclude] (being maintained right now, whose
-    effects must stay in).  Compensation reads the queue's pending sums at
-    the answer's commit frontier, before the per-tuple adaptation charge
-    moves the clock; a compensation failure is returned after the
-    charge. *)
+  (Eval.sum, Query_engine.failure) result
+(** Read one table's current (filtered, projected) extent through its
+    fetch, compensating away every pending unmaintained DU on it except
+    the ids in [exclude] (being maintained right now, whose effects must
+    stay in).  The state is the answer — for an identity fetch the
+    source's own extent, pinned until [held] is released — with one
+    negative part per pending group.  Compensation reads the queue's
+    pending sums at the answer's commit frontier, before the per-tuple
+    adaptation charge moves the clock; a compensation failure is
+    returned after the charge. *)
 
 val fetch_all :
   Query_engine.t ->
-  query:Query.t ->
-  schemas:(string * Schema.t) list ->
+  held ->
+  fetch list ->
   exclude:int list ->
-  ((string * Relation.t) list, Query_engine.failure) result
-(** Fetch every view relation, compensated; stops at the first broken
-    probe. *)
+  ((string * Eval.sum) list, Query_engine.failure) result
+(** {!fetch_compensated} of each fetch, by alias; stops at the first
+    broken probe. *)
 
 val validated_tail :
   Query_engine.t ->
-  query:Query.t ->
-  schemas:(string * Schema.t) list ->
+  fetch list ->
   tail_cost:float ->
   (unit, Query_engine.failure) result
 (** The back half of an adaptation: the remaining local work interleaved
@@ -76,7 +96,7 @@ val refresh_with_equation6 :
   batch_deltas:(string * Relation.t) list ->
   exclude:int list ->
   (unit, Query_engine.failure) result
-(** Adapt incrementally: fetch compensated new states, reconstruct old
-    states by subtracting the batch's own deltas, run {!equation6}, and
-    refresh in place.  Only valid when the rewriting preserved the view's
-    output schema. *)
+(** Adapt incrementally: fetch compensated new states, take each old
+    state as its new state minus the batch's own delta, run
+    {!equation6}, and refresh in place.  Only valid when the rewriting
+    preserved the view's output schema. *)

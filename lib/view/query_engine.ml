@@ -183,7 +183,9 @@ let set_broken_query_flags w =
 let arrived_by w (p : Update_msg.payload Channel.packet) =
   if Clock.reached w.clock p.arrival then p.arrival else now w
 
-(* Run one arriving copy through its route's exactly-once sequencer. *)
+(* Run one arriving copy through its route's exactly-once sequencer.
+   With lineage and the trace off, admitting a message builds no text
+   and reads no boxed clock for them. *)
 let admit_packet w ri (p : Update_msg.payload Channel.packet) =
   let lin = Dyno_obs.Obs.lineage w.obs in
   match
@@ -203,16 +205,19 @@ let admit_packet w ri (p : Update_msg.payload Channel.packet) =
                 (Dyno_obs.Obs.metrics w.obs)
                 "umq.hold_s" (now w -. since)
           | None -> ());
-          (* The carried packet arrives now; messages drained from the
-             gap hold already recorded their arrival when they were
-             held, so only their hold wait closes here (in [admit]). *)
-          if version = p.seq then
-            Dyno_obs.Lineage.arrive lin ~source:p.source ~seq:p.seq
-              ~time:(arrived_by w p);
-          Dyno_obs.Lineage.admit lin ~source:p.source ~seq:version
-            ~time:(now w) ~msg_id:(Update_msg.id m);
-          Trace.record w.trace ~time:(now w) Trace.Enqueue
-            (lazy (Fmt.str "%a" Update_msg.pp m));
+          if Dyno_obs.Lineage.enabled lin then begin
+            (* The carried packet arrives now; messages drained from the
+               gap hold already recorded their arrival when they were
+               held, so only their hold wait closes here (in [admit]). *)
+            if version = p.seq then
+              Dyno_obs.Lineage.arrive lin ~source:p.source ~seq:p.seq
+                ~time:(arrived_by w p);
+            Dyno_obs.Lineage.admit lin ~source:p.source ~seq:version
+              ~time:(now w) ~msg_id:(Update_msg.id m)
+          end;
+          if Trace.enabled w.trace then
+            Trace.record w.trace ~time:(now w) Trace.Enqueue
+              (lazy (Fmt.str "%a" Update_msg.pp m));
           List.iter (fun h -> h m) w.admit_hooks)
         ms
   | Umq.Duplicate ->
@@ -280,9 +285,10 @@ let deliver_due w =
           Dyno_source.Registry.commit w.registry ~time:e.time e.event
         in
         let source = Dyno_source.Data_source.id src in
-        Trace.record w.trace ~time:e.time Trace.Commit
-          (lazy
-            (Fmt.str "%s v%d: %a" source version Timeline.pp_event e.event));
+        if Trace.enabled w.trace then
+          Trace.record w.trace ~time:e.time Trace.Commit
+            (lazy
+              (Fmt.str "%s v%d: %a" source version Timeline.pp_event e.event));
         (* The first commit carries the lowest seq this source will ever
            send; registering it here (before any delivery can happen)
            anchors the sequencer even if that first message is reordered. *)
@@ -294,21 +300,23 @@ let deliver_due w =
           | Timeline.Sc sc -> Update_msg.Sc sc
         in
         let lin = Dyno_obs.Obs.lineage w.obs in
-        Dyno_obs.Lineage.commit lin ~source ~seq:version ~time:e.time
-          ~sc:
-            (match payload with
-            | Update_msg.Sc _ -> true
-            | Update_msg.Du _ -> false)
-          ~detail:
-            (let event = e.event in
-             lazy (Fmt.str "%a" Timeline.pp_event event));
+        if Dyno_obs.Lineage.enabled lin then
+          Dyno_obs.Lineage.commit lin ~source ~seq:version ~time:e.time
+            ~sc:
+              (match payload with
+              | Update_msg.Sc _ -> true
+              | Update_msg.Du _ -> false)
+            ~detail:
+              (let event = e.event in
+               lazy (Fmt.str "%a" Timeline.pp_event event));
         let report =
           Channel.send r.r_channel ~now:e.time ~source ~seq:version payload
         in
-        Dyno_obs.Lineage.sent lin ~source ~seq:version ~time:e.time
-          ~transmissions:report.transmissions ~duplicated:report.duplicated
-          ~arrival:report.arrival;
-        if report.transmissions > 1 then
+        if Dyno_obs.Lineage.enabled lin then
+          Dyno_obs.Lineage.sent lin ~source ~seq:version ~time:e.time
+            ~transmissions:report.transmissions ~duplicated:report.duplicated
+            ~arrival:report.arrival;
+        if report.transmissions > 1 && Trace.enabled w.trace then
           Trace.record w.trace ~time:e.time Trace.Msg_dropped
             (lazy
               (Fmt.str "%s seq %d: %d transmission(s) lost, retransmitted"
@@ -502,6 +510,46 @@ let rec scan_estimate src ~target acc = function
       in
       scan_estimate src ~target acc rest
 
+(* The issue half of a probe round trip: the request goes on the wire
+   and the caller parks for the round trip + source scan (other tasks'
+   probes overlap), then takes it off the wire.  The answer travels the
+   source's FIFO stream, so its earlier update messages are flushed into
+   the UMQ first (SWEEP's per-source ordering assumption).  Returns the
+   instant the source answers. *)
+let probe_issue w ~target ~scan_estimate =
+  let rtt = Cost_model.probe w.cost ~scanned:scan_estimate ~returned:0 in
+  let ch = (route w target).r_channel in
+  let rpc =
+    Channel.issue_rpc ch ~now:(now w) ~source:target ~ready:(now w +. rtt)
+  in
+  advance w rtt;
+  Channel.complete_rpc ch rpc;
+  flush_in_flight w ~source:target;
+  now w
+
+(* The complete half: the source's verdict, then the result transfer. *)
+let probe_complete w ~target answered_at = function
+  | Ok (ans : Dyno_source.Data_source.answer) ->
+      (* Result transfer: time passes but commits landing in this
+         window are NOT delivered yet — the answer was computed before
+         them, so the caller's compensation frontier must not include
+         them either.  They are delivered at the next source
+         interaction.  (In a task, other tasks run meanwhile and may
+         deliver their own commits — hence [answered_at].) *)
+      Executor.sleep_for w.exec
+        (Cost_model.probe w.cost ~scanned:0 ~returned:(Rows.support ans.rows)
+         -. w.cost.Cost_model.query_latency
+        |> Float.max 0.0);
+      if Trace.enabled w.trace then
+        Trace.record w.trace ~time:(now w) Trace.Query_answered
+          (lazy (Fmt.str "%s -> %d rows" target (Rows.support ans.rows)));
+      Ok (ans, answered_at)
+  | Error b ->
+      set_broken_query_flags w;
+      Trace.record w.trace ~time:(now w) Trace.Broken_query
+        (lazy (Fmt.str "%a" Dyno_source.Data_source.pp_broken b));
+      Error (Broken b)
+
 let execute_timed ?plan w (q : Query.t) ~bound ~target :
     (Dyno_source.Data_source.answer * float, failure) result =
   probe_span w ~target ~what:"probe" @@ fun () ->
@@ -511,50 +559,36 @@ let execute_timed ?plan w (q : Query.t) ~bound ~target :
   let src = Dyno_source.Registry.find w.registry target in
   let scan_estimate = scan_estimate src ~target 0 (Query.from q) in
   with_rpc w ~target ~what:"probe" (fun () ->
-      (* Issue half: the request goes on the wire; this task parks for
-         the round trip + source scan while other tasks' probes overlap. *)
-      let rtt = Cost_model.probe w.cost ~scanned:scan_estimate ~returned:0 in
-      let ch = (route w target).r_channel in
-      let rpc =
-        Channel.issue_rpc ch ~now:(now w) ~source:target
-          ~ready:(now w +. rtt)
-      in
-      advance w rtt;
-      (* Complete half: take the round trip off the wire. *)
-      Channel.complete_rpc ch rpc;
-      (* The answer travels the source's FIFO stream: its earlier update
-         messages arrive first (SWEEP's per-source ordering assumption). *)
-      flush_in_flight w ~source:target;
-      let answered_at = now w in
-      match
-        Dyno_source.Data_source.answer ~planner:w.planner ?plan src q ~bound
-      with
-      | Ok ans ->
-          (* Result transfer: time passes but commits landing in this
-             window are NOT delivered yet — the answer was computed before
-             them, so the caller's compensation frontier must not include
-             them either.  They are delivered at the next source
-             interaction.  (In a task, other tasks run meanwhile and may
-             deliver their own commits — hence [answered_at].) *)
-          Executor.sleep_for w.exec
-            (Cost_model.probe w.cost ~scanned:0
-               ~returned:(Rows.support ans.rows)
-             -. w.cost.Cost_model.query_latency
-            |> Float.max 0.0);
-          if Trace.enabled w.trace then
-            Trace.record w.trace ~time:(now w) Trace.Query_answered
-              (lazy
-                (Fmt.str "%s -> %d rows" target (Rows.support ans.rows)));
-          Ok (ans, answered_at)
-      | Error b ->
-          set_broken_query_flags w;
-          Trace.record w.trace ~time:(now w) Trace.Broken_query
-            (lazy (Fmt.str "%a" Dyno_source.Data_source.pp_broken b));
-          Error (Broken b))
+      let answered_at = probe_issue w ~target ~scan_estimate in
+      probe_complete w ~target answered_at
+        (Dyno_source.Data_source.answer ~planner:w.planner ?plan src q ~bound))
 
 let execute w (q : Query.t) ~bound ~target :
     (Dyno_source.Data_source.answer, failure) result =
   Result.map fst (execute_timed w q ~bound ~target)
+
+(** [fetch w q ~target] — {!execute} of an adaptation's fetch, the same
+    probe round trip answered by {!Dyno_source.Data_source.fetch}: an
+    identity fetch answers the source's live extent, pinned until
+    {!unpin}. *)
+let fetch w (q : Query.t) ~target :
+    (Dyno_source.Data_source.answer, failure) result =
+  Result.map fst
+  @@ probe_span w ~target ~what:"probe"
+  @@ fun () ->
+  if Trace.enabled w.trace then
+    Trace.record w.trace ~time:(now w) Trace.Query_sent
+      (lazy (Fmt.str "%s <- %s" target (Query.name q)));
+  let src = Dyno_source.Registry.find w.registry target in
+  let scan_estimate = scan_estimate src ~target 0 (Query.from q) in
+  with_rpc w ~target ~what:"probe" (fun () ->
+      let answered_at = probe_issue w ~target ~scan_estimate in
+      probe_complete w ~target answered_at
+        (Dyno_source.Data_source.fetch ~planner:w.planner src q))
+
+(** [unpin w ~source r] releases a pin {!fetch} took on [r]. *)
+let unpin w ~source r =
+  Dyno_source.Data_source.unpin (Dyno_source.Registry.find w.registry source) r
 
 (** [validate w q ~target] — lightweight metadata check of [q] against
     source [target]'s current catalog: one round trip, no scan.  View

@@ -174,6 +174,21 @@ val execute_timed :
     the returned instant.  [plan] ships the query already prepared
     ({!Dyno_source.Data_source.answer}). *)
 
+val fetch :
+  t ->
+  Query.t ->
+  target:string ->
+  (Dyno_source.Data_source.answer, failure) result
+(** {!execute} of an adaptation's fetch, nothing shipped: the same probe
+    round trip, spans and charges, answered by
+    {!Dyno_source.Data_source.fetch}, so an identity fetch answers the
+    source's live extent, read-only and pinned.  The adaptation releases
+    every relation it fetched with {!unpin} when it ends, whatever its
+    outcome. *)
+
+val unpin : t -> source:string -> Relation.t -> unit
+(** Release a pin {!fetch} took ({!Dyno_source.Data_source.unpin}). *)
+
 val validate : t -> Query.t -> target:string -> (unit, failure) result
 (** Lightweight metadata check against a source's current catalog: one
     round trip, no scan.  Adaptation interleaves these with its

@@ -181,10 +181,11 @@ let maintain ?compensate ?applied ?local (w : Query_engine.t)
     source-state vector stays valid and strong consistency is preserved;
     the view simply skips the intermediate states.  A refresh carries the
     sweeps' summed statistics; a group none of whose relations is in the
-    view is [Irrelevant]. *)
+    view is [Irrelevant].  Returned with the outcome: the ids of the
+    members whose relation the view does not read. *)
 let maintain_group ?(compensate = true) ?local
     (w : Query_engine.t) (mv : Mat_view.t) (msgs : Update_msg.t list) :
-    outcome =
+    outcome * int list =
   let vd = Mat_view.def mv in
   if not (View_def.is_valid vd) then raise (Invalid_view (View_def.name vd));
   let q, _ = View_def.read vd in
@@ -209,8 +210,9 @@ let maintain_group ?(compensate = true) ?local
     msgs;
   let exception Failed of outcome in
   (* Sweep one merged delta, with the deltas already processed excluded
-     from compensation; a relation not in the view counts as processed. *)
-  let sweep (total, (stats : Sweep.stats), processed) (key, (delta, ids)) =
+     from compensation; a relation not in the view counts as processed,
+     and its updates as off the view. *)
+  let sweep (total, (stats : Sweep.stats), processed, off) (key, (delta, ids)) =
     let ids = !ids in
     match
       List.find_opt
@@ -218,7 +220,7 @@ let maintain_group ?(compensate = true) ?local
           String.equal tr.source (fst key) && String.equal tr.rel (snd key))
         (Query.from q)
     with
-    | None -> (total, stats, ids @ processed)
+    | None -> (total, stats, ids @ processed, ids @ off)
     | Some pivot -> (
         (match List.assoc_opt pivot.Query.alias schemas with
         | Some s when Schema.equal s (Relation.schema delta) -> ()
@@ -248,13 +250,16 @@ let maintain_group ?(compensate = true) ?local
                 probes_avoided = stats.probes_avoided + s.probes_avoided;
                 bytes_saved = stats.bytes_saved + s.bytes_saved;
               },
-              ids @ processed ))
+              ids @ processed,
+              off ))
   in
-  match List.fold_left sweep (None, Sweep.no_stats, []) (List.rev !groups) with
-  | None, _, _ ->
+  match
+    List.fold_left sweep (None, Sweep.no_stats, [], []) (List.rev !groups)
+  with
+  | None, _, _, off ->
       Mat_view.record_commit mv ~at:(Query_engine.now w) ~maintained:all_ids;
-      Irrelevant
-  | Some dv, stats, _ ->
+      (Irrelevant, off)
+  | Some dv, stats, _, off ->
       let delta_tuples = refresh_view w mv ~ids:all_ids ~grouped:true dv in
-      Refreshed { delta_tuples; stats }
-  | exception Failed o -> o
+      (Refreshed { delta_tuples; stats }, off)
+  | exception Failed o -> (o, [])

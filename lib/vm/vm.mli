@@ -86,11 +86,13 @@ val maintain_group :
   Query_engine.t ->
   Mat_view.t ->
   Update_msg.t list ->
-  outcome
+  outcome * int list
 (** Deferred/grouped maintenance of a queue prefix of data updates: one
     merged sweep per relation, one view commit for the whole group
     (probe-level telescoping of Equation 6).  [Refreshed] carries the
     sweeps' summed statistics; [Irrelevant] means no relation of the
-    group is in the view.
+    group is in the view.  With the outcome come the ids of the members
+    whose relation the view does not read (every id when [Irrelevant],
+    none when the group failed).
     @raise Invalid_argument if a schema change is in the group.
     @raise Invalid_view when the view is undefined. *)

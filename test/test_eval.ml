@@ -157,6 +157,33 @@ let test_projection_duplicates () =
     (Relation.count out (Tuple.of_list [ Value.int 1 ]));
   Alcotest.(check int) "support 3" 3 (Relation.support out)
 
+(* A projection of one unfiltered input cannot outgrow the input, so its
+   answer starts in a table sized to it and filling it never re-hashes;
+   a filtered one starts small, since it may keep a sliver. *)
+let test_projection_sized () =
+  let n = 2000 in
+  let big =
+    Relation.of_list r_schema
+      (List.init n (fun i -> [ Value.int i; Value.string (string_of_int (i mod 100)) ]))
+  in
+  let project where =
+    Eval.run
+      ~catalog:(Eval.catalog [ ("R", big) ])
+      (Query.make ~name:"qk" ~select:[ Query.item "R.k" ]
+         ~from:[ Query.table ~alias:"R" "x" "R" ]
+         ~where)
+  in
+  let all = project [] in
+  Alcotest.(check int) "every key" n (Relation.support all);
+  if Relation.buckets all < n then
+    Alcotest.failf "the projection re-hashed: %d buckets for %d tuples"
+      (Relation.buckets all) n;
+  let sliver = project [ Predicate.eq_const "R.name" (Value.string "7") ] in
+  Alcotest.(check int) "one key in 100" (n / 100) (Relation.support sliver);
+  if Relation.buckets sliver >= n / 4 then
+    Alcotest.failf "a filtered projection took %d buckets for %d tuples"
+      (Relation.buckets sliver) (Relation.support sliver)
+
 let test_alias_rename_in_select () =
   let q =
     Query.make ~name:"qr"
@@ -182,6 +209,8 @@ let () =
           Alcotest.test_case "error cases" `Quick test_errors;
           Alcotest.test_case "signed inputs (linearity)" `Quick test_signed_inputs;
           Alcotest.test_case "projection merges duplicates" `Quick test_projection_duplicates;
+          Alcotest.test_case "a projection's table is sized to its input" `Quick
+            test_projection_sized;
           Alcotest.test_case "select AS renames" `Quick test_alias_rename_in_select;
         ] );
     ]

@@ -165,6 +165,121 @@ let prop_rows =
             [ `Indexed; `Nested_loop ])
         prepared)
 
+(* A sum input: a base — hashed, maybe with key indexes built, flat, or
+   a wider relation seen through a projection onto the base — and up to
+   three scaled parts, plus sometimes a part and its negation, which
+   cancel. *)
+type sum_case = {
+  base : Relation.t;
+  form : [ `Hashed | `Flat | `Projected ];
+  indexed : bool;
+  parts : (int * Relation.t) list;
+  cancel : Relation.t option;
+}
+
+let gen_sum sch =
+  QCheck.Gen.(
+    map
+      (fun ((base, form, indexed), parts, cancel) ->
+        { base; form; indexed; parts; cancel })
+      (triple
+         (triple (gen_relation sch) (oneofl [ `Hashed; `Flat; `Projected ]) bool)
+         (list_size (int_range 0 3)
+            (pair (oneofl [ -2; -1; 1; 2 ]) (gen_relation sch)))
+         (opt (gen_relation sch))))
+
+(* [r] with a first column numbering its tuples: projecting it away
+   merges nothing. *)
+let widened r =
+  let sch = Relation.schema r in
+  let wide = Schema.of_list (Attr.int "n" :: Schema.attrs sch) in
+  let w = Relation.create wide in
+  ignore
+    (Relation.fold
+       (fun t c i ->
+         Relation.add w (Array.append [| Value.int i |] t) c;
+         i + 1)
+       r 0
+      : int);
+  w
+
+let sum_of c =
+  let indexed r at =
+    if c.indexed then
+      List.iter (fun pos -> ignore (Relation.ensure_index_pos r pos : Index.t)) at
+  in
+  let rows =
+    match c.form with
+    | `Flat ->
+        let l = Relation.to_counted c.base in
+        Rows.flat (Relation.schema c.base)
+          (Array.of_list (List.map fst l))
+          (Array.of_list (List.map snd l))
+          (List.length l)
+    | `Hashed ->
+        indexed c.base [ [| 0 |]; [| 1 |] ];
+        Rows.of_relation c.base
+    | `Projected ->
+        let w = widened c.base in
+        indexed w [ [| 1 |]; [| 2 |] ];
+        Rows.projected w [| 1; 2 |] (Relation.schema c.base)
+  in
+  let parts =
+    c.parts
+    @ match c.cancel with Some p -> [ (1, p); (-1, p) ] | None -> []
+  in
+  List.fold_left (fun s (k, p) -> Eval.add_part s k p) (Eval.sum rows) parts
+
+let consolidated c =
+  List.fold_left
+    (fun acc (k, p) -> Relation.sum acc (Relation.scale k p))
+    c.base c.parts
+
+let print_sum c =
+  Fmt.str "base %a@.parts %a@.cancel %a" Relation.pp c.base
+    Fmt.(Dump.list (Dump.pair int Relation.pp))
+    c.parts
+    Fmt.(Dump.option Relation.pp)
+    c.cancel
+
+(* One unfiltered input projected: the sum reaches the output unjoined. *)
+let project_v =
+  let q =
+    Query.make ~name:"P" ~select:[ Query.item "A.v" ]
+      ~from:[ Query.table ~alias:"A" "x" "A" ]
+      ~where:[]
+  in
+  (q, Eval.prepare q schemas_abc)
+
+(* Every FROM entry a sum, its parts possibly empty: the answer over the
+   sums equals the answer over their consolidated relations, for each
+   prepared query and both planners, and no base or part changed. *)
+let prop_sums =
+  QCheck.Test.make ~name:"a sum input = its consolidated relation (both planners)"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (a, b, c) ->
+         Fmt.str "A: %s@.B: %s@.C: %s" (print_sum a) (print_sum b) (print_sum c))
+       QCheck.Gen.(triple (gen_sum schema_a) (gen_sum schema_b) (gen_sum schema_c)))
+    (fun (a, b, c) ->
+      let cases = [ ("A", a); ("B", b); ("C", c) ] in
+      let before = List.map (fun (_, c) -> Relation.to_counted c.base) cases in
+      let sums = List.map (fun (al, c) -> (al, sum_of c)) cases in
+      let env = List.map (fun (al, c) -> (al, consolidated c)) cases in
+      List.for_all
+        (fun (q, p) ->
+          List.for_all
+            (fun planner ->
+              Relation.equal
+                (Eval.execute_sums ~planner p
+                   (List.map
+                      (fun (tr : Query.table_ref) -> List.assoc tr.alias sums)
+                      (Query.from q)))
+                (Eval.run ~planner:`Nested_loop ~catalog:(Eval.catalog env) q))
+            [ `Indexed; `Nested_loop ])
+        (project_v :: prepared)
+      && before = List.map (fun (_, c) -> Relation.to_counted c.base) cases)
+
 (* -- index maintenance ------------------------------------------------ *)
 
 (* Random add/delete stream applied to an indexed relation: every bucket
@@ -473,6 +588,7 @@ let () =
             prop_prepared;
             prop_rows;
             prop_identity_projection;
+            prop_sums;
           ] );
       ( "index maintenance",
         List.map to_alcotest [ prop_index_maintenance; prop_copy_carries_indexes ] );

@@ -163,15 +163,35 @@ let test_du_grouping strategy () =
    one: the probes it sends reach the statistics, and a group none of
    whose updates touches the view ends irrelevant — no batch, no Batch
    episode, no view commit. *)
-let test_grouped_reports () =
-  let world ~obs =
-    Scenario.make
-      Scenario.Config.(default |> with_rows 10 |> with_obs obs)
-      ~timeline:
-        (Generator.mixed ~rows:10 ~seed:3 ~n_dus:12 ~du_interval:0.0
-           ~sc_interval:0.0 ~sc_kinds:[] ())
+(* The paper world at 10 rows with 12 DUs at t = 0, recorders on. *)
+let group_world ~obs =
+  Scenario.make
+    Scenario.Config.(default |> with_rows 10 |> with_obs obs)
+    ~timeline:
+      (Generator.mixed ~rows:10 ~seed:3 ~n_dus:12 ~du_interval:0.0
+         ~sc_interval:0.0 ~sc_kinds:[] ())
+
+let grouped du_group = Run_config.(default |> with_du_group du_group)
+
+(* That world run over V2 (R1 join R2) alone, where most of the 12
+   updates touch no relation of the view: its stats and how many
+   updates' lineage ended irrelevant. *)
+let over_v2 du_group =
+  let obs = Dyno_obs.Obs.create () in
+  let t = group_world ~obs in
+  let v2 = Scenario.add_view t (Paper_schema.view2_query ()) in
+  let stats = Scheduler.run ~config:(grouped du_group) t.engine v2 t.mk in
+  let ended_irrelevant =
+    List.length
+      (List.filter
+         (fun (r : Dyno_obs.Lineage.record) ->
+           r.Dyno_obs.Lineage.term = Some Dyno_obs.Lineage.Irrelevant)
+         (Dyno_obs.Lineage.records (Dyno_obs.Obs.lineage obs)))
   in
-  let grouped du_group = Run_config.(default |> with_du_group du_group) in
+  (stats, ended_irrelevant)
+
+let test_grouped_reports () =
+  let world = group_world in
   List.iter
     (fun du_group ->
       let obs = Dyno_obs.Obs.create () in
@@ -189,22 +209,6 @@ let test_grouped_reports () =
         (Fmt.str "du_group %d: probes = probe.rtt_s count" du_group)
         sent stats.Stats.probes)
     [ 1; 4 ];
-  (* Over V2 (R1 join R2) most of the 12 updates touch no relation of the
-     view. *)
-  let over_v2 du_group =
-    let obs = Dyno_obs.Obs.create () in
-    let t = world ~obs in
-    let v2 = Scenario.add_view t (Paper_schema.view2_query ()) in
-    let stats = Scheduler.run ~config:(grouped du_group) t.engine v2 t.mk in
-    let ended_irrelevant =
-      List.length
-        (List.filter
-           (fun (r : Dyno_obs.Lineage.record) ->
-             r.Dyno_obs.Lineage.term = Some Dyno_obs.Lineage.Irrelevant)
-           (Dyno_obs.Lineage.records (Dyno_obs.Obs.lineage obs)))
-    in
-    (stats, ended_irrelevant)
-  in
   let one, _ = over_v2 1 and group, ended_irrelevant = over_v2 4 in
   Alcotest.(check int) "ungrouped: 10 irrelevant" 10 one.Stats.irrelevant;
   if group.Stats.irrelevant = 0 then
@@ -218,6 +222,20 @@ let test_grouped_reports () =
     (Stats.episodes group Stats.Batch_maint ~aborted:false).Stats.count;
   Alcotest.(check int) "grouped: one view commit per batch"
     group.Stats.batches group.Stats.view_commits
+
+(* A group that refreshes V2 counts its members on relations V2 does not
+   read as irrelevant, as the ungrouped run does, not as batch updates:
+   10 irrelevant and 2 batched, whatever the grouping. *)
+let test_grouped_off_view () =
+  List.iter
+    (fun du_group ->
+      let stats, ended_irrelevant = over_v2 du_group in
+      let says what = Fmt.str "du_group %d: %s" du_group what in
+      Alcotest.(check int) (says "irrelevant") 10 stats.Stats.irrelevant;
+      Alcotest.(check int) (says "lineage ends irrelevant") 10 ended_irrelevant;
+      Alcotest.(check int) (says "batch updates") (if du_group = 1 then 0 else 2)
+        stats.Stats.batch_updates)
+    [ 1; 4; 12 ]
 
 (* -- strategy-independent edge cases -------------------------------- *)
 
@@ -387,5 +405,7 @@ let () =
               test_admitted_during_detection;
             Alcotest.test_case "grouped sweeps report what they did" `Quick
               test_grouped_reports;
+            Alcotest.test_case "grouped sweeps count off-view members as irrelevant"
+              `Quick test_grouped_off_view;
           ] );
       ])

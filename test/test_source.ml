@@ -196,6 +196,119 @@ let test_meta_knowledge_rekey () =
   Alcotest.(check bool) "restored" true
     (Meta_knowledge.is_dispensable mk ~source:"ds" ~rel:"R2" ~attr:"w")
 
+(* -- pinned fetches --------------------------------------------------- *)
+
+let identity_fetch =
+  Query.make ~name:"fetch" ~select:[ Query.item "R.k"; Query.item "R.v" ]
+    ~from:[ Query.table ~alias:"R" "ds" "R" ]
+    ~where:[]
+
+let fetched s q =
+  match Data_source.fetch s q with
+  | Ok { Data_source.rows = Rows.Hashed r; _ } -> r
+  | Ok _ -> Alcotest.fail "an identity fetch came back flat or projected"
+  | Error b -> Alcotest.failf "%a" Data_source.pp_broken b
+
+(* Every tuple of [r] sits in its bucket of [r]'s key index with its
+   count, and the index holds nothing else. *)
+let index_consistent what r =
+  match Relation.find_index_pos r [| 0 |] with
+  | None -> Alcotest.failf "%s: no key index" what
+  | Some ix ->
+      Alcotest.(check int) (what ^ ": index support") (Relation.support r)
+        (Index.support ix);
+      Relation.iter
+        (fun t c ->
+          if not (List.mem (t, c) (Index.lookup ix (Index.key_of ix t))) then
+            Alcotest.failf "%s: %a x%d missing from its bucket" what Tuple.pp t c)
+        r
+
+(* A pinned extent stays exactly as fetched, indexes included, while its
+   source commits a DU, an attribute rename and an attribute addition to
+   it; the live side moves on with consistent indexes, and a relation no
+   fetch pinned is updated in place. *)
+let test_pinned_fetch () =
+  let s = fresh () in
+  Data_source.add_relation s "S" schema;
+  let other = Data_source.relation s "S" in
+  ignore (Relation.ensure_index_pos (Data_source.relation s "R") [| 0 |] : Index.t);
+  let pinned = fetched s identity_fetch in
+  Alcotest.(check bool) "the fetch is the live extent" true
+    (pinned == Data_source.relation s "R");
+  let as_fetched = Relation.to_counted pinned in
+  ignore
+    (Data_source.commit_du s ~time:1.0
+       (du [ ([ Value.int 1; Value.string "a" ], -1); ([ Value.int 3; Value.string "c" ], 2) ]));
+  let live = Data_source.relation s "R" in
+  Alcotest.(check bool) "the DU swapped the source onto a copy" true (live != pinned);
+  index_consistent "live after the DU" live;
+  ignore
+    (Data_source.commit_sc s ~time:2.0
+       (Schema_change.Rename_attribute { source = "ds"; rel = "R"; old_name = "v"; new_name = "w" }));
+  ignore
+    (Data_source.commit_sc s ~time:3.0
+       (Schema_change.Add_attribute
+          { source = "ds"; rel = "R"; attr = Attr.int "n"; default = Value.int 0 }));
+  Alcotest.(check bool) "pinned contents as fetched" true
+    (Relation.to_counted pinned = as_fetched);
+  Alcotest.(check (list string)) "pinned schema as fetched" [ "k"; "v" ]
+    (Schema.names (Relation.schema pinned));
+  index_consistent "pinned" pinned;
+  let live = Data_source.relation s "R" in
+  Alcotest.(check (list string)) "live schema moved" [ "k"; "w"; "n" ]
+    (Schema.names (Relation.schema live));
+  Alcotest.(check int) "live holds the DU" 2
+    (Relation.count live (Tuple.of_list [ Value.int 3; Value.string "c"; Value.int 0 ]));
+  ignore (Relation.ensure_index_pos live [| 0 |] : Index.t);
+  index_consistent "live after the SCs" live;
+  ignore
+    (Data_source.commit_du s ~time:4.0
+       (du ~rel:"S" [ ([ Value.int 9; Value.string "z" ], 1) ]));
+  Alcotest.(check bool) "an unpinned relation is updated in place" true
+    (Data_source.relation s "S" == other && Relation.support other = 1)
+
+(* Released, an extent no commit landed on was never copied, and later
+   commits update it in place again. *)
+let test_unpin () =
+  let s = fresh () in
+  let r = fetched s identity_fetch in
+  Data_source.unpin s r;
+  Alcotest.(check bool) "no commit landed: still the live extent" true
+    (Data_source.relation s "R" == r);
+  ignore
+    (Data_source.commit_du s ~time:1.0 (du [ ([ Value.int 3; Value.string "c" ], 1) ]));
+  Alcotest.(check bool) "unpinned: updated in place" true
+    (Data_source.relation s "R" == r && Relation.support r = 3);
+  (* a projection is an ordinary answer: the caller's own, nothing pinned *)
+  let projected =
+    Query.make ~name:"fetch-k" ~select:[ Query.item "R.k" ]
+      ~from:[ Query.table ~alias:"R" "ds" "R" ]
+      ~where:[]
+  in
+  (match Data_source.fetch s projected with
+  | Ok { Data_source.rows; _ } ->
+      Alcotest.(check int) "projected rows" 3 (Rows.support rows)
+  | Error b -> Alcotest.failf "%a" Data_source.pp_broken b);
+  ignore
+    (Data_source.commit_du s ~time:2.0 (du [ ([ Value.int 4; Value.string "d" ], 1) ]));
+  Alcotest.(check bool) "a projection no index shows injective pins nothing" true
+    (Data_source.relation s "R" == r);
+  (* with a key index showing k unique, the projection on k merges
+     nothing: the extent itself answers it, seen through the projection,
+     and is pinned like an identity fetch *)
+  ignore (Relation.ensure_index_pos r [| 0 |] : Index.t);
+  (match Data_source.fetch s projected with
+  | Ok { Data_source.rows = Rows.Projected p as rows; _ } ->
+      Alcotest.(check bool) "the extent itself" true (p.rel == r);
+      Alcotest.(check int) "one row per tuple" 4 (Rows.support rows)
+  | Ok _ -> Alcotest.fail "an injective projection was materialized"
+  | Error b -> Alcotest.failf "%a" Data_source.pp_broken b);
+  let keys = Relation.to_counted r in
+  ignore
+    (Data_source.commit_du s ~time:3.0 (du [ ([ Value.int 5; Value.string "e" ], 1) ]));
+  Alcotest.(check bool) "a commit swaps the projected pin onto a copy" true
+    (Data_source.relation s "R" != r && Relation.to_counted r = keys)
+
 let () =
   Alcotest.run "source"
     [
@@ -211,6 +324,8 @@ let () =
           Alcotest.test_case "answer + broken detection" `Quick test_answer_and_broken;
           Alcotest.test_case "bound partial results" `Quick test_answer_with_bound;
           Alcotest.test_case "metadata validation" `Quick test_validate;
+          Alcotest.test_case "a pinned fetch never changes" `Quick test_pinned_fetch;
+          Alcotest.test_case "an unpinned fetch is not copied" `Quick test_unpin;
         ] );
       ( "versioning",
         [ Alcotest.test_case "snapshot reconstruction" `Quick test_snapshot_reconstruction ] );

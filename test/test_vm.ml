@@ -233,8 +233,8 @@ let test_group_matches_sequential () =
     ]
   in
   (match Dyno_vm.Vm.maintain_group wd.w wd.mv msgs with
-  | Dyno_vm.Vm.Refreshed _ -> ()
-  | _ -> Alcotest.fail "group should refresh");
+  | Dyno_vm.Vm.Refreshed _, [] -> ()
+  | _ -> Alcotest.fail "group should refresh, every member on the view");
   List.iter (fun _ -> Umq.remove_head wd.umq) msgs;
   Alcotest.(check bool) "group result = recompute" true
     (Relation.equal (recompute wd) (Mat_view.extent wd.mv));
@@ -262,7 +262,7 @@ let test_group_abort_leaves_view_untouched () =
     (Dyno_sim.Timeline.Sc
        (Schema_change.Drop_attribute { source = "ds2"; rel = "C"; attr = "z" }));
   (match Dyno_vm.Vm.maintain_group wd.w wd.mv msgs with
-  | Dyno_vm.Vm.Aborted _ -> ()
+  | Dyno_vm.Vm.Aborted _, _ -> ()
   | _ -> Alcotest.fail "expected abort");
   Alcotest.(check bool) "extent unchanged on abort" true
     (Relation.equal before (Mat_view.extent wd.mv))
