@@ -5,8 +5,8 @@
               schema under a chosen concurrency strategy
      inspect  print the dependency graph + corrected legal order for a
               workload, without running maintenance
-     demo     the BookInfo walk-through is available as example binaries;
-              this points at them
+     demo     the walk-throughs of the paper's examples are example
+              binaries; this points at them
 
    Examples:
      dyno run --strategy pessimistic --dus 200 --scs 10 --sc-interval 9
@@ -990,11 +990,11 @@ let sql_cmd =
 let demo_cmd =
   let action () =
     Fmt.pr
-      "The BookInfo walk-throughs of the paper's examples are separate \
-       binaries:@.@.  dune exec examples/quickstart.exe@.  dune exec \
+      "The walk-throughs of the paper's examples are separate binaries:@.@.  \
+       dune exec examples/quickstart.exe@.  dune exec \
        examples/bookinfo_anomalies.exe@.  dune exec \
        examples/cyclic_schema_changes.exe@.  dune exec \
-       examples/grid_monitor.exe@."
+       examples/grid_monitor.exe@.  dune exec examples/xml_retailer.exe@."
   in
   Cmd.v (Cmd.info "demo" ~doc:"Where to find the runnable demos")
     Term.(const action $ const ())

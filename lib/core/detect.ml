@@ -9,9 +9,10 @@
       check) — the optimization behind Figure 8's "almost unobservable"
       overhead.
     - {b in-exec}: broken-query detection inside the query engine; it is
-      implemented in {!Dyno_view.Query_engine.execute} (which raises the
-      broken-query flag) — by Theorem 1 a broken query implies an unsafe
-      dependency, so a failed probe is itself the detection signal. *)
+      implemented in {!Dyno_view.Query_engine.execute_timed} (which raises
+      the broken-query flag) — by Theorem 1 a broken query implies an
+      unsafe dependency, so a failed probe is itself the detection
+      signal. *)
 
 open Dyno_view
 

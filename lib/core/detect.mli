@@ -1,7 +1,7 @@
 (** Dependency detection (Section 4.1): the pre-exec pass over the UMQ,
     guarded by the schema-change flag (O(1) when only data updates are
     queued — the optimization behind Figure 8).  In-exec detection lives
-    in {!Dyno_view.Query_engine.execute}: a failed probe {e is} the
+    in {!Dyno_view.Query_engine.execute_timed}: a failed probe {e is} the
     detection signal, by Theorem 1. *)
 
 open Dyno_view

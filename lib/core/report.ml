@@ -17,7 +17,6 @@ type t = {
   episodes : (Stats.episode_kind * bool * summary) list;
   event_counts : (Trace.kind * int) list;  (** non-zero kinds only *)
   broken_by_source : (string * int) list;
-  dropped : int;  (** trace ring-buffer evictions (bounded traces) *)
 }
 
 (* The non-empty (kind, aborted) cells of the run's episode tally, in
@@ -47,38 +46,26 @@ let broken_by_source (tr : Trace.t) =
   List.iter
     (fun (e : Trace.entry) ->
       (* detail ends with "... at <source>: reason" *)
-      match String.split_on_char ' ' e.detail with
-      | _ ->
-          let detail = e.detail in
-          let marker = " at " in
-          let rec find_from i =
-            if i + 4 > String.length detail then None
-            else if String.sub detail i 4 = marker then Some (i + 4)
-            else find_from (i + 1)
+      let detail = e.detail in
+      let rec find_from i =
+        if i + 4 > String.length detail then None
+        else if String.sub detail i 4 = " at " then Some (i + 4)
+        else find_from (i + 1)
+      in
+      match find_from 0 with
+      | Some start ->
+          let rest = String.sub detail start (String.length detail - start) in
+          let src =
+            match String.index_opt rest ':' with
+            | Some j -> String.sub rest 0 j
+            | None -> rest
           in
-          (match find_from 0 with
-          | Some start ->
-              let rest = String.sub detail start (String.length detail - start) in
-              let src =
-                match String.index_opt rest ':' with
-                | Some j -> String.sub rest 0 j
-                | None -> rest
-              in
-              Hashtbl.replace tbl src
-                (1 + Option.value ~default:0 (Hashtbl.find_opt tbl src))
-          | None -> ()))
+          Hashtbl.replace tbl src
+            (1 + Option.value ~default:0 (Hashtbl.find_opt tbl src))
+      | None -> ())
     (Trace.find_all tr Trace.Broken_query);
   List.sort (fun (a, _) (b, _) -> String.compare a b)
     (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-
-let all_kinds =
-  [
-    Trace.Commit; Trace.Enqueue; Trace.Maint_start; Trace.Query_sent;
-    Trace.Query_answered; Trace.Broken_query; Trace.Compensate; Trace.Abort;
-    Trace.Refresh; Trace.Detect; Trace.Correct; Trace.Merge; Trace.Sync;
-    Trace.Adapt; Trace.Msg_dropped; Trace.Msg_duplicated; Trace.Timeout;
-    Trace.Retry; Trace.Outage; Trace.Info;
-  ]
 
 (** [of_run stats tr] builds the full report. *)
 let of_run (stats : Stats.t) (tr : Trace.t) : t =
@@ -89,9 +76,8 @@ let of_run (stats : Stats.t) (tr : Trace.t) : t =
         (fun k ->
           let c = Trace.count tr k in
           if c > 0 then Some (k, c) else None)
-        all_kinds;
+        Trace.all_kinds;
     broken_by_source = broken_by_source tr;
-    dropped = Trace.dropped tr;
   }
 
 let pp ppf (r : t) =
@@ -114,9 +100,4 @@ let pp ppf (r : t) =
       (fun (s, c) -> Fmt.pf ppf "  %-10s %d@," s c)
       r.broken_by_source
   end;
-  if r.dropped > 0 then
-    Fmt.pf ppf
-      "WARNING: %d trace entries evicted (bounded ring) — counts above \
-       undercount the run@,"
-      r.dropped;
   Fmt.pf ppf "@]"

@@ -13,9 +13,6 @@ type t = {
           aborted *)
   event_counts : (Trace.kind * int) list;  (** non-zero kinds only *)
   broken_by_source : (string * int) list;
-  dropped : int;
-      (** ring-buffer evictions from a bounded trace; {!pp} warns when
-          non-zero, since every derived count undercounts the run *)
 }
 
 val of_run : Stats.t -> Trace.t -> t

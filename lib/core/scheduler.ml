@@ -354,15 +354,6 @@ let mirror_stats (obs : Dyno_obs.Obs.t) (stats : Stats.t) : unit =
     end
   end
 
-(* Surface simulated-trace ring evictions: silently truncated traces
-   become a visible counter ([obs.trace_dropped], always set when the
-   registry is live — 0 means "nothing was lost"). *)
-let mirror_trace_dropped (w : Query_engine.t) : unit =
-  let mx = Dyno_obs.Obs.metrics (Query_engine.obs w) in
-  if Dyno_obs.Metrics.enabled mx then
-    Dyno_obs.Metrics.set_counter mx "obs.trace_dropped"
-      (Dyno_sim.Trace.dropped (Query_engine.trace w))
-
 (* ---- The dispatch core ---- *)
 
 (* One view of the run.  [applied] is used by view sets only: the queued
@@ -1297,7 +1288,6 @@ let dispatch ?(config = Run_config.default) ?plan (w : Query_engine.t)
   stats.Stats.end_time <- now c;
   record_net_stats w stats;
   mirror_stats obs stats;
-  mirror_trace_dropped w;
   if sharded c && Dyno_obs.Metrics.enabled c.mx then begin
     Dyno_obs.Metrics.set_gauge c.mx "sched.shards"
       (float_of_int (Array.length umqs));

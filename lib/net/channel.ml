@@ -76,22 +76,12 @@ type 'a packet = {
   payload : 'a;
 }
 
-(** One maintenance-query round trip in flight on the wire. *)
-type rpc = {
-  rpc_id : int;
-  rpc_source : string;
-  issued : float;  (** when the request left the view manager *)
-  ready : float;  (** when the answer arrives back *)
-}
-
 type 'a t = {
   faults : faults;
   rng : Rng.t;
   obs : Dyno_obs.Obs.t;
   mutable emitted : int;  (** tie-break for equal arrival times *)
   mutable order : ('a packet * int) list;  (** in flight: packet, emit idx *)
-  mutable rpcs : rpc list;  (** in-flight maintenance-query RPCs *)
-  mutable next_rpc : int;
   mutable lost_transmissions : int;
   mutable duplicates_sent : int;
 }
@@ -103,8 +93,6 @@ let create ?(faults = reliable) ?(obs = Dyno_obs.Obs.disabled) ~seed () =
     obs;
     emitted = 0;
     order = [];
-    rpcs = [];
-    next_rpc = 1;
     lost_transmissions = 0;
     duplicates_sent = 0;
   }
@@ -243,43 +231,6 @@ let flush_source t ~source =
              | 0 -> Int.compare ia ib
              | c -> c)
            mine)
-
-(* ------------------------------------------------------------------ *)
-(* Split-phase maintenance-query RPCs                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* The in-flight round-trip gauge, set when metrics record. *)
-let rpc_gauge t =
-  let m = Dyno_obs.Obs.metrics t.obs in
-  if Dyno_obs.Metrics.enabled m then
-    Dyno_obs.Metrics.set_gauge m "net.rpc_inflight"
-      (float_of_int (List.length t.rpcs))
-
-(** [issue_rpc t ~now ~source ~ready] — register one maintenance-query
-    round trip on the wire: the request leaves now, the answer lands at
-    [ready].  Splitting issue from completion is what lets concurrent
-    maintenance tasks overlap their round trips: each task parks until
-    its own [ready] while other requests share the wire. *)
-let issue_rpc t ~now ~source ~ready =
-  let id = t.next_rpc in
-  t.next_rpc <- id + 1;
-  t.rpcs <- { rpc_id = id; rpc_source = source; issued = now; ready } :: t.rpcs;
-  rpc_gauge t;
-  id
-
-let rpc_ready t id =
-  match List.find_opt (fun r -> r.rpc_id = id) t.rpcs with
-  | Some r -> r.ready
-  | None -> invalid_arg "Channel.rpc_ready: unknown rpc id"
-
-let rec without_rpc id = function
-  | [] -> []
-  | r :: rest -> if r.rpc_id = id then rest else r :: without_rpc id rest
-
-(** [complete_rpc t id] — take the finished round trip off the wire. *)
-let complete_rpc t id =
-  t.rpcs <- without_rpc id t.rpcs;
-  rpc_gauge t
 
 (** Earliest pending arrival, if any. *)
 let next_arrival t =

@@ -83,20 +83,6 @@ val flush_source : 'a t -> source:string -> 'a packet list
 val next_arrival : 'a t -> float option
 (** Earliest pending arrival, if any. *)
 
-val issue_rpc : 'a t -> now:float -> source:string -> ready:float -> int
-(** Register one maintenance-query round trip on the wire: the request
-    leaves at [now], the answer lands at [ready]; returns a request id.
-    The split issue/complete halves let concurrent maintenance tasks
-    overlap their round trips — each task parks until its own [ready]
-    while other requests share the wire. *)
-
-val rpc_ready : 'a t -> int -> float
-(** Arrival time of an in-flight RPC's answer.
-    @raise Invalid_argument on an unknown id. *)
-
-val complete_rpc : 'a t -> int -> unit
-(** Take a finished round trip off the wire (idempotent). *)
-
 val outage_at : 'a t -> source:string -> now:float -> outage option
 (** The outage window covering [now] for [source], if any. *)
 

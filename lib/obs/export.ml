@@ -1,6 +1,4 @@
-(** Exporters for recorded spans and events.
-
-    Two formats:
+(** Exporters for recorded spans, events and metrics.
 
     - {!chrome_trace} — the Chrome trace-event format (a JSON object with
       a [traceEvents] array of [ph]/[ts]/[dur]/[pid]/[tid] objects),
@@ -8,8 +6,7 @@
       or [chrome://tracing].  Timestamps are microseconds of simulated
       time; pid 1 is the view manager, tid 0 the scheduler, one tid per
       source (named via [thread_name] metadata events).
-    - {!spans_jsonl} — one JSON object per line per span/event, trivially
-      greppable and stream-parsable.
+    - {!openmetrics} — the metrics registry in OpenMetrics text.
 
     {!breakdown} reproduces the paper's Figure-style cost split
     (busy / abort / idle / net-wait) {e from spans alone} — no access to
@@ -104,32 +101,6 @@ let chrome_trace ?(lineage = Lineage.disabled) (r : Span.recorder) : string =
         end)
       (Lineage.records lineage);
   Buffer.add_string b "\n]}";
-  Buffer.contents b
-
-(** [spans_jsonl r] — one JSON object per line: spans then events. *)
-let spans_jsonl (r : Span.recorder) : string =
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun (sp : Span.t) ->
-      Buffer.add_string b
-        (Fmt.str
-           "{\"type\": \"span\", \"id\": %d, \"parent\": %d, \"tid\": %d, \
-            \"kind\": %s, \"name\": %s, \"start\": %.9f, \"end\": %.9f, \
-            \"attrs\": %s}\n"
-           sp.id sp.parent sp.tid
-           (Jsonv.quote (Span.kind_to_string sp.kind))
-           (Jsonv.quote (Lazy.force sp.name))
-           sp.start sp.finish (attrs_json sp.attrs)))
-    (Span.spans r);
-  List.iter
-    (fun (e : Span.event) ->
-      Buffer.add_string b
-        (Fmt.str
-           "{\"type\": \"event\", \"tid\": %d, \"name\": %s, \"time\": \
-            %.9f, \"detail\": %s}\n"
-           e.etid (Jsonv.quote e.ename) e.time
-           (Jsonv.quote (Lazy.force e.detail))))
-    (Span.events r);
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)

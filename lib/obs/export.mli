@@ -1,5 +1,5 @@
 (** Exporters: Chrome trace-event JSON (Perfetto / chrome://tracing),
-    JSONL span/event dump, and a busy/abort/idle/net-wait cost breakdown
+    OpenMetrics text, and a busy/abort/idle/net-wait cost breakdown
     computed from spans alone. *)
 
 val chrome_trace : ?lineage:Lineage.t -> Span.recorder -> string
@@ -10,9 +10,6 @@ val chrome_trace : ?lineage:Lineage.t -> Span.recorder -> string
     metadata).  With [lineage], each admitted update adds a Perfetto flow
     ("s"/"t"/"f" events sharing the message id) tracing its journey from
     commit through every dispatch to its terminal state. *)
-
-val spans_jsonl : Span.recorder -> string
-(** One JSON object per line per span/event. *)
 
 type phase = {
   kind : Span.kind;

@@ -181,16 +181,6 @@ let create ?(enabled = true) ?(metrics = Metrics.disabled) () =
 let disabled = create ~enabled:false ()
 let enabled t = t.on
 
-let clear t =
-  if t.on then begin
-    Sources.reset t.by_seq;
-    t.by_msg.base <- 0;
-    t.by_msg.recs <- [||];
-    t.rorder <- [];
-    Hashtbl.reset t.scopes;
-    t.ctx <- 0
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Rendering: the recorder's own event texts, built when read          *)
 (* ------------------------------------------------------------------ *)

@@ -65,7 +65,6 @@ val create : ?enabled:bool -> ?metrics:Metrics.t -> unit -> t
 
 val disabled : t
 val enabled : t -> bool
-val clear : t -> unit
 
 (** {1 Recording} *)
 
@@ -137,7 +136,7 @@ val set_context : t -> int -> unit
 
 val set_scope : t -> int list -> unit
 (** Register the ids whose maintenance is running in the current
-    context; [\[\]] clears.  Probe charges go to the active scope. *)
+    context; [\[\]] empties it.  Probe charges go to the active scope. *)
 
 val note_scope :
   t -> time:float -> kind:string -> detail:string Lazy.t -> unit

@@ -215,10 +215,6 @@ let fold t f acc =
 
 let names t = List.rev_map fst t.order
 
-let clear t =
-  Names.reset t.tbl;
-  t.order <- []
-
 (* JSON rendering; metric names are machine-chosen ([a-z0-9._]) so they
    need no escaping, but we escape anyway for safety. *)
 let to_json_string t =

@@ -64,7 +64,6 @@ val fold : t -> ('a -> string -> metric -> 'a) -> 'a -> 'a
     holding its current value. *)
 
 val names : t -> string list
-val clear : t -> unit
 
 val to_json_string : t -> string
 (** [{"counters": {...}, "gauges": {...}, "histograms": {...}}]. *)

@@ -45,9 +45,3 @@ let spans t = t.spans
 let metrics t = t.metrics
 let series t = t.series
 let lineage t = t.lineage
-
-let clear t =
-  Span.clear t.spans;
-  Metrics.clear t.metrics;
-  Timeseries.clear t.series;
-  Lineage.clear t.lineage

@@ -25,4 +25,3 @@ val spans : t -> Span.recorder
 val metrics : t -> Metrics.t
 val series : t -> Timeseries.t
 val lineage : t -> Lineage.t
-val clear : t -> unit

@@ -19,9 +19,7 @@
     {!set_attr}, {!set_name} and {!end_span} read that slot instead of
     hashing the id.  The ambient context's stack is held apart; the
     stacks of the other contexts with open spans are parked in a small
-    table, touched only when the executor switches contexts.  {!clear}
-    moves the first live slot past every id issued so far: old ids are
-    gone, and new ones keep counting.
+    table, touched only when the executor switches contexts.
 
     A {e disabled} recorder is a structural no-op: nothing is allocated
     per call, no clock interaction happens, and ids are constant — so
@@ -97,8 +95,7 @@ type event = {
 type recorder = {
   on : bool;
   mutable next_id : int;
-  mutable base : int;  (** id stored in slot 0; smaller ids were cleared *)
-  mutable slots : t array;  (** span [id] at [id - base], for ids < [next_id] *)
+  mutable slots : t array;  (** span [id] at slot [id], for ids < [next_id] *)
   mutable ctxs : int array;  (** the context span [id] opened in, same slot *)
   mutable ambient : int;  (** context new spans open under *)
   mutable stack : t list;  (** the ambient context's open spans, innermost first *)
@@ -118,7 +115,6 @@ let create ?(enabled = true) () =
   {
     on = enabled;
     next_id = 1;
-    base = 1;
     slots = [||];
     ctxs = [||];
     ambient = 0;
@@ -169,8 +165,8 @@ let set_context r ctx =
 
 let context r = r.ambient
 
-(* Is span [id] live: issued, and not cleared since? *)
-let live r id = id >= r.base && id < r.next_id
+(* Has span [id] been issued? *)
+let live r id = id > 0 && id < r.next_id
 
 (* Make room for one more slot, doubling. *)
 let grow r sp =
@@ -201,8 +197,8 @@ let begin_span r ~time ?thread kind name =
         attrs = [];
       }
     in
-    let i = sp.id - r.base in
-    if i = Array.length r.slots then grow r sp;
+    let i = sp.id in
+    if i >= Array.length r.slots then grow r sp;
     r.slots.(i) <- sp;
     r.ctxs.(i) <- r.ambient;
     r.next_id <- r.next_id + 1;
@@ -230,7 +226,7 @@ let close r ~time id stack =
 
 let end_span r ~time id =
   if r.on && live r id then begin
-    let ctx = r.ctxs.(id - r.base) in
+    let ctx = r.ctxs.(id) in
     if ctx = r.ambient then r.stack <- close r ~time id r.stack
     else
       match Hashtbl.find_opt r.parked ctx with
@@ -243,12 +239,12 @@ let end_span r ~time id =
 
 let set_attr r id key value =
   if r.on && live r id then begin
-    let sp = r.slots.(id - r.base) in
+    let sp = r.slots.(id) in
     sp.attrs <- (key, value) :: List.remove_assoc key sp.attrs
   end
 
 let set_name r id name =
-  if r.on && live r id then r.slots.(id - r.base).name <- name
+  if r.on && live r id then r.slots.(id).name <- name
 
 (** [with_span r ~now kind name f] — exception-safe bracket: begins a
     span, runs [f id], ends the span at the current simulated time even if
@@ -291,8 +287,8 @@ let events r = List.rev r.evs
 let span_count r = List.length r.closed
 
 (** Span by id ([None] for the disabled recorder's id 0, and for ids
-    never issued or cleared since). *)
-let find r id = if live r id then Some r.slots.(id - r.base) else None
+    never issued). *)
+let find r id = if live r id then Some r.slots.(id) else None
 
 (** Total duration of all closed spans of [kind]. *)
 let total_duration r kind =
@@ -304,16 +300,6 @@ let count_kind r kind =
   List.fold_left
     (fun acc sp -> if sp.kind = kind then acc + 1 else acc)
     0 r.closed
-
-let clear r =
-  r.base <- r.next_id;
-  r.slots <- [||];
-  r.ctxs <- [||];
-  r.ambient <- 0;
-  r.stack <- [];
-  Hashtbl.reset r.parked;
-  r.closed <- [];
-  r.evs <- []
 
 let pp_span ppf sp =
   Fmt.pf ppf "[%8.3fs +%7.3fs] %-10s %s" sp.start (sp.finish -. sp.start)

@@ -122,6 +122,5 @@ val total_duration : recorder -> kind -> float
 (** Summed duration of all closed spans of a kind. *)
 
 val count_kind : recorder -> kind -> int
-val clear : recorder -> unit
 val pp_span : Format.formatter -> t -> unit
 val pp : Format.formatter -> recorder -> unit

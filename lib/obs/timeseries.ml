@@ -146,13 +146,6 @@ let samples t =
   let first = t.count - n in
   List.init n (fun i -> t.ring.((first + i) mod t.capacity))
 
-let clear t =
-  t.ring <- [||];
-  t.count <- 0;
-  t.next_due <- 0.0;
-  t.last_at <- Float.nan;
-  List.iter (fun p -> p.last <- Float.nan) t.probes
-
 (* One JSON object per line: {"t": 1.25, "umq.depth": 3.0, ...}.  Keys are
    machine-chosen but escaped anyway; values are finite floats. *)
 let jsonl_of_sample s =

@@ -48,7 +48,6 @@ val samples : t -> sample list
 
 val length : t -> int
 val dropped : t -> int
-val clear : t -> unit
 
 val to_jsonl : t -> string
 (** One RFC-8259 JSON object per line:

@@ -45,11 +45,15 @@ let count r tup =
 
 let mem r tup = count r tup <> 0
 
-(* Registered indexes follow every change of a tuple's count. *)
-let update_indexes r tup k =
-  match !(r.indexes) with
+(* Registered indexes follow every change of a tuple's count; a loop,
+   not [List.iter], so the change allocates no closure. *)
+let rec update_all tup k = function
   | [] -> ()
-  | ixs -> List.iter (fun ix -> Index.update ix tup k) ixs
+  | ix :: rest ->
+      Index.update ix tup k;
+      update_all tup k rest
+
+let update_indexes r tup k = update_all tup k !(r.indexes)
 
 (** [add_unchecked r tup k] — {!add} minus the schema typecheck, for
     output tuples that are type-correct by construction (projections and
@@ -227,18 +231,43 @@ let select p r =
   iter (fun t c -> if p t then add_unchecked out t c) r;
   out
 
-(** [map_tuples schema' f r] applies a tuple transformation, re-aggregating
-    multiplicities under the image (projection semantics on multisets). *)
-let map_tuples schema' f r =
+(* An empty index on the image of [r] for each index of [r] whose key
+   columns [at] all keeps, keyed where [at] moves them. *)
+let carried r at =
+  List.filter_map
+    (fun ix ->
+      let pos = Array.map at (Index.positions ix) in
+      if Array.for_all Option.is_some pos then
+        Some (Index.create (Array.map Option.get pos))
+      else None)
+    !(r.indexes)
+
+(** [map_tuples ?keys schema' f r] applies a tuple transformation,
+    re-aggregating multiplicities under the image (projection semantics
+    on multisets).  [keys i] is where [f] moves column [i], [None] when
+    it drops it: every index of [r] whose key columns [f] all keeps is
+    registered on the image, filled as the image is. *)
+let map_tuples ?keys schema' f r =
   let out = sized schema' (support r) in
+  (match keys with None -> () | Some at -> out.indexes := carried r at);
   iter (fun t c -> add_unchecked out (f t) c) r;
   out
 
-(** [project r names] multiset projection onto [names] (in order). *)
-let project r names =
+(* Where a projection onto columns [idxs] moves column [i], from [j]. *)
+let rec landing idxs i j =
+  if j = Array.length idxs then None
+  else if idxs.(j) = i then Some j
+  else landing idxs i (j + 1)
+
+(** [project ?keep_indexes r names] multiset projection onto [names] (in
+    order); [keep_indexes] carries every index of [r] keyed on kept
+    columns. *)
+let project ?(keep_indexes = false) r names =
   let idxs = Array.of_list (List.map (Schema.index_of r.schema) names) in
   let schema' = Schema.project r.schema names in
-  map_tuples schema' (fun t -> Tuple.project_idx t idxs) r
+  map_tuples
+    ?keys:(if keep_indexes then Some (fun i -> landing idxs i 0) else None)
+    schema' (fun t -> Tuple.project_idx t idxs) r
 
 (** [rename_attr r ~old_name ~new_name] renames a column (data unchanged). *)
 let rename_attr r ~old_name ~new_name =

@@ -130,10 +130,20 @@ val pp : Format.formatter -> t -> unit
 
 val select : (Tuple.t -> bool) -> t -> t
 
-val map_tuples : Schema.t -> (Tuple.t -> Tuple.t) -> t -> t
-(** Transform tuples, re-aggregating multiplicities under the image. *)
+val map_tuples :
+  ?keys:(int -> int option) -> Schema.t -> (Tuple.t -> Tuple.t) -> t -> t
+(** Transform tuples, re-aggregating multiplicities under the image.
+    [keys i] is the column the map moves column [i] to, [None] when it
+    drops it: each index registered on the argument whose key columns
+    the map all keeps is registered on the image, keyed on their new
+    positions and filled with it, so it equals a fresh build.  Without
+    [keys] the image has no index. *)
 
-val project : t -> string list -> t
+val project : ?keep_indexes:bool -> t -> string list -> t
+(** Multiset projection onto the named attributes, in order.
+    [keep_indexes] (default [false]) carries each index keyed on kept
+    columns, as {!map_tuples}'s [keys]. *)
+
 val rename_attr : t -> old_name:string -> new_name:string -> t
 
 val sum : t -> t -> t

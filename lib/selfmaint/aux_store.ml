@@ -47,13 +47,9 @@ type t = {
       (** per-source delivered frontier: highest admitted source version *)
   mutable projs : proj list;
   mutable dirty : bool;  (** any projection invalid — [sync] has work *)
-  mutable probes_avoided : int;
-  mutable bytes_saved : int;
   mutable invalidations : int;  (** projections invalidated by SCs *)
 }
 
-let probes_avoided t = t.probes_avoided
-let bytes_saved t = t.bytes_saved
 let invalidations t = t.invalidations
 
 let coverage t =
@@ -110,8 +106,6 @@ let create ~obs ~lookup ~frontier ~refresh_cost (mv : Mat_view.t) =
       frontier = tbl;
       projs = [];
       dirty = false;
-      probes_avoided = 0;
-      bytes_saved = 0;
       invalidations = 0;
     }
   in
@@ -228,8 +222,6 @@ let local t : Dyno_vm.Sweep.local =
     Dyno_vm.Sweep.aux = (fun alias -> aux t alias);
     note_avoided =
       (fun ~probes ~bytes ->
-        t.probes_avoided <- t.probes_avoided + probes;
-        t.bytes_saved <- t.bytes_saved + bytes;
         let mx = Obs.metrics t.obs in
         Metrics.incr mx ~by:probes "selfmaint.probes_avoided";
         Metrics.incr mx ~by:bytes "selfmaint.bytes_saved");

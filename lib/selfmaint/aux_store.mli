@@ -58,11 +58,8 @@ val aux : t -> string -> Dyno_relational.Relation.t option
 
 val local : t -> Dyno_vm.Sweep.local
 (** The closure pair the maintenance layer consumes: {!aux} plus the
-    avoided-probe accounting ([selfmaint.probes_avoided],
-    [selfmaint.bytes_saved] and the store's counters). *)
-
-val probes_avoided : t -> int
-val bytes_saved : t -> int
+    avoided-probe metrics ([selfmaint.probes_avoided] and
+    [selfmaint.bytes_saved]; the run's [Stats] counts both too). *)
 
 val invalidations : t -> int
 (** Projections invalidated by schema changes since creation. *)

@@ -2,11 +2,8 @@
     simulated run.  Tests assert against traces, the CLI prints them,
     statistics derive cost breakdowns from them.
 
-    Storage is a ring buffer: unbounded by default (every entry
-    retained), bounded when [~capacity] is given to {!create}, in which
-    case the oldest entries are overwritten once full.  Per-kind counts
-    are maintained incrementally, so {!count} is O(1) and keeps counting
-    entries a bounded ring has already evicted. *)
+    The log is append-only: an enabled trace keeps every entry for the
+    life of the run, and {!count} reads the entries. *)
 
 type kind =
   | Commit  (** a source committed an update *)
@@ -32,19 +29,14 @@ type kind =
 
 val kind_to_string : kind -> string
 
+val all_kinds : kind list
+(** Every kind, in declaration order. *)
+
 type entry = { time : float; kind : kind; detail : string }
 
 type t
 
-val create : ?enabled:bool -> ?capacity:int -> unit -> t
-(** [capacity] bounds the ring (>= 1); omit it for an unbounded trace.
-    @raise Invalid_argument if [capacity < 1]. *)
-
-val capacity : t -> int option
-
-val dropped : t -> int
-(** Entries evicted by a bounded ring since the last {!clear} (always 0
-    for an unbounded trace). *)
+val create : ?enabled:bool -> unit -> t
 
 val enabled : t -> bool
 (** Whether {!record} keeps entries.  A hot path checks it before
@@ -65,19 +57,13 @@ val record : t -> time:float -> kind -> string Lazy.t -> unit
     matters for the recorders that force at export. *)
 
 val entries : t -> entry list
-(** Retained entries, chronological order. *)
+(** Every entry, chronological order. *)
 
 val count : t -> kind -> int
-(** O(1); counts every entry recorded since the last {!clear}, including
-    entries a bounded ring has evicted. *)
+(** The entries of the given kind. *)
 
 val find_all : t -> kind -> entry list
-(** Retained entries of the given kind, chronological order. *)
+(** Entries of the given kind, chronological order. *)
 
-val clear : t -> unit
 val pp_entry : Format.formatter -> entry -> unit
 val pp : Format.formatter -> t -> unit
-
-val to_json_string : t -> string
-(** The retained entries as a JSON array of
-    [{"time": …, "kind": "…", "detail": "…"}] objects. *)

@@ -87,7 +87,9 @@ let load_counted s name pairs =
   List.iter (fun (t, c) -> Relation.add r (Tuple.of_list t) c) pairs
 
 (** [apply_sc st sc] — catalog surgery plus the extent transformation
-    mirroring it.  Commits and replay both call it. *)
+    mirroring it.  Commits and replay both call it.  A new or dropped
+    attribute keeps the relation's indexes, bar one keyed on the dropped
+    column. *)
 let apply_sc st (sc : Schema_change.t) =
   Catalog.apply st.catalog sc;
   match sc with
@@ -103,11 +105,11 @@ let apply_sc st (sc : Schema_change.t) =
         (Relation.rename_attr (table st rel) ~old_name ~new_name)
   | Drop_attribute { rel; _ } ->
       Hashtbl.replace st.tables rel
-        (Relation.project (table st rel)
+        (Relation.project ~keep_indexes:true (table st rel)
            (Schema.names (Catalog.schema_of st.catalog rel)))
   | Add_attribute { rel; default; _ } ->
       Hashtbl.replace st.tables rel
-        (Relation.map_tuples
+        (Relation.map_tuples ~keys:Option.some
            (Catalog.schema_of st.catalog rel)
            (fun t -> Tuple.append t default)
            (table st rel))

@@ -384,7 +384,7 @@ let pp_failure ppf = function
   | Broken b -> Dyno_source.Data_source.pp_broken ppf b
   | Unreachable u -> Retry.pp_unreachable ppf u
 
-(* Retry skeleton shared by [execute] and [validate]: decide the fate of
+(* Retry skeleton shared by [round_trip] and [validate]: decide the fate of
    each RPC attempt against the fault config, charging timeout + backoff
    on the simulated clock (commits keep being delivered meanwhile), until
    an attempt goes through or the budget is exhausted. *)
@@ -442,15 +442,6 @@ let rec rpc_attempt w ~target ~what
 let with_rpc w ~target ~what attempt_ok =
   rpc_attempt w ~target ~what attempt_ok ~n:1 ~waited:0.0
 
-(** [execute w q ~bound ~target] runs one maintenance-query probe against
-    source [target].
-
-    Timing: the round-trip latency plus the source-side scan cost elapse
-    {e before} the answer is computed, and every source commit falling in
-    that window is applied first — so the answer reflects all updates
-    "committed before the query is answered" (Definition 2), which is what
-    makes compensation necessary and schema conflicts observable.  The
-    result-transfer cost elapses after evaluation. *)
 (* Wrap one probe (or validate) round trip in a [Probe] span, tagging its
    outcome and feeding the [probe.rtt_s] histogram. *)
 let probe_span w ~target ~what (body : unit -> ('a, failure) result) :
@@ -490,12 +481,6 @@ let probe_span w ~target ~what (body : unit -> ('a, failure) result) :
       Dyno_obs.Metrics.observe mx "probe.rtt_s" rtt;
       result)
 
-(** [execute_timed w q ~bound ~target] — like {!execute}, but also
-    returns the simulated time at which the source computed the answer
-    (before the result transfer).  Under concurrent maintenance other
-    tasks may deliver commits while this task parks on the result
-    transfer; the caller's compensation frontier must only include
-    pending updates committed at or before that instant. *)
 (* The scan a probe's source is about to do: the current sizes of its
    local relations. *)
 let rec scan_estimate src ~target acc = function
@@ -510,20 +495,14 @@ let rec scan_estimate src ~target acc = function
       in
       scan_estimate src ~target acc rest
 
-(* The issue half of a probe round trip: the request goes on the wire
-   and the caller parks for the round trip + source scan (other tasks'
-   probes overlap), then takes it off the wire.  The answer travels the
-   source's FIFO stream, so its earlier update messages are flushed into
-   the UMQ first (SWEEP's per-source ordering assumption).  Returns the
-   instant the source answers. *)
+(* The issue half of a probe round trip: the caller parks for the round
+   trip + source scan on the executor ([advance]), so other tasks' probes
+   overlap it.  The answer travels the source's FIFO stream, so its
+   earlier update messages are flushed into the UMQ first (SWEEP's
+   per-source ordering assumption).  Returns the instant the source
+   answers. *)
 let probe_issue w ~target ~scan_estimate =
-  let rtt = Cost_model.probe w.cost ~scanned:scan_estimate ~returned:0 in
-  let ch = (route w target).r_channel in
-  let rpc =
-    Channel.issue_rpc ch ~now:(now w) ~source:target ~ready:(now w +. rtt)
-  in
-  advance w rtt;
-  Channel.complete_rpc ch rpc;
+  advance w (Cost_model.probe w.cost ~scanned:scan_estimate ~returned:0);
   flush_in_flight w ~source:target;
   now w
 
@@ -550,41 +529,38 @@ let probe_complete w ~target answered_at = function
         (lazy (Fmt.str "%a" Dyno_source.Data_source.pp_broken b));
       Error (Broken b)
 
-let execute_timed ?plan w (q : Query.t) ~bound ~target :
+(** [round_trip ~fetch w q ~bound ~target] runs one maintenance-query
+    probe against source [target], in a [Probe] span.
+
+    Timing: the round-trip latency plus the source-side scan cost elapse
+    {e before} the answer is computed, and every source commit falling in
+    that window is applied first — so the answer reflects all updates
+    "committed before the query is answered" (Definition 2), which is what
+    makes compensation necessary and schema conflicts observable.  The
+    result-transfer cost elapses after evaluation.  Only the source call
+    differs: an adaptation's [fetch] ({!Dyno_source.Data_source.fetch},
+    nothing shipped), or {!Dyno_source.Data_source.answer} with [bound]
+    shipped and [plan] as prepared. *)
+let round_trip ?plan ~fetch w (q : Query.t) ~bound ~target :
     (Dyno_source.Data_source.answer * float, failure) result =
-  probe_span w ~target ~what:"probe" @@ fun () ->
   if Trace.enabled w.trace then
     Trace.record w.trace ~time:(now w) Trace.Query_sent
       (lazy (Fmt.str "%s <- %s" target (Query.name q)));
   let src = Dyno_source.Registry.find w.registry target in
   let scan_estimate = scan_estimate src ~target 0 (Query.from q) in
-  with_rpc w ~target ~what:"probe" (fun () ->
-      let answered_at = probe_issue w ~target ~scan_estimate in
-      probe_complete w ~target answered_at
-        (Dyno_source.Data_source.answer ~planner:w.planner ?plan src q ~bound))
+  let attempt () =
+    let answered_at = probe_issue w ~target ~scan_estimate in
+    probe_complete w ~target answered_at
+      (if fetch then Dyno_source.Data_source.fetch ~planner:w.planner src q
+       else Dyno_source.Data_source.answer ~planner:w.planner ?plan src q ~bound)
+  in
+  probe_span w ~target ~what:"probe" (fun () ->
+      with_rpc w ~target ~what:"probe" attempt)
 
-let execute w (q : Query.t) ~bound ~target :
-    (Dyno_source.Data_source.answer, failure) result =
-  Result.map fst (execute_timed w q ~bound ~target)
+let execute_timed ?plan w q ~bound ~target =
+  round_trip ?plan ~fetch:false w q ~bound ~target
 
-(** [fetch w q ~target] — {!execute} of an adaptation's fetch, the same
-    probe round trip answered by {!Dyno_source.Data_source.fetch}: an
-    identity fetch answers the source's live extent, pinned until
-    {!unpin}. *)
-let fetch w (q : Query.t) ~target :
-    (Dyno_source.Data_source.answer, failure) result =
-  Result.map fst
-  @@ probe_span w ~target ~what:"probe"
-  @@ fun () ->
-  if Trace.enabled w.trace then
-    Trace.record w.trace ~time:(now w) Trace.Query_sent
-      (lazy (Fmt.str "%s <- %s" target (Query.name q)));
-  let src = Dyno_source.Registry.find w.registry target in
-  let scan_estimate = scan_estimate src ~target 0 (Query.from q) in
-  with_rpc w ~target ~what:"probe" (fun () ->
-      let answered_at = probe_issue w ~target ~scan_estimate in
-      probe_complete w ~target answered_at
-        (Dyno_source.Data_source.fetch ~planner:w.planner src q))
+let fetch w q ~target = Result.map fst (round_trip ~fetch:true w q ~bound:[] ~target)
 
 (** [unpin w ~source r] releases a pin {!fetch} took on [r]. *)
 let unpin w ~source r =
@@ -627,7 +603,8 @@ let await_recovery w ~source =
 
 (** [source_relation w ~source ~rel] direct read of a source's current
     relation — used by adaptation, which the paper models as maintenance
-    queries too; we charge it through [execute]-style costs at the caller. *)
+    queries too; we charge it through [execute_timed]-style costs at the
+    caller. *)
 let source_relation w ~source ~rel =
   let src = Dyno_source.Registry.find w.registry source in
   Dyno_source.Data_source.relation_opt src rel

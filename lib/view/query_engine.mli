@@ -143,22 +143,6 @@ type failure =
 
 val pp_failure : Format.formatter -> failure -> unit
 
-val execute :
-  t ->
-  Query.t ->
-  bound:(string * Rows.t) list ->
-  target:string ->
-  (Dyno_source.Data_source.answer, failure) result
-(** Run one maintenance-query probe against a source.  Round-trip latency
-    and scan cost elapse (with commit delivery) {e before} the answer is
-    computed; the probed source's in-flight update messages are flushed
-    into the UMQ with it (FIFO-stream semantics), so the caller's
-    compensation frontier matches the answer exactly; result-transfer time
-    elapses after it {e without} delivery.  A schema conflict yields
-    [Error (Broken _)] and raises the broken-query flag; a lost probe is
-    retried per the policy and yields [Error (Unreachable _)] when the
-    budget is exhausted. *)
-
 val execute_timed :
   ?plan:Eval.prepared ->
   t ->
@@ -166,21 +150,30 @@ val execute_timed :
   bound:(string * Rows.t) list ->
   target:string ->
   (Dyno_source.Data_source.answer * float, failure) result
-(** Like {!execute}, but also returns the simulated time at which the
-    source computed the answer (before the result transfer).  Under
-    concurrent maintenance, other tasks may deliver further commits
-    while this task parks on the result transfer; a compensation
-    frontier must only include pending updates committed at or before
-    the returned instant.  [plan] ships the query already prepared
-    ({!Dyno_source.Data_source.answer}). *)
+(** Run one maintenance-query probe against a source.  Round-trip
+    latency and scan cost elapse (with commit delivery) {e before} the
+    answer is computed; the probed source's in-flight update messages are
+    flushed into the UMQ with it (FIFO-stream semantics), so the caller's
+    compensation frontier matches the answer exactly; result-transfer
+    time elapses after it {e without} delivery.  A schema conflict yields
+    [Error (Broken _)] and raises the broken-query flag; a lost probe is
+    retried per the policy and yields [Error (Unreachable _)] when the
+    budget is exhausted.
+
+    Also returns the simulated time at which the source computed the
+    answer (before the result transfer).  Under concurrent maintenance,
+    other tasks may deliver further commits while this task parks on the
+    result transfer; a compensation frontier must only include pending
+    updates committed at or before the returned instant.  [plan] ships
+    the query already prepared ({!Dyno_source.Data_source.answer}). *)
 
 val fetch :
   t ->
   Query.t ->
   target:string ->
   (Dyno_source.Data_source.answer, failure) result
-(** {!execute} of an adaptation's fetch, nothing shipped: the same probe
-    round trip, spans and charges, answered by
+(** {!execute_timed} of an adaptation's fetch, nothing shipped: the same
+    probe round trip, spans and charges, answered by
     {!Dyno_source.Data_source.fetch}, so an identity fetch answers the
     source's live extent, read-only and pinned.  The adaptation releases
     every relation it fetched with {!unpin} when it ends, whatever its
@@ -193,7 +186,7 @@ val validate : t -> Query.t -> target:string -> (unit, failure) result
 (** Lightweight metadata check against a source's current catalog: one
     round trip, no scan.  Adaptation interleaves these with its
     computation so late-arriving schema changes are detected in-exec.
-    Subject to the same retry policy as {!execute}. *)
+    Subject to the same retry policy as {!execute_timed}. *)
 
 val await_recovery : t -> source:string -> float
 (** After an [Unreachable] verdict: wait out the source's outage window

@@ -2,7 +2,7 @@
 
    - span recorder mechanics: nesting, attrs, disabled no-op;
    - metrics registry: counters, gauges, histogram quantiles;
-   - trace ring buffer: bounded eviction, O(1) counts across eviction;
+   - the trace log: every entry kept and counted;
    - chrome-trace structural checks: every child span lies within its
      parent's [ts, ts + dur] window;
    - cross-accounting: Σ Maintain span durations = Stats.busy, and the
@@ -16,10 +16,9 @@
      allocates at most 1.2x the words of the same run with them off;
    - the dense stores: spans by id across interleaved contexts, lineage
      records by message id and by (source, seq) whatever the keys'
-     spread, both cleared without stale slots; a registered metric
-     updates without allocating;
-   - JSON round-trips: stats, metrics, trace, chrome trace and the span
-     JSONL all parse under the tiny checker in Json_check. *)
+     spread; a registered metric updates without allocating;
+   - JSON round-trips: stats, metrics, chrome trace and lineage JSONL
+     all parse under the tiny checker in Json_check. *)
 
 open Dyno_obs
 
@@ -179,21 +178,7 @@ let test_metrics_disabled_noop () =
   Alcotest.(check int) "no counter" 0 (Metrics.counter_value m "a");
   Alcotest.(check (list string)) "no names" [] (Metrics.names m)
 
-(* -- trace ring buffer -------------------------------------------------- *)
-
-let test_trace_ring_eviction () =
-  let open Dyno_sim in
-  let t = Trace.create ~capacity:3 () in
-  for i = 1 to 5 do
-    Trace.record t ~time:(float_of_int i) Trace.Info (lazy (string_of_int i))
-  done;
-  let kept =
-    List.map (fun (e : Trace.entry) -> e.Trace.detail) (Trace.entries t)
-  in
-  Alcotest.(check (list string)) "last 3 kept, in order" [ "3"; "4"; "5" ] kept;
-  Alcotest.(check int) "dropped" 2 (Trace.dropped t);
-  Alcotest.(check int) "count survives eviction" 5 (Trace.count t Trace.Info);
-  Alcotest.(check (option int)) "capacity" (Some 3) (Trace.capacity t)
+(* -- trace log ------------------------------------------------------------ *)
 
 let test_trace_unbounded_growth () =
   let open Dyno_sim in
@@ -202,11 +187,7 @@ let test_trace_unbounded_growth () =
     Trace.record t ~time:(float_of_int i) Trace.Commit (lazy "c")
   done;
   Alcotest.(check int) "all retained" 1000 (List.length (Trace.entries t));
-  Alcotest.(check int) "none dropped" 0 (Trace.dropped t);
-  Alcotest.(check int) "count" 1000 (Trace.count t Trace.Commit);
-  Alcotest.check_raises "capacity < 1 rejected"
-    (Invalid_argument "Trace.create: capacity must be >= 1") (fun () ->
-      ignore (Trace.create ~capacity:0 ()))
+  Alcotest.(check int) "count" 1000 (Trace.count t Trace.Commit)
 
 (* -- chrome-trace structure: children nest within parents --------------- *)
 
@@ -425,8 +406,8 @@ let test_span_renders_when_read () =
   record r;
   Alcotest.(check (pair int int)) "recording renders nothing" (0, 0)
     (!names, !details);
-  let trace = Export.chrome_trace r in
-  let jsonl = Export.spans_jsonl r in
+  let first = Export.chrome_trace r in
+  let second = Export.chrome_trace r in
   Alcotest.(check (pair int int)) "two exports render each once" (1, 1)
     (!names, !details);
   List.iter
@@ -435,7 +416,7 @@ let test_span_renders_when_read () =
         (contains doc "step counted");
       Alcotest.(check bool) (what ^ " carries the detail") true
         (contains doc "detail counted"))
-    [ ("chrome trace", trace); ("span JSONL", jsonl) ]
+    [ ("first export", first); ("second export", second) ]
 
 let test_trace_renders_at_record () =
   let calls = ref 0 in
@@ -783,17 +764,13 @@ let test_lineage_flush_arrival () =
 (* -- JSON round-trips --------------------------------------------------- *)
 
 let test_json_round_trips () =
-  let obs, t, stats = run_observed ~loss:0.3 () in
+  let obs, _, stats = run_observed ~loss:0.3 () in
   Json_check.check_exn ~what:"stats JSON"
     (Dyno_core.Stats.to_json_string stats);
   Json_check.check_exn ~what:"metrics JSON"
     (Metrics.to_json_string (Obs.metrics obs));
-  Json_check.check_exn ~what:"trace JSON"
-    (Dyno_sim.Trace.to_json_string t.Dyno_workload.Scenario.trace);
   Json_check.check_exn ~what:"chrome trace"
     (Export.chrome_trace ~lineage:(Obs.lineage obs) (Obs.spans obs));
-  Json_check.check_jsonl_exn ~what:"span JSONL"
-    (Export.spans_jsonl (Obs.spans obs));
   Json_check.check_jsonl_exn ~what:"lineage JSONL"
     (Lineage.to_jsonl (Obs.lineage obs));
   (* the Perfetto flow thread: a start at commit and a binding-point end
@@ -819,13 +796,9 @@ let test_json_escaping () =
     (fun id -> Span.set_attr r id "k\"ey" "v\nal");
   Span.instant r ~time:0.0 "ev\"ent" (lazy "de\ttail");
   Json_check.check_exn ~what:"escaped chrome trace" (Export.chrome_trace r);
-  Json_check.check_jsonl_exn ~what:"escaped span JSONL" (Export.spans_jsonl r);
   let m = Metrics.create () in
   Metrics.incr m "weird\"name\\";
   Json_check.check_exn ~what:"escaped metrics" (Metrics.to_json_string m);
-  let tr = Dyno_sim.Trace.create ~enabled:true () in
-  Dyno_sim.Trace.record tr ~time:0.0 Dyno_sim.Trace.Info (lazy "de\"tail\\");
-  Json_check.check_exn ~what:"escaped trace" (Dyno_sim.Trace.to_json_string tr);
   Json_check.check_exn ~what:"checker rejects garbage is tested inline"
     "{\"a\": [1, 2.5e-3, true, null, \"x\\u00e9\"]}";
   match Json_check.check "{\"a\": }" with
@@ -1202,38 +1175,6 @@ let test_span_dense_orphans () =
   Span.end_span r ~time:6.0 c;
   Alcotest.(check int) "a second end is a no-op" 3 (Span.span_count r)
 
-(* After [clear] the old ids are gone, open or closed, and ids keep
-   counting: new spans are found and nest afresh. *)
-let test_span_dense_clear () =
-  let r = Span.create () in
-  Span.set_context r 2;
-  let a = Span.begin_span r ~time:0.0 Span.Task (lazy "a") in
-  Span.set_context r 0;
-  let b = Span.begin_span r ~time:0.0 Span.Maintain (lazy "b") in
-  let c = Span.begin_span r ~time:0.0 Span.Probe (lazy "c") in
-  Span.end_span r ~time:1.0 c;
-  Span.clear r;
-  List.iter
-    (fun id ->
-      Alcotest.(check bool) (Fmt.str "old id %d gone" id) true
-        (Span.find r id = None);
-      Span.set_attr r id "k" "v";
-      Span.end_span r ~time:2.0 id)
-    [ a; b; c ];
-  Alcotest.(check int) "nothing recorded" 0 (Span.span_count r);
-  Alcotest.(check int) "nothing open" 0 (List.length (Span.open_spans r));
-  Alcotest.(check int) "ambient context reset" 0 (Span.context r);
-  let d = Span.begin_span r ~time:3.0 Span.Maintain (lazy "d") in
-  let e = Span.begin_span r ~time:3.0 Span.Probe (lazy "e") in
-  Alcotest.(check int) "ids keep counting" (c + 1) d;
-  Span.end_span r ~time:4.0 d;
-  match (Span.find r d, Span.find r e) with
-  | Some sd, Some se ->
-      Alcotest.(check int) "a root again" 0 sd.Span.parent;
-      Alcotest.(check int) "nests under the new root" d se.Span.parent;
-      Alcotest.(check (float 0.0)) "closed with its parent" 4.0 se.Span.finish
-  | _ -> Alcotest.fail "new spans are found"
-
 (* Records are found by message id and by (source, seq) when keys start
    high, skip values and arrive out of order; unknown keys find none. *)
 let test_lineage_dense_keys () =
@@ -1279,48 +1220,6 @@ let test_lineage_dense_keys () =
     (List.map
        (fun (r : Lineage.record) -> (r.Lineage.source, r.Lineage.seq))
        (Lineage.records lin))
-
-(* After [clear] no stale slot answers: neither an old message id nor an
-   old (source, seq).  The recorder records again, in commit order. *)
-let test_lineage_dense_clear () =
-  let lin = Lineage.create () in
-  List.iter
-    (fun (seq, msg_id) ->
-      Lineage.commit lin ~source:"DS1" ~seq ~time:0.0 ~sc:false
-        ~detail:(lazy "old");
-      Lineage.admit lin ~source:"DS1" ~seq ~time:0.0 ~msg_id)
-    [ (1, 0); (2, 1); (3, 2) ];
-  Lineage.clear lin;
-  List.iter
-    (fun id ->
-      Alcotest.(check bool) (Fmt.str "old msg %d gone" id) true
-        (Lineage.find_msg lin id = None))
-    [ 0; 1; 2 ];
-  (* an old key, not committed again, admits nothing *)
-  Lineage.admit lin ~source:"DS1" ~seq:1 ~time:1.0 ~msg_id:9;
-  Alcotest.(check bool) "old key gone" true (Lineage.find_msg lin 9 = None);
-  List.iter
-    (fun (seq, msg_id) ->
-      Lineage.commit lin ~source:"DS1" ~seq ~time:2.0 ~sc:false
-        ~detail:(lazy "new");
-      Lineage.admit lin ~source:"DS1" ~seq ~time:2.0 ~msg_id)
-    [ (3, 11); (2, 10) ];
-  (match Lineage.find_msg lin 11 with
-  | Some r ->
-      Alcotest.(check int) "new record of seq 3" 3 r.Lineage.seq;
-      Alcotest.(check (float 0.0)) "committed after the clear" 2.0
-        r.Lineage.commit_at
-  | None -> Alcotest.fail "a record committed after clear is found");
-  let seqs =
-    List.map
-      (fun line ->
-        if contains line "\"seq\": 3" then 3
-        else if contains line "\"seq\": 2" then 2
-        else Alcotest.failf "unexpected record %s" line)
-      (String.split_on_char '\n' (String.trim (Lineage.to_jsonl lin)))
-  in
-  Alcotest.(check (list int)) "JSONL in commit order, new records only" [ 3; 2 ]
-    seqs
 
 (* Once a name is registered, [incr], [observe] and the gauge setters
    allocate nothing. *)
@@ -1427,7 +1326,6 @@ let () =
         ] );
       ( "trace-ring",
         [
-          Alcotest.test_case "bounded eviction" `Quick test_trace_ring_eviction;
           Alcotest.test_case "unbounded growth" `Quick
             test_trace_unbounded_growth;
         ] );
@@ -1461,12 +1359,8 @@ let () =
             test_span_dense_ids;
           Alcotest.test_case "an outer end closes its orphans" `Quick
             test_span_dense_orphans;
-          Alcotest.test_case "span ids after clear" `Quick
-            test_span_dense_clear;
           Alcotest.test_case "lineage keys high, sparse, out of order" `Quick
             test_lineage_dense_keys;
-          Alcotest.test_case "lineage after clear" `Quick
-            test_lineage_dense_clear;
           Alcotest.test_case "metric hits allocate nothing" `Quick
             test_metrics_hits_allocate_nothing;
         ] );

@@ -112,7 +112,7 @@ let test_trace_off_formats_nothing () =
   Trace.record on ~time:0.0 Trace.Commit (detail ());
   Alcotest.(check int) "printer called once, at record time" 1 !calls;
   ignore (Trace.entries on : Trace.entry list);
-  ignore (Trace.to_json_string on : string);
+  ignore (Fmt.str "%a" Trace.pp on : string);
   Alcotest.(check int) "reading the entry formats nothing more" 1 !calls;
   match Trace.entries on with
   | [ e ] -> Alcotest.(check string) "detail" "DS1 v3: delta" e.Trace.detail

@@ -309,6 +309,70 @@ let test_unpin () =
   Alcotest.(check bool) "a commit swaps the projected pin onto a copy" true
     (Data_source.relation s "R" != r && Relation.to_counted r = keys)
 
+(* An added or a dropped attribute keeps the relation's indexes, keyed
+   where their columns moved, each equal to a fresh build on the new
+   extent; an index keyed on the dropped column goes.  The next
+   projection fetch is then answered by the extent itself. *)
+let test_sc_keeps_indexes () =
+  let s = fresh () in
+  let index pos =
+    ignore (Relation.ensure_index_pos (Data_source.relation s "R") pos : Index.t)
+  in
+  let sorted l = List.sort (fun (a, _) (b, _) -> Tuple.compare a b) l in
+  let carried what pos =
+    let live = Data_source.relation s "R" in
+    match Relation.find_index_pos live pos with
+    | None -> Alcotest.failf "%s: index on %d lost" what pos.(0)
+    | Some ix ->
+        let fresh =
+          Relation.ensure_index_pos
+            (Relation.map_tuples (Relation.schema live) Fun.id live)
+            pos
+        in
+        Alcotest.(check (pair int int))
+          (what ^ ": keys and tuples of a fresh build")
+          (Index.key_count fresh, Index.support fresh)
+          (Index.key_count ix, Index.support ix);
+        Relation.iter
+          (fun t _ ->
+            let key = Index.key_of ix t in
+            if sorted (Index.lookup ix key) <> sorted (Index.lookup fresh key) then
+              Alcotest.failf "%s: bucket of %a differs from a fresh build" what
+                Tuple.pp t)
+          live
+  in
+  let projection_pinned what =
+    match Data_source.fetch s (single_table_query ~attrs:[ "k" ] "R") with
+    | Ok { Data_source.rows = Rows.Projected p; _ } ->
+        Alcotest.(check bool) (what ^ ": the extent itself answers") true
+          (p.rel == Data_source.relation s "R");
+        Data_source.unpin s p.rel
+    | Ok _ -> Alcotest.failf "%s: the projection fetch was materialized" what
+    | Error b -> Alcotest.failf "%a" Data_source.pp_broken b
+  in
+  index [| 0 |];
+  index [| 1 |];
+  ignore
+    (Data_source.commit_du s ~time:1.0 (du [ ([ Value.int 3; Value.string "a" ], 2) ]));
+  ignore
+    (Data_source.commit_sc s ~time:2.0
+       (Schema_change.Add_attribute
+          { source = "ds"; rel = "R"; attr = Attr.int "n"; default = Value.int 7 }));
+  Alcotest.(check int) "an added attribute keeps both indexes" 2
+    (Relation.index_count (Data_source.relation s "R"));
+  carried "add: k" [| 0 |];
+  carried "add: v" [| 1 |];
+  projection_pinned "add";
+  index [| 2 |];
+  ignore
+    (Data_source.commit_sc s ~time:3.0
+       (Schema_change.Drop_attribute { source = "ds"; rel = "R"; attr = "v" }));
+  Alcotest.(check int) "a dropped attribute takes its own index only" 2
+    (Relation.index_count (Data_source.relation s "R"));
+  carried "drop: k" [| 0 |];
+  carried "drop: n shifted past v" [| 1 |];
+  projection_pinned "drop"
+
 let () =
   Alcotest.run "source"
     [
@@ -318,6 +382,8 @@ let () =
           Alcotest.test_case "rejections" `Quick test_commit_rejections;
           Alcotest.test_case "schema-change extent transforms" `Quick
             test_commit_sc_extent_transforms;
+          Alcotest.test_case "added and dropped attributes keep indexes" `Quick
+            test_sc_keeps_indexes;
         ] );
       ( "queries",
         [

@@ -350,8 +350,8 @@ let test_engine_delivery_before_answer () =
   Dyno_sim.Timeline.schedule timeline ~time:0.01
     (Dyno_sim.Timeline.Du
        (Update.make ~source:"ds" ~rel:"R" (Relation.of_list schema [ [ Value.int 2 ] ])));
-  match Query_engine.execute w (view_q ()) ~bound:[] ~target:"ds" with
-  | Ok ans ->
+  match Query_engine.execute_timed w (view_q ()) ~bound:[] ~target:"ds" with
+  | Ok (ans, _) ->
       Alcotest.(check int) "answer reflects concurrent commit" 2
         (Relation.cardinality (Rows.relation ans.Dyno_source.Data_source.rows));
       Alcotest.(check int) "message enqueued" 1 (Umq.length umq)
@@ -362,7 +362,7 @@ let test_engine_broken_flag () =
   Dyno_sim.Timeline.schedule timeline ~time:0.01
     (Dyno_sim.Timeline.Sc
        (Schema_change.Drop_relation { source = "ds"; name = "R" }));
-  (match Query_engine.execute w (view_q ()) ~bound:[] ~target:"ds" with
+  (match Query_engine.execute_timed w (view_q ()) ~bound:[] ~target:"ds" with
   | Ok _ -> Alcotest.fail "probe should break"
   | Error (Query_engine.Broken b) ->
       Alcotest.(check string) "reason mentions relation" "ds"
