@@ -193,6 +193,14 @@ let index_probe emit ix ~pred ~base_is_left ~stream ~stream_pos =
             (Index.lookup ix (Tuple.project_idx ts stream_pos)))
         s
 
+(* The built side's matches [(t', c')] of a streamed tuple [t], in
+   product order. *)
+let rec emit_matches emit hash_left t c = function
+  | [] -> ()
+  | (t', c') :: rest ->
+      if hash_left then emit t' t (c' * c) else emit t t' (c * c');
+      emit_matches emit hash_left t c rest
+
 (* Ephemeral hash join: the smaller side is hashed on its key and the
    larger streamed — a maintenance probe joins a few partial tuples
    against a large relation, so this is one pass with cheap lookups. *)
@@ -205,22 +213,15 @@ let hash_join emit ~left ~lpos ~right ~rpos =
   side_iter
     (fun t c ->
       let key = Tuple.project_idx t build_pos in
-      let prev =
-        match Tuple.Table.find table key with
-        | l -> l
-        | exception Not_found -> []
-      in
-      Tuple.Table.replace table key ((t, c) :: prev))
+      let h = Tuple.hash key in
+      Tuple.Table.replace table h key
+        ((t, c) :: Tuple.Table.find_or table h key []))
     build;
   side_iter
     (fun t c ->
-      match Tuple.Table.find table (Tuple.project_idx t stream_pos) with
-      | matches ->
-          List.iter
-            (fun (t', c') ->
-              if hash_left then emit t' t (c' * c) else emit t t' (c * c'))
-            matches
-      | exception Not_found -> ())
+      let key = Tuple.project_idx t stream_pos in
+      emit_matches emit hash_left t c
+        (Tuple.Table.find_or table (Tuple.hash key) key []))
     stream
 
 (* Nested loop: every pair compared on the key positions, no hashing, no

@@ -39,38 +39,32 @@ let same_key ix ps =
 
 let key_of ix tup = Tuple.project_idx tup ix.positions
 
+(* [bucket] with [k] added to [tup]'s count, the entry dropped at zero. *)
+let rec adjust tup k = function
+  | [] -> [ (tup, k) ]
+  | (t, c) :: rest ->
+      if Tuple.equal t tup then
+        let c' = c + k in
+        if c' = 0 then rest else (t, c') :: rest
+      else (t, c) :: adjust tup k rest
+
 (** [update ix tup k] adjusts the indexed multiplicity of [tup] by [k],
     dropping entries (and empty buckets) at zero — mirror of
-    [Relation.add]. *)
+    [Relation.add].  The key is hashed once. *)
 let update ix tup k =
   if k <> 0 then begin
     let key = key_of ix tup in
-    let bucket =
-      match Tuple.Table.find ix.buckets key with
-      | b -> b
-      | exception Not_found -> []
-    in
-    let rec adjust = function
-      | [] -> [ (tup, k) ]
-      | (t, c) :: rest ->
-          if Tuple.equal t tup then
-            let c' = c + k in
-            if c' = 0 then rest else (t, c') :: rest
-          else (t, c) :: adjust rest
-    in
-    match adjust bucket with
-    | [] -> Tuple.Table.remove ix.buckets key
-    | b -> Tuple.Table.replace ix.buckets key b
+    let h = Tuple.hash key in
+    match adjust tup k (Tuple.Table.find_or ix.buckets h key []) with
+    | [] -> Tuple.Table.remove ix.buckets h key
+    | b -> Tuple.Table.replace ix.buckets h key b
   end
 
 (** [lookup ix key] — the matching bucket (unspecified order), [[]] on a
     miss: the stored list itself, which {!update} replaces and never
     mutates, so nothing is allocated — the probe side of an indexed
     join. *)
-let lookup ix key =
-  match Tuple.Table.find ix.buckets key with
-  | bucket -> bucket
-  | exception Not_found -> []
+let lookup ix key = Tuple.Table.find_or ix.buckets (Tuple.hash key) key []
 
 (** Number of distinct keys currently indexed. *)
 let key_count ix = Tuple.Table.length ix.buckets

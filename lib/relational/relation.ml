@@ -20,8 +20,8 @@ type t = {
 exception Schema_mismatch of string
 
 (* [sized schema n] — an empty relation whose table is built for about
-   [n] tuples, so filling it never resizes (a resize re-hashes every
-   tuple).  Most relations are small partials: 16 buckets to start. *)
+   [n] tuples, so filling it never resizes (a resize relinks every
+   entry).  Most relations are small partials: 16 buckets to start. *)
 let sized schema n =
   { schema; data = Tuple.Table.create (max 16 n); indexes = ref [] }
 
@@ -40,8 +40,7 @@ let mass r = Tuple.Table.fold (fun _ c acc -> acc + abs c) r.data 0
 
 let is_empty r = support r = 0
 
-let count r tup =
-  match Tuple.Table.find r.data tup with c -> c | exception Not_found -> 0
+let count r tup = Tuple.Table.find_or r.data (Tuple.hash tup) tup 0
 
 let mem r tup = count r tup <> 0
 
@@ -55,28 +54,28 @@ let rec update_all tup k = function
 
 let update_indexes r tup k = update_all tup k !(r.indexes)
 
+(* [add_hashed r tup h k] adds [k <> 0] to the count of [tup], whose
+   hash is [h]: one probe of the table, then the registered indexes.
+   Its arguments come in {!Tuple.Table.iter_h}'s order, so a delta's
+   stored hashes feed it directly. *)
+let add_hashed r tup h k =
+  Tuple.Table.add_count r.data h tup k;
+  update_indexes r tup k
+
 (** [add_unchecked r tup k] — {!add} minus the schema typecheck, for
     output tuples that are type-correct by construction (projections and
     concatenations of tuples already in a relation).  The hot loops of
     every physical join and of the algebra operators below run through
     it; external writers go through the checked {!add}. *)
 let add_unchecked r tup k =
-  if k <> 0 then begin
-    (match Tuple.Table.find r.data tup with
-    | c ->
-        let c = c + k in
-        if c = 0 then Tuple.Table.remove r.data tup
-        else Tuple.Table.replace r.data tup c
-    | exception Not_found -> Tuple.Table.add r.data tup k);
-    update_indexes r tup k
-  end
+  if k <> 0 then add_hashed r tup (Tuple.hash tup) k
 
 (** [add_absent r tup k] — {!add_unchecked} for a tuple [r] does not
-    hold: one hash instead of two.  The evaluator's output, when it
+    hold: no walk of its bucket.  The evaluator's output, when it
     cannot repeat a tuple, is built this way. *)
 let add_absent r tup k =
   if k <> 0 then begin
-    Tuple.Table.add r.data tup k;
+    Tuple.Table.add r.data (Tuple.hash tup) tup k;
     update_indexes r tup k
   end
 
@@ -184,7 +183,7 @@ let ensure_index r names =
 
 let index_count r = List.length !(r.indexes)
 
-let buckets r = (Tuple.Table.stats r.data).Hashtbl.num_buckets
+let buckets r = Tuple.Table.buckets r.data
 
 (** [injective_on r cols] — some registered index keys only columns among
     [cols], and within each of its buckets the tuples differ on [cols]
@@ -193,25 +192,27 @@ let buckets r = (Tuple.Table.stats r.data).Hashtbl.num_buckets
 let injective_on r cols =
   List.exists (fun ix -> Index.separates ix cols) !(r.indexes)
 
+(* The looked-up side of a comparison is probed by each tuple's stored
+   hash: comparing relations hashes nothing. *)
+let differs b t h c = if Tuple.Table.find_or b.data h t 0 <> c then raise Exit
+
+(* Every tuple of [a] has the same count in [b]. *)
+let same_counts a b =
+  match Tuple.Table.iter_h differs b a.data with
+  | () -> true
+  | exception Exit -> false
+
 (** Multiset equality: same schema (by attribute equality) and identical
     multiplicity for every tuple. *)
 let equal a b =
-  Schema.equal a.schema b.schema
-  && support a = support b
-  && (try
-        iter (fun t c -> if count b t <> c then raise Exit) a;
-        true
-      with Exit -> false)
+  Schema.equal a.schema b.schema && support a = support b && same_counts a b
 
 (** Equality up to attribute names (positional contents only) — used when a
     rewritten view renames columns but preserves extent. *)
 let equal_contents a b =
   Schema.arity a.schema = Schema.arity b.schema
   && support a = support b
-  && (try
-        iter (fun t c -> if count b t <> c then raise Exit) a;
-        true
-      with Exit -> false)
+  && same_counts a b
 
 let pp ppf r =
   let rows = to_counted r in
@@ -282,7 +283,9 @@ let sum_in_place ?(scale = 1) acc d =
     raise
       (Schema_mismatch
          (Fmt.str "sum: %a vs %a" Schema.pp acc.schema Schema.pp d.schema));
-  iter (fun t c -> add_unchecked acc t (scale * c)) d
+  if scale = 1 then Tuple.Table.iter_h add_hashed acc d.data
+  else if scale <> 0 then
+    Tuple.Table.iter_h (fun acc t h c -> add_hashed acc t h (scale * c)) acc d.data
 
 (** [sum a b] multiset union with signed multiplicities (a ⊎ b). *)
 let sum a b =
@@ -341,18 +344,16 @@ let equijoin a b pairs =
   iter
     (fun tb cb ->
       let key = Tuple.project_idx tb lb in
-      let prev = Option.value ~default:[] (Tuple.Table.find_opt index key) in
-      Tuple.Table.replace index key ((tb, cb) :: prev))
+      let h = Tuple.hash key in
+      Tuple.Table.replace index h key
+        ((tb, cb) :: Tuple.Table.find_or index h key []))
     b;
   iter
     (fun ta ca ->
       let key = Tuple.project_idx ta la in
-      match Tuple.Table.find_opt index key with
-      | None -> ()
-      | Some matches ->
-          List.iter
-            (fun (tb, cb) -> add_unchecked out (Tuple.concat ta tb) (ca * cb))
-            matches)
+      List.iter
+        (fun (tb, cb) -> add_unchecked out (Tuple.concat ta tb) (ca * cb))
+        (Tuple.Table.find_or index (Tuple.hash key) key []))
     a;
   out
 
@@ -369,13 +370,15 @@ let scale k r =
   if k <> 0 then iter (fun t c -> add_unchecked out t (k * c)) r;
   out
 
+let short_of b t h c =
+  if c > 0 && Tuple.Table.find_or b.data h t 0 < c then raise Exit
+
 (** [is_subset a b]: every positive tuple of [a] occurs in [b] with at least
     the same multiplicity. *)
 let is_subset a b =
-  try
-    iter (fun t c -> if c > 0 && count b t < c then raise Exit) a;
-    true
-  with Exit -> false
+  match Tuple.Table.iter_h short_of b a.data with
+  | () -> true
+  | exception Exit -> false
 
 (** [min_zero r] clips negative multiplicities to zero — applying a delta to
     a materialized extent must never leave phantom negative tuples; a
@@ -399,6 +402,11 @@ let apply_delta base delta =
          Schema.pp delta.schema);
   r
 
+let goes_negative base t h c =
+  if Tuple.Table.find_or base.data h t 0 + c < 0 then
+    invalid_arg
+      (Fmt.str "apply_delta_in_place: negative multiplicity for %a" Tuple.pp t)
+
 (** [apply_delta_in_place base delta] — same contract as {!apply_delta},
     but mutates [base]: O(|delta|) instead of O(|base|), and registered
     indexes on [base] stay alive and are maintained incrementally.  The
@@ -410,11 +418,5 @@ let apply_delta_in_place base delta =
       (Schema_mismatch
          (Fmt.str "apply_delta_in_place: %a vs %a" Schema.pp base.schema
             Schema.pp delta.schema));
-  iter
-    (fun t c ->
-      if count base t + c < 0 then
-        invalid_arg
-          (Fmt.str "apply_delta_in_place: negative multiplicity for %a"
-             Tuple.pp t))
-    delta;
-  iter (fun t c -> add_unchecked base t c) delta
+  Tuple.Table.iter_h goes_negative base delta.data;
+  Tuple.Table.iter_h add_hashed base delta.data

@@ -40,11 +40,11 @@ val add_unchecked : t -> Tuple.t -> int -> unit
 (** {!add} minus the per-tuple schema typecheck — for evaluator hot loops
     whose output tuples are type-correct by construction (projections and
     concatenations of tuples already in a relation).  Never feed it
-    external input. *)
+    external input.  One hash and one probe of the table. *)
 
 val add_absent : t -> Tuple.t -> int -> unit
-(** {!add_unchecked} for a tuple the relation does not hold: one hash
-    instead of two.  Adding a tuple the relation holds breaks it. *)
+(** {!add_unchecked} for a tuple the relation does not hold: no walk of
+    its bucket.  Adding a tuple the relation holds breaks it. *)
 
 val insert : t -> Tuple.t -> unit
 val delete : t -> Tuple.t -> unit
@@ -116,7 +116,7 @@ val injective_on : t -> int array -> bool
 
 val buckets : t -> int
 (** Size of the tuple table; a table filled past twice its size has
-    re-hashed (introspection/tests). *)
+    doubled (introspection/tests). *)
 
 val equal : t -> t -> bool
 (** Same schema and identical multiplicity for every tuple. *)
@@ -156,7 +156,8 @@ val sum_in_place : ?scale:int -> t -> t -> unit
     (default 1) multiplies [d]'s counts first, so [~scale:(-1)]
     subtracts.  Unlike {!apply_delta_in_place} counts may go negative:
     this is the accumulator of owned folds (batch merges, Equation 6
-    terms, the UMQ's pending-delta sums).  [d] must not be [acc].
+    terms, the UMQ's pending-delta sums).  [d] must not be [acc].  Each
+    tuple of [d] is added under its stored hash: nothing is re-hashed.
     @raise Schema_mismatch on schema disagreement ([acc] unchanged). *)
 
 val negate : t -> t
@@ -198,5 +199,7 @@ val apply_delta_in_place : t -> t -> unit
 (** Same contract as {!apply_delta}, but mutates the base in place:
     O(|delta|) instead of O(|base|), and registered indexes stay alive and
     are maintained incrementally.  The non-negativity precheck runs before
-    any mutation, so a rejected delta leaves the base untouched.
+    any mutation, so a rejected delta leaves the base untouched.  Both
+    passes read the delta's stored hashes, so no delta tuple is hashed;
+    [delta] must not be [base].
     @raise Invalid_argument on negative residue (base unchanged). *)

@@ -45,8 +45,9 @@ let find s name = attr_at s (index_of s name)
 let find_opt s name = Option.map (attr_at s) (index_of_opt s name)
 
 let equal a b =
-  Array.length a.attrs = Array.length b.attrs
-  && Array.for_all2 Attr.equal a.attrs b.attrs
+  a == b
+  || Array.length a.attrs = Array.length b.attrs
+     && Array.for_all2 Attr.equal a.attrs b.attrs
 
 (** Same attribute names and types regardless of order. *)
 let equivalent a b =

@@ -225,10 +225,10 @@ type probe = {
   plan : Eval.prepared;
       (** [query] prepared against the table's believed schema and the
           partial result's schema at this point of the sweep *)
-  local_plan : Eval.prepared;
+  local_plan : Eval.prepared Lazy.t;
       (** the same query prepared against the projection of the table on
           its needed attributes — what a self-maintenance auxiliary view
-          holds *)
+          holds — when a local sweep first needs it *)
 }
 
 type sweep = {
@@ -283,11 +283,16 @@ let compile ~version (q : Query.t) (schemas : (string * Schema.t) list)
         let query =
           probe_query q owner tr ~partial_schema:!partial ~bound:!bound
         in
+        let here = !partial in
         let prepare s =
-          Eval.prepare query [ (tr.alias, s); (partial_alias, !partial) ]
+          Eval.prepare query [ (tr.alias, s); (partial_alias, here) ]
         in
         let plan = prepare (believed tr) in
-        let local_plan = prepare (Schema.project (believed tr) needed) in
+        (* It cannot fail where [plan] did not: its schema keeps every
+           attribute of the table the query reads. *)
+        let local_plan =
+          lazy (prepare (Schema.project (believed tr) needed))
+        in
         partial := Eval.output_schema plan;
         bound := tr.alias :: !bound;
         { table = tr; needed; query; plan; local_plan })

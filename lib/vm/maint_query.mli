@@ -82,10 +82,10 @@ type probe = {
   plan : Eval.prepared;
       (** [query] prepared against the table's believed schema and the
           partial result's schema at this point of the sweep *)
-  local_plan : Eval.prepared;
+  local_plan : Eval.prepared Lazy.t;
       (** the same query prepared against the projection of the table on
           its needed attributes, as a self-maintenance auxiliary view
-          holds it *)
+          holds it; prepared when a local sweep first needs it *)
 }
 
 type sweep = private {

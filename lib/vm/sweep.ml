@@ -235,7 +235,8 @@ let delta_view_local (w : Query_engine.t) (sw : Maint_query.sweep)
             List.fold_left
               (fun (partial, st) ((p : Maint_query.probe), aux_data, pending) ->
                 let answer =
-                  Eval.execute_rows ~planner p.Maint_query.local_plan
+                  Eval.execute_rows ~planner
+                    (Lazy.force p.Maint_query.local_plan)
                     [ Rows.of_relation aux_data; partial ]
                 in
                 let st =

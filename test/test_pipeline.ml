@@ -181,7 +181,8 @@ let hashed_sweep ~planner ~local ~aux ~base ~pending sw delta =
         (fun (partial, answers, masses, bytes) (p : probe) ->
           let alias = p.table.Query.alias in
           let answer =
-            if local then Eval.execute ~planner p.local_plan [ aux alias; partial ]
+            if local then
+              Eval.execute ~planner (Lazy.force p.local_plan) [ aux alias; partial ]
             else Eval.execute ~planner p.plan [ base alias; partial ]
           in
           let bytes = bytes + est partial + est answer in
