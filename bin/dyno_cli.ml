@@ -199,14 +199,26 @@ let critical_path_flag =
   in
   Arg.(value & flag & info [ "critical-path" ] ~doc)
 
+(* The status of a command that could not write a file it was asked
+   for. *)
+let cannot_write = 1
+
 (* Write [contents ()] and a newline to [path], when given, and announce
-   it. *)
+   it; a file that cannot be written ends the command with one line and
+   [cannot_write]. *)
 let export path contents announce =
   Option.iter
     (fun f ->
-      Out_channel.with_open_text f (fun oc ->
-          output_string oc (contents ());
-          output_char oc '\n');
+      (try
+         Out_channel.with_open_text f (fun oc ->
+             output_string oc (contents ());
+             output_char oc '\n')
+       with Sys_error e ->
+         (* An [open] error already reads "FILE: reason". *)
+         let prefix = f ^ ": " in
+         Fmt.epr "dyno: cannot write %s@."
+           (if String.starts_with ~prefix e then e else prefix ^ e);
+         exit cannot_write);
       announce f)
     path
 
@@ -544,11 +556,13 @@ let slo_failed = 3
 let rejected_refresh = 4
 
 (* The statuses of a command that runs the workload, besides cmdliner's;
-   [report] and [run] also end on the view and the SLOs. *)
+   [report] and [run] also write files and end on the view and the
+   SLOs. *)
 let run_exits ~verdicts =
   let status code doc = Cmd.Exit.info code ~doc in
   (if verdicts then
      [
+       status cannot_write "when an output file cannot be written.";
        status view_undefined "when a schema change left the view undefined.";
        status slo_failed
          "when $(b,--slo-exit) is given and an objective failed.";
@@ -638,7 +652,7 @@ let run_cmd =
           [ t.mv; Scenario.add_view t (Paper_schema.view2_query ()) ]
         in
         let stats =
-          Scheduler.dispatch ~config:spec.run ~plan:t.plan t.engine views t.mk
+          Scheduler.dispatch ~config:spec.run t.engine views t.mk
         in
         List.iteri
           (fun i mv ->
@@ -904,6 +918,13 @@ let sql_cmd =
         Dyno_source.Registry.register registry (Dyno_source.Data_source.create id)
     in
     let fail fmt = Fmt.kstr (fun s -> Fmt.epr "error: %s@." s; exit 1) fmt in
+    (* The statements the sources commit during the run, newest first. *)
+    let scheduled = ref [] in
+    let schedule stmt_text ev =
+      Dyno_sim.Timeline.schedule timeline ~time:!next_time ev;
+      next_time := !next_time +. 1.0;
+      scheduled := stmt_text :: !scheduled
+    in
     let schema_of ~source ~rel =
       match Dyno_source.Registry.find_opt registry source with
       | None -> fail "unknown source %s" source
@@ -921,10 +942,17 @@ let sql_cmd =
           match Sql_parser.parse_view stmt_text with
           | Error e -> fail "in %S: %s" stmt_text e
           | Ok q ->
-              List.iter
-                (fun (tr : Query.table_ref) ->
-                  ignore (schema_of ~source:tr.source ~rel:tr.rel : Schema.t))
-                (Query.from q);
+              let schemas =
+                List.map
+                  (fun (tr : Query.table_ref) ->
+                    (tr.alias, schema_of ~source:tr.source ~rel:tr.rel))
+                  (Query.from q)
+              in
+              (match Eval.prepare q schemas with
+              | _ -> ()
+              | exception Eval.Error e -> fail "in %S: %s" stmt_text e
+              | exception Schema.Duplicate_attribute a ->
+                  fail "in %S: duplicate column %s" stmt_text a);
               world :=
                 Some
                   (Scenario.assemble
@@ -941,38 +969,56 @@ let sql_cmd =
           | Error e -> fail "in %S: %s" stmt_text e
           | Ok (Sql_parser.Create_table { source; rel; schema }) ->
               ensure_source source;
-              Dyno_source.Data_source.add_relation
-                (Dyno_source.Registry.find registry source)
-                rel schema
+              let src = Dyno_source.Registry.find registry source in
+              if Catalog.mem (Dyno_source.Data_source.catalog src) rel then
+                fail "in %S: relation %s@%s already exists" stmt_text rel source;
+              Dyno_source.Data_source.add_relation src rel schema
           | Ok (Sql_parser.Insert { source; rel; _ } as stmt)
           | Ok (Sql_parser.Delete { source; rel; _ } as stmt) -> (
               let schema = schema_of ~source ~rel in
               match Sql_parser.to_update schema stmt with
               | Error e -> fail "in %S: %s" stmt_text e
               | Ok u ->
-                  if !world = None then
+                  if !world = None then begin
                     (* before the view exists: direct load *)
-                    Dyno_source.Data_source.load_counted
-                      (Dyno_source.Registry.find registry source)
-                      rel
-                      (Relation.fold
-                         (fun t c acc -> (Array.to_list t, c) :: acc)
-                         (Update.delta u) [])
-                  else begin
-                    Dyno_sim.Timeline.schedule timeline ~time:!next_time
-                      (Dyno_sim.Timeline.Du u);
-                    next_time := !next_time +. 1.0
-                  end)
+                    let r =
+                      Dyno_source.Data_source.relation
+                        (Dyno_source.Registry.find registry source)
+                        rel
+                    in
+                    try Relation.apply_delta_in_place r (Update.delta u)
+                    with Invalid_argument reason ->
+                      fail "in %S: %s" stmt_text reason
+                  end
+                  else schedule stmt_text (Dyno_sim.Timeline.Du u))
           | Ok (Sql_parser.Alter sc) ->
               if !world = None then fail "schema changes require a view first";
-              Dyno_sim.Timeline.schedule timeline ~time:!next_time
-                (Dyno_sim.Timeline.Sc sc);
-              next_time := !next_time +. 1.0)
+              let source = Schema_change.source sc in
+              if not (Dyno_source.Registry.mem registry source) then
+                fail "in %S: unknown source %s" stmt_text source;
+              schedule stmt_text (Dyno_sim.Timeline.Sc sc))
       (Sql_lexer.statements text);
     match !world with
     | None -> fail "the script must contain a CREATE VIEW statement"
     | Some t ->
-        let stats = Scenario.run t ~config:(Run_config.of_strategy strategy) in
+        let stats =
+          try Scenario.run t ~config:(Run_config.of_strategy strategy)
+          with Dyno_source.Data_source.Commit_rejected reason ->
+            (* The sources commit the scheduled statements one at a time,
+               in script order, and nothing else: as many have committed
+               as the sources' versions sum to, and the next one was
+               rejected. *)
+            let committed =
+              List.fold_left
+                (fun n id ->
+                  n
+                  + Dyno_source.Data_source.version
+                      (Dyno_source.Registry.find registry id))
+                0
+                (Dyno_source.Registry.ids registry)
+            in
+            fail "in %S: %s" (List.nth (List.rev !scheduled) committed) reason
+        in
         if trace then Fmt.pr "%a@.@." Dyno_sim.Trace.pp t.trace;
         Fmt.pr "%a@.@." Sql.pp_view (Dyno_view.View_def.peek (Dyno_view.Mat_view.def t.mv));
         Fmt.pr "%a@.@." Sql.pp_relation_table (Dyno_view.Mat_view.extent t.mv);
@@ -982,7 +1028,14 @@ let sql_cmd =
         | Error e -> Fmt.pr "convergence not checkable: %s@." e
   in
   Cmd.v
-    (Cmd.info "sql" ~doc:"Run a scripted SQL session under Dyno maintenance")
+    (Cmd.info "sql"
+       ~exits:
+         (Cmd.Exit.info 1
+            ~doc:
+              "when a statement is malformed, names what does not exist, \
+               or commits a change its source rejects."
+         :: Cmd.Exit.defaults)
+       ~doc:"Run a scripted SQL session under Dyno maintenance")
     Term.(const action $ file $ strategy $ trace_flag)
 
 (* ---- demo ---------------------------------------------------------- *)

@@ -170,7 +170,7 @@ let make ?(cost = Dyno_sim.Cost_model.free) ?(trace_enabled = true)
     };
   let umq = Umq.create () in
   let trace = Dyno_sim.Trace.create ~enabled:trace_enabled () in
-  let engine = Query_engine.create ~trace ~cost ~registry ~timeline ~umq () in
+  let engine = Query_engine.create ~trace ~cost ~registry ~timeline ~umqs:[| umq |] () in
   let vd = View_def.create ~schemas:(view_schemas ()) (view_query ()) in
   let mv = Mat_view.create ~track_snapshots vd (Relation.create Schema.empty) in
   let env (tr : Query.table_ref) =

@@ -95,7 +95,7 @@ let () =
   let engine =
     Query_engine.create ~trace
       ~cost:{ Dyno_sim.Cost_model.default with row_scale = 1.0 }
-      ~registry ~timeline ~umq ()
+      ~registry ~timeline ~umqs:[| umq |] ()
   in
   let vd = View_def.create ~schemas view in
   let mv = Mat_view.create vd (Relation.create Schema.empty) in

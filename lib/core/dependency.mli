@@ -10,8 +10,6 @@ open Dyno_view
 
 type kind = Concurrent | Semantic
 
-val kind_to_string : kind -> string
-
 type edge = {
   dependent : int;  (** node index of M(X) *)
   prerequisite : int;  (** node index of M(Y), which must run first *)

@@ -164,9 +164,3 @@ let register_probes t series =
         (Fmt.str "view.%s.applied.%s" t.view id)
         (fun _ -> float_of_int s.applied))
     t.sources
-
-(** Per-source frontier snapshot: [(source, applied, committed)]. *)
-let frontier t =
-  List.map
-    (fun (id, s) -> (id, s.applied, Dyno_source.Data_source.version s.ds))
-    t.sources

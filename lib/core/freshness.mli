@@ -26,19 +26,13 @@ val staleness_seconds : t -> now:float -> float
 (** Seconds since the view last reflected every source (0 when caught
     up). *)
 
-val note_applied :
-  t -> now:float -> source:string -> version:int -> commit_time:float -> unit
-(** The view now reflects [source] up to [version].  Re-derives the lag
+val note_entry : t -> now:float -> Dyno_view.Update_msg.t list -> unit
+(** The view now reflects every message of a maintained queue entry:
+    each advances its source's applied frontier.  Re-derives the lag
     before/after at the same [now] and counts any monotonicity violation
     in [freshness.monotonicity_violations] (pinned at 0 by tests).  With
-    the registry disabled it only advances the frontier. *)
-
-val note_entry : t -> now:float -> Dyno_view.Update_msg.t list -> unit
-(** {!note_applied} for every message of a maintained queue entry. *)
+    the registry disabled it only advances the frontiers. *)
 
 val register_probes : t -> Dyno_obs.Timeseries.t -> unit
 (** Staleness gauges + per-source commit/applied frontier probes
     ([`Counter]-kinded, so the sampler derives commit/apply rates). *)
-
-val frontier : t -> (string * int * int) list
-(** Per-source [(source, applied version, committed version)]. *)

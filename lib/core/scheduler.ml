@@ -19,9 +19,9 @@
     commits are drained (a real deployment runs forever; experiments have
     finite workloads).
 
-    The core runs over three inputs: the queues (one route, or one per
-    shard of a {!Shard.t} plan), the views (one, or several for
-    multi-view), and the round width [config.parallel].  Several shard
+    The core runs over three inputs: the queues (the engine's routes —
+    one, or one per shard), the views (one, or several for multi-view),
+    and the round width [config.parallel].  Several shard
     queues cannot be rewritten by a correction, so they detect and correct
     at a cross-shard barrier instead — for every strategy, since a
     schema change's dependencies may reach other shards' queues. *)
@@ -1182,23 +1182,13 @@ let register_series c (series : Dyno_obs.Timeseries.t) : unit =
            0 c.views));
   List.iter (fun v -> Freshness.register_probes v.fresh series) c.views
 
-let dispatch ?(config = Run_config.default) ?plan (w : Query_engine.t)
+let dispatch ?(config = Run_config.default) (w : Query_engine.t)
     (mvs : Mat_view.t list) (mk : Dyno_source.Meta_knowledge.t) : Stats.t =
   if mvs = [] then invalid_arg "Scheduler.dispatch: no view";
-  (* One queue per route: draining fewer queues than the engine delivers
-     to would wait forever on the rest. *)
-  let shards = match plan with Some p -> Shard.count p | None -> 1 in
-  if Query_engine.route_count w <> shards then
-    invalid_arg
-      (Fmt.str "Scheduler.dispatch: %d shard(s) but %d engine route(s)" shards
-         (Query_engine.route_count w));
   let obs = Query_engine.obs w in
-  let umqs, owner =
-    match plan with
-    | Some p when shards > 1 ->
-        (Array.init shards (Query_engine.route_umq w), Shard.owner p)
-    | _ -> ([| Query_engine.umq w |], fun _ -> 0)
-  in
+  (* Every route's queue, each source's owner as the engine routes it. *)
+  let umqs = Array.of_list (Query_engine.umqs w)
+  and owner = Query_engine.route_of w in
   let view mv =
     let store =
       if config.self_maint then begin

@@ -32,9 +32,9 @@
     Self-maintenance builds one auxiliary-view store per view.
 
     {b Shards.}  A {!Shard.t} plan partitions the sources; each shard owns
-    its own queue, transport channel and exactly-once sequencer
-    (installed by {!Dyno_view.Query_engine.install_routes}) and drains
-    single data updates independently — per round, every shard
+    its own queue, transport channel and exactly-once sequencer (one
+    route of the engine, built by {!Dyno_view.Query_engine.create}) and
+    drains single data updates independently — per round, every shard
     contributes an antichain of data updates from distinct sources, and
     refreshes commit serially in global arrival order (message id), the
     dispatch-time exclusion-set discipline of parallel rounds lifted
@@ -104,22 +104,20 @@ val record_net_stats : Query_engine.t -> Stats.t -> unit
 
 val dispatch :
   ?config:Run_config.t ->
-  ?plan:Shard.t ->
   Query_engine.t ->
   Mat_view.t list ->
   Dyno_source.Meta_knowledge.t ->
   Stats.t
-(** The dispatch core: one loop over the queues (the engine's first
-    route, or one route per shard of [plan] when it has more than one
-    shard), the views (one, or several maintained as a view set) and the
-    round width [config.parallel] (per queue: at most
-    [parallel × shards] sweeps are in flight per round).  [config]
-    defaults to {!Run_config.default}.  Grouping ([du_group]) needs one
-    queue and one view; a view set maintains incrementally, one entry at
-    a time.  Several queues detect and correct at a cross-shard
+(** The dispatch core: one loop over the queues (every route of the
+    engine, each source's updates on the queue
+    {!Dyno_view.Query_engine.route_of} names), the views (one, or several
+    maintained as a view set) and the round width [config.parallel] (per
+    queue: at most [parallel × shards] sweeps are in flight per round).
+    [config] defaults to {!Run_config.default}.  Grouping ([du_group])
+    needs one queue and one view; a view set maintains incrementally, one
+    entry at a time.  Several queues detect and correct at a cross-shard
     barrier.
-    @raise Invalid_argument on an empty view list, or when the engine's
-    route count differs from [plan]'s shard count (1 without a plan).
+    @raise Invalid_argument on an empty view list.
     @raise Step_limit_exceeded if the loop exceeds [config.max_steps]. *)
 
 val run :
@@ -128,7 +126,7 @@ val run :
   Mat_view.t ->
   Dyno_source.Meta_knowledge.t ->
   Stats.t
-(** [run w mv mk] loops until both the UMQ and the timeline of future
-    source commits are drained, and returns the collected statistics.
-    @raise Invalid_argument when the engine has more than one route.
+(** [run w mv mk] is {!dispatch} over the one view: it loops until the
+    queues and the timeline of future source commits are drained, and
+    returns the collected statistics.
     @raise Step_limit_exceeded if the loop exceeds [config.max_steps]. *)

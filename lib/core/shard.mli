@@ -20,20 +20,9 @@ val plan : shards:int -> string list -> t
     @raise Invalid_argument if [shards < 1], or [sources] is empty or
     contains duplicates. *)
 
-val solo : string list -> t
-(** [plan ~shards:1 sources] — everything on one shard. *)
-
 val count : t -> int
 (** Number of shards (≥ 1). *)
 
 val owner : t -> string -> int
 (** The shard owning a source — O(1).
     @raise Invalid_argument on a source outside the plan. *)
-
-val sources_of : t -> int -> string list
-(** Sources owned by a shard, in the original [sources] order. *)
-
-val sources : t -> string list
-(** Every source in the plan, in the original order. *)
-
-val pp : Format.formatter -> t -> unit

@@ -69,13 +69,10 @@ val episodes : t -> episode_kind -> aborted:bool -> episodes
 val note_episode : t -> episode_kind -> aborted:bool -> float -> unit
 (** Count one episode lasting the given seconds. *)
 
-val has_transport_activity : t -> bool
-(** Any transport counter nonzero — i.e. the channel actually misbehaved. *)
-
 val pp : Format.formatter -> t -> unit
-(** Prints the transport line only when {!has_transport_activity}, so
-    reliable-channel runs render byte-identically to the historical
-    output. *)
+(** Prints the transport line only when some transport counter is
+    nonzero (the channel actually misbehaved), so reliable-channel runs
+    render byte-identically to the historical output. *)
 
 val to_json_string : t -> string
 (** Machine-readable JSON rendering of every field. *)

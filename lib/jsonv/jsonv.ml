@@ -240,7 +240,6 @@ let parse_file path =
 
 let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 let num = function Num f -> Some f | _ -> None
-let str = function Str s -> Some s | _ -> None
 let arr = function Arr l -> Some l | _ -> None
 
 let quote s =

@@ -26,7 +26,6 @@ val member : string -> t -> t option
 (** Object field lookup ([None] on non-objects too). *)
 
 val num : t -> float option
-val str : t -> string option
 val arr : t -> t list option
 
 val to_string : t -> string

@@ -57,17 +57,6 @@ let reliable =
     outages = [];
   }
 
-let pp_outage ppf o =
-  Fmt.pf ppf "%s off [%.3fs, %.3fs)" o.source o.starts o.ends
-
-let pp_faults ppf f =
-  Fmt.pf ppf
-    "@[<h>latency=%.3fs jitter=%.3fs loss=%.2f dup=%.2f reorder=%.2f \
-     retransmit=%.3fs%a@]"
-    f.latency f.jitter f.loss f.dup f.reorder f.retransmit
-    Fmt.(list ~sep:nop (any " " ++ pp_outage))
-    f.outages
-
 type 'a packet = {
   source : string;
   seq : int;  (** per-source monotone sequence number *)
@@ -97,7 +86,6 @@ let create ?(faults = reliable) ?(obs = Dyno_obs.Obs.disabled) ~seed () =
     duplicates_sent = 0;
   }
 
-let faults t = t.faults
 let in_flight t = List.length t.order
 let has_packets t = match t.order with [] -> false | _ :: _ -> true
 let lost_transmissions t = t.lost_transmissions
@@ -240,7 +228,3 @@ let next_arrival t =
       | None -> Some p.arrival
       | Some a -> Some (Float.min a p.arrival))
     None t.order
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>channel (%d in flight): %a@]" (in_flight t) pp_faults
-    t.faults

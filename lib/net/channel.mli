@@ -27,8 +27,6 @@ type faults = {
 val reliable : faults
 (** All rates and delays zero; no outages. *)
 
-val pp_faults : Format.formatter -> faults -> unit
-
 (** One delivered copy of an update message. *)
 type 'a packet = {
   source : string;
@@ -46,7 +44,6 @@ type 'a t
     [net.*] fault counters. *)
 val create :
   ?faults:faults -> ?obs:Dyno_obs.Obs.t -> seed:int -> unit -> 'a t
-val faults : 'a t -> faults
 val in_flight : 'a t -> int
 
 val has_packets : 'a t -> bool
@@ -89,5 +86,3 @@ val outage_at : 'a t -> source:string -> now:float -> outage option
 val rpc_lost : 'a t -> bool
 (** Decide the fate of one maintenance-query round trip (request or reply
     lost).  Draws nothing when the loss rate is zero. *)
-
-val pp : Format.formatter -> 'a t -> unit

@@ -27,7 +27,7 @@
     recorder.
 
     Span names and event details are [string Lazy.t]s, rendered only
-    when read (by {!pp_span} or an exporter), under the capture rule
+    when read (by an exporter), under the capture rule
     stated in [span.mli]. *)
 
 (** The span vocabulary of the maintenance pipeline.  [Maintain] is the
@@ -162,8 +162,6 @@ let set_context r ctx =
       | None -> []);
     r.ambient <- ctx
   end
-
-let context r = r.ambient
 
 (* Has span [id] been issued? *)
 let live r id = id > 0 && id < r.next_id
@@ -300,10 +298,3 @@ let count_kind r kind =
   List.fold_left
     (fun acc sp -> if sp.kind = kind then acc + 1 else acc)
     0 r.closed
-
-let pp_span ppf sp =
-  Fmt.pf ppf "[%8.3fs +%7.3fs] %-10s %s" sp.start (sp.finish -. sp.start)
-    (kind_to_string sp.kind) (Lazy.force sp.name)
-
-let pp ppf r =
-  Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:cut pp_span) (spans r)

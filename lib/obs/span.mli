@@ -7,7 +7,7 @@
     is a structural no-op.
 
     Span names and event details are [string Lazy.t]s, rendered only when
-    they are read: by {!pp_span} or an exporter.  {b Capture rule}: such
+    they are read, by an exporter.  {b Capture rule}: such
     a lazy is forced long after it is recorded, so it may capture only
     values that nothing mutates afterwards — messages, queue entries,
     timeline events and their deltas, ints, floats and strings.  Read
@@ -37,7 +37,7 @@ val all_kinds : kind list
 type t = {
   id : int;  (** unique per recorder, > 0 *)
   parent : int;  (** enclosing span id, or 0 for a root span *)
-  tid : int;  (** logical thread (see {!thread_id}) *)
+  tid : int;  (** logical thread (see {!threads}) *)
   kind : kind;
   mutable name : string Lazy.t;  (** rendered when read *)
   start : float;  (** simulated seconds *)
@@ -61,14 +61,11 @@ val disabled : recorder
     constantly [0], nothing is allocated per call. *)
 
 val enabled : recorder -> bool
-val scheduler_thread : string
-
-val thread_id : recorder -> string -> int
-(** Stable small integer for a logical thread name (get-or-create).
-    Thread 0 is the scheduler; sources register as they first appear. *)
 
 val threads : recorder -> (string * int) list
-(** Registered threads, in registration order. *)
+(** Registered logical threads and their stable small ids, in
+    registration order: thread 0 is the scheduler; sources register as
+    they first appear. *)
 
 val set_context : recorder -> int -> unit
 (** Switch the ambient open-span context.  Context 0 is the ordinary
@@ -76,9 +73,6 @@ val set_context : recorder -> int -> unit
     distinct context per task so that spans opened by interleaved tasks
     nest under their own task's open spans, not each other's.  No-op on
     a disabled recorder. *)
-
-val context : recorder -> int
-(** The current ambient context (0 unless inside an executor task). *)
 
 val begin_span :
   recorder -> time:float -> ?thread:string -> kind -> string Lazy.t -> int
@@ -122,5 +116,3 @@ val total_duration : recorder -> kind -> float
 (** Summed duration of all closed spans of a kind. *)
 
 val count_kind : recorder -> kind -> int
-val pp_span : Format.formatter -> t -> unit
-val pp : Format.formatter -> recorder -> unit

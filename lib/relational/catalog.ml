@@ -12,8 +12,6 @@ exception Relation_exists of string
 
 let create () = { rels = [] }
 
-let of_list rels = { rels }
-
 let copy c = { rels = c.rels }
 
 let relations c = List.map fst c.rels
@@ -72,9 +70,3 @@ let apply c (sc : Schema_change.t) =
     to only emit applicable DDL. *)
 let validates c sc =
   match apply (copy c) sc with () -> true | exception _ -> false
-
-let pp ppf c =
-  Fmt.pf ppf "@[<v>%a@]"
-    Fmt.(
-      list ~sep:cut (fun ppf (n, s) -> Fmt.pf ppf "%s %a" n Schema.pp s))
-    c.rels

@@ -9,7 +9,6 @@ exception No_such_relation of string
 exception Relation_exists of string
 
 val create : unit -> t
-val of_list : (string * Schema.t) list -> t
 val copy : t -> t
 
 val relations : t -> string list
@@ -24,8 +23,6 @@ val add_relation : t -> string -> Schema.t -> unit
 (** @raise Relation_exists when taken. *)
 
 val drop_relation : t -> string -> unit
-val replace_schema : t -> string -> Schema.t -> unit
-val rename_relation : t -> old_name:string -> new_name:string -> unit
 
 val apply : t -> Schema_change.t -> unit
 (** Mutate the catalog per one schema change.
@@ -34,5 +31,3 @@ val apply : t -> Schema_change.t -> unit
 
 val validates : t -> Schema_change.t -> bool
 (** Would [apply] succeed?  (Non-mutating.) *)
-
-val pp : Format.formatter -> t -> unit

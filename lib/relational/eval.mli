@@ -8,26 +8,6 @@
 
 exception Error of string
 
-(** Name-resolution context: aliases bound to relations, with original
-    schemas kept (joined schemas may suffix-rename clashing columns, but
-    positions are stable). *)
-type binding = { alias : string; schema : Schema.t; offset : int }
-
-type binder = {
-  bindings : binding list;
-  owner : Attr.Qualified.t -> string;
-      (** owning alias of an unqualified reference *)
-}
-
-val make_binder : Query.t -> (string * Schema.t) list -> binder
-(** @raise Error on unknown or ambiguous references. *)
-
-val resolve : binder -> Attr.Qualified.t -> int
-(** Absolute position of a reference in the join-product tuple. *)
-
-val resolve_in_alias : binder -> string -> string -> int
-(** Position of an attribute within a single bound relation. *)
-
 (** {1 Physical operators} *)
 
 val positional_join :

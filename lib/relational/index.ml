@@ -95,8 +95,3 @@ let separates ix cols =
 (** Number of distinct tuples across all buckets. *)
 let support ix =
   Tuple.Table.fold (fun _ b acc -> acc + List.length b) ix.buckets 0
-
-let pp ppf ix =
-  Fmt.pf ppf "index on columns (%a): %d key(s), %d tuple(s)"
-    Fmt.(array ~sep:(any ",") int)
-    ix.positions (key_count ix) (support ix)

@@ -46,5 +46,3 @@ val separates : t -> int array -> bool
 
 val support : t -> int
 (** Distinct tuples across all buckets. *)
-
-val pp : Format.formatter -> t -> unit

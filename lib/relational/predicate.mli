@@ -12,7 +12,6 @@ type t = atom list
 (** Conjunction of atoms; [[]] is TRUE. *)
 
 val op_to_string : op -> string
-val pp_operand : Format.formatter -> operand -> unit
 val pp_atom : Format.formatter -> atom -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
@@ -28,14 +27,8 @@ val eq_attr : string -> string -> atom
 val eq_const : string -> Value.t -> atom
 val cmp : string -> op -> Value.t -> atom
 
-val apply_op : op -> int -> bool
-(** Interpret a comparison against a [compare]-style result. *)
-
 val refs : t -> Attr.Qualified.t list
 (** Every attribute reference occurring in the conjunction. *)
-
-val eval_atom : (Attr.Qualified.t -> int) -> atom -> Tuple.t -> bool
-(** [resolve] maps a reference to a tuple position. *)
 
 val eval : (Attr.Qualified.t -> int) -> t -> Tuple.t -> bool
 

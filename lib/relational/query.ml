@@ -64,10 +64,6 @@ let sources q =
     (fun acc tr -> if List.mem tr.source acc then acc else acc @ [ tr.source ])
     [] q.from
 
-(** [tables_of_source q ds] is the table refs hosted at source [ds]. *)
-let tables_of_source q ds =
-  List.filter (fun tr -> String.equal tr.source ds) q.from
-
 (** [mentions_relation q ~source ~rel] holds when the query reads [rel] at
     [source] — the metadata test used when drawing concurrent-dependency
     edges (Section 4.1.1). *)

@@ -49,8 +49,6 @@ val sources : t -> string list
 (** Distinct source ids read, in FROM order — the [DS_1 … DS_n] of the
     paper's Definition 1. *)
 
-val tables_of_source : t -> string -> table_ref list
-
 val mentions_relation : t -> source:string -> rel:string -> bool
 (** The metadata test used when drawing concurrent-dependency edges. *)
 
@@ -68,7 +66,6 @@ val mentions_attribute :
 
 (** {1 Rewriting helpers (view synchronization)} *)
 
-val map_tables : (table_ref -> table_ref) -> t -> t
 val map_refs : (Attr.Qualified.t -> Attr.Qualified.t) -> t -> t
 
 val rename_relation : t -> source:string -> old_rel:string -> new_rel:string -> t
@@ -84,7 +81,5 @@ val rename_attribute :
 (** Rewrites references to [alias.old_name]; select-item output names
     ([as_name]) survive. *)
 
-val pp_table : Format.formatter -> table_ref -> unit
-val pp_item : Format.formatter -> select_item -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -42,8 +42,6 @@ let is_empty r = support r = 0
 
 let count r tup = Tuple.Table.find_or r.data (Tuple.hash tup) tup 0
 
-let mem r tup = count r tup <> 0
-
 (* Registered indexes follow every change of a tuple's count; a loop,
    not [List.iter], so the change allocates no closure. *)
 let rec update_all tup k = function
@@ -111,11 +109,6 @@ let to_counted r =
   List.sort
     (fun (a, _) (b, _) -> Tuple.compare a b)
     (fold (fun t c acc -> (t, c) :: acc) r [])
-
-let to_list r =
-  List.concat_map
-    (fun (t, c) -> if c > 0 then List.init c (fun _ -> t) else [])
-    (to_counted r)
 
 (* The copy shares the (immutable) tuples but no mutable state: its
    table and every registered index are copied, so both sides evolve

@@ -30,7 +30,6 @@ val mass : t -> int
 
 val is_empty : t -> bool
 val count : t -> Tuple.t -> int
-val mem : t -> Tuple.t -> bool
 
 val add : t -> Tuple.t -> int -> unit
 (** Adjust a tuple's multiplicity; entries reaching zero are dropped.
@@ -68,10 +67,6 @@ val fold : (Tuple.t -> int -> 'a -> 'a) -> t -> 'a -> 'a
 
 val to_counted : t -> (Tuple.t * int) list
 (** O(n log n) snapshot, sorted by tuple order — tests/printing only. *)
-
-val to_list : t -> Tuple.t list
-(** O(n log n) snapshot of the positive part, duplicates expanded —
-    tests/printing only. *)
 
 val copy : t -> t
 (** A copy that shares the original's (immutable) tuples and nothing
@@ -186,8 +181,6 @@ val scale : int -> t -> t
 val is_subset : t -> t -> bool
 (** Every positive tuple occurs in the second argument with at least the
     same multiplicity. *)
-
-val has_negative : t -> bool
 
 val apply_delta : t -> t -> t
 (** [apply_delta base delta = sum base delta], checking the result is a

@@ -57,8 +57,6 @@ let equivalent a b =
 let pp ppf s =
   Fmt.pf ppf "(%a)" Fmt.(list ~sep:(any ", ") Attr.pp) (attrs s)
 
-let to_string s = Fmt.str "%a" pp s
-
 (* -- Schema surgery: the primitives that schema changes are built from. -- *)
 
 (** [project s names] keeps exactly [names], in the order given.

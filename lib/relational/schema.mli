@@ -33,7 +33,6 @@ val equivalent : t -> t -> bool
 (** Same attributes regardless of order. *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
 
 (** {1 Schema surgery — the primitives schema changes are built from} *)
 

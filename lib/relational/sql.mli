@@ -8,8 +8,6 @@ val pp_view : Format.formatter -> Query.t -> unit
 
 val view_to_string : Query.t -> string
 
-val pp_values : Format.formatter -> Tuple.t -> unit
-
 val pp_update : Format.formatter -> Update.t -> unit
 (** A block of INSERT/DELETE statements. *)
 

@@ -25,8 +25,6 @@ type token =
 
 exception Lex_error of string
 
-val keywords : string list
-
 val pp_token : Format.formatter -> token -> unit
 
 val tokenize : string -> token list

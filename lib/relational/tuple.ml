@@ -8,7 +8,6 @@ type t = Value.t array
 
 let of_list = Array.of_list
 let to_list = Array.to_list
-let arity (t : t) = Array.length t
 let get (t : t) i = t.(i)
 
 let rec equal_from (a : t) (b : t) n i =
@@ -41,15 +40,8 @@ let hash (t : t) =
 let pp ppf (t : t) =
   Fmt.pf ppf "(%a)" Fmt.(array ~sep:(any ", ") Value.pp) t
 
-let to_string t = Fmt.str "%a" pp t
-
 (** [field schema t name] is name-based access via the schema. *)
 let field schema (t : t) name = t.(Schema.index_of schema name)
-
-(** [project schema t names] builds a new tuple containing [names] in the
-    given order. *)
-let project schema (t : t) names : t =
-  Array.of_list (List.map (fun n -> field schema t n) names)
 
 (** [project_idx t idxs] positional projection (precomputed index list),
     the hot path used by the evaluator. *)
@@ -66,12 +58,6 @@ let project_idx (t : t) idxs : t =
 
 (** [concat a b] juxtaposes two tuples (join product). *)
 let concat (a : t) (b : t) : t = Array.append a b
-
-(** [update_at t i v] functional single-field update. *)
-let update_at (t : t) i v : t =
-  let t' = Array.copy t in
-  t'.(i) <- v;
-  t'
 
 (** [drop_at t i] removes position [i] (drop-attribute schema change). *)
 let drop_at (t : t) i : t =

@@ -35,13 +35,3 @@ let size u = Relation.mass u.delta
 
 let pp ppf u =
   Fmt.pf ppf "@[<v2>DU %s@%s:@,%a@]" u.rel u.source Relation.pp u.delta
-
-let to_string u = Fmt.str "%a" pp u
-
-(** [merge a b] concatenates two deltas to the same relation (later one
-    second).  @raise Relation.Schema_mismatch if schemas differ — callers
-    must re-project first (see [Dyno_va.Batch]). *)
-let merge a b =
-  if not (String.equal a.source b.source && String.equal a.rel b.rel) then
-    invalid_arg "Update.merge: different relations";
-  { a with delta = Relation.sum a.delta b.delta }

@@ -21,9 +21,3 @@ val size : t -> int
 (** Number of elementary tuple changes (absolute mass). *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
-
-val merge : t -> t -> t
-(** Concatenate two deltas to the same relation.
-    @raise Invalid_argument when sources/relations differ.
-    @raise Relation.Schema_mismatch when schemas differ. *)

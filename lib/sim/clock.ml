@@ -25,7 +25,3 @@ let advance_to c t =
     invalid_arg
       (Fmt.str "Clock.advance_to: %.6f is before current time %.6f" t c.now);
   if t > c.now then c.now <- t
-
-let reset ?(start = 0.0) c = c.now <- start
-
-let pp ppf c = Fmt.pf ppf "t=%.3fs" c.now

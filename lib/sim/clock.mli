@@ -18,6 +18,3 @@ val advance : t -> float -> unit
 val advance_to : t -> float -> unit
 (** Move to an absolute time; @raise Invalid_argument when moving
     backwards. *)
-
-val reset : ?start:float -> t -> unit
-val pp : Format.formatter -> t -> unit

@@ -119,10 +119,3 @@ let detect cm ~n ~m =
 (** Cost of correction (SCC + topological sort), O(n + e). *)
 let correct cm ~nodes ~edges =
   cm.correct_per_node *. float_of_int (nodes + edges)
-
-let pp ppf cm =
-  Fmt.pf ppf
-    "@[<v>query_latency=%.3fs per_tuple_scan=%.2e per_tuple_transfer=%.2e@,\
-     vs_rewrite=%.2fs va_fixed=%.2fs va_per_tuple=%.2e row_scale=%.1f@]"
-    cm.query_latency cm.per_tuple_scan cm.per_tuple_transfer cm.vs_rewrite
-    cm.va_fixed cm.va_per_tuple cm.row_scale

@@ -55,5 +55,3 @@ val detect : t -> n:int -> m:int -> float
 
 val correct : t -> nodes:int -> edges:int -> float
 (** Correction (SCC + topological sort), O(n + e). *)
-
-val pp : Format.formatter -> t -> unit

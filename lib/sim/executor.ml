@@ -34,7 +34,6 @@ let create clk =
     failures = [];
   }
 
-let clock t = t.clk
 let in_task t = t.current <> None
 let on_switch t f = t.switch_hook <- f
 

@@ -18,10 +18,6 @@
 type t
 
 val create : Clock.t -> t
-val clock : t -> Clock.t
-
-val in_task : t -> bool
-(** Are we currently executing inside a task spawned by {!run_all}? *)
 
 val on_switch : t -> (int option -> unit) -> unit
 (** Install a hook called with [Some id] every time task [id] starts or

@@ -1,18 +1,11 @@
 (** Deterministic random number generation for workloads.
 
-    A thin wrapper over [Random.State] with explicit seeding and a [split]
-    operation so that independent workload components (data generator, DU
-    stream, SC stream) draw from independent streams and experiments are
-    exactly reproducible run-to-run. *)
+    A thin wrapper over [Random.State] with explicit seeding, so that
+    experiments are exactly reproducible run-to-run. *)
 
 type t = Random.State.t
 
 let make seed = Random.State.make [| seed; 0x9e3779b9; seed lxor 0x5bd1e995 |]
-
-(** [split t] derives an independent generator; the parent advances. *)
-let split t =
-  let s = Random.State.int t 0x3FFFFFFF in
-  make s
 
 let int t bound = Random.State.int t bound
 
@@ -39,18 +32,6 @@ let pick t xs =
   | [] -> invalid_arg "Rng.pick: empty list"
   | _ -> List.nth xs (int t (List.length xs))
 
-(** [pick_weighted t xs] picks from [(weight, x)] pairs with probability
-    proportional to weight. *)
-let pick_weighted t xs =
-  let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 xs in
-  if total <= 0.0 then invalid_arg "Rng.pick_weighted: no positive weight";
-  let r = float t total in
-  let rec go acc = function
-    | [] -> snd (List.hd (List.rev xs))
-    | (w, x) :: rest -> if acc +. w >= r then x else go (acc +. w) rest
-  in
-  go 0.0 xs
-
 (** [shuffle t xs] Fisher–Yates shuffle. *)
 let shuffle t xs =
   let a = Array.of_list xs in
@@ -61,7 +42,3 @@ let shuffle t xs =
     a.(j) <- tmp
   done;
   Array.to_list a
-
-(** Random identifier-ish string of length [n]. *)
-let ident t n =
-  String.init n (fun _ -> Char.chr (Char.code 'a' + int t 26))

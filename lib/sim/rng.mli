@@ -1,12 +1,9 @@
 (** Deterministic random number generation for workloads: explicit
-    seeding and splitting so experiments are exactly reproducible. *)
+    seeding so experiments are exactly reproducible. *)
 
 type t
 
 val make : int -> t
-
-val split : t -> t
-(** Derive an independent generator; the parent advances. *)
 
 val int : t -> int -> int
 val int_in : t -> int -> int -> int
@@ -22,6 +19,4 @@ val bernoulli : t -> float -> bool
 val pick : t -> 'a list -> 'a
 (** @raise Invalid_argument on an empty list. *)
 
-val pick_weighted : t -> (float * 'a) list -> 'a
 val shuffle : t -> 'a list -> 'a list
-val ident : t -> int -> string

@@ -17,8 +17,6 @@ let event_source = function
   | Du u -> Update.source u
   | Sc sc -> Schema_change.source sc
 
-let is_sc = function Sc _ -> true | Du _ -> false
-
 let pp_event ppf = function
   | Du u -> Update.pp ppf u
   | Sc sc -> Schema_change.pp ppf sc
@@ -91,9 +89,3 @@ let pop_until t ~time =
 let peek_all t =
   ensure_sorted t;
   t.pending
-
-let pp_entry ppf e = Fmt.pf ppf "@[<h>[%.3fs #%d] %a@]" e.time e.seq pp_event e.event
-
-let pp ppf t =
-  ensure_sorted t;
-  Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:cut pp_entry) t.pending

@@ -9,7 +9,6 @@ open Dyno_relational
 type event = Du of Update.t | Sc of Schema_change.t
 
 val event_source : event -> string
-val is_sc : event -> bool
 val pp_event : Format.formatter -> event -> unit
 
 type entry = { time : float; seq : int; event : event }
@@ -32,5 +31,3 @@ val pop_until : t -> time:float -> entry list
 (** Remove and return, in order, every commit with timestamp ≤ [time]. *)
 
 val peek_all : t -> entry list
-val pp_entry : Format.formatter -> entry -> unit
-val pp : Format.formatter -> t -> unit

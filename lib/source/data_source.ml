@@ -61,8 +61,6 @@ let id s = s.id
 let catalog s = s.live.catalog
 let version s = s.live.version
 
-let relations s = Catalog.relations s.live.catalog
-
 let table st name =
   match Hashtbl.find_opt st.tables name with
   | Some r -> r
@@ -171,9 +169,9 @@ let record s ~time ev =
   n
 
 (** [commit_du s ~time u] applies a data update; the delta schema must match
-    the current schema of the target relation.  Returns the new version.
-    Autonomous sources apply their own committed writes unconditionally;
-    a deletion of an absent tuple would be a source-side bug. *)
+    the current schema of the target relation, and the delta may delete
+    no more copies of a tuple than the relation holds.  Returns the new
+    version. *)
 let commit_du s ~time (u : Update.t) =
   if not (String.equal (Update.source u) s.id) then
     reject "update targets source %s, not %s" (Update.source u) s.id;
@@ -186,7 +184,10 @@ let commit_du s ~time (u : Update.t) =
           Schema.pp
           (Relation.schema (Update.delta u))
           rel_name Schema.pp schema);
-  record s ~time (Dyno_sim.Timeline.Du u)
+  (* The extent's non-negativity precheck runs before it mutates
+     anything, so a rejected delta leaves the source as it was. *)
+  try record s ~time (Dyno_sim.Timeline.Du u)
+  with Invalid_argument reason -> reject "%s" reason
 
 (** [commit_sc s ~time sc] applies a schema change: catalog surgery plus the
     corresponding extent transformation.  Returns the new version. *)
@@ -395,10 +396,6 @@ let relation_at s ~version name =
     freshness/staleness tracker's commit-frontier read. *)
 let commit_time_of_version s v =
   if v >= 1 && v <= s.live.version then Some (fst s.log.(v - 1)) else None
-
-let pp ppf s =
-  Fmt.pf ppf "@[<v2>source %s (v%d):@,%a@]" s.id s.live.version Catalog.pp
-    s.live.catalog
 
 let pp_broken ppf (b : broken) =
   Fmt.pf ppf "broken query %s at %s: %s" b.query_name b.source b.reason

@@ -32,8 +32,6 @@ val version : t -> int
     anchored at the version of the source's first commit and expects
     every later commit to follow in order. *)
 
-val relations : t -> string list
-
 val relation : t -> string -> Relation.t
 (** @raise Catalog.No_such_relation when absent. *)
 
@@ -53,8 +51,9 @@ exception Commit_rejected of string
 
 val commit_du : t -> time:float -> Update.t -> int
 (** Apply a data update (the delta schema must match the relation's
-    current schema); returns the new version.
-    @raise Commit_rejected when invalid. *)
+    current schema, and no count may go negative); returns the new
+    version.
+    @raise Commit_rejected when invalid, the source unchanged. *)
 
 val commit_sc : t -> time:float -> Schema_change.t -> int
 (** Apply a schema change: catalog surgery plus the corresponding extent
@@ -126,5 +125,4 @@ val commit_time_of_version : t -> int -> float option
     version 0 (initial load, not versioned) or an unknown version.  The
     freshness/staleness tracker's commit-frontier read. *)
 
-val pp : Format.formatter -> t -> unit
 val pp_broken : Format.formatter -> broken -> unit

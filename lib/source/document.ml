@@ -26,9 +26,6 @@ let text_of n = Option.value ~default:"" n.text
 (** [child n tag] — first child with the tag. *)
 let child n t = List.find_opt (fun c -> String.equal c.tag t) n.children
 
-(** [child_text n tag] — text of the first child with the tag. *)
-let child_text n t = Option.map text_of (child n t)
-
 (** [select_with_context path roots] returns every node reached by
     following [path] (a list of tags): the first component matches the
     roots themselves, subsequent components match children.  Each result
@@ -62,11 +59,3 @@ let rec pp ppf n =
       Fmt.pf ppf "@[<v2><%s>@,%a@]@,</%s>" n.tag
         Fmt.(list ~sep:cut pp)
         cs n.tag
-
-let to_string n = Fmt.str "%a" pp n
-
-(** Structural equality. *)
-let rec equal a b =
-  String.equal a.tag b.tag
-  && Option.equal String.equal a.text b.text
-  && List.equal equal a.children b.children

@@ -17,8 +17,6 @@ val text_of : node -> string
 val child : node -> string -> node option
 (** First child with the tag. *)
 
-val child_text : node -> string -> string option
-
 val select_with_context : string list -> node list -> (node list * node) list
 (** Every node reached by following a tag path (first component matches
     the roots themselves); each result carries its ancestor chain
@@ -27,5 +25,3 @@ val select_with_context : string list -> node list -> (node list * node) list
 val select : string list -> node list -> node list
 
 val pp : Format.formatter -> node -> unit
-val to_string : node -> string
-val equal : node -> node -> bool

@@ -131,23 +131,3 @@ let rename_attribute t ~source ~rel ~old_attr ~new_attr =
   in
   t.attr_repl <- List.map (fun (k, v) -> (rekey k, v)) t.attr_repl;
   t.dispensable <- List.map rekey t.dispensable
-
-let pp ppf t =
-  let pp_ar ppf ((s, r, a), (ar : attr_replacement)) =
-    Fmt.pf ppf "%s.%s@%s -> %s.%s@%s" r a s ar.new_rel ar.new_attr
-      ar.new_source
-  in
-  let pp_rr ppf ((s, r), (rr : rel_replacement)) =
-    Fmt.pf ppf "%s@%s -> %s@%s covering {%a}" r s rr.repl_rel rr.repl_source
-      Fmt.(
-        list ~sep:(any "; ") (fun ppf (rel, m) ->
-            Fmt.pf ppf "%s[%a]" rel
-              (list ~sep:(any ",") (fun ppf (a, b) -> Fmt.pf ppf "%s->%s" a b))
-              m))
-      rr.covers
-  in
-  Fmt.pf ppf "@[<v>attr replacements:@,%a@,rel replacements:@,%a@]"
-    Fmt.(list ~sep:cut pp_ar)
-    t.attr_repl
-    Fmt.(list ~sep:cut pp_rr)
-    t.rel_repl

@@ -62,5 +62,3 @@ val restore : t -> snapshot -> unit
 (** The synchronizer re-keys entries as it propagates renames; an aborted
     maintenance process must roll that back together with the view
     definition. *)
-
-val pp : Format.formatter -> t -> unit

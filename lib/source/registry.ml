@@ -10,9 +10,6 @@ exception Unknown_source of string
 
 let create () = { sources = [] }
 
-let of_list sources =
-  { sources = List.map (fun s -> (Data_source.id s, s)) sources }
-
 (** [register t s] adds a source; replaces any previous source with the
     same id (a source re-joining). *)
 let register t s =
@@ -44,8 +41,3 @@ let commit t ~time (ev : Dyno_sim.Timeline.event) =
   let s = find t (Dyno_sim.Timeline.event_source ev) in
   let v = Data_source.commit s ~time ev in
   (s, v)
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>%a@]"
-    Fmt.(list ~sep:cut Data_source.pp)
-    (List.rev_map snd t.sources)

@@ -8,7 +8,6 @@ type t
 exception Unknown_source of string
 
 val create : unit -> t
-val of_list : Data_source.t list -> t
 
 val register : t -> Data_source.t -> unit
 (** Adds a source; replaces any previous source with the same id (a source
@@ -27,5 +26,3 @@ val sources : t -> Data_source.t list
 val commit : t -> time:float -> Dyno_sim.Timeline.event -> Data_source.t * int
 (** Route a timeline event to its source and commit it there; returns the
     source and its new version. *)
-
-val pp : Format.formatter -> t -> unit

@@ -42,10 +42,6 @@ type mapping = rule list
 
 exception Extraction_error of string
 
-val extract_rule : rule -> Document.node list -> Relation.t
-(** Materialize one relation from the forest.
-    @raise Extraction_error on missing elements or untypable text. *)
-
 val extract : mapping -> Document.node list -> (string * Relation.t) list
 
 val install : mapping -> Data_source.t -> Document.node list -> unit

@@ -61,24 +61,6 @@ val fetch_compensated :
     adaptation charge moves the clock; a compensation failure is
     returned after the charge. *)
 
-val fetch_all :
-  Query_engine.t ->
-  held ->
-  fetch list ->
-  exclude:int list ->
-  ((string * Eval.sum) list, Query_engine.failure) result
-(** {!fetch_compensated} of each fetch, by alias; stops at the first
-    broken probe. *)
-
-val validated_tail :
-  Query_engine.t ->
-  fetch list ->
-  tail_cost:float ->
-  (unit, Query_engine.failure) result
-(** The back half of an adaptation: the remaining local work interleaved
-    with metadata validation probes to every source, so a schema change
-    landing anywhere in the maintenance window is detected before w(MV). *)
-
 val replace_extent :
   Query_engine.t ->
   Mat_view.t ->

@@ -40,7 +40,6 @@ let create ?(track_snapshots = false) def extent =
 let def v = v.def
 let extent v = v.extent
 let initial_extent v = v.initial
-let cardinality v = Relation.cardinality v.extent
 
 let commit_count v = List.length v.commits
 let extent_changes v = v.changes
@@ -81,8 +80,3 @@ let replace v ~at ~maintained extent =
   v.extent <- extent;
   v.changes <- v.changes + 1;
   log v ~at ~maintained (fun () -> Installed (Relation.copy extent))
-
-let pp ppf v =
-  Fmt.pf ppf "@[<v>%a@,extent: %d tuples, %d commits@]" View_def.pp v.def
-    (Relation.cardinality v.extent)
-    (commit_count v)

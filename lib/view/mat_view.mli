@@ -31,7 +31,6 @@ val initial_extent : t -> Relation.t option
 (** A copy of the extent {!create} received, when tracking: where the
     roll through the logged changes starts. *)
 
-val cardinality : t -> int
 val commit_count : t -> int
 
 val extent_changes : t -> int
@@ -54,5 +53,3 @@ val refresh : t -> at:float -> maintained:int list -> Relation.t -> unit
 val replace : t -> at:float -> maintained:int list -> Relation.t -> unit
 (** Install a whole new extent (adaptation after the definition changed
     shape). *)
-
-val pp : Format.formatter -> t -> unit

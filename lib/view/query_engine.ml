@@ -50,15 +50,13 @@ type t = {
           untouched *)
   timeline : Timeline.t;
   registry : Dyno_source.Registry.t;
-  mutable routes : route array;
+  routes : route array;
       (** wrapper→UMQ transport(s); one per shard, routed by source *)
-  mutable route_of : string -> int;  (** source → owning route index *)
+  route_of : string -> int;  (** source → owning route index *)
   cost : Cost_model.t;
   trace : Trace.t;
   planner : Eval.plan;
       (** physical plan every query through this engine runs with *)
-  faults : Channel.faults;  (** channel fault config (shared by routes) *)
-  net_seed : int;  (** base channel seed; route [i] draws from seed + i *)
   retry : Retry.policy;  (** probe retry policy *)
   obs : Dyno_obs.Obs.t;  (** span recorder + metrics registry *)
   held_since : (string * int, float) Hashtbl.t;
@@ -74,7 +72,21 @@ type t = {
 
 let create ?(trace = Trace.create ()) ?(planner = `Indexed)
     ?(faults = Channel.reliable) ?(net_seed = 0)
-    ?(obs = Dyno_obs.Obs.disabled) ~cost ~registry ~timeline ~umq () =
+    ?(obs = Dyno_obs.Obs.disabled) ?(route_of = fun _ -> 0) ~cost ~registry
+    ~timeline ~umqs () =
+  let n = Array.length umqs in
+  if n = 0 then invalid_arg "Query_engine.create: no queues";
+  (* One route carries every source: no lookup. *)
+  let route_of =
+    if n = 1 then fun _ -> 0
+    else fun source ->
+      let i = route_of source in
+      if i < 0 || i >= n then
+        invalid_arg
+          (Fmt.str "Query_engine: source %s routed to shard %d of %d" source
+             i n);
+      i
+  in
   let clock = Clock.create () in
   let exec = Executor.create clock in
   (* Keep span nesting honest under task interleaving: every context
@@ -91,14 +103,20 @@ let create ?(trace = Trace.create ()) ?(planner = `Indexed)
     exec;
     timeline;
     registry;
+    (* Route [i]'s channel gets its own RNG stream ([net_seed + i]) so the
+       fault draws of distinct shards are independent. *)
     routes =
-      [| { r_umq = umq; r_channel = Channel.create ~faults ~obs ~seed:net_seed () } |];
-    route_of = (fun _ -> 0);
+      Array.mapi
+        (fun i umq ->
+          {
+            r_umq = umq;
+            r_channel = Channel.create ~faults ~obs ~seed:(net_seed + i) ();
+          })
+        umqs;
+    route_of;
     cost;
     trace;
     planner;
-    faults;
-    net_seed;
     retry = Retry.of_cost cost;
     obs;
     held_since = Hashtbl.create 16;
@@ -109,7 +127,6 @@ let create ?(trace = Trace.create ()) ?(planner = `Indexed)
   }
 
 let now w = Clock.now w.clock
-let timeline w = w.timeline
 let clock w = w.clock
 let executor w = w.exec
 let trace w = w.trace
@@ -117,7 +134,6 @@ let umq w = w.routes.(0).r_umq
 let registry w = w.registry
 let cost w = w.cost
 let planner w = w.planner
-let channel w = w.routes.(0).r_channel
 let obs w = w.obs
 let net_timeouts w = w.timeouts
 let net_retries w = w.retries
@@ -125,36 +141,9 @@ let net_wait w = w.net_wait
 
 let route w source = w.routes.(w.route_of source)
 
-let install_routes w ~umqs ~route_of =
-  if Array.length umqs = 0 then
-    invalid_arg "Query_engine.install_routes: no queues";
-  if Channel.in_flight w.routes.(0).r_channel > 0 then
-    invalid_arg "Query_engine.install_routes: traffic already in flight";
-  (* Route [i]'s channel gets its own RNG stream ([net_seed + i]) so the
-     fault draws of distinct shards are independent; a 1-route install is
-     bit-identical to the channel built by [create]. *)
-  w.routes <-
-    Array.mapi
-      (fun i umq ->
-        {
-          r_umq = umq;
-          r_channel =
-            Channel.create ~faults:w.faults ~obs:w.obs
-              ~seed:(w.net_seed + i) ();
-        })
-      umqs;
-  w.route_of <- (fun source ->
-      let i = route_of source in
-      if i < 0 || i >= Array.length w.routes then
-        invalid_arg
-          (Fmt.str "Query_engine: source %s routed to shard %d of %d" source
-             i (Array.length w.routes));
-      i)
-
 let add_admit_hook w h = w.admit_hooks <- w.admit_hooks @ [ h ]
 
-let route_count w = Array.length w.routes
-let route_umq w i = w.routes.(i).r_umq
+let route_of w = w.route_of
 let umqs w = Array.to_list (Array.map (fun r -> r.r_umq) w.routes)
 
 let net_msgs_lost w =
@@ -294,23 +283,14 @@ let deliver_due w =
            anchors the sequencer even if that first message is reordered. *)
         let r = route w source in
         Umq.ensure_source r.r_umq ~source ~first_seq:version;
-        let payload =
-          match e.event with
-          | Timeline.Du u -> Update_msg.Du u
-          | Timeline.Sc sc -> Update_msg.Sc sc
-        in
+        let event = e.event in
         let lin = Dyno_obs.Obs.lineage w.obs in
         if Dyno_obs.Lineage.enabled lin then
           Dyno_obs.Lineage.commit lin ~source ~seq:version ~time:e.time
-            ~sc:
-              (match payload with
-              | Update_msg.Sc _ -> true
-              | Update_msg.Du _ -> false)
-            ~detail:
-              (let event = e.event in
-               lazy (Fmt.str "%a" Timeline.pp_event event));
+            ~sc:(match event with Timeline.Sc _ -> true | Timeline.Du _ -> false)
+            ~detail:(lazy (Fmt.str "%a" Timeline.pp_event event));
         let report =
-          Channel.send r.r_channel ~now:e.time ~source ~seq:version payload
+          Channel.send r.r_channel ~now:e.time ~source ~seq:version event
         in
         if Dyno_obs.Lineage.enabled lin then
           Dyno_obs.Lineage.sent lin ~source ~seq:version ~time:e.time

@@ -19,30 +19,39 @@ val create :
   ?faults:Dyno_net.Channel.faults ->
   ?net_seed:int ->
   ?obs:Dyno_obs.Obs.t ->
+  ?route_of:(string -> int) ->
   cost:Cost_model.t ->
   registry:Dyno_source.Registry.t ->
   timeline:Timeline.t ->
-  umq:Umq.t ->
+  umqs:Umq.t array ->
   unit ->
   t
-(** [planner] (default [`Indexed]) is the physical plan every maintenance
-    query and compensation evaluation through this engine runs with; tests
-    pass [`Nested_loop] to pin the reference plan.  [faults] (default
-    {!Dyno_net.Channel.reliable}) configures the transport channel —
-    reliable is a structural pass-through, bit-identical to a direct call;
-    [net_seed] seeds the channel's own RNG stream; probe timeout/backoff
-    follows {!Dyno_net.Retry.of_cost} of [cost].  [obs]
+(** One transport route per queue of [umqs]: route [i] is queue [i], fed
+    by its own channel, and owns the sources [route_of] maps to [i]
+    (default: every source on route 0; with one queue, every source
+    rides it).  A single-view-manager world passes one queue, a sharded
+    one a queue per shard; the queues should share one message-id
+    counter ({!Umq.create}'s [ids]) so ids stay globally unique across
+    shards.  [planner] (default [`Indexed]) is the physical plan every
+    maintenance query and compensation evaluation through this engine
+    runs with; tests pass [`Nested_loop] to pin the reference plan.
+    [faults] (default {!Dyno_net.Channel.reliable}) configures every
+    route's channel — reliable is a structural pass-through,
+    bit-identical to a direct call; route [i]'s channel draws from its
+    own RNG stream seeded [net_seed + i]; probe timeout/backoff follows
+    {!Dyno_net.Retry.of_cost} of [cost].  [obs]
     (default {!Dyno_obs.Obs.disabled} — a structural no-op) records
     [Probe]/[Timeout]/[Retry] spans, the [probe.rtt_s] and [umq.hold_s]
     histograms and the [net.*]/[umq.*] counters, and is shared with the
-    channel and with every subsystem holding this engine. *)
+    channels and with every subsystem holding this engine.
+    @raise Invalid_argument on an empty [umqs]; a lookup raises it when
+    [route_of] maps a source outside [0 .. Array.length umqs - 1]. *)
 
 val now : t -> float
 
 val planner : t -> Eval.plan
 (** The engine's physical plan choice (see {!create}). *)
 
-val timeline : t -> Timeline.t
 val clock : t -> Clock.t
 
 val executor : t -> Executor.t
@@ -60,28 +69,12 @@ val umq : t -> Umq.t
 val registry : t -> Dyno_source.Registry.t
 val cost : t -> Cost_model.t
 
-val channel : t -> Update_msg.payload Dyno_net.Channel.t
-(** Route 0's channel (see {!umq}). *)
-
-val install_routes :
-  t -> umqs:Umq.t array -> route_of:(string -> int) -> unit
-(** Replace the single default route with one route per shard: queue [i]
-    of [umqs] is fed by its own channel (same fault config, RNG stream
-    seeded [net_seed + i]) and owns the sources [route_of] maps to [i].
-    Must be called before any traffic flows (raises [Invalid_argument]
-    if messages are already in flight); installing a 1-element array is
-    bit-identical to the route built by {!create}.  The queues should
-    share one message-id counter ({!Umq.create}'s [ids]) so ids stay
-    globally unique across shards. *)
-
-val route_count : t -> int
-(** Number of installed routes ([1] unless {!install_routes} ran). *)
-
-val route_umq : t -> int -> Umq.t
-(** The queue owned by route [i]. *)
-
 val umqs : t -> Umq.t list
 (** All routes' queues, in route order. *)
+
+val route_of : t -> string -> int
+(** The route — the index into {!umqs} — whose queue a source's updates
+    ride. *)
 
 val add_admit_hook : t -> (Update_msg.t -> unit) -> unit
 (** Observe the admitted update stream: [h] is called once per message

@@ -68,7 +68,6 @@ type t = {
           order. *)
   mutable new_schema_change : bool;
   mutable broken_query : bool;
-  mutable total_enqueued : int;
   mutable history : Update_msg.t list;
       (** every message ever enqueued, newest first (audit/consistency) *)
   du_index : (string * string, pending) Hashtbl.t;
@@ -92,7 +91,6 @@ let create ?ids () =
     ids = (match ids with Some r -> r | None -> ref 0);
     new_schema_change = false;
     broken_query = false;
-    total_enqueued = 0;
     history = [];
     du_index = Hashtbl.create 16;
     expected = Hashtbl.create 8;
@@ -185,8 +183,6 @@ let entries q =
 (** All messages currently queued, in queue order. *)
 let messages q = List.concat_map entry_messages (entries q)
 
-let total_enqueued q = q.total_enqueued
-
 (** [enqueue q ~commit_time ~source_version payload] appends a new message,
     assigning its id; sets the schema-change flag for SCs (the UMQ manager
     of Figure 7). *)
@@ -195,7 +191,6 @@ let enqueue q ~commit_time ~source_version payload =
     Update_msg.make ~id:!(q.ids) ~commit_time ~source_version payload
   in
   incr q.ids;
-  q.total_enqueued <- q.total_enqueued + 1;
   q.back <- Single m :: q.back;
   q.n_entries <- q.n_entries + 1;
   q.history <- m :: q.history;

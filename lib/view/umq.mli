@@ -33,8 +33,6 @@ val entries : t -> entry list
 val messages : t -> Update_msg.t list
 (** All queued messages, in queue order. *)
 
-val total_enqueued : t -> int
-
 val enqueue :
   t -> commit_time:float -> source_version:int -> Update_msg.payload ->
   Update_msg.t

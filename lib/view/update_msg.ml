@@ -9,7 +9,9 @@
 
 open Dyno_relational
 
-type payload = Du of Update.t | Sc of Schema_change.t
+type payload = Dyno_sim.Timeline.event =
+  | Du of Update.t
+  | Sc of Schema_change.t
 
 type t = {
   id : int;  (** unique, in arrival order *)
@@ -28,10 +30,7 @@ let commit_time m = m.commit_time
 let source_version m = m.source_version
 let payload m = m.payload
 
-let source m =
-  match m.payload with
-  | Du u -> Update.source u
-  | Sc sc -> Schema_change.source sc
+let source m = Dyno_sim.Timeline.event_source m.payload
 
 (** Relation targeted, under its name at commit time. *)
 let rel m =

@@ -5,7 +5,10 @@
 
 open Dyno_relational
 
-type payload = Du of Update.t | Sc of Schema_change.t
+type payload = Dyno_sim.Timeline.event =
+  | Du of Update.t
+  | Sc of Schema_change.t
+(** A source commit, as the timeline schedules it. *)
 
 type t
 

@@ -26,7 +26,6 @@ type t = {
       (** false when synchronization failed to find a rewriting — the view
           is undefined until a later change or operator intervention *)
   mutable reads : int;  (** r(VD) counter (introspection/tests) *)
-  mutable writes : int;  (** w(VD) counter *)
   mutable derived : derived list;  (** derived from the current version *)
 }
 
@@ -37,7 +36,6 @@ let create ~schemas query =
     version = 0;
     valid = true;
     reads = 0;
-    writes = 0;
     derived = [];
   }
 
@@ -57,7 +55,6 @@ let peek vd = vd.query
 let version vd = vd.version
 let is_valid vd = vd.valid
 let reads vd = vd.reads
-let writes vd = vd.writes
 let derived vd = vd.derived
 let remember vd d = vd.derived <- d :: vd.derived
 
@@ -75,8 +72,7 @@ let write vd ~schemas q =
   vd.query <- q;
   vd.schemas <- schemas;
   bump vd;
-  vd.valid <- true;
-  vd.writes <- vd.writes + 1
+  vd.valid <- true
 
 type saved = Query.t * (string * Schema.t) list * bool
 
@@ -96,12 +92,6 @@ let restore vd (query, schemas, valid) =
 (** [invalidate vd] marks the view undefined (no rewriting exists). *)
 let invalidate vd =
   bump vd;
-  vd.valid <- false;
-  vd.writes <- vd.writes + 1
+  vd.valid <- false
 
 let name vd = Query.name vd.query
-
-let pp ppf vd =
-  Fmt.pf ppf "@[<v>-- view %s (version %d%s)@,%a@]" (name vd) vd.version
-    (if vd.valid then "" else ", INVALID")
-    Query.pp vd.query

@@ -25,7 +25,6 @@ val schema_of_alias : t -> string -> Schema.t option
 val version : t -> int
 val is_valid : t -> bool
 val reads : t -> int
-val writes : t -> int
 
 val write : t -> schemas:(string * Schema.t) list -> Query.t -> unit
 (** The w(VD) step: install a rewritten definition and the believed
@@ -57,4 +56,3 @@ val remember : t -> derived -> unit
 (** Keep a value derived from the current version. *)
 
 val name : t -> string
-val pp : Format.formatter -> t -> unit

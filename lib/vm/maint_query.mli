@@ -7,10 +7,6 @@ open Dyno_view
 
 exception Unsupported of string
 
-val pname : string -> string -> string
-(** Name of view attribute [alias.attr] inside a partial result
-    ([alias__attr]). *)
-
 val partial_alias : string
 (** Alias under which the shipped partial result is bound at a source. *)
 
@@ -19,29 +15,8 @@ val owner_of_schemas :
 (** Resolve unqualified references against believed alias schemas.
     @raise Eval.Error on unknown/ambiguous references. *)
 
-val alias_of_ref :
-  (Attr.Qualified.t -> string) -> Attr.Qualified.t -> string
-
 val needed_attrs : Query.t -> (Attr.Qualified.t -> string) -> string -> string list
 (** Deduplicated attributes of an alias used anywhere in the view query. *)
-
-val local_atoms :
-  Query.t -> (Attr.Qualified.t -> string) -> string -> Predicate.atom list
-(** View predicate atoms local to one alias, with references qualified. *)
-
-val join_pairs_with :
-  Query.t ->
-  (Attr.Qualified.t -> string) ->
-  string ->
-  string list ->
-  (string * string * string) list
-(** Equality atoms between an alias and any already-bound alias, as
-    (attr_of_alias, bound_alias, attr_of_bound) triples. *)
-
-val residual_atoms :
-  Query.t -> (Attr.Qualified.t -> string) -> Predicate.atom list
-(** Cross-alias atoms that are not hash-joinable equalities (applied once
-    all aliases are joined). *)
 
 val probe_query :
   Query.t ->

@@ -45,7 +45,6 @@ type t = {
   registry : Dyno_source.Registry.t;
   mk : Dyno_source.Meta_knowledge.t;
   umq : Umq.t;
-  plan : Dyno_core.Shard.t;
   timeline : Dyno_sim.Timeline.t;
   engine : Query_engine.t;
   mv : Mat_view.t;
@@ -97,13 +96,11 @@ let assemble (c : Config.t) ~registry ~mk ~view ~timeline : t =
   let engine =
     Query_engine.create ~trace ~faults:c.Config.faults
       ~net_seed:c.Config.net_seed ~obs:c.Config.obs
-      ~cost:c.Config.cost ~registry ~timeline ~umq:umqs.(0) ()
+      ~route_of:(Dyno_core.Shard.owner plan) ~cost:c.Config.cost ~registry
+      ~timeline ~umqs ()
   in
-  if Dyno_core.Shard.count plan > 1 then
-    Query_engine.install_routes engine ~umqs
-      ~route_of:(Dyno_core.Shard.owner plan);
   let mv = materialize c ~registry ~engine view in
-  { registry; mk; umq = umqs.(0); plan; timeline; engine; mv; trace; config = c }
+  { registry; mk; umq = umqs.(0); timeline; engine; mv; trace; config = c }
 
 let make (c : Config.t) ~timeline : t =
   assemble c
@@ -116,7 +113,7 @@ let add_view (t : t) query =
   materialize t.config ~registry:t.registry ~engine:t.engine query
 
 let run (t : t) ~(config : Run_config.t) : Dyno_core.Stats.t =
-  Dyno_core.Scheduler.dispatch ~config ~plan:t.plan t.engine [ t.mv ] t.mk
+  Dyno_core.Scheduler.dispatch ~config t.engine [ t.mv ] t.mk
 
 (** [updates_to_view t lineage name] — the updates {!run} integrated into
     the view called [name]: the lineage records whose terminal is

@@ -54,7 +54,6 @@ type t = {
   registry : Dyno_source.Registry.t;
   mk : Dyno_source.Meta_knowledge.t;
   umq : Umq.t;  (** shard 0's queue — {e the} queue of a 1-shard world *)
-  plan : Dyno_core.Shard.t;  (** source→shard partition plan *)
   timeline : Dyno_sim.Timeline.t;
   engine : Query_engine.t;
   mv : Mat_view.t;
@@ -91,8 +90,7 @@ val add_view : t -> Query.t -> Mat_view.t
 
 val run : t -> config:Run_config.t -> Dyno_core.Stats.t
 (** Drive the maintenance loop to completion: {!Dyno_core.Scheduler.dispatch}
-    over the world's plan and its one view — on a 1-shard plan,
-    {!Dyno_core.Scheduler.run} bit for bit. *)
+    over the engine's routes and the world's one view. *)
 
 val updates_to_view :
   t ->

@@ -107,7 +107,7 @@ let run ~obs tl a =
     t.mv :: (if tl.two_views then [ Scenario.add_view t (Paper_schema.view2_query ()) ]
              else [])
   in
-  let stats = Core.Scheduler.dispatch ~config:s.run ~plan:t.plan t.engine views t.mk in
+  let stats = Core.Scheduler.dispatch ~config:s.run t.engine views t.mk in
   { t; views; stats; o }
 
 let fail = QCheck.Test.fail_reportf

@@ -147,16 +147,14 @@ let sharded_views ~seed =
              default |> with_rows 40 |> with_snapshots true |> with_shards 2);
        })
 
-(* The view set drains every shard's queue when given the plan: both
-   views converge and every commit of both logs is strongly consistent. *)
+(* The view set drains every shard's queue: both views converge and
+   every commit of both logs is strongly consistent. *)
 let test_sharded_view_set () =
   List.iter
     (fun seed ->
       let t, views = sharded_views ~seed in
       ignore
-        (Scheduler.dispatch ~plan:t.Scenario.plan t.Scenario.engine views
-           t.Scenario.mk
-          : Stats.t);
+        (Scheduler.dispatch t.Scenario.engine views t.Scenario.mk : Stats.t);
       List.iteri
         (fun i mv ->
           let label = Fmt.str "seed %d, view %d" seed i in
@@ -170,16 +168,6 @@ let test_sharded_view_set () =
               Consistency.pp_report r)
         views)
     [ 11; 12; 13 ]
-
-(* Without the plan the view set would drain route 0 alone and wait
-   forever on the other shard's queue: the entry point refuses to start. *)
-let test_sharded_view_set_needs_plan () =
-  let t, views = sharded_views ~seed:11 in
-  Alcotest.(check bool)
-    "2-route engine without a plan rejected" true
-    (match Scheduler.dispatch t.Scenario.engine views t.Scenario.mk with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
 
 let () =
   Alcotest.run "multi-view"
@@ -205,7 +193,5 @@ let () =
         [
           Alcotest.test_case "view set over 2 shards converges" `Quick
             test_sharded_view_set;
-          Alcotest.test_case "2 routes without a plan raise" `Quick
-            test_sharded_view_set_needs_plan;
         ] );
     ]

@@ -130,7 +130,7 @@ let world ~planner c =
   let w =
     Query_engine.create ~trace ~planner
       ~cost:{ Dyno_sim.Cost_model.default with row_scale = 1.0 }
-      ~registry ~timeline ~umq ()
+      ~registry ~timeline ~umqs:[| umq |] ()
   in
   Array.iteri
     (fun i deltas ->
@@ -370,7 +370,7 @@ let test_deliver_due_in_flight () =
   let w =
     Query_engine.create
       ~faults:{ Dyno_net.Channel.reliable with latency = 0.5 }
-      ~cost:Dyno_sim.Cost_model.default ~registry ~timeline ~umq ()
+      ~cost:Dyno_sim.Cost_model.default ~registry ~timeline ~umqs:[| umq |] ()
   in
   let words f =
     let w0 = Gc.minor_words () in

@@ -190,7 +190,7 @@ let refresh_reaches_new ~old_a ~new_a ~old_b ~new_b ~pend_a ~pend_b ~late =
   let w =
     Dyno_view.Query_engine.create
       ~cost:{ Dyno_sim.Cost_model.free with va_per_tuple = 1.0 }
-      ~registry ~timeline ~umq ()
+      ~registry ~timeline ~umqs:[| umq |] ()
   in
   let commit rel d =
     if Relation.is_empty d then []

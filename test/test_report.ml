@@ -87,7 +87,7 @@ let cli_report ?(views = 1) ~shards ~parallel () =
   let config = Run_config.(default |> with_parallel parallel) in
   let v2 () = Scenario.add_view t (Paper_schema.view2_query ()) in
   let mvs = if views = 2 then [ t.mv; v2 () ] else [ t.mv ] in
-  Report.of_run (Scheduler.dispatch ~config ~plan:t.plan t.engine mvs t.mk) t.trace
+  Report.of_run (Scheduler.dispatch ~config t.engine mvs t.mk) t.trace
 
 let test_rounds_and_shards () =
   List.iter

@@ -370,7 +370,7 @@ let test_admitted_during_detection () =
   let t = Spec.build s in
   let views = [ t.mv; Scenario.add_view t (Paper_schema.view2_query ()) ] in
   ignore
-    (Scheduler.dispatch ~config:s.run ~plan:t.plan t.engine views t.mk
+    (Scheduler.dispatch ~config:s.run t.engine views t.mk
       : Stats.t);
   List.iteri
     (fun i mv -> check_view t mv (Fmt.str "seed 12 --multi, view %d" i))

@@ -116,9 +116,9 @@ let test_plan_errors () =
   let p = Dyno_core.Shard.plan ~shards:4 [ "DS1"; "DS2" ] in
   Alcotest.(check int) "oversized plan keeps its count" 4
     (Dyno_core.Shard.count p);
-  Alcotest.(check (list string))
-    "shard 3 legally empty" []
-    (Dyno_core.Shard.sources_of p 3)
+  Alcotest.(check (list int))
+    "shard 3 legally empty" [ 0; 1 ]
+    (List.map (Dyno_core.Shard.owner p) [ "DS1"; "DS2" ])
 
 let () =
   Alcotest.run "shard"

@@ -41,7 +41,13 @@ let test_commit_rejections () =
     (trap (Update.make ~source:"ds" ~rel:"ZZ" (Relation.create schema)));
   let bad_schema = Schema.of_list [ Attr.int "k" ] in
   Alcotest.(check bool) "schema mismatch" true
-    (trap (Update.make ~source:"ds" ~rel:"R" (Relation.create bad_schema)))
+    (trap (Update.make ~source:"ds" ~rel:"R" (Relation.create bad_schema)));
+  let before = Relation.copy (Data_source.relation s "R") in
+  Alcotest.(check bool) "deleting an absent row" true
+    (trap (du [ ([ Value.int 9; Value.string "z" ], -1) ]));
+  Alcotest.(check int) "no version committed" 0 (Data_source.version s);
+  Alcotest.(check bool) "extent untouched" true
+    (Relation.equal before (Data_source.relation s "R"))
 
 let test_commit_sc_extent_transforms () =
   let s = fresh () in

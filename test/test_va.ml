@@ -248,7 +248,7 @@ let make_world ?(cost = Dyno_sim.Cost_model.free)
   let registry = Dyno_source.Registry.create () in
   Dyno_source.Registry.register registry ds1;
   let umq = Umq.create () in
-  let w = Query_engine.create ~cost ~registry ~timeline ~umq () in
+  let w = Query_engine.create ~cost ~registry ~timeline ~umqs:[| umq |] () in
   let vd = View_def.create ~schemas:[ ("A", a_schema); ("B", b_schema) ] (q2 ()) in
   let mv = Mat_view.create vd (Relation.create Schema.empty) in
   let env (tr : Query.table_ref) = Dyno_source.Data_source.relation ds1 tr.rel in

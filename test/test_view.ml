@@ -339,7 +339,7 @@ let make_world () =
   let w =
     Query_engine.create
       ~cost:{ Dyno_sim.Cost_model.default with row_scale = 1.0 }
-      ~registry ~timeline ~umq ()
+      ~registry ~timeline ~umqs:[| umq |] ()
   in
   (w, src, timeline, umq)
 

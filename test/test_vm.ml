@@ -49,7 +49,7 @@ let make_world () =
   let w =
     Query_engine.create
       ~cost:{ Dyno_sim.Cost_model.default with row_scale = 1.0 }
-      ~registry ~timeline ~umq ()
+      ~registry ~timeline ~umqs:[| umq |] ()
   in
   let vd = View_def.create ~schemas:(schemas ()) (view_q ()) in
   let mv = Mat_view.create vd (Relation.create Schema.empty) in

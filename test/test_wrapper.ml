@@ -186,7 +186,7 @@ let test_end_to_end_retuning () =
   let engine =
     Query_engine.create
       ~cost:{ Dyno_sim.Cost_model.default with row_scale = 1.0 }
-      ~registry ~timeline ~umq ()
+      ~registry ~timeline ~umqs:[| umq |] ()
   in
   let vd = View_def.create ~schemas view in
   let mv = Mat_view.create ~track_snapshots:true vd (Relation.create Schema.empty) in
