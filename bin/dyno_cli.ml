@@ -901,9 +901,9 @@ let inspect_cmd =
 let sql_cmd =
   let file =
     let doc = "SQL script: CREATE TABLE / INSERT statements set up the \
-               sources, CREATE VIEW materializes the view, every statement \
-               after it commits autonomously (1 s apart) and Dyno maintains \
-               the view." in
+               sources, CREATE VIEW materializes the view (one per script), \
+               every statement after it commits autonomously (1 s apart) \
+               and Dyno maintains the view." in
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
   in
   let action file strategy trace =
@@ -939,6 +939,14 @@ let sql_cmd =
           String.length stmt_text >= 11
           && String.uppercase_ascii (String.sub stmt_text 0 11) = "CREATE VIEW"
         then begin
+          (match !world with
+          | Some (t : Scenario.t) ->
+              fail
+                "in %S: the script already defines view %s; a session \
+                 maintains one view"
+                stmt_text
+                (Query.name (Dyno_view.View_def.peek (Dyno_view.Mat_view.def t.mv)))
+          | None -> ());
           match Sql_parser.parse_view stmt_text with
           | Error e -> fail "in %S: %s" stmt_text e
           | Ok q ->

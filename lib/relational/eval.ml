@@ -65,6 +65,12 @@ let make_binder (q : Query.t) (schemas : (string * Schema.t) list) =
   in
   { bindings; owner }
 
+(* [alias]'s binding, by a loop that allocates nothing.
+   @raise Not_found when FROM has no such alias. *)
+let rec binding alias = function
+  | [] -> raise Not_found
+  | b :: rest -> if String.equal b.alias alias then b else binding alias rest
+
 (** [resolve binder r] is the absolute position of reference [r] in the
     join-product tuple. *)
 let resolve binder (r : Attr.Qualified.t) =
@@ -73,23 +79,25 @@ let resolve binder (r : Attr.Qualified.t) =
     | Some a -> a
     | None -> binder.owner r
   in
-  match List.find_opt (fun b -> String.equal b.alias alias) binder.bindings with
-  | None -> err "unknown alias %s in reference %a" alias Attr.Qualified.pp r
-  | Some b -> (
-      match Schema.index_of_opt b.schema (Attr.Qualified.attr r) with
-      | Some i -> b.offset + i
-      | None ->
+  match binding alias binder.bindings with
+  | exception Not_found ->
+      err "unknown alias %s in reference %a" alias Attr.Qualified.pp r
+  | b -> (
+      match Schema.index_of b.schema (Attr.Qualified.attr r) with
+      | i -> b.offset + i
+      | exception Schema.No_such_attribute _ ->
           err "relation %s has no attribute %s" alias (Attr.Qualified.attr r))
 
 (** [resolve_in_alias binder alias attr] is the position of [attr] within
     the single relation bound to [alias] (not the join product). *)
 let resolve_in_alias binder alias attr =
-  match List.find_opt (fun b -> String.equal b.alias alias) binder.bindings with
-  | None -> err "unknown alias %s" alias
-  | Some b -> (
-      match Schema.index_of_opt b.schema attr with
-      | Some i -> i
-      | None -> err "relation %s has no attribute %s" alias attr)
+  match binding alias binder.bindings with
+  | exception Not_found -> err "unknown alias %s" alias
+  | b -> (
+      match Schema.index_of b.schema attr with
+      | i -> i
+      | exception Schema.No_such_attribute _ ->
+          err "relation %s has no attribute %s" alias attr)
 
 (* ------------------------------------------------------------------ *)
 (* Join kernels                                                       *)
@@ -331,8 +339,9 @@ let columns p =
     the predicate partition, every position, the compiled predicates,
     constant-equality index keys, per-step join keys and the output
     projection.  References resolve in a fixed order: the predicate
-    partition, the select list, join keys, local predicates, residual
-    atoms — the first failure is the one reported.
+    partition, the select list, then every WHERE reference, so an atom
+    naming an alias outside FROM is an error, not an atom no step
+    applies — the first failure is the one reported.
     @raise Error on binding or resolution failure. *)
 let prepare (q : Query.t) (schemas : (string * Schema.t) list) : prepared =
   let binder = make_binder q schemas in
@@ -361,6 +370,15 @@ let prepare (q : Query.t) (schemas : (string * Schema.t) list) : prepared =
         (pos, Attr.make it.as_name (Attr.ty src_attr)))
       (Query.select q)
   in
+  let check = function
+    | Predicate.Ref r -> ignore (resolve binder r)
+    | Predicate.Const _ -> ()
+  in
+  List.iter
+    (fun (a : Predicate.atom) ->
+      check a.lhs;
+      check a.rhs)
+    (Query.where q);
   let from = Query.from q in
   if from = [] then err "empty FROM";
   let steps =

@@ -28,15 +28,15 @@ let names s = Array.to_list (Array.map Attr.name s.attrs)
 let mem s name =
   Array.exists (fun a -> String.equal (Attr.name a) name) s.attrs
 
+(* A loop with no free variable, so a lookup allocates no closure. *)
+let rec position attrs name i =
+  if i >= Array.length attrs then raise (No_such_attribute name)
+  else if String.equal (Attr.name attrs.(i)) name then i
+  else position attrs name (i + 1)
+
 (** [index_of s name] is the position of attribute [name].
     @raise No_such_attribute when absent. *)
-let index_of s name =
-  let rec go i =
-    if i >= Array.length s.attrs then raise (No_such_attribute name)
-    else if String.equal (Attr.name s.attrs.(i)) name then i
-    else go (i + 1)
-  in
-  go 0
+let index_of s name = position s.attrs name 0
 
 let index_of_opt s name =
   match index_of s name with i -> Some i | exception No_such_attribute _ -> None

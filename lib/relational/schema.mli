@@ -19,8 +19,6 @@ val mem : t -> string -> bool
 val index_of : t -> string -> int
 (** @raise No_such_attribute when absent. *)
 
-val index_of_opt : t -> string -> int option
-
 val find : t -> string -> Attr.t
 (** @raise No_such_attribute when absent. *)
 

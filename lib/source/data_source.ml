@@ -196,8 +196,18 @@ let commit_sc s ~time (sc : Schema_change.t) =
     reject "schema change targets source %s, not %s"
       (Schema_change.source sc) s.id;
   (* Validate on a copy: a rejected change mutates nothing. *)
-  (try Catalog.apply (Catalog.copy s.live.catalog) sc
-   with e -> reject "inapplicable schema change: %s" (Printexc.to_string e));
+  let rel = Schema_change.rel sc in
+  (try Catalog.apply (Catalog.copy s.live.catalog) sc with
+  | Schema.No_such_attribute a ->
+      reject "inapplicable schema change: no attribute %s in %s@%s" a rel s.id
+  | Schema.Duplicate_attribute a ->
+      reject "inapplicable schema change: %s@%s already has an attribute %s"
+        rel s.id a
+  | Catalog.No_such_relation r ->
+      reject "inapplicable schema change: no relation %s@%s" r s.id
+  | Catalog.Relation_exists r ->
+      reject "inapplicable schema change: relation %s@%s already exists" r
+        s.id);
   record s ~time (Dyno_sim.Timeline.Sc sc)
 
 (** [commit s ~time ev] dispatches a timeline event. *)

@@ -227,9 +227,7 @@ let delta_view_local (w : Query_engine.t) (sw : Maint_query.sweep)
         let planner = Query_engine.planner w in
         (* Wire-cost estimate for a round trip replaced: the partial
            shipped out plus the answer shipped back, 8 bytes a field. *)
-        let est r =
-          8 * Rows.support r * List.length (Schema.attrs (Rows.schema r))
-        in
+        let est r = 8 * Rows.support r * Schema.arity (Rows.schema r) in
         let sweep () =
           let partial, st =
             List.fold_left

@@ -11,11 +11,15 @@ open Dyno_relational
 open Dyno_sim
 
 (** Mutable mirror of one relation's state as the generator walks the
-    timeline. *)
+    timeline.  [tuples.(0) .. tuples.(count - 1)] is the current extent,
+    oldest first: the newest tuple is at [count - 1].  Deletes sample it
+    by position counted from the newest, so the walk draws what a
+    newest-first list would. *)
 type mirror_rel = {
   mutable name : string;
   mutable schema : Schema.t;
-  mutable tuples : Tuple.t list;  (** current extent (sampled for deletes) *)
+  mutable tuples : Tuple.t array;  (** growable; [count] slots used *)
+  mutable count : int;
   mutable next_salt : int;
 }
 
@@ -24,6 +28,7 @@ type mirror = {
   rows : int;
 }
 
+(* The loaded rows, key [rows - 1] first, so key 0 is the newest. *)
 let make_mirror ~rows =
   {
     rels =
@@ -33,12 +38,38 @@ let make_mirror ~rows =
             name = Paper_schema.rel_name i;
             schema = Paper_schema.schema_of_rel i;
             tuples =
-              List.init rows (fun k ->
-                  Tuple.of_list (Paper_schema.tuple_for i k));
+              Array.init rows (fun j ->
+                  Tuple.of_list (Paper_schema.tuple_for i (rows - 1 - j)));
+            count = rows;
             next_salt = 1;
           });
     rows;
   }
+
+let push r tup =
+  if r.count = Array.length r.tuples then begin
+    let grown = Array.make (max 16 (2 * r.count)) tup in
+    Array.blit r.tuples 0 grown 0 r.count;
+    r.tuples <- grown
+  end;
+  r.tuples.(r.count) <- tup;
+  r.count <- r.count + 1
+
+(* Removes the newest tuple equal to [victim], which the extent holds:
+   after a drop-attribute change collapses tuples, that can be a newer
+   duplicate than the one drawn. *)
+let remove r victim =
+  let rec newest j =
+    if Tuple.equal r.tuples.(j) victim then j else newest (j - 1)
+  in
+  let j = newest (r.count - 1) in
+  Array.blit r.tuples (j + 1) r.tuples j (r.count - 1 - j);
+  r.count <- r.count - 1
+
+(* Every tuple of the extent through [f], in order. *)
+let map_tuples r f =
+  let old = r.tuples in
+  r.tuples <- Array.init r.count (fun j -> f old.(j))
 
 let source_of_index i = Paper_schema.source_of_rel (i + 1)
 
@@ -47,53 +78,34 @@ let source_of_index i = Paper_schema.source_of_rel (i + 1)
     view delta is non-empty), or a delete of a current tuple. *)
 let gen_du (m : mirror) rng i : Update.t =
   let r = m.rels.(i) in
-  let insert () =
+  let du tup k =
+    let delta = Relation.create r.schema in
+    Relation.add delta tup k;
+    Update.make ~source:(source_of_index i) ~rel:r.name delta
+  in
+  if r.count = 0 || Rng.bool rng then begin
     let k = Rng.int rng m.rows in
     let salt = r.next_salt in
     r.next_salt <- r.next_salt + 1;
-    let base = Paper_schema.tuple_for ~salt (i + 1) k in
-    (* Trim/extend the canonical tuple to the current schema arity: drops
-       and adds may have changed it. *)
-    let arity = Schema.arity r.schema in
-    let values =
-      List.filteri (fun j _ -> j < arity) base
-      @ List.init (max 0 (arity - List.length base)) (fun _ -> Value.null)
+    let base = Tuple.of_list (Paper_schema.tuple_for ~salt (i + 1) k) in
+    (* The canonical tuple trimmed or extended with nulls to the current
+       schema's arity (drops and adds may have changed it), its types
+       fixed positionally against that schema. *)
+    let tup =
+      Array.init (Schema.arity r.schema) (fun j ->
+          let v = if j < Array.length base then base.(j) else Value.null in
+          let ty = Attr.ty (Schema.attr_at r.schema j) in
+          if Value.has_type v ty then v
+          else Option.value (Value.coerce_to ty v) ~default:Value.null)
     in
-    (* Fix types positionally against the current schema. *)
-    let values =
-      List.map2
-        (fun a v ->
-          if Value.has_type v (Attr.ty a) then v
-          else
-            match Value.coerce_to (Attr.ty a) v with
-            | Some v' -> v'
-            | None -> Value.null)
-        (Schema.attrs r.schema) values
-    in
-    let tup = Tuple.of_list values in
-    r.tuples <- tup :: r.tuples;
-    Update.insert ~source:(source_of_index i) ~rel:r.name r.schema
-      (Tuple.to_list tup)
-  in
-  match r.tuples with
-  | [] -> insert ()
-  | tuples ->
-      if Rng.bool rng then insert ()
-      else begin
-        let victim = List.nth tuples (Rng.int rng (List.length tuples)) in
-        let removed = ref false in
-        r.tuples <-
-          List.filter
-            (fun t ->
-              if (not !removed) && Tuple.equal t victim then begin
-                removed := true;
-                false
-              end
-              else true)
-            tuples;
-        Update.delete ~source:(source_of_index i) ~rel:r.name r.schema
-          (Tuple.to_list victim)
-      end
+    push r tup;
+    du tup 1
+  end
+  else begin
+    let victim = r.tuples.(r.count - 1 - Rng.int rng r.count) in
+    remove r victim;
+    du victim (-1)
+  end
 
 (** Kinds of schema changes the experiments use. *)
 type sc_kind =
@@ -121,12 +133,12 @@ let gen_sc (m : mirror) rng i (kind : sc_kind) : Schema_change.t option =
           let a = Rng.pick rng attrs in
           let pos = Schema.index_of r.schema (Attr.name a) in
           r.schema <- Schema.drop r.schema (Attr.name a);
-          r.tuples <- List.map (fun t -> Tuple.drop_at t pos) r.tuples;
+          map_tuples r (fun t -> Tuple.drop_at t pos);
           Some
             (Schema_change.Drop_attribute
                { source; rel = r.name; attr = Attr.name a }))
   | Rename_rel ->
-      let new_name = Fmt.str "%s_r%d" r.name r.next_salt in
+      let new_name = r.name ^ "_r" ^ string_of_int r.next_salt in
       r.next_salt <- r.next_salt + 1;
       let sc =
         Schema_change.Rename_relation
@@ -139,7 +151,7 @@ let gen_sc (m : mirror) rng i (kind : sc_kind) : Schema_change.t option =
       | [] -> None
       | attrs ->
           let a = Rng.pick rng attrs in
-          let new_name = Fmt.str "%s_n%d" (Attr.name a) r.next_salt in
+          let new_name = Attr.name a ^ "_n" ^ string_of_int r.next_salt in
           r.next_salt <- r.next_salt + 1;
           let sc =
             Schema_change.Rename_attribute
@@ -149,12 +161,14 @@ let gen_sc (m : mirror) rng i (kind : sc_kind) : Schema_change.t option =
             Schema.rename r.schema ~old_name:(Attr.name a) ~new_name;
           Some sc)
   | Add_attr ->
-      let name = Fmt.str "X%d_%d" (i + 1) r.next_salt in
+      let name =
+        "X" ^ string_of_int (i + 1) ^ "_" ^ string_of_int r.next_salt
+      in
       r.next_salt <- r.next_salt + 1;
       let attr = Attr.int name in
       let default = Value.int 0 in
       r.schema <- Schema.add r.schema attr;
-      r.tuples <- List.map (fun t -> Tuple.append t default) r.tuples;
+      map_tuples r (fun t -> Tuple.append t default);
       Some (Schema_change.Add_attribute { source; rel = r.name; attr; default })
 
 (** One scheduled event request: when, and what kind. *)

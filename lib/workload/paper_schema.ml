@@ -14,21 +14,21 @@ open Dyno_relational
 
 let n_relations = 6
 
-let source_of_rel i = Fmt.str "DS%d" (((i - 1) / 2) + 1)
+let source_of_rel i = "DS" ^ string_of_int (((i - 1) / 2) + 1)
 
-let rel_name i = Fmt.str "R%d" i
+let rel_name i = "R" ^ string_of_int i
 
 let sources = [ "DS1"; "DS2"; "DS3" ]
 
-let key_attr i = Fmt.str "K%d" i
+let key_attr i = "K" ^ string_of_int i
 
 let schema_of_rel i =
   Schema.of_list
     [
       Attr.int (key_attr i);
-      Attr.int (Fmt.str "A%d" i);
-      Attr.string (Fmt.str "B%d" i);
-      Attr.float (Fmt.str "C%d" i);
+      Attr.int ("A" ^ string_of_int i);
+      Attr.string ("B" ^ string_of_int i);
+      Attr.float ("C" ^ string_of_int i);
     ]
 
 (** Deterministic tuple for key [k] in relation [i] ([salt] varies the
@@ -37,7 +37,9 @@ let tuple_for ?(salt = 0) i k : Value.t list =
   [
     Value.int k;
     Value.int ((k * 7) + i + (salt * 1000003));
-    Value.string (Fmt.str "r%d-%d-%d" i k salt);
+    Value.string
+      (String.concat "-"
+         [ "r" ^ string_of_int i; string_of_int k; string_of_int salt ]);
     Value.float (float_of_int ((k * i) + salt) /. 8.0);
   ]
 
@@ -49,8 +51,8 @@ let view_query () : Query.t =
       (List.concat_map
          (fun i ->
            List.map
-             (fun a -> Query.item (Fmt.str "%s.%s" (rel_name i) a))
-             [ key_attr i; Fmt.str "A%d" i; Fmt.str "B%d" i; Fmt.str "C%d" i ])
+             (fun a -> Query.item (rel_name i ^ "." ^ a))
+             (Schema.names (schema_of_rel i)))
          (List.init n_relations (fun i -> i + 1)))
     ~from:
       (List.init n_relations (fun i ->
@@ -60,8 +62,8 @@ let view_query () : Query.t =
       (List.init (n_relations - 1) (fun i ->
            let i = i + 1 in
            Predicate.eq_attr
-             (Fmt.str "%s.%s" (rel_name i) (key_attr i))
-             (Fmt.str "%s.%s" (rel_name (i + 1)) (key_attr (i + 1)))))
+             (rel_name i ^ "." ^ key_attr i)
+             (rel_name (i + 1) ^ "." ^ key_attr (i + 1))))
 
 let view2_query () : Query.t =
   Query.make ~name:"V2"
@@ -100,6 +102,6 @@ let build_meta () : Dyno_source.Meta_knowledge.t =
       (fun a ->
         Dyno_source.Meta_knowledge.mark_dispensable mk
           ~source:(source_of_rel i) ~rel:(rel_name i) ~attr:a)
-      [ Fmt.str "A%d" i; Fmt.str "B%d" i; Fmt.str "C%d" i ]
+      (List.tl (Schema.names (schema_of_rel i)) (* all but the key *))
   done;
   mk

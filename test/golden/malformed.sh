@@ -32,9 +32,14 @@ script() {
 view='CREATE TABLE a@b (x INT); CREATE VIEW V AS SELECT x FROM a@b;'
 
 # Read: a view that does not resolve, a table created twice, a schema
-# change at an unknown source, a load deleting an absent row.
+# change at an unknown source, a load deleting an absent row, a second
+# view.
 script unknown-attribute \
   'CREATE TABLE a@b (x INT); CREATE VIEW V AS SELECT y FROM a@b;'
+script where-unknown-alias \
+  'CREATE TABLE a@b (x INT); CREATE VIEW V AS SELECT x FROM a@b WHERE c.x = 1; INSERT INTO a@b VALUES (1);'
+script join-unknown-alias \
+  'CREATE TABLE a@b (x INT); CREATE VIEW V AS SELECT x FROM a@b WHERE a.x = c.x; INSERT INTO a@b VALUES (1);'
 script ambiguous-attribute \
   'CREATE TABLE a@b (x INT); CREATE TABLE c@b (x INT); CREATE VIEW V AS SELECT x FROM a@b, c@b;'
 script duplicate-column \
@@ -44,6 +49,7 @@ script duplicate-table \
 script unknown-source "$view ALTER TABLE a@zz DROP COLUMN x;"
 script load-deletes-absent-row \
   'CREATE TABLE a@b (x INT); DELETE FROM a@b VALUES (5); CREATE VIEW V AS SELECT x FROM a@b;'
+script second-view "$view CREATE VIEW W AS SELECT x FROM a@b;"
 
 # Run: a commit its source rejects.
 script drop-missing-column "$view ALTER TABLE a@b DROP COLUMN z;"

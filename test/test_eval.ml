@@ -131,7 +131,24 @@ let test_errors () =
   Alcotest.(check bool) "unbound alias" true
     (match Eval.run ~catalog:(Eval.catalog []) bad_attr with
     | _ -> false
-    | exception Eval.Error _ -> true)
+    | exception Eval.Error _ -> true);
+  (* A WHERE atom on an alias outside FROM, local or a join, is an error,
+     not an atom no scan or join step applies. *)
+  List.iter
+    (fun (what, atom) ->
+      let q =
+        Query.make ~name:"qc" ~select:[ Query.item "R.k" ]
+          ~from:[ Query.table ~alias:"R" "x" "R" ]
+          ~where:[ atom ]
+      in
+      Alcotest.(check string) what "unknown alias C in reference C.x"
+        (match Eval.run ~catalog:(Eval.catalog [ ("R", r) ]) q with
+        | _ -> "no error"
+        | exception Eval.Error e -> e))
+    [
+      ("constant atom on an alias outside FROM", Predicate.eq_const "C.x" (Value.int 1));
+      ("join atom on an alias outside FROM", Predicate.eq_attr "R.k" "C.x");
+    ]
 
 let test_signed_inputs () =
   (* evaluating a query over a delta relation keeps signs (linearity) *)
