@@ -925,13 +925,34 @@ let sql_cmd =
       next_time := !next_time +. 1.0;
       scheduled := stmt_text :: !scheduled
     in
-    let schema_of ~source ~rel =
-      match Dyno_source.Registry.find_opt registry source with
-      | None -> fail "unknown source %s" source
-      | Some s -> (
-          match Catalog.schema_of_opt (Dyno_source.Data_source.catalog s) rel with
-          | Some sc -> sc
-          | None -> fail "unknown relation %s@%s" rel source)
+    (* Each relation's schema when the next scheduled statement commits,
+       by (source, relation): CREATE TABLE fills it, and each scheduled
+       ALTER moves it. *)
+    let schemas = Hashtbl.create 8 in
+    let schema_of stmt_text ~source ~rel =
+      if not (Dyno_source.Registry.mem registry source) then
+        fail "in %S: unknown source %s" stmt_text source;
+      match Hashtbl.find_opt schemas (source, rel) with
+      | Some s -> s
+      | None -> fail "in %S: unknown relation %s@%s" stmt_text rel source
+    in
+    (* A change the map cannot apply is left to its source to reject. *)
+    let move (sc : Schema_change.t) =
+      let source = Schema_change.source sc in
+      let key = (source, Schema_change.rel sc) in
+      match (sc, Hashtbl.find_opt schemas key) with
+      | Drop_relation _, Some _ -> Hashtbl.remove schemas key
+      | Rename_relation { new_name; _ }, Some s
+        when not (Hashtbl.mem schemas (source, new_name)) ->
+          Hashtbl.remove schemas key;
+          Hashtbl.replace schemas (source, new_name) s
+      | (Rename_attribute _ | Drop_attribute _ | Add_attribute _), Some s -> (
+          match Schema_change.schema sc s with
+          | s -> Hashtbl.replace schemas key s
+          | exception (Schema.No_such_attribute _ | Schema.Duplicate_attribute _)
+            ->
+              ())
+      | _ -> ()
     in
     List.iter
       (fun stmt_text ->
@@ -953,7 +974,7 @@ let sql_cmd =
               let schemas =
                 List.map
                   (fun (tr : Query.table_ref) ->
-                    (tr.alias, schema_of ~source:tr.source ~rel:tr.rel))
+                    (tr.alias, schema_of stmt_text ~source:tr.source ~rel:tr.rel))
                   (Query.from q)
               in
               (match Eval.prepare q schemas with
@@ -977,13 +998,16 @@ let sql_cmd =
           | Error e -> fail "in %S: %s" stmt_text e
           | Ok (Sql_parser.Create_table { source; rel; schema }) ->
               ensure_source source;
-              let src = Dyno_source.Registry.find registry source in
-              if Catalog.mem (Dyno_source.Data_source.catalog src) rel then
-                fail "in %S: relation %s@%s already exists" stmt_text rel source;
-              Dyno_source.Data_source.add_relation src rel schema
+              (try
+                 Dyno_source.Data_source.add_relation
+                   (Dyno_source.Registry.find registry source)
+                   rel schema
+               with Dyno_source.Data_source.Relation_exists _ ->
+                 fail "in %S: relation %s@%s already exists" stmt_text rel source);
+              Hashtbl.replace schemas (source, rel) schema
           | Ok (Sql_parser.Insert { source; rel; _ } as stmt)
           | Ok (Sql_parser.Delete { source; rel; _ } as stmt) -> (
-              let schema = schema_of ~source ~rel in
+              let schema = schema_of stmt_text ~source ~rel in
               match Sql_parser.to_update schema stmt with
               | Error e -> fail "in %S: %s" stmt_text e
               | Ok u ->
@@ -1000,10 +1024,12 @@ let sql_cmd =
                   end
                   else schedule stmt_text (Dyno_sim.Timeline.Du u))
           | Ok (Sql_parser.Alter sc) ->
-              if !world = None then fail "schema changes require a view first";
+              if !world = None then
+                fail "in %S: schema changes require a view first" stmt_text;
               let source = Schema_change.source sc in
               if not (Dyno_source.Registry.mem registry source) then
                 fail "in %S: unknown source %s" stmt_text source;
+              move sc;
               schedule stmt_text (Dyno_sim.Timeline.Sc sc))
       (Sql_lexer.statements text);
     match !world with

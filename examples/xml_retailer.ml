@@ -84,8 +84,8 @@ let () =
   in
   let schemas =
     [
-      ("S", Catalog.schema_of (Data_source.catalog retailer) "Store");
-      ("I", Catalog.schema_of (Data_source.catalog retailer) "Item");
+      ("S", Relation.schema (Data_source.relation retailer "Store"));
+      ("I", Relation.schema (Data_source.relation retailer "Item"));
       ("C", catalog_schema);
     ]
   in

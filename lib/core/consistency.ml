@@ -151,7 +151,7 @@ let check_strong (w : Query_engine.t) (mv : Mat_view.t) : report =
           match
             try fault k c logged e with
             | Eval.Error r | Failure r | Relation.Schema_mismatch r -> Some r
-            | Catalog.No_such_relation r ->
+            | Dyno_source.Data_source.No_such_relation r ->
                 Some (Fmt.str "relation %s absent at claimed version" r)
           with
           | Some reason ->

@@ -1,10 +1,9 @@
-(** Source schema changes (SC) and their composition algebra.
+(** Source schema changes (SC), and what one change does to a relation.
 
-    The paper's Section 5 preprocessing combines consecutive schema changes
-    ("rename A to B" then "rename B to C" becomes "rename A to C") and
-    re-projects data updates committed between them.  {!t} is the wire-level
-    change; {!Delta} is the {e net} effect of a sequence of changes on one
-    relation, with [apply]/[compose]/tuple-projection operations. *)
+    {!t} is the wire-level change.  {!schema} and {!extent} are the one
+    definition of how a change moves a relation: sources, the paper's
+    Section 5 batch preprocessing, the synchronizer's believed schemas and
+    the workload generator's mirror all go through them. *)
 
 type t =
   | Rename_relation of { source : string; old_name : string; new_name : string }
@@ -69,242 +68,31 @@ let pp ppf = function
 
 let to_string sc = Fmt.str "%a" pp sc
 
-(** Net effect of a sequence of schema changes on {e one} relation. *)
-module Delta = struct
-  (** Fate of an attribute of the original schema. *)
-  type attr_fate =
-    | Kept of string  (** survives, under its current (possibly new) name *)
-    | Dropped
+(* A relation drop or add has no relation before and after it. *)
+let carries_none sc = invalid_arg (Fmt.str "%a carries no relation across" pp sc)
 
-  type nonrec t = {
-    source : string;
-    old_rel : string;  (** relation name before the sequence *)
-    new_rel : string option;  (** current name; [None] once dropped *)
-    fates : (string * attr_fate) list;
-        (** original attribute name -> fate, in original schema order *)
-    added : (Attr.t * Value.t) list;
-        (** attributes added by the sequence (current names), with defaults *)
-  }
+let schema sc s =
+  match sc with
+  | Rename_relation _ -> s
+  | Drop_relation _ | Add_relation _ -> carries_none sc
+  | Rename_attribute { old_name; new_name; _ } ->
+      Schema.rename s ~old_name ~new_name
+  | Drop_attribute { attr; _ } -> Schema.drop s attr
+  | Add_attribute { attr; _ } -> Schema.add s attr
 
-  exception Inapplicable of string
-
-  let err fmt = Fmt.kstr (fun s -> raise (Inapplicable s)) fmt
-
-  (** Identity delta for relation [rel] with schema [schema] at [source]. *)
-  let identity ~source ~rel schema =
-    {
-      source;
-      old_rel = rel;
-      new_rel = Some rel;
-      fates = List.map (fun a -> (Attr.name a, Kept (Attr.name a))) (Schema.attrs schema);
-      added = [];
-    }
-
-  let is_identity d =
-    (match d.new_rel with
-    | Some n -> String.equal n d.old_rel
-    | None -> false)
-    && d.added = []
-    && List.for_all
-         (fun (o, f) -> match f with Kept n -> String.equal o n | Dropped -> false)
-         d.fates
-
-  let dropped_relation d = d.new_rel = None
-
-  (** [current_name d old] maps an original attribute name to its current
-      name, or [None] if dropped.  Raises if [old] was never part of the
-      relation. *)
-  let current_name d old =
-    match List.assoc_opt old d.fates with
-    | Some (Kept n) -> Some n
-    | Some Dropped -> None
-    | None -> err "attribute %s not in original schema of %s" old d.old_rel
-
-  (** [step d sc] extends the net delta with one more change.  The change
-      must target the relation's {e current} name.
-      @raise Inapplicable when it does not apply. *)
-  let step d sc =
-    let cur =
-      match d.new_rel with
-      | Some n -> n
-      | None -> err "relation %s has been dropped" d.old_rel
-    in
-    if not (String.equal (source sc) d.source) then
-      err "schema change targets source %s, delta is at %s" (source sc)
-        d.source;
-    (* Current names of live attributes: fates' Kept names + added names. *)
-    let live_names =
-      List.filter_map
-        (fun (_, f) -> match f with Kept n -> Some n | Dropped -> None)
-        d.fates
-      @ List.map (fun (a, _) -> Attr.name a) d.added
-    in
-    let has name = List.exists (String.equal name) live_names in
-    match sc with
-    | Rename_relation { old_name; new_name; _ } ->
-        if not (String.equal old_name cur) then
-          err "rename of %s does not apply to %s" old_name cur;
-        { d with new_rel = Some new_name }
-    | Drop_relation { name; _ } ->
-        if not (String.equal name cur) then
-          err "drop of %s does not apply to %s" name cur;
-        { d with new_rel = None }
-    | Add_relation _ -> err "add-relation does not apply to an existing delta"
-    | Rename_attribute { rel; old_name; new_name; _ } ->
-        if not (String.equal rel cur) then
-          err "change targets %s, relation is now %s" rel cur;
-        if not (has old_name) then err "no live attribute %s" old_name;
-        if has new_name && not (String.equal old_name new_name) then
-          err "attribute %s already exists" new_name;
-        let fates =
-          List.map
-            (fun (o, f) ->
-              match f with
-              | Kept n when String.equal n old_name -> (o, Kept new_name)
-              | _ -> (o, f))
-            d.fates
-        in
-        let added =
-          List.map
-            (fun (a, v) ->
-              if String.equal (Attr.name a) old_name then
-                (Attr.rename a new_name, v)
-              else (a, v))
-            d.added
-        in
-        { d with fates; added }
-    | Drop_attribute { rel; attr; _ } ->
-        if not (String.equal rel cur) then
-          err "change targets %s, relation is now %s" rel cur;
-        if not (has attr) then err "no live attribute %s" attr;
-        let in_added =
-          List.exists (fun (a, _) -> String.equal (Attr.name a) attr) d.added
-        in
-        if in_added then
-          {
-            d with
-            added =
-              List.filter
-                (fun (a, _) -> not (String.equal (Attr.name a) attr))
-                d.added;
-          }
-        else
-          let fates =
-            List.map
-              (fun (o, f) ->
-                match f with
-                | Kept n when String.equal n attr -> (o, Dropped)
-                | _ -> (o, f))
-              d.fates
-          in
-          { d with fates }
-    | Add_attribute { rel; attr; default; _ } ->
-        if not (String.equal rel cur) then
-          err "change targets %s, relation is now %s" rel cur;
-        if has (Attr.name attr) then
-          err "attribute %s already exists" (Attr.name attr);
-        { d with added = d.added @ [ (attr, default) ] }
-
-  (** [of_changes ~source ~rel schema scs] folds a whole sequence. *)
-  let of_changes ~source ~rel schema scs =
-    List.fold_left step (identity ~source ~rel schema) scs
-
-  (** [apply_schema d old_schema] is the relation's schema after the delta.
-      @raise Inapplicable if the relation was dropped or [old_schema]
-      disagrees with the recorded original attributes. *)
-  let apply_schema d old_schema =
-    if dropped_relation d then err "relation %s has been dropped" d.old_rel;
-    let names = Schema.names old_schema in
-    if not (List.equal String.equal names (List.map fst d.fates)) then
-      err "schema %a does not match delta origin" Schema.pp old_schema;
-    let kept =
-      List.filter_map
-        (fun a ->
-          match List.assoc (Attr.name a) d.fates with
-          | Kept n -> Some (Attr.rename a n)
-          | Dropped -> None)
-        (Schema.attrs old_schema)
-    in
-    Schema.of_list (kept @ List.map fst d.added)
-
-  (** [project_tuple d old_schema tup] converts a tuple of the original
-      schema into the post-delta schema: dropped positions removed, added
-      attributes filled with their defaults.  This is exactly the Section 5
-      homogenisation of data updates ("insert (3,4)", "drop first
-      attribute", "insert (5)" → "insert (4),(5)"). *)
-  let project_tuple d old_schema (tup : Tuple.t) : Tuple.t =
-    if dropped_relation d then err "relation %s has been dropped" d.old_rel;
-    ignore old_schema;
-    let kept_positions =
-      d.fates
-      |> List.mapi (fun i (_, f) -> (i, f))
-      |> List.filter_map (fun (i, f) ->
-             match f with Kept _ -> Some i | Dropped -> None)
-    in
-    let base = Array.of_list (List.map (fun i -> Tuple.get tup i) kept_positions) in
-    Array.append base (Array.of_list (List.map snd d.added))
-
-  (** [project_delta d old_schema r] re-expresses a signed delta relation
-      under the post-delta schema (multiplicities re-aggregated). *)
-  let project_delta d old_schema r =
-    let schema' = apply_schema d old_schema in
-    Relation.map_tuples schema' (fun t -> project_tuple d old_schema t) r
-
-  (** [compose d1 d2]: apply [d1] then [d2] ([d2]'s original relation must be
-      [d1]'s result). *)
-  let compose d1 d2 =
-    if dropped_relation d1 then d1
-    else begin
-      (match d1.new_rel with
-      | Some n when String.equal n d2.old_rel -> ()
-      | _ -> err "compose: name mismatch (%s then %s)" d1.old_rel d2.old_rel);
-      let fate_after name =
-        (* fate of a *current* d1 name under d2 *)
-        match List.assoc_opt name d2.fates with
-        | Some f -> f
-        | None -> err "compose: %s unknown to second delta" name
-      in
-      let fates =
-        List.map
-          (fun (o, f) ->
-            match f with
-            | Dropped -> (o, Dropped)
-            | Kept n -> (o, fate_after n))
-          d1.fates
-      in
-      let added1 =
-        List.filter_map
-          (fun (a, v) ->
-            match fate_after (Attr.name a) with
-            | Kept n -> Some (Attr.rename a n, v)
-            | Dropped -> None)
-          d1.added
-      in
-      {
-        source = d1.source;
-        old_rel = d1.old_rel;
-        new_rel = d2.new_rel;
-        fates;
-        added = added1 @ d2.added;
-      }
-    end
-
-  let pp ppf d =
-    let pp_fate ppf (o, f) =
-      match f with
-      | Kept n when String.equal o n -> Fmt.pf ppf "%s" o
-      | Kept n -> Fmt.pf ppf "%s->%s" o n
-      | Dropped -> Fmt.pf ppf "%s->⊥" o
-    in
-    Fmt.pf ppf "@[<h>%s: %s -> %s [%a]%a@]" d.source d.old_rel
-      (match d.new_rel with Some n -> n | None -> "⊥")
-      Fmt.(list ~sep:(any "; ") pp_fate)
-      d.fates
-      (fun ppf added ->
-        if added <> [] then
-          Fmt.pf ppf " +[%a]"
-            Fmt.(list ~sep:(any "; ") (fun ppf (a, v) ->
-                     Fmt.pf ppf "%a=%a" Attr.pp a Value.pp v))
-            added)
-      d.added
-end
+(* An attribute rename shares [r]'s table and indexes (their keys are
+   positions); a drop or an add carries each index on kept columns. *)
+let extent sc r =
+  match sc with
+  | Rename_relation _ -> r
+  | Rename_attribute { old_name; new_name; _ } ->
+      Relation.rename_attr r ~old_name ~new_name
+  | Drop_attribute _ ->
+      Relation.project ~keep_indexes:true r
+        (Schema.names (schema sc (Relation.schema r)))
+  | Add_attribute { default; _ } ->
+      Relation.map_tuples ~keys:Option.some
+        (schema sc (Relation.schema r))
+        (fun t -> Tuple.append t default)
+        r
+  | Drop_relation _ | Add_relation _ -> carries_none sc

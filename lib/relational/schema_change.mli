@@ -1,10 +1,11 @@
-(** Source schema changes (SC) and their composition algebra.
+(** Source schema changes (SC), and what one change does to a relation.
 
-    {!t} is the wire-level change a source commits; {!Delta} is the
-    {e net} effect of a sequence of changes on one relation — the
-    Section 5 preprocessing machinery ("rename A to B" then "rename B to
-    C" combines to "rename A to C"; data updates are re-projected through
-    intervening changes so they merge into homogeneous deltas). *)
+    {!t} is the wire-level change a source commits.  {!schema} and
+    {!extent} move a relation across one change: sources apply them to
+    their tables, Section 5 preprocessing carries a batch's merged data
+    updates through them ("insert (3,4)", "drop first attribute",
+    "insert (5)" → "insert (4),(5)"), and the synchronizer and the
+    workload generator track schemas with {!schema}. *)
 
 type t =
   | Rename_relation of { source : string; old_name : string; new_name : string }
@@ -37,59 +38,21 @@ val destructive : t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-(** Net effect of a sequence of schema changes on one relation. *)
-module Delta : sig
-  type sc := t
+val schema : t -> Schema.t -> Schema.t
+(** [schema sc s] is a relation's schema [s] after [sc]: the attribute
+    renamed, dropped or appended; a relation rename keeps it.
+    @raise Schema.No_such_attribute / Schema.Duplicate_attribute when
+    the attribute change does not apply to [s].
+    @raise Invalid_argument for a relation drop or add, which carry no
+    relation across. *)
 
-  (** Fate of an attribute of the original schema. *)
-  type attr_fate = Kept of string  (** current (possibly new) name *) | Dropped
-
-  type t = {
-    source : string;
-    old_rel : string;  (** relation name before the sequence *)
-    new_rel : string option;  (** current name; [None] once dropped *)
-    fates : (string * attr_fate) list;
-        (** original attribute name → fate, in original order *)
-    added : (Attr.t * Value.t) list;
-        (** attributes added by the sequence, with their defaults *)
-  }
-
-  exception Inapplicable of string
-
-  val identity : source:string -> rel:string -> Schema.t -> t
-  val is_identity : t -> bool
-  val dropped_relation : t -> bool
-
-  val current_name : t -> string -> string option
-  (** Current name of an original attribute, [None] if dropped.
-      @raise Inapplicable if it never existed. *)
-
-  val step : t -> sc -> t
-  (** Extend the net delta with one more change (which must target the
-      relation's current name).
-      @raise Inapplicable when it does not apply. *)
-
-  val of_changes : source:string -> rel:string -> Schema.t -> sc list -> t
-  (** Fold a whole sequence from the identity delta. *)
-
-  val apply_schema : t -> Schema.t -> Schema.t
-  (** The relation's schema after the delta.
-      @raise Inapplicable if dropped or the schema disagrees with the
-      recorded original attributes. *)
-
-  val project_tuple : t -> Schema.t -> Tuple.t -> Tuple.t
-  (** Convert a tuple of the original schema into the post-delta schema:
-      dropped positions removed, added attributes filled with defaults —
-      the Section 5 homogenisation of data updates. *)
-
-  val project_delta : t -> Schema.t -> Relation.t -> Relation.t
-  (** Re-express a signed delta relation under the post-delta schema
-      (multiplicities re-aggregated). *)
-
-  val compose : t -> t -> t
-  (** Apply the first, then the second (whose original relation must be
-      the first one's result).
-      @raise Inapplicable on a mismatch. *)
-
-  val pp : Format.formatter -> t -> unit
-end
+val extent : t -> Relation.t -> Relation.t
+(** [extent sc r] is [r] after [sc], under [schema sc (Relation.schema r)]:
+    [r] itself across a relation rename, [r]'s table shared under the
+    new names across an attribute rename, the projection with counts
+    re-aggregated across a drop, and each tuple extended with the
+    default across an add.  Each index of [r] keyed on kept columns is
+    carried.  The result may share [r]'s storage: [r] is not read
+    afterwards.
+    @raise Schema.No_such_attribute / Schema.Duplicate_attribute /
+    Invalid_argument as {!schema}. *)

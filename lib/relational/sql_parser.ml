@@ -26,7 +26,8 @@
     v}
 
     Inserts/deletes parse into {!Update.t} given the relation's schema
-    (supplied by the caller, usually from a source catalog). *)
+    (supplied by the caller: the schema it has when the statement
+    commits). *)
 
 open Sql_lexer
 

@@ -1,7 +1,7 @@
 (** An autonomous data source: a small versioned relational store.
 
-    Each source owns a {!Dyno_relational.Catalog.t} and the extents of its
-    relations, commits data updates and schema changes {e autonomously}
+    Each source owns the extents of its relations — a relation's schema
+    is its extent's — commits data updates and schema changes {e autonomously}
     (they can never be aborted by the view manager — the root constraint of
     the paper), and answers maintenance queries {e against its current
     state}.  A query that references metadata the source no longer has is
@@ -20,9 +20,8 @@
 
 open Dyno_relational
 
-(* A catalog with the extents of its relations, at a version. *)
+(* The extents of the source's relations, at a version. *)
 type state = {
-  catalog : Catalog.t;
   tables : (string, Relation.t) Hashtbl.t;
   mutable version : int;  (** bumped on every commit; 0 = initial state *)
 }
@@ -46,11 +45,13 @@ type answer = {
   scanned : int;  (** total source tuples scanned to answer (cost input) *)
 }
 
+exception No_such_relation of string
+exception Relation_exists of string
+
 let create id =
   {
     id;
-    live =
-      { catalog = Catalog.create (); tables = Hashtbl.create 8; version = 0 };
+    live = { tables = Hashtbl.create 8; version = 0 };
     log = [||];
     v0 = None;
     replica = None;
@@ -58,13 +59,12 @@ let create id =
   }
 
 let id s = s.id
-let catalog s = s.live.catalog
 let version s = s.live.version
 
 let table st name =
   match Hashtbl.find_opt st.tables name with
   | Some r -> r
-  | None -> raise (Catalog.No_such_relation name)
+  | None -> raise (No_such_relation name)
 
 let relation s name = table s.live name
 let relation_opt s name = Hashtbl.find_opt s.live.tables name
@@ -72,7 +72,7 @@ let relation_opt s name = Hashtbl.find_opt s.live.tables name
 (** [add_relation s name schema] registers an empty base relation (initial
     load, not versioned as an update). *)
 let add_relation s name schema =
-  Catalog.add_relation s.live.catalog name schema;
+  if Hashtbl.mem s.live.tables name then raise (Relation_exists name);
   Hashtbl.replace s.live.tables name (Relation.create schema)
 
 (** [load s name tuples] bulk-appends initial data (not versioned). *)
@@ -84,12 +84,10 @@ let load_counted s name pairs =
   let r = relation s name in
   List.iter (fun (t, c) -> Relation.add r (Tuple.of_list t) c) pairs
 
-(** [apply_sc st sc] — catalog surgery plus the extent transformation
-    mirroring it.  Commits and replay both call it.  A new or dropped
-    attribute keeps the relation's indexes, bar one keyed on the dropped
-    column. *)
+(** [apply_sc st sc] moves, drops or adds a table, or replaces it with
+    {!Schema_change.extent}, which keeps each index on kept columns.
+    Commits and replay both call it. *)
 let apply_sc st (sc : Schema_change.t) =
-  Catalog.apply st.catalog sc;
   match sc with
   | Rename_relation { old_name; new_name; _ } ->
       let r = table st old_name in
@@ -98,19 +96,9 @@ let apply_sc st (sc : Schema_change.t) =
   | Drop_relation { name; _ } -> Hashtbl.remove st.tables name
   | Add_relation { name; schema; _ } ->
       Hashtbl.replace st.tables name (Relation.create schema)
-  | Rename_attribute { rel; old_name; new_name; _ } ->
-      Hashtbl.replace st.tables rel
-        (Relation.rename_attr (table st rel) ~old_name ~new_name)
-  | Drop_attribute { rel; _ } ->
-      Hashtbl.replace st.tables rel
-        (Relation.project ~keep_indexes:true (table st rel)
-           (Schema.names (Catalog.schema_of st.catalog rel)))
-  | Add_attribute { rel; default; _ } ->
-      Hashtbl.replace st.tables rel
-        (Relation.map_tuples ~keys:Option.some
-           (Catalog.schema_of st.catalog rel)
-           (fun t -> Tuple.append t default)
-           (table st rel))
+  | Rename_attribute { rel; _ } | Drop_attribute { rel; _ }
+  | Add_attribute { rel; _ } ->
+      Hashtbl.replace st.tables rel (Schema_change.extent sc (table st rel))
 
 (* Deltas apply in place — O(|delta|), and any indexes probes have built
    on the extent stay registered and are maintained incrementally. *)
@@ -126,7 +114,7 @@ let copy_state st =
   Hashtbl.iter
     (fun k r -> Hashtbl.replace tables k (Relation.copy r))
     st.tables;
-  { catalog = Catalog.copy st.catalog; tables; version = st.version }
+  { tables; version = st.version }
 
 (* ------------------------------------------------------------------ *)
 (* Autonomous commits                                                 *)
@@ -176,9 +164,10 @@ let commit_du s ~time (u : Update.t) =
   if not (String.equal (Update.source u) s.id) then
     reject "update targets source %s, not %s" (Update.source u) s.id;
   let rel_name = Update.rel u in
-  (match Catalog.schema_of_opt s.live.catalog rel_name with
+  (match Hashtbl.find_opt s.live.tables rel_name with
   | None -> reject "no relation %s at source %s" rel_name s.id
-  | Some schema ->
+  | Some r ->
+      let schema = Relation.schema r in
       if not (Schema.equal schema (Relation.schema (Update.delta u))) then
         reject "delta schema %a does not match %s's current schema %a"
           Schema.pp
@@ -189,25 +178,39 @@ let commit_du s ~time (u : Update.t) =
   try record s ~time (Dyno_sim.Timeline.Du u)
   with Invalid_argument reason -> reject "%s" reason
 
-(** [commit_sc s ~time sc] applies a schema change: catalog surgery plus the
-    corresponding extent transformation.  Returns the new version. *)
+(** [commit_sc s ~time sc] applies a schema change to the tables.
+    Returns the new version. *)
 let commit_sc s ~time (sc : Schema_change.t) =
   if not (String.equal (Schema_change.source sc) s.id) then
     reject "schema change targets source %s, not %s"
       (Schema_change.source sc) s.id;
-  (* Validate on a copy: a rejected change mutates nothing. *)
-  let rel = Schema_change.rel sc in
-  (try Catalog.apply (Catalog.copy s.live.catalog) sc with
-  | Schema.No_such_attribute a ->
-      reject "inapplicable schema change: no attribute %s in %s@%s" a rel s.id
-  | Schema.Duplicate_attribute a ->
-      reject "inapplicable schema change: %s@%s already has an attribute %s"
-        rel s.id a
-  | Catalog.No_such_relation r ->
-      reject "inapplicable schema change: no relation %s@%s" r s.id
-  | Catalog.Relation_exists r ->
-      reject "inapplicable schema change: relation %s@%s already exists" r
-        s.id);
+  (* Checked against the tables before anything changes: a rejected
+     change mutates nothing. *)
+  let absent r = reject "inapplicable schema change: no relation %s@%s" r s.id in
+  let taken r =
+    reject "inapplicable schema change: relation %s@%s already exists" r s.id
+  in
+  let mem = Hashtbl.mem s.live.tables in
+  (match sc with
+  | Rename_relation { old_name; new_name; _ } ->
+      if not (mem old_name) then absent old_name;
+      if mem new_name && not (String.equal old_name new_name) then
+        taken new_name
+  | Drop_relation { name; _ } -> if not (mem name) then absent name
+  | Add_relation { name; _ } -> if mem name then taken name
+  | Rename_attribute { rel; _ } | Drop_attribute { rel; _ }
+  | Add_attribute { rel; _ } -> (
+      match Hashtbl.find_opt s.live.tables rel with
+      | None -> absent rel
+      | Some r -> (
+          try ignore (Schema_change.schema sc (Relation.schema r)) with
+          | Schema.No_such_attribute a ->
+              reject "inapplicable schema change: no attribute %s in %s@%s" a
+                rel s.id
+          | Schema.Duplicate_attribute a ->
+              reject
+                "inapplicable schema change: %s@%s already has an attribute %s"
+                rel s.id a)));
   record s ~time (Dyno_sim.Timeline.Sc sc)
 
 (** [commit s ~time ev] dispatches a timeline event. *)
@@ -230,7 +233,7 @@ let rec shipped alias = function
 
 (** [answer s q ~bound] evaluates [q] against the source's {e current}
     state.  Table refs whose [source] field names this source are resolved
-    in the local catalog; other aliases must be provided in [bound]
+    among the source's tables; other aliases must be provided in [bound]
     (partial results shipped with the query, as SWEEP does).  [plan] is
     [q] as the view manager prepared it against the schemas it believes;
     it runs only if the bound relations' current schemas equal the
@@ -320,7 +323,7 @@ let unpin s r =
   match s.pins with [] -> () | pins -> s.pins <- drop pins
 
 (** [validate s q] — metadata-only dry run of query [q] against the
-    current catalog: do the referenced local relations and attributes
+    current tables' schemas: do the referenced local relations and attributes
     still exist?  Used by view adaptation to detect conflicts while it is
     still computing (the repeated source access of an Equation-6 style
     adaptation), without paying for another scan. *)
@@ -332,7 +335,10 @@ let validate s (q : Query.t) : (unit, broken) result =
     List.filter_map
       (fun (tr : Query.table_ref) ->
         if String.equal tr.source s.id then
-          Some (tr.alias, Catalog.schema_of_opt s.live.catalog tr.rel, tr.rel)
+          Some
+            ( tr.alias,
+              Option.map Relation.schema (Hashtbl.find_opt s.live.tables tr.rel),
+              tr.rel )
         else None)
       (Query.from q)
   in
@@ -381,7 +387,7 @@ let validate s (q : Query.t) : (unit, broken) result =
     or behind [version] (its indexes survive), rebuilt from version 0
     when it is ahead.  The result stays valid only until the next
     [relation_at] on [s].
-    @raise Catalog.No_such_relation if absent at that version. *)
+    @raise No_such_relation if absent at that version. *)
 let relation_at s ~version name =
   if version > s.live.version || version < 0 then
     invalid_arg

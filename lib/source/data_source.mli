@@ -21,9 +21,11 @@ type answer = {
   scanned : int;  (** source tuples scanned to answer (cost input) *)
 }
 
+exception No_such_relation of string
+exception Relation_exists of string
+
 val create : string -> t
 val id : t -> string
-val catalog : t -> Catalog.t
 
 val version : t -> int
 (** Bumped on every commit; 0 = initial state.  Doubles as the
@@ -33,12 +35,14 @@ val version : t -> int
     every later commit to follow in order. *)
 
 val relation : t -> string -> Relation.t
-(** @raise Catalog.No_such_relation when absent. *)
+(** A relation's extent; its schema is the relation's.
+    @raise No_such_relation when absent. *)
 
 val relation_opt : t -> string -> Relation.t option
 
 val add_relation : t -> string -> Schema.t -> unit
-(** Register an empty base relation (initial load, not versioned). *)
+(** Register an empty base relation (initial load, not versioned).
+    @raise Relation_exists when the name is taken. *)
 
 val load : t -> string -> Value.t list list -> unit
 (** Bulk-append initial data (not versioned). *)
@@ -56,9 +60,9 @@ val commit_du : t -> time:float -> Update.t -> int
     @raise Commit_rejected when invalid, the source unchanged. *)
 
 val commit_sc : t -> time:float -> Schema_change.t -> int
-(** Apply a schema change: catalog surgery plus the corresponding extent
-    transformation; returns the new version.
-    @raise Commit_rejected when inapplicable. *)
+(** Apply a schema change to the tables ({!Schema_change.extent});
+    returns the new version.
+    @raise Commit_rejected when inapplicable, the source unchanged. *)
 
 val commit : t -> time:float -> Dyno_sim.Timeline.event -> int
 
@@ -71,7 +75,7 @@ val answer :
   (answer, broken) result
 (** Evaluate against the current state.  Aliases in [bound] resolve to the
     supplied rows (partial results shipped with the query, as SWEEP
-    does); other local refs resolve in the catalog, in one pass over the
+    does); other local refs resolve to the source's tables, in one pass over the
     FROM list.  Any schema
     discrepancy yields [Error] — the in-exec broken-query signal.
     [planner] (default [`Indexed]) picks the physical plan; under
@@ -117,7 +121,7 @@ val relation_at : t -> version:int -> string -> Relation.t
     strong-consistency check, self-maintenance re-seeding at the
     delivered frontier — rebuilds at most once.  Read-only, and valid
     only until the next [relation_at] on the same source.
-    @raise Catalog.No_such_relation if absent at that version.
+    @raise No_such_relation if absent at that version.
     @raise Invalid_argument when the version is out of range. *)
 
 val commit_time_of_version : t -> int -> float option

@@ -4,12 +4,11 @@
     schema changes, possibly from several sources — that must be processed
     in one atomic maintenance step.  The pipeline is:
 
-    + {b preprocess} — per relation, fold the schema changes into one net
-      {!Dyno_relational.Schema_change.Delta} ("rename A to B" then "rename
-      B to C" combines to "rename A to C") and re-project the interleaved
-      data updates into the final schema so they merge into one homogeneous
-      delta ("insert (3,4)", "drop first attribute", "insert (5)" →
-      "insert (4),(5)");
+    + {b preprocess} — per relation, merge the data updates into one
+      delta and carry it across each later schema change on the relation
+      ({!Dyno_relational.Schema_change.extent}), so it lands in the final
+      schema as one homogeneous delta ("insert (3,4)", "drop first
+      attribute", "insert (5)" → "insert (4),(5)");
     + {b synchronize} — rewrite the view definition once for the combined
       schema changes (producing e.g. the paper's Query (5) for the cyclic
       SC1/SC2 example);
@@ -49,69 +48,56 @@ type prep = {
 
 (** [preprocess msgs] runs the per-source, per-relation combination step.
     Data updates are carried forward through each subsequent schema change
-    on their relation via {!Schema_change.Delta.project_delta}. *)
+    on their relation via {!Schema_change.extent}. *)
 let preprocess (msgs : Update_msg.t list) : prep =
-  (* (source, current rel name) -> (current schema, accumulated delta) *)
-  let accum : (string * string, Schema.t * Relation.t) Hashtbl.t =
-    Hashtbl.create 8
-  in
+  (* (source, current rel name) -> accumulated delta, under the
+     relation's current schema *)
+  let accum : (string * string, Relation.t) Hashtbl.t = Hashtbl.create 8 in
   let dropped = ref 0 in
   let scs = ref [] in
+  (* Should not happen: an intervening SC re-keys the entry and carries
+     it across; a mismatch means the source emitted an inconsistent
+     delta, or a rename landed on a name that accumulates deltas of
+     another schema (rename swap games). *)
+  let merge what key acc d =
+    if not (Schema.equal (Relation.schema acc) (Relation.schema d)) then
+      invalid_arg (Fmt.str "batch: %s on %s" what (snd key))
+    else Relation.sum_in_place acc d
+  in
   List.iter
     (fun m ->
       match Update_msg.payload m with
-      | Update_msg.Du u ->
+      | Update_msg.Du u -> (
           let key = (Update.source u, Update.rel u) in
-          let schema = Update.schema u in
           (* Accumulators are private copies: later deltas add in place. *)
-          (match Hashtbl.find_opt accum key with
-          | Some (s, acc) ->
-              if not (Schema.equal s schema) then
-                (* Should not happen: an intervening SC re-keys the
-                   entry and re-projects; a mismatch means the source
-                   emitted an inconsistent delta. *)
-                invalid_arg
-                  (Fmt.str "batch: delta schema mismatch on %s" (snd key))
-              else Relation.sum_in_place acc (Update.delta u)
-          | None ->
-              Hashtbl.replace accum key (schema, Relation.copy (Update.delta u)))
+          match Hashtbl.find_opt accum key with
+          | Some acc -> merge "delta schema mismatch" key acc (Update.delta u)
+          | None -> Hashtbl.replace accum key (Relation.copy (Update.delta u)))
       | Update_msg.Sc sc -> (
           scs := sc :: !scs;
           let source = Schema_change.source sc in
           let key = (source, Schema_change.rel sc) in
           match Hashtbl.find_opt accum key with
           | None -> ()
-          | Some (schema, acc) -> (
+          | Some acc -> (
               Hashtbl.remove accum key;
-              let step =
-                Schema_change.Delta.of_changes ~source
-                  ~rel:(Schema_change.rel sc) schema [ sc ]
-              in
-              if Schema_change.Delta.dropped_relation step then
-                dropped := !dropped + Relation.mass acc
-              else
-                let acc' = Schema_change.Delta.project_delta step schema acc in
-                let new_name =
-                  match step.Schema_change.Delta.new_rel with
-                  | Some n -> n
-                  | None -> assert false
-                in
-                let schema' = Schema_change.Delta.apply_schema step schema in
-                match Hashtbl.find_opt accum (source, new_name) with
-                | None -> Hashtbl.replace accum (source, new_name) (schema', acc')
-                | Some (s2, acc2) ->
-                    (* A rename landed on a name that already accumulates
-                       deltas (rename swap games); merge if compatible. *)
-                    if Schema.equal s2 schema' then
-                      Relation.sum_in_place acc2 acc'
-                    else
-                      invalid_arg
-                        (Fmt.str "batch: rename collision on %s" new_name))))
+              match sc with
+              | Drop_relation _ -> dropped := !dropped + Relation.mass acc
+              | _ -> (
+                  let acc = Schema_change.extent sc acc in
+                  let key =
+                    match sc with
+                    | Rename_relation { new_name; _ } -> (source, new_name)
+                    | _ -> key
+                  in
+                  match Hashtbl.find_opt accum key with
+                  | None -> Hashtbl.replace accum key acc
+                  | Some acc2 -> merge "rename collision" key acc2 acc))))
     msgs;
   {
     scs = List.rev !scs;
     du_deltas =
-      Hashtbl.fold (fun (src, rel) (_, d) acc -> (src, rel, d) :: acc) accum [];
+      Hashtbl.fold (fun (src, rel) d acc -> (src, rel, d) :: acc) accum [];
     dropped_du_tuples = !dropped;
   }
 

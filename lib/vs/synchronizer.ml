@@ -102,8 +102,8 @@ let replacement_schema registry ~source ~rel =
   match Registry.find_opt registry source with
   | None -> fail "replacement source %s is not registered" source
   | Some s -> (
-      match Catalog.schema_of_opt (Data_source.catalog s) rel with
-      | Some schema -> schema
+      match Data_source.relation_opt s rel with
+      | Some r -> Relation.schema r
       | None -> fail "replacement relation %s@%s does not exist" rel source)
 
 (** [replace_relations] substitutes every view relation subsumed by [repl]
@@ -290,7 +290,7 @@ let sync_one (mk : Meta_knowledge.t) (registry : Registry.t)
               in
               let ss' =
                 match List.assoc_opt tr.alias ss with
-                | Some s -> set_schema ss tr.alias (Schema.rename s ~old_name ~new_name)
+                | Some s -> set_schema ss tr.alias (Schema_change.schema sc s)
                 | None -> ss
               in
               ( q',
@@ -309,7 +309,7 @@ let sync_one (mk : Meta_knowledge.t) (registry : Registry.t)
           List.fold_left
             (fun ss (tr : Query.table_ref) ->
               match List.assoc_opt tr.alias ss with
-              | Some s -> set_schema ss tr.alias (Schema.add s attr)
+              | Some s -> set_schema ss tr.alias (Schema_change.schema sc s)
               | None -> ss)
             schemas touched
         in
@@ -329,7 +329,7 @@ let sync_one (mk : Meta_knowledge.t) (registry : Registry.t)
             let used = uses_attr query schemas tr.alias attr in
             let drop_from_schema ss =
               match List.assoc_opt tr.alias ss with
-              | Some s -> set_schema ss tr.alias (Schema.drop s attr)
+              | Some s -> set_schema ss tr.alias (Schema_change.schema sc s)
               | None -> ss
             in
             if not used then

@@ -114,8 +114,14 @@ type sc_kind =
   | Rename_attr
   | Add_attr
 
+(* The change [sc], once [r]'s schema has moved across it. *)
+let moved r sc =
+  r.schema <- Schema_change.schema sc r.schema;
+  Some sc
+
 (** [gen_sc mirror rng i kind] produces a valid schema change against
-    relation index [i], updating the mirror. *)
+    relation index [i], updating the mirror: its schema through
+    {!Schema_change.schema}, its tuples through its own array map. *)
 let gen_sc (m : mirror) rng i (kind : sc_kind) : Schema_change.t option =
   let r = m.rels.(i) in
   let source = source_of_index i in
@@ -132,9 +138,8 @@ let gen_sc (m : mirror) rng i (kind : sc_kind) : Schema_change.t option =
       | attrs ->
           let a = Rng.pick rng attrs in
           let pos = Schema.index_of r.schema (Attr.name a) in
-          r.schema <- Schema.drop r.schema (Attr.name a);
           map_tuples r (fun t -> Tuple.drop_at t pos);
-          Some
+          moved r
             (Schema_change.Drop_attribute
                { source; rel = r.name; attr = Attr.name a }))
   | Rename_rel ->
@@ -153,13 +158,9 @@ let gen_sc (m : mirror) rng i (kind : sc_kind) : Schema_change.t option =
           let a = Rng.pick rng attrs in
           let new_name = Attr.name a ^ "_n" ^ string_of_int r.next_salt in
           r.next_salt <- r.next_salt + 1;
-          let sc =
-            Schema_change.Rename_attribute
-              { source; rel = r.name; old_name = Attr.name a; new_name }
-          in
-          r.schema <-
-            Schema.rename r.schema ~old_name:(Attr.name a) ~new_name;
-          Some sc)
+          moved r
+            (Schema_change.Rename_attribute
+               { source; rel = r.name; old_name = Attr.name a; new_name }))
   | Add_attr ->
       let name =
         "X" ^ string_of_int (i + 1) ^ "_" ^ string_of_int r.next_salt
@@ -167,9 +168,8 @@ let gen_sc (m : mirror) rng i (kind : sc_kind) : Schema_change.t option =
       r.next_salt <- r.next_salt + 1;
       let attr = Attr.int name in
       let default = Value.int 0 in
-      r.schema <- Schema.add r.schema attr;
       map_tuples r (fun t -> Tuple.append t default);
-      Some (Schema_change.Add_attribute { source; rel = r.name; attr; default })
+      moved r (Schema_change.Add_attribute { source; rel = r.name; attr; default })
 
 (** One scheduled event request: when, and what kind. *)
 type request = At_du of float | At_sc of float * sc_kind

@@ -66,10 +66,10 @@ let evaluate ~registry ~engine query =
 let materialize (c : Config.t) ~registry ~engine query =
   let schema (tr : Query.table_ref) =
     ( tr.alias,
-      Catalog.schema_of
-        (Dyno_source.Data_source.catalog
-           (Dyno_source.Registry.find registry tr.source))
-        tr.rel )
+      Relation.schema
+        (Dyno_source.Data_source.relation
+           (Dyno_source.Registry.find registry tr.source)
+           tr.rel) )
   in
   let mv =
     Mat_view.create ~track_snapshots:c.Config.track_snapshots

@@ -32,8 +32,9 @@ script() {
 view='CREATE TABLE a@b (x INT); CREATE VIEW V AS SELECT x FROM a@b;'
 
 # Read: a view that does not resolve, a table created twice, a schema
-# change at an unknown source, a load deleting an absent row, a second
-# view.
+# change at an unknown source or before the view, a view over an
+# unknown source, an insert into an unknown relation, a load deleting an
+# absent row, a second view.
 script unknown-attribute \
   'CREATE TABLE a@b (x INT); CREATE VIEW V AS SELECT y FROM a@b;'
 script where-unknown-alias \
@@ -47,6 +48,10 @@ script duplicate-column \
 script duplicate-table \
   'CREATE TABLE a@b (x INT); CREATE TABLE a@b (y INT); CREATE VIEW V AS SELECT x FROM a@b;'
 script unknown-source "$view ALTER TABLE a@zz DROP COLUMN x;"
+script sc-before-view \
+  'CREATE TABLE a@b (x INT); ALTER TABLE a@b DROP COLUMN x; CREATE VIEW V AS SELECT x FROM a@b;'
+script view-unknown-source 'CREATE VIEW V AS SELECT x FROM a@b;'
+script insert-unknown-relation "$view INSERT INTO c@b VALUES (1);"
 script load-deletes-absent-row \
   'CREATE TABLE a@b (x INT); DELETE FROM a@b VALUES (5); CREATE VIEW V AS SELECT x FROM a@b;'
 script second-view "$view CREATE VIEW W AS SELECT x FROM a@b;"

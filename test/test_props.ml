@@ -264,7 +264,7 @@ let prop_equation6 =
         [ `Indexed; `Nested_loop ]
       && refresh_reaches_new ~old_a ~new_a ~old_b ~new_b ~pend_a ~pend_b ~late)
 
-(* -- schema-change delta laws ------------------------------------------ *)
+(* -- schema-change transform --------------------------------------------- *)
 
 (* derive a random APPLICABLE schema-change sequence by folding random
    choices over the evolving schema *)
@@ -309,40 +309,98 @@ let arb_sc_seq =
   QCheck.make gen_sc_seq ~print:(fun (_, scs) ->
       Fmt.str "%a" Fmt.(list ~sep:(any "; ") Schema_change.pp) scs)
 
-let prop_delta_matches_catalog =
-  QCheck.Test.make ~name:"net delta schema = stepwise catalog application"
+(* The delta a batch carries across the changes ends in the schema that
+   the source's relation reaches by committing them one at a time. *)
+let prop_delta_matches_source =
+  QCheck.Test.make ~name:"net delta schema = stepwise source application"
     ~count:200 arb_sc_seq (fun (base, scs) ->
-      let d = Schema_change.Delta.of_changes ~source:"ds" ~rel:"R" base scs in
-      let cat = Catalog.create () in
-      Catalog.add_relation cat "R" base;
-      List.iter (Catalog.apply cat) scs;
-      Schema.equal (Schema_change.Delta.apply_schema d base) (Catalog.schema_of cat "R"))
-
-let prop_delta_split_compose =
-  QCheck.Test.make ~name:"of_changes(s1@s2) = compose(of s1, of s2)" ~count:200
-    (QCheck.pair arb_sc_seq QCheck.small_nat)
-    (fun ((base, scs), cut) ->
-      QCheck.assume (scs <> []);
-      let k = cut mod (List.length scs + 1) in
-      let s1 = List.filteri (fun i _ -> i < k) scs in
-      let s2 = List.filteri (fun i _ -> i >= k) scs in
-      let d1 = Schema_change.Delta.of_changes ~source:"ds" ~rel:"R" base s1 in
-      let mid = Schema_change.Delta.apply_schema d1 base in
-      let d2 = Schema_change.Delta.of_changes ~source:"ds" ~rel:"R" mid s2 in
-      let composed = Schema_change.Delta.compose d1 d2 in
-      let folded = Schema_change.Delta.of_changes ~source:"ds" ~rel:"R" base scs in
-      Schema.equal
-        (Schema_change.Delta.apply_schema composed base)
-        (Schema_change.Delta.apply_schema folded base))
+      let d =
+        List.fold_left
+          (fun r sc -> Schema_change.extent sc r)
+          (Relation.create base) scs
+      in
+      let src = Dyno_source.Data_source.create "ds" in
+      Dyno_source.Data_source.add_relation src "R" base;
+      List.iter
+        (fun sc -> ignore (Dyno_source.Data_source.commit_sc src ~time:0.0 sc))
+        scs;
+      Schema.equal (Relation.schema d)
+        (Relation.schema (Dyno_source.Data_source.relation src "R")))
 
 let prop_project_tuple_arity =
   QCheck.Test.make ~name:"projected tuples match the post-delta schema"
     ~count:200 arb_sc_seq (fun (base, scs) ->
-      let d = Schema_change.Delta.of_changes ~source:"ds" ~rel:"R" base scs in
-      let tup = Tuple.of_list (List.init (Schema.arity base) (fun i -> Value.int i)) in
-      let s' = Schema_change.Delta.apply_schema d base in
-      let t' = Schema_change.Delta.project_tuple d base tup in
-      Schema.typecheck s' t')
+      let tup = List.init (Schema.arity base) (fun i -> Value.int i) in
+      let d =
+        List.fold_left
+          (fun r sc -> Schema_change.extent sc r)
+          (Relation.of_counted base [ (tup, 1) ]) scs
+      in
+      let s' = List.fold_left (fun s sc -> Schema_change.schema sc s) base scs in
+      Relation.support d = 1
+      && Relation.fold (fun t _ ok -> ok && Schema.typecheck s' t) d true)
+
+(* A random signed relation over [gen_sc_seq]'s base schema (a, b, c),
+   from a small value domain so that drops merge tuples: the rows as
+   generated, duplicates and all. *)
+let gen_signed_rows =
+  QCheck.Gen.(
+    list_size (int_range 0 12)
+      (pair
+         (list_repeat 3 (int_range 0 2))
+         (oneofl [ -2; -1; 1; 2 ])))
+
+(* The naive reference for one change on (attribute names, rows): a
+   rename keeps the tuples, a drop removes the position, an add appends
+   the default.  Counts are re-aggregated at the end ([aggregate]). *)
+let naive_step (names, rows) (sc : Schema_change.t) =
+  match sc with
+  | Rename_attribute { old_name; new_name; _ } ->
+      ( List.map (fun n -> if String.equal n old_name then new_name else n) names,
+        rows )
+  | Drop_attribute { attr; _ } ->
+      let keep l =
+        List.filteri (fun j _ -> not (String.equal (List.nth names j) attr)) l
+      in
+      (keep names, List.map (fun (t, c) -> (keep t, c)) rows)
+  | Add_attribute { attr; default; _ } ->
+      (names @ [ Attr.name attr ], List.map (fun (t, c) -> (t @ [ default ], c)) rows)
+  | _ -> invalid_arg "naive_step: gen_sc_seq makes attribute changes only"
+
+(* Sum the counts of equal tuples, dropping those that reach zero. *)
+let aggregate rows =
+  List.fold_left
+    (fun acc (t, c) ->
+      let c' = c + Option.value (List.assoc_opt t acc) ~default:0 in
+      (t, c') :: List.remove_assoc t acc)
+    [] rows
+  |> List.filter (fun (_, c) -> c <> 0)
+
+let prop_extent_matches_reference =
+  QCheck.Test.make ~name:"carried extent = reference" ~count:300
+    (QCheck.pair arb_sc_seq
+       (QCheck.make gen_signed_rows
+          ~print:
+            (Fmt.str "%a"
+               Fmt.(Dump.list (Dump.pair (Dump.list int) int)))))
+    (fun ((base, scs), ints) ->
+      let rows = List.map (fun (t, c) -> (List.map Value.int t, c)) ints in
+      let r =
+        List.fold_left
+          (fun r sc -> Schema_change.extent sc r)
+          (Relation.of_counted base rows) scs
+      in
+      let names, expected =
+        List.fold_left naive_step (Schema.names base, rows) scs
+      in
+      let expected = aggregate expected in
+      Schema.equal (Relation.schema r)
+        (List.fold_left (fun s sc -> Schema_change.schema sc s) base scs)
+      && List.equal String.equal (Schema.names (Relation.schema r)) names
+      && Relation.support r = List.length expected
+      && List.for_all
+           (fun (t, c) -> Relation.count r (Tuple.of_list t) = c)
+           expected)
 
 (* -- correction legality (Theorem 2) ----------------------------------- *)
 
@@ -444,24 +502,21 @@ let prop_snapshot_reconstruction =
       Dyno_source.Data_source.add_relation src "R" schema;
       Dyno_source.Data_source.load src "R"
         [ [ Value.int 0; Value.int 0 ]; [ Value.int 1; Value.int 1 ] ];
+      (* the source's one relation, under its current name *)
+      let current = ref "R" in
       (* mirror: (version, rel name, extent copy) *)
       let capture () =
-        let name =
-          List.hd (Catalog.relations (Dyno_source.Data_source.catalog src))
-        in
         ( Dyno_source.Data_source.version src,
-          name,
-          Relation.copy (Dyno_source.Data_source.relation src name) )
+          !current,
+          Relation.copy (Dyno_source.Data_source.relation src !current) )
       in
       let mirrors = ref [ capture () ] in
       let fresh = ref 0 in
       List.iter
         (fun choice ->
-          let name =
-            List.hd (Catalog.relations (Dyno_source.Data_source.catalog src))
-          in
+          let name = !current in
           let sch =
-            Catalog.schema_of (Dyno_source.Data_source.catalog src) name
+            Relation.schema (Dyno_source.Data_source.relation src name)
           in
           incr fresh;
           (try
@@ -481,11 +536,12 @@ let prop_snapshot_reconstruction =
                       (Update.make ~source:"ds" ~rel:name
                          (Relation.of_list sch [ row ])))
              | 2 ->
+                 let new_name = Fmt.str "R%d" !fresh in
                  ignore
                    (Dyno_source.Data_source.commit_sc src ~time:0.0
                       (Schema_change.Rename_relation
-                         { source = "ds"; old_name = name;
-                           new_name = Fmt.str "R%d" !fresh }))
+                         { source = "ds"; old_name = name; new_name }));
+                 current := new_name
              | 3 ->
                  ignore
                    (Dyno_source.Data_source.commit_sc src ~time:0.0
@@ -640,7 +696,11 @@ let () =
       ("equation 6", List.map to_alcotest [ prop_equation6 ]);
       ( "schema-change deltas",
         List.map to_alcotest
-          [ prop_delta_matches_catalog; prop_delta_split_compose; prop_project_tuple_arity ] );
+          [
+            prop_delta_matches_source;
+            prop_project_tuple_arity;
+            prop_extent_matches_reference;
+          ] );
       ("correction", List.map to_alcotest [ prop_correction_legal ]);
       ( "versioned store",
         List.map to_alcotest [ prop_snapshot_reconstruction ] );

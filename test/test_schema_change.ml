@@ -1,13 +1,12 @@
-(* Unit tests for Schema_change and its net-effect Delta algebra — the
-   Section 5 preprocessing machinery ("rename A to B" then "rename B to C"
-   combines to "rename A to C"; data updates re-projected through schema
-   changes become homogeneous). *)
+(* Unit tests for Schema_change: what one change does to a relation's
+   schema and extent ({!Schema_change.schema}, {!Schema_change.extent}) —
+   the transform sources apply and Section 5 preprocessing folds over a
+   batch ("insert (3,4)", "drop first attribute", "insert (5)" →
+   "insert (4),(5)"). *)
 
 open Dyno_relational
 
 let schema = Schema.of_list [ Attr.int "a"; Attr.int "b"; Attr.string "c" ]
-
-let delta_of scs = Schema_change.Delta.of_changes ~source:"ds" ~rel:"R" schema scs
 
 let rename_attr o n =
   Schema_change.Rename_attribute { source = "ds"; rel = "R"; old_name = o; new_name = n }
@@ -18,127 +17,125 @@ let add_attr name default =
   Schema_change.Add_attribute
     { source = "ds"; rel = "R"; attr = Attr.int name; default }
 
+let schema_after scs s = List.fold_left (fun s sc -> Schema_change.schema sc s) s scs
+let extent_after scs r = List.fold_left (fun r sc -> Schema_change.extent sc r) r scs
+
+let rel rows = Relation.of_list schema rows
+let row a b c = [ Value.int a; Value.int b; Value.string c ]
+
+let names_after scs = Schema.names (schema_after scs schema)
+
+let check_rows msg expected r =
+  Alcotest.(check bool) msg true
+    (Relation.equal r (Relation.of_counted (Relation.schema r) expected))
+
+(* Sources accept an attribute renamed onto its own name. *)
 let test_identity () =
-  let d = delta_of [] in
-  Alcotest.(check bool) "identity" true (Schema_change.Delta.is_identity d);
+  let r = rel [ row 1 2 "p" ] in
   Alcotest.(check bool) "schema unchanged" true
-    (Schema.equal schema (Schema_change.Delta.apply_schema d schema))
+    (Schema.equal schema (Schema_change.schema (rename_attr "a" "a") schema));
+  Alcotest.(check bool) "extent unchanged" true
+    (Relation.equal r (Schema_change.extent (rename_attr "a" "a") (Relation.copy r)))
 
 let test_rename_chain_collapses () =
-  let d = delta_of [ rename_attr "a" "x"; rename_attr "x" "y" ] in
-  Alcotest.(check bool) "a now named y" true
-    (Schema_change.Delta.current_name d "a" = Some "y");
-  let s' = Schema_change.Delta.apply_schema d schema in
-  Alcotest.(check (list string)) "net rename" [ "y"; "b"; "c" ] (Schema.names s')
+  let scs = [ rename_attr "a" "x"; rename_attr "x" "y" ] in
+  Alcotest.(check (list string)) "net rename" [ "y"; "b"; "c" ] (names_after scs);
+  let r = extent_after scs (rel [ row 1 2 "p" ]) in
+  Alcotest.(check (list string)) "extent renamed" [ "y"; "b"; "c" ]
+    (Schema.names (Relation.schema r));
+  check_rows "tuples kept" [ (row 1 2 "p", 1) ] r
 
 let test_rename_then_drop_absorbs () =
-  let d = delta_of [ rename_attr "a" "x"; drop_attr "x" ] in
-  Alcotest.(check bool) "a dropped" true
-    (Schema_change.Delta.current_name d "a" = None);
-  let s' = Schema_change.Delta.apply_schema d schema in
-  Alcotest.(check (list string)) "gone" [ "b"; "c" ] (Schema.names s')
+  let scs = [ rename_attr "a" "x"; drop_attr "x" ] in
+  Alcotest.(check (list string)) "gone" [ "b"; "c" ] (names_after scs);
+  check_rows "first position removed"
+    [ ([ Value.int 2; Value.string "p" ], 1) ]
+    (extent_after scs (rel [ row 1 2 "p" ]))
 
 let test_add_then_drop_cancels () =
-  let d = delta_of [ add_attr "z" (Value.int 0); drop_attr "z" ] in
-  Alcotest.(check bool) "back to identity" true (Schema_change.Delta.is_identity d)
+  let r = rel [ row 1 2 "p"; row 3 4 "q" ] in
+  let back = extent_after [ add_attr "z" (Value.int 0); drop_attr "z" ] (Relation.copy r) in
+  Alcotest.(check bool) "back to the original" true (Relation.equal r back)
 
 let test_add_then_rename () =
-  let d = delta_of [ add_attr "z" (Value.int 7); rename_attr "z" "zz" ] in
-  let s' = Schema_change.Delta.apply_schema d schema in
+  let scs = [ add_attr "z" (Value.int 7); rename_attr "z" "zz" ] in
   Alcotest.(check (list string)) "added under final name" [ "a"; "b"; "c"; "zz" ]
-    (Schema.names s')
+    (names_after scs);
+  check_rows "default appended"
+    [ (row 1 2 "p" @ [ Value.int 7 ], 1) ]
+    (extent_after scs (rel [ row 1 2 "p" ]))
 
 let test_relation_rename_and_drop () =
-  let d =
-    delta_of
-      [ Schema_change.Rename_relation { source = "ds"; old_name = "R"; new_name = "R2" } ]
+  let r = rel [ row 1 2 "p" ] in
+  let rename =
+    Schema_change.Rename_relation { source = "ds"; old_name = "R"; new_name = "R2" }
   in
-  Alcotest.(check bool) "renamed" true (d.Schema_change.Delta.new_rel = Some "R2");
-  let d2 =
-    Schema_change.Delta.step d
-      (Schema_change.Drop_relation { source = "ds"; name = "R2" })
-  in
-  Alcotest.(check bool) "dropped" true (Schema_change.Delta.dropped_relation d2);
-  (* applying anything to a dropped relation fails *)
-  Alcotest.(check bool) "no further steps" true
-    (match Schema_change.Delta.step d2 (rename_attr "a" "q") with
-    | _ -> false
-    | exception Schema_change.Delta.Inapplicable _ -> true)
+  Alcotest.(check bool) "rename keeps the schema" true
+    (Schema.equal schema (Schema_change.schema rename schema));
+  Alcotest.(check bool) "rename keeps the extent" true
+    (Schema_change.extent rename r == r);
+  (* a dropped or added relation has no relation on both sides *)
+  List.iter
+    (fun sc ->
+      Alcotest.(check bool) "no schema across" true
+        (match Schema_change.schema sc schema with
+        | _ -> false
+        | exception Invalid_argument _ -> true);
+      Alcotest.(check bool) "no extent across" true
+        (match Schema_change.extent sc r with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [
+      Schema_change.Drop_relation { source = "ds"; name = "R" };
+      Schema_change.Add_relation { source = "ds"; name = "R"; schema };
+    ]
 
 let test_inapplicable_steps () =
-  let d = delta_of [] in
-  let trap sc =
-    match Schema_change.Delta.step d sc with
-    | _ -> false
-    | exception Schema_change.Delta.Inapplicable _ -> true
+  let r = rel [ row 1 2 "p" ] in
+  let trap msg exn sc =
+    Alcotest.check_raises (msg ^ ": schema") exn (fun () ->
+        ignore (Schema_change.schema sc schema));
+    Alcotest.check_raises (msg ^ ": extent") exn (fun () ->
+        ignore (Schema_change.extent sc r))
   in
-  Alcotest.(check bool) "rename missing attr" true (trap (rename_attr "zz" "q"));
-  Alcotest.(check bool) "rename onto existing" true (trap (rename_attr "a" "b"));
-  Alcotest.(check bool) "drop missing" true (trap (drop_attr "zz"));
-  Alcotest.(check bool) "add duplicate" true (trap (add_attr "a" (Value.int 0)));
-  Alcotest.(check bool) "wrong relation name" true
-    (trap (Schema_change.Rename_relation { source = "ds"; old_name = "X"; new_name = "Y" }));
-  Alcotest.(check bool) "wrong source" true
-    (match
-       Schema_change.Delta.step d
-         (Schema_change.Drop_attribute { source = "other"; rel = "R"; attr = "a" })
-     with
-    | _ -> false
-    | exception Schema_change.Delta.Inapplicable _ -> true)
+  trap "rename missing attr" (Schema.No_such_attribute "zz") (rename_attr "zz" "q");
+  trap "rename onto existing" (Schema.Duplicate_attribute "b") (rename_attr "a" "b");
+  trap "drop missing" (Schema.No_such_attribute "zz") (drop_attr "zz");
+  trap "add duplicate" (Schema.Duplicate_attribute "a") (add_attr "a" (Value.int 0))
 
 let test_project_tuple_section5 () =
   (* The paper's §5 example: "insert (3,4)", "drop first attribute",
      "insert (5)" — the first insert is projected to "(4)". *)
   let schema2 = Schema.of_list [ Attr.int "a"; Attr.int "b" ] in
-  let d =
-    Schema_change.Delta.of_changes ~source:"ds" ~rel:"R" schema2 [ drop_attr "a" ]
-  in
-  let projected =
-    Schema_change.Delta.project_tuple d schema2 (Tuple.of_list [ Value.int 3; Value.int 4 ])
-  in
-  Alcotest.(check bool) "(3,4) -> (4)" true
-    (Tuple.equal projected (Tuple.of_list [ Value.int 4 ]))
+  check_rows "(3,4) -> (4)"
+    [ ([ Value.int 4 ], 1) ]
+    (Schema_change.extent (drop_attr "a")
+       (Relation.of_list schema2 [ [ Value.int 3; Value.int 4 ] ]))
 
 let test_project_tuple_with_default () =
-  let d = delta_of [ drop_attr "b"; add_attr "n" (Value.int 99) ] in
-  let projected =
-    Schema_change.Delta.project_tuple d schema
-      (Tuple.of_list [ Value.int 1; Value.int 2; Value.string "x" ])
-  in
-  Alcotest.(check bool) "(1,2,'x') -> (1,'x',99)" true
-    (Tuple.equal projected (Tuple.of_list [ Value.int 1; Value.string "x"; Value.int 99 ]))
+  check_rows "(1,2,'x') -> (1,'x',99)"
+    [ ([ Value.int 1; Value.string "x"; Value.int 99 ], 1) ]
+    (extent_after
+       [ drop_attr "b"; add_attr "n" (Value.int 99) ]
+       (rel [ row 1 2 "x" ]))
 
 let test_project_delta_reaggregates () =
   let schema2 = Schema.of_list [ Attr.int "a"; Attr.int "b" ] in
-  let d = Schema_change.Delta.of_changes ~source:"ds" ~rel:"R" schema2 [ drop_attr "a" ] in
-  let rel =
-    Relation.of_list schema2
-      [ [ Value.int 1; Value.int 7 ]; [ Value.int 2; Value.int 7 ] ]
+  let delta =
+    Relation.of_counted schema2
+      [
+        ([ Value.int 1; Value.int 7 ], 1);
+        ([ Value.int 2; Value.int 7 ], 2);
+        ([ Value.int 3; Value.int 7 ], -1);
+        ([ Value.int 4; Value.int 8 ], -1);
+      ]
   in
-  let p = Schema_change.Delta.project_delta d schema2 rel in
+  let p = Schema_change.extent (drop_attr "a") delta in
   Alcotest.(check int) "merged under projection" 2
-    (Relation.count p (Tuple.of_list [ Value.int 7 ]))
-
-let test_compose_equals_folded () =
-  let s1 = [ rename_attr "a" "x"; drop_attr "b" ] in
-  (* the second leg must be expressed against the post-s1 schema *)
-  let mid_schema = Schema_change.Delta.apply_schema (delta_of s1) schema in
-  let s2 =
-    [
-      Schema_change.Rename_attribute
-        { source = "ds"; rel = "R"; old_name = "x"; new_name = "y" };
-      Schema_change.Add_attribute
-        { source = "ds"; rel = "R"; attr = Attr.int "w"; default = Value.int 0 };
-    ]
-  in
-  let d1 = delta_of s1 in
-  let d2 = Schema_change.Delta.of_changes ~source:"ds" ~rel:"R" mid_schema s2 in
-  let composed = Schema_change.Delta.compose d1 d2 in
-  let folded = delta_of (s1 @ s2) in
-  Alcotest.(check bool) "compose = fold" true
-    (Schema.equal
-       (Schema_change.Delta.apply_schema composed schema)
-       (Schema_change.Delta.apply_schema folded schema))
+    (Relation.count p (Tuple.of_list [ Value.int 7 ]));
+  Alcotest.(check int) "a deletion stays signed" (-1)
+    (Relation.count p (Tuple.of_list [ Value.int 8 ]));
+  Alcotest.(check int) "two tuples left" 2 (Relation.support p)
 
 let test_destructive_classification () =
   Alcotest.(check bool) "drop destructive" true
@@ -163,7 +160,6 @@ let () =
           Alcotest.test_case "add then rename" `Quick test_add_then_rename;
           Alcotest.test_case "relation rename/drop" `Quick test_relation_rename_and_drop;
           Alcotest.test_case "inapplicable steps rejected" `Quick test_inapplicable_steps;
-          Alcotest.test_case "compose = fold" `Quick test_compose_equals_folded;
         ] );
       ( "DU homogenization (Section 5)",
         [

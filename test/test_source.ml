@@ -157,7 +157,7 @@ let test_snapshot_reconstruction () =
   Alcotest.(check bool) "v2 R absent" true
     (match Data_source.relation_at s ~version:2 "R" with
     | _ -> false
-    | exception Catalog.No_such_relation _ -> true);
+    | exception Data_source.No_such_relation _ -> true);
   Alcotest.(check int) "v2 R2 card" 3
     (Relation.cardinality (Data_source.relation_at s ~version:2 "R2"));
   (* v3: (1,a) deleted *)
@@ -379,6 +379,120 @@ let test_sc_keeps_indexes () =
   carried "drop: n shifted past v" [| 1 |];
   projection_pinned "drop"
 
+(* -- the source's catalog: a relation's schema is its extent's ---------- *)
+
+let cat_schema = Schema.of_list [ Attr.int "id"; Attr.string "x" ]
+
+let cat () =
+  let s = Data_source.create "ds" in
+  Data_source.add_relation s "R" cat_schema;
+  Data_source.add_relation s "S" (Schema.of_list [ Attr.int "k" ]);
+  s
+
+let mem s rel = Data_source.relation_opt s rel <> None
+let schema_of s rel = Relation.schema (Data_source.relation s rel)
+let names_of s rel = Schema.names (schema_of s rel)
+let apply s sc = ignore (Data_source.commit_sc s ~time:1.0 sc)
+
+let rejected msg reason f =
+  Alcotest.check_raises msg (Data_source.Commit_rejected reason) f
+
+let test_catalog_basics () =
+  let s = cat () in
+  Alcotest.(check bool) "mem" true (mem s "R");
+  Alcotest.(check bool) "schema" true (Schema.equal cat_schema (schema_of s "R"));
+  Alcotest.check_raises "missing" (Data_source.No_such_relation "Z") (fun () ->
+      ignore (Data_source.relation s "Z"));
+  Alcotest.check_raises "duplicate add" (Data_source.Relation_exists "R")
+    (fun () -> Data_source.add_relation s "R" cat_schema)
+
+let test_catalog_rename_relation () =
+  let s = cat () in
+  apply s
+    (Schema_change.Rename_relation { source = "ds"; old_name = "R"; new_name = "R9" });
+  Alcotest.(check bool) "old gone" false (mem s "R");
+  Alcotest.(check bool) "new there" true (mem s "R9");
+  rejected "rename onto existing"
+    "inapplicable schema change: relation S@ds already exists" (fun () ->
+      apply s
+        (Schema_change.Rename_relation
+           { source = "ds"; old_name = "R9"; new_name = "S" }))
+
+let test_catalog_drop_add_relation () =
+  let s = cat () in
+  apply s (Schema_change.Drop_relation { source = "ds"; name = "S" });
+  Alcotest.(check bool) "S gone" false (mem s "S");
+  Alcotest.(check bool) "R kept" true (mem s "R");
+  apply s
+    (Schema_change.Add_relation { source = "ds"; name = "T"; schema = cat_schema });
+  Alcotest.(check bool) "T added" true (Schema.equal cat_schema (schema_of s "T"));
+  Alcotest.(check bool) "T empty" true
+    (Relation.is_empty (Data_source.relation s "T"))
+
+let test_catalog_attribute_changes () =
+  let s = cat () in
+  apply s
+    (Schema_change.Rename_attribute
+       { source = "ds"; rel = "R"; old_name = "x"; new_name = "y" });
+  Alcotest.(check (list string)) "renamed" [ "id"; "y" ] (names_of s "R");
+  apply s
+    (Schema_change.Add_attribute
+       { source = "ds"; rel = "R"; attr = Attr.float "z"; default = Value.float 0.0 });
+  Alcotest.(check (list string)) "added" [ "id"; "y"; "z" ] (names_of s "R");
+  apply s (Schema_change.Drop_attribute { source = "ds"; rel = "R"; attr = "y" });
+  Alcotest.(check (list string)) "dropped" [ "id"; "z" ] (names_of s "R")
+
+(* Each of the four rejection sentences, with nothing committed. *)
+let test_catalog_validates () =
+  let s = cat () in
+  rejected "absent relation" "inapplicable schema change: no relation Q@ds"
+    (fun () ->
+      apply s (Schema_change.Drop_attribute { source = "ds"; rel = "Q"; attr = "x" }));
+  rejected "taken relation" "inapplicable schema change: relation S@ds already exists"
+    (fun () ->
+      apply s
+        (Schema_change.Add_relation { source = "ds"; name = "S"; schema = cat_schema }));
+  rejected "missing attribute" "inapplicable schema change: no attribute nope in R@ds"
+    (fun () ->
+      apply s
+        (Schema_change.Drop_attribute { source = "ds"; rel = "R"; attr = "nope" }));
+  rejected "duplicate attribute"
+    "inapplicable schema change: R@ds already has an attribute id" (fun () ->
+      apply s
+        (Schema_change.Rename_attribute
+           { source = "ds"; rel = "R"; old_name = "x"; new_name = "id" }));
+  Alcotest.(check int) "no version committed" 0 (Data_source.version s);
+  Alcotest.(check bool) "x still there" true (Schema.mem (schema_of s "R") "x");
+  apply s (Schema_change.Drop_attribute { source = "ds"; rel = "R"; attr = "x" });
+  Alcotest.(check bool) "good ddl commits" false (Schema.mem (schema_of s "R") "x")
+
+let test_catalog_rejected_keeps_state () =
+  let s = cat () in
+  Data_source.load s "R" [ [ Value.int 1; Value.string "a" ] ];
+  apply s
+    (Schema_change.Add_attribute
+       { source = "ds"; rel = "R"; attr = Attr.int "n"; default = Value.int 0 });
+  let before = Relation.copy (Data_source.relation s "R") in
+  rejected "rename onto existing"
+    "inapplicable schema change: R@ds already has an attribute x" (fun () ->
+      apply s
+        (Schema_change.Rename_attribute
+           { source = "ds"; rel = "R"; old_name = "n"; new_name = "x" }));
+  Alcotest.(check int) "version kept" 1 (Data_source.version s);
+  Alcotest.(check (list string)) "schema kept" [ "id"; "x"; "n" ] (names_of s "R");
+  Alcotest.(check bool) "extent kept" true
+    (Relation.equal before (Data_source.relation s "R"))
+
+(* The copy of version 0 taken at the first commit is the source's own:
+   later commits never show in it. *)
+let test_catalog_copy_isolation () =
+  let s = cat () in
+  apply s (Schema_change.Drop_relation { source = "ds"; name = "R" });
+  Alcotest.(check bool) "R gone now" false (mem s "R");
+  Alcotest.(check bool) "R still at version 0" true
+    (Schema.equal cat_schema
+       (Relation.schema (Data_source.relation_at s ~version:0 "R")))
+
 let () =
   Alcotest.run "source"
     [
@@ -401,6 +515,17 @@ let () =
         ] );
       ( "versioning",
         [ Alcotest.test_case "snapshot reconstruction" `Quick test_snapshot_reconstruction ] );
+      ( "catalog",
+        [
+          Alcotest.test_case "basics" `Quick test_catalog_basics;
+          Alcotest.test_case "rename relation" `Quick test_catalog_rename_relation;
+          Alcotest.test_case "drop/add relation" `Quick test_catalog_drop_add_relation;
+          Alcotest.test_case "attribute changes" `Quick test_catalog_attribute_changes;
+          Alcotest.test_case "validates without mutation" `Quick test_catalog_validates;
+          Alcotest.test_case "a rejection keeps state" `Quick
+            test_catalog_rejected_keeps_state;
+          Alcotest.test_case "copy isolation" `Quick test_catalog_copy_isolation;
+        ] );
       ( "registry & meta knowledge",
         [
           Alcotest.test_case "registry" `Quick test_registry;
