@@ -10,7 +10,12 @@
    Reported times are SIMULATED seconds from the calibrated cost model
    (see lib/sim/cost_model.ml and DESIGN.md §3): the paper's absolute
    numbers came from a 4-PC Oracle8i testbed, so only the shapes are
-   expected to match.  The micro benches are REAL time. *)
+   expected to match.  The micro benches are REAL time.
+
+   Each experiment checks its own claims as it runs and exits 1 naming
+   the first that fails.  The simulated outputs are deterministic, so
+   [dune runtest] pins them byte for byte (test/golden/dune); host speed
+   is perfbench's, measured in paired runs. *)
 
 open Dyno_relational
 open Dyno_workload
@@ -25,6 +30,21 @@ let line = String.make 72 '-'
 
 let header fmt =
   Fmt.kstr (fun s -> Fmt.pr "@.%s@.%s@.%s@." line s line) fmt
+
+(* A claim an experiment makes of its own result: one that does not hold
+   ends the bench with [claim failed: <claim>] on stderr and exit 1. *)
+let claim ok fmt =
+  Fmt.kstr
+    (fun s ->
+      if not ok then begin
+        Fmt.epr "claim failed: %s@." s;
+        exit 1
+      end)
+    fmt
+
+(* The claim that [value] reaches [floor], the floor stated once. *)
+let at_least floor value what =
+  claim (value >= floor) "%s is at least %g (%.2f)" what floor value
 
 (* Every paper-world experiment is one spec: [--rows] tuples per
    relation charged as the paper's 100k, DUs trickling in one per second
@@ -246,7 +266,8 @@ let ablation () =
       ("recompute", Dyno_core.Run_config.Recompute);
     ];
   Fmt.pr
-    "@.Deferred/grouped DU maintenance (200 DUs flooding in, no SCs): group      size vs cost@.and view freshness (commits).@.@.";
+    "@.Deferred/grouped DU maintenance (200 DUs flooding in, no SCs): group \
+     size vs cost@.and view freshness (commits).@.@.";
   Fmt.pr "%12s  %10s  %9s@." "group size" "cost(s)" "commits";
   List.iter
     (fun du_group ->
@@ -395,71 +416,6 @@ let micro () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Result documents of the gated experiments                           *)
-(* ------------------------------------------------------------------ *)
-
-let json_path = ref ""
-let check_path = ref ""
-
-(* The document of the one gated experiment run ([--json] and [--check]
-   need [--only]), kept in memory for [--check]. *)
-let fresh_doc = ref (Dyno_jsonv.Jsonv.Arr [])
-
-(* Host-side footprint of the producing experiment: wall-clock since the
-   runner dispatched it (monotonic enough at bench granularity) and the
-   process peak RSS from /proc.  Appended as one extra entry to every
-   emitted document; the gate reports it and never fails on it. *)
-let exp_start = ref 0.0
-
-let host_max_rss_kb () =
-  (* /proc/self/status may be absent (non-Linux) or unreadable
-     (restricted containers), or lack VmHWM — any failure reads as
-     "unknown", never an exception. *)
-  match open_in "/proc/self/status" with
-  | exception _ -> None
-  | ic ->
-      let rec scan () =
-        match input_line ic with
-        | exception _ -> None
-        | line ->
-            if String.length line > 6 && String.sub line 0 6 = "VmHWM:" then
-              String.split_on_char ' ' line
-              |> List.filter (fun s -> s <> "")
-              |> function
-              | _ :: v :: _ -> int_of_string_opt v
-              | _ -> None
-            else scan ()
-      in
-      Fun.protect ~finally:(fun () -> close_in ic) scan
-
-let emit_json ~experiment entries =
-  let open Dyno_jsonv.Jsonv in
-  let host =
-    [
-      ("host_wall_s", Num (Unix.gettimeofday () -. !exp_start));
-      (* Explicit null keeps the entry's shape stable across hosts that
-         cannot report a peak RSS. *)
-      ( "host_max_rss_kb",
-        match host_max_rss_kb () with
-        | Some kb -> Num (float_of_int kb)
-        | None -> Null );
-    ]
-  in
-  let doc = Arr (entries @ [ Obj host ]) in
-  fresh_doc := doc;
-  if !json_path <> "" then begin
-    match open_out !json_path with
-    | exception Sys_error e ->
-        Fmt.epr "cannot write %s: %s@." !json_path e;
-        exit 1
-    | oc ->
-        output_string oc (to_string doc);
-        output_char oc '\n';
-        close_out oc;
-        Fmt.pr "@.wrote %s results to %s@." experiment !json_path
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Join micro-benchmarks (real time): physical plans head to head      *)
 (* ------------------------------------------------------------------ *)
 
@@ -484,63 +440,57 @@ let join_bench () =
       (List.init n (fun i -> [ Value.int i; Value.int ((i * 7) + salt) ]))
   in
   let sizes = if !fast then [ 1_000 ] else [ 1_000; 10_000 ] in
-  Fmt.pr "%8s  %15s  %15s  %15s  %9s@." "rows" "indexed" "ephemeral"
-    "nested-loop" "speedup";
-  let entries =
-    List.concat_map
-      (fun n ->
-        let r = make_rel sch_r n 0 and s = make_rel sch_s n 3 in
-        let catalog = Eval.catalog [ ("R", r); ("S", s) ] in
-        (* Warm the persistent indexes so the indexed series measures
-           probe cost, not the one-off build (in the VM, source commits
-           keep them maintained incrementally across probes). *)
-        ignore (Eval.run ~planner:`Indexed ~catalog q);
-        let t_indexed =
-          Test.make
-            ~name:(Fmt.str "indexed (%d rows)" n)
-            (Staged.stage (fun () ->
-                 ignore (Eval.run ~planner:`Indexed ~catalog q)))
-        in
-        let kr = Schema.index_of sch_r "k" and ks = Schema.index_of sch_s "k2" in
-        let t_ephemeral =
-          Test.make
-            ~name:(Fmt.str "ephemeral hash (%d rows)" n)
-            (Staged.stage (fun () ->
-                 ignore (Eval.positional_join r s [ (kr, ks) ])))
-        in
-        let t_nested =
-          Test.make
-            ~name:(Fmt.str "nested loop (%d rows)" n)
-            (Staged.stage (fun () ->
-                 ignore (Eval.run ~planner:`Nested_loop ~catalog q)))
-        in
-        (* A single 10k x 10k nested-loop op runs for seconds: give it
-           quota enough for a couple of samples so OLS has points to fit. *)
-        let nested_quota = Float.max !quota 2.0 in
-        match
-          ( ns_of_test t_indexed,
-            ns_of_test t_ephemeral,
-            ns_of_test ~quota_s:nested_quota t_nested )
-        with
-        | Some i, Some e, Some nl ->
-            Fmt.pr "%8d  %12.0f ns  %12.0f ns  %12.0f ns  %8.1fx@." n i e nl
-              (nl /. i);
-            List.map
-              (fun (op, ns) ->
-                Dyno_jsonv.Jsonv.(
-                  Obj
-                    [
-                      ("op", Str op);
-                      ("rows", Num (float_of_int n));
-                      ("ns_per_op", Num ns);
-                    ]))
-              [ ("indexed", i); ("ephemeral_hash", e); ("nested_loop", nl) ]
-        | _ ->
-            Fmt.pr "%8d  (no estimate)@." n;
-            [])
-      sizes
-  in
-  emit_json ~experiment:"join" entries
+  Fmt.pr "%8s  %15s  %15s  %15s  %10s  %12s@." "rows" "indexed" "ephemeral"
+    "nested-loop" "nl/indexed" "nl/ephemeral";
+  List.iter
+    (fun n ->
+      let r = make_rel sch_r n 0 and s = make_rel sch_s n 3 in
+      let catalog = Eval.catalog [ ("R", r); ("S", s) ] in
+      (* Warm the persistent indexes so the indexed series measures
+         probe cost, not the one-off build (in the VM, source commits
+         keep them maintained incrementally across probes). *)
+      ignore (Eval.run ~planner:`Indexed ~catalog q);
+      let t_indexed =
+        Test.make
+          ~name:(Fmt.str "indexed (%d rows)" n)
+          (Staged.stage (fun () ->
+               ignore (Eval.run ~planner:`Indexed ~catalog q)))
+      in
+      let kr = Schema.index_of sch_r "k" and ks = Schema.index_of sch_s "k2" in
+      let t_ephemeral =
+        Test.make
+          ~name:(Fmt.str "ephemeral hash (%d rows)" n)
+          (Staged.stage (fun () ->
+               ignore (Eval.positional_join r s [ (kr, ks) ])))
+      in
+      let t_nested =
+        Test.make
+          ~name:(Fmt.str "nested loop (%d rows)" n)
+          (Staged.stage (fun () ->
+               ignore (Eval.run ~planner:`Nested_loop ~catalog q)))
+      in
+      (* A single 10k x 10k nested-loop op runs for seconds: give it
+         quota enough for a couple of samples so OLS has points to fit. *)
+      let nested_quota = Float.max !quota 2.0 in
+      match
+        ( ns_of_test t_indexed,
+          ns_of_test t_ephemeral,
+          ns_of_test ~quota_s:nested_quota t_nested )
+      with
+      | Some i, Some e, Some nl ->
+          Fmt.pr "%8d  %12.0f ns  %12.0f ns  %12.0f ns  %9.1fx  %11.1fx@." n i
+            e nl (nl /. i) (nl /. e);
+          (* Both plans are measured against the reference in the same
+             run, so the ratio holds on any host; a broken index reads
+             about 1x. *)
+          let ratio plan t =
+            at_least 10.0 (nl /. t)
+              (Fmt.str "join: nested loop / %s at %d rows" plan n)
+          in
+          ratio "indexed" i;
+          ratio "ephemeral hash" e
+      | _ -> claim false "join: every plan has an estimate at %d rows" n)
+    sizes
 
 (* ------------------------------------------------------------------ *)
 (* Loss-point world of the transport and self-maintenance benches      *)
@@ -576,30 +526,19 @@ let converged t =
 let net_bench () =
   header "Transport - maintenance cost vs message/RPC loss rate (seconds)";
   Fmt.pr
-    "expected shape: busy grows with loss (timeout + backoff); converged      stays true@.@.";
+    "expected shape: busy grows with loss (timeout + backoff); converged \
+     stays true@.@.";
   Fmt.pr "%8s  %10s  %10s  %8s  %8s  %10s@." "loss" "busy" "net wait"
     "retries" "lost" "converged";
-  let entries =
-    List.map
-      (fun loss ->
-        let t, stats = loss_run loss in
-        let converged = converged t in
-        Fmt.pr "%8.2f  %10.1f  %10.1f  %8d  %8d  %10b@." loss stats.Stats.busy
-          stats.Stats.net_wait stats.Stats.retries stats.Stats.msgs_lost
-          converged;
-        let open Dyno_jsonv.Jsonv in
-        Obj
-          [
-            ("loss", Num loss);
-            ("busy_s", Num stats.Stats.busy);
-            ("net_wait_s", Num stats.Stats.net_wait);
-            ("retries", Num (float_of_int stats.Stats.retries));
-            ("lost", Num (float_of_int stats.Stats.msgs_lost));
-            ("converged", Bool converged);
-          ])
-      (loss_points ())
-  in
-  emit_json ~experiment:"net" entries
+  List.iter
+    (fun loss ->
+      let t, stats = loss_run loss in
+      let converged = converged t in
+      Fmt.pr "%8.2f  %10.1f  %10.1f  %8d  %8d  %10b@." loss stats.Stats.busy
+        stats.Stats.net_wait stats.Stats.retries stats.Stats.msgs_lost
+        converged;
+      claim converged "net: the view converges at loss %.2f" loss)
+    (loss_points ())
 
 (* ------------------------------------------------------------------ *)
 (* Chain-join world of the overlap and scale benches                   *)
@@ -705,16 +644,16 @@ let overlap_bench () =
   in
   let stats_s, extent_s = run ~parallel:1 () in
   let stats_p, extent_p = run ~parallel:n_sources () in
-  if not (Relation.equal extent_s extent_p) then begin
-    Fmt.epr "overlap bench: parallel extent diverged from serial@.";
-    exit 1
-  end;
+  claim
+    (Relation.equal extent_s extent_p)
+    "overlap: the parallel extent equals the serial one";
   (* Lineage-overhead probe: the same parallel run with the full obs
      stack (spans + metrics + lineage) on must stay byte-identical in
      simulated time.  A run takes a millisecond or two of host CPU, so
      one timing of each leg is noise: each leg's time is the median of
      [reps] runs, the legs alternating.  Its allocation is exact: words
-     allocated, the minor heap emptied before each read. *)
+     allocated, the minor heap emptied before each read.  Host time and
+     words vary by host and build, so the probe reports on stderr. *)
   let reps = 31 in
   let off () = run ~parallel:n_sources () in
   let on () = run ~obs:(Dyno_obs.Obs.create ()) ~parallel:n_sources () in
@@ -751,26 +690,22 @@ let overlap_bench () =
   let (stats_off, _), words_off = words off in
   let (stats_lin, extent_lin), words_lin = words on in
   let alloc_ratio = words_lin /. words_off in
-  if not (Relation.equal extent_p extent_lin) then begin
-    Fmt.epr "overlap bench: lineage-on extent diverged@.";
-    exit 1
-  end;
+  claim
+    (Relation.equal extent_p extent_lin)
+    "overlap: the extent with observability on equals the one with it off";
   let busy_delta = Float.abs (stats_lin.Stats.busy -. stats_off.Stats.busy) in
-  if busy_delta > 1e-9 then begin
-    Fmt.epr "overlap bench: lineage-on changed simulated busy by %g s@."
-      busy_delta;
-    exit 1
-  end;
+  claim (busy_delta <= 1e-9)
+    "overlap: observability leaves simulated busy unchanged (delta %g s)"
+    busy_delta;
   let cpu_overhead_pct =
     if cpu_off > 0.0 then (cpu_lin -. cpu_off) /. cpu_off *. 100.0 else 0.0
   in
   (* host CPU timings on a run this short are noisy: fail only on a
      blowup past 50%; an observability budget needs a longer workload *)
-  if cpu_off > 0.01 && cpu_overhead_pct > 50.0 then begin
-    Fmt.epr "overlap bench: lineage overhead %.1f%% CPU (fails above 50%%)@."
-      cpu_overhead_pct;
-    exit 1
-  end;
+  claim
+    (cpu_off <= 0.01 || cpu_overhead_pct <= 50.0)
+    "overlap: lineage costs at most 50%% more host CPU (%.1f%%)"
+    cpu_overhead_pct;
   let speedup = stats_s.Stats.busy /. stats_p.Stats.busy in
   Fmt.pr "%12s  %10s  %10s  %8s@." "mode" "busy (s)" "commits" "probes";
   Fmt.pr "%12s  %10.1f  %10d  %8d@." "serial" stats_s.Stats.busy
@@ -779,36 +714,14 @@ let overlap_bench () =
     (Fmt.str "parallel=%d" n_sources)
     stats_p.Stats.busy stats_p.Stats.view_commits stats_p.Stats.probes;
   Fmt.pr "@.speedup: %.2fx (extents identical)@." speedup;
-  Fmt.pr
+  Fmt.epr
     "lineage: busy_s delta %.9f (must be 0), host CPU %+.1f%% vs obs-off \
      (medians of %d alternating runs: %.4fs [%.4f..%.4f] -> %.4fs \
      [%.4f..%.4f]), allocation %.3fx obs-off (%.0f -> %.0f words, exact)@."
     busy_delta cpu_overhead_pct reps cpu_off (quartile cpu_offs 1)
     (quartile cpu_offs 3) cpu_lin (quartile cpu_lins 1) (quartile cpu_lins 3)
     alloc_ratio words_off words_lin;
-  let open Dyno_jsonv.Jsonv in
-  let mode name parallel (s : Stats.t) =
-    Obj
-      [
-        ("mode", Str name);
-        ("parallel", Num (float_of_int parallel));
-        ("busy_s", Num s.Stats.busy);
-        ("commits", Num (float_of_int s.Stats.view_commits));
-        ("probes", Num (float_of_int s.Stats.probes));
-      ]
-  in
-  emit_json ~experiment:"overlap"
-    [
-      mode "serial" 1 stats_s;
-      mode "parallel" n_sources stats_p;
-      Obj [ ("speedup", Num speedup) ];
-      Obj
-        [
-          ("lineage_busy_delta_s", Num busy_delta);
-          ("lineage_cpu_overhead_pct", Num cpu_overhead_pct);
-          ("lineage_alloc_ratio", Num alloc_ratio);
-        ];
-    ]
+  at_least 2.0 speedup "overlap: serial / parallel busy"
 
 (* ------------------------------------------------------------------ *)
 (* Self-maintenance: the auxiliary-view tier vs the probing SWEEP       *)
@@ -831,52 +744,33 @@ let selfmaint_bench () =
      loss rate.@.@.";
   Fmt.pr "%8s  %8s  %8s  %8s  %7s  %10s  %10s  %12s@." "loss" "probes"
     "probes'" "avoided" "pct" "busy" "busy'" "bytes saved";
-  let entries =
-    List.map
-      (fun loss ->
-        let base, stats_b = loss_run loss in
-        let sm, stats_s =
-          loss_run ~run:(Run_config.with_self_maint true Run_config.default) loss
-        in
-        if
-          not
-            (Relation.equal
-               (Dyno_view.Mat_view.extent base.Scenario.mv)
-               (Dyno_view.Mat_view.extent sm.Scenario.mv))
-        then begin
-          Fmt.epr
-            "selfmaint bench: extent diverged from baseline at loss %.2f@."
-            loss;
-          exit 1
-        end;
-        let avoided = stats_s.Stats.probes_avoided in
-        let pct =
-          let total = stats_s.Stats.probes + avoided in
-          if total = 0 then 0.0
-          else 100.0 *. float_of_int avoided /. float_of_int total
-        in
-        Fmt.pr "%8.2f  %8d  %8d  %8d  %6.1f%%  %10.1f  %10.1f  %10d B@." loss
-          stats_b.Stats.probes stats_s.Stats.probes avoided pct
-          stats_b.Stats.busy stats_s.Stats.busy stats_s.Stats.bytes_saved;
-        let open Dyno_jsonv.Jsonv in
-        Obj
-          [
-            ("loss", Num loss);
-            ("probes_base", Num (float_of_int stats_b.Stats.probes));
-            ("probes_sm", Num (float_of_int stats_s.Stats.probes));
-            ("probes_avoided", Num (float_of_int avoided));
-            ("pct_avoided", Num pct);
-            ("busy_base_s", Num stats_b.Stats.busy);
-            ("busy_sm_s", Num stats_s.Stats.busy);
-            ("bytes_saved_b", Num (float_of_int stats_s.Stats.bytes_saved));
-            ("converged", Bool (converged sm));
-          ])
-      (loss_points ())
-  in
+  List.iter
+    (fun loss ->
+      let base, stats_b = loss_run loss in
+      let sm, stats_s =
+        loss_run ~run:(Run_config.with_self_maint true Run_config.default) loss
+      in
+      claim
+        (Relation.equal
+           (Dyno_view.Mat_view.extent base.Scenario.mv)
+           (Dyno_view.Mat_view.extent sm.Scenario.mv))
+        "selfmaint: the extent equals the probing run's at loss %.2f" loss;
+      let avoided = stats_s.Stats.probes_avoided in
+      let pct =
+        let total = stats_s.Stats.probes + avoided in
+        if total = 0 then 0.0
+        else 100.0 *. float_of_int avoided /. float_of_int total
+      in
+      Fmt.pr "%8.2f  %8d  %8d  %8d  %6.1f%%  %10.1f  %10.4f  %10d B@." loss
+        stats_b.Stats.probes stats_s.Stats.probes avoided pct
+        stats_b.Stats.busy stats_s.Stats.busy stats_s.Stats.bytes_saved;
+      claim (converged sm) "selfmaint: the view converges at loss %.2f" loss;
+      at_least 60.0 pct
+        (Fmt.str "selfmaint: %% of probes avoided at loss %.2f" loss))
+    (loss_points ());
   Fmt.pr
     "@.(probes' / busy' = the --self-maint run; extents checked identical \
-     at every point)@.";
-  emit_json ~experiment:"selfmaint" entries
+     at every point)@."
 
 (* ------------------------------------------------------------------ *)
 (* Scale: sharded view manager, DU throughput at bounded staleness      *)
@@ -985,85 +879,38 @@ let scale_bench () =
   Fmt.pr "%7s  %12s  %14s  %5s  %9s  %8s  %8s@." "shards" "DU/s (sim)"
     "staleness p99" "SLO" "barriers" "speedup" "ideal";
   let base_throughput = ref 0.0 in
-  let entries =
-    List.map
-      (fun shards ->
-        let wm = w_max shards in
-        let horizon = 1.1 *. float_of_int n *. s_du *. wm in
-        let stats, metrics =
-          run ~shards ~timeline:(build_timeline ~n ~horizon)
-        in
-        let makespan = stats.Stats.end_time in
-        let du_per_s = float_of_int n /. makespan in
-        if shards = 1 then base_throughput := du_per_s;
-        let p99 =
-          match
-            Dyno_obs.Metrics.histogram_summary metrics
-              "view.SCALE.staleness_s"
-          with
-          | Some h -> h.Dyno_obs.Metrics.p99
-          | None -> Float.nan
-        in
-        let verdict = Dyno_obs.Slo.eval metrics objective in
-        let barriers =
-          Dyno_obs.Metrics.counter_value metrics "sched.cross_shard_barriers"
-        in
-        let speedup = du_per_s /. !base_throughput in
-        Fmt.pr "%7d  %12.1f  %12.2f s  %5s  %9d  %7.2fx  %7.2fx@." shards
-          du_per_s p99
-          (if verdict.Dyno_obs.Slo.pass then "ok" else "FAIL")
-          barriers speedup (1.0 /. wm);
-        let open Dyno_jsonv.Jsonv in
-        Obj
-          [
-            ("shards", Num (float_of_int shards));
-            ("n_dus", Num (float_of_int n));
-            ("du_per_s", Num du_per_s);
-            ("staleness_p99_s", Num p99);
-            ("slo", Str slo_spec);
-            ("slo_pass", Bool verdict.Dyno_obs.Slo.pass);
-            ("cross_shard_barriers", Num (float_of_int barriers));
-            ("speedup_vs_1", Num speedup);
-          ])
-      [ 1; 2; 4; 8 ]
-  in
+  List.iter
+    (fun shards ->
+      let wm = w_max shards in
+      let horizon = 1.1 *. float_of_int n *. s_du *. wm in
+      let stats, metrics = run ~shards ~timeline:(build_timeline ~n ~horizon) in
+      let makespan = stats.Stats.end_time in
+      let du_per_s = float_of_int n /. makespan in
+      if shards = 1 then base_throughput := du_per_s;
+      let p99 =
+        match
+          Dyno_obs.Metrics.histogram_summary metrics "view.SCALE.staleness_s"
+        with
+        | Some h -> h.Dyno_obs.Metrics.p99
+        | None -> Float.nan
+      in
+      let verdict = Dyno_obs.Slo.eval metrics objective in
+      let barriers =
+        Dyno_obs.Metrics.counter_value metrics "sched.cross_shard_barriers"
+      in
+      let speedup = du_per_s /. !base_throughput in
+      Fmt.pr "%7d  %12.4f  %12.2f s  %5s  %9d  %7.2fx  %7.2fx@." shards
+        du_per_s p99
+        (if verdict.Dyno_obs.Slo.pass then "ok" else "FAIL")
+        barriers speedup (1.0 /. wm);
+      claim verdict.Dyno_obs.Slo.pass
+        "scale: the staleness SLO holds at %d shard(s)" shards;
+      if shards = 8 then at_least 2.5 speedup "scale: 8-shard / 1-shard DU/s")
+    [ 1; 2; 4; 8 ];
   Fmt.pr
     "@.(ideal = 1 / hottest shard's Zipf traffic share; the paced \
      horizon makes each@.leg's makespan track it, minus the drain \
-     tail)@.";
-  emit_json ~experiment:"scale" entries
-
-(* ------------------------------------------------------------------ *)
-(* Regression gate: compare this run's results against a baseline file  *)
-(* ------------------------------------------------------------------ *)
-
-(* [--check BASELINE.json] holds the experiment named by [--only] to its
-   declaration in {!Gate}; exit 1 on any regression. *)
-let check_regressions (gate : Dyno_bench.Gate.t) =
-  let open Dyno_jsonv.Jsonv in
-  match parse_file !check_path with
-  | Error e ->
-      Fmt.epr "--check: cannot read %s: %s@." !check_path e;
-      exit 1
-  | Ok base ->
-      let entries d = Option.value (arr d) ~default:[] in
-      Fmt.pr "@.regression check vs %s (tolerance %.0f%%):@." !check_path
-        gate.tolerance_pct;
-      let r =
-        Dyno_bench.Gate.check gate ~base:(entries base)
-          ~fresh:(entries !fresh_doc)
-      in
-      List.iter (Fmt.pr "%s@.") r.lines;
-      if r.compared = 0 then begin
-        Fmt.epr "--check: no comparable entries between %s and this run@."
-          !check_path;
-        exit 1
-      end;
-      if r.failures > 0 then begin
-        Fmt.epr "@.%d regression(s) against %s@." r.failures !check_path;
-        exit 1
-      end;
-      Fmt.pr "@.all %d comparison(s) within tolerance@." r.compared
+     tail)@."
 
 (* ------------------------------------------------------------------ *)
 
@@ -1085,13 +932,8 @@ let experiments =
   ]
 
 (* The one source of truth for what exists: both [--list] and the
-   [--only] usage string derive from the [experiments] table, and the
-   gated ones from {!Gate.all}. *)
+   [--only] usage string derive from the [experiments] table. *)
 let experiment_names = List.map fst experiments
-
-let gated =
-  String.concat "/"
-    (List.map (fun g -> g.Dyno_bench.Gate.experiment) Dyno_bench.Gate.all)
 
 let () =
   let list_only = ref false in
@@ -1102,8 +944,6 @@ let () =
       ("--rows", Arg.Set_int rows, "physical rows per relation (default 500; logical is always 100k via cost scaling)");
       ("--fast", Arg.Set fast, "fewer sweep points / smaller join sizes");
       ("--quota", Arg.Set_float quota, "bechamel quota per micro-bench, seconds (default 0.5)");
-      ("--json", Arg.Set_string json_path, Fmt.str "write the results of the --only experiment (%s) to this JSON file" gated);
-      ("--check", Arg.Set_string check_path, Fmt.str "hold the --only experiment (%s) to its declared gate against a baseline JSON file; exit 1 on regression" gated);
     ]
   in
   Arg.parse specs (fun _ -> ()) "dyno benchmarks";
@@ -1111,16 +951,11 @@ let () =
     List.iter (Fmt.pr "%s@.") experiment_names;
     exit 0
   end;
-  let gate = Dyno_bench.Gate.find !only in
-  if (!json_path <> "" || !check_path <> "") && gate = None then begin
-    Fmt.epr "--json and --check need --only with one of %s@." gated;
-    exit 2
-  end;
   let todo =
-    if !only = "" then experiments
+    if !only = "" then List.map snd experiments
     else
       match List.assoc_opt !only experiments with
-      | Some f -> [ (!only, f) ]
+      | Some f -> [ f ]
       | None ->
           Fmt.epr "unknown experiment %s (try --list)@." !only;
           exit 1
@@ -1130,11 +965,4 @@ let () =
      to the paper's 100k.@.All figure numbers are SIMULATED seconds; micro \
      benches are real time.@."
     !rows;
-  List.iter
-    (fun (_, f) ->
-      exp_start := Unix.gettimeofday ();
-      f ())
-    todo;
-  match gate with
-  | Some g when !check_path <> "" -> check_regressions g
-  | _ -> ()
+  List.iter (fun f -> f ()) todo

@@ -281,14 +281,9 @@ let aux_store (w : Query_engine.t) (mv : Mat_view.t) :
         try Some (Dyno_source.Data_source.relation_at ds ~version rel)
         with _ -> None)
   in
-  let history = List.concat_map Umq.history (Query_engine.umqs w) in
+  let umqs = Array.of_list (Query_engine.umqs w) in
   let frontier source =
-    List.fold_left
-      (fun acc m ->
-        if String.equal (Update_msg.source m) source then
-          max acc (Update_msg.source_version m)
-        else acc)
-      0 history
+    Umq.delivered umqs.(Query_engine.route_of w source) source
   in
   let refresh_cost ~delta_tuples =
     Cost_model.refresh (Query_engine.cost w) ~delta_tuples

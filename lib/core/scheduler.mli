@@ -85,8 +85,8 @@ val maintain_entry :
 val aux_store : Query_engine.t -> Mat_view.t -> Dyno_selfmaint.Aux_store.t
 (** Build the view's auxiliary-projection store: derive the plan from the
     view definition, seed every projection from its source's state at the
-    per-source {e delivered} frontier (reconstructed from the queues'
-    admission history, so in-flight commits are excluded), and wire the
+    per-source {e delivered} frontier (read from the sequencer of the
+    source's queue, so in-flight commits are excluded), and wire the
     refresh cost to the engine's cost model.  The caller installs
     {!Dyno_selfmaint.Aux_store.on_message} as an admit hook to keep it
     fed; the dispatch core builds one store per view. *)

@@ -229,18 +229,8 @@ let parse s =
 
 let check s = Result.map (fun _ -> ()) (parse s)
 
-let parse_file path =
-  match open_in_bin path with
-  | exception Sys_error e -> Error e
-  | ic ->
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      parse s
-
 let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 let num = function Num f -> Some f | _ -> None
-let arr = function Arr l -> Some l | _ -> None
 
 let quote s =
   let buf = Buffer.create (String.length s + 2) in
@@ -258,48 +248,4 @@ let quote s =
       | ch -> Buffer.add_char buf ch)
     s;
   Buffer.add_char buf '"';
-  Buffer.contents buf
-
-let number_to_string f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else if Float.is_finite f then Printf.sprintf "%.6g" f
-  else "null" (* NaN/inf have no JSON representation *)
-
-let to_string v =
-  let buf = Buffer.create 256 in
-  let pad depth = Buffer.add_string buf (String.make (2 * depth) ' ') in
-  let rec go depth = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (string_of_bool b)
-    | Num f -> Buffer.add_string buf (number_to_string f)
-    | Str s -> Buffer.add_string buf (quote s)
-    | Arr [] -> Buffer.add_string buf "[]"
-    | Arr l ->
-        Buffer.add_string buf "[\n";
-        List.iteri
-          (fun i v ->
-            if i > 0 then Buffer.add_string buf ",\n";
-            pad (depth + 1);
-            go (depth + 1) v)
-          l;
-        Buffer.add_char buf '\n';
-        pad depth;
-        Buffer.add_char buf ']'
-    | Obj [] -> Buffer.add_string buf "{}"
-    | Obj kvs ->
-        Buffer.add_string buf "{\n";
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_string buf ",\n";
-            pad (depth + 1);
-            Buffer.add_string buf (quote k);
-            Buffer.add_string buf ": ";
-            go (depth + 1) v)
-          kvs;
-        Buffer.add_char buf '\n';
-        pad depth;
-        Buffer.add_char buf '}'
-  in
-  go 0 v;
   Buffer.contents buf

@@ -43,7 +43,7 @@ type t = {
   lookup : source:string -> rel:string -> version:int -> Relation.t option;
   coverage_key : string;  (** the per-view [selfmaint.<view>.coverage] gauge *)
   refresh_cost : delta_tuples:int -> float;
-  frontier : (string, int) Hashtbl.t;
+  frontier : string -> int;
       (** per-source delivered frontier: highest admitted source version *)
   mutable projs : proj list;
   mutable dirty : bool;  (** any projection invalid — [sync] has work *)
@@ -66,15 +66,12 @@ let coverage t =
 let gauge_coverage t =
   Metrics.set_gauge (Obs.metrics t.obs) t.coverage_key (coverage t)
 
-let delivered_frontier t source =
-  Option.value (Hashtbl.find_opt t.frontier source) ~default:0
-
 (* Seed (or re-seed) one projection from the source state at the
    delivered frontier.  A missing source, out-of-range version or a
    projected attribute absent from that state's schema leaves the
    projection invalid — maintenance falls back to probing. *)
 let seed t (def : Aux_plan.aux_def) =
-  let version = delivered_frontier t def.Aux_plan.source in
+  let version = t.frontier def.Aux_plan.source in
   let data =
     match
       t.lookup ~source:def.Aux_plan.source ~rel:def.Aux_plan.rel ~version
@@ -90,12 +87,6 @@ let seed t (def : Aux_plan.aux_def) =
 
 let create ~obs ~lookup ~frontier ~refresh_cost (mv : Mat_view.t) =
   let defs = Aux_plan.derive mv in
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (d : Aux_plan.aux_def) ->
-      if not (Hashtbl.mem tbl d.Aux_plan.source) then
-        Hashtbl.replace tbl d.Aux_plan.source (frontier d.Aux_plan.source))
-    defs;
   let t =
     {
       obs;
@@ -103,7 +94,7 @@ let create ~obs ~lookup ~frontier ~refresh_cost (mv : Mat_view.t) =
       coverage_key =
         Fmt.str "selfmaint.%s.coverage" (View_def.name (Mat_view.def mv));
       refresh_cost;
-      frontier = tbl;
+      frontier;
       projs = [];
       dirty = false;
       invalidations = 0;
@@ -127,9 +118,6 @@ let invalidate t p =
    scheduler sees the entry. *)
 let on_message t (m : Update_msg.t) =
   let src = Update_msg.source m in
-  (if Hashtbl.mem t.frontier src then
-     let prev = delivered_frontier t src in
-     Hashtbl.replace t.frontier src (max prev (Update_msg.source_version m)));
   match Update_msg.payload m with
   | Update_msg.Sc _ ->
       let touched = ref false in

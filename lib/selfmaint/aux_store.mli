@@ -27,22 +27,21 @@ val create :
   Mat_view.t ->
   t
 (** [create ~obs ~lookup ~frontier ~refresh_cost mv] derives the view's
-    projections ({!Aux_plan.derive}) and seeds each from
-    [lookup ~source ~rel ~version] at the per-source delivered frontier
-    ([frontier source] — the highest already-admitted source version, 0
-    for none).  [lookup] must return the {e exact} historical relation at
-    that version (not the live state, which may contain committed but
-    undelivered updates); returning [None] leaves the projection invalid
-    and maintenance on the probed path.  [refresh_cost] prices an
-    incremental refresh for the [selfmaint.aux_refresh_s] metric — the
-    refreshes ride delivered updates and are never charged on the
-    clock. *)
+    projections ({!Aux_plan.derive}) and seeds each, now and at every
+    re-seed, from [lookup ~source ~rel ~version] at the per-source
+    delivered frontier ([frontier source] — the highest already-admitted
+    source version, 0 for none).  [lookup] must return the {e exact}
+    historical relation at that version (not the live state, which may
+    contain committed but undelivered updates); returning [None] leaves
+    the projection invalid and maintenance on the probed path.
+    [refresh_cost] prices an incremental refresh for the
+    [selfmaint.aux_refresh_s] metric — the refreshes ride delivered
+    updates and are never charged on the clock. *)
 
 val on_message : t -> Update_msg.t -> unit
-(** The admit hook ({!Query_engine.add_admit_hook}): advances the
-    source's delivered frontier; a DU's delta refreshes the matching
-    valid projections in place, an SC invalidates every projection of its
-    source. *)
+(** The admit hook ({!Query_engine.add_admit_hook}): a DU's delta
+    refreshes the matching valid projections in place, an SC invalidates
+    every projection of its source. *)
 
 val sync : t -> Mat_view.t -> sc_queued:(string -> bool) -> unit
 (** Re-derive (from the current, possibly rewritten, view definition) and

@@ -210,6 +210,11 @@ let enqueue q ~commit_time ~source_version payload =
 let dups_dropped q = q.dups_dropped
 let reorders_healed q = q.reorders_healed
 
+let delivered q source =
+  match Hashtbl.find_opt q.expected source with
+  | Some next -> next - 1
+  | None -> 0
+
 (** Queued-ahead-of-a-gap message count (diagnostic). *)
 let held_count q = Hashtbl.fold (fun _ l acc -> acc + List.length l) q.held 0
 

@@ -73,6 +73,11 @@ val deliver :
 (** Run one arriving copy through the sequencer; [source_version] is its
     sequence number. *)
 
+val delivered : t -> string -> int
+(** The source's delivered frontier: the last sequence number the
+    sequencer admitted from it (one before the first it will send when
+    none is admitted yet; 0 for a source it has not seen). *)
+
 val dups_dropped : t -> int
 val reorders_healed : t -> int
 val held_count : t -> int

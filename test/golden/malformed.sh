@@ -60,6 +60,8 @@ script second-view "$view CREATE VIEW W AS SELECT x FROM a@b;"
 script drop-missing-column "$view ALTER TABLE a@b DROP COLUMN z;"
 script alter-missing-relation "$view ALTER TABLE c@b DROP COLUMN x;"
 script delete-absent-row "$view DELETE FROM a@b VALUES (5);"
+script create-renamed-onto \
+  "$view ALTER SOURCE b RENAME TABLE a TO c; CREATE TABLE c@b (y INT);"
 
 check unwritable-output run --dus 3 --json /nonexistent/dir/x.json
 

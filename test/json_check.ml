@@ -1,8 +1,7 @@
 (* Alcotest-facing wrappers over the shared RFC-8259 checker
    (lib/jsonv): the tests only need "does this string parse as JSON",
-   not a document model — but the parser itself now lives in
-   [Dyno_jsonv.Jsonv] so the bench regression gate and the [json_check]
-   CLI can reuse it. *)
+   not a document model — but the parser itself lives in
+   [Dyno_jsonv.Jsonv] so the [json_check] CLI can reuse it. *)
 
 let check = Dyno_jsonv.Jsonv.check
 

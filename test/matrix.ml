@@ -9,13 +9,18 @@
    one (8 rows, 0.15 s, 1.0 s).  A variant of it draws loss 0-0.35, dup
    0-0.30 and reorder 0-0.30 (all zero in about a quarter of the
    variants) on net seed 0-1,000 through [Fixture.faulty], shards
-   {1, 2, 4}, width 1-6 and self-maintenance on or off, and runs twice:
+   {1, 2, 4}, width 1-6, self-maintenance on or off, a DU group of 1, 2,
+   4 or 8 (1 in two variants of five) and recompute mode (one variant in
+   three), and runs twice:
    observability off, and on (spans, metrics, lineage, the sampler at
    0.25 s).  A case is one such run; a group of [per_group] variants
    shares a timeline and so one reference run.
 
    The reference run is the timeline on a reliable channel, one shard,
-   width 1, probing, observability off.  The oracle asks:
+   width 1, probing, per-update incremental maintenance, observability
+   off.  Shards and view sets ignore the DU group, and a view set
+   ignores recompute mode ({!Dyno_core.Run_config}): the oracle checks
+   that ignoring them is harmless.  The oracle asks:
    - of the reference: every view strongly consistent, 0 commits skipped;
      every valid view convergent;
    - of a variant, per view: the reference's validity; strong
@@ -61,11 +66,11 @@ type timeline =
 
 type axes =
   { loss : float; dup : float; reorder : float; net_seed : int; shards : int;
-    width : int; self_maint : bool }
+    width : int; self_maint : bool; du_group : int; recompute : bool }
 
 let reference =
   { loss = 0.; dup = 0.; reorder = 0.; net_seed = 0; shards = 1; width = 1;
-    self_maint = false }
+    self_maint = false; du_group = 1; recompute = false }
 
 let pp_case ppf (tl, axes) =
   Fmt.pf ppf "%s world, seed %d, %d DUs, %d SCs, %a, %s"
@@ -75,8 +80,11 @@ let pp_case ppf (tl, axes) =
   List.iter
     (fun a ->
       Fmt.pf ppf "@\n  loss %.2f dup %.2f reorder %.2f net seed %d, %d shard(s), \
-                  width %d%s" a.loss a.dup a.reorder a.net_seed a.shards a.width
-        (if a.self_maint then ", self-maint" else ""))
+                  width %d%s, DU group %d%s" a.loss a.dup a.reorder a.net_seed
+        a.shards a.width
+        (if a.self_maint then ", self-maint" else "")
+        a.du_group
+        (if a.recompute then ", recompute" else ""))
     axes
 
 let spec tl (a : axes) obs : Spec.t =
@@ -90,7 +98,10 @@ let spec tl (a : axes) obs : Spec.t =
     { base with seed = tl.seed; dus = tl.dus; scs = tl.scs;
       world = Scenario.Config.(base.world |> with_shards a.shards |> with_obs obs);
       run = Core.Run_config.(of_strategy tl.strategy |> with_parallel a.width
-                             |> with_self_maint a.self_maint) }
+                             |> with_self_maint a.self_maint
+                             |> with_du_group a.du_group
+                             |> with_vm_mode (if a.recompute then Recompute
+                                              else Incremental)) }
   in
   if a.loss +. a.dup +. a.reorder = 0. then s
   else Fixture.faulty ~loss:a.loss ~dup:a.dup ~reorder:a.reorder ~net_seed:a.net_seed s
@@ -202,9 +213,12 @@ let check (tl, axes) =
 (* The non-default axis values whose pairs [coverage] counts, by [names]. *)
 let flags tl a ~obs =
   [ a.loss +. a.dup +. a.reorder > 0.; a.shards > 1; a.width > 1; a.self_maint;
-    tl.two_views; obs; tl.strategy <> Core.Strategy.Pessimistic ]
+    tl.two_views; obs; tl.strategy <> Core.Strategy.Pessimistic; a.du_group > 1;
+    a.recompute ]
 
-let names = [| "faults"; "shards"; "width"; "self-maint"; "two views"; "obs"; "strategy" |]
+let names =
+  [| "faults"; "shards"; "width"; "self-maint"; "two views"; "obs"; "strategy";
+     "DU group"; "recompute" |]
 let n_flags = Array.length names
 let pairs = Array.make_matrix n_flags n_flags 0
 
@@ -233,8 +247,11 @@ let gen ~small =
       frequency [ (1, return (0., 0., 0.)); (3, triple (rate 35) (rate 30) (rate 30)) ]
     in
     let* net_seed = int_range 0 1000 and* shards = oneofl [ 1; 2; 4 ]
-    and* width = int_range 1 6 and* self_maint = bool in
-    return { loss; dup; reorder; net_seed; shards; width; self_maint }
+    and* width = int_range 1 6 and* self_maint = bool
+    and* du_group = oneofl [ 1; 1; 2; 4; 8 ]
+    and* recompute = map (( = ) 0) (int_range 0 2) in
+    return
+      { loss; dup; reorder; net_seed; shards; width; self_maint; du_group; recompute }
   in
   let* seed = int_range 0 10_000 and* dus = int_range 0 18 and* scs = int_range 0 3
   and* strategy = oneofl Core.Strategy.all and* two_views = bool in
@@ -251,7 +268,8 @@ let shrink (tl, axes) yield =
         (fun a' -> if a' <> a then yield (tl, with_ a'))
         [ { a with loss = 0.; dup = 0.; reorder = 0. }; { a with loss = 0. };
           { a with dup = 0. }; { a with reorder = 0. }; { a with shards = 1 };
-          { a with width = 1 }; { a with self_maint = false } ])
+          { a with width = 1 }; { a with self_maint = false };
+          { a with du_group = 1 }; { a with recompute = false } ])
     axes
 
 (* Counterexamples found so far, replayed on every run. *)
@@ -259,7 +277,8 @@ let regressions =
   let case small seed dus scs strategy two_views (loss, dup, reorder, net_seed)
       (shards, width, self_maint) =
     ( { small; seed; dus; scs; strategy; two_views },
-      [ { loss; dup; reorder; net_seed; shards; width; self_maint } ] )
+      [ { loss; dup; reorder; net_seed; shards; width; self_maint; du_group = 1;
+          recompute = false } ] )
   in
   Core.Strategy.
     [ case false 7205 11 2 Pessimistic false (0.23, 0.02, 0.09, 801) (2, 2, false);
