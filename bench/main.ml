@@ -611,7 +611,27 @@ let run_chain ~name ~n ~base_rows ?(obs = Dyno_obs.Obs.disabled)
 (* ------------------------------------------------------------------ *)
 
 (* Four chain-joined sources: serial busy time is ~3 RTTs per DU
-   back-to-back, while [--parallel 4] overlaps whole antichains of four. *)
+   back-to-back, while [--parallel 4] overlaps whole antichains of four.
+   [n_rounds] waves of one insert per source, all committed within the
+   first half-second so the UMQ always holds a full-width antichain. *)
+let overlap_sources = 4
+
+let overlap_run ?obs ~parallel () =
+  let base_rows = 50 in
+  let n_rounds = if !fast then 6 else 12 in
+  let tl = Dyno_sim.Timeline.create () in
+  for j = 0 to n_rounds - 1 do
+    for i = 1 to overlap_sources do
+      Dyno_sim.Timeline.schedule tl
+        ~time:(0.01 *. float_of_int ((j * overlap_sources) + i))
+        (chain_du Update.insert i
+           [ Value.int (j mod base_rows); Value.int (1000 + (j * 10) + i) ])
+    done
+  done;
+  run_chain ~name:"OV" ~n:overlap_sources ~base_rows ?obs
+    ~config:(Run_config.with_parallel parallel Run_config.default)
+    tl
+
 let overlap_bench () =
   header
     "Overlap - dependency-parallel maintenance, 4 independent sources \
@@ -620,43 +640,53 @@ let overlap_bench () =
     "four single-relation sources, chain-join view, 1 s probe RTT: serial \
      pays@.every round-trip back-to-back; parallel dispatches antichains \
      of 4.@.@.";
-  let n_sources = 4 in
-  let base_rows = 50 in
-  (* [n_rounds] waves of one insert per source, all committed within the
-     first half-second so the UMQ always holds a full-width antichain. *)
-  let n_rounds = if !fast then 6 else 12 in
-  let build_timeline () =
-    let tl = Dyno_sim.Timeline.create () in
-    for j = 0 to n_rounds - 1 do
-      for i = 1 to n_sources do
-        Dyno_sim.Timeline.schedule tl
-          ~time:(0.01 *. float_of_int ((j * n_sources) + i))
-          (chain_du Update.insert i
-             [ Value.int (j mod base_rows); Value.int (1000 + (j * 10) + i) ])
-      done
-    done;
-    tl
-  in
-  let run ?obs ~parallel () =
-    run_chain ~name:"OV" ~n:n_sources ~base_rows ?obs
-      ~config:(Run_config.with_parallel parallel Run_config.default)
-      (build_timeline ())
-  in
-  let stats_s, extent_s = run ~parallel:1 () in
-  let stats_p, extent_p = run ~parallel:n_sources () in
+  let stats_s, extent_s = overlap_run ~parallel:1 () in
+  let stats_p, extent_p = overlap_run ~parallel:overlap_sources () in
   claim
     (Relation.equal extent_s extent_p)
     "overlap: the parallel extent equals the serial one";
-  (* Lineage-overhead probe: the same parallel run with the full obs
-     stack (spans + metrics + lineage) on must stay byte-identical in
-     simulated time.  A run takes a millisecond or two of host CPU, so
-     one timing of each leg is noise: each leg's time is the median of
-     [reps] runs, the legs alternating.  Its allocation is exact: words
-     allocated, the minor heap emptied before each read.  Host time and
-     words vary by host and build, so the probe reports on stderr. *)
+  (* The same parallel run with the full obs stack (spans + metrics +
+     lineage) on must stay byte-identical in simulated time. *)
+  let stats_obs, extent_obs =
+    overlap_run ~obs:(Dyno_obs.Obs.create ()) ~parallel:overlap_sources ()
+  in
+  claim
+    (Relation.equal extent_p extent_obs)
+    "overlap: the extent with observability on equals the one with it off";
+  let busy_delta = Float.abs (stats_obs.Stats.busy -. stats_p.Stats.busy) in
+  claim (busy_delta <= 1e-9)
+    "overlap: observability leaves simulated busy unchanged (delta %g s)"
+    busy_delta;
+  let speedup = stats_s.Stats.busy /. stats_p.Stats.busy in
+  Fmt.pr "%12s  %10s  %10s  %8s@." "mode" "busy (s)" "commits" "probes";
+  Fmt.pr "%12s  %10.1f  %10d  %8d@." "serial" stats_s.Stats.busy
+    stats_s.Stats.view_commits stats_s.Stats.probes;
+  Fmt.pr "%12s  %10.1f  %10d  %8d@."
+    (Fmt.str "parallel=%d" overlap_sources)
+    stats_p.Stats.busy stats_p.Stats.view_commits stats_p.Stats.probes;
+  Fmt.pr "@.speedup: %.2fx (extents identical)@." speedup;
+  at_least 2.0 speedup "overlap: serial / parallel busy"
+
+(* ------------------------------------------------------------------ *)
+(* Lineage overhead: overlap's parallel leg, obs on vs off (HOST time) *)
+(* ------------------------------------------------------------------ *)
+
+(* The overlap bench's parallel leg with the full obs stack (spans +
+   metrics + lineage) on and off.  A run takes a millisecond or two of
+   host CPU, so one timing of each leg is noise: each leg's time is the
+   median of [reps] runs, the legs alternating.  Its allocation is
+   exact: words allocated, the minor heap emptied before each read.  Host
+   time and words vary by host and build, so no golden pins the
+   [lineage:] line. *)
+let lineage_bench () =
+  header
+    "Lineage overhead - overlap's parallel leg, observability on vs off \
+     (HOST CPU)";
   let reps = 31 in
-  let off () = run ~parallel:n_sources () in
-  let on () = run ~obs:(Dyno_obs.Obs.create ()) ~parallel:n_sources () in
+  let off () = overlap_run ~parallel:overlap_sources () in
+  let on () =
+    overlap_run ~obs:(Dyno_obs.Obs.create ()) ~parallel:overlap_sources ()
+  in
   let cpu f =
     let t0 = Sys.time () in
     ignore (f () : Stats.t * Relation.t);
@@ -688,40 +718,25 @@ let overlap_bench () =
   in
   let cpu_off = quartile cpu_offs 2 and cpu_lin = quartile cpu_lins 2 in
   let (stats_off, _), words_off = words off in
-  let (stats_lin, extent_lin), words_lin = words on in
+  let (stats_lin, _), words_lin = words on in
   let alloc_ratio = words_lin /. words_off in
-  claim
-    (Relation.equal extent_p extent_lin)
-    "overlap: the extent with observability on equals the one with it off";
   let busy_delta = Float.abs (stats_lin.Stats.busy -. stats_off.Stats.busy) in
-  claim (busy_delta <= 1e-9)
-    "overlap: observability leaves simulated busy unchanged (delta %g s)"
-    busy_delta;
   let cpu_overhead_pct =
     if cpu_off > 0.0 then (cpu_lin -. cpu_off) /. cpu_off *. 100.0 else 0.0
   in
-  (* host CPU timings on a run this short are noisy: fail only on a
-     blowup past 50%; an observability budget needs a longer workload *)
-  claim
-    (cpu_off <= 0.01 || cpu_overhead_pct <= 50.0)
-    "overlap: lineage costs at most 50%% more host CPU (%.1f%%)"
-    cpu_overhead_pct;
-  let speedup = stats_s.Stats.busy /. stats_p.Stats.busy in
-  Fmt.pr "%12s  %10s  %10s  %8s@." "mode" "busy (s)" "commits" "probes";
-  Fmt.pr "%12s  %10.1f  %10d  %8d@." "serial" stats_s.Stats.busy
-    stats_s.Stats.view_commits stats_s.Stats.probes;
-  Fmt.pr "%12s  %10.1f  %10d  %8d@."
-    (Fmt.str "parallel=%d" n_sources)
-    stats_p.Stats.busy stats_p.Stats.view_commits stats_p.Stats.probes;
-  Fmt.pr "@.speedup: %.2fx (extents identical)@." speedup;
-  Fmt.epr
+  Fmt.pr
     "lineage: busy_s delta %.9f (must be 0), host CPU %+.1f%% vs obs-off \
      (medians of %d alternating runs: %.4fs [%.4f..%.4f] -> %.4fs \
      [%.4f..%.4f]), allocation %.3fx obs-off (%.0f -> %.0f words, exact)@."
     busy_delta cpu_overhead_pct reps cpu_off (quartile cpu_offs 1)
     (quartile cpu_offs 3) cpu_lin (quartile cpu_lins 1) (quartile cpu_lins 3)
     alloc_ratio words_off words_lin;
-  at_least 2.0 speedup "overlap: serial / parallel busy"
+  (* host CPU timings on a run this short are noisy: fail only on a
+     blowup past 50%; an observability budget needs a longer workload *)
+  claim
+    (cpu_off <= 0.01 || cpu_overhead_pct <= 50.0)
+    "lineage: recording costs at most 50%% more host CPU (%.1f%%)"
+    cpu_overhead_pct
 
 (* ------------------------------------------------------------------ *)
 (* Self-maintenance: the auxiliary-view tier vs the probing SWEEP       *)
@@ -927,6 +942,7 @@ let experiments =
     ("join", join_bench);
     ("net", net_bench);
     ("overlap", overlap_bench);
+    ("lineage", lineage_bench);
     ("selfmaint", selfmaint_bench);
     ("scale", scale_bench);
   ]

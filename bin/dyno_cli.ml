@@ -557,13 +557,14 @@ let rejected_refresh = 4
 let out_of_steps = 5
 
 (* A run whose scheduler takes more than [config.max_steps] steps has
-   not drained its queues (under heavy loss, retransmissions can outlast
-   any budget): it ends with one line naming the budget, and
-   [out_of_steps].  Making such a run live is an open item of
-   ROADMAP.md. *)
+   not drained its queues: it ends with one line naming the budget, and
+   [out_of_steps].  The budget is a safety valve.  A maintenance query
+   whose source is unreachable waits for it and is asked again, keeping
+   its step's answers, so a run under loss or outages drains; no known
+   CLI input reaches this status. *)
 let out_of_steps_doc =
   "when the run exceeded its budget of scheduler steps before its queues \
-   drained; a run under heavy loss can (liveness is not yet guaranteed)."
+   drained (a safety valve: runs under loss and outages drain)."
 
 let step_budget_exceeded (config : Run_config.t) =
   Fmt.epr "dyno: the run exceeded its budget of %d scheduler steps@."

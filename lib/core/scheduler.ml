@@ -35,8 +35,8 @@ type step_outcome =
   | Done
   | AbortedStep of Dyno_source.Data_source.broken
   | UnreachableStep of Dyno_net.Retry.unreachable
-      (** a maintenance query exhausted its transport retry budget; the
-          entry stays at the queue head and is retried after recovery *)
+      (** never built; kept for perfbench's copied loop (see
+          scheduler.mli) *)
 
 (* What one maintenance step did to the views: [account] counts it and
    [terminal] ends the updates' lineage with it. *)
@@ -52,12 +52,8 @@ type result =
   | Dropped of int  (** the view is undefined: [n] updates acknowledged *)
   | Integrated of int  (** each of a view set's [n] views has the entry *)
   | Aborted of Dyno_source.Data_source.broken
-  | Unreachable of Dyno_net.Retry.unreachable
 
-let outcome = function
-  | Aborted b -> AbortedStep b
-  | Unreachable u -> UnreachableStep u
-  | _ -> Done
+let outcome = function Aborted b -> AbortedStep b | _ -> Done
 
 (* The one place a maintained step reaches the per-update counters.  A
    view set's entry was counted view by view. *)
@@ -92,7 +88,7 @@ let account (stats : Stats.t) (r : result) : unit =
   | Irrelevant n | Dropped n ->
       stats.Stats.irrelevant <- stats.Stats.irrelevant + n
   | Undefined -> stats.Stats.view_undefined <- true
-  | Integrated _ | Aborted _ | Unreachable _ -> ()
+  | Integrated _ | Aborted _ -> ()
 
 let finish w ~ids state detail =
   Dyno_obs.Lineage.finish (Dyno_obs.Obs.lineage (Query_engine.obs w)) ~ids
@@ -139,7 +135,7 @@ let terminal (w : Query_engine.t) ~(ids : int list) ~(how : string)
           (lazy "view undefined; update acknowledged and dropped")
     | Integrated n ->
         finish w ~ids applied (lazy (Fmt.str "integrated by all %d view(s)" n))
-    | Aborted _ | Unreachable _ -> ()
+    | Aborted _ -> ()
 
 (* VS + VA for a schema change, or batch adaptation for a merged node. *)
 let adapt ?applied w mv mk (msgs : Update_msg.t list) : result =
@@ -147,7 +143,6 @@ let adapt ?applied w mv mk (msgs : Update_msg.t list) : result =
   | Dyno_va.Batch.Adapted, [ _ ] -> Adapted_sc
   | Dyno_va.Batch.Adapted, _ -> Adapted_batch (List.length msgs)
   | Dyno_va.Batch.Aborted b, _ -> Aborted b
-  | Dyno_va.Batch.Unreachable u, _ -> Unreachable u
   | Dyno_va.Batch.View_undefined _, _ -> Undefined
 
 (* The one-view maintainer: maintain [entry] against [mv] and say what it
@@ -181,14 +176,13 @@ let maintain_view ?applied ?local ~(compensate : bool)
                 ~exclude:[ Update_msg.id m ]
             with
             | Ok () -> Rematerialized
-            | Error (Query_engine.Broken b) -> Aborted b
-            | Error (Query_engine.Unreachable u) -> Unreachable u)
+            | Error b -> Aborted b)
         | Update_msg.Du u -> (
             match Dyno_vm.Vm.maintain ~compensate ?applied ?local w mv m u with
             | Dyno_vm.Vm.Refreshed { stats; _ } -> Refreshed stats
             | Dyno_vm.Vm.Irrelevant -> Irrelevant 1
             | Dyno_vm.Vm.Aborted b -> Aborted b
-            | Dyno_vm.Vm.Unreachable u -> Unreachable u)
+            | Dyno_vm.Vm.Unreachable u -> Dyno_net.Retry.absurd u)
         | Update_msg.Sc _ -> adapt ?applied w mv mk msgs)
     | _ -> adapt ?applied w mv mk msgs
 
@@ -210,32 +204,10 @@ let maintain_entry ?local ~compensate ~vm_mode w mv mk (stats : Stats.t) entry
   terminal w ~ids ~how:"" r;
   outcome r
 
-(* A maintenance step stalled on an unreachable source: charge the sunk
-   work as busy (it is NOT thrown away — the entry stays queued and is
-   re-run), wait for recovery, and let the loop retry.  Unlike an abort,
-   no correction runs: the queue order is not the problem. *)
-let stall_and_wait (w : Query_engine.t) (stats : Stats.t) ~(t0 : float)
+(* Never runs: no step stalls (see scheduler.mli). *)
+let stall_and_wait (_ : Query_engine.t) (_ : Stats.t) ~t0:(_ : float)
     (u : Dyno_net.Retry.unreachable) : unit =
-  let trace = Query_engine.trace w in
-  let dt = Query_engine.now w -. t0 in
-  stats.Stats.busy <- stats.Stats.busy +. dt;
-  stats.Stats.net_stalls <- stats.Stats.net_stalls + 1;
-  Trace.record trace ~time:(Query_engine.now w) Trace.Outage
-    (lazy
-      (Fmt.str "maintenance stalled: %a; waiting for recovery"
-         Dyno_net.Retry.pp_unreachable u));
-  Dyno_obs.Metrics.incr
-    (Dyno_obs.Obs.metrics (Query_engine.obs w))
-    "net.stalls";
-  let waited =
-    Dyno_obs.Span.with_span
-      (Dyno_obs.Obs.spans (Query_engine.obs w))
-      ~now:(fun () -> Query_engine.now w)
-      Dyno_obs.Span.Stall
-      (lazy (Fmt.str "stall on %s" u.Dyno_net.Retry.source))
-      (fun _ -> Query_engine.await_recovery w ~source:u.Dyno_net.Retry.source)
-  in
-  stats.Stats.busy <- stats.Stats.busy +. waited
+  Dyno_net.Retry.absurd u
 
 (* Name the schema change behind a broken query: in-exec detection only
    diagnoses the query, so the lineage narrative looks up the queued SC
@@ -298,6 +270,7 @@ let aux_store (w : Query_engine.t) (mv : Mat_view.t) :
    statistics (absolute values: one engine drives one run). *)
 let record_net_stats (w : Query_engine.t) (stats : Stats.t) : unit =
   stats.Stats.retries <- Query_engine.net_retries w;
+  stats.Stats.net_stalls <- Query_engine.net_stalls w;
   stats.Stats.timeouts <- Query_engine.net_timeouts w;
   stats.Stats.net_wait <- Query_engine.net_wait w;
   stats.Stats.msgs_lost <- Query_engine.net_msgs_lost w;
@@ -556,11 +529,10 @@ let detect_and_correct c ~(force : bool) : unit =
 
 (* -- outcomes -- *)
 
-(* Charge one dispatched step's outcome — the one place Done, stalled and
-   aborted steps are accounted.  Done adds the step to busy time and
-   counts it as an episode of [kind] when it [changed] a view.  A stall
-   charges the sunk work and waits out the outage; the entry stays queued
-   and its retry is the episode.  An abort is an episode: it charges the
+(* Charge one dispatched step's outcome — the one place Done and aborted
+   steps are accounted.  Done adds the step to busy time (a query's wait
+   for an unreachable source included) and counts it as an episode of
+   [kind] when it [changed] a view.  An abort is an episode: it charges the
    wasted work as abort cost, names the conflicting schema change, and
    runs the strategy's correction: with one queue it rewrites the queue,
    with several the next iteration is a cross-shard barrier.  [mid] is the
@@ -576,11 +548,7 @@ let settle c ~mid ~(t0 : float) ~(what : string) ~(ids : int list)
       Dyno_obs.Span.set_attr c.sp mid "outcome" "done";
       stats.Stats.busy <- stats.Stats.busy +. dt;
       if changed then Stats.note_episode stats kind ~aborted:false dt
-  | UnreachableStep u ->
-      Dyno_obs.Span.set_attr c.sp mid "outcome" "stalled";
-      stall_and_wait c.w stats ~t0 u;
-      Dyno_obs.Lineage.stall c.lin ~ids ~time:(now c)
-        ~detail:(lazy (Fmt.str "%a" Dyno_net.Retry.pp_unreachable u))
+  | UnreachableStep u -> Dyno_net.Retry.absurd u
   | AbortedStep b -> (
       let dt = now c -. t0 in
       stats.Stats.busy <- stats.Stats.busy +. dt;
@@ -687,7 +655,7 @@ let round c ~(commit : member -> result -> unit)
               ~maintained:[ Update_msg.id mb.msg ];
             Irrelevant 1
         | Some (Dyno_vm.Vm.Swept_aborted b) -> Aborted b
-        | Some (Dyno_vm.Vm.Swept_unreachable u) -> Unreachable u
+        | Some (Dyno_vm.Vm.Swept_unreachable u) -> Dyno_net.Retry.absurd u
         | None -> assert false
       in
       match outcome r with
@@ -902,7 +870,7 @@ let maintain_views c ~(ids : int list) (entry : Umq.entry) : result =
                 ~compensate:c.config.compensate
                 ~vm_mode:Run_config.Incremental c.w v.mv c.mk entry
             with
-            | (Aborted _ | Unreachable _) as failed -> failed
+            | Aborted _ as failed -> failed
             | r ->
                 account c.stats r;
                 v.applied <- todo @ v.applied;
@@ -911,7 +879,7 @@ let maintain_views c ~(ids : int list) (entry : Umq.entry) : result =
   match per_view_round with
   | Done -> each c.views
   | AbortedStep b -> Aborted b
-  | UnreachableStep u -> Unreachable u
+  | UnreachableStep u -> Dyno_net.Retry.absurd u
 
 (* Refreshes and replacements of the run's views so far. *)
 let extent_changes c =
@@ -962,7 +930,7 @@ let dispatch_entry c mid (at : at) (entry : Umq.entry) : step_outcome =
             Grouped (List.length msgs, off, stats)
         | Dyno_vm.Vm.Irrelevant, _ -> Irrelevant (List.length msgs)
         | Dyno_vm.Vm.Aborted b, _ -> Aborted b
-        | Dyno_vm.Vm.Unreachable u, _ -> Unreachable u)
+        | Dyno_vm.Vm.Unreachable u, _ -> Dyno_net.Retry.absurd u)
     | _, views -> (
         start_entry c.w ~ids entry;
         match views with
@@ -1093,8 +1061,8 @@ let barrier c mid : unit =
         tick c;
         match dispatch_entry c mid Drain entry with
         | Done -> drain rest
-        | UnreachableStep _ -> drain (entry :: rest)
-        | AbortedStep _ -> pass ())
+        | AbortedStep _ -> pass ()
+        | UnreachableStep u -> Dyno_net.Retry.absurd u)
   in
   pass ()
 
@@ -1120,7 +1088,8 @@ let pre_exec c mid : bool =
 
 (* One iteration over non-empty queues, run inside a [Maintain] span.
    Every clock advance below is charged to [Stats.busy] (detection,
-   maintenance, post-abort correction, stall recovery), so the span's
+   maintenance with its queries' recovery waits, post-abort correction),
+   so the span's
    duration equals exactly the busy time this iteration contributes —
    the invariant Σ maintain-span durations = Stats.busy rests on it. *)
 let iteration c mid : unit =

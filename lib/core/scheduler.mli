@@ -62,8 +62,11 @@ type step_outcome =
   | Done
   | AbortedStep of Dyno_source.Data_source.broken
   | UnreachableStep of Dyno_net.Retry.unreachable
-      (** a maintenance query exhausted its transport retry budget; the
-          entry stays at the queue head and is retried after recovery *)
+      (** never built: a maintenance query whose source is unreachable
+          waits inside the query engine and is asked again, so a step
+          ends [Done] or [AbortedStep].  Kept, with {!stall_and_wait},
+          because perfbench's copied serial loop ([drive]) still matches
+          it; its arm is {!Dyno_net.Retry.absurd}. *)
 
 val maintain_entry :
   ?local:Dyno_vm.Sweep.local ->
@@ -93,9 +96,10 @@ val aux_store : Query_engine.t -> Mat_view.t -> Dyno_selfmaint.Aux_store.t
 
 val stall_and_wait :
   Query_engine.t -> Stats.t -> t0:float -> Dyno_net.Retry.unreachable -> unit
-(** A maintenance step stalled on an unreachable source: charge the sunk
-    work as busy, wait for recovery, and let the caller retry.  No
-    correction runs — the queue order is not the problem. *)
+(** Never runs: its argument has no value ({!Dyno_net.Retry.absurd}).
+    Kept because perfbench's copied serial loop calls it on
+    {!UnreachableStep}; a maintenance query's recovery wait happens
+    inside the query, charged to the step's busy time. *)
 
 val record_net_stats : Query_engine.t -> Stats.t -> unit
 (** Copy the engine- and queue-level transport counters (retries,

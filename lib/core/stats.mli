@@ -42,8 +42,9 @@ type t = {
   mutable dups_dropped : int;  (** duplicate deliveries dropped at the UMQ *)
   mutable reorders_healed : int;  (** held messages released in order *)
   mutable net_stalls : int;
-      (** maintenance steps stalled on an unreachable source (retried
-          after recovery — not aborts) *)
+      (** recovery waits of maintenance queries: a query used up its
+          attempts, waited for its source and was asked again, its step
+          keeping every answer it had (no abort, no restart) *)
   mutable cross_shard_barriers : int;
       (** sharded runs: rounds where every shard paused for a global
           schema-change barrier (zero outside the sharded scheduler) *)

@@ -76,6 +76,8 @@ type 'a t = {
 }
 
 let create ?(faults = reliable) ?(obs = Dyno_obs.Obs.disabled) ~seed () =
+  if not (faults.loss < 1.0) then
+    invalid_arg "Channel.create: loss must be below 1";
   {
     faults;
     rng = Rng.make seed;
@@ -134,10 +136,10 @@ type send_report = {
     the channel RNG; the message always arrives at least once. *)
 let send t ~now ~source ~seq payload : send_report =
   let f = t.faults in
-  (* Retransmit until one copy survives (geometric in the loss rate). *)
+  (* Retransmit until one copy survives (geometric in the loss rate,
+     which {!create} keeps below 1). *)
   let rec surviving k =
-    if k > 1000 then k (* loss = 1.0 safety valve *)
-    else if Rng.bernoulli t.rng f.loss then begin
+    if Rng.bernoulli t.rng f.loss then begin
       t.lost_transmissions <- t.lost_transmissions + 1;
       surviving (k + 1)
     end

@@ -44,6 +44,10 @@ type 'a t
     [net.*] fault counters. *)
 val create :
   ?faults:faults -> ?obs:Dyno_obs.Obs.t -> seed:int -> unit -> 'a t
+(** @raise Invalid_argument unless [faults.loss] is below 1: a message
+    and a maintenance query are retried until one copy gets through, so
+    a channel that loses every copy would never deliver. *)
+
 val in_flight : 'a t -> int
 
 val has_packets : 'a t -> bool

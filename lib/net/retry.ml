@@ -2,10 +2,11 @@
 
     A probe that gets no answer within [timeout] simulated seconds is
     retried after an exponentially growing backoff, up to [max_attempts]
-    total attempts.  Exhausting the budget yields an {!unreachable}
-    verdict — a {e transient} transport failure, distinct from a broken
-    query: the scheduler waits for the source to recover and retries the
-    maintenance step instead of aborting into VS/VA. *)
+    total attempts.  A used-up budget is not an error of the query: the
+    query engine waits for the source inside the query (to the end of its
+    outage, or one cool-down) and starts a fresh round of attempts, so
+    the step keeps every answer it already has.  A maintenance query's
+    one error is the paper's broken query. *)
 
 open Dyno_sim
 
@@ -29,13 +30,8 @@ let of_cost (cm : Cost_model.t) = make ~timeout:cm.rpc_timeout ()
 let backoff_delay p ~attempt =
   p.backoff *. (p.multiplier ** float_of_int (max 0 (attempt - 1)))
 
-(** Verdict after the retry budget is exhausted. *)
-type unreachable = {
-  source : string;
-  attempts : int;  (** how many probes were sent *)
-  waited : float;  (** simulated seconds spent on timeouts + backoff *)
-}
+(* No value: the constructors that carry it stay for outside callers
+   (see retry.mli). *)
+type unreachable = |
 
-let pp_unreachable ppf u =
-  Fmt.pf ppf "source %s unreachable after %d attempts (%.3fs waited)"
-    u.source u.attempts u.waited
+let absurd : unreachable -> 'a = function _ -> .

@@ -1,5 +1,6 @@
-(** Retry policy (timeout + exponential backoff + budget) for
-    maintenance-query RPCs. *)
+(** Retry policy (timeout + exponential backoff + attempt budget) for
+    maintenance-query RPCs.  A used-up budget is not an error: the query
+    waits for its source and starts a fresh round of attempts. *)
 
 type policy = {
   timeout : float;  (** wait per attempt before declaring it lost, s *)
@@ -23,8 +24,16 @@ val of_cost : Dyno_sim.Cost_model.t -> policy
 val backoff_delay : policy -> attempt:int -> float
 (** Delay charged before retry number [attempt] (first retry = 1). *)
 
-(** Verdict after the retry budget is exhausted: a transient transport
-    failure, not a broken query. *)
-type unreachable = { source : string; attempts : int; waited : float }
+(** The payload of the constructors perfbench's copied serial loop
+    still matches: [Vm.Unreachable], [Vm.Swept_unreachable] and
+    [Scheduler.UnreachableStep].  It has no value: a query whose attempts
+    run out waits for its source and is asked again
+    ([Query_engine.execute_timed]), so nothing builds those constructors.
+    Abstract here rather than visibly empty, so that an arm matching one
+    of them is not an unused match case, an error in perfbench's dev
+    build. *)
+type unreachable
 
-val pp_unreachable : Format.formatter -> unreachable -> unit
+val absurd : unreachable -> 'a
+(** The arm of a constructor that carries an {!unreachable}: never
+    runs. *)

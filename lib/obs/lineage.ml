@@ -35,7 +35,7 @@ type segment =
   | Barrier  (** dispatched from a cross-shard barrier drain *)
   | Probe  (** source round-trips during maintenance *)
   | Compute  (** maintenance work that is not a probe *)
-  | Stall  (** outage stall while dispatched *)
+  | Stall  (** a maintenance query waiting for its unreachable source *)
   | Abort  (** work sunk into an aborted maintenance step *)
 
 let all_segments =
@@ -326,16 +326,6 @@ let note t ~ids ~time ~kind ~detail =
         if r != nil then ev r ~at:time ~kind detail)
       ids
 
-let stall t ~ids ~time ~detail =
-  if t.on then
-    List.iter
-      (fun id ->
-        let r = get t.by_msg id in
-        if r != nil then
-          let d = charge r ~time Stall in
-          ev r ~at:time ~kind:"stall" ~seg:Stall ~charged:d detail)
-      ids
-
 let abort t ~ids ~time ~detail =
   if t.on then begin
     Metrics.incr t.metrics "lineage.aborts";
@@ -421,6 +411,16 @@ let probe_end t ~time ~detail =
         if r != nil then
           let d = charge r ~time Probe in
           ev r ~at:time ~kind:"probe" ~seg:Probe ~charged:d detail)
+      (scope t)
+
+let stall t ~time ~detail =
+  if t.on then
+    List.iter
+      (fun id ->
+        let r = get t.by_msg id in
+        if r != nil then
+          let d = charge r ~time Stall in
+          ev r ~at:time ~kind:"stall" ~seg:Stall ~charged:d detail)
       (scope t)
 
 (* ------------------------------------------------------------------ *)

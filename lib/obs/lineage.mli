@@ -24,7 +24,7 @@ type segment =
   | Barrier  (** dispatched from a cross-shard barrier drain *)
   | Probe  (** source round-trips during maintenance *)
   | Compute  (** maintenance work that is not a probe *)
-  | Stall  (** outage stall while dispatched *)
+  | Stall  (** a maintenance query waiting for its unreachable source *)
   | Abort  (** work sunk into an aborted maintenance step *)
 
 val all_segments : segment list
@@ -112,9 +112,6 @@ val note :
   t -> ids:int list -> time:float -> kind:string -> detail:string Lazy.t -> unit
 (** A pure (non-charging) event on each id's record. *)
 
-val stall : t -> ids:int list -> time:float -> detail:string Lazy.t -> unit
-(** An outage stalled the dispatched entry — charges [Stall]. *)
-
 val abort : t -> ids:int list -> time:float -> detail:string Lazy.t -> unit
 (** The maintenance step aborted — charges [Abort]; [detail] carries the
     provenance (aborting SC, believed schema). *)
@@ -149,6 +146,12 @@ val probe_begin : t -> time:float -> unit
 
 val probe_end : t -> time:float -> detail:string Lazy.t -> unit
 (** Charge the probe round-trip to [Probe] for the scoped ids. *)
+
+val stall : t -> time:float -> detail:string Lazy.t -> unit
+(** A maintenance query used up its attempts and waited for its source:
+    charge [Stall] for the scoped ids — the attempts that ran out and the
+    wait, from the cursor to [time].  The query is then asked again, and
+    its answer closes as {!probe_end}. *)
 
 (** {1 Terminal} *)
 

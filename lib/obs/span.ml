@@ -45,7 +45,9 @@ type kind =
   | Batch  (** a merged/grouped batch maintained atomically *)
   | Retry  (** backoff wait before a probe retry *)
   | Timeout  (** one probe attempt that got no answer in time *)
-  | Stall  (** waiting out an unreachable source (no abort) *)
+  | Stall
+      (** a maintenance query whose attempts ran out, waiting for its
+          source inside its [Probe] before it is asked again *)
   | Task  (** one cooperative maintenance task inside a parallel round *)
   | Local
       (** a maintenance sweep answered from the auxiliary-view store —

@@ -2,8 +2,8 @@
 
     The span vocabulary mirrors the maintenance pipeline: a top-level
     [Maintain] span per scheduler iteration, with [Detect], [Correct],
-    [Probe] (and its [Timeout]/[Retry] children), [Compensate], [Refresh],
-    [Vs], [Va], [Batch] and [Stall] nested under it.  A disabled recorder
+    [Probe] (and its [Timeout]/[Retry]/[Stall] children), [Compensate],
+    [Refresh], [Vs], [Va] and [Batch] nested under it.  A disabled recorder
     is a structural no-op.
 
     Span names and event details are [string Lazy.t]s, rendered only when
@@ -25,7 +25,9 @@ type kind =
   | Batch  (** a merged/grouped batch maintained atomically *)
   | Retry  (** backoff wait before a probe retry *)
   | Timeout  (** one probe attempt that got no answer in time *)
-  | Stall  (** waiting out an unreachable source (no abort) *)
+  | Stall
+      (** a maintenance query whose attempts ran out, waiting for its
+          source inside its [Probe] before it is asked again *)
   | Task  (** one cooperative maintenance task inside a parallel round *)
   | Local
       (** a maintenance sweep answered from the auxiliary-view store —

@@ -13,8 +13,9 @@
       abort-cost peak in Figure 10 sits at inter-SC intervals of ≈ 17–23 s.
 
     The [row_scale] factor lets benchmarks run on a physically smaller
-    extent (default 10k tuples/relation) while charging simulated time as
-    if relations had the paper's 100k tuples. *)
+    extent (the bench's default is 500 tuples per relation, the CLI's
+    200) while charging simulated time as if relations had the paper's
+    100k tuples. *)
 
 type t = {
   query_latency : float;  (** fixed round-trip per maintenance query, s *)

@@ -119,7 +119,7 @@ let holding (w : Query_engine.t) (f : held -> 'a) : 'a =
     compensated state as a sum: the answer (the source's pinned extent,
     for an identity fetch) minus one contribution per pending group. *)
 let fetch_compensated (w : Query_engine.t) (held : held) (f : fetch)
-    ~(exclude : int list) : (Eval.sum, Query_engine.failure) result =
+    ~(exclude : int list) : (Eval.sum, Dyno_source.Data_source.broken) result =
   let tr = f.table in
   match Query_engine.fetch w f.query ~target:tr.Query.source with
   | Error b -> Error b
@@ -150,12 +150,11 @@ let fetch_compensated (w : Query_engine.t) (held : held) (f : fetch)
                   ~rel:tr.Query.rel ~exclude))
         with Eval.Error reason ->
           Error
-            (Query_engine.Broken
-               {
-                 Dyno_source.Data_source.source = tr.Query.source;
-                 query_name = Query.name f.query;
-                 reason = Fmt.str "adaptation compensation failed: %s" reason;
-               })
+            {
+              Dyno_source.Data_source.source = tr.Query.source;
+              query_name = Query.name f.query;
+              reason = Fmt.str "adaptation compensation failed: %s" reason;
+            }
       in
       (* Adaptation joins each fetched relation in as it arrives; charge
          that incremental work now so that an abort mid-adaptation carries
@@ -169,7 +168,7 @@ let fetch_compensated (w : Query_engine.t) (held : held) (f : fetch)
 (** [fetch_all w held fs ~exclude] fetches every view relation,
     compensated; stops at the first broken probe. *)
 let fetch_all w held fs ~exclude :
-    ((string * Eval.sum) list, Query_engine.failure) result =
+    ((string * Eval.sum) list, Dyno_source.Data_source.broken) result =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | f :: rest -> (
@@ -188,7 +187,7 @@ let fetch_all w held fs ~exclude :
     detected (in-exec) before w(MV) — this is what makes late aborts both
     possible and expensive, as in Figures 9–11. *)
 let validated_tail (w : Query_engine.t) (fs : fetch list) ~(tail_cost : float) :
-    (unit, Query_engine.failure) result =
+    (unit, Dyno_source.Data_source.broken) result =
   let waves = 4 in
   let chunk = tail_cost /. float_of_int waves in
   let rec wave k =
@@ -215,7 +214,7 @@ let validated_tail (w : Query_engine.t) (fs : fetch list) ~(tail_cost : float) :
     rename. *)
 let replace_extent (w : Query_engine.t) (mv : Mat_view.t)
     ~(maintained : int list) ~(exclude : int list) :
-    (unit, Query_engine.failure) result =
+    (unit, Dyno_source.Data_source.broken) result =
   let query, _ = View_def.read (Mat_view.def mv) in
   let fs = fetches query (View_def.schemas (Mat_view.def mv)) in
   holding w @@ fun held ->
@@ -255,7 +254,7 @@ let replace_extent (w : Query_engine.t) (mv : Mat_view.t)
     batches). *)
 let refresh_with_equation6 (w : Query_engine.t) (mv : Mat_view.t)
     ~(maintained : int list) ~(batch_deltas : (string * Relation.t) list)
-    ~(exclude : int list) : (unit, Query_engine.failure) result =
+    ~(exclude : int list) : (unit, Dyno_source.Data_source.broken) result =
   let query, _ = View_def.read (Mat_view.def mv) in
   let fs = fetches query (View_def.schemas (Mat_view.def mv)) in
   holding w @@ fun held ->

@@ -50,7 +50,7 @@ val fetch_compensated :
   held ->
   fetch ->
   exclude:int list ->
-  (Eval.sum, Query_engine.failure) result
+  (Eval.sum, Dyno_source.Data_source.broken) result
 (** Read one table's current (filtered, projected) extent through its
     fetch, compensating away every pending unmaintained DU on it except
     the ids in [exclude] (being maintained right now, whose effects must
@@ -66,7 +66,7 @@ val replace_extent :
   Mat_view.t ->
   maintained:int list ->
   exclude:int list ->
-  (unit, Query_engine.failure) result
+  (unit, Dyno_source.Data_source.broken) result
 (** Rebuild the extent from compensated reads against the current
     (rewritten) definition — the shape-changing path, charged with the
     full extent rebuild. *)
@@ -77,7 +77,7 @@ val refresh_with_equation6 :
   maintained:int list ->
   batch_deltas:(string * Relation.t) list ->
   exclude:int list ->
-  (unit, Query_engine.failure) result
+  (unit, Dyno_source.Data_source.broken) result
 (** Adapt incrementally: fetch compensated new states, take each old
     state as its new state minus the batch's own delta, run
     {!equation6}, and refresh in place.  Only valid when the rewriting

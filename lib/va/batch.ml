@@ -26,10 +26,6 @@ type outcome =
   | Aborted of Dyno_source.Data_source.broken
       (** an adaptation query broke (type (4) anomaly); the in-memory view
           definition has been rolled back *)
-  | Unreachable of Dyno_net.Retry.unreachable
-      (** an adaptation query exhausted its transport retry budget; the
-          in-memory rewrite has been rolled back so the step can be re-run
-          cleanly once the source recovers — transient, no correction *)
   | View_undefined of string
       (** synchronization found no rewriting; the view is invalid *)
 
@@ -144,7 +140,6 @@ let rec maintain ?(applied = []) (w : Query_engine.t) (mv : Mat_view.t)
         (match outcome with
         | Adapted -> "adapted"
         | Aborted _ -> "aborted"
-        | Unreachable _ -> "unreachable"
         | View_undefined _ -> "view-undefined");
       outcome)
 
@@ -261,9 +256,7 @@ and maintain_unspanned ~applied (w : Query_engine.t) (mv : Mat_view.t)
       in
       (match result with
       | Ok () -> Adapted
-      | Error f ->
+      | Error b ->
           View_def.restore vd saved;
           Dyno_source.Meta_knowledge.restore mk saved_mk;
-          (match f with
-          | Query_engine.Broken b -> Aborted b
-          | Query_engine.Unreachable u -> Unreachable u))
+          Aborted b)

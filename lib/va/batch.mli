@@ -13,10 +13,6 @@ type outcome =
   | Aborted of Dyno_source.Data_source.broken
       (** an adaptation query broke (type (4) anomaly); the in-memory view
           definition and meta-knowledge re-keying have been rolled back *)
-  | Unreachable of Dyno_net.Retry.unreachable
-      (** an adaptation query exhausted its transport retry budget; rolled
-          back like an abort but transient — re-run after recovery, no
-          correction *)
   | View_undefined of string
       (** synchronization found no rewriting; the view is invalid *)
 

@@ -16,12 +16,13 @@
       cost on the simulated clock; every source commit whose time precedes
       the answer is applied {e first}, so the answer reflects exactly the
       interleaving semantics of Definition 2.  A schema mismatch yields
-      [Error (Broken _)] and raises the broken-query flag.
+      the broken query, [Error b], and raises the broken-query flag.
     - {b Retry under transport faults}: a probe that is lost or hits an
-      outage window times out and is retried with exponential backoff; an
-      exhausted budget yields [Error (Unreachable _)], which the scheduler
-      treats as a transient stall (wait and retry the maintenance step),
-      {e not} as an abort into VS/VA.
+      outage window times out and is retried with exponential backoff.
+      When the attempts run out, the query waits for its source (to the
+      end of the outage, or one cool-down) and is asked again; the step
+      keeps every answer it has.  So a maintenance query returns one
+      error, the paper's broken query; a lost message only delays it.
 
     With the default {!Dyno_net.Channel.reliable} faults the channel is a
     structural pass-through (no RNG draws, arrival = send time), so
@@ -65,6 +66,7 @@ type t = {
   mutable timeouts : int;  (** probe attempts that got no answer in time *)
   mutable retries : int;  (** probe attempts re-sent after backoff *)
   mutable net_wait : float;  (** simulated seconds lost to transport, s *)
+  mutable stalls : int;  (** queries that used up their attempts and waited *)
   mutable admit_hooks : (Update_msg.t -> unit) list;
       (** observers of the admitted update stream (install order);
           empty by default — see {!add_admit_hook} *)
@@ -123,6 +125,7 @@ let create ?(trace = Trace.create ()) ?(planner = `Indexed)
     timeouts = 0;
     retries = 0;
     net_wait = 0.0;
+    stalls = 0;
     admit_hooks = [];
   }
 
@@ -138,6 +141,7 @@ let obs w = w.obs
 let net_timeouts w = w.timeouts
 let net_retries w = w.retries
 let net_wait w = w.net_wait
+let net_stalls w = w.stalls
 
 let route w source = w.routes.(w.route_of source)
 
@@ -349,28 +353,51 @@ let flush_in_flight w ~source =
   | [] -> ()
   | ps -> List.iter (admit_packet w ri) ps
 
-(** How a maintenance query can fail:
-
-    - [Broken] — the genuine broken query of the paper: a schema conflict
-      detected in-exec; the maintenance process must abort into VS/VA.
-    - [Unreachable] — a transient transport failure: the retry budget was
-      exhausted without an answer; the maintenance step should be retried
-      once the source is reachable again.  No abort, no correction. *)
-type failure =
-  | Broken of Dyno_source.Data_source.broken
-  | Unreachable of Retry.unreachable
-
-let pp_failure ppf = function
-  | Broken b -> Dyno_source.Data_source.pp_broken ppf b
-  | Unreachable u -> Retry.pp_unreachable ppf u
+(* The attempts ran out: [target] is unreachable, so the query waits for
+   it — until its outage ends, or one cool-down — and is then asked again
+   by its caller.  The step keeps every answer it has: a wait between two
+   answers is a gap SWEEP's compensation already covers.  The wait is
+   transport time ([net_wait]) inside the step, charged to the [Stall]
+   segment of the updates being maintained (the ambient lineage scope). *)
+let stall w ~target =
+  let t0 = now w and attempts = w.retry.Retry.max_attempts in
+  w.stalls <- w.stalls + 1;
+  Trace.record w.trace ~time:t0 Trace.Outage
+    (lazy
+      (Fmt.str
+         "maintenance stalled: source %s unreachable after %d attempts; \
+          waiting for recovery"
+         target attempts));
+  Dyno_obs.Metrics.incr (Dyno_obs.Obs.metrics w.obs) "net.stalls";
+  Dyno_obs.Span.with_span (Dyno_obs.Obs.spans w.obs)
+    ~now:(fun () -> now w)
+    Dyno_obs.Span.Stall
+    (lazy (Fmt.str "stall on %s" target))
+    (fun _ ->
+      match
+        Channel.outage_at (route w target).r_channel ~source:target ~now:t0
+      with
+      | Some o -> idle_until w o.ends
+      | None ->
+          advance w
+            (Float.max w.retry.Retry.timeout
+               w.cost.Cost_model.retransmit_interval));
+  let waited = now w -. t0 in
+  w.net_wait <- w.net_wait +. waited;
+  Dyno_obs.Lineage.stall (Dyno_obs.Obs.lineage w.obs) ~time:(now w)
+    ~detail:
+      (lazy
+        (Fmt.str "source %s unreachable after %d attempts; waited %.3fs"
+           target attempts waited))
 
 (* Retry skeleton shared by [round_trip] and [validate]: decide the fate of
    each RPC attempt against the fault config, charging timeout + backoff
    on the simulated clock (commits keep being delivered meanwhile), until
-   an attempt goes through or the budget is exhausted. *)
+   an attempt goes through; a used-up budget {!stall}s, then starts a
+   fresh round of attempts. *)
 let rec rpc_attempt w ~target ~what
-    (attempt_ok : unit -> ('a, failure) result) ~n ~waited :
-    ('a, failure) result =
+    (attempt_ok : unit -> ('a, Dyno_source.Data_source.broken) result) ~n :
+    ('a, Dyno_source.Data_source.broken) result =
   let ch = (route w target).r_channel in
   let outage = Channel.outage_at ch ~source:target ~now:(now w) in
   let lost =
@@ -397,9 +424,10 @@ let rec rpc_attempt w ~target ~what
       (lazy
         (Fmt.str "%s %s: no answer after %.3fs (attempt %d/%d)" what target
            w.retry.Retry.timeout n w.retry.Retry.max_attempts));
-    let waited = waited +. w.retry.Retry.timeout in
-    if n >= w.retry.Retry.max_attempts then
-      Error (Unreachable { Retry.source = target; attempts = n; waited })
+    if n >= w.retry.Retry.max_attempts then begin
+      stall w ~target;
+      rpc_attempt w ~target ~what attempt_ok ~n:1
+    end
     else begin
       let backoff = Retry.backoff_delay w.retry ~attempt:n in
       Dyno_obs.Span.with_span sp
@@ -415,17 +443,17 @@ let rec rpc_attempt w ~target ~what
           (Fmt.str "%s %s: retry %d/%d after %.3fs backoff" what target
              (n + 1) w.retry.Retry.max_attempts backoff));
       rpc_attempt w ~target ~what attempt_ok ~n:(n + 1)
-        ~waited:(waited +. backoff)
     end
   end
 
 let with_rpc w ~target ~what attempt_ok =
-  rpc_attempt w ~target ~what attempt_ok ~n:1 ~waited:0.0
+  rpc_attempt w ~target ~what attempt_ok ~n:1
 
 (* Wrap one probe (or validate) round trip in a [Probe] span, tagging its
    outcome and feeding the [probe.rtt_s] histogram. *)
-let probe_span w ~target ~what (body : unit -> ('a, failure) result) :
-    ('a, failure) result =
+let probe_span w ~target ~what
+    (body : unit -> ('a, Dyno_source.Data_source.broken) result) :
+    ('a, Dyno_source.Data_source.broken) result =
   let sp = Dyno_obs.Obs.spans w.obs in
   let lin = Dyno_obs.Obs.lineage w.obs in
   let mx = Dyno_obs.Obs.metrics w.obs in
@@ -444,12 +472,7 @@ let probe_span w ~target ~what (body : unit -> ('a, failure) result) :
       let t0 = now w in
       Dyno_obs.Lineage.probe_begin lin ~time:t0;
       let result = body () in
-      let outcome =
-        match result with
-        | Ok _ -> "ok"
-        | Error (Broken _) -> "broken"
-        | Error (Unreachable _) -> "unreachable"
-      in
+      let outcome = match result with Ok _ -> "ok" | Error _ -> "broken" in
       Dyno_obs.Span.set_attr sp span_id "target" target;
       Dyno_obs.Span.set_attr sp span_id "outcome" outcome;
       let rtt = now w -. t0 in
@@ -507,7 +530,7 @@ let probe_complete w ~target answered_at = function
       set_broken_query_flags w;
       Trace.record w.trace ~time:(now w) Trace.Broken_query
         (lazy (Fmt.str "%a" Dyno_source.Data_source.pp_broken b));
-      Error (Broken b)
+      Error b
 
 (** [round_trip ~fetch w q ~bound ~target] runs one maintenance-query
     probe against source [target], in a [Probe] span.
@@ -522,7 +545,8 @@ let probe_complete w ~target answered_at = function
     nothing shipped), or {!Dyno_source.Data_source.answer} with [bound]
     shipped and [plan] as prepared. *)
 let round_trip ?plan ~fetch w (q : Query.t) ~bound ~target :
-    (Dyno_source.Data_source.answer * float, failure) result =
+    (Dyno_source.Data_source.answer * float, Dyno_source.Data_source.broken)
+    result =
   if Trace.enabled w.trace then
     Trace.record w.trace ~time:(now w) Trace.Query_sent
       (lazy (Fmt.str "%s <- %s" target (Query.name q)));
@@ -551,7 +575,8 @@ let unpin w ~source r =
     adaptation interleaves these with its computation so that a schema
     change committed at any point of the maintenance window is detected
     (in-exec) before the view commits. *)
-let validate w (q : Query.t) ~target : (unit, failure) result =
+let validate w (q : Query.t) ~target :
+    (unit, Dyno_source.Data_source.broken) result =
   probe_span w ~target ~what:"validate" @@ fun () ->
   let src = Dyno_source.Registry.find w.registry target in
   with_rpc w ~target ~what:"validate" (fun () ->
@@ -564,22 +589,7 @@ let validate w (q : Query.t) ~target : (unit, failure) result =
           Trace.record w.trace ~time:(now w) Trace.Broken_query
             (lazy
               (Fmt.str "validation: %a" Dyno_source.Data_source.pp_broken b));
-          Error (Broken b))
-
-(** [await_recovery w ~source] — called by the scheduler after an
-    [Unreachable] verdict: wait out the source's outage window if one is
-    active (otherwise one retry-timeout as a cool-down), delivering
-    commits meanwhile.  Returns the simulated seconds waited. *)
-let await_recovery w ~source =
-  let t0 = now w in
-  (match Channel.outage_at (route w source).r_channel ~source ~now:t0 with
-  | Some o -> idle_until w o.ends
-  | None ->
-      advance w
-        (Float.max w.retry.Retry.timeout w.cost.Cost_model.retransmit_interval));
-  let dt = now w -. t0 in
-  w.net_wait <- w.net_wait +. dt;
-  dt
+          Error b)
 
 (** [source_relation w ~source ~rel] direct read of a source's current
     relation — used by adaptation, which the paper models as maintenance

@@ -6,7 +6,9 @@
     engine with in-exec broken-query detection — with Definition 2's
     interleaving semantics: every commit falling before a query is
     answered is applied first.  Probes lost to the channel (or hitting an
-    outage) time out and are retried with exponential backoff. *)
+    outage) time out and are retried with exponential backoff; a query
+    whose attempts run out waits for its source and is asked again, so
+    its one error is the paper's broken query. *)
 
 open Dyno_relational
 open Dyno_sim
@@ -109,6 +111,10 @@ val net_retries : t -> int
 val net_wait : t -> float
 (** Simulated seconds spent on timeouts, backoff and recovery waits. *)
 
+val net_stalls : t -> int
+(** Recovery waits: queries that used up their attempts, waited for their
+    source and were asked again. *)
+
 val deliver_due : t -> unit
 (** Apply every source commit scheduled at or before the current simulated
     time, send its message down the channel, and run every arrived copy
@@ -126,32 +132,28 @@ val next_wakeup : t -> float option
 (** Next instant at which something happens without the view manager
     doing anything: a future commit or an in-flight message arrival. *)
 
-(** How a maintenance query can fail: [Broken] is the paper's broken
-    query (schema conflict, abort into VS/VA); [Unreachable] is a
-    transient transport failure (retry budget exhausted — wait and retry
-    the maintenance step, no abort). *)
-type failure =
-  | Broken of Dyno_source.Data_source.broken
-  | Unreachable of Dyno_net.Retry.unreachable
-
-val pp_failure : Format.formatter -> failure -> unit
-
 val execute_timed :
   ?plan:Eval.prepared ->
   t ->
   Query.t ->
   bound:(string * Rows.t) list ->
   target:string ->
-  (Dyno_source.Data_source.answer * float, failure) result
+  ( Dyno_source.Data_source.answer * float,
+    Dyno_source.Data_source.broken )
+  result
 (** Run one maintenance-query probe against a source.  Round-trip
     latency and scan cost elapse (with commit delivery) {e before} the
     answer is computed; the probed source's in-flight update messages are
     flushed into the UMQ with it (FIFO-stream semantics), so the caller's
     compensation frontier matches the answer exactly; result-transfer
     time elapses after it {e without} delivery.  A schema conflict yields
-    [Error (Broken _)] and raises the broken-query flag; a lost probe is
-    retried per the policy and yields [Error (Unreachable _)] when the
-    budget is exhausted.
+    the broken query, [Error b], and raises the broken-query flag — the
+    only error.  A lost probe is retried per the policy; when its
+    attempts run out it waits inside the call for the source — to the
+    end of its outage, or one cool-down of [max timeout
+    retransmit_interval] — in a [Stall] span charged to [net_wait], the
+    [net.stalls] metric and the scoped updates' [stall] lineage segment,
+    then starts a fresh round of attempts.
 
     Also returns the simulated time at which the source computed the
     answer (before the result transfer).  Under concurrent maintenance,
@@ -164,7 +166,7 @@ val fetch :
   t ->
   Query.t ->
   target:string ->
-  (Dyno_source.Data_source.answer, failure) result
+  (Dyno_source.Data_source.answer, Dyno_source.Data_source.broken) result
 (** {!execute_timed} of an adaptation's fetch, nothing shipped: the same
     probe round trip, spans and charges, answered by
     {!Dyno_source.Data_source.fetch}, so an identity fetch answers the
@@ -175,16 +177,12 @@ val fetch :
 val unpin : t -> source:string -> Relation.t -> unit
 (** Release a pin {!fetch} took ({!Dyno_source.Data_source.unpin}). *)
 
-val validate : t -> Query.t -> target:string -> (unit, failure) result
+val validate :
+  t -> Query.t -> target:string -> (unit, Dyno_source.Data_source.broken) result
 (** Lightweight metadata check against a source's current catalog: one
     round trip, no scan.  Adaptation interleaves these with its
     computation so late-arriving schema changes are detected in-exec.
     Subject to the same retry policy as {!execute_timed}. *)
-
-val await_recovery : t -> source:string -> float
-(** After an [Unreachable] verdict: wait out the source's outage window
-    (or one retry-timeout as a cool-down), delivering commits meanwhile;
-    returns the simulated seconds waited. *)
 
 val source_relation : t -> source:string -> rel:string -> Relation.t option
 (** Direct read of a source's current relation (oracles, initialization —

@@ -14,10 +14,10 @@
 
     A probe that fails due to a concurrent schema change surfaces as
     [Error (Broken _)] — the in-exec detection signal consumed by the Dyno
-    scheduler; compensation cannot help there (Section 3.2).  A probe that
-    exhausts its transport retry budget surfaces as
-    [Error (Unreachable _)] — a transient stall, retried by the scheduler
-    without aborting. *)
+    scheduler; compensation cannot help there (Section 3.2).  A lost probe
+    costs only time: the query engine retries it, waiting for its source
+    when the attempts run out, and the sweep goes on with the answers it
+    has. *)
 
 open Dyno_relational
 open Dyno_view
@@ -58,15 +58,15 @@ type local = {
     projections).  [exclude] is the id of the update message being
     maintained (it must not compensate against itself).
 
-    Returns [Ok (delta_view, stats)], or [Error _] when any probe hits a
-    schema conflict or exhausts its transport retry budget. *)
+    Returns [Ok (delta_view, stats)], or [Error b] when a probe hits a
+    schema conflict. *)
 let delta_view ?(compensate = true) (w : Query_engine.t)
     (sw : Maint_query.sweep) ~(delta : Relation.t) ~(exclude : int list) :
-    (Relation.t * stats, Query_engine.failure) result =
+    (Relation.t * stats, Dyno_source.Data_source.broken) result =
   let partial = ref (Maint_query.start sw delta) in
   let stats = ref no_stats in
   let trace = Query_engine.trace w in
-  let exception Failed of Query_engine.failure in
+  let exception Failed of Dyno_source.Data_source.broken in
   try
     if Rows.is_empty !partial then
       (* The delta is filtered out locally; nothing joins, no probes needed. *)
@@ -154,14 +154,11 @@ let delta_view ?(compensate = true) (w : Query_engine.t)
                        sound). *)
                     raise
                       (Failed
-                         (Query_engine.Broken
-                            {
-                              Dyno_source.Data_source.source =
-                                tr.Query.source;
-                              query_name = Query.name probe;
-                              reason =
-                                Fmt.str "compensation impossible: %s" reason;
-                            })))
+                         {
+                           Dyno_source.Data_source.source = tr.Query.source;
+                           query_name = Query.name probe;
+                           reason = Fmt.str "compensation impossible: %s" reason;
+                         }))
               answer pending
           in
           partial := answer)

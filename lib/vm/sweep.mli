@@ -3,9 +3,8 @@
     relation, shipping the partial result with each probe; the effects of
     pending unmaintained data updates are removed from each answer locally
     (no locking, no extra round trips).  A probe that fails on a
-    concurrent schema change surfaces as [Error (Broken _)] — the in-exec
-    detection signal; one that exhausts its transport retry budget as
-    [Error (Unreachable _)]. *)
+    concurrent schema change surfaces as [Error b], the broken query — the
+    in-exec detection signal and the sweep's only error. *)
 
 open Dyno_relational
 open Dyno_view
@@ -40,7 +39,7 @@ val delta_view :
   Maint_query.sweep ->
   delta:Relation.t ->
   exclude:int list ->
-  (Relation.t * stats, Query_engine.failure) result
+  (Relation.t * stats, Dyno_source.Data_source.broken) result
 (** [delta_view w sw ~delta ~exclude] computes the view delta for
     [delta] through the compiled sweep [sw] ({!Maint_query.sweep_for}):
     each probe ships its prepared plan, and compensation evaluates the
@@ -48,7 +47,11 @@ val delta_view :
     ({!Query_engine.pending_sums}).  [exclude] lists message
     ids whose effects must stay in the probe answers: the message being
     maintained (never compensated against itself) plus, in multi-view
-    mode, every queued update this view has already applied. *)
+    mode, every queued update this view has already applied.  A probe
+    whose source is unreachable waits inside the query engine and is
+    asked again, so the sweep keeps the answers it already has: a fetched
+    answer stays what it was, and compensation covers every commit that
+    lands between two answers. *)
 
 val delta_view_local :
   Query_engine.t ->

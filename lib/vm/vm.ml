@@ -18,8 +18,7 @@ type outcome =
   | Aborted of Dyno_source.Data_source.broken
       (** a maintenance query broke (in-exec detection fired) *)
   | Unreachable of Dyno_net.Retry.unreachable
-      (** a probe exhausted its transport retry budget — transient; the
-          scheduler waits for recovery and retries the step, no abort *)
+      (** never built; kept for perfbench's copied loop (see vm.mli) *)
 
 exception Invalid_view of string
 
@@ -46,7 +45,7 @@ type swept =
   | Swept of Relation.t * Sweep.stats  (** view delta, refresh pending *)
   | Swept_irrelevant  (** commit record pending *)
   | Swept_aborted of Dyno_source.Data_source.broken
-  | Swept_unreachable of Dyno_net.Retry.unreachable
+  | Swept_unreachable of Dyno_net.Retry.unreachable  (** never built *)
 
 (* A maintenance query of view [q] broke at [source]. *)
 let broken q ~source reason =
@@ -110,8 +109,7 @@ let maintain_sweep ?(compensate = true) ?(applied = []) ?(exclude_extra = [])
         sweep_delta ?local ~compensate w sw ~delta:(Update.delta du)
           ~exclude:((Update_msg.id msg :: applied) @ exclude_extra)
       with
-      | Error (Query_engine.Broken b) -> Swept_aborted b
-      | Error (Query_engine.Unreachable u) -> Swept_unreachable u
+      | Error b -> Swept_aborted b
       | Ok (dv, stats) -> Swept (dv, stats))
 
 (* The w(MV) c(MV) of a maintenance process: charge the refresh, refresh
@@ -170,7 +168,7 @@ let maintain ?compensate ?applied ?local (w : Query_engine.t)
         ~maintained:[ Update_msg.id msg ];
       Irrelevant
   | Swept_aborted b -> Aborted b
-  | Swept_unreachable u -> Unreachable u
+  | Swept_unreachable u -> Dyno_net.Retry.absurd u
 
 (** [maintain_group w mv msgs] — deferred/grouped maintenance of a queue
     prefix of data updates (no schema changes): updates are merged into
@@ -235,8 +233,7 @@ let maintain_group ?(compensate = true) ?local
             (Maint_query.sweep_for vd pivot)
             ~delta ~exclude:(ids @ processed)
         with
-        | Error (Query_engine.Broken b) -> raise (Failed (Aborted b))
-        | Error (Query_engine.Unreachable u) -> raise (Failed (Unreachable u))
+        | Error b -> raise (Failed (Aborted b))
         | Ok (dv, s) ->
             ( (match total with
               | None -> Some dv

@@ -14,8 +14,9 @@ type outcome =
   | Aborted of Dyno_source.Data_source.broken
       (** a maintenance query broke (in-exec detection fired) *)
   | Unreachable of Dyno_net.Retry.unreachable
-      (** a probe exhausted its transport retry budget — transient; the
-          scheduler waits for recovery and retries the step, no abort *)
+      (** never built: a probe whose source is unreachable waits and is
+          asked again.  Kept for perfbench's copied loop, which matches
+          it; its arm is {!Dyno_net.Retry.absurd}. *)
 
 exception Invalid_view of string
 
@@ -49,6 +50,8 @@ type swept =
   | Swept_irrelevant  (** commit record pending *)
   | Swept_aborted of Dyno_source.Data_source.broken
   | Swept_unreachable of Dyno_net.Retry.unreachable
+      (** never built, like {!Unreachable}, and kept for the same
+          reason *)
 
 val maintain_sweep :
   ?compensate:bool ->

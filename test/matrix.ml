@@ -6,9 +6,10 @@
    [drop_then_renames] train), a strategy, one view or the view set
    {V, V2} ([Paper_schema.view2_query]), in the world of [Fixture.base]
    (10 rows, DUs 0.2 s apart, SCs from 0.1 s, 1.5 s apart) or the small
-   one (8 rows, 0.15 s, 1.0 s).  A variant of it draws loss 0-0.35, dup
-   0-0.30 and reorder 0-0.30 (all zero in about a quarter of the
-   variants) on net seed 0-1,000 through [Fixture.faulty], shards
+   one (8 rows, 0.15 s, 1.0 s).  A variant of it draws no faults (one
+   variant in five), light loss 0-0.35 (two in five) or heavy loss
+   0.50-0.90 (two in five), with dup 0-0.30 and reorder 0-0.30 in both
+   loss bands, on net seed 0-1,000 through [Fixture.faulty], shards
    {1, 2, 4}, width 1-6, self-maintenance on or off, a DU group of 1, 2,
    4 or 8 (1 in two variants of five) and recompute mode (one variant in
    three), and runs twice:
@@ -212,13 +213,13 @@ let check (tl, axes) =
 
 (* The non-default axis values whose pairs [coverage] counts, by [names]. *)
 let flags tl a ~obs =
-  [ a.loss +. a.dup +. a.reorder > 0.; a.shards > 1; a.width > 1; a.self_maint;
-    tl.two_views; obs; tl.strategy <> Core.Strategy.Pessimistic; a.du_group > 1;
-    a.recompute ]
+  [ a.loss +. a.dup +. a.reorder > 0.; a.loss >= 0.5; a.shards > 1; a.width > 1;
+    a.self_maint; tl.two_views; obs; tl.strategy <> Core.Strategy.Pessimistic;
+    a.du_group > 1; a.recompute ]
 
 let names =
-  [| "faults"; "shards"; "width"; "self-maint"; "two views"; "obs"; "strategy";
-     "DU group"; "recompute" |]
+  [| "faults"; "heavy loss"; "shards"; "width"; "self-maint"; "two views"; "obs";
+     "strategy"; "DU group"; "recompute" |]
 let n_flags = Array.length names
 let pairs = Array.make_matrix n_flags n_flags 0
 
@@ -241,10 +242,12 @@ let per_group = 2
 
 let gen ~small =
   let open QCheck.Gen in
-  let rate hi = map (fun n -> float_of_int n /. 100.) (int_range 0 hi) in
+  let rate lo hi = map (fun n -> float_of_int n /. 100.) (int_range lo hi) in
   let axes =
     let* loss, dup, reorder =
-      frequency [ (1, return (0., 0., 0.)); (3, triple (rate 35) (rate 30) (rate 30)) ]
+      frequency
+        [ (1, return (0., 0., 0.)); (2, triple (rate 0 35) (rate 0 30) (rate 0 30));
+          (2, triple (rate 50 90) (rate 0 30) (rate 0 30)) ]
     in
     let* net_seed = int_range 0 1000 and* shards = oneofl [ 1; 2; 4 ]
     and* width = int_range 1 6 and* self_maint = bool

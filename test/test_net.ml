@@ -4,7 +4,9 @@
      duplication, reordering holds, outage parking, FIFO flush;
    - the UMQ sequencer: exactly-once admission (dup drop, gap hold, heal);
    - retry policy backoff math;
-   - zero-fault identity: a reliable channel changes nothing observable.
+   - zero-fault identity: a reliable channel changes nothing observable;
+   - a stalled step keeps its answers: a query whose source goes dark
+     waits for it and is asked again, and no other query is re-sent.
 
    That a lossy, duplicating, reordering but fair channel converges to
    the reliable run's extent is the end-to-end matrix's (matrix.ml). *)
@@ -31,8 +33,7 @@ let test_reliable_passthrough () =
   Alcotest.(check int) "no dups" 0 (Channel.duplicates_sent ch)
 
 let test_loss_is_retransmission_delay () =
-  (* loss = 1 would never terminate without the valve; use a seed where
-     loss = 0.9999… effectively forces retransmissions, then check the
+  (* Each lost transmission is retransmitted after [retransmit]: the
      arrival honours lost × retransmit. *)
   let faults =
     { Channel.reliable with loss = 0.5; retransmit = 0.1 }
@@ -49,6 +50,15 @@ let test_loss_is_retransmission_delay () =
     (Channel.lost_transmissions ch);
   (* eventual delivery regardless of the draw sequence *)
   Alcotest.(check bool) "in flight" true (Channel.in_flight ch = 1)
+
+(* A channel that loses every copy could never deliver a message or
+   answer a query, which are retried until one copy gets through. *)
+let test_loss_one_rejected () =
+  Alcotest.check_raises "loss 1"
+    (Invalid_argument "Channel.create: loss must be below 1") (fun () ->
+      ignore
+        (Channel.create ~faults:{ Channel.reliable with loss = 1.0 } ~seed:1 ()
+          : string Channel.t))
 
 let test_duplication () =
   let faults = { Channel.reliable with dup = 1.0; retransmit = 0.1 } in
@@ -225,6 +235,80 @@ let test_zero_fault_identity () =
   check_identical "obs on, lineage off" base
     (run ~obs:(Dyno_obs.Obs.create ~lineage:false ()) ())
 
+
+(* -- a stalled step keeps its answers ---------------------------------- *)
+
+(* [dyno run --dus DUS --scs SCS --seed 1 --trace], with [outages] and
+   every recorder on: the CLI's world, 200 rows, DUs 1 s apart and the
+   schema-change train 10 s apart. *)
+let cli_run ~dus ~scs outages =
+  let open Dyno_workload in
+  let obs = Dyno_obs.Obs.create () in
+  let t, stats =
+    Spec.run
+      (Spec.with_transport
+         { Channel.reliable with outages }
+         {
+           Spec.default with
+           dus;
+           scs;
+           world =
+             Scenario.Config.(
+               Spec.paper_world ~rows:200 |> with_snapshots true
+               |> with_trace true |> with_obs obs);
+         })
+  in
+  (t, stats, Dyno_obs.Obs.lineage obs)
+
+let queries_sent (t : Dyno_workload.Scenario.t) =
+  List.length
+    (List.filter
+       (fun (e : Dyno_sim.Trace.entry) -> e.kind = Dyno_sim.Trace.Query_sent)
+       (Dyno_sim.Trace.entries t.trace))
+
+(* An outage opens while a step is under way, at [outage]: the step's
+   query to the dark source uses up its attempts and waits for it, and
+   the step goes on with the answers it has, so each of its queries is
+   sent once — [sent] queries, as many as without the outage. *)
+let test_stall_keeps_answers ~dus ~scs outage ~sent () =
+  let open Dyno_obs in
+  let reliable, _, _ = cli_run ~dus ~scs [] in
+  let t, stats, lin = cli_run ~dus ~scs [ outage ] in
+  Alcotest.(check int) "queries sent without the outage" sent
+    (queries_sent reliable);
+  Alcotest.(check int) "with it, each query is still sent once" sent
+    (queries_sent t);
+  Alcotest.(check bool) "a query stalled" true
+    (stats.Dyno_core.Stats.net_stalls >= 1);
+  Alcotest.(check bool) "the extent is the reliable run's" true
+    (Relation.equal
+       (Dyno_view.Mat_view.extent reliable.mv)
+       (Dyno_view.Mat_view.extent t.mv));
+  Alcotest.(check bool) "strongly consistent" true
+    (Dyno_core.Consistency.ok (Dyno_workload.Scenario.check_strong t));
+  let stalled =
+    List.filter
+      (fun r ->
+        List.exists
+          (fun (e : Lineage.event) -> e.kind = "stall")
+          (Lineage.events r))
+      (Lineage.records lin)
+  in
+  Alcotest.(check bool) "a stalled update" true (stalled <> []);
+  List.iter
+    (fun (r : Lineage.record) ->
+      let who = Fmt.str "msg %d" r.msg_id in
+      Alcotest.(check bool) (who ^ ": nonzero stall segment") true
+        (Lineage.segment_value r Lineage.Stall > 0.0);
+      Alcotest.(check bool) (who ^ ": terminal") true (r.term <> None);
+      Alcotest.(check (float 1e-6))
+        (who ^ ": segments sum to commit -> terminal")
+        (Lineage.elapsed r) (Lineage.segment_sum r))
+    stalled
+
+let outage source starts duration =
+  { Channel.source; starts; ends = starts +. duration }
+
 let () =
   Alcotest.run "net"
     [
@@ -234,6 +318,7 @@ let () =
             test_reliable_passthrough;
           Alcotest.test_case "loss = retransmission delay" `Quick
             test_loss_is_retransmission_delay;
+          Alcotest.test_case "loss 1 is rejected" `Quick test_loss_one_rejected;
           Alcotest.test_case "duplication" `Quick test_duplication;
           Alcotest.test_case "outage parking" `Quick test_outage_parks_messages;
           Alcotest.test_case "flush is seq-ordered" `Quick
@@ -249,5 +334,18 @@ let () =
         [
           Alcotest.test_case "zero faults change nothing" `Quick
             test_zero_fault_identity;
+        ] );
+      ( "stall",
+        [
+          (* The outage opens in the sweep of DU #3: its probes of R2, R3
+             and R4 are answered, and its probe of R5 waits. *)
+          Alcotest.test_case "a stalled sweep keeps its answers" `Quick
+            (test_stall_keeps_answers ~dus:20 ~scs:0 (outage "DS3" 3.0 40.0)
+               ~sent:100);
+          (* It opens in the adaptation of the drop-attribute: the fetches
+             of R1 to R4 are answered, and the fetch of R5 waits. *)
+          Alcotest.test_case "a stalled adaptation keeps its fetches" `Quick
+            (test_stall_keeps_answers ~dus:0 ~scs:1 (outage "DS3" 10.2 30.0)
+               ~sent:6);
         ] );
     ]

@@ -254,7 +254,7 @@ let prop_flat_equals_hashed ~local planner =
             && st.comp_tuples = List.fold_left ( + ) 0 expected.masses
       else
         match Dyno_vm.Sweep.delta_view w sw ~delta ~exclude:[] with
-        | Error f -> QCheck.Test.fail_reportf "probe failed: %a" Query_engine.pp_failure f
+        | Error f -> QCheck.Test.fail_reportf "probe failed: %a" Dyno_source.Data_source.pp_broken f
         | Ok (dv, st) ->
             let answers = details trace Dyno_sim.Trace.Query_answered "%_s -> %d rows" in
             let masses = details trace Dyno_sim.Trace.Compensate "removed %d tuple(s)" in

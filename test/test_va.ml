@@ -273,7 +273,7 @@ let fetch_first ?(inside = fun _ -> ()) w mv ~exclude =
       | Ok s ->
           inside s;
           consolidated s
-      | Error e -> Alcotest.failf "broken: %a" Query_engine.pp_failure e)
+      | Error e -> Alcotest.failf "broken: %a" Dyno_source.Data_source.pp_broken e)
 
 let test_fetch_compensated () =
   let w, mv, ds1, umq = make_world () in
@@ -519,7 +519,7 @@ let test_replace_extent_after_sync () =
   View_def.write vd ~schemas:[ ("A", Schema.of_list [ Attr.int "k" ]); ("B", b_schema) ] new_q;
   (match Dyno_va.Adapt.replace_extent w mv ~maintained:[ 42 ] ~exclude:[ 42 ] with
   | Ok () -> ()
-  | Error f -> Alcotest.failf "broken: %a" Query_engine.pp_failure f);
+  | Error f -> Alcotest.failf "broken: %a" Dyno_source.Data_source.pp_broken f);
   Alcotest.(check (list string)) "new extent schema" [ "k"; "w" ]
     (Schema.names (Relation.schema (Mat_view.extent mv)));
   Alcotest.(check int) "one row" 1 (Relation.cardinality (Mat_view.extent mv))

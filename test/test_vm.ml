@@ -141,8 +141,7 @@ let test_compensation_prevents_duplication () =
     | Dyno_vm.Vm.Irrelevant -> Alcotest.fail "not irrelevant"
     | Dyno_vm.Vm.Aborted b ->
         Alcotest.failf "unexpected abort: %a" Dyno_source.Data_source.pp_broken b
-    | Dyno_vm.Vm.Unreachable u ->
-        Alcotest.failf "unexpected stall: %a" Dyno_net.Retry.pp_unreachable u);
+    | Dyno_vm.Vm.Unreachable u -> Dyno_net.Retry.absurd u);
     (* now maintain the pending B insert *)
     (match Umq.head wd.umq with
     | Some (Umq.Single m) -> (
@@ -289,7 +288,7 @@ let outcome_to_string = function
         stats.Dyno_vm.Sweep.compensations
   | Dyno_vm.Vm.Irrelevant -> "irrelevant"
   | Dyno_vm.Vm.Aborted b -> Fmt.str "%a" Dyno_source.Data_source.pp_broken b
-  | Dyno_vm.Vm.Unreachable _ -> "unreachable"
+  | Dyno_vm.Vm.Unreachable u -> Dyno_net.Retry.absurd u
 
 (* Maintain a DU on A — which compiles A's sweep, probe plans included —
    then commit [sc] at ds2 (C's source) without maintaining it, leave
